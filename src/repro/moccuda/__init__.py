@@ -35,7 +35,6 @@ from .shim import (
     MocCUDASession,
     NLL_LOSS_CUDA,
     Stream,
-    async_streams_default,
 )
 
 __all__ = [
@@ -45,5 +44,5 @@ __all__ = [
     "RESNET50_LAYERS", "LayerSpec", "relative_throughput",
     "throughput_images_per_second", "training_step_cycles",
     "CompiledKernel", "CudaEvent", "DeviceProperties", "MocCUDASession",
-    "NLL_LOSS_CUDA", "Stream", "async_streams_default",
+    "NLL_LOSS_CUDA", "Stream",
 ]

@@ -30,12 +30,10 @@ construction.
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,19 +43,9 @@ from ..runtime import resilience
 from ..runtime.errors import StreamPoisonedError
 from ..transforms import PipelineOptions
 
-#: environment knob: set to ``0`` to fall back to synchronous (drain-on-
-#: synchronize) stream semantics.
-ASYNC_ENV_VAR = "REPRO_ASYNC_STREAMS"
-
 #: ceiling on any single blocking wait inside the shim; a cross-stream
 #: dependency cycle then raises instead of deadlocking the test suite.
 DEFAULT_WAIT_TIMEOUT = 60.0
-
-
-def async_streams_default() -> bool:
-    """Process default for stream asynchrony (``REPRO_ASYNC_STREAMS``)."""
-    return os.environ.get(ASYNC_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +131,9 @@ class _LaunchBatch:
 class Stream:
     """A CUDA stream emulated as an in-order asynchronous task queue.
 
-    ``asynchronous=True`` (the default) backs the stream with a dedicated
-    worker thread: tasks start executing as soon as they are enqueued, in
-    FIFO order, overlapping with the host and with other streams —
-    ``synchronize`` only *waits*.  ``asynchronous=False`` restores the
-    legacy semantics where the queue drains inside ``synchronize``.
+    The stream is backed by a dedicated worker thread: tasks start
+    executing as soon as they are enqueued, in FIFO order, overlapping with
+    the host and with other streams — ``synchronize`` only *waits*.
 
     ``synchronize`` returns the number of queue tasks completed since the
     previous synchronize (a coalesced launch batch counts as a single
@@ -164,14 +150,11 @@ class Stream:
     next synchronize without rejecting queued work in between).
     """
 
-    def __init__(self, stream_id: int, asynchronous: Optional[bool] = None) -> None:
+    def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
-        self.asynchronous = (async_streams_default()
-                             if asynchronous is None else asynchronous)
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._pending: List[Future] = []
-        self._sync_queue: Deque[Callable[[], None]] = deque()
         self._completed_since_sync = 0
         self._tail_batch: Optional[_LaunchBatch] = None
         self._poisoned: Optional[BaseException] = None
@@ -220,12 +203,9 @@ class Stream:
                 with self._lock:
                     self._completed_since_sync += 1
 
-        if self.asynchronous:
-            with self._lock:
-                executor = self._ensure_executor()
-                self._pending.append(executor.submit(run))
-        else:
-            self._sync_queue.append(run)
+        with self._lock:
+            executor = self._ensure_executor()
+            self._pending.append(executor.submit(run))
 
     # -- public queue API --------------------------------------------------------
     def enqueue(self, task: Callable[[], None]) -> None:
@@ -288,16 +268,6 @@ class Stream:
             self.stats["tasks"] += 1
 
         def wait() -> None:
-            if not self.asynchronous:
-                # the drain runs on the host thread, so blocking here could
-                # never be satisfied by another stream making progress:
-                # fail fast instead of stalling out the timeout.
-                if not event._fired.is_set():
-                    raise RuntimeError(
-                        f"stream {self.stream_id}: cross-stream wait_event on "
-                        f"an unfired event requires asynchronous streams "
-                        f"(REPRO_ASYNC_STREAMS=0 drains on the host thread)")
-                return
             if not event._fired.wait(timeout):
                 raise RuntimeError(
                     f"stream {self.stream_id} timed out after {timeout}s "
@@ -312,26 +282,18 @@ class Stream:
         launch errors) — but only after the whole queue has drained, so a
         caught error leaves the stream idle, not still executing."""
         first_error: Optional[BaseException] = None
-        if self.asynchronous:
-            while True:
-                with self._lock:
-                    pending, self._pending = self._pending, []
-                if not pending:
-                    break
-                for future in pending:
-                    try:
-                        # no timeout: sync means *wait* — long kernels and
-                        # coalesced batches are legitimate.  Deadlock guards
-                        # live inside event waits, which time out on the
-                        # worker and surface here as task errors.
-                        future.result()
-                    except BaseException as error:  # noqa: BLE001
-                        if first_error is None:
-                            first_error = error
-        else:
-            while self._sync_queue:
+        while True:
+            with self._lock:
+                pending, self._pending = self._pending, []
+            if not pending:
+                break
+            for future in pending:
                 try:
-                    self._sync_queue.popleft()()
+                    # no timeout: sync means *wait* — long kernels and
+                    # coalesced batches are legitimate.  Deadlock guards
+                    # live inside event waits, which time out on the
+                    # worker and surface here as task errors.
+                    future.result()
                 except BaseException as error:  # noqa: BLE001
                     if first_error is None:
                         first_error = error
@@ -438,20 +400,14 @@ class MocCUDASession:
     launch is sharded across real CPU cores, and on the native engine it
     runs as compiled OpenMP C, which is the closest this reproduction gets
     to MocCUDA's actual many-core A64FX execution.
-
-    ``async_streams`` turns the thread-backed stream executors on or off
-    (``None`` = the ``REPRO_ASYNC_STREAMS`` process default, which is on).
     """
 
     def __init__(self, options: Optional[PipelineOptions] = None,
                  engine: Optional[str] = None,
                  workers: Optional[int] = None,
-                 async_streams: Optional[bool] = None,
                  machine: MachineModel = A64FX_CMG) -> None:
         self.device = DeviceProperties()
-        self.async_streams = (async_streams_default()
-                              if async_streams is None else async_streams)
-        self.streams: Dict[int, Stream] = {0: Stream(0, self.async_streams)}
+        self.streams: Dict[int, Stream] = {0: Stream(0)}
         self.events: List[CudaEvent] = []
         self.call_log: List[str] = []
         self.options = options or PipelineOptions.all_optimizations()
@@ -468,7 +424,7 @@ class MocCUDASession:
         return self.device
 
     def cuda_stream_create(self) -> Stream:
-        stream = Stream(len(self.streams), self.async_streams)
+        stream = Stream(len(self.streams))
         self.streams[stream.stream_id] = stream
         self.call_log.append("cudaStreamCreate")
         return stream

@@ -108,7 +108,6 @@ from .cache import (
     global_tuning_cache,
     kernel_key,
     pipeline_fingerprint,
-    tuning_cache_enabled,
 )
 from .registry import ENGINES_VIEW as ENGINES, engine_names, register_engine
 
@@ -181,7 +180,7 @@ __all__ = [
     "KernelCache", "NativeArtifactCache", "TuningCache", "TuningCacheStats",
     "clear_global_cache", "clear_global_tuning_cache",
     "global_cache", "global_native_cache", "global_tuning_cache",
-    "kernel_key", "pipeline_fingerprint", "tuning_cache_enabled",
+    "kernel_key", "pipeline_fingerprint",
     "engine_names", "register_engine",
     "ENGINE_AUTO", "ENGINE_COMPILED", "ENGINE_ENV_VAR", "ENGINE_INTERP",
     "ENGINE_MULTICORE", "ENGINE_NATIVE", "ENGINE_VECTORIZED", "ENGINES",

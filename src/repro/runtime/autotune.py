@@ -16,8 +16,10 @@ the tuner searches the configuration space by **measurement on the real
 arguments**:
 
 * every registered engine (``engine ∈ registry``, minus ``auto`` itself),
-* the multicore engine at ``workers ∈ {1, 2, 4, cpu_count}`` (clamped to
-  the CPUs actually available; an explicit ``workers=`` pins it),
+* the multicore engine at ``workers ∈ {2, 4, cpu_count}`` (clamped to the
+  CPUs actually available; an explicit ``workers=`` pins it; a width below
+  2 attaches no shard context and *is* the compiled engine, so it is never
+  a candidate),
 * the native engine only where the ``cc -fopenmp`` toolchain probe passes,
 * the vectorized engine only where the machine model is vectorizable
   (elsewhere it falls back to compiled wholesale and would only duplicate
@@ -39,10 +41,10 @@ fingerprint, attached by ``compile_cuda``) x the argument shape/dtype
 signature x the execution parameters, with the **host fingerprint**
 (cpu count, toolchain probe, python/numpy versions) stored in the record —
 warm runs skip measurement entirely and dispatch straight to the cached
-winner; a record from a different host re-tunes.  ``REPRO_TUNE_CACHE=0``
-disables the memory of winners (always re-tune); with ``REPRO_CACHE=1``
+winner; a record from a different host re-tunes.  With ``REPRO_CACHE=1``
 records additionally persist on disk under ``<cache-dir>/tuning/``
-(crash-safe tempfile + fsync + rename publishes, like the other tiers).
+(crash-safe tempfile + fsync + rename publishes, like the other tiers);
+``clear_global_tuning_cache()`` forgets the winners (to measure the tuner).
 
 Dispatch composes with the resilience layer: the chosen winner runs under
 ``maybe_resilient`` exactly as a hand-picked engine would, so a taxonomy
@@ -62,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cache import global_tuning_cache, tuning_cache_enabled
+from .cache import global_tuning_cache
 from .costmodel import CostReport, MachineModel, XEON_8375C
 from .measure import measure_best
 from .registry import engine_factory, engine_names, register_engine
@@ -76,7 +78,7 @@ DEFAULT_TUNE_REPEATS = 3
 DEFAULT_TUNE_WARMUP = 1
 
 #: multicore pool widths searched (intersected with the available CPUs).
-WORKER_CANDIDATES = (1, 2, 4)
+WORKER_CANDIDATES = (2, 4)
 
 
 def tune_repeats() -> int:
@@ -100,60 +102,26 @@ def tune_warmup() -> int:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class TuningConfig:
-    """One point of the search space: an engine plus its knobs.
-
-    ``workers`` sizes the multicore pool; ``simd`` / ``phase_split`` are the
-    native engine's codegen knobs (``None`` = the engine's own default, so
-    non-native configs and old cache records stay unchanged).
-    """
+    """One point of the search space: an engine plus the multicore pool
+    width (``workers``; ``None`` for the other engines)."""
 
     engine: str
     workers: Optional[int] = None
-    simd: Optional[bool] = None
-    phase_split: Optional[bool] = None
 
     @property
     def label(self) -> str:
-        knobs = []
         if self.workers is not None:
-            knobs.append(f"w={self.workers}")
-        if self.simd is not None:
-            knobs.append(f"simd={int(self.simd)}")
-        if self.phase_split is not None:
-            knobs.append(f"split={int(self.phase_split)}")
-        if knobs:
-            return f"{self.engine}[{','.join(knobs)}]"
+            return f"{self.engine}[w={self.workers}]"
         return self.engine
 
     def to_dict(self) -> dict:
-        data = {"engine": self.engine, "workers": self.workers}
-        # omitted when defaulted: records written before the native knobs
-        # existed parse identically to a default-knob config.
-        if self.simd is not None:
-            data["simd"] = self.simd
-        if self.phase_split is not None:
-            data["phase_split"] = self.phase_split
-        return data
+        return {"engine": self.engine, "workers": self.workers}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningConfig":
         workers = data.get("workers")
-        simd = data.get("simd")
-        phase_split = data.get("phase_split")
         return cls(engine=str(data["engine"]),
-                   workers=None if workers is None else int(workers),
-                   simd=None if simd is None else bool(simd),
-                   phase_split=None if phase_split is None else bool(phase_split))
-
-    def engine_kwargs(self) -> dict:
-        """Extra ``engine_factory`` kwargs this config pins (knobs left at
-        ``None`` are omitted — other engines never see them)."""
-        kwargs: dict = {}
-        if self.simd is not None:
-            kwargs["simd"] = self.simd
-        if self.phase_split is not None:
-            kwargs["phase_split"] = self.phase_split
-        return kwargs
+                   workers=None if workers is None else int(workers))
 
 
 def module_content_key(module) -> str:
@@ -250,10 +218,12 @@ def candidate_configs(*, machine: MachineModel = XEON_8375C,
     """The configurations the tuner measures (gated by host capabilities).
 
     ``workers`` pins the multicore pool width when the caller passed one
-    explicitly; otherwise the search covers ``{1, 2, 4, cpu_count}``
-    clamped to the CPUs available.  The interpreter is not listed here —
-    it is always measured as the (mandatory) reference run and competes
-    with its reference timing.
+    explicitly; otherwise the search covers ``{2, 4, cpu_count}`` clamped
+    to the CPUs available.  Widths below 2 are dropped either way:
+    ``MulticoreEngine`` attaches a shard context only from 2 workers up, so
+    width 1 would duplicate the compiled candidate.  The interpreter is not
+    listed here — it is always measured as the (mandatory) reference run and
+    competes with its reference timing.
     """
     from .multicore import available_cpus, multicore_available
     from .native import native_available
@@ -265,27 +235,18 @@ def candidate_configs(*, machine: MachineModel = XEON_8375C,
             continue
         if name == "vectorized" and not machine_vectorizable(machine):
             continue  # would duplicate the compiled candidate wholesale
-        if name == "native":
-            if not native_available():
-                continue  # toolchain probe failed: native would degrade anyway
-            # codegen-knob axes: default (simd+min-cut), simd off, min-cut
-            # off — regions where a knob changes nothing share artifacts
-            # through the content-addressed cache, so the extra candidates
-            # only cost measurement time where they differ.
-            configs.append(TuningConfig("native"))
-            configs.append(TuningConfig("native", simd=False))
-            configs.append(TuningConfig("native", phase_split=False))
-            continue
+        if name == "native" and not native_available():
+            continue  # toolchain probe failed: native would degrade anyway
         if name == "multicore":
             if not multicore_available():
                 continue
             if workers is not None:
-                widths = [max(1, workers)]
+                widths = [workers]
             else:
                 cpus = available_cpus()
                 widths = sorted({min(width, cpus) for width in (*WORKER_CANDIDATES, cpus)})
             configs.extend(TuningConfig("multicore", workers=width)
-                           for width in widths)
+                           for width in widths if width >= 2)
             continue
         configs.append(TuningConfig(name))
     return configs
@@ -349,11 +310,11 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
     repeats = tune_repeats() if repeats is None else max(1, repeats)
     warmup = tune_warmup() if warmup is None else max(0, warmup)
 
-    def build(name: str, pool: Optional[int], **knobs):
+    def build(name: str, pool: Optional[int]):
         return engine_factory(name)(
             module, machine=machine, threads=threads,
             collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
-            workers=pool, **knobs)
+            workers=pool)
 
     pristine = ResilientExecutor._snapshot(arguments)
 
@@ -377,8 +338,7 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
     for config in candidate_configs(machine=machine, workers=workers):
         label = config.label
         try:
-            executor = build(config.engine, config.workers,
-                             **config.engine_kwargs())
+            executor = build(config.engine, config.workers)
             # correctness probe (untimed, fresh single-run report): outputs
             # and CostReport must be bit-identical to the reference.
             restore()
@@ -504,11 +464,11 @@ class AutoEngine:
                                  "measurements": {}}
 
     # -- internals -------------------------------------------------------------
-    def _build(self, engine: str, workers: Optional[int], **knobs):
+    def _build(self, engine: str, workers: Optional[int]):
         return engine_factory(engine)(
             self._module, machine=self._machine, threads=self._threads,
             collect_cost=self._collect_cost,
-            max_dynamic_ops=self._max_dynamic_ops, workers=workers, **knobs)
+            max_dynamic_ops=self._max_dynamic_ops, workers=workers)
 
     def _key(self, function_name: str, arguments: Sequence) -> str:
         # same text layout as :func:`tuning_key`, with the per-instance
@@ -581,19 +541,17 @@ class AutoEngine:
             key = self._inner_key
         else:
             key = self._key(function_name, arguments)
-            memo = _RESOLVED_MEMO.get(key) if tuning_cache_enabled() else None
+            memo = _RESOLVED_MEMO.get(key)
             if memo is not None and memo[0] == cache.generation:
                 config, tuned, measurements = memo[1], False, {}
             else:
                 config, tuned, measurements = self._resolve_config(
                     key, function_name, arguments)
-                if tuning_cache_enabled():
-                    _RESOLVED_MEMO[key] = (cache.generation, config)
+                _RESOLVED_MEMO[key] = (cache.generation, config)
             pool = (config.workers if config.workers is not None
                     else self._workers)
             executor = maybe_resilient(
-                self._build(config.engine, pool, **config.engine_kwargs()),
-                config.engine,
+                self._build(config.engine, pool), config.engine,
                 lambda name: self._build(name, pool))
             if self._inner is not None:
                 self._base_report.merge(self._inner.report)

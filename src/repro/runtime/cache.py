@@ -16,21 +16,15 @@ A cache entry is keyed by the *content* of the compilation request:
   old entries, and
 * the frontend ``noalias`` assumption.
 
-Two tiers:
-
-* an in-process LRU holding the **pickled** module bytes.  A hit is
-  deserialized into a private module copy by default (callers may mutate it
-  freely, ~100x faster than a cold compile), or returned as the retained
-  *shared* canonical object with ``shared=True`` — the mode the MocCUDA
-  stream executor uses so the per-module compiled-program caches
-  (:mod:`repro.runtime.compiler`) amortize executor construction too.
-  Shared modules must not be mutated (same contract as
-  :func:`repro.runtime.invalidate_compiled`).
-* an optional on-disk pickle tier, enabled with ``REPRO_CACHE=1`` and
-  located at ``REPRO_CACHE_DIR`` (default ``~/.cache/repro-kernel-cache``),
-  surviving process restarts.  Corrupt, truncated or stale entries (format
-  or key mismatch after a pipeline change) silently fall back to a fresh
-  compile and are rewritten.
+Three tiers — :class:`KernelCache` (pickled modules, ``<dir>/<key>.pkl``),
+:class:`NativeArtifactCache` (``<dir>/native/<key>.so``) and
+:class:`TuningCache` (``<dir>/tuning/<key>.json``) — share one disk store
+(:class:`_DiskStore`) and differ only in payload and in what they keep in
+memory.  The optional disk tier is enabled with ``REPRO_CACHE=1`` and
+located at ``REPRO_CACHE_DIR`` (default ``~/.cache/repro-kernel-cache``),
+surviving process restarts.  Corrupt, truncated or stale entries (format or
+key mismatch after a pipeline change) silently fall back to a fresh compile
+and are rewritten.
 """
 
 from __future__ import annotations
@@ -41,10 +35,11 @@ import os
 import pickle
 import tempfile
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..transforms import PipelineOptions
 from . import resilience
@@ -53,15 +48,25 @@ from . import resilience
 CACHE_FORMAT = 1
 
 #: bump when the tuning-record layout changes (old records become stale).
-TUNING_FORMAT = 1
+#: 2: configs are (engine, workers) only — a record naming a deleted
+#:    candidate (``native[simd=0]``, ``multicore[w=1]``) must re-tune.
+TUNING_FORMAT = 2
 
 #: environment knobs.
 DISK_ENV_VAR = "REPRO_CACHE"
 DISK_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CAPACITY_ENV_VAR = "REPRO_CACHE_CAPACITY"
-TUNE_CACHE_ENV_VAR = "REPRO_TUNE_CACHE"
 
 _DEFAULT_CAPACITY = 256
+
+#: name prefix of a publish in flight (a writer between ``mkstemp`` and
+#: ``os.replace``); never a published entry.
+_TEMP_PREFIX = ".tmp-"
+
+#: the longest a writer may legitimately sit between ``mkstemp`` and
+#: ``os.replace`` — the native tier's ``cc`` timeout.  An in-flight file
+#: older than this is the orphan of a killed writer.
+PUBLISH_TIMEOUT_S = 300.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +124,11 @@ def kernel_key(source: str, *, cuda_lower: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# The cache
+# The one disk store
 # ---------------------------------------------------------------------------
 @dataclass
 class CacheStats:
-    """Counters for the cache's behavior (reset with ``reset_stats``)."""
+    """Counters for one tier's behavior (reset with ``reset_stats``)."""
 
     memory_hits: int = 0
     disk_hits: int = 0
@@ -131,13 +136,170 @@ class CacheStats:
     stores: int = 0
     disk_stores: int = 0
     disk_errors: int = 0
+    #: kernel tier: modules that could not be pickled.
     uncacheable: int = 0
+    #: tuning tier: records dropped because their winner degraded.
+    invalidations: int = 0
 
     @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
 
 
+#: the tuning tier counts with the same dataclass.
+TuningCacheStats = CacheStats
+
+
+def _env_capacity(capacity: Optional[int]) -> int:
+    if capacity is None:
+        capacity = int(os.environ.get(CAPACITY_ENV_VAR, _DEFAULT_CAPACITY))
+    return max(1, capacity)
+
+
+def _unlink_quietly(path) -> bool:
+    try:
+        os.unlink(path)
+        return True
+    except OSError:
+        return False
+
+
+class _DiskStore:
+    """One directory of content-addressed, crash-safely published entries.
+
+    Base of the three tiers: where the directory is, the publish, the
+    corrupt-entry-dropping read, the enumeration of published entries and
+    the counters are each decided here, once.  ``location`` (the tiers'
+    ``disk_dir`` / ``directory``) pins an explicit directory, ``False``
+    disables the disk tier, and ``None`` (the process-global caches)
+    consults the ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` environment on every
+    operation, so tests, services and benchmark children can set them after
+    ``import repro``.
+    """
+
+    #: sub-directory of the environment-configured root (``None`` = the root).
+    SUBDIR: Optional[str] = None
+    #: file-name suffix of a published entry.
+    SUFFIX = ""
+
+    def __init__(self, location: object) -> None:
+        self._location = location
+        self._lock = threading.Lock()
+        self.stats = CacheStats()
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def reset_stats(self) -> None:
+        with self._lock:
+            self.stats = CacheStats()
+
+    def disk_path(self) -> Optional[Path]:
+        """The active disk-tier directory, or ``None`` when disabled."""
+        if self._location is False:
+            return None
+        if self._location is not None:
+            return Path(self._location)
+        if os.environ.get(DISK_ENV_VAR, "").strip().lower() not in ("1", "true", "yes", "on"):
+            return None
+        configured = os.environ.get(DISK_DIR_ENV_VAR)
+        root = Path(configured) if configured else Path.home() / ".cache" / "repro-kernel-cache"
+        return root / self.SUBDIR if self.SUBDIR else root
+
+    def path_for(self, key: str) -> Optional[Path]:
+        directory = self.disk_path()
+        return None if directory is None else directory / f"{key}{self.SUFFIX}"
+
+    def _publish(self, key: str, write: Callable[[Path], None]) -> Optional[Path]:
+        """Crash-safe publish: ``write(temp_path)`` creates the payload in a
+        tempfile in the cache directory, which is fsynced and then atomically
+        renamed over the final name — a killed process can never leave a
+        torn entry, and concurrent writers of the same key converge on one
+        valid file.  Failures unlink the tempfile and propagate; returns
+        ``None`` when the disk tier is off.
+        """
+        path = self.path_for(key)
+        if path is None:
+            return None
+        resilience.inject("cache.write")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp_name = tempfile.mkstemp(dir=str(path.parent),
+                                         prefix=_TEMP_PREFIX, suffix=self.SUFFIX)
+        os.close(fd)
+        try:
+            write(Path(temp_name))
+            sync_fd = os.open(temp_name, os.O_RDONLY)
+            try:
+                os.fsync(sync_fd)
+            finally:
+                os.close(sync_fd)
+            os.replace(temp_name, path)
+        except BaseException:
+            _unlink_quietly(temp_name)
+            raise
+        self._count("disk_stores")
+        return path
+
+    def _publish_or_skip(self, key: str, write: Callable[[Path], None]) -> None:
+        """:meth:`_publish` for the tiers whose memory tier serves when the
+        disk cannot (full disk, injected fault, unencodable payload)."""
+        try:
+            self._publish(key, write)
+        except (OSError, TypeError, ValueError) as exc:
+            self._count("disk_errors")
+            resilience.record_event("cache.write", "fallback",
+                                    type(exc).__name__,
+                                    "disk store skipped; memory tier serves")
+
+    def _read(self, key: str, load: Callable[[Path], object]):
+        """``load(path)`` of the published entry, or ``None`` on a miss."""
+        path = self.path_for(key)
+        if path is None:
+            return None
+        try:
+            resilience.inject("cache.read")
+            return load(path)
+        except FileNotFoundError:
+            return None
+        except Exception as exc:
+            # corrupt/stale/unreadable entry: drop it and rebuild — the
+            # rewrite repairs the disk tier on the very next publish.
+            self._count("disk_errors")
+            resilience.record_event("cache.read", "fallback",
+                                    type(exc).__name__,
+                                    f"{path.name}: dropping entry, rebuilding")
+            _unlink_quietly(path)
+            return None
+
+    def _published(self) -> List[Path]:
+        """Every published entry.  ``glob`` also matches another process's
+        in-flight ``.tmp-*`` file, and unlinking that fails the writer's
+        ``os.replace``: in-flight files are skipped — and removed once older
+        than :data:`PUBLISH_TIMEOUT_S` (orphans of killed writers)."""
+        directory = self.disk_path()
+        if directory is None or not directory.is_dir():
+            return []
+        published = []
+        for path in directory.glob(f"*{self.SUFFIX}"):
+            if not path.name.startswith(_TEMP_PREFIX):
+                published.append(path)
+                continue
+            try:
+                if time.time() - path.stat().st_mtime > PUBLISH_TIMEOUT_S:
+                    path.unlink()
+            except OSError:
+                pass
+        return published
+
+    def _clear_disk(self) -> None:
+        for path in self._published():
+            _unlink_quietly(path)
+
+
+# ---------------------------------------------------------------------------
+# Kernel tier (pickled modules)
+# ---------------------------------------------------------------------------
 @dataclass
 class _Entry:
     blob: bytes
@@ -145,44 +307,27 @@ class _Entry:
     shared_module: object = field(default=None, repr=False)
 
 
-class KernelCache:
+class KernelCache(_DiskStore):
     """Two-tier (memory LRU + optional disk) cache of compiled modules.
 
-    ``disk_dir=None`` (the default for the process-global cache) consults
-    the ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` environment on every
-    operation, so tests and services can toggle the disk tier at runtime;
-    pass an explicit path to pin it, or ``disk_dir=False`` to disable.
+    The in-process LRU holds the **pickled** module bytes.  A hit is
+    deserialized into a private module copy by default (callers may mutate
+    it freely, ~100x faster than a cold compile), or returned as the
+    retained *shared* canonical object with ``shared=True`` — the mode the
+    MocCUDA stream executor uses so the per-module compiled-program caches
+    (:mod:`repro.runtime.compiler`) amortize executor construction too.
+    Shared modules must not be mutated (same contract as
+    :func:`repro.runtime.invalidate_compiled`).
     """
+
+    SUFFIX = ".pkl"
 
     def __init__(self, capacity: Optional[int] = None,
                  disk_dir: object = None) -> None:
-        if capacity is None:
-            capacity = int(os.environ.get(CAPACITY_ENV_VAR, _DEFAULT_CAPACITY))
-        self.capacity = max(1, capacity)
-        self._disk_dir = disk_dir
+        super().__init__(disk_dir)
+        self.capacity = _env_capacity(capacity)
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
 
-    # -- disk-tier configuration ------------------------------------------------
-    def disk_path(self) -> Optional[Path]:
-        """The active disk-tier directory, or ``None`` when disabled."""
-        if self._disk_dir is False:
-            return None
-        if self._disk_dir is not None:
-            return Path(self._disk_dir)
-        if os.environ.get(DISK_ENV_VAR, "").strip().lower() in ("1", "true", "yes", "on"):
-            configured = os.environ.get(DISK_DIR_ENV_VAR)
-            if configured:
-                return Path(configured)
-            return Path.home() / ".cache" / "repro-kernel-cache"
-        return None
-
-    def _entry_path(self, key: str) -> Optional[Path]:
-        directory = self.disk_path()
-        return None if directory is None else directory / f"{key}.pkl"
-
-    # -- lookup / insert -----------------------------------------------------
     def lookup(self, key: str, *, shared: bool = False):
         """Return a module for ``key`` or ``None``.
 
@@ -197,10 +342,9 @@ class KernelCache:
                 self.stats.memory_hits += 1
         disk_module = None
         if entry is None:
-            loaded = self._load_from_disk(key)
+            loaded = self._read(key, lambda path: self._load(key, path))
             if loaded is None:
-                with self._lock:
-                    self.stats.misses += 1
+                self._count("misses")
                 return None
             # the disk load already deserialized (and verified) one module:
             # hand that very object out instead of unpickling again.
@@ -229,110 +373,44 @@ class KernelCache:
         try:
             blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            with self._lock:
-                self.stats.uncacheable += 1
+            self._count("uncacheable")
             return
         with self._lock:
             self._entries[key] = _Entry(blob, module if shared else None)
             self._entries.move_to_end(key)
             self._evict_locked()
             self.stats.stores += 1
-        self._store_to_disk(key, blob)
+        payload = {"format": CACHE_FORMAT, "key": key, "blob": blob}
+        self._publish_or_skip(key, lambda temp: temp.write_bytes(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
 
     def _evict_locked(self) -> None:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    # -- disk tier ------------------------------------------------------------
-    def _load_from_disk(self, key: str) -> Optional[tuple]:
-        """Returns ``(entry, verified_module)`` or None; the module is the
-        one deserialization the caller should hand out."""
-        path = self._entry_path(key)
-        if path is None:
-            return None
-        try:
-            resilience.inject("cache.read")
-            payload = pickle.loads(path.read_bytes())
-            if (not isinstance(payload, dict)
-                    or payload.get("format") != CACHE_FORMAT
-                    or payload.get("key") != key):
-                raise ValueError("stale or foreign cache entry")
-            blob = payload["blob"]
-            # materialize + verify so a corrupt entry can never hand out a
-            # structurally broken module.
-            from ..ir import verify
-            module = pickle.loads(blob)
-            verify(module)
-            return _Entry(blob), module
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            # corrupt/stale/unreadable entry: drop it and recompile — the
-            # rewrite repairs the disk tier on the very next insert.
-            with self._lock:
-                self.stats.disk_errors += 1
-            resilience.record_event("cache.read", "fallback",
-                                    type(exc).__name__,
-                                    f"{path.name}: dropping entry, recompiling")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+    @staticmethod
+    def _load(key: str, path: Path) -> tuple:
+        """``(entry, verified_module)``; the module is the one
+        deserialization the caller should hand out."""
+        payload = pickle.loads(path.read_bytes())
+        if (not isinstance(payload, dict)
+                or payload.get("format") != CACHE_FORMAT
+                or payload.get("key") != key):
+            raise ValueError("stale or foreign cache entry")
+        blob = payload["blob"]
+        # materialize + verify so a corrupt entry can never hand out a
+        # structurally broken module.
+        from ..ir import verify
+        module = pickle.loads(blob)
+        verify(module)
+        return _Entry(blob), module
 
-    def _store_to_disk(self, key: str, blob: bytes) -> None:
-        path = self._entry_path(key)
-        if path is None:
-            return
-        payload = {"format": CACHE_FORMAT, "key": key, "blob": blob}
-        try:
-            resilience.inject("cache.write")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # crash-safe publish: write + fsync a tempfile in the cache
-            # directory, then atomically rename over the final name — a
-            # killed process can never leave a torn entry, and concurrent
-            # writers of the same key converge on one valid file.
-            fd, temp_name = tempfile.mkstemp(dir=str(path.parent),
-                                             prefix=".tmp-", suffix=".pkl")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            with self._lock:
-                self.stats.disk_stores += 1
-        except OSError as exc:
-            with self._lock:
-                self.stats.disk_errors += 1
-            resilience.record_event("cache.write", "fallback",
-                                    type(exc).__name__,
-                                    "disk store skipped; memory tier serves")
-
-    # -- maintenance ----------------------------------------------------------
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier (and, with ``disk=True``, the disk tier)."""
         with self._lock:
             self._entries.clear()
         if disk:
-            directory = self.disk_path()
-            if directory is not None and directory.is_dir():
-                for path in directory.glob("*.pkl"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = CacheStats()
+            self._clear_disk()
 
     def __len__(self) -> int:
         with self._lock:
@@ -342,7 +420,7 @@ class KernelCache:
 # ---------------------------------------------------------------------------
 # Native artifact tier (compiled .so files for the native engine)
 # ---------------------------------------------------------------------------
-class NativeArtifactCache:
+class NativeArtifactCache(_DiskStore):
     """Content-addressed shared objects for :mod:`repro.runtime.native`.
 
     The native engine hashes each generated C translation unit (plus the
@@ -362,74 +440,52 @@ class NativeArtifactCache:
     recompiles — never a crash.
     """
 
+    SUBDIR = "native"
+    SUFFIX = ".so"
+
     def __init__(self, capacity: Optional[int] = None,
                  directory: object = None) -> None:
-        if capacity is None:
-            capacity = int(os.environ.get(CAPACITY_ENV_VAR, _DEFAULT_CAPACITY))
-        self.capacity = max(1, capacity)
-        self._directory = directory
+        super().__init__(directory)
+        self.capacity = _env_capacity(capacity)
         self._temp_dir: Optional[str] = None
         self._pinned: set = set()
-        self._lock = threading.Lock()
 
-    def directory(self) -> Path:
-        """The active artifact directory (created on demand)."""
-        if self._directory is not None:
-            path = Path(self._directory)
-        elif os.environ.get(DISK_ENV_VAR, "").strip().lower() in ("1", "true", "yes", "on"):
-            configured = os.environ.get(DISK_DIR_ENV_VAR)
-            base = Path(configured) if configured else Path.home() / ".cache" / "repro-kernel-cache"
-            path = base / "native"
-        else:
+    def disk_path(self) -> Path:
+        """Never ``None``: the per-process temp dir when the disk tier is off."""
+        path = super().disk_path()
+        if path is None:
             with self._lock:
                 if self._temp_dir is None:
                     self._temp_dir = tempfile.mkdtemp(prefix="repro-native-")
             path = Path(self._temp_dir)
+        return path
+
+    def directory(self) -> Path:
+        """The active artifact directory (created on demand)."""
+        path = self.disk_path()
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def path_for(self, key: str) -> Path:
-        return self.directory() / f"{key}.so"
-
     def lookup(self, key: str) -> Optional[Path]:
         """The artifact path for ``key`` if present (refreshes its LRU age)."""
-        path = self.path_for(key)
-        if not path.is_file():
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+        def touch(path: Path) -> Path:
+            try:
+                os.utime(path)
+            except PermissionError:
+                pass  # read-only shared directory: the artifact still loads
+            return path
+
+        path = self._read(key, touch)
+        self._count("misses" if path is None else "disk_hits")
         return path
 
-    def store(self, key: str, build) -> Optional[Path]:
+    def store(self, key: str, build) -> Path:
         """Build an artifact via ``build(temp_path)`` and publish atomically.
 
         ``build`` must create the shared object at the temporary path it is
         given; a failed build (exception) propagates after cleanup.
         """
-        resilience.inject("cache.write")
-        path = self.path_for(key)
-        fd, temp_name = tempfile.mkstemp(dir=str(path.parent),
-                                         prefix=".tmp-", suffix=".so")
-        os.close(fd)
-        try:
-            build(Path(temp_name))
-            # crash-safe publish, same contract as the pickle tier: fsync
-            # the built artifact before the atomic rename so a torn .so
-            # can never become visible under the content key.
-            sync_fd = os.open(temp_name, os.O_RDONLY)
-            try:
-                os.fsync(sync_fd)
-            finally:
-                os.close(sync_fd)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        path = self._publish(key, build)
         self.evict()
         return path
 
@@ -440,10 +496,7 @@ class NativeArtifactCache:
 
     def invalidate(self, key: str) -> None:
         """Drop a corrupt artifact so the next request recompiles."""
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            pass
+        _unlink_quietly(self.path_for(key))
 
     def evict(self) -> None:
         """Trim the directory to ``capacity`` artifacts, oldest-access first.
@@ -455,7 +508,7 @@ class NativeArtifactCache:
         with self._lock:
             pinned = set(self._pinned)
         try:
-            entries = sorted((path for path in self.directory().glob("*.so")
+            entries = sorted((path for path in self._published()
                               if path.stem not in pinned),
                              key=lambda path: path.stat().st_mtime)
         except OSError:
@@ -464,53 +517,17 @@ class NativeArtifactCache:
         for path in entries:
             if excess <= 0:
                 break
-            try:
-                path.unlink()
+            if _unlink_quietly(path):
                 excess -= 1
-            except OSError:
-                pass
 
     def clear(self) -> None:
-        for path in self.directory().glob("*.so"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        self._clear_disk()
 
 
 # ---------------------------------------------------------------------------
-# Tuning cache (persisted autotuner winners for engine="auto")
+# Tuning tier (persisted autotuner winners for engine="auto")
 # ---------------------------------------------------------------------------
-@dataclass
-class TuningCacheStats:
-    """Counters for the tuning cache (reset with ``reset_stats``)."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    disk_stores: int = 0
-    disk_errors: int = 0
-    invalidations: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-
-def tuning_cache_enabled() -> bool:
-    """Whether tuned winners are remembered at all (``REPRO_TUNE_CACHE``).
-
-    Off (``REPRO_TUNE_CACHE=0``) means every ``engine="auto"`` executor
-    re-tunes — useful for measuring the tuner itself; the default keeps
-    winners in memory always and on disk when the kernel cache's disk tier
-    is enabled (``REPRO_CACHE=1``).
-    """
-    return os.environ.get(TUNE_CACHE_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "no", "off")
-
-
-class TuningCache:
+class TuningCache(_DiskStore):
     """Persisted autotuner winners, the third cache tier.
 
     One record per (module content-address x function x argument-shape/dtype
@@ -527,55 +544,33 @@ class TuningCache:
     toolchain, numpy version) is treated as a miss and re-tuned, which also
     overwrites the stale record in place.
 
-    Tiers mirror :class:`KernelCache`: an in-process dict always (unless
-    ``REPRO_TUNE_CACHE=0`` disables the cache entirely), plus a crash-safe
-    on-disk JSON tier under ``<cache-dir>/tuning/`` when ``REPRO_CACHE=1``
-    — write + fsync a tempfile, then ``os.replace``, so a killed process
-    never publishes a torn record.  Corrupt, truncated or stale disk
-    records fall back to a re-tune and are rewritten.
+    Tiers mirror :class:`KernelCache`: an in-process dict always, plus the
+    crash-safe on-disk JSON tier under ``<cache-dir>/tuning/`` when
+    ``REPRO_CACHE=1``.  Corrupt, truncated or stale disk records fall back
+    to a re-tune and are rewritten.
     """
 
+    SUBDIR = "tuning"
+    SUFFIX = ".json"
+
     def __init__(self, disk_dir: object = None) -> None:
-        self._disk_dir = disk_dir
+        super().__init__(disk_dir)
         self._records: Dict[str, dict] = {}
-        self._lock = threading.Lock()
-        self.stats = TuningCacheStats()
         #: bumped on every mutation (insert/invalidate/clear); lets callers
         #: stamp derived state (the autotuner's resolved-config memo) and
         #: drop it the moment the underlying records change.
         self.generation = 0
 
-    # -- disk-tier configuration ----------------------------------------------
-    def disk_path(self) -> Optional[Path]:
-        """The active disk-tier directory, or ``None`` when disabled."""
-        if self._disk_dir is False:
-            return None
-        if self._disk_dir is not None:
-            return Path(self._disk_dir)
-        if os.environ.get(DISK_ENV_VAR, "").strip().lower() in ("1", "true", "yes", "on"):
-            configured = os.environ.get(DISK_DIR_ENV_VAR)
-            base = Path(configured) if configured else Path.home() / ".cache" / "repro-kernel-cache"
-            return base / "tuning"
-        return None
-
-    def _record_path(self, key: str) -> Optional[Path]:
-        directory = self.disk_path()
-        return None if directory is None else directory / f"{key}.json"
-
-    # -- lookup / insert -------------------------------------------------------
     def lookup(self, key: str) -> Optional[dict]:
         """The stored record for ``key``, or ``None`` (a private copy)."""
-        if not tuning_cache_enabled():
-            return None
         with self._lock:
             record = self._records.get(key)
             if record is not None:
                 self.stats.memory_hits += 1
                 return dict(record)
-        record = self._load_from_disk(key)
+        record = self._read(key, lambda path: self._load(key, path))
         if record is None:
-            with self._lock:
-                self.stats.misses += 1
+            self._count("misses")
             return None
         with self._lock:
             self.stats.disk_hits += 1
@@ -584,109 +579,42 @@ class TuningCache:
 
     def insert(self, key: str, record: dict) -> None:
         """Store (and crash-safely publish) a freshly tuned record."""
-        if not tuning_cache_enabled():
-            return
         with self._lock:
             self._records[key] = dict(record)
             self.stats.stores += 1
             self.generation += 1
-        self._store_to_disk(key, record)
+        payload = {"format": TUNING_FORMAT, "key": key, "record": record}
+        self._publish_or_skip(
+            key, lambda temp: temp.write_text(json.dumps(payload)))
 
     def invalidate(self, key: str) -> None:
         """Drop a record whose winner degraded; the next run re-tunes."""
         with self._lock:
             existed = self._records.pop(key, None) is not None
             self.generation += 1
-        path = self._record_path(key)
-        if path is not None:
-            try:
-                path.unlink()
-                existed = True
-            except OSError:
-                pass
+        path = self.path_for(key)
+        if path is not None and _unlink_quietly(path):
+            existed = True
         if existed:
-            with self._lock:
-                self.stats.invalidations += 1
+            self._count("invalidations")
 
-    # -- disk tier -------------------------------------------------------------
-    def _load_from_disk(self, key: str) -> Optional[dict]:
-        path = self._record_path(key)
-        if path is None:
-            return None
-        try:
-            resilience.inject("cache.read")
-            payload = json.loads(path.read_text())
-            if (not isinstance(payload, dict)
-                    or payload.get("format") != TUNING_FORMAT
-                    or payload.get("key") != key
-                    or not isinstance(payload.get("record"), dict)):
-                raise ValueError("stale or foreign tuning record")
-            return payload["record"]
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            # corrupt/stale/unreadable record: drop it and re-tune — the
-            # rewrite repairs the disk tier on the very next insert.
-            with self._lock:
-                self.stats.disk_errors += 1
-            resilience.record_event("cache.read", "fallback",
-                                    type(exc).__name__,
-                                    f"{path.name}: dropping tuning record, re-tuning")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+    @staticmethod
+    def _load(key: str, path: Path) -> dict:
+        payload = json.loads(path.read_text())
+        if (not isinstance(payload, dict)
+                or payload.get("format") != TUNING_FORMAT
+                or payload.get("key") != key
+                or not isinstance(payload.get("record"), dict)):
+            raise ValueError("stale or foreign tuning record")
+        return payload["record"]
 
-    def _store_to_disk(self, key: str, record: dict) -> None:
-        path = self._record_path(key)
-        if path is None:
-            return
-        payload = {"format": TUNING_FORMAT, "key": key, "record": record}
-        try:
-            resilience.inject("cache.write")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, temp_name = tempfile.mkstemp(dir=str(path.parent),
-                                             prefix=".tmp-", suffix=".json")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            with self._lock:
-                self.stats.disk_stores += 1
-        except (OSError, TypeError, ValueError) as exc:
-            with self._lock:
-                self.stats.disk_errors += 1
-            resilience.record_event("cache.write", "fallback",
-                                    type(exc).__name__,
-                                    "tuning record disk store skipped; memory tier serves")
-
-    # -- maintenance -----------------------------------------------------------
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier (and, with ``disk=True``, the disk tier)."""
         with self._lock:
             self._records.clear()
             self.generation += 1
         if disk:
-            directory = self.disk_path()
-            if directory is not None and directory.is_dir():
-                for path in directory.glob("*.json"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = TuningCacheStats()
+            self._clear_disk()
 
     def __len__(self) -> int:
         with self._lock:
@@ -696,17 +624,30 @@ class TuningCache:
 # ---------------------------------------------------------------------------
 # Process-global cache
 # ---------------------------------------------------------------------------
-_GLOBAL_CACHE: Optional[KernelCache] = None
 _GLOBAL_LOCK = threading.Lock()
+_GLOBALS: Dict[type, _DiskStore] = {}
+
+
+def _global(tier: type):
+    with _GLOBAL_LOCK:
+        if tier not in _GLOBALS:
+            _GLOBALS[tier] = tier()
+        return _GLOBALS[tier]
 
 
 def global_cache() -> KernelCache:
     """The process-wide kernel cache used by ``compile_cuda``."""
-    global _GLOBAL_CACHE
-    with _GLOBAL_LOCK:
-        if _GLOBAL_CACHE is None:
-            _GLOBAL_CACHE = KernelCache()
-        return _GLOBAL_CACHE
+    return _global(KernelCache)
+
+
+def global_native_cache() -> NativeArtifactCache:
+    """The process-wide native artifact cache used by the native engine."""
+    return _global(NativeArtifactCache)
+
+
+def global_tuning_cache() -> TuningCache:
+    """The process-wide tuning cache used by ``engine="auto"``."""
+    return _global(TuningCache)
 
 
 def clear_global_cache(disk: bool = False) -> None:
@@ -714,30 +655,6 @@ def clear_global_cache(disk: bool = False) -> None:
     cache = global_cache()
     cache.clear(disk=disk)
     cache.reset_stats()
-
-
-_GLOBAL_NATIVE_CACHE: Optional[NativeArtifactCache] = None
-
-
-def global_native_cache() -> NativeArtifactCache:
-    """The process-wide native artifact cache used by the native engine."""
-    global _GLOBAL_NATIVE_CACHE
-    with _GLOBAL_LOCK:
-        if _GLOBAL_NATIVE_CACHE is None:
-            _GLOBAL_NATIVE_CACHE = NativeArtifactCache()
-        return _GLOBAL_NATIVE_CACHE
-
-
-_GLOBAL_TUNING_CACHE: Optional[TuningCache] = None
-
-
-def global_tuning_cache() -> TuningCache:
-    """The process-wide tuning cache used by ``engine="auto"``."""
-    global _GLOBAL_TUNING_CACHE
-    with _GLOBAL_LOCK:
-        if _GLOBAL_TUNING_CACHE is None:
-            _GLOBAL_TUNING_CACHE = TuningCache()
-        return _GLOBAL_TUNING_CACHE
 
 
 def clear_global_tuning_cache(disk: bool = False) -> None:
@@ -749,9 +666,9 @@ def clear_global_tuning_cache(disk: bool = False) -> None:
 
 __all__ = [
     "CACHE_FORMAT", "CAPACITY_ENV_VAR", "DISK_DIR_ENV_VAR", "DISK_ENV_VAR",
-    "TUNE_CACHE_ENV_VAR", "TUNING_FORMAT",
+    "PUBLISH_TIMEOUT_S", "TUNING_FORMAT",
     "CacheStats", "KernelCache", "NativeArtifactCache", "TuningCache",
     "TuningCacheStats", "clear_global_cache", "clear_global_tuning_cache",
     "global_cache", "global_native_cache", "global_tuning_cache",
-    "kernel_key", "pipeline_fingerprint", "tuning_cache_enabled",
+    "kernel_key", "pipeline_fingerprint",
 ]

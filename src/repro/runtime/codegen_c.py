@@ -837,9 +837,7 @@ class RegionCodegen:
         num_dims = len(op.induction_vars)
         self.spec.kind = "span"
         self.spec.num_dims = num_dims
-        options = getattr(self.program, "native_options", None)
-        simd_on = bool(options.simd) if options is not None else True
-        self.spec.simd_ok = simd_on and self._simd_eligible(ops)
+        self.spec.simd_ok = self._simd_eligible(ops)
         for value in self._collect_liveins():
             self._bind_livein(value)
 
@@ -1210,14 +1208,14 @@ class RegionCodegen:
                         arith._CastOp, arith.NegFOp, arith.SelectOp,
                         math_d.UnaryMathOp, math_d.PowFOp, memref_d.DimOp)
 
-    def _assign_lanes(self, ops: Sequence, phase_split: bool) -> None:
+    def _assign_lanes(self, ops: Sequence) -> None:
         """Decide which launch-body values get per-thread TI/TF lanes.
 
-        With ``phase_split`` the lane set is the minimum value cut over the
-        phase-crossing def-use graph (loads, calls and control-flow results
-        are non-recomputable; structurally needed values are forced into the
-        cut so block-scope headers can read lane 0); without it, every
-        crossing value is cached — the pre-min-cut behavior."""
+        The lane set is the minimum value cut over the phase-crossing
+        def-use graph (loads, calls and control-flow results are
+        non-recomputable; structurally needed values are forced into the
+        cut so block-scope headers can read lane 0); a cut that fails
+        validation falls back to caching every crossing value."""
         from ..analysis.mincut import minimum_value_cut, validate_cut
 
         candidates, candidate_ids, crossing, needed = (
@@ -1233,13 +1231,12 @@ class RegionCodegen:
             for operand in self._def_op[id(value)].operands:
                 if id(operand) in candidate_ids:
                     edges.append((id(operand), id(value)))
-        if phase_split and required:
+        cut = set()
+        if required:
             cut = minimum_value_cut(candidate_ids, edges, non_recomputable,
                                     required)
             if not validate_cut(cut, edges, non_recomputable, required):
                 cut = set(required)
-        else:
-            cut = set(required)
         for value in candidates:
             if id(value) not in cut:
                 continue
@@ -1298,8 +1295,6 @@ class RegionCodegen:
         self.spec.kind = "launch"
         ops, term = self._split(op.body)
         self._precheck(ops, allow_barriers=True)
-        options = getattr(self.program, "native_options", None)
-        phase_split = bool(options.phase_split) if options is not None else True
         # prebound shared allocas (one buffer per block, charged nothing)
         self._prebound_shared = set()
         shared_allocas = []
@@ -1310,7 +1305,7 @@ class RegionCodegen:
                 shared_allocas.append(nested)
         # structural analysis: uniformity, phase-crossing values, min cut
         self._varying = self._launch_uniformity(ops)
-        self._assign_lanes(ops, phase_split)
+        self._assign_lanes(ops)
         scratch_buffers = self._prescan_threadlocal(ops)
         for value in self._collect_liveins():
             self._bind_livein(value)

@@ -185,15 +185,12 @@ class _Program:
 
 
 def program_for(module: func_d.ModuleOp, machine: MachineModel,
-                cls: type = None, *, variant=None, factory=None) -> _Program:
+                cls: type = None) -> _Program:
     """The (cached) compiled program of ``module`` for ``machine``.
 
     ``cls`` selects the program flavour (default :class:`_Program`; the
     vectorized engine passes its own subclass) — each flavour caches its own
-    program per machine model.  ``variant`` extends the cache key for
-    flavours whose construction takes extra knobs (the native engine's
-    simd / phase-split options); ``factory`` then builds the program
-    (called as ``factory(module, machine)``, defaults to ``cls``).
+    program per machine model.
     """
     if cls is None:
         cls = _Program
@@ -201,10 +198,10 @@ def program_for(module: func_d.ModuleOp, machine: MachineModel,
     if cache is None:
         cache = {}
         setattr(module, _CACHE_ATTR, cache)
-    key = (cls, machine) if variant is None else (cls, machine, variant)
+    key = (cls, machine)
     prog = cache.get(key)
     if prog is None:
-        prog = cache[key] = (factory or cls)(module, machine)
+        prog = cache[key] = cls(module, machine)
     return prog
 
 
@@ -1205,18 +1202,12 @@ class CompiledEngine:
         self.collect_cost = collect_cost
         self.max_dynamic_ops = max_dynamic_ops
         self.report = CostReport(machine=machine, threads=self.threads)
-        self._program = self._build_program(module, machine)
+        self._program = program_for(module, machine, self._program_cls())
         self._work: List[float] = [0.0]
 
     def _program_cls(self) -> type:
         """Program flavour hook (the multicore engine picks per instance)."""
         return type(self).PROGRAM_CLS
-
-    def _build_program(self, module: func_d.ModuleOp,
-                       machine: MachineModel) -> _Program:
-        """Program construction hook (the native engine keys the cache by
-        its codegen options and passes them to the program)."""
-        return program_for(module, machine, self._program_cls())
 
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its

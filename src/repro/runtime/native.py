@@ -48,10 +48,9 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cache import global_native_cache
+from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
     ERR_BAD_STEP,
     ERR_OOM,
@@ -64,7 +63,6 @@ from .compiler import (
     _FunctionCompiler,
     _Program,
     _iteration_space,
-    program_for,
 )
 from .costmodel import MachineModel, XEON_8375C
 from .errors import InterpreterError, ToolchainError
@@ -74,11 +72,8 @@ from .multicore import launch_required_axes, span_required_dims
 from .registry import register_engine
 from .vectorizer import machine_vectorizable
 
-#: environment knobs.
+#: environment knob.
 CC_ENV_VAR = "REPRO_CC"
-NATIVE_ENV_VAR = "REPRO_NATIVE"
-SIMD_ENV_VAR = "REPRO_NATIVE_SIMD"
-PHASE_SPLIT_ENV_VAR = "REPRO_NATIVE_PHASE_SPLIT"
 
 #: bump when the generated-code contract (ABI, counters) changes; part of
 #: the artifact cache key so stale shared objects can never be dlopened.
@@ -89,32 +84,6 @@ NATIVE_FORMAT = 3
 
 #: minimum iterations/blocks before a region is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-@dataclass(frozen=True)
-class NativeOptions:
-    """Codegen knobs for the native engine (autotuner search axes).
-
-    ``simd``: emit ``#pragma omp simd`` variants on span inner loops
-    (selected at dispatch when the store-safety/alias proof holds).
-    ``phase_split``: choose launch phase-crossing lanes by the minimum
-    value cut (off = cache every crossing value).
-    """
-
-    simd: bool = True
-    phase_split: bool = True
-
-    @classmethod
-    def from_env(cls) -> "NativeOptions":
-        return cls(simd=_env_flag(SIMD_ENV_VAR, True),
-                   phase_split=_env_flag(PHASE_SPLIT_ENV_VAR, True))
 
 
 def compiler_command() -> List[str]:
@@ -130,10 +99,6 @@ def compiler_flags() -> List[str]:
     differently from the Python engines' separate multiply and add.
     """
     return ["-O3", "-fPIC", "-shared", "-fopenmp", "-ffp-contract=off"]
-
-
-def native_enabled_env() -> bool:
-    return os.environ.get(NATIVE_ENV_VAR, "").strip().lower() not in ("0", "false", "off")
 
 
 _PROBE_LOCK = threading.Lock()
@@ -233,13 +198,6 @@ def _discard_temp_artifacts() -> None:
         paths, _TEMP_ARTIFACTS[:] = list(_TEMP_ARTIFACTS), []
     for path in paths:
         _unlink_quietly(path)
-
-
-def _unlink_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 atexit.register(_discard_temp_artifacts)
@@ -384,7 +342,7 @@ class NativeUnit:
                     completed = subprocess.run(
                         [*compiler_command(), *compiler_flags(), source_path,
                          "-o", str(path)],
-                        capture_output=True, timeout=300)
+                        capture_output=True, timeout=PUBLISH_TIMEOUT_S)
                     if completed.returncode != 0:
                         stderr = completed.stderr.decode(
                             errors="replace")[:2000]
@@ -395,10 +353,7 @@ class NativeUnit:
                 resilience.call_with_retry("native.cc", invoke,
                                            engine="native")
             finally:
-                try:
-                    os.unlink(source_path)
-                except OSError:
-                    pass
+                _unlink_quietly(source_path)
 
         try:
             return cache.store(self.key, build), None
@@ -582,13 +537,10 @@ class _RegionHandle:
 class _NativeProgram(_Program):
     """Compiled program flavour that owns the native translation units."""
 
-    def __init__(self, module, machine: MachineModel,
-                 options: Optional[NativeOptions] = None) -> None:
+    def __init__(self, module, machine: MachineModel) -> None:
         super().__init__(module, machine)
-        #: codegen knobs, read by :class:`RegionCodegen` at emit time.
-        self.native_options = options if options is not None else NativeOptions.from_env()
-        self.native_enabled = (native_enabled_env()
-                               and machine_vectorizable(machine))
+        #: the C counters are exact only on dyadic machine models.
+        self.native_enabled = machine_vectorizable(machine)
         self.native_stats: Dict[str, int] = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
             "simd_regions": 0, "bailouts": 0, "units_ready": 0,
@@ -744,42 +696,20 @@ class NativeEngine(CompiledEngine):
 
     Construction is cheap; the C compiler runs once per function at the
     first dispatch (warm runs come from the content-addressed artifact
-    cache).  On hosts without a working ``cc -fopenmp`` — or under
-    ``REPRO_NATIVE=0`` — every region transparently runs its compiled-engine
-    base plan, so behaviour degrades but never breaks.
+    cache).  On hosts without a working ``cc -fopenmp`` every region
+    transparently runs its compiled-engine base plan, so behaviour degrades
+    but never breaks.
     """
 
     PROGRAM_CLS = _NativeProgram
-
-    def __init__(self, module, machine: MachineModel = XEON_8375C,
-                 threads=None, collect_cost: bool = True,
-                 max_dynamic_ops=None, simd: Optional[bool] = None,
-                 phase_split: Optional[bool] = None) -> None:
-        env = NativeOptions.from_env()
-        self._options = NativeOptions(
-            simd=env.simd if simd is None else bool(simd),
-            phase_split=env.phase_split if phase_split is None else bool(phase_split))
-        super().__init__(module, machine=machine, threads=threads,
-                         collect_cost=collect_cost,
-                         max_dynamic_ops=max_dynamic_ops)
-
-    def _build_program(self, module, machine: MachineModel) -> _Program:
-        # the options change the generated C, so they key the program cache
-        # (two engine instances with different knobs must not share units).
-        options = self._options
-        return program_for(
-            module, machine, _NativeProgram,
-            variant=(options.simd, options.phase_split),
-            factory=lambda m, mm: _NativeProgram(m, mm, options=options))
 
     def run(self, function_name: str, arguments=()):
         # Strict (resilience-wrapped) runs surface the *cached* toolchain
         # failure as one clear ToolchainError up front — before any
         # argument is written — so the fallback chain can rebuild on the
         # next engine.  Direct construction keeps the historical graceful
-        # degrade (every region runs its compiled base plan).  Explicitly
-        # disabled native (REPRO_NATIVE=0 / non-dyadic machine) is a
-        # configuration, not a failure, and never raises.
+        # degrade (every region runs its compiled base plan).  A non-dyadic
+        # machine model is a configuration, not a failure, and never raises.
         if (getattr(self, "_resilience_strict", False)
                 and self._program.native_enabled):
             require_toolchain()
@@ -793,12 +723,10 @@ class NativeEngine(CompiledEngine):
 
 
 def _make_native(module, *, machine=XEON_8375C, threads=None,
-                 collect_cost=True, max_dynamic_ops=None, workers=None,
-                 simd=None, phase_split=None):
+                 collect_cost=True, max_dynamic_ops=None, workers=None):
     # ``workers`` is a multicore-engine knob; OpenMP sizes the native teams.
     return NativeEngine(module, machine=machine, threads=threads,
-                        collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
-                        simd=simd, phase_split=phase_split)
+                        collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
 
 
 register_engine(

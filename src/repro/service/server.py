@@ -159,7 +159,7 @@ class _Tenant:
 
     def __init__(self, name: str, stream_id: int) -> None:
         self.name = name
-        self.stream = Stream(stream_id, asynchronous=True)
+        self.stream = Stream(stream_id)
         self.lock = threading.Lock()
         self.outstanding: Dict[int, _LaunchSlot] = {}
 

@@ -68,16 +68,6 @@ class TestFifoOrder:
         release.set()
         stream.synchronize()
 
-    def test_sync_mode_drains_only_on_synchronize(self):
-        with MocCUDASession(async_streams=False) as session:
-            stream = session.cuda_stream_create()
-            ran = []
-            stream.enqueue(lambda: ran.append(1))
-            time.sleep(0.02)
-            assert ran == []  # legacy semantics: nothing runs until sync
-            assert session.cuda_stream_synchronize(stream.stream_id) == 1
-            assert ran == [1]
-
 
 class TestSynchronizeCounts:
     def test_counts_reset_between_synchronizes(self, session):
@@ -190,34 +180,6 @@ class TestEvents:
         release.set()
         slow.synchronize()
         assert session.cuda_event_query(event)
-
-    def test_sync_mode_wait_event_fails_fast_on_unfired_event(self):
-        """Synchronous streams drain on the host thread, so an unfired
-        cross-stream wait can never be satisfied: raise immediately instead
-        of stalling out the timeout."""
-        with MocCUDASession(async_streams=False) as session:
-            stream_a = session.cuda_stream_create()
-            stream_b = session.cuda_stream_create()
-            event = session.cuda_event_create()
-            session.cuda_event_record(event, stream_a.stream_id)
-            session.cuda_stream_wait_event(stream_b.stream_id, event)
-            start = time.perf_counter()
-            with pytest.raises(RuntimeError, match="requires asynchronous"):
-                stream_b.synchronize()
-            assert time.perf_counter() - start < 5.0  # no timeout stall
-
-    def test_sync_mode_wait_event_passes_once_fired(self):
-        with MocCUDASession(async_streams=False) as session:
-            stream_a = session.cuda_stream_create()
-            stream_b = session.cuda_stream_create()
-            event = session.cuda_event_create()
-            session.cuda_event_record(event, stream_a.stream_id)
-            stream_a.synchronize()  # fires the event
-            session.cuda_stream_wait_event(stream_b.stream_id, event)
-            ran = []
-            stream_b.enqueue(lambda: ran.append(1))
-            stream_b.synchronize()
-            assert ran == [1]
 
     def test_chained_events_across_three_streams(self, session):
         streams = [session.cuda_stream_create() for _ in range(3)]

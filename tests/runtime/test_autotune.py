@@ -22,7 +22,6 @@ import pytest
 import repro
 from repro.frontend import compile_cuda
 from repro.runtime import (
-    XEON_8375C,
     clear_global_tuning_cache,
     engine_names,
     global_tuning_cache,
@@ -87,7 +86,6 @@ def _fresh_tuning_state(monkeypatch):
     an empty tuning cache and an empty resolved-config memo."""
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
     monkeypatch.setenv("REPRO_TUNE_REPEATS", "1")
     monkeypatch.setenv("REPRO_TUNE_WARMUP", "0")
     clear_global_tuning_cache()
@@ -122,14 +120,22 @@ class TestRegistration:
         assert isinstance(executor, AutoEngine)
 
     def test_candidates_exclude_auto_and_interp(self):
-        names = {config.engine for config in candidate_configs()}
+        names = [config.engine for config in candidate_configs()]
         assert "auto" not in names
         assert "interp" not in names
+        # one candidate per engine; only multicore fans out, from width 2
+        # (width 1 attaches no shard context: it *is* the compiled engine).
+        single = [name for name in names if name != "multicore"]
+        assert len(single) == len(set(single))
+        assert all(config.workers >= 2 for config in candidate_configs()
+                   if config.engine == "multicore")
 
     def test_explicit_workers_pins_multicore_width(self):
         widths = [config.workers for config in candidate_configs(workers=2)
                   if config.engine == "multicore"]
         assert widths in ([], [2])  # empty only where fork is unavailable
+        assert "multicore" not in {config.engine
+                                   for config in candidate_configs(workers=1)}
 
     def test_config_label_and_round_trip(self):
         config = TuningConfig("multicore", workers=4)
@@ -229,16 +235,6 @@ class TestWarmDispatch:
         engine.run("launch", make_args(64))
         engine.run("launch", make_args(128))
         assert engine.auto_stats["tuned"] == 2
-
-    def test_tune_cache_disabled_always_retunes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", "0")
-        module = compile_saxpy()
-        cold = AutoEngine(module)
-        cold.run("launch", make_args())
-        again = AutoEngine(module)
-        again.run("launch", make_args())
-        assert cold.auto_stats["tuned"] == 1
-        assert again.auto_stats["tuned"] == 1
 
 
 # ---------------------------------------------------------------------------

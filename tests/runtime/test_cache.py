@@ -9,20 +9,34 @@ Covers the contract of :mod:`repro.runtime.cache`:
 * corrupt, truncated, foreign and stale disk entries silently fall back to
   a recompile (and are replaced);
 * the Rodinia parity matrix holds with the cache on, including through the
-  disk tier (``REPRO_CACHE=1``).
+  disk tier (``REPRO_CACHE=1``);
+* the one disk store behind the three tiers (``TestStoreContract``): every
+  case takes the tier — pickle, ``.so``, JSON — as a parameter.
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.frontend import compile_cuda
 from repro.rodinia import BENCHMARKS
-from repro.runtime import shutdown_worker_pools
+from repro.runtime import reset_faults, resilience, shutdown_worker_pools
 from repro.runtime.cache import (
     CACHE_FORMAT,
+    CAPACITY_ENV_VAR,
+    PUBLISH_TIMEOUT_S,
+    TUNING_FORMAT,
     KernelCache,
+    NativeArtifactCache,
+    TuningCache,
     clear_global_cache,
     global_cache,
     kernel_key,
@@ -261,13 +275,13 @@ class TestConcurrentColdCompiles:
     valid disk entry with no torn ``.tmp-`` files left behind."""
 
     def test_two_processes_race_to_one_valid_entry(self, disk_cache):
-        import os
-        import subprocess
-        import sys
-        import time
-
+        # imports come before the ready flag so both compiles start together;
+        # a process that still loses the race by a whole compile reads the
+        # winner's entry instead of publishing its own — equally converged.
         child = (
             "import os, sys, time\n"
+            "from repro.rodinia import BENCHMARKS\n"
+            "from repro.runtime import global_cache\n"
             "ready = sys.argv[1]\n"
             "go = sys.argv[2]\n"
             "open(ready, 'w').close()\n"
@@ -276,10 +290,10 @@ class TestConcurrentColdCompiles:
             "    if time.monotonic() > deadline:\n"
             "        sys.exit(2)\n"
             "    time.sleep(0.001)\n"
-            "from repro.rodinia import BENCHMARKS\n"
-            "from repro.runtime import global_cache\n"
             "BENCHMARKS['lud'].compile_cuda()\n"
-            "assert global_cache().stats.disk_stores == 1\n"
+            "stats = global_cache().stats\n"
+            "assert stats.disk_stores + stats.disk_hits == 1, stats\n"
+            "assert stats.disk_errors == 0, stats\n"
         )
         environment = dict(os.environ)
         environment["PYTHONPATH"] = os.path.join(os.getcwd(), "src")
@@ -314,10 +328,6 @@ class TestConcurrentColdCompiles:
         assert global_cache().stats.disk_hits == 1
 
     def test_threads_race_native_artifact_store(self, tmp_path):
-        import threading
-
-        from repro.runtime.cache import NativeArtifactCache
-
         cache = NativeArtifactCache(capacity=8, directory=tmp_path)
         barrier = threading.Barrier(2)
         payloads = [b"artifact-A" * 64, b"artifact-B" * 64]
@@ -346,6 +356,7 @@ class TestConcurrentColdCompiles:
         assert not list(tmp_path.glob(".tmp-*"))
 
 
+
 class TestTuningCacheConcurrency:
     """The tuning tier under racing clients — the service shares one
     :class:`TuningCache` across every tenant, so two clients racing a cold
@@ -358,10 +369,6 @@ class TestTuningCacheConcurrency:
                 "host": {"cpus": 4}, "seconds": 0.001, "tag": tag}
 
     def test_threads_race_cold_lookup_then_insert(self, tmp_path):
-        import threading
-
-        from repro.runtime.cache import TuningCache
-
         cache = TuningCache(disk_dir=tmp_path)
         barrier = threading.Barrier(2)
         errors = []
@@ -394,10 +401,6 @@ class TestTuningCacheConcurrency:
         assert fresh.stats.disk_hits == 1
 
     def test_threads_hammer_mixed_operations(self, tmp_path):
-        import threading
-
-        from repro.runtime.cache import TuningCache
-
         cache = TuningCache(disk_dir=tmp_path)
         keys = ["k0", "k1", "k2"]
         barrier = threading.Barrier(6)
@@ -427,12 +430,8 @@ class TestTuningCacheConcurrency:
         assert not errors
         assert not list(tmp_path.glob(".tmp-*"))
         # every surviving disk record is whole and well-formed.
-        import json as json_module
-
-        from repro.runtime.cache import TUNING_FORMAT
-
         for path in tmp_path.glob("*.json"):
-            payload = json_module.loads(path.read_text())
+            payload = json.loads(path.read_text())
             assert payload["format"] == TUNING_FORMAT
             assert payload["key"] == path.stem
             assert isinstance(payload["record"], dict)
@@ -441,12 +440,6 @@ class TestTuningCacheConcurrency:
         assert cache.generation >= 6 * 20
 
     def test_two_processes_race_to_one_valid_record(self, tmp_path):
-        import json as json_module
-        import os
-        import subprocess
-        import sys
-        import time
-
         child = (
             "import os, sys, time\n"
             "ready = sys.argv[1]\n"
@@ -485,13 +478,11 @@ class TestTuningCacheConcurrency:
 
         entries = list(records_dir.glob("*.json"))
         assert len(entries) == 1
-        payload = json_module.loads(entries[0].read_bytes())
+        payload = json.loads(entries[0].read_bytes())
         assert payload["key"] == "samekey"
         assert payload["record"]["config"]["engine"] == "interp"
         assert not list(records_dir.glob(".tmp-*"))  # no torn temp files
         # loadable through a fresh cache (disk tier hit).
-        from repro.runtime.cache import TuningCache
-
         fresh = TuningCache(disk_dir=records_dir)
         assert fresh.lookup("samekey") is not None
         assert fresh.stats.disk_hits == 1
@@ -503,30 +494,20 @@ class TestNativeArtifactTier:
     and warm-hit behaviour live in ``tests/runtime/test_native.py``)."""
 
     def test_artifacts_live_under_the_disk_tier(self, disk_cache):
-        from repro.runtime.cache import NativeArtifactCache
-
         cache = NativeArtifactCache()
         assert cache.directory() == disk_cache / "native"
 
     def test_temp_directory_without_disk_tier(self):
-        from repro.runtime.cache import NativeArtifactCache
-
         cache = NativeArtifactCache()
         directory = cache.directory()
         assert directory.is_dir()
         assert "repro-native-" in directory.name
 
     def test_capacity_env_knob(self, monkeypatch):
-        from repro.runtime.cache import CAPACITY_ENV_VAR, NativeArtifactCache
-
         monkeypatch.setenv(CAPACITY_ENV_VAR, "3")
         assert NativeArtifactCache().capacity == 3
 
     def test_store_publishes_atomically_and_evicts(self, tmp_path):
-        import os
-
-        from repro.runtime.cache import NativeArtifactCache
-
         cache = NativeArtifactCache(capacity=2, directory=tmp_path)
         for index, key in enumerate(["k1", "k2", "k3"]):
             path = cache.store(key, lambda temp: temp.write_bytes(b"so"))
@@ -535,3 +516,298 @@ class TestNativeArtifactTier:
         remaining = sorted(entry.stem for entry in tmp_path.glob("*.so"))
         assert remaining == ["k2", "k3"]
         assert not list(tmp_path.glob(".tmp-*"))  # no torn temp files
+
+
+# ---------------------------------------------------------------------------
+# The one disk store behind the three tiers
+# ---------------------------------------------------------------------------
+TIERS = ("pickle", "so", "json")
+#: the tiers whose payload describes itself (format + key inside the file);
+#: a damaged ``.so`` is caught by the engine's dlopen (``test_native.py``).
+ENVELOPED = ("pickle", "json")
+
+_TAGGED_CUDA = """
+__global__ void fill(float* a) {{ a[threadIdx.x] = 1.0f; }}
+void launch{tag}(float* a) {{ fill<<<1, 4>>>(a); }}
+"""
+
+
+class _Tier:
+    """Uniform put/get over one tier, so each store case is written once.
+
+    ``directory=None`` leaves the location to the environment.  Values are
+    tagged ``"A"`` / ``"B"`` so a reader can tell which writer won.
+    """
+
+    #: spelled out, not read off the cache classes: the benchmark runner
+    #: copies files into exactly this layout.
+    SUFFIX = {"pickle": ".pkl", "so": ".so", "json": ".json"}
+    SUBDIR = {"pickle": "", "so": "native", "json": "tuning"}
+
+    def __init__(self, kind, directory=None):
+        self.kind = kind
+        self.directory = directory
+
+    def open(self, capacity=None):
+        """A cache with an empty memory tier — what a fresh process sees."""
+        if self.kind == "pickle":
+            return KernelCache(disk_dir=self.directory)
+        if self.kind == "so":
+            return NativeArtifactCache(capacity=capacity,
+                                       directory=self.directory)
+        return TuningCache(disk_dir=self.directory)
+
+    def value(self, tag):
+        if self.kind == "pickle":
+            return compile_cuda(_TAGGED_CUDA.format(tag=tag), cache=False)
+        if self.kind == "so":
+            return tag.encode() * 64
+        return {"config": {"engine": "interp", "workers": None}, "tag": tag}
+
+    def put(self, cache, key, value):
+        if self.kind == "so":
+            cache.store(key, lambda temp: temp.write_bytes(value))
+        else:
+            cache.insert(key, value)
+
+    def get(self, cache, key):
+        """The tag of the value stored under ``key``, or ``None``."""
+        found = cache.lookup(key)
+        if found is None:
+            return None
+        if self.kind == "pickle":
+            return next(fn.sym_name for fn in found.functions)[-1]
+        if self.kind == "so":
+            return found.read_bytes()[:1].decode()
+        return found["tag"]
+
+    def entry(self, key):
+        return Path(self.directory) / f"{key}{self.SUFFIX[self.kind]}"
+
+    def maintain(self):
+        """What another process's eviction and clearing do to the directory."""
+        if self.kind == "so":
+            cache = self.open(capacity=1)
+            self.put(cache, "otherkey", self.value("B"))  # store() evicts
+            cache.evict()
+            cache.clear()
+        else:
+            self.open().clear(disk=True)
+
+    def files(self, in_flight):
+        return [path for path in Path(self.directory).iterdir()
+                if path.name.startswith(".tmp-") == in_flight]
+
+
+#: a writer process publishing ("samekey", "A"); ``hold`` parks it between
+#: build and rename until released, ``kill`` kills it there.
+_WRITER = """
+import os, sys, time
+kind, directory, mode, built, go = sys.argv[1:6]
+from tests.runtime.test_cache import _Tier
+
+def park():
+    open(built, "w").close()
+    deadline = time.monotonic() + 60
+    while not os.path.exists(go):
+        if time.monotonic() > deadline:
+            os._exit(2)
+        time.sleep(0.001)
+
+real_fsync = os.fsync
+if mode == "kill":
+    os.replace = lambda source, target: os._exit(9)
+else:
+    os.fsync = lambda fd: (real_fsync(fd), park())
+tier = _Tier(kind, directory)
+cache = tier.open()
+tier.put(cache, "samekey", tier.value("A"))
+assert cache.stats.disk_stores == 1, cache.stats
+"""
+
+
+def _spawn_writer(tier, mode, flags):
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(["src", os.getcwd()])
+    environment.pop("REPRO_FAULTS", None)
+    return subprocess.Popen(
+        [sys.executable, "-c", _WRITER, tier.kind, str(tier.directory), mode,
+         str(flags / "built"), str(flags / "go")],
+        env=environment, stderr=subprocess.PIPE)
+
+
+every_tier = pytest.mark.parametrize("kind", TIERS)
+
+
+class TestStoreContract:
+    """Where, publish, read and enumerate — pinned once for pickle, ``.so``
+    and JSON payloads."""
+
+    @pytest.fixture(autouse=True)
+    def _no_faults(self):
+        reset_faults()
+        resilience.global_log().clear()
+        yield
+        reset_faults()
+
+    @pytest.fixture()
+    def tier(self, kind, tmp_path):
+        directory = tmp_path / "store"
+        directory.mkdir()
+        return _Tier(kind, directory)
+
+    @every_tier
+    def test_round_trip_through_a_fresh_process_view(self, tier):
+        writer = tier.open()
+        tier.put(writer, "samekey", tier.value("A"))
+        assert writer.stats.disk_stores == 1
+        assert tier.entry("samekey").is_file()
+        assert not tier.files(in_flight=True)
+        reader = tier.open()
+        assert tier.get(reader, "samekey") == "A"
+        assert reader.stats.disk_hits == 1 and reader.stats.disk_errors == 0
+        assert tier.get(reader, "absent") is None
+        assert reader.stats.misses == 1 and reader.stats.disk_errors == 0
+
+    @every_tier
+    def test_environment_is_read_on_every_operation(self, kind, tmp_path,
+                                                    monkeypatch):
+        """The benchmark sets ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` after
+        ``import repro``: nothing may snapshot them at construction."""
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        tier = _Tier(kind)
+        cache = tier.open()  # built while the disk tier is off
+        for name in ("first", "second"):
+            root = tmp_path / name
+            monkeypatch.setenv("REPRO_CACHE", "1")
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            tier.put(cache, name, tier.value("A"))
+            published = root / tier.SUBDIR[kind] / f"{name}{tier.SUFFIX[kind]}"
+            assert published.is_file()
+            assert cache.path_for(name) == published
+
+    @pytest.mark.parametrize("damage", ["corrupt", "truncated", "stale-format",
+                                        "foreign-key"])
+    @pytest.mark.parametrize("kind", ENVELOPED)
+    def test_damaged_entry_is_dropped_and_rebuilt(self, kind, tier, damage):
+        tier.put(tier.open(), "samekey", tier.value("A"))
+        entry, key = tier.entry("samekey"), "samekey"
+        loads, dumps = ((pickle.loads, pickle.dumps) if kind == "pickle" else
+                        (json.loads, lambda payload: json.dumps(payload).encode()))
+        if damage == "corrupt":
+            entry.write_bytes(b"\x00garbage that is no payload")
+        elif damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:20])
+        elif damage == "stale-format":
+            payload = loads(entry.read_bytes())
+            payload["format"] += 1  # written by a "newer" build
+            entry.write_bytes(dumps(payload))
+        else:  # renamed onto another key: the embedded key disagrees
+            key = "otherkey"
+            entry.rename(tier.entry(key))
+        reader = tier.open()
+        assert tier.get(reader, key) is None
+        assert reader.stats.disk_errors == 1 and reader.stats.misses == 1
+        assert resilience.global_log().events(op="cache.read", action="fallback")
+        assert not tier.entry(key).exists()  # dropped, not left to fail again
+        tier.put(reader, key, tier.value("B"))  # the rebuild repairs the tier
+        assert tier.get(tier.open(), key) == "B"
+
+    @every_tier
+    def test_read_fault_site_drops_the_entry(self, tier, monkeypatch):
+        tier.put(tier.open(), "samekey", tier.value("A"))
+        monkeypatch.setenv("REPRO_FAULTS", "cache.read:*")
+        reset_faults()
+        reader = tier.open()
+        assert tier.get(reader, "samekey") is None
+        assert reader.stats.disk_errors == 1
+        assert resilience.global_log().events(op="cache.read", action="fallback")
+        assert not tier.entry("samekey").exists()
+
+    @every_tier
+    def test_write_fault_site_publishes_nothing(self, kind, tier, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "cache.write:*")
+        reset_faults()
+        cache = tier.open()
+        if kind == "so":
+            # no memory tier to serve: the error reaches the engine, which
+            # builds an unpublished temp .so instead (test_chaos.py).
+            with pytest.raises(OSError):
+                tier.put(cache, "samekey", tier.value("A"))
+        else:
+            tier.put(cache, "samekey", tier.value("A"))
+            assert tier.get(cache, "samekey") == "A"  # memory tier serves
+            assert cache.stats.disk_errors == 1
+            assert resilience.global_log().events(op="cache.write",
+                                                  action="fallback")
+        assert cache.stats.disk_stores == 0
+        assert not list(Path(tier.directory).iterdir())
+
+    @every_tier
+    def test_threads_race_to_one_valid_entry(self, kind, tier):
+        cache = tier.open()
+        values = {tag: tier.value(tag) for tag in ("A", "B")}
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def write(tag):
+            try:
+                barrier.wait(timeout=10)
+                if tier.get(cache, "samekey") is None:  # both see a cold miss
+                    tier.put(cache, "samekey", values[tag])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(tag,))
+                   for tag in values]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert tier.files(in_flight=False) == [tier.entry("samekey")]
+        assert not tier.files(in_flight=True)  # no torn temp files
+        if kind in ENVELOPED:
+            assert len(cache) == 1  # one converged memory entry
+        # the surviving entry is one writer's, untorn, and loadable by a
+        # fresh process (memory tier empty).
+        fresh = tier.open()
+        assert tier.get(fresh, "samekey") in values
+        assert fresh.stats.disk_hits == 1
+
+    @every_tier
+    def test_in_flight_publish_survives_evict_and_clear(self, tier, tmp_path):
+        """``glob("*.so")`` matches another process's ``.tmp-*.so``: evicting
+        or clearing it used to fail that writer's ``os.replace``."""
+        writer = _spawn_writer(tier, "hold", tmp_path)
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "built").exists():
+                assert writer.poll() is None, writer.stderr.read().decode()
+                assert time.monotonic() < deadline, "writer never built"
+                time.sleep(0.01)
+            assert len(tier.files(in_flight=True)) == 1
+            tier.maintain()
+            assert len(tier.files(in_flight=True)) == 1
+        finally:
+            (tmp_path / "go").touch()
+            _, stderr = writer.communicate(timeout=120)
+        assert writer.returncode == 0, stderr.decode()
+        assert tier.get(tier.open(), "samekey") == "A"
+        assert not tier.files(in_flight=True)
+
+    @every_tier
+    def test_killed_writer_leaves_no_visible_entry(self, tier, tmp_path):
+        writer = _spawn_writer(tier, "kill", tmp_path)
+        _, stderr = writer.communicate(timeout=120)
+        assert writer.returncode == 9, stderr.decode()
+        assert tier.get(tier.open(), "samekey") is None
+        assert not tier.files(in_flight=False)
+        orphan, = tier.files(in_flight=True)
+        tier.maintain()
+        assert orphan.exists()  # could still be a live writer's
+        stale = time.time() - PUBLISH_TIMEOUT_S - 60
+        os.utime(orphan, (stale, stale))
+        tier.maintain()
+        assert not orphan.exists()  # older than any live publish: an orphan

@@ -29,6 +29,7 @@ import pytest
 from repro.frontend import compile_cuda
 from repro.rodinia import BENCHMARKS
 from repro.runtime import (
+    A64FX_CMG,
     Interpreter,
     InterpreterError,
     NativeEngine,
@@ -36,7 +37,7 @@ from repro.runtime import (
     native_available,
 )
 from repro.runtime.cache import NativeArtifactCache
-from repro.runtime.native import NATIVE_ENV_VAR, CC_ENV_VAR, unit_key
+from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
 from tests.helpers import generate_fuzz_kernel, report_fields
 
@@ -153,10 +154,17 @@ class TestRegionCoverage:
             assert stats["fallback_regions"] == 0, name
             assert stats["native_dispatches"] >= 1, name
 
-    def test_env_disable_degrades_to_compiled(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_ENV_VAR, "0")
+    def test_non_dyadic_machine_degrades_to_compiled(self):
+        """The C counters are exact only on dyadic machine models: elsewhere
+        no region is emitted and every one runs its compiled base plan."""
         module = _lowered(QUICK_CUDA)
-        engine = _assert_native_matches_interp(module, "launch", _quick_args, 0)
+        interp_args, native_args = _quick_args(), _quick_args()
+        interp = Interpreter(module, machine=A64FX_CMG)
+        interp.run("launch", interp_args)
+        engine = NativeEngine(module, machine=A64FX_CMG)
+        engine.run("launch", native_args)
+        np.testing.assert_array_equal(interp_args[0], native_args[0])
+        assert report_fields(interp.report) == report_fields(engine.report)
         stats = engine.native_stats
         assert stats["native_regions"] == 0
         assert stats["native_dispatches"] == 0

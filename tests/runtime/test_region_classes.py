@@ -195,22 +195,3 @@ class TestNativeCompilesBothClasses:
         engine = NativeEngine(module)
         engine.run("launch", _make_args())
         assert engine.native_stats["fallback_regions"] >= 1
-
-
-@needs_cc
-class TestKnobParity:
-    """The simd / phase-split knobs change the generated C, never results."""
-
-    @pytest.mark.parametrize("simd,phase_split", [(False, True), (True, False),
-                                                  (False, False)])
-    def test_knob_variants_bit_identical(self, simd, phase_split):
-        module = compile_cuda(BARRIER_WHILE_CUDA, cuda_lower=False)
-        interp_args = _make_args()
-        interp = Interpreter(module)
-        interp.run("launch", interp_args)
-        native_args = _make_args()
-        engine = NativeEngine(module, simd=simd, phase_split=phase_split)
-        engine.run("launch", native_args)
-        np.testing.assert_array_equal(interp_args[2], native_args[2])
-        assert report_fields(interp.report) == report_fields(engine.report)
-        assert engine.native_stats["fallback_regions"] == 0

@@ -125,9 +125,8 @@ def main() -> None:
         make_executor(module, engine="native", threads=32).run(
             "launch", [np.zeros(n, dtype=np.float32), data.copy(), n])
         warm = time.perf_counter() - start
-        # bare engines (REPRO_RESILIENCE=0) have no engine_name attribute
-        engine_name = getattr(executor, "engine_name", "native")
-        if engine_name == "native":
+        # the resilience wrapper names the engine that actually ran
+        if executor.engine_name == "native":
             stats = executor.native_stats
             print(f"  native engine: {stats['native_regions']} region(s) as OpenMP C; "
                   f"cold {cold * 1e3:.0f} ms (emit + cc), "
@@ -135,7 +134,7 @@ def main() -> None:
         else:
             # the resilience layer degraded the run (e.g. cc failed mid-way
             # or REPRO_FAULTS is armed) — output was still bit-identical.
-            print(f"  native engine degraded to '{engine_name}' "
+            print(f"  native engine degraded to '{executor.engine_name}' "
                   f"(toolchain failure); outputs verified identical")
     else:
         print("  native engine skipped (no cc -fopenmp toolchain here)")

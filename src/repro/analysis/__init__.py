@@ -10,7 +10,9 @@
 * :mod:`~repro.analysis.mincut`     — the min-cut choice of values to cache
   across a parallel loop split,
 * :mod:`~repro.analysis.liveness`   — crossing values at a split point,
-* :mod:`~repro.analysis.structure`  — parallel-nest structural helpers.
+* :mod:`~repro.analysis.structure`  — parallel-nest structural helpers,
+* :mod:`~repro.analysis.store_safety` — write-write safety of a parallel
+  region's stores (what licenses real parallel execution in the engines).
 """
 
 from .alias import AliasResult, alias, is_allocation, may_alias, must_alias

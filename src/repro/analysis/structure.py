@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..ir import Operation, Value
-from ..dialects import func as func_d, polygeist, scf
+from ..dialects import func as func_d, gpu as gpu_d, omp as omp_d, polygeist, scf
+
+TERMINATORS = (func_d.ReturnOp, scf.YieldOp, scf.ConditionOp)
+BARRIER_OPS = (polygeist.PolygeistBarrierOp, gpu_d.BarrierOp)
+
+#: region-owning ops that run their bodies in their own execution context —
+#: a barrier nested under one of these never suspends the *enclosing* body.
+CONTEXT_OPS = (scf.ParallelOp, gpu_d.LaunchOp, omp_d.OmpParallelOp,
+               omp_d.OmpWsLoopOp, omp_d.OmpSingleOp)
+
+
+def split_executed(block) -> Tuple[List, Optional[Operation]]:
+    """Ops of ``block`` that execute, split at the first terminator."""
+    body = []
+    for op in block.operations:
+        if isinstance(op, TERMINATORS):
+            return body, op
+        body.append(op)
+    return body, None
 
 
 def enclosing_op_of_type(op: Operation, kind) -> Optional[Operation]:

@@ -8,9 +8,10 @@ iteration span, or a ``gpu.launch`` block grid with straight-line barriers —
 and emits one C function per region:
 
 * span regions become a loop over the linearized iteration space, executed
-  under ``#pragma omp parallel for`` when the multicore engine's write-write
-  store-safety analysis proves the region shard-safe (and sequentially
-  otherwise — sequential C is still far faster than Python closures); the
+  under ``#pragma omp parallel for`` when the write-write store-safety
+  analysis (:mod:`repro.analysis.store_safety`) proves the region
+  shard-safe (and sequentially otherwise — sequential C is still far faster
+  than Python closures); the
   same proof also unlocks ``#pragma omp simd`` on the innermost loop
   (dispatch ``mode`` bit 1), statically disabled when the body calls libm
   functions whose vector variants are not IEEE-exact;
@@ -22,9 +23,12 @@ and emits one C function per region:
   control flow compile structurally: every barrier-containing scf.for /
   scf.if / scf.while whose control is provably thread-uniform runs at C
   block scope and drives the per-phase thread loops (§III-B1's structured
-  phase chunking), and values crossing a phase boundary are either cached
-  in per-thread lanes or recomputed at the use site, split by the minimum
-  value cut from :mod:`repro.analysis.mincut`.
+  phase chunking), and values crossing a phase boundary are cached in
+  per-thread lanes.
+
+Scalar ops are emitted as the ``c`` form of their
+:mod:`~repro.runtime.optable` row, and the prelude of every translation
+unit is the helpers those forms call.
 
 **Bit-identical cost accounting.**  The generated C accumulates the same
 counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
@@ -49,19 +53,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dialects import arith, func as func_d, gpu as gpu_d, math as math_d
-from ..dialects import memref as memref_d, omp as omp_d, polygeist, scf
+from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS, CONTEXT_OPS,
+                                  split_executed)
+from ..dialects import arith, func as func_d, gpu as gpu_d
+from ..dialects import memref as memref_d, omp as omp_d, scf
 from ..ir import MemRefType
+from . import optable
 from .costmodel import op_cost
 from .memory import dtype_for
 
 #: ops that must never appear inside a natively compiled region body.
-_NESTED_CONTEXT_OPS = (scf.ParallelOp, gpu_d.LaunchOp, omp_d.OmpParallelOp,
-                       omp_d.OmpWsLoopOp, omp_d.OmpSingleOp)
-
-_BARRIER_OPS = (polygeist.PolygeistBarrierOp, gpu_d.BarrierOp)
-
-_TERMINATORS = (func_d.ReturnOp, scf.YieldOp, scf.ConditionOp)
+_NESTED_CONTEXT_OPS = CONTEXT_OPS
 
 #: largest private (stack) buffer the emitter will place per iteration.
 _MAX_PRIVATE_BYTES = 1 << 16
@@ -199,12 +201,10 @@ class RegionCodegen:
         self._n_ti = 0
         self._n_tf = 0
         # phase-crossing bookkeeping: values defined as plain C locals inside
-        # one thread-loop chunk are out of scope in later chunks; `ref` then
-        # recomputes them from still-available values (charge-free, exactly
-        # the paper's min-cut cache-vs-recompute split).
+        # one thread-loop chunk are out of scope in later chunks (`ref`
+        # checks; _assign_lanes gives every crossing value a lane instead).
         self._chunk_token = 0
         self._local_token: Dict[int, int] = {}   # id(value) -> defining chunk
-        self._def_op: Dict[int, object] = {}     # id(value) -> defining op
         self._varying: set = set()               # id(value) -> thread-varying
         self._barrier_memo: Dict[int, bool] = {}
 
@@ -292,32 +292,11 @@ class RegionCodegen:
         expr = self.cexpr.get(vid)
         if expr is None:
             raise UnsupportedRegion("use of an untranslated value")
-        token = self._local_token.get(vid)
-        if token is not None and token != self._chunk_token:
-            # chunk-local C variable from an earlier phase: recompute it
-            # here from values still in scope (lanes, live-ins, builtins).
-            return self._recompute_expr(value, 0)
-        return expr
-
-    def _recompute_expr(self, value, depth: int) -> str:
-        if depth > 32:
-            raise UnsupportedRegion("recompute chain too deep")
-        vid = id(value)
-        expr = self.cexpr.get(vid)
-        if expr is not None:
-            token = self._local_token.get(vid)
-            if token is None or token == self._chunk_token:
-                return expr
-        op = self._def_op.get(vid)
-        if op is None:
-            raise UnsupportedRegion("phase-crossing value is not recomputable")
-        expr = self._scalar_expr(
-            op, lambda operand: self._recompute_expr(operand, depth + 1))
-        if expr is None:
-            # loads/calls/control-flow results must have been laned by the
-            # min-cut (they are non-recomputable); reaching here is a bug in
-            # the cut, and falling back keeps it a correctness non-event.
-            raise UnsupportedRegion("phase-crossing value is not recomputable")
+        if self._local_token.get(vid, self._chunk_token) != self._chunk_token:
+            # a chunk-local C variable of an earlier phase is out of scope
+            # here; _assign_lanes gives every such value a lane, so this is
+            # a bug in the crossing analysis — fall back, never miscompile.
+            raise UnsupportedRegion("phase-crossing value has no lane")
         return expr
 
     def _define(self, value, expr: str) -> None:
@@ -374,55 +353,19 @@ class RegionCodegen:
     def _static_charge(self, op) -> Tuple[float, float]:
         """The (work, global_bytes) charged once per execution of ``op``'s
         own straight-line step, excluding anything its nested blocks charge
-        per iteration.  Mirrors the compiled engine op by op."""
-        if isinstance(op, arith.ConstantOp):
+        per iteration — the op's :mod:`optable` cost class."""
+        if (isinstance(op, memref_d.AllocOp)  # covers AllocaOp
+                and id(op.result) in self._prebound_shared):
             return 0.0, 0.0
-        if isinstance(op, arith.BinaryOp):
-            return op_cost(op.name), 0.0
-        if isinstance(op, (arith._CmpOp, arith._CastOp, arith.NegFOp,
-                           arith.SelectOp)):
-            return op_cost(op.name), 0.0
-        if isinstance(op, math_d.UnaryMathOp):
-            return op_cost("math.unary"), 0.0
-        if isinstance(op, math_d.PowFOp):
-            return op_cost("math.powf"), 0.0
-        if isinstance(op, memref_d.AllocOp):  # covers AllocaOp
-            if id(op.result) in self._prebound_shared:
-                return 0.0, 0.0
-            return 2.0, 0.0
-        if isinstance(op, memref_d.DeallocOp):
-            return 2.0, 0.0
-        if isinstance(op, memref_d.LoadOp):
+        cost = optable.static_cost(op)
+        if cost is None:
+            raise UnsupportedRegion(f"op {op.name}")
+        if cost is optable.MEMORY:
             return self._access_charge(op.memref)
-        if isinstance(op, memref_d.StoreOp):
-            return self._access_charge(op.memref)
-        if isinstance(op, memref_d.DimOp):
-            return 0.0, 0.0
-        if isinstance(op, memref_d.CopyOp):
-            return 0.0, 0.0  # charged at runtime (size-dependent)
-        if isinstance(op, func_d.CallOp):
-            return op_cost("func.call"), 0.0
-        if isinstance(op, scf.ForOp):
-            return op_cost("scf.for"), 0.0
-        if isinstance(op, scf.IfOp):
-            return op_cost("scf.if"), 0.0
-        if isinstance(op, scf.WhileOp):
-            # scf.while charges per iteration (at the head, including the
-            # final failed check), never on entry — mirrored in _emit_while.
-            return 0.0, 0.0
-        if isinstance(op, _BARRIER_OPS):
-            return 0.0, 0.0
-        raise UnsupportedRegion(f"op {op.name}")
+        return cost, 0.0
 
     # -- block emission --------------------------------------------------------
-    @staticmethod
-    def _split(block) -> Tuple[List, Optional[object]]:
-        body = []
-        for op in block.operations:
-            if isinstance(op, _TERMINATORS):
-                return body, op
-            body.append(op)
-        return body, None
+    _split = staticmethod(split_executed)
 
     def _precheck(self, ops: Sequence, *, allow_barriers: bool = False) -> None:
         """Reject whole-region show-stoppers before any text is emitted.
@@ -465,66 +408,29 @@ class RegionCodegen:
             self._emit_op(op)
 
     # -- op emission -----------------------------------------------------------
-    _BINARY = {
-        arith.AddIOp: "({a} + {b})", arith.SubIOp: "({a} - {b})",
-        arith.MulIOp: "({a} * {b})",
-        arith.AddFOp: "({a} + {b})", arith.SubFOp: "({a} - {b})",
-        arith.MulFOp: "({a} * {b})",
-        arith.MinSIOp: "(({b} < {a}) ? {b} : {a})",
-        arith.MaxSIOp: "(({b} > {a}) ? {b} : {a})",
-        arith.MinFOp: "(({b} < {a}) ? {b} : {a})",
-        arith.MaxFOp: "(({b} > {a}) ? {b} : {a})",
-        arith.DivFOp: "(({b} != 0.0) ? ({a} / {b}) : INFINITY)",
-        arith.RemFOp: "(({b} != 0.0) ? fmod({a}, {b}) : NAN)",
-        arith.DivSIOp: "(({b} != 0) ? (int64_t)((double){a} / (double){b}) : 0)",
-        arith.RemSIOp: "(({b} != 0) ? (int64_t)fmod((double){a}, (double){b}) : 0)",
-        arith.AndIOp: "({a} & {b})", arith.OrIOp: "({a} | {b})",
-        arith.XOrIOp: "({a} ^ {b})",
-        arith.ShLIOp: "repro_shli({a}, {b})",
-        arith.ShRSIOp: "repro_shrsi({a}, {b})",
-    }
-    _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-
-    def _scalar_expr(self, op, rf) -> Optional[str]:
-        """Pure scalar expression for ``op.result`` with operands rendered by
-        ``rf``, or None when ``op`` is not a pure scalar computation.  Shared
-        by direct emission (``rf=self.ref``) and phase-crossing recompute."""
+    def _scalar_expr(self, op) -> Optional[str]:
+        """Pure scalar expression for ``op.result`` — the ``c`` form of the
+        op's :mod:`optable` row — or None when ``op`` is not a pure scalar
+        computation."""
+        row = optable.row_for(op)
+        if row is None:
+            return None
         if isinstance(op, arith.ConstantOp):
             return (c_double(op.value) if op.result.type.is_float
                     else c_int(op.value))
-        if isinstance(op, arith.BinaryOp):
-            template = self._BINARY.get(type(op))
-            if template is None:
-                raise UnsupportedRegion(f"binary op {op.name}")
-            return template.format(a=rf(op.lhs), b=rf(op.rhs))
-        if isinstance(op, arith._CmpOp):
-            cmp = self._CMP[op.predicate]
-            return f"(({rf(op.lhs)} {cmp} {rf(op.rhs)}) ? 1 : 0)"
-        if isinstance(op, arith._CastOp):
-            source = rf(op.input)
-            if op.result.type.is_float:
-                return f"(double)({source})"
-            return f"(int64_t)({source})"
-        if isinstance(op, arith.NegFOp):
-            return f"(-{rf(op.operands[0])})"
-        if isinstance(op, arith.SelectOp):
-            return (f"(({rf(op.condition)}) ? {rf(op.true_value)}"
-                    f" : {rf(op.false_value)})")
-        if isinstance(op, math_d.UnaryMathOp):
-            return f"repro_{op.fn}({rf(op.operands[0])})"
-        if isinstance(op, math_d.PowFOp):
-            return f"repro_powf({rf(op.lhs)}, {rf(op.rhs)})"
         if isinstance(op, memref_d.DimOp):
             buffer = self._buffer(op.memref)
             if not (0 <= op.dim < buffer.rank):
                 raise UnsupportedRegion("memref.dim out of rank")
             return buffer.extents[op.dim]
-        return None
+        if row.c is None:
+            raise UnsupportedRegion(f"no C form for {op.name}")
+        return optable.render(row.c, [self.ref(operand) for operand in op.operands])
 
     def _emit_op(self, op) -> None:
         if isinstance(op, _BARRIER_OPS):
             return  # chunk splitting already realized the phase boundary
-        expr = self._scalar_expr(op, self.ref)
+        expr = self._scalar_expr(op)
         if expr is not None:
             self._define(op.result, expr)
             return
@@ -805,20 +711,14 @@ class RegionCodegen:
         self.out.close()
         self.out.close()
 
-    #: unary libm functions whose scalar results are IEEE-exact (correctly
-    #: rounded), so any vectorization — which only exists via fast-math
-    #: libmvec variants anyway — cannot perturb them.  Everything else
-    #: (exp, log, sin, pow, ...) statically disables `#pragma omp simd`.
-    _EXACT_MATH_FNS = frozenset({"sqrt", "fabs", "floor", "ceil", "round"})
-
     def _simd_eligible(self, ops: Sequence) -> bool:
+        """No op whose C form is not IEEE-exact under vectorization
+        (``Row.simd_exact``: exp, log, sin, pow, ...) and no call."""
         for op in ops:
-            if isinstance(op, math_d.UnaryMathOp):
-                if op.fn not in self._EXACT_MATH_FNS:
-                    return False
-            elif isinstance(op, math_d.PowFOp):
+            row = optable.row_for(op)
+            if row is not None and not row.simd_exact:
                 return False
-            elif isinstance(op, func_d.CallOp):
+            if isinstance(op, func_d.CallOp):
                 return False  # inlined callees: not scanned, stay conservative
             for region in op.regions:
                 for block in region.blocks:
@@ -931,8 +831,7 @@ class RegionCodegen:
     # plain ops (one `for (t)` thread loop each), *barriers* (`PH += 1` —
     # the phase boundary is the end of the preceding thread loop), and
     # nested *structural* ops.  Values that cross a phase boundary are
-    # either cached in per-thread lanes (TI/TF) or recomputed at the use
-    # site; the split is chosen by the §III-B1 minimum value cut.
+    # cached in per-thread lanes (TI/TF).
     def _op_has_barrier(self, op) -> bool:
         memo = self._barrier_memo
         cached = memo.get(id(op))
@@ -1153,13 +1052,18 @@ class RegionCodegen:
             pass
         return varying
 
-    def _analyze_launch_values(self, ops: Sequence):
-        """Walk the structural level tree once: collect phase-cut candidates
-        (scalar results of ops sitting directly at structural levels), which
-        of them cross an item boundary, and which a structural C header
-        needs at block scope (validating uniformity as it goes)."""
+    def _assign_lanes(self, ops: Sequence) -> None:
+        """Decide which launch-body values get per-thread TI/TF lanes.
+
+        Walks the structural level tree once, collecting phase-cut
+        candidates (scalar results of ops sitting directly at structural
+        levels); a candidate gets a lane when it crosses an item boundary or
+        a structural C header reads it at block scope (lane 0; uniformity is
+        validated on the way).  That set is a valid value cut by
+        construction, and since crossing values are forced into any cut it
+        is also the minimum one (:mod:`repro.analysis.mincut`), so no cut is
+        computed."""
         candidates: List = []
-        candidate_ids: set = set()
         def_pos: Dict[int, Tuple[int, int]] = {}
         crossing: set = set()
         needed: set = set()
@@ -1188,9 +1092,7 @@ class RegionCodegen:
                             if isinstance(result.type, MemRefType):
                                 continue
                             candidates.append(result)
-                            candidate_ids.add(id(result))
                             def_pos[id(result)] = (level_id, item_id)
-                            self._def_op[id(result)] = nested
                 elif kind == "struct":
                     for value in self._struct_header_operands(payload):
                         if id(value) in self._varying:
@@ -1201,44 +1103,9 @@ class RegionCodegen:
                         walk(child_ops, sub)
 
         walk(ops, {})
-        needed &= candidate_ids
-        return candidates, candidate_ids, crossing, needed
-
-    _PURE_SCALAR_OPS = (arith.ConstantOp, arith.BinaryOp, arith._CmpOp,
-                        arith._CastOp, arith.NegFOp, arith.SelectOp,
-                        math_d.UnaryMathOp, math_d.PowFOp, memref_d.DimOp)
-
-    def _assign_lanes(self, ops: Sequence) -> None:
-        """Decide which launch-body values get per-thread TI/TF lanes.
-
-        The lane set is the minimum value cut over the phase-crossing
-        def-use graph (loads, calls and control-flow results are
-        non-recomputable; structurally needed values are forced into the
-        cut so block-scope headers can read lane 0); a cut that fails
-        validation falls back to caching every crossing value."""
-        from ..analysis.mincut import minimum_value_cut, validate_cut
-
-        candidates, candidate_ids, crossing, needed = (
-            self._analyze_launch_values(ops))
-        required = (crossing & candidate_ids) | needed
-        pure = {id(value) for value in candidates
-                if isinstance(self._def_op[id(value)], self._PURE_SCALAR_OPS)}
-        non_recomputable = (candidate_ids - pure) | needed
-        edges = []
+        lanes = crossing | (needed & def_pos.keys())
         for value in candidates:
-            if id(value) not in pure:
-                continue
-            for operand in self._def_op[id(value)].operands:
-                if id(operand) in candidate_ids:
-                    edges.append((id(operand), id(value)))
-        cut = set()
-        if required:
-            cut = minimum_value_cut(candidate_ids, edges, non_recomputable,
-                                    required)
-            if not validate_cut(cut, edges, non_recomputable, required):
-                cut = set(required)
-        for value in candidates:
-            if id(value) not in cut:
+            if id(value) not in lanes:
                 continue
             if value.type.is_float:
                 self._toplevel[id(value)] = ("f", self._n_tf)
@@ -1303,7 +1170,7 @@ class RegionCodegen:
                     and memref_d.is_shared_memref(nested.result)):
                 self._prebound_shared.add(id(nested.result))
                 shared_allocas.append(nested)
-        # structural analysis: uniformity, phase-crossing values, min cut
+        # structural analysis: uniformity, phase-crossing values and their lanes
         self._varying = self._launch_uniformity(ops)
         self._assign_lanes(ops)
         scratch_buffers = self._prescan_threadlocal(ops)
@@ -1491,7 +1358,7 @@ class RegionCodegen:
 # ---------------------------------------------------------------------------
 # Translation-unit assembly
 # ---------------------------------------------------------------------------
-PRELUDE = r"""
+PRELUDE_HEAD = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1501,41 +1368,10 @@ PRELUDE = r"""
  * arithmetic (f32 rounds only on store), int64 lanes for integers, and the
  * interpreter's guarded versions of division, shifts and libm calls. */
 
-static inline int64_t repro_shli(int64_t a, int64_t b) {
-    if (b < 0 || b >= 64) return 0;
-    return (int64_t)((uint64_t)a << (uint64_t)b);
-}
-static inline int64_t repro_shrsi(int64_t a, int64_t b) {
-    if (b < 0) return 0;
-    if (b >= 64) return a < 0 ? -1 : 0;
-    return a >> b;
-}
-static inline double repro_exp(double x) { return exp(x); }
-static inline double repro_exp2(double x) { return pow(2.0, x); }
-static inline double repro_log(double x) { return x > 0.0 ? log(x) : -INFINITY; }
-static inline double repro_log2(double x) { return x > 0.0 ? log2(x) : -INFINITY; }
-static inline double repro_log10(double x) { return x > 0.0 ? log10(x) : -INFINITY; }
-static inline double repro_sqrt(double x) { return x >= 0.0 ? sqrt(x) : NAN; }
-static inline double repro_rsqrt(double x) { return x > 0.0 ? 1.0 / sqrt(x) : INFINITY; }
-static inline double repro_fabs(double x) { return fabs(x); }
-static inline double repro_sin(double x) { return sin(x); }
-static inline double repro_cos(double x) { return cos(x); }
-static inline double repro_tan(double x) { return tan(x); }
-static inline double repro_tanh(double x) { return tanh(x); }
-static inline double repro_floor(double x) { return floor(x); }
-static inline double repro_ceil(double x) { return ceil(x); }
-static inline double repro_erf(double x) { return erf(x); }
-static inline double repro_round(double x) { return rint(x); }
-static inline double repro_powf(double a, double b) {
-    double r = pow(a, b);
-    /* CPython raises OverflowError for finite operands overflowing to inf;
-     * PowFOp.evaluate turns that into NaN. */
-    if (isinf(r) && isfinite(a) && isfinite(b) && a != 0.0) return NAN;
-    return r;
-}
 """
 
 
 def assemble_unit(functions: Sequence[str]) -> str:
     """One self-contained C translation unit from emitted region functions."""
-    return PRELUDE + "\n\n" + "\n\n".join(functions) + "\n"
+    return (PRELUDE_HEAD + optable.c_prelude_helpers() + "\n\n"
+            + "\n\n".join(functions) + "\n")

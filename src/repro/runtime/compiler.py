@@ -13,7 +13,8 @@ removes that hot-path overhead by *compiling* each function once:
 * **specialized closures** — each operation compiles to a small closure with
   operand slots, cost constants and type coercions resolved at compile time;
   straight-line block bodies are stitched into generated straight-line code
-  (the ``generate_ast``-style "lower once, execute many" idiom).
+  (the ``generate_ast``-style "lower once, execute many" idiom).  Pure
+  scalar ops are rendered from their :mod:`~repro.runtime.optable` row.
 * **lazy iteration spaces** — ``scf.parallel`` / ``omp.wsloop`` iteration
   spaces are ``itertools.product`` streams, never materialized lists.
 * **compiled barrier phases** — bodies whose barriers sit in straight-line
@@ -44,25 +45,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dialects import arith, func as func_d, gpu as gpu_d, math as math_d, memref as memref_d
-from ..dialects import omp as omp_d, polygeist, scf
+from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
+                                  CONTEXT_OPS as _CONTEXT_OPS,
+                                  split_executed as _split_executed)
+from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
+from ..dialects import omp as omp_d, scf
 from .costmodel import CostReport, MachineModel, XEON_8375C, op_cost
 from .errors import InterpreterError
 from .memory import MemRefStorage
+from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
 from .registry import register_engine
 
 _BARRIER = object()  # yielded by compiled generator closures at barriers
 
 #: attribute used to cache compiled programs on the module operation.
 _CACHE_ATTR = "_compiled_programs"
-
-_TERMINATORS = (func_d.ReturnOp, scf.YieldOp, scf.ConditionOp)
-_BARRIER_OPS = (polygeist.PolygeistBarrierOp, gpu_d.BarrierOp)
-
-#: region-owning ops that run their bodies in their own execution context —
-#: a barrier nested under one of these never suspends the *enclosing* body.
-_CONTEXT_OPS = (scf.ParallelOp, gpu_d.LaunchOp, omp_d.OmpParallelOp,
-                omp_d.OmpWsLoopOp, omp_d.OmpSingleOp)
 
 
 class _BarrierEscape(Exception):
@@ -113,16 +110,6 @@ class _CompiledFunction:
         self.return_slots = return_slots
         self.runner = runner
         self.is_gen = is_gen
-
-
-def _split_executed(block) -> Tuple[List, Optional[object]]:
-    """Ops the interpreter would execute, split at the first terminator."""
-    body = []
-    for op in block.operations:
-        if isinstance(op, _TERMINATORS):
-            return body, op
-        body.append(op)
-    return body, None
 
 
 class _Program:
@@ -411,20 +398,11 @@ class _FunctionCompiler:
         if isinstance(op, arith.ConstantOp):
             self.template[self.slot(op.result)] = op.value
             return None
-        if isinstance(op, arith.BinaryOp):
-            return self._c_binary(op)
-        if isinstance(op, arith._CmpOp):
-            return self._c_cmp(op)
-        if isinstance(op, arith._CastOp):
-            return self._c_cast(op)
-        if isinstance(op, arith.NegFOp):
-            return self._c_negf(op)
-        if isinstance(op, arith.SelectOp):
-            return self._c_select(op)
-        if isinstance(op, math_d.UnaryMathOp):
-            return self._c_math_unary(op)
-        if isinstance(op, math_d.PowFOp):
-            return self._c_math_pow(op)
+        if isinstance(op, memref_d.DimOp):
+            return ("p", self._c_dim(op))
+        row = row_for(op)
+        if row is not None:
+            return self._c_scalar(op, row)
         if isinstance(op, memref_d.AllocOp):  # covers AllocaOp
             if id(op.result) in self._prebound:
                 return None
@@ -435,8 +413,6 @@ class _FunctionCompiler:
             return self._c_load(op)
         if isinstance(op, memref_d.StoreOp):
             return self._c_store(op)
-        if isinstance(op, memref_d.DimOp):
-            return ("p", self._c_dim(op))
         if isinstance(op, memref_d.CopyOp):
             return ("p", self._c_copy(op))
         if isinstance(op, func_d.CallOp):
@@ -477,74 +453,14 @@ class _FunctionCompiler:
         return ("p", unsupported)
 
     # -- scalar ops (inlined into the generated block source) -------------------
-    #: binary ops whose Python evaluation is inlined as an expression; every
-    #: template must match the corresponding ``PY_FUNC`` exactly.
-    _BINARY_EXPR = {
-        arith.AddIOp: "({a} + {b})", arith.SubIOp: "({a} - {b})",
-        arith.MulIOp: "({a} * {b})",
-        arith.MinSIOp: "min({a}, {b})", arith.MaxSIOp: "max({a}, {b})",
-        arith.AddFOp: "({a} + {b})", arith.SubFOp: "({a} - {b})",
-        arith.MulFOp: "({a} * {b})",
-        arith.MinFOp: "min({a}, {b})", arith.MaxFOp: "max({a}, {b})",
-        arith.DivFOp: "({a} / {b} if {b} != 0.0 else float('inf'))",
-    }
-    _CMP_EXPR = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-
-    def _charged(self, cost: float, lines: List[str], ns=None):
-        return ("src", [f"w[-1] += {cost!r}", *lines], ns or {})
-
-    def _c_binary(self, op):
-        ls, rs, ds = self.slot(op.lhs), self.slot(op.rhs), self.slot(op.result)
+    def _c_scalar(self, op, row):
+        """Every pure scalar op, rendered from its :mod:`optable` row."""
         ns = {}
-        template = self._BINARY_EXPR.get(type(op))
-        if template is not None:
-            expr = template.format(a=f"regs[{ls}]", b=f"regs[{rs}]")
-        else:
-            name = self._name("f")
-            ns[name] = op.PY_FUNC
-            expr = f"{name}(regs[{ls}], regs[{rs}])"
-        if op.result.type.is_integer or op.result.type.is_index:
-            expr = f"int({expr})"
-        return self._charged(op_cost(op.name), [f"regs[{ds}] = {expr}"], ns)
-
-    def _c_cmp(self, op):
-        ls, rs, ds = self.slot(op.lhs), self.slot(op.rhs), self.slot(op.result)
-        cmp = self._CMP_EXPR[op.predicate]
-        return self._charged(
-            op_cost(op.name),
-            [f"regs[{ds}] = 1 if regs[{ls}] {cmp} regs[{rs}] else 0"])
-
-    def _c_cast(self, op):
-        src, ds = self.slot(op.input), self.slot(op.result)
-        convert = "float" if op.result.type.is_float else "int"
-        return self._charged(op_cost(op.name), [f"regs[{ds}] = {convert}(regs[{src}])"])
-
-    def _c_negf(self, op):
-        src, ds = self.slot(op.operands[0]), self.slot(op.result)
-        return self._charged(op_cost(op.name), [f"regs[{ds}] = -regs[{src}]"])
-
-    def _c_select(self, op):
-        cs = self.slot(op.condition)
-        ts, fs, ds = self.slot(op.true_value), self.slot(op.false_value), self.slot(op.result)
-        return self._charged(
-            op_cost(op.name),
-            [f"regs[{ds}] = regs[{ts}] if regs[{cs}] else regs[{fs}]"])
-
-    def _c_math_unary(self, op):
-        src, ds = self.slot(op.operands[0]), self.slot(op.result)
-        name = self._name("f")
-        return self._charged(
-            op_cost("math.unary"),
-            [f"regs[{ds}] = {name}(float(regs[{src}]))"],
-            {name: math_d.UNARY_FUNCTIONS[op.fn]})
-
-    def _c_math_pow(self, op):
-        ls, rs, ds = self.slot(op.lhs), self.slot(op.rhs), self.slot(op.result)
-        name = self._name("f")
-        return self._charged(
-            op_cost("math.powf"),
-            [f"regs[{ds}] = {name}(regs[{ls}], regs[{rs}])"],
-            {name: math_d.PowFOp.evaluate})
+        operands = [f"regs[{self.slot(value)}]" for value in op.operands]
+        target = self.slot(op.result)
+        expr = python_expr(row, operands, ns, self._name)
+        return ("src", [f"w[-1] += {cycles(row)!r}",
+                        f"regs[{target}] = {expr}"], ns)
 
     # -- memory ops -------------------------------------------------------------
     def _c_alloc(self, op):
@@ -555,7 +471,7 @@ class _FunctionCompiler:
         def step(state, regs):
             sizes = [int(regs[s]) for s in size_slots]
             storage = allocate(mtype, sizes)
-            state.work[-1] += 2.0
+            state.work[-1] += ALLOC_CYCLES
             regs[ds] = storage
         return step
 
@@ -563,7 +479,7 @@ class _FunctionCompiler:
         ms = self.slot(op.memref)
         def step(state, regs):
             regs[ms].free()  # raises on double free (centralized in storage)
-            state.work[-1] += 2.0
+            state.work[-1] += ALLOC_CYCLES
         return step
 
     def _mem_cost_prefix(self):

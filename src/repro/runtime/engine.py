@@ -109,11 +109,11 @@ def make_executor(module, *, engine: Optional[str] = None,
     ``workers`` is forwarded to the factory (only the multicore engine uses
     it; the in-process engines ignore it).
 
-    Unless ``REPRO_RESILIENCE=0``, the executor is wrapped in the
-    resilience layer (:mod:`repro.runtime.resilience`): taxonomy failures
-    that escape a run rebuild the executor on the next engine of the
-    fallback chain (``native → multicore → vectorized → compiled →
-    interp``) and re-run with bit-identical outputs and CostReports.
+    The executor is wrapped in the resilience layer
+    (:mod:`repro.runtime.resilience`): taxonomy failures that escape a run
+    rebuild the executor on the next engine of the fallback chain (``native
+    → multicore → vectorized → compiled → interp``) and re-run with
+    bit-identical outputs and CostReports.
     """
     name = resolve_engine(engine)
 

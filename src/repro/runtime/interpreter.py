@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..ir import Operation, Value
-from ..dialects import arith, func as func_d, gpu as gpu_d, math as math_d, memref as memref_d
+from ..dialects import func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, polygeist, scf
 from .costmodel import (
     CostReport,
@@ -35,6 +35,7 @@ from .costmodel import (
 )
 from .errors import InterpreterError
 from .memory import MemRefStorage
+from .optable import ALLOC_CYCLES, cycles, row_for
 from .registry import register_engine
 
 _BARRIER = object()  # sentinel yielded by the execution generator at barriers
@@ -117,14 +118,11 @@ class Interpreter:
             handler = self._handlers.get(type(op))
             if handler is not None:
                 yield from handler(self, op, env)
-            elif isinstance(op, arith.BinaryOp):
-                self._exec_binary(op, env)
-            elif isinstance(op, arith._CmpOp):
-                self._exec_cmp(op, env)
-            elif isinstance(op, arith._CastOp):
-                self._exec_cast(op, env)
-            else:
+                continue
+            row = row_for(op)
+            if row is None:
                 raise InterpreterError(f"no interpretation for op {op.name}")
+            self._exec_scalar(op, env, row)
 
     def _value(self, env: Dict[int, object], value: Value):
         try:
@@ -149,59 +147,18 @@ class Interpreter:
         return child
 
     # -- scalar ops ------------------------------------------------------------
-    def _exec_binary(self, op: arith.BinaryOp, env) -> None:
-        lhs = self._value(env, op.lhs)
-        rhs = self._value(env, op.rhs)
-        self._charge(op_cost(op.name))
-        result = op.PY_FUNC(lhs, rhs)
-        if op.result.type.is_integer or op.result.type.is_index:
-            result = int(result)
-        self._bind(env, op.result, result)
-
-    def _exec_cmp(self, op, env) -> None:
-        lhs = self._value(env, op.lhs)
-        rhs = self._value(env, op.rhs)
-        self._charge(op_cost(op.name))
-        self._bind(env, op.result, arith.CmpPredicate.evaluate(op.predicate, lhs, rhs))
-
-    def _exec_cast(self, op, env) -> None:
-        value = self._value(env, op.input)
-        self._charge(op_cost(op.name))
-        if op.result.type.is_float:
-            self._bind(env, op.result, float(value))
-        else:
-            self._bind(env, op.result, int(value))
-
-    def _exec_constant(self, op: arith.ConstantOp, env):
-        self._bind(env, op.result, op.value)
-        return
-        yield  # pragma: no cover - make this a generator-compatible handler
-
-    def _exec_negf(self, op: arith.NegFOp, env):
-        self._charge(op_cost(op.name))
-        self._bind(env, op.result, -self._value(env, op.operands[0]))
-        return
-        yield  # pragma: no cover
-
-    def _exec_select(self, op: arith.SelectOp, env):
-        self._charge(op_cost(op.name))
-        condition = self._value(env, op.condition)
-        self._bind(env, op.result,
-                   self._value(env, op.true_value) if condition else self._value(env, op.false_value))
-        return
-        yield  # pragma: no cover
-
-    def _exec_math_unary(self, op: math_d.UnaryMathOp, env):
-        self._charge(op_cost("math.unary"))
-        self._bind(env, op.result, op.evaluate(float(self._value(env, op.operands[0]))))
-        return
-        yield  # pragma: no cover
-
-    def _exec_math_pow(self, op: math_d.PowFOp, env):
-        self._charge(op_cost("math.powf"))
-        self._bind(env, op.result, op.evaluate(self._value(env, op.lhs), self._value(env, op.rhs)))
-        return
-        yield  # pragma: no cover
+    def _exec_scalar(self, op, env, row) -> None:
+        """Every pure scalar op: the row's ``py`` *is* the reference
+        semantics (:mod:`repro.runtime.optable`)."""
+        if row.py is None:  # arith.constant: defined by its attribute
+            self._bind(env, op.result, op.value)
+            return
+        operands = [self._value(env, operand) for operand in op.operands]
+        if row.float_args:
+            operands = [float(operand) for operand in operands]
+        self._charge(cycles(row))
+        result = row.py(*operands)
+        self._bind(env, op.result, int(result) if row.int_result else result)
 
     # -- memory ops --------------------------------------------------------------
     def _storage(self, env, value: Value) -> MemRefStorage:
@@ -221,14 +178,14 @@ class Interpreter:
             return
         sizes = [int(self._value(env, operand)) for operand in op.operands]
         storage = MemRefStorage.allocate(op.memref_type, sizes)
-        self._charge(2.0)
+        self._charge(ALLOC_CYCLES)
         self._bind(env, op.result, storage)
         return
         yield  # pragma: no cover
 
     def _exec_dealloc(self, op: memref_d.DeallocOp, env):
         self._storage(env, op.memref).free()
-        self._charge(2.0)
+        self._charge(ALLOC_CYCLES)
         return
         yield  # pragma: no cover
 
@@ -543,11 +500,6 @@ class Interpreter:
 
     # handler dispatch table -------------------------------------------------------------------
     _handlers = {
-        arith.ConstantOp: _exec_constant,
-        arith.NegFOp: _exec_negf,
-        arith.SelectOp: _exec_select,
-        math_d.UnaryMathOp: _exec_math_unary,
-        math_d.PowFOp: _exec_math_pow,
         memref_d.AllocOp: _exec_alloc,
         memref_d.AllocaOp: _exec_alloc,
         memref_d.DeallocOp: _exec_dealloc,

@@ -23,10 +23,10 @@ the compiled engine with the parallel-region entry points replaced by
   interpreter (pinned by the five-engine parity matrix and the differential
   fuzz suite);
 * real parallelism (``#pragma omp parallel for`` across iterations/blocks)
-  is enabled per region only when the multicore engine's write-write
-  store-safety analysis proves shards independent (required-singleton dims
-  are re-checked per dispatch, as is runtime buffer aliasing); unproven
-  regions still run as *sequential* C.
+  is enabled per region only when the write-write store-safety analysis
+  (:mod:`repro.analysis.store_safety`) proves shards independent
+  (required-singleton dims are re-checked per dispatch, as is runtime
+  buffer aliasing); unproven regions still run as *sequential* C.
 
 Anything the emitter cannot translate — nested parallel constructs,
 dynamic-extent private allocas, barriers under thread-varying control flow
@@ -50,6 +50,7 @@ import tempfile
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.store_safety import launch_required_axes, span_required_dims
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
     ERR_BAD_STEP,
@@ -68,7 +69,6 @@ from .costmodel import MachineModel, XEON_8375C
 from .errors import InterpreterError, ToolchainError
 from .memory import MemRefStorage
 from . import resilience
-from .multicore import launch_required_axes, span_required_dims
 from .registry import register_engine
 from .vectorizer import machine_vectorizable
 
@@ -562,13 +562,13 @@ class _NativeFunctionCompiler(_FunctionCompiler):
         mode = "g" if self.gen_mode else "p"
         return f"repro_{sanitized}_{mode}{self._region_counter}"
 
-    # -- store-safety analysis (one implementation, shared with multicore) -----
+    # -- store-safety analysis (repro.analysis, shared with multicore) --------
     def _span_required_dims(self, op) -> Optional[Tuple[int, ...]]:
-        required = span_required_dims(self.program, op)
+        required = span_required_dims(self.program.module, op)
         return None if required is None else tuple(sorted(required))
 
     def _launch_required_axes(self, op) -> Optional[Tuple[int, ...]]:
-        required = launch_required_axes(self.program, op)
+        required = launch_required_axes(self.program.module, op)
         return None if required is None else tuple(sorted(required))
 
     # -- region codegen --------------------------------------------------------

@@ -32,8 +32,8 @@ policy layer that makes that an enforced invariant instead of ad-hoc
   taxonomy error escapes ``run()``, rebuilds on the next engine of
   :data:`FALLBACK_CHAIN` (``native → multicore → vectorized → compiled →
   interp``) and re-runs, preserving bit-identical outputs and
-  CostReports.  Enabled by default via :func:`maybe_resilient` in
-  ``make_executor``; opt out with ``REPRO_RESILIENCE=0``.
+  CostReports.  :func:`maybe_resilient` wraps every engine
+  ``make_executor`` builds that has a tier below it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 RETRIES_ENV_VAR = "REPRO_RETRIES"
 TIMEOUT_ENV_VAR = "REPRO_TIMEOUT_S"
 BACKOFF_ENV_VAR = "REPRO_BACKOFF_S"
-RESILIENCE_ENV_VAR = "REPRO_RESILIENCE"
 
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.05
@@ -71,12 +70,6 @@ DEFAULT_BACKOFF_S = 0.05
 #: engine degrades to the next.  Every transition preserves bit-identical
 #: outputs and CostReports (pinned by tests/runtime/test_engine_parity.py).
 FALLBACK_CHAIN = ("native", "multicore", "vectorized", "compiled", "interp")
-
-
-def resilience_enabled() -> bool:
-    """Whether ``make_executor`` wraps engines in the fallback layer."""
-    return os.environ.get(RESILIENCE_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "no", "off")
 
 
 def faults_configured() -> bool:
@@ -553,13 +546,8 @@ class ResilientExecutor:
 
 
 def maybe_resilient(executor, engine: str, rebuild: Callable[[str], object]):
-    """Wrap ``executor`` in the fallback chain when enabled and useful.
-
-    No wrapper when ``REPRO_RESILIENCE=0`` or when the engine has no
-    fallback tier below it (the interpreter is the chain's floor).
-    """
-    if not resilience_enabled():
-        return executor
+    """Wrap ``executor`` in the fallback chain, unless the engine has no
+    fallback tier below it (the interpreter is the chain's floor)."""
     if not fallback_engines(engine):
         return executor
     return ResilientExecutor(executor, engine, rebuild)
@@ -568,9 +556,9 @@ def maybe_resilient(executor, engine: str, rebuild: Callable[[str], object]):
 __all__ = [
     "BACKOFF_ENV_VAR", "DEFAULT_BACKOFF_S", "DEFAULT_RETRIES",
     "FALLBACK_CHAIN", "FAULTS_ENV_VAR", "FaultPlan",
-    "RESILIENCE_ENV_VAR", "RETRIES_ENV_VAR", "ResilienceEvent",
+    "RETRIES_ENV_VAR", "ResilienceEvent",
     "ResilienceLog", "ResilientExecutor", "RetryPolicy", "TIMEOUT_ENV_VAR",
     "call_with_retry", "fallback_engines", "fault_fires", "faults_configured",
     "global_log", "inject", "maybe_resilient", "record_event",
-    "reset_faults", "resilience_enabled", "retry_policy",
+    "reset_faults", "retry_policy",
 ]

@@ -10,7 +10,9 @@ operations:
 
 * SSA registers become full-width arrays of shape ``(num_lanes,)``
   (``float64``/``int64``, matching the interpreter's Python-scalar
-  arithmetic bit for bit);
+  arithmetic bit for bit); each pure scalar op is the ``lanes`` form of its
+  :mod:`~repro.runtime.optable` row (the ``_v_*`` helpers below are what
+  those forms call), or its scalar form when no operand varies;
 * thread-index induction variables become precomputed index grids
   (broadcast ``arange`` / ``meshgrid`` lane arrays in thread order);
 * loads become fancy-indexed gathers (``MemRefStorage.load_block``),
@@ -57,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..dialects import arith, math as math_d, memref as memref_d, scf
+from ..dialects import arith, memref as memref_d, scf
 from ..ir import MemRefType
 from .compiler import (
     CompiledEngine,
@@ -74,6 +76,7 @@ from .compiler import (
 from .costmodel import MachineModel, XEON_8375C, op_cost
 from .errors import InterpreterError
 from .memory import MemRefStorage, dtype_for
+from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
 from .registry import register_engine
 
 _U = "u"  # uniform: one Python scalar (or storage) shared by all lanes
@@ -170,36 +173,23 @@ def _v_maxf(a, b):
         return np.where(np.asarray(b) > np.asarray(a), b, a)
 
 
-def _v_map(fn, values, mask, n):
-    """Elementwise Python-function map over active lanes (math.* parity).
+def _v_map(fn, *operands_mask_n):
+    """Elementwise Python-function map over active lanes (``py`` parity).
 
-    The interpreter evaluates ``math.<fn>`` through the exact Python
+    Called as ``_v_map(fn, values..., mask, n)`` for rows without a lane
+    form.  The interpreter evaluates ``math.<fn>`` through the exact Python
     callables in ``UNARY_FUNCTIONS``; numpy's SIMD transcendentals can
     differ in the last ulp, so parity requires the Python loop.  Only
     active lanes are evaluated (inactive lanes may hold garbage that the
     Python functions would reject).
     """
-    values = np.broadcast_to(np.asarray(values, dtype=np.float64), (n,))
+    *operands, mask, n = operands_mask_n
+    columns = [np.broadcast_to(np.asarray(values, dtype=np.float64), (n,))
+               for values in operands]
     out = np.zeros(n, dtype=np.float64)
-    if mask is None:
-        for i in range(n):
-            out[i] = fn(float(values[i]))
-    else:
-        for i in np.flatnonzero(mask):
-            out[i] = fn(float(values[i]))
-    return out
-
-
-def _v_map2(fn, lhs, rhs, mask, n):
-    lhs = np.broadcast_to(np.asarray(lhs, dtype=np.float64), (n,))
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=np.float64), (n,))
-    out = np.zeros(n, dtype=np.float64)
-    if mask is None:
-        for i in range(n):
-            out[i] = fn(float(lhs[i]), float(rhs[i]))
-    else:
-        for i in np.flatnonzero(mask):
-            out[i] = fn(float(lhs[i]), float(rhs[i]))
+    active = slice(None) if mask is None else np.flatnonzero(mask)
+    out[active] = [fn(*lane) for lane in
+                   zip(*(column[active].tolist() for column in columns))]
     return out
 
 
@@ -266,30 +256,6 @@ class _Ctx:
         self.count = count  # expression for the active lane count
 
 
-#: numpy expression templates for lane-varying binary arithmetic; must agree
-#: elementwise with the ops' ``PY_FUNC`` on float64/int64 lanes.
-_NP_BINARY = {
-    arith.AddIOp: "({a} + {b})",
-    arith.SubIOp: "({a} - {b})",
-    arith.MulIOp: "({a} * {b})",
-    arith.AndIOp: "({a} & {b})",
-    arith.OrIOp: "({a} | {b})",
-    arith.XOrIOp: "({a} ^ {b})",
-    arith.ShLIOp: "({a} << {b})",
-    arith.ShRSIOp: "({a} >> {b})",
-    arith.MinSIOp: "np.minimum({a}, {b})",
-    arith.MaxSIOp: "np.maximum({a}, {b})",
-    arith.AddFOp: "({a} + {b})",
-    arith.SubFOp: "({a} - {b})",
-    arith.MulFOp: "({a} * {b})",
-    arith.MinFOp: "_v_minf({a}, {b})",
-    arith.MaxFOp: "_v_maxf({a}, {b})",
-    arith.DivFOp: "_v_divf({a}, {b})",
-    arith.DivSIOp: "_v_divsi({a}, {b})",
-    arith.RemSIOp: "_v_remsi({a}, {b})",
-    arith.RemFOp: "_v_remf({a}, {b})",
-}
-
 _BASE_NAMESPACE = {
     "np": np,
     "_IE": InterpreterError,
@@ -301,7 +267,7 @@ _BASE_NAMESPACE = {
     "_v_maxf": _v_maxf,
     "_v_fptosi": _v_fptosi,
     "_v_map": _v_map,
-    "_v_map2": _v_map2,
+    "_v_map2": _v_map,
     "_v_bcast": _v_bcast,
 }
 
@@ -530,28 +496,17 @@ class _RegionVectorizer:
             self.fc.template[self.slot(op.result)] = op.value
             self._defined.add(self.slot(op.result))
             return
-        if isinstance(op, arith.BinaryOp):
-            return self.emit_binary(op, ctx)
-        if isinstance(op, arith._CmpOp):
-            return self.emit_cmp(op, ctx)
-        if isinstance(op, arith._CastOp):
-            return self.emit_cast(op, ctx)
-        if isinstance(op, arith.NegFOp):
-            return self.emit_negf(op, ctx)
-        if isinstance(op, arith.SelectOp):
-            return self.emit_select(op, ctx)
-        if isinstance(op, math_d.UnaryMathOp):
-            return self.emit_math_unary(op, ctx)
-        if isinstance(op, math_d.PowFOp):
-            return self.emit_math_pow(op, ctx)
+        if isinstance(op, memref_d.DimOp):
+            return self.emit_dim(op, ctx)
+        row = row_for(op)
+        if row is not None:
+            return self.emit_scalar(op, row, ctx)
         if isinstance(op, memref_d.AllocOp):  # covers AllocaOp
             return self.emit_alloc(op, ctx)
         if isinstance(op, memref_d.LoadOp):
             return self.emit_load(op, ctx)
         if isinstance(op, memref_d.StoreOp):
             return self.emit_store(op, ctx)
-        if isinstance(op, memref_d.DimOp):
-            return self.emit_dim(op, ctx)
         if isinstance(op, scf.IfOp):
             return self.emit_if(op, ctx)
         if isinstance(op, scf.ForOp):
@@ -559,118 +514,29 @@ class _RegionVectorizer:
         raise _Unsupported(f"op {op.name} is not vectorizable")
 
     # -- scalar compute ----------------------------------------------------------
-    def emit_binary(self, op, ctx: _Ctx) -> None:
-        cost = op_cost(op.name)
-        lhs_k, rhs_k = self.kind_of(op.lhs), self.kind_of(op.rhs)
-        if "buf" in (lhs_k, rhs_k):
-            raise _Unsupported("arithmetic on a memref value")
-        varying = _V in (lhs_k, rhs_k)
-        a, b = self.ref(op.lhs), self.ref(op.rhs)
-        if varying:
-            template = _NP_BINARY.get(type(op))
-            if template is None:
-                raise _Unsupported(f"no vector template for {op.name}")
-            expr = template.format(a=a, b=b)
+    def emit_scalar(self, op, row, ctx: _Ctx) -> None:
+        """Every pure scalar op, rendered from its :mod:`optable` row: the
+        lane-array form when any operand varies, the closure engines'
+        scalar form (evaluated once for all lanes) otherwise."""
+        kinds = [self.kind_of(value) for value in op.operands]
+        if "buf" in kinds or isinstance(op.result.type, MemRefType):
+            raise _Unsupported(f"{op.name} over memref values")
+        varying = _V in kinds
+        # thread-index provenance survives casts and uniform +, -, * offsets
+        if isinstance(op, arith._CastOp):
+            tainted = self.is_lane_index(op.input)
         else:
-            template = _FunctionCompiler._BINARY_EXPR.get(type(op))
-            if template is not None:
-                expr = template.format(a=a, b=b)
-            else:
-                fn = self.fc._name("f")
-                self.ns[fn] = op.PY_FUNC
-                expr = f"{fn}({a}, {b})"
-            if op.result.type.is_integer or op.result.type.is_index:
-                expr = f"int({expr})"
-        self.charge(cost, ctx)
-        tainted = (isinstance(op, (arith.AddIOp, arith.SubIOp, arith.MulIOp))
-                   and ((self.is_lane_index(op.lhs) and rhs_k == _U)
-                        or (self.is_lane_index(op.rhs) and lhs_k == _U)))
+            tainted = (isinstance(op, (arith.AddIOp, arith.SubIOp, arith.MulIOp))
+                       and ((self.is_lane_index(op.lhs) and kinds[1] == _U)
+                            or (self.is_lane_index(op.rhs) and kinds[0] == _U)))
+        expr = python_expr(row, [self.ref(value) for value in op.operands],
+                           self.ns, self.fc._name, lanes=varying,
+                           mask=ctx.mask or "None")
+        self.charge(cycles(row), ctx)
         target = self.define(op.result, _V if varying else _U)
         if tainted:
             self.lane_taint.add(self.slot(op.result))
         self.emit(f"{target} = {expr}")
-
-    def emit_cmp(self, op, ctx: _Ctx) -> None:
-        cost = op_cost(op.name)
-        varying = _V in (self.kind_of(op.lhs), self.kind_of(op.rhs))
-        a, b = self.ref(op.lhs), self.ref(op.rhs)
-        cmp = _FunctionCompiler._CMP_EXPR[op.predicate]
-        self.charge(cost, ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if varying:
-            self.emit(f"{target} = ({a} {cmp} {b}).astype(np.int64)")
-        else:
-            self.emit(f"{target} = 1 if {a} {cmp} {b} else 0")
-
-    def emit_cast(self, op, ctx: _Ctx) -> None:
-        cost = op_cost(op.name)
-        varying = self.kind_of(op.input) == _V
-        tainted = self.is_lane_index(op.input)
-        src = self.ref(op.input)
-        self.charge(cost, ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if tainted:
-            self.lane_taint.add(self.slot(op.result))
-        if varying:
-            if op.result.type.is_float:
-                self.emit(f"{target} = np.asarray({src}).astype(np.float64)")
-            elif op.input.type.is_float:
-                # int(value) raises on NaN/inf in the interpreter
-                mask = ctx.mask or "None"
-                self.emit(f"{target} = _v_fptosi({src}, {mask}, _N)")
-            else:
-                self.emit(f"{target} = np.asarray({src}).astype(np.int64)")
-        else:
-            convert = "float" if op.result.type.is_float else "int"
-            self.emit(f"{target} = {convert}({src})")
-
-    def emit_negf(self, op, ctx: _Ctx) -> None:
-        varying = self.kind_of(op.operands[0]) == _V
-        src = self.ref(op.operands[0])
-        self.charge(op_cost(op.name), ctx)
-        target = self.define(op.result, _V if varying else _U)
-        self.emit(f"{target} = -{src}")
-
-    def emit_select(self, op, ctx: _Ctx) -> None:
-        kinds = [self.kind_of(op.condition), self.kind_of(op.true_value),
-                 self.kind_of(op.false_value)]
-        if "buf" in kinds or isinstance(op.result.type, MemRefType):
-            raise _Unsupported("select over memref values")
-        varying = _V in kinds
-        c = self.ref(op.condition)
-        t, f = self.ref(op.true_value), self.ref(op.false_value)
-        self.charge(op_cost(op.name), ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if varying:
-            self.emit(f"{target} = np.where(np.asarray({c}) != 0, {t}, {f})")
-        else:
-            self.emit(f"{target} = {t} if {c} else {f}")
-
-    def emit_math_unary(self, op, ctx: _Ctx) -> None:
-        varying = self.kind_of(op.operands[0]) == _V
-        src = self.ref(op.operands[0])
-        fn = self.fc._name("f")
-        self.ns[fn] = math_d.UNARY_FUNCTIONS[op.fn]
-        self.charge(op_cost("math.unary"), ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if varying:
-            mask = ctx.mask or "None"
-            self.emit(f"{target} = _v_map({fn}, {src}, {mask}, _N)")
-        else:
-            self.emit(f"{target} = {fn}(float({src}))")
-
-    def emit_math_pow(self, op, ctx: _Ctx) -> None:
-        varying = _V in (self.kind_of(op.lhs), self.kind_of(op.rhs))
-        a, b = self.ref(op.lhs), self.ref(op.rhs)
-        fn = self.fc._name("f")
-        self.ns[fn] = math_d.PowFOp.evaluate
-        self.charge(op_cost("math.powf"), ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if varying:
-            mask = ctx.mask or "None"
-            self.emit(f"{target} = _v_map2({fn}, {a}, {b}, {mask}, _N)")
-        else:
-            self.emit(f"{target} = {fn}({a}, {b})")
 
     # -- memory ------------------------------------------------------------------
     def emit_alloc(self, op, ctx: _Ctx) -> None:
@@ -686,7 +552,7 @@ class _RegionVectorizer:
         shape = tuple(int(extent) for extent in mtype.shape)
         dtype = dtype_for(mtype.element_type)
         slot = self.slot(op.result)
-        self.charge(2.0, ctx)
+        self.charge(ALLOC_CYCLES, ctx)
         dt = self.fc._name("dt")
         self.ns[dt] = dtype
         self._defined.add(slot)

@@ -327,35 +327,6 @@ class TestConcurrentColdCompiles:
         BENCHMARKS["lud"].compile_cuda()
         assert global_cache().stats.disk_hits == 1
 
-    def test_threads_race_native_artifact_store(self, tmp_path):
-        cache = NativeArtifactCache(capacity=8, directory=tmp_path)
-        barrier = threading.Barrier(2)
-        payloads = [b"artifact-A" * 64, b"artifact-B" * 64]
-        errors = []
-
-        def store(payload):
-            def build(temp):
-                barrier.wait(timeout=10)  # collide the publishes
-                temp.write_bytes(payload)
-
-            try:
-                cache.store("samekey", build)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=store, args=(payload,))
-                   for payload in payloads]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        artifacts = list(tmp_path.glob("*.so"))
-        assert len(artifacts) == 1
-        assert artifacts[0].read_bytes() in payloads  # one winner, untorn
-        assert not list(tmp_path.glob(".tmp-*"))
-
-
 
 class TestTuningCacheConcurrency:
     """The tuning tier under racing clients — the service shares one
@@ -367,38 +338,6 @@ class TestTuningCacheConcurrency:
     def _record(tag):
         return {"config": {"engine": "native", "workers": None},
                 "host": {"cpus": 4}, "seconds": 0.001, "tag": tag}
-
-    def test_threads_race_cold_lookup_then_insert(self, tmp_path):
-        cache = TuningCache(disk_dir=tmp_path)
-        barrier = threading.Barrier(2)
-        errors = []
-
-        def tune(tag):
-            try:
-                barrier.wait(timeout=10)
-                if cache.lookup("samekey") is None:  # both see a cold miss
-                    cache.insert("samekey", self._record(tag))
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=tune, args=(tag,))
-                   for tag in ("A", "B")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        assert len(cache) == 1  # one converged memory entry
-        winner = cache.lookup("samekey")
-        assert winner["tag"] in ("A", "B")
-        entries = list(tmp_path.glob("*.json"))
-        assert len(entries) == 1  # one converged disk entry
-        assert not list(tmp_path.glob(".tmp-*"))
-        # the surviving record is loadable by a fresh process (memory tier
-        # empty), i.e. the publish was never torn.
-        fresh = TuningCache(disk_dir=tmp_path)
-        assert fresh.lookup("samekey")["tag"] == winner["tag"]
-        assert fresh.stats.disk_hits == 1
 
     def test_threads_hammer_mixed_operations(self, tmp_path):
         cache = TuningCache(disk_dir=tmp_path)
@@ -744,11 +683,25 @@ class TestStoreContract:
         assert not list(Path(tier.directory).iterdir())
 
     @every_tier
-    def test_threads_race_to_one_valid_entry(self, kind, tier):
+    def test_threads_race_to_one_valid_entry(self, kind, tier, monkeypatch):
         cache = tier.open()
         values = {tag: tier.value(tag) for tag in ("A", "B")}
         barrier = threading.Barrier(2)
         errors = []
+        # collide the publishes too: each writer parks between its write and
+        # its rename until the other has written (best effort — a writer that
+        # found the other's finished entry never publishes).
+        in_publish = threading.Barrier(2)
+        real_fsync = os.fsync
+
+        def fsync_then_meet(fd):
+            real_fsync(fd)
+            try:
+                in_publish.wait(timeout=1)
+            except threading.BrokenBarrierError:
+                pass
+
+        monkeypatch.setattr(os, "fsync", fsync_then_meet)
 
         def write(tag):
             try:

@@ -22,7 +22,8 @@ from repro.runtime import (
     make_executor,
     resolve_engine,
 )
-from repro.runtime.compiler import _FunctionCompiler, program_for
+from repro.runtime import optable
+from repro.runtime.compiler import program_for
 
 from tests.helpers import (
     build_function,
@@ -214,10 +215,12 @@ class TestInlineTemplates:
     BOUNDARY_PAIRS = [(0, 0), (0, 1), (1, 0), (-3, 2), (7, -2), (-5, -5),
                       (0.0, 0.0), (1.5, -2.5), (-0.75, 0.25), (3.0, 0.0)]
 
-    @pytest.mark.parametrize("op_class", sorted(_FunctionCompiler._BINARY_EXPR,
-                                                key=lambda c: c.__name__))
+    @pytest.mark.parametrize("op_class", sorted(
+        (key for key, row in optable.ROWS.items()
+         if isinstance(key, type) and issubclass(key, arith.BinaryOp) and row.inline),
+        key=lambda c: c.__name__))
     def test_binary_templates_match_py_func(self, op_class):
-        template = _FunctionCompiler._BINARY_EXPR[op_class]
+        template = optable.ROWS[op_class].inline
         for a, b in self.BOUNDARY_PAIRS:
             expected = op_class.PY_FUNC(a, b)
             actual = eval(template.format(a=repr(a), b=repr(b)))
@@ -227,14 +230,17 @@ class TestInlineTemplates:
 
     @pytest.mark.parametrize("predicate", sorted(arith.CmpPredicate.ALL))
     def test_cmp_templates_match_predicates(self, predicate):
-        cmp = _FunctionCompiler._CMP_EXPR[predicate]
+        template = optable.ROWS[arith.CmpIOp, predicate].inline
         for a, b in self.BOUNDARY_PAIRS:
             expected = arith.CmpPredicate.evaluate(predicate, a, b)
-            actual = eval(f"1 if {a!r} {cmp} {b!r} else 0")
+            actual = eval(template.format(a=repr(a), b=repr(b)))
             assert actual == expected
 
     def test_every_predicate_has_a_template(self):
-        assert set(_FunctionCompiler._CMP_EXPR) == set(arith.CmpPredicate.ALL)
+        for cls in (arith.CmpIOp, arith.CmpFOp):
+            assert ({key[1] for key in optable.ROWS
+                     if isinstance(key, tuple) and key[0] is cls}
+                    == set(arith.CmpPredicate.ALL))
 
 
 class TestEngineSelection:

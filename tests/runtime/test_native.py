@@ -456,3 +456,17 @@ class TestLazyRegistry:
         )
         completed = self._run(code, REPRO_ENGINE="native")
         assert completed.returncode == 0, completed.stderr.decode()
+
+    def test_native_does_not_import_the_fork_pool_engine(self):
+        """The store-safety analysis lives in ``repro.analysis``: the engine
+        that carries the traffic must not pull in the multicore engine,
+        shared memory or multiprocessing to reach it."""
+        code = (
+            "import sys\n"
+            "import repro.runtime.native\n"
+            "for name in ('repro.runtime.multicore', 'repro.runtime.sharedmem',\n"
+            "             'multiprocessing.shared_memory'):\n"
+            "    assert name not in sys.modules, name\n"
+        )
+        completed = self._run(code)
+        assert completed.returncode == 0, completed.stderr.decode()

@@ -37,7 +37,6 @@ from repro.runtime.resilience import (
     fallback_engines,
     fault_fires,
     inject,
-    maybe_resilient,
     reset_faults,
 )
 
@@ -493,14 +492,11 @@ class TestMakeExecutorIntegration:
         return compile_cuda(source, cuda_lower=True,
                             options=PipelineOptions.all_optimizations())
 
-    def test_wrapped_by_default_bare_when_disabled(self, module, monkeypatch):
+    def test_wrapped_by_default(self, module):
         from repro.runtime import make_executor
 
         executor = make_executor(module, engine="compiled")
         assert type(executor) is ResilientExecutor
-        monkeypatch.setenv("REPRO_RESILIENCE", "0")
-        assert type(make_executor(module, engine="compiled")) \
-            is not ResilientExecutor
 
     def test_chain_floor_is_never_wrapped(self, module):
         from repro.runtime import Interpreter, make_executor

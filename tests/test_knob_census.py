@@ -20,8 +20,7 @@ KNOBS = {
     # autotuner measurement loop
     "REPRO_TUNE_REPEATS", "REPRO_TUNE_WARMUP",
     # resilience layer
-    "REPRO_RESILIENCE", "REPRO_FAULTS", "REPRO_RETRIES", "REPRO_TIMEOUT_S",
-    "REPRO_BACKOFF_S",
+    "REPRO_FAULTS", "REPRO_RETRIES", "REPRO_TIMEOUT_S", "REPRO_BACKOFF_S",
     # serving daemon
     "REPRO_SERVE_INFLIGHT", "REPRO_SERVE_QUEUE",
     "REPRO_SERVE_QUEUE_TIMEOUT_S", "REPRO_SERVE_REQUEST_TIMEOUT_S",
@@ -36,7 +35,7 @@ def _source_tokens():
 
 
 def test_source_knobs_equal_the_pinned_list():
-    assert len(KNOBS) == 18
+    assert len(KNOBS) == 17
     assert _source_tokens() == KNOBS
 
 

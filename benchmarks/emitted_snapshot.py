@@ -12,6 +12,15 @@ records
   the ``exec`` call), and
 * the assembled C source of every native unit with its ``native.unit_key``.
 
+``--diff`` gives two verdicts, because the two kinds of output have
+different contracts.  C sources and unit keys address the ``.so`` cache, so
+any difference there is a changed artifact.  Generated Python is private to
+one process: a slot or generated-name renumbering, or a block that is simply
+no longer compiled, changes the text and nothing else.  Python differences
+are therefore classified per module (``renumbered`` / ``fewer blocks``
+/ ``other``) and the first differing source pair is printed, so the cause
+can be named rather than guessed.
+
 Usage, from any checkout::
 
     python benchmarks/emitted_snapshot.py --out change.json
@@ -22,10 +31,14 @@ Usage, from any checkout::
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
+import re
 import sys
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 FUZZ_SEEDS = 60
@@ -103,8 +116,7 @@ def snapshot(root: Path) -> dict:
             del units[:]
             executor = make_executor(build(), engine=engine)
             executor.run(entry, make_args())
-            row[engine] = {"python_blocks": len(emitted),
-                           "python_sha": _digest(emitted)}
+            row[engine] = {"python": list(emitted)}
             if engine == "native":
                 row[engine]["unit_keys"] = sorted(key for key, _ in units)
                 row[engine]["c_sha"] = _digest(
@@ -113,25 +125,86 @@ def snapshot(root: Path) -> dict:
     return record
 
 
+#: a slot reference or a generated name (``_f12``, ``_vphase3``, ``_t7``).
+_NUMBERED = re.compile(r"regs\[\d+\]|\b_[a-z]+\d+\b")
+
+
+def _shape(source: str) -> str:
+    """``source`` with every slot index and generated-name suffix blanked."""
+    return _NUMBERED.sub(lambda match: re.sub(r"\d+", "#", match.group()), source)
+
+
+def _python_cause(parent_sources, change_sources) -> str:
+    """Why two lists of generated sources differ, as far as text can tell."""
+    before = Counter(map(_shape, parent_sources))
+    after = Counter(map(_shape, change_sources))
+    if before == after:
+        return "renumbered"
+    if not after - before:
+        return "fewer blocks"  # the same sources up to numbering, minus some
+    return "other"
+
+
 def diff(parent_path: str, change_path: str) -> int:
     parent = json.loads(Path(parent_path).read_text())
     change = json.loads(Path(change_path).read_text())
-    differing = [label for label in sorted(set(parent) | set(change))
-                 if parent.get(label) != change.get(label)]
+    labels = sorted(set(parent) | set(change))
     groups = {}
     for label, row in change.items():
         group = groups.setdefault(label.split("/")[0], [0, 0, set()])
         group[0] += 1
-        group[1] += sum(entry["python_blocks"] for entry in row.values())
+        group[1] += sum(len(entry["python"]) for entry in row.values())
         group[2].update(row["native"]["unit_keys"])
     for name, (count, blocks, keys) in groups.items():
         print(f"{name}: {count} modules, {blocks} generated Python sources, "
               f"{len(keys)} native unit keys")
-    print(f"modules whose emitted Python / C / unit keys differ: {len(differing)}"
-          f" of {len(change)}")
-    for label in differing:
-        print(f"  DIFFERS {label}")
-    return 1 if differing else 0
+
+    def native(record, label):
+        entry = record.get(label, {}).get("native", {})
+        return entry.get("unit_keys"), entry.get("c_sha")
+
+    def python(record, label, engine):
+        return record.get(label, {}).get(engine, {}).get("python", [])
+
+    c_differing = [label for label in labels
+                   if native(parent, label) != native(change, label)]
+    print(f"modules whose C sources / native unit keys differ: "
+          f"{len(c_differing)} of {len(change)}")
+    for label in c_differing:
+        print(f"  DIFFERS (C) {label}")
+
+    causes = Counter()
+    first = None
+    for label in labels:
+        for engine in ("compiled", "vectorized", "native"):
+            before = python(parent, label, engine)
+            after = python(change, label, engine)
+            if before == after:
+                continue
+            cause = _python_cause(before, after)
+            causes[cause] += 1
+            print(f"  DIFFERS (Python, {engine}) {label}: {cause}; "
+                  f"{len(before)} -> {len(after)} sources")
+            if first is None:
+                first = (label, engine, before, after)
+    differing = sum(causes.values())
+    print(f"(module, engine) pairs whose generated Python differs: {differing}"
+          f" of {3 * len(change)}"
+          + "".join(f"; {cause}: {count}" for cause, count in sorted(causes.items())))
+    if first is not None and not c_differing:
+        label, engine, before, after = first
+        surplus = Counter(map(_shape, before)) - Counter(map(_shape, after))
+        dropped = next((source for source in before if surplus[_shape(source)]), None)
+        if dropped is not None:
+            print(f"first source compiled at the parent only ({label}, {engine}):")
+            print(dropped)
+        else:
+            a, b = next(pair for pair in zip_longest(before, after, fillvalue="")
+                        if pair[0] != pair[1])
+            print(f"first differing source pair ({label}, {engine}):")
+            print("\n".join(difflib.unified_diff(
+                a.splitlines(), b.splitlines(), "parent", "change", lineterm="")))
+    return (1 if c_differing else 0) | (2 if differing else 0)
 
 
 def main() -> int:

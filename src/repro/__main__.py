@@ -51,7 +51,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="default execution engine (requests may override; "
                             "default: process default / REPRO_ENGINE)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker threads for the multicore engine")
+                       help="worker processes in the multicore engine's pool")
     serve.add_argument("--max-inflight", type=int, default=None,
                        help="concurrent request cap (REPRO_SERVE_INFLIGHT)")
     serve.add_argument("--queue-depth", type=int, default=None,

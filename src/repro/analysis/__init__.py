@@ -40,17 +40,15 @@ from .barriers import (
     barrier_thread_ivs,
 )
 from .mincut import FlowNetwork, minimum_value_cut, validate_cut
-from .liveness import crossing_values, def_use_edges_among, uses_after, values_defined_before
+from .liveness import crossing_values, def_use_edges_among, values_defined_before
 from .structure import (
     barriers_in,
     contains_barrier,
-    enclosing_function,
     enclosing_op_of_type,
     enclosing_parallel,
     free_values_in,
     is_defined_inside,
     iterate_parallel_nest,
-    top_level_index_of,
     uniform_symbols_for,
 )
 
@@ -62,8 +60,8 @@ __all__ = [
     "accesses_on_side", "barrier_can_move_to", "barrier_is_redundant",
     "barrier_memory_effects", "barrier_thread_ivs",
     "FlowNetwork", "minimum_value_cut", "validate_cut",
-    "crossing_values", "def_use_edges_among", "uses_after", "values_defined_before",
-    "barriers_in", "contains_barrier", "enclosing_function", "enclosing_op_of_type",
+    "crossing_values", "def_use_edges_among", "values_defined_before",
+    "barriers_in", "contains_barrier", "enclosing_op_of_type",
     "enclosing_parallel", "free_values_in", "is_defined_inside", "iterate_parallel_nest",
-    "top_level_index_of", "uniform_symbols_for",
+    "uniform_symbols_for",
 ]

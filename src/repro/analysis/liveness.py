@@ -45,15 +45,6 @@ def crossing_values(block: Block, split_index: int) -> List[Value]:
     return crossing
 
 
-def uses_after(block: Block, split_index: int, value: Value) -> List[Operation]:
-    """The user ops of ``value`` that sit at/after the split point."""
-    users: List[Operation] = []
-    for use in value.uses:
-        if _top_level_user_index(block, use.owner) >= split_index:
-            users.append(use.owner)
-    return users
-
-
 def def_use_edges_among(values: Sequence[Value]) -> List[Tuple[int, int]]:
     """``(id(producer), id(consumer))`` pairs restricted to ``values``.
 

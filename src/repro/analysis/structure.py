@@ -41,10 +41,6 @@ def enclosing_parallel(op: Operation) -> Optional[scf.ParallelOp]:
     return enclosing_op_of_type(op, scf.ParallelOp)
 
 
-def enclosing_function(op: Operation) -> Optional[func_d.FuncOp]:
-    return enclosing_op_of_type(op, func_d.FuncOp)
-
-
 def barriers_in(op: Operation, *, immediate_region_only: bool = False) -> List[polygeist.PolygeistBarrierOp]:
     """All ``polygeist.barrier`` ops nested under ``op``.
 
@@ -84,14 +80,6 @@ def is_defined_inside(value: Value, op: Operation) -> bool:
     return False
 
 
-def values_defined_above(op: Operation) -> Set[int]:
-    """ids of values guaranteed to be defined outside ``op``'s regions."""
-    outside: Set[int] = set()
-    for operand in op.operands:
-        outside.add(id(operand))
-    return outside
-
-
 def free_values_in(op: Operation) -> List[Value]:
     """Values used inside ``op``'s regions but defined outside of ``op``.
 
@@ -110,17 +98,6 @@ def free_values_in(op: Operation) -> List[Value]:
                 seen.add(id(operand))
                 captured.append(operand)
     return captured
-
-
-def top_level_index_of(barrier: Operation, parallel: scf.ParallelOp) -> Optional[int]:
-    """Index of the top-level op of ``parallel``'s body containing ``barrier``.
-
-    Returns None when the barrier is not (transitively) inside the loop body.
-    """
-    for index, top in enumerate(parallel.body.operations):
-        if top.is_ancestor_of(barrier):
-            return index
-    return None
 
 
 def iterate_parallel_nest(parallel: scf.ParallelOp) -> Iterator[scf.ParallelOp]:

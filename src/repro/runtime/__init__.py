@@ -40,13 +40,12 @@ Select with :func:`~repro.runtime.engine.make_executor` /
 :func:`~repro.runtime.engine.execute`
 (``engine="compiled"|"vectorized"|"multicore"|"native"|"interp"|"auto"``,
 or the ``REPRO_ENGINE`` environment variable; ``workers=`` /
-``REPRO_WORKERS`` sizes the multicore pool).  Engines self-register in
-:mod:`repro.runtime.registry`, and the registry resolves built-in engine
-modules **lazily on lookup** — ``"native" in ENGINES`` holds before any
-engine module is imported, so env-selected engines cannot race
-registration.  This package mirrors that: engine classes and the selection
-layer are exported lazily (PEP 562), only the leaf modules (errors, memory,
-cost model, cache, registry) load eagerly.
+``REPRO_WORKERS`` sizes the multicore pool).  The engines are the rows of
+one static table in :mod:`repro.runtime.engine`, so which names are valid
+never depends on what happens to have been imported.  Engine classes and
+the selection layer are exported lazily (PEP 562); only the leaf modules
+(errors, memory, cost model, cache) load eagerly, and importing the
+selection layer loads every engine module with it.
 
 * :mod:`~repro.runtime.costmodel` defines the machine descriptions
   (``XEON_8375C`` for the Rodinia/MCUDA study, ``A64FX_CMG`` for MocCUDA)
@@ -93,6 +92,7 @@ from .costmodel import (
     MachineModel,
     OP_COSTS,
     XEON_8375C,
+    machine_vectorizable,
     memory_access_cost,
     op_cost,
 )
@@ -109,8 +109,6 @@ from .cache import (
     kernel_key,
     pipeline_fingerprint,
 )
-from .registry import ENGINES_VIEW as ENGINES, engine_names, register_engine
-
 #: engine-name constants (kept importable without loading any engine module).
 ENGINE_COMPILED = "compiled"
 ENGINE_INTERP = "interp"
@@ -121,14 +119,13 @@ ENGINE_AUTO = "auto"
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: lazily exported attribute -> defining submodule (PEP 562).  Touching one
-#: of these imports its module (and, through registration side effects,
-#: registers the engine); everything above stays a leaf import.
+#: of these imports its module — for the selection layer (``engine``), every
+#: engine module with it; everything above stays a leaf import.
 _LAZY_EXPORTS = {
     "Interpreter": "interpreter",
     "CompiledEngine": "compiler",
     "invalidate_compiled": "compiler",
     "VectorizedEngine": "vectorizer",
-    "machine_vectorizable": "vectorizer",
     "MulticoreEngine": "multicore",
     "default_workers": "multicore",
     "multicore_available": "multicore",
@@ -138,7 +135,9 @@ _LAZY_EXPORTS = {
     "AutoEngine": "autotune",
     "tune_module": "autotune",
     "sharedmem": "sharedmem",
+    "ENGINES": "engine",
     "default_engine": "engine",
+    "engine_names": "engine",
     "execute": "engine",
     "make_executor": "engine",
     "resolve_engine": "engine",
@@ -181,7 +180,7 @@ __all__ = [
     "clear_global_cache", "clear_global_tuning_cache",
     "global_cache", "global_native_cache", "global_tuning_cache",
     "kernel_key", "pipeline_fingerprint",
-    "engine_names", "register_engine",
+    "engine_names",
     "ENGINE_AUTO", "ENGINE_COMPILED", "ENGINE_ENV_VAR", "ENGINE_INTERP",
     "ENGINE_MULTICORE", "ENGINE_NATIVE", "ENGINE_VECTORIZED", "ENGINES",
     "default_engine", "execute", "make_executor", "resolve_engine",

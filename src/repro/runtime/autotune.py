@@ -15,7 +15,7 @@ On the first (cold) run of a given (module, function, argument-signature)
 the tuner searches the configuration space by **measurement on the real
 arguments**:
 
-* every registered engine (``engine ∈ registry``, minus ``auto`` itself),
+* every engine of the table (:data:`repro.runtime.engine.ENGINES`, minus ``auto`` itself),
 * the multicore engine at ``workers ∈ {2, 4, cpu_count}`` (clamped to the
   CPUs actually available; an explicit ``workers=`` pins it; a width below
   2 attaches no shard context and *is* the compiled engine, so it is never
@@ -65,9 +65,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cache import global_tuning_cache
-from .costmodel import CostReport, MachineModel, XEON_8375C
+from .costmodel import CostReport, MachineModel, XEON_8375C, machine_vectorizable
 from .measure import measure_best
-from .registry import engine_factory, engine_names, register_engine
+from .engine import ENGINES, build_engine
 from .resilience import ResilientExecutor, maybe_resilient, record_event
 
 #: environment knobs.
@@ -227,10 +227,9 @@ def candidate_configs(*, machine: MachineModel = XEON_8375C,
     """
     from .multicore import available_cpus, multicore_available
     from .native import native_available
-    from .vectorizer import machine_vectorizable
 
     configs: List[TuningConfig] = []
-    for name in engine_names():
+    for name in ENGINES:
         if name in ("auto", "interp"):
             continue
         if name == "vectorized" and not machine_vectorizable(machine):
@@ -311,8 +310,8 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
     warmup = tune_warmup() if warmup is None else max(0, warmup)
 
     def build(name: str, pool: Optional[int]):
-        return engine_factory(name)(
-            module, machine=machine, threads=threads,
+        return build_engine(
+            name, module, machine=machine, threads=threads,
             collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
             workers=pool)
 
@@ -465,8 +464,8 @@ class AutoEngine:
 
     # -- internals -------------------------------------------------------------
     def _build(self, engine: str, workers: Optional[int]):
-        return engine_factory(engine)(
-            self._module, machine=self._machine, threads=self._threads,
+        return build_engine(
+            engine, self._module, machine=self._machine, threads=self._threads,
             collect_cost=self._collect_cost,
             max_dynamic_ops=self._max_dynamic_ops, workers=workers)
 
@@ -502,7 +501,7 @@ class AutoEngine:
                 except (KeyError, TypeError, ValueError):
                     config, stale = None, "malformed record"
                 else:
-                    if config.engine not in engine_names():
+                    if config.engine not in ENGINES:
                         stale = f"winner engine {config.engine!r} unregistered"
             if stale is None:
                 return config, False, {}
@@ -600,19 +599,6 @@ class AutoEngine:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r} before the first run")
         return getattr(inner, name)
-
-
-def _make_auto(module, *, machine=XEON_8375C, threads=None,
-               collect_cost=True, max_dynamic_ops=None, workers=None):
-    # ``workers`` pins the multicore candidates' pool width when given.
-    return AutoEngine(module, machine=machine, threads=threads,
-                      collect_cost=collect_cost,
-                      max_dynamic_ops=max_dynamic_ops, workers=workers)
-
-
-register_engine(
-    "auto", _make_auto, order=4,
-    description="measurement-driven per-kernel dispatch over the tuned engine matrix")
 
 
 __all__ = [

@@ -34,7 +34,7 @@ unit is the helpers those forms call.
 counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
 ``global_bytes``, SIMT phases — with every static per-op charge folded into
 one constant per block.  On machines whose per-access costs are exact binary
-fractions (:func:`repro.runtime.vectorizer.machine_vectorizable`), float
+fractions (:func:`repro.runtime.costmodel.machine_vectorizable`), float
 accumulation of those charges is associative in exact arithmetic, so the
 folded totals (and OpenMP ``reduction(+)`` partial sums) are bit-identical
 to the interpreter's sequential accumulation; all double literals are
@@ -175,13 +175,16 @@ class RegionSpec:
 class RegionCodegen:
     """Emits one region as a self-contained C function.
 
-    ``slot_of`` maps an SSA value to its register slot in the enclosing
-    compiled function (used to describe the live-in ABI to the dispatcher).
+    ``plan`` is the region's :class:`~repro.analysis.region.RegionPlan`
+    (its ``live_ins`` order is the argument ABI); ``slot_of`` maps an SSA
+    value to its register slot in the enclosing compiled function (used to
+    describe that ABI to the dispatcher).
     """
 
-    def __init__(self, program, op, symbol: str, slot_of) -> None:
+    def __init__(self, program, plan, symbol: str, slot_of) -> None:
         self.program = program
-        self.op = op
+        self.plan = plan
+        self.op = plan.op
         self.symbol = symbol
         self.slot_of = slot_of
         self.machine = program.machine
@@ -206,42 +209,12 @@ class RegionCodegen:
         self._chunk_token = 0
         self._local_token: Dict[int, int] = {}   # id(value) -> defining chunk
         self._varying: set = set()               # id(value) -> thread-varying
-        self._barrier_memo: Dict[int, bool] = {}
 
     def _name(self, prefix: str) -> str:
         self._uid += 1
         return f"{prefix}{self._uid}"
 
     # -- live-in binding -------------------------------------------------------
-    def _collect_defined(self, op, defined: set) -> None:
-        for result in op.results:
-            defined.add(id(result))
-        for region in op.regions:
-            for block in region.blocks:
-                for argument in block.arguments:
-                    defined.add(id(argument))
-                for nested in block.operations:
-                    self._collect_defined(nested, defined)
-
-    def _collect_liveins(self) -> List:
-        defined: set = set()
-        self._collect_defined(self.op, defined)
-        order: List = []
-        seen: set = set()
-
-        def visit(operation):
-            for operand in operation.operands:
-                if id(operand) not in defined and id(operand) not in seen:
-                    seen.add(id(operand))
-                    order.append(operand)
-            for region in operation.regions:
-                for block in region.blocks:
-                    for nested in block.operations:
-                        visit(nested)
-
-        visit(self.op)
-        return order
-
     def _bind_livein(self, value) -> None:
         type_ = value.type
         if isinstance(type_, MemRefType):
@@ -568,7 +541,7 @@ class RegionCodegen:
         callee = program.module.lookup(op.callee)
         if callee is None or callee.is_declaration:
             raise UnsupportedRegion(f"call to unknown function {op.callee!r}")
-        if program.function_may_yield(callee):
+        if program.plans.function_may_yield(callee):
             raise UnsupportedRegion("call to a function containing barriers")
         if id(callee) in self._inline_stack:
             raise UnsupportedRegion("recursive call")
@@ -738,7 +711,7 @@ class RegionCodegen:
         self.spec.kind = "span"
         self.spec.num_dims = num_dims
         self.spec.simd_ok = self._simd_eligible(ops)
-        for value in self._collect_liveins():
+        for value in self.plan.live_ins:
             self._bind_livein(value)
 
         header = _Writer()
@@ -832,25 +805,6 @@ class RegionCodegen:
     # the phase boundary is the end of the preceding thread loop), and
     # nested *structural* ops.  Values that cross a phase boundary are
     # cached in per-thread lanes (TI/TF).
-    def _op_has_barrier(self, op) -> bool:
-        memo = self._barrier_memo
-        cached = memo.get(id(op))
-        if cached is not None:
-            return cached
-        if isinstance(op, _BARRIER_OPS):
-            result = True
-        elif isinstance(op, func_d.CallOp):
-            callee = self.program.module.lookup(op.callee)
-            result = bool(callee is not None and not callee.is_declaration
-                          and self.program.function_may_yield(callee))
-        else:
-            result = any(self._op_has_barrier(nested)
-                         for region in op.regions
-                         for block in region.blocks
-                         for nested in block.operations)
-        memo[id(op)] = result
-        return result
-
     def _level_items(self, ops: Sequence) -> List[Tuple[str, object]]:
         """Split one structural level into chunk / barrier / struct items."""
         items: List[Tuple[str, object]] = []
@@ -861,7 +815,7 @@ class RegionCodegen:
                     items.append(("chunk", chunk))
                     chunk = []
                 items.append(("barrier", nested))
-            elif self._op_has_barrier(nested):
+            elif self.program.plans.op_may_yield(nested):
                 if chunk:
                     items.append(("chunk", chunk))
                     chunk = []
@@ -1163,18 +1117,13 @@ class RegionCodegen:
         ops, term = self._split(op.body)
         self._precheck(ops, allow_barriers=True)
         # prebound shared allocas (one buffer per block, charged nothing)
-        self._prebound_shared = set()
-        shared_allocas = []
-        for nested in ops:
-            if (isinstance(nested, memref_d.AllocaOp)
-                    and memref_d.is_shared_memref(nested.result)):
-                self._prebound_shared.add(id(nested.result))
-                shared_allocas.append(nested)
+        shared_allocas = self.plan.shared_allocas
+        self._prebound_shared = {id(alloca.result) for alloca in shared_allocas}
         # structural analysis: uniformity, phase-crossing values and their lanes
         self._varying = self._launch_uniformity(ops)
         self._assign_lanes(ops)
         scratch_buffers = self._prescan_threadlocal(ops)
-        for value in self._collect_liveins():
+        for value in self.plan.live_ins:
             self._bind_livein(value)
 
         header = _Writer()

@@ -32,29 +32,38 @@ differences, both only observable on malformed IR or exhausted budgets: the
 dynamic-op counter itself stays exact), and use-before-def reads surface as
 ``None`` values instead of a "use of undefined value" error.
 
+This module also hosts what the four compiled engines share: the one
+function compiler, whose *region shell* compiles every parallel region from
+its :class:`~repro.analysis.region.RegionPlan`, and the table of engine
+rows (``_ROWS``) naming the body planner and the dispatcher the shell
+composes — :func:`closures` here, ``lanes`` in the vectorizer, ``native``
+and ``shards`` in the native and multicore engines.
+
 Compiled programs are cached on the module object itself, keyed by the
-machine model (cost constants are baked into the closures).  The cache
+engine row and the machine model (cost constants are baked into the
+closures), next to the module's region plans.  The cache
 assumes the module is not mutated after its first compiled run — call
 :func:`invalidate_compiled` after transforming an already-executed module.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from itertools import islice, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.region import LAUNCH, SIMT, RegionPlan, RegionPlans
 from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
-                                  CONTEXT_OPS as _CONTEXT_OPS,
                                   split_executed as _split_executed)
 from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
-from .costmodel import CostReport, MachineModel, XEON_8375C, op_cost
+from .costmodel import (CostReport, MachineModel, XEON_8375C,
+                        machine_vectorizable, op_cost)
 from .errors import InterpreterError
 from .memory import MemRefStorage
 from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
-from .registry import register_engine
 
 _BARRIER = object()  # yielded by compiled generator closures at barriers
 
@@ -112,28 +121,76 @@ class _CompiledFunction:
         self.is_gen = is_gen
 
 
+#: the four engines as fixed rows: which *body planner* turns a region's
+#: phases into a runner, and which *dispatcher* (if any) may take a whole
+#: region elsewhere, with the shell's in-process run as its fallback.  Named
+#: ``module:function`` and resolved on first use, because those modules
+#: import this one.
+_ROWS = {
+    "compiled": ("compiler:closures", None),
+    "vectorized": ("vectorizer:lanes", None),
+    "native": ("compiler:closures", "native:native"),
+    "multicore": ("compiler:closures", "multicore:shards"),
+}
+
+
+def _resolve(name: Optional[str]) -> Optional[Callable]:
+    if name is None:
+        return None
+    module, _, attribute = name.partition(":")
+    return getattr(import_module(f".{module}", __package__), attribute)
+
+
 class _Program:
-    """All compiled functions of one module for one machine model."""
+    """All compiled functions of one module for one machine model and row."""
 
-    #: the function-compiler class used to lower each function; subclasses
-    #: (e.g. the vectorized engine's program) plug in an extended compiler.
-    COMPILER: type = None  # set to _FunctionCompiler below (defined later)
-
-    def __init__(self, module: func_d.ModuleOp, machine: MachineModel) -> None:
+    def __init__(self, module: func_d.ModuleOp, machine: MachineModel,
+                 row: str, plans: RegionPlans) -> None:
         self.module = module
         self.machine = machine
+        self.row = row
+        self.plans = plans
+        planner, dispatcher = _ROWS[row]
+        self.planner = _resolve(planner)
+        self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[Tuple[int, bool], _CompiledFunction] = {}
-        self._may_yield: Dict[int, bool] = {}
         self._speedups: Dict[int, float] = {}
         # cost constants baked into memory-access closures
         self.local_cost = machine.local_access_cost
         self.global_base = machine.global_access_cost * machine.hbm_bandwidth_factor
+        #: lanes, emitted C and worker shards all charge analytically
+        #: (cost x count, regrouped per lane / thread / worker), which equals
+        #: the interpreter's sequential sum only for dyadic access costs.
+        self.exact_costs = machine_vectorizable(machine)
+        #: one ``(function, plan, tier)`` per compiled region, in compile order.
+        self.regions: List[Tuple[str, RegionPlan, str]] = []
+        #: compile-time counters, filled as functions are first compiled
+        #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
+        #: ``inline_runs`` and the unit counters move at run time).
+        self.vector_stats = {
+            "vectorized_regions": 0, "mixed_regions": 0, "fallback_regions": 0,
+            "vectorized_phases": 0, "closure_phases": 0,
+        }
+        self.native_stats = {
+            "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
+            "simd_regions": 0, "bailouts": 0, "units_ready": 0,
+            "artifact_hits": 0, "compile_errors": 0, "corrupt_artifacts": 0,
+        }
+        self.shard_stats = {
+            "sharded_regions": 0,   # compile-time: regions proven shardable
+            "rejected_regions": 0,  # compile-time: analysis said no
+            "dispatches": 0,        # runtime: pool dispatches performed
+            "inline_runs": 0,       # runtime: shardable regions run in-process
+        }
+        #: the multicore dispatcher's region registry and worker pools
+        #: (:class:`repro.runtime.multicore._Shards`), made at its first region.
+        self.shards = None
 
     def function(self, fn: func_d.FuncOp, gen: bool) -> _CompiledFunction:
         key = (id(fn), gen)
         compiled = self._functions.get(key)
         if compiled is None:
-            compiled = self._functions[key] = type(self).COMPILER(self, fn, gen).compile()
+            compiled = self._functions[key] = _FunctionCompiler(self, fn, gen).compile()
         return compiled
 
     def speedup(self, threads: int) -> float:
@@ -142,53 +199,30 @@ class _Program:
             cached = self._speedups[threads] = self.machine.effective_speedup(threads)
         return cached
 
-    # -- barrier reachability -------------------------------------------------
-    def op_may_yield(self, op) -> bool:
-        """True if executing ``op`` may surface a barrier to the enclosing body."""
-        if isinstance(op, _BARRIER_OPS):
-            return True
-        if isinstance(op, _CONTEXT_OPS):
-            return False
-        if isinstance(op, func_d.CallOp):
-            callee = self.module.lookup(op.callee)
-            if callee is None or callee.is_declaration:
-                return False
-            return self.function_may_yield(callee)
-        for region in op.regions:
-            for block in region.blocks:
-                for nested in block.operations:
-                    if self.op_may_yield(nested):
-                        return True
-        return False
-
-    def function_may_yield(self, fn: func_d.FuncOp) -> bool:
-        key = id(fn)
-        if key in self._may_yield:
-            return self._may_yield[key]
-        self._may_yield[key] = True  # conservative while recursing
-        result = any(self.op_may_yield(op) for op in fn.body_block.operations)
-        self._may_yield[key] = result
-        return result
+    def exact_or_refuse(self, plan: RegionPlan) -> bool:
+        """Whether this row's analytic charging is exact on this machine;
+        records the refusal on ``plan`` when it is not."""
+        if not self.exact_costs:
+            plan.refuse(self.row, "machine model is not dyadic")
+        return self.exact_costs
 
 
 def program_for(module: func_d.ModuleOp, machine: MachineModel,
-                cls: type = None) -> _Program:
+                row: str = "compiled") -> _Program:
     """The (cached) compiled program of ``module`` for ``machine``.
 
-    ``cls`` selects the program flavour (default :class:`_Program`; the
-    vectorized engine passes its own subclass) — each flavour caches its own
-    program per machine model.
+    ``row`` names the engine (a key of :data:`_ROWS`); each row caches its
+    own program per machine model, and all of them share the module's
+    :class:`~repro.analysis.region.RegionPlans`, which lives in the same
+    cache so :func:`invalidate_compiled` drops both.
     """
-    if cls is None:
-        cls = _Program
     cache = getattr(module, _CACHE_ATTR, None)
     if cache is None:
-        cache = {}
+        cache = {"plans": RegionPlans(module)}
         setattr(module, _CACHE_ATTR, cache)
-    key = (cls, machine)
-    prog = cache.get(key)
+    prog = cache.get((row, machine))
     if prog is None:
-        prog = cache[key] = cls(module, machine)
+        prog = cache[(row, machine)] = _Program(module, machine, row, cache["plans"])
     return prog
 
 
@@ -276,6 +310,31 @@ def _span_points(ranges, start: int, stop: Optional[int]):
     return islice(points, start, stop)
 
 
+class _Region:
+    """One parallel region while it is being compiled (compile time only).
+
+    The shell fills it in as it goes — the plan and the slots it resolved
+    (``bounds``: lower / upper / step slot lists of a span, grid / block
+    slot lists of a launch; ``index_slots``: the induction variables, or the
+    launch body's twelve id / dim arguments; ``shared``: ``(slot, type)`` per
+    prebound shared alloca), then the planner's ``body``, the in-process
+    ``base`` run and the accounting around it (``count``, ``finish``,
+    ``message``) — and hands it to the row's planner and dispatcher, which
+    name the ``tier`` that took the region.
+    """
+
+    __slots__ = ("plan", "bounds", "index_slots", "shared", "body", "base",
+                 "count", "finish", "message", "tier")
+
+    def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
+        self.plan = plan
+        self.bounds = bounds
+        self.index_slots = index_slots
+        self.shared: List[Tuple[int, object]] = []
+        self.body = self.base = self.count = self.finish = None
+        self.message = self.tier = None
+
+
 # ---------------------------------------------------------------------------
 # Function compilation
 # ---------------------------------------------------------------------------
@@ -284,12 +343,19 @@ class _FunctionCompiler:
 
     def __init__(self, program: _Program, fn: func_d.FuncOp, gen: bool) -> None:
         self.program = program
+        self.may_yield = program.plans.op_may_yield
         self.fn = fn
         self.gen_mode = gen
         self._slots: Dict[int, int] = {}
         self.template: List = []
         self._prebound: set = set()  # result ids of launch-prebound shared allocas
         self._uid = 0  # unique suffix for names captured by generated source
+        #: regions offered to the row's dispatcher so far: names the emitted C
+        #: symbol and keys the shard registry, so it must count in compile
+        #: order (a body's nested regions before the region itself).
+        self.offered = 0
+        #: the dispatcher's per-function state (native: its translation unit).
+        self.dispatch_state = None
 
     def _name(self, prefix: str) -> str:
         self._uid += 1
@@ -327,62 +393,11 @@ class _FunctionCompiler:
                 items.append(item)
         return _build_runner(items, nops, gen)
 
-    def compile_chunks(self, block) -> List[Callable]:
-        """Compile a straight-line barrier body into phase-chunk closures."""
-        ops, term = _split_executed(block)
-        chunks: List[Callable] = []
-        steps: List[Tuple[str, Callable]] = []
-        count = 0
-        for op in ops:
-            count += 1  # every op (incl. the barrier itself) is a dynamic op
-            if isinstance(op, _BARRIER_OPS):
-                chunks.append(_build_runner(steps, count, gen=False))
-                steps, count = [], 0
-                continue
-            item = self.compile_op(op, gen=False)
-            if item is not None:
-                steps.append(item)
-        if term is not None:
-            count += 1
-        chunks.append(_build_runner(steps, count, gen=False))
-        return chunks
-
-    def compile_simt_body(self, block):
-        """Compile a SIMT body: phase chunks when barriers are straight-line,
-        compiled generator closures otherwise.  Returns a phase driver
-        ``run_simt(state, thread_regs) -> phases``."""
-        ops, _ = _split_executed(block)
-        straight = all(isinstance(op, _BARRIER_OPS) or not self.program.op_may_yield(op)
-                       for op in ops)
-        if straight:
-            chunks = self.compile_chunks(block)
-
-            def run_simt(state, thread_regs, _chunks=chunks):
-                if not thread_regs:
-                    return 0
-                for chunk in _chunks:
-                    for regs in thread_regs:
-                        chunk(state, regs)
-                return len(_chunks)
-        else:
-            body = self.compile_block(block, gen=True)
-
-            def run_simt(state, thread_regs, _body=body):
-                live = [_body(state, regs) for regs in thread_regs]
-                phases = 0
-                while live:
-                    phases += 1
-                    survivors = []
-                    keep = survivors.append
-                    for thread in live:
-                        try:
-                            next(thread)
-                        except StopIteration:
-                            continue
-                        keep(thread)
-                    live = survivors
-                return phases
-        return run_simt
+    def compile_phase(self, ops: Sequence, nops: int) -> Callable:
+        """Compile one barrier-delimited phase (``RegionPlan.phases`` entry)."""
+        steps = [item for item in (self.compile_op(op, gen=False) for op in ops)
+                 if item is not None]
+        return _build_runner(steps, nops, gen=False)
 
     # -- op compilation --------------------------------------------------------
     def compile_op(self, op, gen: bool):
@@ -418,15 +433,15 @@ class _FunctionCompiler:
         if isinstance(op, func_d.CallOp):
             return self._c_call(op, gen)
         if isinstance(op, scf.ForOp):
-            if gen and self.program.op_may_yield(op):
+            if gen and self.may_yield(op):
                 return ("g", self._c_for(op, gen=True))
             return ("p", self._c_for(op, gen=False))
         if isinstance(op, scf.IfOp):
-            if gen and self.program.op_may_yield(op):
+            if gen and self.may_yield(op):
                 return ("g", self._c_if(op, gen=True))
             return ("p", self._c_if(op, gen=False))
         if isinstance(op, scf.WhileOp):
-            if gen and self.program.op_may_yield(op):
+            if gen and self.may_yield(op):
                 return ("g", self._c_while(op, gen=True))
             return ("p", self._c_while(op, gen=False))
         if isinstance(op, scf.ParallelOp):
@@ -561,7 +576,7 @@ class _FunctionCompiler:
             def unknown(state, regs):
                 raise InterpreterError(message)
             return ("p", unknown)
-        use_gen = gen and program.function_may_yield(callee)
+        use_gen = gen and program.plans.function_may_yield(callee)
         arg_slots = self.slots(op.operands)
         res_slots = self.slots(op.results)
         cost = op_cost("func.call")
@@ -599,7 +614,7 @@ class _FunctionCompiler:
         init_slots = self.slots(op.iter_init)
         iter_slots = self.slots(op.iter_args)
         result_slots = self.slots(op.results)
-        body = self.compile_block(op.body, gen=gen and self.program.op_may_yield(op))
+        body = self.compile_block(op.body, gen=gen and self.may_yield(op))
         _, term = _split_executed(op.body)
         yield_slots = (self.slots(term.operands)
                        if isinstance(term, scf.YieldOp) and result_slots else None)
@@ -678,12 +693,12 @@ class _FunctionCompiler:
     def _c_if(self, op, gen: bool):
         cs = self.slot(op.condition)
         has_results = bool(op.results)
-        then_gen = gen and any(self.program.op_may_yield(o) for o in op.then_block.operations)
+        then_gen = gen and any(self.may_yield(o) for o in op.then_block.operations)
         then_run = self.compile_block(op.then_block, gen=then_gen)
         then_copy = self._branch_copy_pairs(op, op.then_block) or []
         else_block = op.else_block
         if else_block is not None:
-            else_gen = gen and any(self.program.op_may_yield(o) for o in else_block.operations)
+            else_gen = gen and any(self.may_yield(o) for o in else_block.operations)
             else_run = self.compile_block(else_block, gen=else_gen)
             else_copy = self._branch_copy_pairs(op, else_block) or []
         else:
@@ -725,7 +740,7 @@ class _FunctionCompiler:
     def _c_while(self, op, gen: bool):
         init_slots = self.slots(op.init_args)
         before_args = self.slots(op.before_block.arguments)
-        before_gen = gen and any(self.program.op_may_yield(o)
+        before_gen = gen and any(self.may_yield(o)
                                  for o in op.before_block.operations)
         before_run = self.compile_block(op.before_block, gen=before_gen)
         _, before_term = _split_executed(op.before_block)
@@ -736,7 +751,7 @@ class _FunctionCompiler:
             cond_slot = None
             fwd_slots = []
         after_args = self.slots(op.after_block.arguments)
-        after_gen = gen and any(self.program.op_may_yield(o)
+        after_gen = gen and any(self.may_yield(o)
                                 for o in op.after_block.operations)
         after_run = self.compile_block(op.after_block, gen=after_gen)
         _, after_term = _split_executed(op.after_block)
@@ -795,34 +810,71 @@ class _FunctionCompiler:
                            if yield_slots is not None else forwarded)
         return run
 
-    # -- parallel constructs ----------------------------------------------------
+    # -- parallel regions -------------------------------------------------------
     #
-    # Each shardable region compiles in two parts: a *plan* that can execute
-    # any contiguous sub-span of the region's work (`run_span(state, regs,
-    # ranges, start, stop)` for iteration spaces, `run_blocks(state, regs,
-    # grid, block, start, stop)` for launch block grids) and a *wrapper*
-    # that owns the sequential accounting (report counters, work frames,
-    # wall-clock formulas) and runs the full span.  The vectorized engine
-    # overrides the plans; the multicore engine overrides the region
-    # methods to dispatch plan sub-spans to worker processes.
-    def _parallel_span_plan(self, op) -> Callable:
-        iv_slots = self.slots(op.induction_vars)
-        body = self.compile_block(op.body, gen=False)
+    # One shell per region kind.  The shell owns what every engine shares —
+    # the slots, the report counter, the work frame, the barrier-escape
+    # message and the wall-clock epilogue — and composes the two callables of
+    # the program's row (``_ROWS``).  The *body planner* builds the runner of
+    # the region body: ``run_span(state, regs, ranges, start, stop)`` for
+    # spans, ``run_grid(state, regs, ranges, total) -> phases`` for SIMT
+    # regions, ``run_blocks(state, regs, grid, block, start, stop)`` for
+    # launches; the start/stop forms execute any contiguous sub-span, which
+    # is what the multicore dispatcher ships to its workers.  The
+    # *dispatcher*, if the row has one, may return a runner that takes the
+    # whole region elsewhere and falls back to the shell's ``base``.  Run
+    # closures capture what they need as locals: no plan or region object is
+    # read at run time.
+    def _region(self, op) -> _Region:
+        plan = self.program.plans.plan(op)
+        if plan.kind == LAUNCH:
+            bounds = (self.slots(plan.grid_dims), self.slots(plan.block_dims))
+            region = _Region(plan, bounds, self.slots(plan.block_args))
+            region.shared = [(self.slot(alloca.result), alloca.memref_type)
+                             for alloca in plan.shared_allocas]
+        else:
+            bounds = (self.slots(plan.lower_bounds), self.slots(plan.upper_bounds),
+                      self.slots(plan.steps))
+            region = _Region(plan, bounds, self.slots(plan.induction_vars))
+        return region
 
-        def run_span(state, regs, ranges, start, stop):
-            for point in _span_points(ranges, start, stop):
-                for dst, value in zip(iv_slots, point):
-                    regs[dst] = value
-                body(state, regs)
-        return run_span
+    def _dispatched(self, region: _Region) -> Callable:
+        """Offer a planned region to the row's dispatcher; ``base`` otherwise."""
+        dispatcher = self.program.dispatcher
+        run = None
+        if dispatcher is not None:
+            self.offered += 1
+            run = dispatcher(self, region)
+        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
+        return region.base if run is None else run
 
-    def _parallel_accounting(self, op) -> Callable:
-        """The barrier-free ``scf.parallel`` wall-clock epilogue.
+    def _span_shell(self, op, count: Callable, message: str,
+                    finish: Callable) -> Callable:
+        """``omp.wsloop`` and barrier-free ``scf.parallel``: they differ in
+        the report counter, the escape message and the epilogue only."""
+        region = self._region(op)
+        region.count, region.message, region.finish = count, message, finish
+        lb_slots, ub_slots, st_slots = region.bounds
+        run_span = region.body = self.program.planner(self, region)
 
-        Shared by the sequential wrapper and the multicore engine's shard
-        dispatcher so the two paths can never drift apart: ``finish`` takes
-        the region's summed work and charges the enclosing frame.
-        """
+        def base(state, regs):
+            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
+            count(state)
+            work_stack = state.work
+            work_stack.append(0.0)
+            try:
+                run_span(state, regs, ranges, 0, None)
+            except _BarrierEscape:
+                raise InterpreterError(message) from None
+            work = work_stack.pop()
+            finish(state, total, work)
+        region.base = base
+        return self._dispatched(region)
+
+    def _parallel_accounting(self) -> Callable:
+        """The barrier-free ``scf.parallel`` wall-clock epilogue: ``finish``
+        takes the region's summed work — from the shell's own run, the native
+        call or the folded worker shards — and charges the enclosing frame."""
         fork_cost = self.program.machine.fork_cost
 
         def finish(state, total, work):
@@ -830,45 +882,34 @@ class _FunctionCompiler:
             state.work[-1] += fork_cost + work / state.program.speedup(threads)
         return finish
 
-    def _parallel_wrapper(self, op, run_span) -> Callable:
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        finish = self._parallel_accounting(op)
+    def _c_scf_parallel(self, op):
+        if self.program.plans.plan(op).kind == SIMT:
+            return self._c_scf_parallel_simt(op)
 
-        def run(state, regs):
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
+        def count(state):
             state.report.parallel_regions += 1
-            work_stack = state.work
-            work_stack.append(0.0)
-            try:
-                run_span(state, regs, ranges, 0, None)
-            except _BarrierEscape:
-                raise InterpreterError(
-                    "unexpected barrier in barrier-free parallel loop") from None
-            work = work_stack.pop()
-            finish(state, total, work)
-        return run
+        return self._span_shell(
+            op, count, "unexpected barrier in barrier-free parallel loop",
+            self._parallel_accounting())
 
     def _c_scf_parallel_simt(self, op):
-        program = self.program
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        iv_slots = self.slots(op.induction_vars)
-        machine = program.machine
+        # grid-wide barrier phases always run in this process: there is no
+        # dispatcher to offer them to (a cross-worker phase join would be
+        # needed, and the C emitter scopes barriers per block).
+        region = self._region(op)
+        lb_slots, ub_slots, st_slots = region.bounds
+        machine = self.program.machine
         fork_cost = machine.fork_cost
         phase_cost = machine.simt_phase_cost
-        run_simt = self.compile_simt_body(op.body)
+        run_grid = self.program.planner(self, region)
+        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
 
         def run(state, regs):
             ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
             state.report.parallel_regions += 1
             work_stack = state.work
             work_stack.append(0.0)
-            thread_regs = build_parallel_thread_regs(
-                regs, iv_slots, product(*ranges))
-            phases = run_simt(state, thread_regs)
+            phases = run_grid(state, regs, ranges, total)
             state.report.simt_phases += phases
             work = work_stack.pop()
             threads = min(state.threads, max(1, total))
@@ -877,51 +918,24 @@ class _FunctionCompiler:
             work_stack[-1] += wall
         return run
 
-    def _c_scf_parallel(self, op):
-        from ..analysis import contains_barrier
-
-        if contains_barrier(op, immediate_region_only=True):
-            return self._c_scf_parallel_simt(op)
-        return self._parallel_wrapper(op, self._parallel_span_plan(op))
-
-    def _launch_plan(self, op) -> Callable:
-        arg_slots = self.slots(op.body.arguments)
-        shared_allocas = []
+    def _c_gpu_launch(self, op):
+        region = self._region(op)
+        region.message = "barrier executed outside a parallel context"
+        grid_slots, block_slots = region.bounds
         saved_prebound = self._prebound
-        self._prebound = set(saved_prebound)
-        for nested in op.body.operations:
-            if isinstance(nested, memref_d.AllocaOp) and memref_d.is_shared_memref(nested.result):
-                shared_allocas.append((self.slot(nested.result), nested.memref_type))
-                self._prebound.add(id(nested.result))
-        run_simt = self.compile_simt_body(op.body)
-        self._prebound = saved_prebound
+        self._prebound = saved_prebound | {
+            id(alloca.result) for alloca in region.plan.shared_allocas}
+        try:
+            run_blocks = region.body = self.program.planner(self, region)
+        finally:
+            self._prebound = saved_prebound
 
-        def run_blocks(state, regs, grid, block, start, stop):
-            g0, g1 = grid[0], grid[1]
-            report = state.report
-            for linear in range(start, stop):
-                bx = linear % g0
-                by = (linear // g0) % g1
-                bz = linear // (g0 * g1)
-                thread_regs = build_launch_thread_regs(
-                    regs, arg_slots, bx, by, bz, grid, block)
-                bind_shared_allocas(shared_allocas, thread_regs)
-                phases = run_simt(state, thread_regs)
-                report.simt_phases += phases
-        return run_blocks
-
-    def _launch_wrapper(self, op, run_blocks) -> Callable:
-        grid_slots = self.slots(op.grid_dims)
-        block_slots = self.slots(op.block_dims)
-
-        def run(state, regs):
+        def base(state, regs):
             grid = [int(regs[s]) for s in grid_slots]
             block = [int(regs[s]) for s in block_slots]
             run_blocks(state, regs, grid, block, 0, grid[0] * grid[1] * grid[2])
-        return run
-
-    def _c_gpu_launch(self, op):
-        return self._launch_wrapper(op, self._launch_plan(op))
+        region.base = base
+        return self._dispatched(region)
 
     def _c_gpu_alloc(self, op):
         size_slots = self.slots(op.operands)
@@ -979,17 +993,6 @@ class _FunctionCompiler:
             return False, False, None
         return True, parent.nest_level > 0, parent.num_threads
 
-    def _wsloop_span_plan(self, op) -> Callable:
-        iv_slots = self.slots(op.induction_vars)
-        body = self.compile_block(op.body, gen=False)
-
-        def run_span(state, regs, ranges, start, stop):
-            for point in _span_points(ranges, start, stop):
-                for dst, value in zip(iv_slots, point):
-                    regs[dst] = value
-                body(state, regs)
-        return run_span
-
     def _wsloop_accounting(self, op) -> Callable:
         """The ``omp.wsloop`` wall-clock epilogue (see _parallel_accounting)."""
         has_parent, parent_nested, parent_threads = self._static_team(op)
@@ -1008,27 +1011,11 @@ class _FunctionCompiler:
             state.work[-1] += wall
         return finish
 
-    def _wsloop_wrapper(self, op, run_span) -> Callable:
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        finish = self._wsloop_accounting(op)
-
-        def run(state, regs):
-            state.report.workshared_loops += 1
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            work_stack = state.work
-            work_stack.append(0.0)
-            try:
-                run_span(state, regs, ranges, 0, None)
-            except _BarrierEscape:
-                raise InterpreterError("GPU barrier inside a workshared loop") from None
-            work = work_stack.pop()
-            finish(state, total, work)
-        return run
-
     def _c_omp_wsloop(self, op):
-        return self._wsloop_wrapper(op, self._wsloop_span_plan(op))
+        def count(state):
+            state.report.workshared_loops += 1
+        return self._span_shell(op, count, "GPU barrier inside a workshared loop",
+                                self._wsloop_accounting(op))
 
     def _c_omp_barrier(self, op):
         sync_cost = self.program.machine.sync_cost
@@ -1047,7 +1034,91 @@ class _FunctionCompiler:
         return run
 
 
-_Program.COMPILER = _FunctionCompiler
+# ---------------------------------------------------------------------------
+# The closure body planner
+# ---------------------------------------------------------------------------
+def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan,
+                 chunks: Optional[List[Callable]]) -> Callable:
+    """A SIMT body as a phase driver ``run_simt(state, thread_regs) -> phases``:
+    one closure per phase, run phase-by-phase over all threads, when barriers
+    are straight-line; compiled generator closures scheduled by the
+    interpreter's barrier-phase loop otherwise."""
+    if plan.phases is not None:
+        if chunks is None:
+            chunks = [fc.compile_phase(ops, nops) for ops, nops in plan.phases]
+
+        def run_simt(state, thread_regs, _chunks=chunks):
+            if not thread_regs:
+                return 0
+            for chunk in _chunks:
+                for regs in thread_regs:
+                    chunk(state, regs)
+            return len(_chunks)
+    else:
+        body = fc.compile_block(plan.op.body, gen=True)
+
+        def run_simt(state, thread_regs, _body=body):
+            live = [_body(state, regs) for regs in thread_regs]
+            phases = 0
+            while live:
+                phases += 1
+                survivors = []
+                keep = survivors.append
+                for thread in live:
+                    try:
+                        next(thread)
+                    except StopIteration:
+                        continue
+                    keep(thread)
+                live = survivors
+            return phases
+    return run_simt
+
+
+def closures(fc: _FunctionCompiler, region: _Region,
+             chunks: Optional[List[Callable]] = None) -> Callable:
+    """The compiled engine's body planner: every thread / iteration runs the
+    region's phases as Python closures over its own register list.
+
+    ``chunks`` are the plan's phases already compiled by a planner that
+    tried something faster first and fell back here, so that no body is
+    translated twice.
+    """
+    plan = region.plan
+    region.tier = "closures"
+    index_slots = region.index_slots
+    if plan.kind == LAUNCH:
+        run_simt = _simt_driver(fc, plan, chunks)
+        shared_allocas = region.shared
+
+        def run_blocks(state, regs, grid, block, start, stop):
+            g0, g1 = grid[0], grid[1]
+            report = state.report
+            for linear in range(start, stop):
+                bx = linear % g0
+                by = (linear // g0) % g1
+                bz = linear // (g0 * g1)
+                thread_regs = build_launch_thread_regs(
+                    regs, index_slots, bx, by, bz, grid, block)
+                bind_shared_allocas(shared_allocas, thread_regs)
+                phases = run_simt(state, thread_regs)
+                report.simt_phases += phases
+        return run_blocks
+    if plan.kind == SIMT:
+        run_simt = _simt_driver(fc, plan, chunks)
+
+        def run_grid(state, regs, ranges, total):
+            return run_simt(state, build_parallel_thread_regs(
+                regs, index_slots, product(*ranges)))
+        return run_grid
+    body, = chunks or [fc.compile_phase(*plan.phases[0])]
+
+    def run_span(state, regs, ranges, start, stop):
+        for point in _span_points(ranges, start, stop):
+            for dst, value in zip(index_slots, point):
+                regs[dst] = value
+            body(state, regs)
+    return run_span
 
 
 # ---------------------------------------------------------------------------
@@ -1106,8 +1177,8 @@ class CompiledEngine:
     including across engine instances.
     """
 
-    #: program flavour; subclasses (the vectorized engine) override this.
-    PROGRAM_CLS = _Program
+    #: the engine's row of ``_ROWS``; subclasses name theirs.
+    ROW = "compiled"
 
     def __init__(self, module: func_d.ModuleOp, machine: MachineModel = XEON_8375C,
                  threads: Optional[int] = None, collect_cost: bool = True,
@@ -1118,12 +1189,8 @@ class CompiledEngine:
         self.collect_cost = collect_cost
         self.max_dynamic_ops = max_dynamic_ops
         self.report = CostReport(machine=machine, threads=self.threads)
-        self._program = program_for(module, machine, self._program_cls())
+        self._program = program_for(module, machine, self.ROW)
         self._work: List[float] = [0.0]
-
-    def _program_cls(self) -> type:
-        """Program flavour hook (the multicore engine picks per instance)."""
-        return type(self).PROGRAM_CLS
 
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
@@ -1161,14 +1228,15 @@ class CompiledEngine:
             return MemRefStorage.from_numpy(argument)
         return argument
 
-
-def _make_compiled(module, *, machine=XEON_8375C, threads=None,
-                   collect_cost=True, max_dynamic_ops=None, workers=None):
-    # ``workers`` is a multicore-engine knob; the compiled engine ignores it.
-    return CompiledEngine(module, machine=machine, threads=threads,
-                          collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
-
-
-register_engine(
-    "compiled", _make_compiled, order=0,
-    description="one-time translation of IR to specialized Python closures")
+    @property
+    def regions(self) -> List[Dict]:
+        """Per region compiled so far: its function, its kind, the tier that
+        took it and the reason each faster tier of this engine gave for
+        declining it (compile-time facts; run-time bailouts stay counters)."""
+        asked = ((self.ROW, "parallel") if self._program.dispatcher is not None
+                 else (self.ROW,))
+        return [{"function": function, "kind": plan.kind, "tier": tier,
+                 "refusals": [f"{capability}: {reason}"
+                              for capability, reason in plan.refusals
+                              if capability in asked]}
+                for function, plan, tier in self._program.regions]

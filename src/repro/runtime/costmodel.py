@@ -98,6 +98,24 @@ def op_cost(op_name: str) -> float:
     return OP_COSTS.get(op_name, DEFAULT_OP_COST)
 
 
+def exact_cycles(cost: float) -> bool:
+    """True if ``cost`` is an exact multiple of 2^-8 (binary fraction).
+
+    Sums of such values are exact in float64 (well below the 2^53 mantissa
+    budget for any realistic simulated run), which is what makes the
+    analytic ``cost * count`` accounting bit-identical to the interpreter's
+    sequential accumulation regardless of grouping.
+    """
+    scaled = cost * 256.0
+    return scaled == int(scaled)
+
+
+def machine_vectorizable(machine: MachineModel) -> bool:
+    """Whether the machine's per-access costs allow exact analytic charging."""
+    return (exact_cycles(machine.local_access_cost)
+            and exact_cycles(machine.global_access_cost * machine.hbm_bandwidth_factor))
+
+
 @dataclass
 class CostReport:
     """Result of one simulated execution."""

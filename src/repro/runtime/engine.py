@@ -7,7 +7,7 @@ benchmarks) goes through this layer and accepts an ``engine`` knob:
   specialized Python closures (:mod:`repro.runtime.compiler`).
 * ``"vectorized"`` — the compiled engine plus whole-grid NumPy execution of
   barrier-delimited phases (:mod:`repro.runtime.vectorizer`).
-* ``"multicore"`` — the compiled/vectorized span runners sharded across a
+* ``"multicore"`` — the compiled engine's span runners sharded across a
   worker-process pool with shared-memory buffers
   (:mod:`repro.runtime.multicore`).  ``workers=`` (or ``REPRO_WORKERS``)
   picks the pool width.
@@ -30,31 +30,26 @@ by ``tests/runtime/test_engine_parity.py``); only wall-clock speed differs.
 The process-wide default can be overridden with the ``REPRO_ENGINE``
 environment variable.
 
-Engines self-register in :mod:`repro.runtime.registry` at import time
-(name → factory); this module imports the engine modules for their
-registration side effect and derives the selection tables from the
-registry, so adding a fifth engine means adding one module with one
-``register_engine`` call — no tables to edit here.
+An engine is a row of the table below: the class that fronts it and the
+module it lives in.  What distinguishes the four compiled engines from one
+another is a second, equally fixed table in :mod:`repro.runtime.compiler`
+(``_ROWS``): a body planner plus an optional dispatcher.
+
+The package exports this module lazily and this module loads every engine
+when it is imported (see the end of the file): ``import repro.runtime`` and
+``import repro.runtime.native`` stay light, while whoever imports
+``make_executor`` — a daemon at start-up, a fork zygote — pays the engine
+imports once, up front, rather than inside its first request per engine.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from importlib import import_module
+from typing import Optional, Sequence, Tuple
 
 from .costmodel import CostReport, MachineModel, XEON_8375C
-from .registry import ENGINES_VIEW, engine_factory, engine_names
 from .resilience import maybe_resilient
-
-# imported for their register_engine() side effect (and re-exported names);
-# the registry also resolves these lazily on lookup, so env-selected engines
-# validate even before this module is imported.
-from .compiler import CompiledEngine, invalidate_compiled  # noqa: F401
-from .interpreter import Interpreter, InterpreterError  # noqa: F401
-from .vectorizer import VectorizedEngine  # noqa: F401
-from .multicore import MulticoreEngine  # noqa: F401
-from .native import NativeEngine  # noqa: F401
-from .autotune import AutoEngine  # noqa: F401
 
 # engine-name constants (incl. ENGINE_ENV_VAR, the REPRO_ENGINE override)
 # have one definition in the package __init__, importable without loading
@@ -69,18 +64,27 @@ from . import (  # noqa: F401
     ENGINE_VECTORIZED,
 )
 
-Executor = object  # any registered engine: run(name, args) + .report
+#: engine name -> (module, class, whether the constructor takes ``workers=``),
+#: in the order names are listed in error messages and docs.  By name, not by
+#: class: the autotuner is a row of the table and imports this module.
+_TABLE = {
+    ENGINE_COMPILED: ("compiler", "CompiledEngine", False),
+    ENGINE_VECTORIZED: ("vectorizer", "VectorizedEngine", False),
+    ENGINE_MULTICORE: ("multicore", "MulticoreEngine", True),
+    ENGINE_NATIVE: ("native", "NativeEngine", False),
+    ENGINE_INTERP: ("interpreter", "Interpreter", False),
+    ENGINE_AUTO: ("autotune", "AutoEngine", True),
+}
+
+#: all engine names, in table order.
+ENGINES: Tuple[str, ...] = tuple(_TABLE)
+
+Executor = object  # any engine of the table: run(name, args) + .report
 
 
-def _engines() -> tuple:
-    return engine_names()
-
-
-#: all registered engine names, registry-ordered.  A *live* sequence view
-#: (:class:`repro.runtime.registry.EngineNamesView`), not a snapshot: it
-#: re-reads the registry on every access, so engines registered after this
-#: module is imported show up in existing references too.
-ENGINES = ENGINES_VIEW
+def engine_names() -> Tuple[str, ...]:
+    """All engine names, in table order."""
+    return ENGINES
 
 
 def default_engine() -> str:
@@ -91,9 +95,26 @@ def default_engine() -> str:
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Normalize and validate an engine name (``None`` = process default)."""
     name = engine if engine is not None else default_engine()
-    if name not in _engines():
-        raise ValueError(f"unknown engine {name!r}; expected one of {_engines()}")
+    if name not in _TABLE:
+        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
     return name
+
+
+def build_engine(name: str, module, *, machine: MachineModel = XEON_8375C,
+                 threads: Optional[int] = None, collect_cost: bool = True,
+                 max_dynamic_ops: Optional[int] = None,
+                 workers: Optional[int] = None) -> Executor:
+    """Construct the bare (unwrapped) engine ``name`` over ``module``.
+
+    ``workers`` reaches the engines that size a worker pool (multicore, and
+    auto for its multicore candidates); the others take no such argument.
+    """
+    module_name, class_name, takes_workers = _TABLE[resolve_engine(name)]
+    engine_class = getattr(import_module(f".{module_name}", __package__), class_name)
+    pool = {"workers": workers} if takes_workers else {}
+    return engine_class(module, machine=machine, threads=threads,
+                        collect_cost=collect_cost,
+                        max_dynamic_ops=max_dynamic_ops, **pool)
 
 
 def make_executor(module, *, engine: Optional[str] = None,
@@ -102,12 +123,11 @@ def make_executor(module, *, engine: Optional[str] = None,
                   collect_cost: bool = True,
                   max_dynamic_ops: Optional[int] = None,
                   workers: Optional[int] = None) -> Executor:
-    """Build an executor through the registered engine factory.
+    """Build an executor for the named engine (``None`` = process default).
 
     All engines share the same API: ``run(function_name, arguments)`` plus a
     ``report`` attribute accumulating the simulated-cycle cost model.
-    ``workers`` is forwarded to the factory (only the multicore engine uses
-    it; the in-process engines ignore it).
+    ``workers`` sizes the multicore pool (see :func:`build_engine`).
 
     The executor is wrapped in the resilience layer
     (:mod:`repro.runtime.resilience`): taxonomy failures that escape a run
@@ -118,8 +138,8 @@ def make_executor(module, *, engine: Optional[str] = None,
     name = resolve_engine(engine)
 
     def build(engine_name: str):
-        return engine_factory(engine_name)(
-            module, machine=machine, threads=threads,
+        return build_engine(
+            engine_name, module, machine=machine, threads=threads,
             collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
             workers=workers)
 
@@ -135,3 +155,11 @@ def execute(module, function_name: str, arguments: Sequence = (), *,
                              threads=threads, workers=workers)
     executor.run(function_name, arguments)
     return executor.report
+
+
+# Load every engine now (module docstring).  The performance ledger's cold
+# tiers fork from a process that has imported ``make_executor``: loading an
+# engine at its first executor instead would move that import into every
+# timed child, +20% on ``cold_nocc_geomean_s`` with nothing made slower.
+for _module, _, _ in _TABLE.values():
+    import_module(f".{_module}", __package__)

@@ -36,7 +36,6 @@ from .costmodel import (
 from .errors import InterpreterError
 from .memory import MemRefStorage
 from .optable import ALLOC_CYCLES, cycles, row_for
-from .registry import register_engine
 
 _BARRIER = object()  # sentinel yielded by the execution generator at barriers
 
@@ -526,15 +525,3 @@ class Interpreter:
 # NOTE: the module-level ``execute`` convenience wrapper lives in
 # :mod:`repro.runtime.engine` so that every entry point goes through the
 # engine-selection layer (``engine="compiled"|"interp"``, REPRO_ENGINE).
-
-
-def _make_interpreter(module, *, machine=XEON_8375C, threads=None,
-                      collect_cost=True, max_dynamic_ops=None, workers=None):
-    # ``workers`` is a multicore-engine knob; the interpreter ignores it.
-    return Interpreter(module, machine=machine, threads=threads,
-                       collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
-
-
-register_engine(
-    "interp", _make_interpreter, order=3,
-    description="tree-walking reference interpreter (semantic and cost oracle)")

@@ -6,9 +6,11 @@ CPU cores; until now every engine executed in one Python process and the
 thread scaling a measured quantity: a persistent ``multiprocessing`` worker
 pool (forked once per compiled program) receives contiguous sub-spans of
 each ``gpu.launch`` block grid and each outermost barrier-free parallel
-loop (``omp.wsloop`` / ``scf.parallel``), executes them with the same
-compiled-or-vectorized span runners the sequential engines use, and writes
-results in place through :mod:`repro.runtime.sharedmem`-backed
+loop (``omp.wsloop`` / ``scf.parallel``), executes them with the very
+closures the compiled engine runs in-process (the engine's row is the
+``closures`` body planner plus the :func:`shards` dispatcher below — the
+region shell, the plans and the accounting live in
+:mod:`repro.runtime.compiler`), and writes results in place through :mod:`repro.runtime.sharedmem`-backed
 :class:`~repro.runtime.memory.MemRefStorage` buffers (the workers' loads
 and stores go through the unchanged ``load``/``store_block`` API — only the
 ndarray's backing differs).
@@ -17,7 +19,9 @@ Determinism and bit-identical parity with the interpreter rest on three
 invariants:
 
 * **write-write safety** — a compile-time store analysis
-  (:mod:`repro.analysis.store_safety`) only permits sharding when every store to a shared buffer lands at an index
+  (:mod:`repro.analysis.store_safety`, read off the region's
+  :class:`~repro.analysis.region.RegionPlan`) only permits sharding when
+  every store to a shared buffer lands at an index
   *injective in the sharded dimensions* (e.g. ``C[bx*n + tx]`` with
   ``tx ∈ [0, n)``), so no two workers ever write the same location;
   anything unprovable falls back to in-process execution.  Cross-worker
@@ -41,10 +45,8 @@ Like the compiled engine's documented divergences, the ``max_dynamic_ops``
 budget is enforced per shard (each worker receives the remaining budget;
 the parent re-checks the exact summed counter after the join).
 
-Knobs: ``workers=`` / ``REPRO_WORKERS`` selects the pool width (default:
-the CPU affinity count), ``inner=`` / ``REPRO_MULTICORE_INNER`` selects the
-in-worker executor flavour (``"compiled"`` — the default — or
-``"vectorized"``).  With one worker, on machines without ``fork``/shared
+Knob: ``workers=`` / ``REPRO_WORKERS`` selects the pool width (default: the
+CPU affinity count).  With one worker, on machines without ``fork``/shared
 memory, or for regions the analysis rejects, the engine degrades to plain
 in-process execution and stays bit-identical.
 """
@@ -56,16 +58,16 @@ import multiprocessing
 import os
 import time
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.store_safety import launch_required_axes, span_required_dims
+from ..analysis.region import LAUNCH
 from .compiler import (
     CompiledEngine,
     _BarrierEscape,
     _FunctionCompiler,
-    _Program,
+    _Region,
     _State,
     _iteration_space,
 )
@@ -74,22 +76,10 @@ from .errors import (DispatchTimeoutError, InterpreterError, UseAfterFreeError,
                      WorkerCrashError)
 from .memory import MemRefStorage
 from . import resilience
-from .vectorizer import (
-    _VectorFunctionCompiler,
-    _VectorProgram,
-    machine_vectorizable,
-)
 from . import sharedmem
-from .registry import register_engine
 
 #: environment variable selecting the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-#: environment variable selecting the in-worker executor flavour.
-INNER_ENV_VAR = "REPRO_MULTICORE_INNER"
-
-INNER_COMPILED = "compiled"
-INNER_VECTORIZED = "vectorized"
-INNERS = (INNER_COMPILED, INNER_VECTORIZED)
 
 #: minimum work units (iterations / blocks) per worker for a dispatch to be
 #: worth the IPC round trip; below this the region runs in-process.
@@ -117,15 +107,6 @@ def default_workers() -> int:
 def multicore_available() -> bool:
     """Whether worker-pool sharding can run here (fork + shared memory)."""
     return _FORK_AVAILABLE and sharedmem.shared_memory_available()
-
-
-def resolve_inner(inner: Optional[str] = None) -> str:
-    """Normalize/validate the in-worker engine flavour (None = env/default)."""
-    name = inner if inner is not None else os.environ.get(INNER_ENV_VAR, INNER_COMPILED)
-    if name not in INNERS:
-        raise ValueError(f"unknown multicore inner engine {name!r}; "
-                         f"expected one of {INNERS}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +166,14 @@ def _worker_main(conn, program, index: int) -> None:  # pragma: no cover - child
 def _execute_shard(program, key, live_ins, start: int, stop: int,
                    threads: int, max_ops: Optional[int]) -> Dict:
     """Run one contiguous shard of a registered region in this process."""
-    region = program.shard_regions.get(key)
+    regions = program.shards.regions
+    region = regions.get(key)
     if region is None:
         fn = program.module.lookup(key[0])
         if fn is None:
             raise InterpreterError(f"worker cannot resolve function {key[0]!r}")
         program.function(fn, key[1])  # deterministic recompile fills the registry
-        region = program.shard_regions.get(key)
+        region = regions.get(key)
         if region is None:
             raise InterpreterError(f"worker cannot resolve shard region {key!r}")
     regs = region["template"][:]
@@ -203,12 +185,12 @@ def _execute_shard(program, key, live_ins, start: int, stop: int,
     state = _State(report, threads, [0.0], max_ops, program)
     try:
         if region["kind"] == "span":
-            ranges, _ = _iteration_space(regs, region["lb_slots"],
-                                         region["ub_slots"], region["st_slots"])
+            ranges, _ = _iteration_space(regs, *region["bounds"])
             region["run"](state, regs, ranges, start, stop)
         else:
-            grid = [int(regs[s]) for s in region["grid_slots"]]
-            block = [int(regs[s]) for s in region["block_slots"]]
+            grid_slots, block_slots = region["bounds"]
+            grid = [int(regs[s]) for s in grid_slots]
+            block = [int(regs[s]) for s in block_slots]
             region["run"](state, regs, grid, block, start, stop)
     except _BarrierEscape:
         raise InterpreterError(region["barrier_message"]) from None
@@ -373,44 +355,36 @@ def shutdown_worker_pools() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Program flavours with a shard-region registry
+# Per-program shard state
 # ---------------------------------------------------------------------------
-class _ShardProgramMixin:
-    """Shared shard bookkeeping for the multicore program flavours."""
+class _Shards:
+    """A program's worker-side region registry and its worker pools
+    (``program.shards``; made when the dispatcher takes its first region)."""
 
-    def _init_shard_state(self) -> None:
+    def __init__(self) -> None:
         #: (function name, gen flag, ordinal) -> worker-side region record.
-        self.shard_regions: Dict[Tuple, Dict] = {}
-        self.shard_stats = {
-            "sharded_regions": 0,   # compile-time: regions proven shardable
-            "rejected_regions": 0,  # compile-time: analysis said no
-            "dispatches": 0,        # runtime: pool dispatches performed
-            "inline_runs": 0,       # runtime: shardable regions run in-process
-        }
-        # exact worker-order cost folding needs dyadic per-access charges —
-        # the same gate (and the same argument) as the vectorized engine.
-        self.shard_enabled = machine_vectorizable(self.machine)
-        self._pools: Dict[int, _WorkerPool] = {}
-        self._pools_finalizer = weakref.finalize(self, _shutdown_pools, self._pools)
-        self._pool_broken = False
+        self.regions: Dict[Tuple, Dict] = {}
+        self.pools: Dict[int, _WorkerPool] = {}
+        self._finalizer = weakref.finalize(self, _shutdown_pools, self.pools)
+        self.broken = False
 
-    def ensure_pool(self, num_workers: int) -> Optional[_WorkerPool]:
-        if self._pool_broken:
+    def ensure_pool(self, program, num_workers: int) -> Optional[_WorkerPool]:
+        if self.broken:
             return None
-        pool = self._pools.get(num_workers)
+        pool = self.pools.get(num_workers)
         refork = False
         if pool is not None and not pool.alive():
             pool.shutdown()
             pool = None
-            self._pools.pop(num_workers, None)
+            self.pools.pop(num_workers, None)
             refork = True
         if pool is None:
             try:
-                pool = _WorkerPool(self, num_workers)
+                pool = _WorkerPool(program, num_workers)
             except OSError:  # pragma: no cover - fork/pipe exhaustion
-                self._pool_broken = True
+                self.broken = True
                 return None
-            self._pools[num_workers] = pool
+            self.pools[num_workers] = pool
             if refork:
                 resilience.record_event(
                     "multicore.pool", "recover",
@@ -419,24 +393,8 @@ class _ShardProgramMixin:
         return pool
 
 
-class _MulticoreProgram(_ShardProgramMixin, _Program):
-    """Compiled-flavour program whose regions can dispatch to workers."""
-
-    def __init__(self, module, machine: MachineModel) -> None:
-        super().__init__(module, machine)
-        self._init_shard_state()
-
-
-class _MulticoreVectorProgram(_ShardProgramMixin, _VectorProgram):
-    """Vectorized-flavour program whose regions can dispatch to workers."""
-
-    def __init__(self, module, machine: MachineModel) -> None:
-        super().__init__(module, machine)
-        self._init_shard_state()
-
-
 # ---------------------------------------------------------------------------
-# Shard-aware function compilation
+# Shard dispatch
 # ---------------------------------------------------------------------------
 class _ShardContext:
     """Runtime dispatch context attached to the engine's execution state.
@@ -464,7 +422,7 @@ class _ShardContext:
             self._aliased = self.engine._arguments_alias()
         if self._aliased:
             return None
-        return self.program.ensure_pool(self.workers)
+        return self.program.shards.ensure_pool(self.program, self.workers)
 
 
 def _inject_pool_faults(pool: _WorkerPool) -> None:
@@ -503,321 +461,174 @@ def _split_spans(total: int, num_workers: int) -> List[Tuple[int, int]]:
     return spans
 
 
-class _ShardCompilerMixin:
-    """Overrides the parallel-region entry points with shard dispatchers.
+def _dispatch_shards(program, state, pool, key, regs, live_in_slots,
+                     spans: Sequence[Tuple[int, int]]) -> Optional[List[Dict]]:
+    """Ship the live-ins and run one span per worker; ``None`` = degrade.
 
-    Mixed into both the compiled and the vectorized function compiler: the
-    span/block *plans* come from the underlying flavour (``super()``), so
-    the code a worker runs is exactly the code the sequential fallback
-    runs — only the dispatch differs.
+    Shared-memory promotion can fail mid-run (``/dev/shm`` filling up
+    under large buffers) long after the 1-byte availability probe
+    passed; that must demote the run to in-process execution — which
+    is always correct — rather than abort it, so a failed promotion
+    marks the program's promotion machinery broken (no later region
+    retries) and returns ``None`` for the caller to run its base plan.
+
+    Worker crashes and watchdog timeouts are *transient*: sharded
+    stores are injective, so killing the pool, re-forking and
+    re-dispatching the same shards is idempotent.  The dispatch
+    retries up to ``REPRO_RETRIES`` times before degrading
+    in-process.  Setting ``REPRO_TIMEOUT_S`` arms a watchdog that
+    bounds each dispatch; it is off by default so a legitimately
+    long dispatch (large shards, loaded machine) is never killed —
+    arm it explicitly when injecting ``multicore.hang``.
     """
-
-    def _next_region_key(self) -> Tuple:
-        counter = getattr(self, "_shard_region_counter", 0)
-        self._shard_region_counter = counter + 1
-        return (self.fn.sym_name, self.gen_mode, counter)
-
-    def _region_live_in_slots(self, op) -> List[int]:
-        """Slots the region reads but does not define (shipped to workers)."""
-        defined = set()
-
-        def collect_defs(operation):
-            for result in operation.results:
-                defined.add(id(result))
-            for region in operation.regions:
-                for block in region.blocks:
-                    for argument in block.arguments:
-                        defined.add(id(argument))
-                    for nested in block.operations:
-                        collect_defs(nested)
-
-        collect_defs(op)
-        live = set()
-
-        def collect_uses(operation):
-            for operand in operation.operands:
-                if id(operand) not in defined:
-                    live.add(self.slot(operand))
-            for region in operation.regions:
-                for block in region.blocks:
-                    for nested in block.operations:
-                        collect_uses(nested)
-
-        collect_uses(op)
-        return sorted(live)
-
-    # -- analysis entry points -------------------------------------------------
-    def _analyze_span_region(self, op) -> Optional[FrozenSet[int]]:
-        """Required-singleton dims for an iteration-space region, or None."""
-        program = self.program
-        if not program.shard_enabled:
-            return None
-        required = span_required_dims(program.module, op)
-        key = "rejected_regions" if required is None else "sharded_regions"
-        program.shard_stats[key] += 1
-        return required
-
-    def _analyze_launch_region(self, op) -> Optional[FrozenSet[int]]:
-        """Required-singleton grid axes for a launch block grid, or None."""
-        program = self.program
-        if not program.shard_enabled:
-            return None
-        required = launch_required_axes(program.module, op)
-        key = "rejected_regions" if required is None else "sharded_regions"
-        program.shard_stats[key] += 1
-        return required
-
-    # -- dispatch helpers -------------------------------------------------------
-    def _dispatch_shards(self, state, pool, key, regs, live_in_slots,
-                         spans: Sequence[Tuple[int, int]]) -> Optional[List[Dict]]:
-        """Ship the live-ins and run one span per worker; ``None`` = degrade.
-
-        Shared-memory promotion can fail mid-run (``/dev/shm`` filling up
-        under large buffers) long after the 1-byte availability probe
-        passed; that must demote the run to in-process execution — which
-        is always correct — rather than abort it, so a failed promotion
-        marks the program's promotion machinery broken (no later region
-        retries) and returns ``None`` for the caller to run its base plan.
-
-        Worker crashes and watchdog timeouts are *transient*: sharded
-        stores are injective, so killing the pool, re-forking and
-        re-dispatching the same shards is idempotent.  The dispatch
-        retries up to ``REPRO_RETRIES`` times before degrading
-        in-process.  Setting ``REPRO_TIMEOUT_S`` arms a watchdog that
-        bounds each dispatch; it is off by default so a legitimately
-        long dispatch (large shards, loaded machine) is never killed —
-        arm it explicitly when injecting ``multicore.hang``.
-        """
-        if pool is None:
-            # the pool died between the width check and the dispatch and
-            # could not be re-forked: degrade rather than crash.
-            return None
-        program = self.program
-        remaining = None
-        if state.max_ops is not None:
-            remaining = max(0, state.max_ops - state.report.dynamic_ops)
-        live_ins = {}
-        shipped = []
+    if pool is None:
+        # the pool died between the width check and the dispatch and
+        # could not be re-forked: degrade rather than crash.
+        return None
+    remaining = None
+    if state.max_ops is not None:
+        remaining = max(0, state.max_ops - state.report.dynamic_ops)
+    live_ins = {}
+    shipped = []
+    try:
+        for slot in live_in_slots:
+            value = regs[slot]
+            if isinstance(value, MemRefStorage):
+                live_ins[slot] = ("m", sharedmem.encode(value))
+                shipped.append(value)
+            else:
+                live_ins[slot] = ("v", value)
+    except OSError as exc:
+        program.shards.broken = True
+        _shutdown_pools(program.shards.pools)  # no dispatch will ever retry
+        resilience.record_event("sharedmem.promote", "degrade",
+                                type(exc).__name__, str(exc),
+                                engine="multicore")
+        return None
+    tasks = [("shard", key, live_ins, start, stop, state.threads, remaining)
+             for start, stop in spans]
+    policy = resilience.retry_policy()
+    attempt = 0
+    while True:
+        _inject_pool_faults(pool)
+        program.shard_stats["dispatches"] += 1
         try:
-            for slot in live_in_slots:
-                value = regs[slot]
-                if isinstance(value, MemRefStorage):
-                    live_ins[slot] = ("m", sharedmem.encode(value))
-                    shipped.append(value)
-                else:
-                    live_ins[slot] = ("v", value)
-        except OSError as exc:
-            program._pool_broken = True
-            _shutdown_pools(program._pools)  # no dispatch will ever retry
-            resilience.record_event("sharedmem.promote", "degrade",
+            results = pool.run(tasks, timeout_s=policy.watchdog_timeout)
+            break
+        except (WorkerCrashError, DispatchTimeoutError) as exc:
+            pool.kill()
+            if attempt >= policy.retries:
+                resilience.record_event(
+                    "multicore.dispatch", "degrade", type(exc).__name__,
+                    f"{exc}; running region in-process",
+                    engine="multicore")
+                return None
+            resilience.record_event("multicore.dispatch", "retry",
                                     type(exc).__name__, str(exc),
-                                    engine="multicore")
-            return None
-        tasks = [("shard", key, live_ins, start, stop, state.threads, remaining)
-                 for start, stop in spans]
-        policy = resilience.retry_policy()
-        attempt = 0
-        while True:
-            _inject_pool_faults(pool)
-            program.shard_stats["dispatches"] += 1
-            try:
-                results = pool.run(tasks, timeout_s=policy.watchdog_timeout)
-                break
-            except (WorkerCrashError, DispatchTimeoutError) as exc:
-                pool.kill()
-                if attempt >= policy.retries:
-                    resilience.record_event(
-                        "multicore.dispatch", "degrade", type(exc).__name__,
-                        f"{exc}; running region in-process",
-                        engine="multicore")
-                    return None
-                resilience.record_event("multicore.dispatch", "retry",
-                                        type(exc).__name__, str(exc),
-                                        attempt + 1, "multicore")
-                policy.sleep("multicore.dispatch", attempt)
-                attempt += 1
-                pool = (state.shard.pool()
-                        if state.shard is not None else None)
-                if pool is None:
-                    resilience.record_event(
-                        "multicore.dispatch", "degrade", type(exc).__name__,
-                        "pool re-fork unavailable; running region in-process",
-                        engine="multicore")
-                    return None
-        for storage in shipped:
-            sharedmem.refresh_freed(storage)
-        return results
+                                    attempt + 1, "multicore")
+            policy.sleep("multicore.dispatch", attempt)
+            attempt += 1
+            pool = (state.shard.pool()
+                    if state.shard is not None else None)
+            if pool is None:
+                resilience.record_event(
+                    "multicore.dispatch", "degrade", type(exc).__name__,
+                    "pool re-fork unavailable; running region in-process",
+                    engine="multicore")
+                return None
+    for storage in shipped:
+        sharedmem.refresh_freed(storage)
+    return results
 
-    @staticmethod
-    def _fold_results(state, results: Sequence[Dict]) -> float:
-        """Fold worker results in worker (= thread) order; returns the work."""
-        report = state.report
-        work = 0.0
-        for result in results:
-            work += result["work"]
-            report.dynamic_ops += result["dynamic_ops"]
-            report.parallel_regions += result["parallel_regions"]
-            report.nested_regions += result["nested_regions"]
-            report.workshared_loops += result["workshared_loops"]
-            report.barriers += result["barriers"]
-            report.simt_phases += result["simt_phases"]
-            report.global_bytes += result["global_bytes"]
-        if state.max_ops is not None and report.dynamic_ops > state.max_ops:
-            raise InterpreterError("dynamic operation budget exceeded")
-        return work
 
-    def _shard_width(self, state, total: int) -> int:
-        shard = state.shard
-        if shard is None or total < 2:
-            return 0
-        width = min(shard.workers, max(1, total // MIN_UNITS_PER_WORKER))
-        return width if width >= 2 else 0
+def _fold_results(state, results: Sequence[Dict]) -> float:
+    """Fold worker results in worker (= thread) order; returns the work."""
+    report = state.report
+    work = 0.0
+    for result in results:
+        work += result["work"]
+        report.dynamic_ops += result["dynamic_ops"]
+        report.parallel_regions += result["parallel_regions"]
+        report.nested_regions += result["nested_regions"]
+        report.workshared_loops += result["workshared_loops"]
+        report.barriers += result["barriers"]
+        report.simt_phases += result["simt_phases"]
+        report.global_bytes += result["global_bytes"]
+    if state.max_ops is not None and report.dynamic_ops > state.max_ops:
+        raise InterpreterError("dynamic operation budget exceeded")
+    return work
 
-    # -- region overrides -------------------------------------------------------
-    def _c_omp_wsloop(self, op):
-        run_span = self._wsloop_span_plan(op)
-        base = self._wsloop_wrapper(op, run_span)
-        required = self._analyze_span_region(op)
-        if required is None:
-            return base
-        key = self._next_region_key()
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        self.program.shard_regions[key] = {
-            "kind": "span",
-            "run": run_span,
-            "template": self.template,
-            "lb_slots": lb_slots,
-            "ub_slots": ub_slots,
-            "st_slots": st_slots,
-            "barrier_message": "GPU barrier inside a workshared loop",
-        }
-        live_in_slots = self._region_live_in_slots(op)
-        finish = self._wsloop_accounting(op)
-        required_dims = sorted(required)
-        stats = self.program.shard_stats
 
-        def run(state, regs):
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            width = self._runtime_width(state, ranges, total, required_dims)
-            results = None
-            if width:
-                results = self._dispatch_shards(
-                    state, state.shard.pool(), key, regs, live_in_slots,
+def _shard_width(state, total: int) -> int:
+    shard = state.shard
+    if shard is None or total < 2:
+        return 0
+    width = min(shard.workers, max(1, total // MIN_UNITS_PER_WORKER))
+    return width if width >= 2 else 0
+
+
+def shards(fc: _FunctionCompiler, region: _Region):
+    """The multicore engine's dispatcher: when the store analysis proves the
+    region's iterations / blocks write-write independent, register its body
+    runner for the workers and return a runner that splits each execution
+    into contiguous spans, one per worker, folding their costs back in
+    worker order; the shell's in-process ``base`` run takes every execution
+    that is too small, needs a singleton dim it does not have, or cannot
+    reach a pool.  ``None`` when the analysis says no.
+
+    The body a worker runs is the body ``base`` runs — only the dispatch
+    differs.
+    """
+    program, plan = fc.program, region.plan
+    if not program.exact_or_refuse(plan):
+        return None
+    stats = program.shard_stats
+    proof = plan.parallel_proof
+    if proof is None:
+        stats["rejected_regions"] += 1
+        return None
+    stats["sharded_regions"] += 1
+    region.tier = "multicore"
+    if program.shards is None:
+        program.shards = _Shards()
+    launch = plan.kind == LAUNCH
+    key = (fc.fn.sym_name, fc.gen_mode, fc.offered)
+    bounds = region.bounds
+    program.shards.regions[key] = {
+        "kind": "launch" if launch else "span",
+        "run": region.body,
+        "template": fc.template,
+        "bounds": bounds,
+        "barrier_message": region.message,
+    }
+    live_in_slots = sorted({fc.slot(value) for value in plan.live_ins})
+    singleton = sorted(proof)  # dims / grid axes that must have extent 1
+    base, count, finish = region.base, region.count, region.finish
+
+    def run(state, regs):
+        if launch:
+            extents = [int(regs[s]) for s in bounds[0]]
+            total = extents[0] * extents[1] * extents[2]
+        else:
+            ranges, total = _iteration_space(regs, *bounds)
+            extents = [len(axis) for axis in ranges]
+        results = None
+        width = _shard_width(state, total)
+        if width and all(extents[dim] == 1 for dim in singleton):
+            pool = state.shard.pool()
+            if pool is not None:
+                results = _dispatch_shards(
+                    program, state, pool, key, regs, live_in_slots,
                     _split_spans(total, width))
-            if results is None:
-                stats["inline_runs"] += 1
-                return base(state, regs)
-            state.report.workshared_loops += 1
-            finish(state, total, self._fold_results(state, results))
-        return run
-
-    def _c_scf_parallel(self, op):
-        from ..analysis import contains_barrier
-
-        if contains_barrier(op, immediate_region_only=True):
-            # grid-wide barrier phases run in-process: a cross-worker phase
-            # join would be needed and blocks here are the whole space.
-            return super()._c_scf_parallel(op)
-        run_span = self._parallel_span_plan(op)
-        base = self._parallel_wrapper(op, run_span)
-        required = self._analyze_span_region(op)
-        if required is None:
-            return base
-        key = self._next_region_key()
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        self.program.shard_regions[key] = {
-            "kind": "span",
-            "run": run_span,
-            "template": self.template,
-            "lb_slots": lb_slots,
-            "ub_slots": ub_slots,
-            "st_slots": st_slots,
-            "barrier_message": "unexpected barrier in barrier-free parallel loop",
-        }
-        live_in_slots = self._region_live_in_slots(op)
-        finish = self._parallel_accounting(op)
-        required_dims = sorted(required)
-        stats = self.program.shard_stats
-
-        def run(state, regs):
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            width = self._runtime_width(state, ranges, total, required_dims)
-            results = None
-            if width:
-                results = self._dispatch_shards(
-                    state, state.shard.pool(), key, regs, live_in_slots,
-                    _split_spans(total, width))
-            if results is None:
-                stats["inline_runs"] += 1
-                return base(state, regs)
-            state.report.parallel_regions += 1
-            finish(state, total, self._fold_results(state, results))
-        return run
-
-    def _runtime_width(self, state, ranges, total, required_dims) -> int:
-        width = self._shard_width(state, total)
-        if width == 0:
-            return 0
-        for dim in required_dims:
-            if len(ranges[dim]) != 1:
-                return 0
-        if state.shard.pool() is None:
-            return 0
-        return width
-
-    def _c_gpu_launch(self, op):
-        run_blocks = self._launch_plan(op)
-        base = self._launch_wrapper(op, run_blocks)
-        required = self._analyze_launch_region(op)
-        if required is None:
-            return base
-        key = self._next_region_key()
-        grid_slots = self.slots(op.grid_dims)
-        block_slots = self.slots(op.block_dims)
-        self.program.shard_regions[key] = {
-            "kind": "launch",
-            "run": run_blocks,
-            "template": self.template,
-            "grid_slots": grid_slots,
-            "block_slots": block_slots,
-            "barrier_message": "barrier executed outside a parallel context",
-        }
-        live_in_slots = self._region_live_in_slots(op)
-        required_axes = sorted(required)
-        stats = self.program.shard_stats
-
-        def run(state, regs):
-            grid = [int(regs[s]) for s in grid_slots]
-            total_blocks = grid[0] * grid[1] * grid[2]
-            width = self._shard_width(state, total_blocks)
-            if width and all(grid[axis] == 1 for axis in required_axes):
-                pool = state.shard.pool()
-                if pool is not None:
-                    results = self._dispatch_shards(
-                        state, pool, key, regs, live_in_slots,
-                        _split_spans(total_blocks, width))
-                    if results is not None:
-                        state.work[-1] += self._fold_results(state, results)
-                        return
+        if results is None:
             stats["inline_runs"] += 1
             return base(state, regs)
-        return run
-
-
-class _McCompiledFunctionCompiler(_ShardCompilerMixin, _FunctionCompiler):
-    """Compiled-flavour function compiler with shard dispatch."""
-
-
-class _McVectorFunctionCompiler(_ShardCompilerMixin, _VectorFunctionCompiler):
-    """Vectorized-flavour function compiler with shard dispatch."""
-
-
-_MulticoreProgram.COMPILER = _McCompiledFunctionCompiler
-_MulticoreVectorProgram.COMPILER = _McVectorFunctionCompiler
+        if launch:
+            state.work[-1] += _fold_results(state, results)
+        else:
+            count(state)
+            finish(state, total, _fold_results(state, results))
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -830,18 +641,16 @@ class MulticoreEngine(CompiledEngine):
     (pinned by ``tests/runtime/test_engine_parity.py``); only wall-clock
     time changes with the worker count.  ``workers=1``, unavailable
     fork/shared memory, non-dyadic machines and regions the store analysis
-    cannot prove safe all degrade to in-process execution of the inner
-    flavour (``inner="compiled"`` or ``"vectorized"``).
+    cannot prove safe all degrade to in-process execution of the compiled
+    closures — the same ones the workers run.
     """
 
-    PROGRAM_CLS = _MulticoreProgram
+    ROW = "multicore"
 
     def __init__(self, module, machine: MachineModel = XEON_8375C,
                  threads: Optional[int] = None, collect_cost: bool = True,
                  max_dynamic_ops: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 inner: Optional[str] = None) -> None:
-        self.inner = resolve_inner(inner)
+                 workers: Optional[int] = None) -> None:
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -849,10 +658,6 @@ class MulticoreEngine(CompiledEngine):
         self._run_storages: List[MemRefStorage] = []
         super().__init__(module, machine=machine, threads=threads,
                          collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
-
-    def _program_cls(self) -> type:
-        return (_MulticoreVectorProgram if self.inner == INNER_VECTORIZED
-                else _MulticoreProgram)
 
     def _make_state(self) -> _State:
         state = super()._make_state()
@@ -909,16 +714,5 @@ class MulticoreEngine(CompiledEngine):
 
     def shutdown(self) -> None:
         """Tear down this program's worker pools (tests / explicit cleanup)."""
-        _shutdown_pools(self._program._pools)
-
-
-def _make_multicore(module, *, machine=XEON_8375C, threads=None,
-                    collect_cost=True, max_dynamic_ops=None, workers=None):
-    return MulticoreEngine(module, machine=machine, threads=threads,
-                           collect_cost=collect_cost,
-                           max_dynamic_ops=max_dynamic_ops, workers=workers)
-
-
-register_engine(
-    "multicore", _make_multicore, order=2,
-    description="worker-process pool sharding block grids over shared memory")
+        if self._program.shards is not None:
+            _shutdown_pools(self._program.shards.pools)

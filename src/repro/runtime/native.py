@@ -1,9 +1,11 @@
 """Native OpenMP C backend: ``engine="native"`` / ``REPRO_ENGINE=native``.
 
 This is the reproduction's answer to the paper's headline artifact — the
-transpiled CUDA kernel running as compiled OpenMP CPU code.  The engine is
-the compiled engine with the parallel-region entry points replaced by
-*native dispatchers*:
+transpiled CUDA kernel running as compiled OpenMP CPU code.  The engine's
+row is the compiled engine's ``closures`` body planner plus the
+:func:`native` dispatcher below; the region shell that calls it, and whose
+in-process run is every dispatch's fallback, lives in
+:mod:`repro.runtime.compiler`:
 
 * at translation time each ``omp.wsloop`` / barrier-free ``scf.parallel`` /
   ``gpu.launch`` region is handed to :mod:`repro.runtime.codegen_c`; all
@@ -24,14 +26,16 @@ the compiled engine with the parallel-region entry points replaced by
   fuzz suite);
 * real parallelism (``#pragma omp parallel for`` across iterations/blocks)
   is enabled per region only when the write-write store-safety analysis
-  (:mod:`repro.analysis.store_safety`) proves shards independent
+  (:mod:`repro.analysis.store_safety`, asked once per region through its
+  :class:`~repro.analysis.region.RegionPlan`) proves shards independent
   (required-singleton dims are re-checked per dispatch, as is runtime
   buffer aliasing); unproven regions still run as *sequential* C.
 
 Anything the emitter cannot translate — nested parallel constructs,
 dynamic-extent private allocas, barriers under thread-varying control flow
 or inside state-carrying loops, recursion — falls back **per region** to
-the compiled closures; a missing or broken C
+the compiled closures, with the emitter's reason recorded on the plan
+(``engine.regions``); a missing or broken C
 toolchain degrades the whole engine to compiled execution (same graceful
 contract as the multicore engine on hosts without ``fork``).  An active
 ``max_dynamic_ops`` budget also routes regions to the compiled plans, whose
@@ -50,7 +54,7 @@ import tempfile
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.store_safety import launch_required_axes, span_required_dims
+from ..analysis.region import LAUNCH
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
     ERR_BAD_STEP,
@@ -59,18 +63,10 @@ from .codegen_c import (
     UnsupportedRegion,
     assemble_unit,
 )
-from .compiler import (
-    CompiledEngine,
-    _FunctionCompiler,
-    _Program,
-    _iteration_space,
-)
-from .costmodel import MachineModel, XEON_8375C
+from .compiler import CompiledEngine, _FunctionCompiler, _Region, _iteration_space
 from .errors import InterpreterError, ToolchainError
 from .memory import MemRefStorage
 from . import resilience
-from .registry import register_engine
-from .vectorizer import machine_vectorizable
 
 #: environment knob.
 CC_ENV_VAR = "REPRO_CC"
@@ -226,7 +222,7 @@ class NativeUnit:
     the unit (every region runs its compiled-engine base plan).
     """
 
-    def __init__(self, program: "_NativeProgram") -> None:
+    def __init__(self, program) -> None:
         self.program = program
         self.sources: List[str] = []
         self.symbols: List[str] = []
@@ -532,160 +528,78 @@ class _RegionHandle:
 
 
 # ---------------------------------------------------------------------------
-# Program / compiler flavour
+# The native dispatcher
 # ---------------------------------------------------------------------------
-class _NativeProgram(_Program):
-    """Compiled program flavour that owns the native translation units."""
+def native(fc: _FunctionCompiler, region: _Region):
+    """The native engine's dispatcher: emit the region as C into the
+    function's translation unit and return a runner that calls it, with the
+    shell's in-process ``base`` run for every dispatch the C code cannot
+    take; ``None`` (and the reason, on the plan) when the region cannot be
+    emitted at all."""
+    program, plan = fc.program, region.plan
+    if not program.exact_or_refuse(plan):
+        return None
+    stats = program.native_stats
+    unit = fc.dispatch_state
+    if unit is None:
+        unit = fc.dispatch_state = NativeUnit(program)
+    sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
+    symbol = f"repro_{sanitized}_{'g' if fc.gen_mode else 'p'}{fc.offered}"
+    launch = plan.kind == LAUNCH
+    try:
+        codegen = RegionCodegen(program, plan, symbol, fc.slot)
+        source, spec = codegen.emit_launch() if launch else codegen.emit_span()
+    except UnsupportedRegion as exc:
+        stats["fallback_regions"] += 1
+        plan.refuse("native", str(exc))
+        return None
+    stats["native_regions"] += 1
+    if spec.simd_ok:
+        stats["simd_regions"] += 1
+    unit.add(source, symbol)
+    region.tier = "native"
+    proof = plan.parallel_proof
+    handle = _RegionHandle(unit, spec,
+                           None if proof is None else tuple(sorted(proof)))
+    base, count, finish = region.base, region.count, region.finish
+    bounds = region.bounds
 
-    def __init__(self, module, machine: MachineModel) -> None:
-        super().__init__(module, machine)
-        #: the C counters are exact only on dyadic machine models.
-        self.native_enabled = machine_vectorizable(machine)
-        self.native_stats: Dict[str, int] = {
-            "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
-            "simd_regions": 0, "bailouts": 0, "units_ready": 0,
-            "artifact_hits": 0, "compile_errors": 0, "corrupt_artifacts": 0,
-        }
-
-
-class _NativeFunctionCompiler(_FunctionCompiler):
-    """Compiled-flavour function compiler with native region dispatchers."""
-
-    def __init__(self, program, fn, gen: bool) -> None:
-        super().__init__(program, fn, gen)
-        self.unit = NativeUnit(program)
-        self._region_counter = 0
-
-    def _symbol(self) -> str:
-        sanitized = "".join(ch if ch.isalnum() else "_" for ch in self.fn.sym_name)
-        self._region_counter += 1
-        mode = "g" if self.gen_mode else "p"
-        return f"repro_{sanitized}_{mode}{self._region_counter}"
-
-    # -- store-safety analysis (repro.analysis, shared with multicore) --------
-    def _span_required_dims(self, op) -> Optional[Tuple[int, ...]]:
-        required = span_required_dims(self.program.module, op)
-        return None if required is None else tuple(sorted(required))
-
-    def _launch_required_axes(self, op) -> Optional[Tuple[int, ...]]:
-        required = launch_required_axes(self.program.module, op)
-        return None if required is None else tuple(sorted(required))
-
-    # -- region codegen --------------------------------------------------------
-    def _emit_region(self, op, emit) -> Optional[Tuple[str, object]]:
-        program = self.program
-        if not program.native_enabled:
-            return None
-        symbol = self._symbol()
-        try:
-            codegen = RegionCodegen(program, op, symbol, self.slot)
-            source, spec = emit(codegen)
-        except UnsupportedRegion:
-            program.native_stats["fallback_regions"] += 1
-            return None
-        program.native_stats["native_regions"] += 1
-        if getattr(spec, "simd_ok", False):
-            program.native_stats["simd_regions"] += 1
-        self.unit.add(source, symbol)
-        return source, spec
-
-    def _span_runner(self, op, base, accounting_hook, finish):
-        emitted = self._emit_region(op, lambda cg: cg.emit_span())
-        if emitted is None:
-            return base
-        _, spec = emitted
-        handle = _RegionHandle(self.unit, spec, self._span_required_dims(op))
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        stats = self.program.native_stats
-
-        def run(state, regs):
-            if state.max_ops is not None:
-                stats["bailouts"] += 1
-                return base(state, regs)
-            if not handle.ready():
-                failure = handle.unit.failure
-                if failure is not None and state.strict:
-                    raise failure
-                stats["bailouts"] += 1
-                return base(state, regs)
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            marshalled = handle.marshal(regs)
-            if marshalled is None:
-                stats["bailouts"] += 1
-                return base(state, regs)
-            accounting_hook(state)
-            work, global_bytes, ops, _, error = handle.call_span(
-                marshalled, ranges, total)
-            if error:
-                raise _region_error(error)
-            stats["native_dispatches"] += 1
-            state.report.dynamic_ops += int(ops)
-            state.report.global_bytes += global_bytes
-            finish(state, total, work)
-        return run
-
-    def _c_omp_wsloop(self, op):
-        base = super()._c_omp_wsloop(op)
-
-        def count(state):
-            state.report.workshared_loops += 1
-        return self._span_runner(op, base, count, self._wsloop_accounting(op))
-
-    def _c_scf_parallel(self, op):
-        from ..analysis import contains_barrier
-
-        base = super()._c_scf_parallel(op)
-        if contains_barrier(op, immediate_region_only=True):
-            # grid-wide barrier phases stay on the compiled SIMT scheduler.
-            return base
-
-        def count(state):
-            state.report.parallel_regions += 1
-        return self._span_runner(op, base, count, self._parallel_accounting(op))
-
-    def _c_gpu_launch(self, op):
-        base = super()._c_gpu_launch(op)
-        emitted = self._emit_region(op, lambda cg: cg.emit_launch())
-        if emitted is None:
-            return base
-        _, spec = emitted
-        handle = _RegionHandle(self.unit, spec, self._launch_required_axes(op))
-        grid_slots = self.slots(op.grid_dims)
-        block_slots = self.slots(op.block_dims)
-        stats = self.program.native_stats
-
-        def run(state, regs):
-            if state.max_ops is not None:
-                stats["bailouts"] += 1
-                return base(state, regs)
-            if not handle.ready():
-                failure = handle.unit.failure
-                if failure is not None and state.strict:
-                    raise failure
-                stats["bailouts"] += 1
-                return base(state, regs)
-            grid = [int(regs[slot]) for slot in grid_slots]
-            block = [int(regs[slot]) for slot in block_slots]
-            marshalled = handle.marshal(regs)
-            if marshalled is None:
-                stats["bailouts"] += 1
-                return base(state, regs)
+    def run(state, regs):
+        if state.max_ops is not None:
+            stats["bailouts"] += 1
+            return base(state, regs)
+        if not handle.ready():
+            failure = handle.unit.failure
+            if failure is not None and state.strict:
+                raise failure
+            stats["bailouts"] += 1
+            return base(state, regs)
+        marshalled = handle.marshal(regs)
+        if marshalled is None:
+            stats["bailouts"] += 1
+            return base(state, regs)
+        report = state.report
+        if launch:
+            grid = [int(regs[slot]) for slot in bounds[0]]
+            block = [int(regs[slot]) for slot in bounds[1]]
             work, global_bytes, ops, phases, error = handle.call_launch(
                 marshalled, grid, block)
-            if error:
-                raise _region_error(error)
-            stats["native_dispatches"] += 1
-            report = state.report
-            report.dynamic_ops += int(ops)
-            report.global_bytes += global_bytes
+        else:
+            ranges, total = _iteration_space(regs, *bounds)
+            count(state)
+            work, global_bytes, ops, _, error = handle.call_span(
+                marshalled, ranges, total)
+        if error:
+            raise _region_error(error)
+        stats["native_dispatches"] += 1
+        report.dynamic_ops += int(ops)
+        report.global_bytes += global_bytes
+        if launch:
             report.simt_phases += int(phases)
             state.work[-1] += work
-        return run
-
-
-_NativeProgram.COMPILER = _NativeFunctionCompiler
+        else:
+            finish(state, total, work)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +615,7 @@ class NativeEngine(CompiledEngine):
     but never breaks.
     """
 
-    PROGRAM_CLS = _NativeProgram
+    ROW = "native"
 
     def run(self, function_name: str, arguments=()):
         # Strict (resilience-wrapped) runs surface the *cached* toolchain
@@ -711,7 +625,7 @@ class NativeEngine(CompiledEngine):
         # degrade (every region runs its compiled base plan).  A non-dyadic
         # machine model is a configuration, not a failure, and never raises.
         if (getattr(self, "_resilience_strict", False)
-                and self._program.native_enabled):
+                and self._program.exact_costs):
             require_toolchain()
         return super().run(function_name, arguments)
 
@@ -720,15 +634,3 @@ class NativeEngine(CompiledEngine):
         """Region-level telemetry: native vs. fallback regions, dispatches,
         artifact-cache hits, compile failures."""
         return dict(self._program.native_stats)
-
-
-def _make_native(module, *, machine=XEON_8375C, threads=None,
-                 collect_cost=True, max_dynamic_ops=None, workers=None):
-    # ``workers`` is a multicore-engine knob; OpenMP sizes the native teams.
-    return NativeEngine(module, machine=machine, threads=threads,
-                        collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
-
-
-register_engine(
-    "native", _make_native, order=2,  # ties with multicore; name breaks the tie
-    description="parallel regions transpiled to C and run as OpenMP shared objects")

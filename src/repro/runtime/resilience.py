@@ -477,13 +477,6 @@ class ResilientExecutor:
     def inner(self):
         return self._inner
 
-    @property
-    def __class__(self):
-        # Transparent-proxy idiom: ``isinstance(executor, MulticoreEngine)``
-        # sees the live engine's class through the wrapper.  Use ``type()``
-        # to detect the wrapper itself.
-        return type(self._inner)
-
     def run(self, function_name: str, arguments=()):
         from .errors import ResilienceError
 

@@ -30,7 +30,13 @@ Phases containing unsupported ops (nested parallelism, ``scf.while``,
 calls, deallocs, lane-varying loop bounds, ...) fall back *per phase* to
 the compiled closures — correctness never depends on the analyzer being
 complete.  Regions whose barriers sit under control flow fall back
-wholesale to the compiled generator scheduling.
+wholesale to the compiled generator scheduling.  Either way the reason is
+recorded on the region's plan (``engine.regions``).
+
+This module is a *body planner* (:func:`lanes`): the region shell in
+:mod:`repro.runtime.compiler` hands it a region's plan — phases already
+split, shared allocas already bound — and runs whatever it returns inside
+the same accounting the compiled engine uses.
 
 Cost accounting is computed analytically (per-op static cost × lane count,
 the same ``memory_access_cost`` formulas × access count).  Because every
@@ -61,23 +67,21 @@ import numpy as np
 
 from ..dialects import arith, memref as memref_d, scf
 from ..ir import MemRefType
+from ..analysis.region import LAUNCH, SIMT
 from .compiler import (
     CompiledEngine,
-    _BARRIER_OPS,
     _FunctionCompiler,
-    _Program,
-    _build_runner,
-    _iteration_space,
+    _Region,
     _split_executed,
     bind_shared_allocas,
     build_launch_thread_regs,
     build_parallel_thread_regs,
+    closures,
 )
-from .costmodel import MachineModel, XEON_8375C, op_cost
+from .costmodel import exact_cycles, op_cost
 from .errors import InterpreterError
 from .memory import MemRefStorage, dtype_for
 from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
-from .registry import register_engine
 
 _U = "u"  # uniform: one Python scalar (or storage) shared by all lanes
 _V = "v"  # varying: a full-width (num_lanes,) numpy array
@@ -91,24 +95,6 @@ _MAX_NESTING = 10
 
 class _Unsupported(Exception):
     """A phase contains an op the vectorizer cannot (profitably) handle."""
-
-
-def _exact_cycles(cost: float) -> bool:
-    """True if ``cost`` is an exact multiple of 2^-8 (binary fraction).
-
-    Sums of such values are exact in float64 (well below the 2^53 mantissa
-    budget for any realistic simulated run), which is what makes the
-    analytic ``cost * count`` accounting bit-identical to the interpreter's
-    sequential accumulation regardless of grouping.
-    """
-    scaled = cost * 256.0
-    return scaled == int(scaled)
-
-
-def machine_vectorizable(machine: MachineModel) -> bool:
-    """Whether the machine's per-access costs allow exact analytic charging."""
-    return (_exact_cycles(machine.local_access_cost)
-            and _exact_cycles(machine.global_access_cost * machine.hbm_bandwidth_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +279,7 @@ class _RegionVectorizer:
     conservatively as varying.
     """
 
-    def __init__(self, fc: "_VectorFunctionCompiler") -> None:
+    def __init__(self, fc: _FunctionCompiler) -> None:
         self.fc = fc
         self.program = fc.program
         self.local_cost = self.program.local_cost
@@ -338,7 +324,7 @@ class _RegionVectorizer:
         return self.kinds.get(slot, _U)
 
     def require_exact(self, cost: float) -> None:
-        if not _exact_cycles(cost):
+        if not exact_cycles(cost):
             raise _Unsupported(f"non-dyadic op cost {cost}")
 
     def register_fallback_defs(self, ops: Sequence) -> None:
@@ -968,32 +954,8 @@ class _RegionVectorizer:
 
 
 # ---------------------------------------------------------------------------
-# Region splitting and the mixed-mode adapter
+# The mixed-mode adapter
 # ---------------------------------------------------------------------------
-def _split_chunks(block) -> List[Tuple[List, int]]:
-    """Split a straight-line barrier body into (ops, dynamic-op count) phases.
-
-    Counting mirrors ``_FunctionCompiler.compile_chunks``: every op including
-    the barrier itself belongs to the chunk it terminates, and the block
-    terminator counts toward the last chunk.
-    """
-    ops, term = _split_executed(block)
-    chunks: List[Tuple[List, int]] = []
-    current: List = []
-    count = 0
-    for op in ops:
-        count += 1
-        if isinstance(op, _BARRIER_OPS):
-            chunks.append((current, count))
-            current, count = [], 0
-            continue
-        current.append(op)
-    if term is not None:
-        count += 1
-    chunks.append((current, count))
-    return chunks
-
-
 def _make_mixed_chunk(phase: _VectorPhase):
     """Adapt a vectorized phase to run between closure phases.
 
@@ -1040,211 +1002,99 @@ def _make_mixed_chunk(phase: _VectorPhase):
 
 
 # ---------------------------------------------------------------------------
-# The vector-aware function compiler
+# The lane body planner
 # ---------------------------------------------------------------------------
-class _VectorFunctionCompiler(_FunctionCompiler):
-    """Extends the compiled-engine function compiler with vectorized regions.
+def _vectorize_phases(fc: _FunctionCompiler, region: _Region, varying_slots):
+    """``("vec", phase) | ("closure", runner)`` per phase of the plan; every
+    phase the vectorizer declines is compiled to closures here, once, with
+    the reason recorded on the plan."""
+    rv = _RegionVectorizer(fc)
+    for slot in varying_slots:
+        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
+    plans = []
+    stats = fc.program.vector_stats
+    for ops, nops in region.plan.phases:
+        try:
+            phase = rv.vectorize_phase(ops, nops)
+        except _Unsupported as exc:
+            region.plan.refuse("vectorized", str(exc))
+            plans.append(("closure", fc.compile_phase(ops, nops)))
+            rv.register_fallback_defs(ops)
+            stats["closure_phases"] += 1
+            continue
+        plans.append(("vec", phase))
+        stats["vectorized_phases"] += 1
+    return plans
 
-    Each ``omp.wsloop`` / ``scf.parallel`` / ``gpu.launch`` is analyzed
-    phase-by-phase; vectorizable phases run as whole-grid NumPy functions,
-    the rest fall back to the inherited compiled closures — per phase when
-    barriers are straight-line, per region otherwise.
+
+def _vector_span_runner(iv_slots, phase):
+    """A span runner executing ``[start, stop)`` lanes of one phase.
+
+    Induction-variable grids are the row-major lane arrays sliced to
+    the span, so a sub-span sees exactly the lanes the sequential
+    engines would visit in that interval, in the same order.
     """
 
-    def _vectorize_chunks(self, chunk_specs, varying_slots):
-        rv = _RegionVectorizer(self)
-        for slot in varying_slots:
-            rv.mark_lane_index(slot)  # region lanes ARE the thread indices
-        plans = []
-        stats = self.program.vector_stats
-        for ops, nops in chunk_specs:
-            try:
-                phase = rv.vectorize_phase(ops, nops)
-            except _Unsupported:
-                steps = []
-                for op in ops:
-                    item = self.compile_op(op, gen=False)
-                    if item is not None:
-                        steps.append(item)
-                plans.append(("closure", _build_runner(steps, nops, gen=False)))
-                rv.register_fallback_defs(ops)
-                stats["closure_phases"] += 1
-                continue
-            plans.append(("vec", phase))
-            stats["vectorized_phases"] += 1
-        return plans
+    def run_span(state, regs, ranges, start, stop):
+        total = 1
+        for axis in ranges:
+            total *= len(axis)
+        end = total if stop is None else stop
+        count = end - start
+        if count <= 0:
+            return
+        for dst, grid in zip(iv_slots, _lane_arrays(ranges)):
+            regs[dst] = grid[start:end]
+        phase(state, regs, count, np.arange(count))
+    return run_span
 
-    @staticmethod
-    def _chunk_steps(plans):
-        return [(kind, plan if kind == "closure" else _make_mixed_chunk(plan))
-                for kind, plan in plans]
 
-    # -- OpenMP workshared loops -------------------------------------------------
-    def _wsloop_span_plan(self, op):
-        if not self.program.vector_enabled:
-            return super()._wsloop_span_plan(op)
-        ops, term = _split_executed(op.body)
-        nops = len(ops) + (1 if term is not None else 0)
-        iv_slots = self.slots(op.induction_vars)
-        plans = self._vectorize_chunks([(ops, nops)], iv_slots)
-        stats = self.program.vector_stats
-        if plans[0][0] != "vec":
-            # the closure steps built by _vectorize_chunks are discarded and
-            # the body recompiled by super() — duplicate one-time translation
-            # on the fallback path only, accepted to keep the inherited
-            # region bookkeeping in one place.
-            stats["fallback_regions"] += 1
-            return super()._wsloop_span_plan(op)
+def lanes(fc: _FunctionCompiler, region: _Region):
+    """The vectorized engine's body planner.
+
+    Each region is analyzed phase by phase; vectorizable phases run as
+    whole-grid NumPy functions, the rest as compiled closures — per phase
+    when barriers are straight-line (a *mixed* region), through
+    :func:`~repro.runtime.compiler.closures` for the whole region otherwise.
+    """
+    program, plan = fc.program, region.plan
+    if not program.exact_or_refuse(plan):
+        return closures(fc, region)
+    stats = program.vector_stats
+    if plan.phases is None:
+        stats["fallback_regions"] += 1
+        plan.refuse("vectorized", "barrier under control flow")
+        return closures(fc, region)
+    a = region.index_slots
+    plans = _vectorize_phases(fc, region, a[3:6] if plan.kind == LAUNCH else a)
+    n_vec = sum(1 for kind, _ in plans if kind == "vec")
+    num_phases = len(plans)
+    if n_vec == 0:
+        stats["fallback_regions"] += 1
+        return closures(fc, region, [runner for _, runner in plans])
+    full = n_vec == num_phases
+    if full:
         stats["vectorized_regions"] += 1
-        return self._vector_span_runner(iv_slots, plans[0][1].run)
-
-    @staticmethod
-    def _vector_span_runner(iv_slots, phase):
-        """A span runner executing ``[start, stop)`` lanes of one phase.
-
-        Induction-variable grids are the row-major lane arrays sliced to
-        the span, so a sub-span sees exactly the lanes the sequential
-        engines would visit in that interval, in the same order.
-        """
-
-        def run_span(state, regs, ranges, start, stop):
-            total = 1
-            for axis in ranges:
-                total *= len(axis)
-            end = total if stop is None else stop
-            count = end - start
-            if count <= 0:
-                return
-            for dst, grid in zip(iv_slots, _lane_arrays(ranges)):
-                regs[dst] = grid[start:end]
-            phase(state, regs, count, np.arange(count))
-        return run_span
-
-    # -- scf.parallel -------------------------------------------------------------
-    def _parallel_span_plan(self, op):
-        if not self.program.vector_enabled:
-            return super()._parallel_span_plan(op)
-        stats = self.program.vector_stats
-        iv_slots = self.slots(op.induction_vars)
-        ops, term = _split_executed(op.body)
-        nops = len(ops) + (1 if term is not None else 0)
-        plans = self._vectorize_chunks([(ops, nops)], iv_slots)
-        if plans[0][0] != "vec":
-            stats["fallback_regions"] += 1
-            return super()._parallel_span_plan(op)
-        stats["vectorized_regions"] += 1
-        return self._vector_span_runner(iv_slots, plans[0][1].run)
-
-    def _c_scf_parallel_simt(self, op):
-        if not self.program.vector_enabled:
-            return super()._c_scf_parallel_simt(op)
-        stats = self.program.vector_stats
-        program = self.program
-        machine = program.machine
-        fork_cost = machine.fork_cost
-        phase_cost = machine.simt_phase_cost
-        lb_slots = self.slots(op.lower_bounds)
-        ub_slots = self.slots(op.upper_bounds)
-        st_slots = self.slots(op.steps)
-        iv_slots = self.slots(op.induction_vars)
-
-        ops, _ = _split_executed(op.body)
-        straight = all(isinstance(o, _BARRIER_OPS) or not program.op_may_yield(o)
-                       for o in ops)
-        if not straight:
-            stats["fallback_regions"] += 1
-            return super()._c_scf_parallel_simt(op)
-        plans = self._vectorize_chunks(_split_chunks(op.body), iv_slots)
-        n_vec = sum(1 for kind, _ in plans if kind == "vec")
-        num_phases = len(plans)
-        if n_vec == 0:
-            stats["fallback_regions"] += 1
-            return super()._c_scf_parallel_simt(op)
-        if n_vec == num_phases:
-            stats["vectorized_regions"] += 1
-            phases = [plan.run for _, plan in plans]
-
-            def run(state, regs):
-                ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-                state.report.parallel_regions += 1
-                work_stack = state.work
-                work_stack.append(0.0)
-                executed = 0
-                if total:
-                    for dst, grid in zip(iv_slots, _lane_arrays(ranges)):
-                        regs[dst] = grid
-                    lanes = np.arange(total)
-                    for phase in phases:
-                        phase(state, regs, total, lanes)
-                    executed = num_phases
-                state.report.simt_phases += executed
-                work = work_stack.pop()
-                threads = min(state.threads, max(1, total))
-                work_stack[-1] += (fork_cost + work / state.program.speedup(threads)
-                                   + executed * phase_cost)
-
-            return run
-
+        region.tier = "vectorized"
+        phases = [phase.run for _, phase in plans]
+    else:
         stats["mixed_regions"] += 1
-        chunk_steps = self._chunk_steps(plans)
+        region.tier = "mixed"
+        chunk_steps = [(kind, step if kind == "closure" else _make_mixed_chunk(step))
+                       for kind, step in plans]
 
-        def run(state, regs):
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            state.report.parallel_regions += 1
-            work_stack = state.work
-            work_stack.append(0.0)
-            thread_regs = build_parallel_thread_regs(
-                regs, iv_slots, product(*ranges))
-            executed = 0
-            if thread_regs:
-                for kind, step in chunk_steps:
-                    if kind == "closure":
-                        for tregs in thread_regs:
-                            step(state, tregs)
-                    else:
-                        step(state, thread_regs)
-                executed = num_phases
-            state.report.simt_phases += executed
-            work = work_stack.pop()
-            threads = min(state.threads, max(1, total))
-            work_stack[-1] += (fork_cost + work / state.program.speedup(threads)
-                               + executed * phase_cost)
+        def run_threads(state, thread_regs):
+            for kind, step in chunk_steps:
+                if kind == "closure":
+                    for tregs in thread_regs:
+                        step(state, tregs)
+                else:
+                    step(state, thread_regs)
 
-        return run
-
-    # -- gpu.launch ---------------------------------------------------------------
-    def _launch_plan(self, op):
-        if not self.program.vector_enabled:
-            return super()._launch_plan(op)
-        stats = self.program.vector_stats
-        ops, _ = _split_executed(op.body)
-        straight = all(isinstance(o, _BARRIER_OPS) or not self.program.op_may_yield(o)
-                       for o in ops)
-        if not straight:
-            stats["fallback_regions"] += 1
-            return super()._launch_plan(op)
-        a = self.slots(op.body.arguments)
-        shared_allocas = []
-        saved_prebound = self._prebound
-        self._prebound = set(saved_prebound)
-        try:
-            for nested in op.body.operations:
-                if (isinstance(nested, memref_d.AllocaOp)
-                        and memref_d.is_shared_memref(nested.result)):
-                    shared_allocas.append((self.slot(nested.result), nested.memref_type))
-                    self._prebound.add(id(nested.result))
-            plans = self._vectorize_chunks(_split_chunks(op.body), a[3:6])
-        finally:
-            self._prebound = saved_prebound
-        n_vec = sum(1 for kind, _ in plans if kind == "vec")
-        num_phases = len(plans)
-        if n_vec == 0:
-            stats["fallback_regions"] += 1
-            return super()._launch_plan(op)
-        allocate = MemRefStorage.allocate
-        if n_vec == num_phases:
-            stats["vectorized_regions"] += 1
-            phases = [plan.run for _, plan in plans]
+    if plan.kind == LAUNCH:
+        shared_allocas = region.shared
+        if full:
+            allocate = MemRefStorage.allocate
 
             def run_blocks(state, regs, grid, block, start, stop):
                 g0, g1, g2 = grid
@@ -1255,7 +1105,7 @@ class _VectorFunctionCompiler(_FunctionCompiler):
                     return
                 tz_grid, ty_grid, tx_grid = _lane_arrays(
                     [range(b2), range(b1), range(b0)])
-                lanes = np.arange(nthreads)
+                lane_ids = np.arange(nthreads)
                 for linear in range(start, stop):
                     bx = linear % g0
                     by = (linear // g0) % g1
@@ -1275,13 +1125,9 @@ class _VectorFunctionCompiler(_FunctionCompiler):
                     for dst, mtype in shared_allocas:
                         regs[dst] = allocate(mtype, [])
                     for phase in phases:
-                        phase(state, regs, nthreads, lanes)
+                        phase(state, regs, nthreads, lane_ids)
                     report.simt_phases += num_phases
-
             return run_blocks
-
-        stats["mixed_regions"] += 1
-        chunk_steps = self._chunk_steps(plans)
 
         def run_blocks(state, regs, grid, block, start, stop):
             g0, g1 = grid[0], grid[1]
@@ -1295,34 +1141,32 @@ class _VectorFunctionCompiler(_FunctionCompiler):
                 bind_shared_allocas(shared_allocas, thread_regs)
                 if not thread_regs:
                     continue
-                for kind, step in chunk_steps:
-                    if kind == "closure":
-                        for tregs in thread_regs:
-                            step(state, tregs)
-                    else:
-                        step(state, thread_regs)
+                run_threads(state, thread_regs)
                 report.simt_phases += num_phases
-
         return run_blocks
 
+    if plan.kind == SIMT:
+        if full:
+            def run_grid(state, regs, ranges, total):
+                if not total:
+                    return 0
+                for dst, grid in zip(a, _lane_arrays(ranges)):
+                    regs[dst] = grid
+                lane_ids = np.arange(total)
+                for phase in phases:
+                    phase(state, regs, total, lane_ids)
+                return num_phases
+            return run_grid
 
-class _VectorProgram(_Program):
-    """Program flavour whose function compiler vectorizes parallel regions."""
+        def run_grid(state, regs, ranges, total):
+            thread_regs = build_parallel_thread_regs(regs, a, product(*ranges))
+            if not thread_regs:
+                return 0
+            run_threads(state, thread_regs)
+            return num_phases
+        return run_grid
 
-    def __init__(self, module, machine: MachineModel) -> None:
-        super().__init__(module, machine)
-        self.vector_enabled = machine_vectorizable(machine)
-        #: compile-time counters, filled as functions are first compiled.
-        self.vector_stats = {
-            "vectorized_regions": 0,
-            "mixed_regions": 0,
-            "fallback_regions": 0,
-            "vectorized_phases": 0,
-            "closure_phases": 0,
-        }
-
-
-_VectorProgram.COMPILER = _VectorFunctionCompiler
+    return _vector_span_runner(a, phases[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1338,21 +1182,9 @@ class VectorizedEngine(CompiledEngine):
     :class:`CostReport` fields stay bit-identical to the interpreter.
     """
 
-    PROGRAM_CLS = _VectorProgram
+    ROW = "vectorized"
 
     @property
     def vector_stats(self) -> Dict[str, int]:
         """Compile-time vectorization counters of the underlying program."""
         return self._program.vector_stats
-
-
-def _make_vectorized(module, *, machine=XEON_8375C, threads=None,
-                     collect_cost=True, max_dynamic_ops=None, workers=None):
-    # ``workers`` is a multicore-engine knob; the vectorized engine ignores it.
-    return VectorizedEngine(module, machine=machine, threads=threads,
-                            collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
-
-
-register_engine(
-    "vectorized", _make_vectorized, order=1,
-    description="whole-grid NumPy execution of barrier-delimited phases")

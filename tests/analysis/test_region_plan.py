@@ -1,0 +1,366 @@
+"""RegionPlan: one analysis per region, the facts every engine consumes.
+
+The plan replaces what each engine used to derive for itself, so its facts
+are checked against *independent* derivations, never against an engine that
+reads the plan: the interpreter's own phase counts, a copy of the capture
+walk ``codegen_c`` used to carry (its order is the C argument ABI), and the
+store-safety entry points called directly.  The remaining tests pin what
+the refactor is for: a region is analysed once whoever asks, a tier that
+declines a region says why, and the engine tower stays one function
+compiler with one definition of each region entry point.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis import contains_barrier
+from repro.analysis.region import LAUNCH, PARALLEL, SIMT, WSLOOP, RegionPlans
+from repro.analysis.store_safety import (_StoreSafety, launch_required_axes,
+                                         span_required_dims)
+from repro.dialects import func as func_d, gpu as gpu_d, omp as omp_d, scf
+from repro.frontend import compile_cuda
+from repro.moccuda import MocCUDASession
+from repro.rodinia import BENCHMARKS
+from repro.runtime import (A64FX_CMG, XEON_8375C, Interpreter, MulticoreEngine,
+                           NativeEngine, VectorizedEngine,
+                           clear_global_tuning_cache, make_executor,
+                           native_available, shutdown_worker_pools)
+from repro.runtime.codegen_c import RegionCodegen, UnsupportedRegion
+from repro.runtime.compiler import invalidate_compiled, program_for
+from repro.transforms import PipelineOptions
+from tests.helpers import generate_fuzz_kernel
+
+ROOT = Path(__file__).resolve().parents[2]
+REGION_OPS = (scf.ParallelOp, gpu_d.LaunchOp, omp_d.OmpWsLoopOp)
+FUZZ_SEEDS = 60
+
+needs_cc = pytest.mark.skipif(not native_available(),
+                              reason="no working cc -fopenmp")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _teardown_pools():
+    yield
+    shutdown_worker_pools()
+
+
+def _rodinia(variant):
+    for name in sorted(BENCHMARKS):
+        bench = BENCHMARKS[name]
+        module = (bench.compile_cuda(cuda_lower=False) if variant == "oracle"
+                  else bench.compile_cuda(PipelineOptions.all_optimizations()))
+        yield f"{name} [{variant}]", module, bench.entry, bench.make_inputs(1)
+
+
+def _fuzz():
+    for seed in range(FUZZ_SEEDS):
+        kernel = generate_fuzz_kernel(seed)
+        yield f"fuzz/{seed}", kernel.compile(), kernel.entry, kernel.make_args()
+        if kernel.has_barrier:
+            yield (f"fuzz-oracle/{seed}", kernel.compile(cuda_lower=False),
+                   kernel.entry, kernel.make_args())
+
+
+def _region_ops(module, entry):
+    """Region ops of ``entry`` and of every function it (transitively) calls:
+    the two backprop benchmarks share one source, so each module also holds
+    the other's kernel, which its entry never reaches."""
+    ops, pending, seen = [], [module.lookup(entry)], set()
+    while pending:
+        fn = pending.pop()
+        if fn is None or fn.is_declaration or id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for op in fn.walk():
+            if isinstance(op, REGION_OPS):
+                ops.append(op)
+            elif isinstance(op, func_d.CallOp):
+                pending.append(module.lookup(op.callee))
+    return ops
+
+
+def _captured_values(op):
+    """The capture walk ``codegen_c`` carried before the plan existed, kept
+    here as the reference for ``live_ins`` (its order is the C ABI)."""
+    defined = set()
+
+    def collect(operation):
+        defined.update(id(result) for result in operation.results)
+        for region in operation.regions:
+            for block in region.blocks:
+                defined.update(id(argument) for argument in block.arguments)
+                for nested in block.operations:
+                    collect(nested)
+
+    collect(op)
+    order, seen = [], set()
+
+    def visit(operation):
+        for operand in operation.operands:
+            if id(operand) not in defined and id(operand) not in seen:
+                seen.add(id(operand))
+                order.append(operand)
+        for region in operation.regions:
+            for block in region.blocks:
+                for nested in block.operations:
+                    visit(nested)
+
+    visit(op)
+    return order
+
+
+class _PhaseCountingInterpreter(Interpreter):
+    """Records ``(body ops, threads, phases)`` of every SIMT execution."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self.simt_runs = []
+
+    def _run_simt(self, ops, envs):
+        phases = super()._run_simt(ops, envs)
+        self.simt_runs.append((ops, len(envs), phases))
+        return phases
+
+
+def _check_plans(label, module, entry, arguments):
+    """Every plan fact of ``module`` against its independent derivation;
+    returns the number of regions checked."""
+    plans = RegionPlans(module)
+    program = program_for(module, XEON_8375C, "native")
+    ops = _region_ops(module, entry)
+    for op in ops:
+        plan = plans.plan(op)
+        where = f"{label}: {op.name}"
+        if isinstance(op, gpu_d.LaunchOp):
+            assert plan.kind == LAUNCH, where
+            direct = launch_required_axes(module, op)
+        elif isinstance(op, omp_d.OmpWsLoopOp):
+            assert plan.kind == WSLOOP, where
+            direct = span_required_dims(module, op)
+        elif contains_barrier(op, immediate_region_only=True):
+            assert plan.kind == SIMT, where
+            direct = None
+        else:
+            assert plan.kind == PARALLEL, where
+            direct = span_required_dims(module, op)
+        assert plan.parallel_proof == direct, where
+
+        captured = _captured_values(op)
+        assert [id(v) for v in plan.live_ins] == [id(v) for v in captured], where
+        if plan.kind != SIMT:
+            slots = {}
+            codegen = RegionCodegen(program, plan, "r",
+                                    lambda v: slots.setdefault(id(v), len(slots)))
+            try:
+                _, spec = (codegen.emit_launch() if plan.kind == LAUNCH
+                           else codegen.emit_span())
+            except UnsupportedRegion:
+                pass
+            else:
+                bound = (spec.int_slots + spec.float_slots
+                         + [buffer.slot for buffer in spec.buffers])
+                assert sorted(bound) == sorted(slots[id(v)] for v in captured), where
+
+    interpreter = _PhaseCountingInterpreter(module)
+    interpreter.run(entry, arguments)
+    by_body = {id(op.body.operations): plans.plan(op) for op in ops}
+    for body_ops, threads, phases in interpreter.simt_runs:
+        plan = by_body[id(body_ops)]
+        if plan.phases is not None and threads:
+            assert phases == len(plan.phases), f"{label}: {plan.kind}"
+    return len(ops)
+
+
+class TestPlanFacts:
+    @pytest.mark.parametrize("variant", ["cuda", "oracle"])
+    def test_rodinia_regions(self, variant):
+        regions = sum(_check_plans(*case) for case in _rodinia(variant))
+        assert regions == 13  # the same census as test_native_coverage
+
+    def test_fuzz_corpus(self):
+        assert sum(_check_plans(*case) for case in _fuzz()) >= FUZZ_SEEDS
+
+    def test_phase_counts_include_barrier_and_terminator(self):
+        module = BENCHMARKS["pathfinder"].compile_cuda(cuda_lower=False)
+        (launch,) = _region_ops(module, BENCHMARKS["pathfinder"].entry)
+        plan = RegionPlans(module).plan(launch)
+        assert plan.phases is not None and len(plan.phases) > 1
+        assert sum(count for _, count in plan.phases) == len(plan.body_ops) + 1
+        assert all(alloca.result.type.memory_space == "shared"
+                   for alloca in plan.shared_allocas) and plan.shared_allocas
+
+    def test_plans_are_shared_and_dropped_with_the_programs(self):
+        module = BENCHMARKS["matmul"].compile_cuda(PipelineOptions.all_optimizations())
+        compiled = program_for(module, XEON_8375C)
+        assert program_for(module, XEON_8375C, "native").plans is compiled.plans
+        assert program_for(module, A64FX_CMG, "vectorized").plans is compiled.plans
+        invalidate_compiled(module)
+        assert program_for(module, XEON_8375C).plans is not compiled.plans
+
+
+@needs_cc
+class TestAnalysedOnce:
+    def test_cold_auto_tune_runs_store_safety_once_per_region(self, monkeypatch):
+        """``auto`` builds the native and the multicore program of a module;
+        both ask for the proof, the analysis runs once."""
+        runs = []
+        real_run = _StoreSafety.run
+
+        def counting_run(self, ops):
+            runs.append(ops)
+            return real_run(self, ops)
+
+        monkeypatch.setattr(_StoreSafety, "run", counting_run)
+        regions = 0
+        for name in sorted(BENCHMARKS):
+            bench = BENCHMARKS[name]
+            module = bench.compile_cuda(PipelineOptions.all_optimizations())
+            clear_global_tuning_cache()
+            executor = make_executor(module, engine="auto", workers=2)
+            executor.run(bench.entry, bench.make_inputs(1))
+            measured = executor.auto_stats["measurements"]
+            assert any(tag.startswith("native") for tag in measured), name
+            regions += len(_region_ops(module, bench.entry))
+        assert regions == 13
+        assert len(runs) == regions
+
+
+UNINLINED_CALL_CUDA = """
+__device__ void put(float* out, int i, float v) { out[i] = v; }
+__global__ void k(float* out, int n) {
+    int tid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (tid < n) { put(out, tid, 1.0f * tid); }
+}
+void launch(float* out, int n) { k<<<(n + 31) / 32, 32>>>(out, n); }
+"""
+
+VARYING_BARRIER_CUDA = """
+__global__ void k(float* a, float* out, int n) {
+    int tx = threadIdx.x;
+    int gid = blockIdx.x * blockDim.x + tx;
+    __shared__ float buf[32];
+    buf[tx] = a[gid];
+    if (tx < 16) {
+        __syncthreads();
+    }
+    out[gid] = buf[0];
+}
+void launch(float* a, float* out, int n) { k<<<n / 32, 32>>>(a, out, n); }
+"""
+
+OWNED_CUDA = """
+__global__ void k(float* out, int n) {
+    int tid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (tid < n) { out[tid] = 1.0f * tid; }
+}
+void launch(float* out, int n) { k<<<(n + 31) / 32, 32>>>(out, n); }
+"""
+
+
+def _refusals(engine_cls, source, arguments, *, lower, **kwargs):
+    module = compile_cuda(source, cuda_lower=lower,
+                          options=PipelineOptions.all_optimizations())
+    engine = engine_cls(module, **kwargs)
+    engine.run("launch", arguments)
+    assert engine.regions
+    return [(region["tier"], region["refusals"]) for region in engine.regions]
+
+
+class TestRefusalReasons:
+    """One test per place a tier says no; each used to drop the reason."""
+
+    @needs_cc
+    def test_native_reports_the_emitters_reason(self):
+        arguments = [np.ones(64, np.float32), np.zeros(64, np.float32), 64]
+        ((tier, refusals),) = _refusals(NativeEngine, VARYING_BARRIER_CUDA,
+                                        arguments, lower=False)
+        assert tier == "closures"
+        assert refusals == ["native: barrier under thread-varying control flow"]
+
+    def test_vectorizer_reports_the_declined_phase(self):
+        ((tier, refusals),) = _refusals(VectorizedEngine, UNINLINED_CALL_CUDA,
+                                        [np.zeros(64, np.float32), 64], lower=False)
+        assert tier == "closures"
+        assert refusals == ["vectorized: op func.call is not vectorizable"]
+
+    def test_vectorizer_reports_barriers_under_control_flow(self):
+        arguments = [np.ones(64, np.float32), np.zeros(64, np.float32), 64]
+        ((tier, refusals),) = _refusals(VectorizedEngine, VARYING_BARRIER_CUDA,
+                                        arguments, lower=False)
+        assert tier == "closures"
+        assert refusals == ["vectorized: barrier under control flow"]
+
+    def test_unproven_store_safety_is_reported(self):
+        ((tier, refusals),) = _refusals(MulticoreEngine, UNINLINED_CALL_CUDA,
+                                        [np.zeros(64, np.float32), 64],
+                                        lower=False, workers=2)
+        assert tier == "closures"
+        assert len(refusals) == 1 and refusals[0].startswith("parallel: store-safety")
+
+    @pytest.mark.parametrize("engine_cls", [VectorizedEngine, MulticoreEngine,
+                                            NativeEngine])
+    def test_non_dyadic_machine_is_reported(self, engine_cls):
+        ((tier, refusals),) = _refusals(engine_cls, OWNED_CUDA,
+                                        [np.zeros(64, np.float32), 64],
+                                        lower=True, machine=A64FX_CMG)
+        assert tier == "closures"
+        assert refusals == [f"{engine_cls.ROW}: machine model is not dyadic"]
+
+    def test_moccuda_default_machine_no_longer_refuses_silently(self):
+        """``MocCUDASession(engine="native")`` runs every launch on the
+        compiled closures (the ledger's ``shim.native_region_share = 0``
+        lead): its default A64FX model is not dyadic.  Now it says so."""
+        with MocCUDASession(engine="native") as session:
+            log_probs = np.log(np.full((8, 4), 0.25, dtype=np.float32))
+            session.nll_loss(log_probs, np.zeros(8, dtype=np.int32))
+            (kernel,) = session._kernels.values()
+        regions = make_executor(kernel.module, engine="native",
+                                machine=session.machine).regions
+        assert regions
+        for region in regions:
+            assert region["function"] and region["kind"] and region["tier"] == "closures"
+            assert "native: machine model is not dyadic" in region["refusals"]
+
+
+class TestTowerCensus:
+    """The lattice this refactor removed must not grow back unnoticed."""
+
+    RUNTIME = ROOT / "src" / "repro" / "runtime"
+    HOOKS = ("_c_omp_wsloop", "_c_scf_parallel", "_c_scf_parallel_simt",
+             "_c_gpu_launch", "_wsloop_span_plan", "_parallel_span_plan",
+             "_launch_plan")
+
+    def _sources(self):
+        return {path.name: path.read_text() for path in self.RUNTIME.glob("*.py")}
+
+    def test_each_region_hook_is_defined_at_most_once(self):
+        text = "\n".join(self._sources().values())
+        for hook in self.HOOKS:
+            assert len(re.findall(rf"def {hook}\(", text)) <= 1, hook
+        for entry in self.HOOKS[:4]:
+            assert len(re.findall(rf"def {entry}\(", text)) == 1, entry
+
+    def test_one_function_compiler_no_mixins(self):
+        classes = re.findall(r"^class (\w+)", "\n".join(self._sources().values()),
+                             flags=re.MULTILINE)
+        assert [name for name in classes if name.endswith("FunctionCompiler")] \
+            == ["_FunctionCompiler"]
+        assert [name for name in classes if name.endswith("Program")] == ["_Program"]
+        assert not [name for name in classes if name.endswith("Mixin")]
+
+    def test_region_facts_are_read_from_the_plan(self):
+        sources = self._sources()
+        callers = {name for name, text in sources.items()
+                   if "is_shared_memref(" in text}
+        assert callers == {"interpreter.py", "codegen_c.py"}
+        assert sources["codegen_c.py"].count("is_shared_memref(") == 1
+        assert not any("straight = all(" in text for text in sources.values())
+
+    def test_analysis_and_transforms_do_not_import_the_runtime(self):
+        for package in ("analysis", "transforms"):
+            for path in (ROOT / "src" / "repro" / package).glob("*.py"):
+                assert not re.search(r"^\s*(from|import) .*\bruntime\b",
+                                     path.read_text(), flags=re.MULTILINE), path

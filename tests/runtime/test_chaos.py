@@ -223,7 +223,7 @@ class TestFaultMatrix:
         engine.run("launch", second)
         np.testing.assert_array_equal(second[0], expected)
         assert engine.shard_stats["dispatches"] == 3
-        pools = list(engine._program._pools.values())
+        pools = list(engine._program.shards.pools.values())
         assert len(pools) == 1 and pools[0].alive()
 
     @needs_pool

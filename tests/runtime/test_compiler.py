@@ -246,9 +246,10 @@ class TestInlineTemplates:
 class TestEngineSelection:
     def test_make_executor_types(self):
         module = func.ModuleOp()
-        assert isinstance(make_executor(module, engine="interp"), Interpreter)
-        assert isinstance(make_executor(module, engine="compiled"), CompiledEngine)
-        assert isinstance(make_executor(module), CompiledEngine)  # default
+        # interp is the floor of the fallback chain and is never wrapped
+        assert type(make_executor(module, engine="interp")) is Interpreter
+        assert type(make_executor(module, engine="compiled").inner) is CompiledEngine
+        assert type(make_executor(module).inner) is CompiledEngine  # default
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -257,9 +258,9 @@ class TestEngineSelection:
     def test_env_var_overrides_default(self, monkeypatch):
         module = func.ModuleOp()
         monkeypatch.setenv("REPRO_ENGINE", "interp")
-        assert isinstance(make_executor(module), Interpreter)
+        assert type(make_executor(module)) is Interpreter
         monkeypatch.setenv("REPRO_ENGINE", "compiled")
-        assert isinstance(make_executor(module), CompiledEngine)
+        assert type(make_executor(module).inner) is CompiledEngine
 
 
 class TestCompileCache:

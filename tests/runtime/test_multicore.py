@@ -1,11 +1,11 @@
-"""Multicore engine unit tests: registry, shard analysis, knobs, budget.
+"""Multicore engine unit tests: engine table, shard analysis, knobs, budget.
 
 Output/cost parity with the interpreter over the full Rodinia matrix lives
 in ``test_engine_parity.py``; this file pins the engine-specific machinery:
-the registration-based engine registry, the write-write-safety analysis
-decisions (what shards, what must stay in-process), the worker/inner knobs
-and their environment variables, budget enforcement across shards, and the
-caller-visible output contract after shared-memory promotion.
+the static engine table, the write-write-safety analysis decisions (what
+shards, what must stay in-process), the worker knob and its environment
+variable, budget enforcement across shards, and the caller-visible output
+contract after shared-memory promotion.
 """
 
 import numpy as np
@@ -21,17 +21,13 @@ from repro.runtime import (
     engine_names,
     make_executor,
     multicore_available,
-    register_engine,
     resolve_engine,
     shutdown_worker_pools,
 )
 from repro.runtime.multicore import (
-    INNER_COMPILED,
-    INNER_VECTORIZED,
     WORKERS_ENV_VAR,
     _split_spans,
     default_workers,
-    resolve_inner,
 )
 from repro.transforms import PipelineOptions
 
@@ -143,21 +139,9 @@ class TestEngineRegistry:
         module = compile_cuda(OWNED_CUDA, cuda_lower=True,
                               options=PipelineOptions.all_optimizations())
         executor = make_executor(module, engine="multicore", workers=3)
-        assert isinstance(executor, MulticoreEngine)
+        assert executor.engine_name == "multicore"
+        assert type(executor.inner) is MulticoreEngine
         assert executor.workers == 3
-
-    def test_self_registration_extends_the_registry(self):
-        sentinel = object()
-        register_engine("test-dummy", lambda module, **kwargs: sentinel,
-                        order=99, description="test")
-        try:
-            assert "test-dummy" in engine_names()
-            module = compile_cuda(OWNED_CUDA)
-            assert make_executor(module, engine="test-dummy") is sentinel
-        finally:
-            from repro.runtime.registry import _DESCRIPTIONS, _FACTORIES, _ORDERS
-            for table in (_FACTORIES, _DESCRIPTIONS, _ORDERS):
-                table.pop("test-dummy", None)
 
 
 class TestKnobs:
@@ -171,20 +155,6 @@ class TestKnobs:
         module = compile_cuda(OWNED_CUDA)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             MulticoreEngine(module, workers=0)
-
-    def test_inner_env_and_validation(self, monkeypatch):
-        assert resolve_inner(None) == INNER_COMPILED
-        monkeypatch.setenv("REPRO_MULTICORE_INNER", INNER_VECTORIZED)
-        assert resolve_inner(None) == INNER_VECTORIZED
-        with pytest.raises(ValueError, match="unknown multicore inner engine"):
-            resolve_inner("interp")
-
-    def test_inner_selects_program_flavour(self):
-        module = compile_cuda(OWNED_CUDA, cuda_lower=True,
-                              options=PipelineOptions.all_optimizations())
-        compiled_flavour = MulticoreEngine(module, workers=1, inner="compiled")
-        vector_flavour = MulticoreEngine(module, workers=1, inner="vectorized")
-        assert type(compiled_flavour._program) is not type(vector_flavour._program)
 
     def test_split_spans_contiguous_and_balanced(self):
         assert _split_spans(10, 3) == [(0, 4), (4, 7), (7, 10)]
@@ -298,7 +268,7 @@ class TestExecution:
         engine.run(bench.entry, bench.make_inputs(1))
         engine.run(bench.entry, bench.make_inputs(1))
         assert engine.shard_stats["dispatches"] == 2
-        assert len(engine._program._pools) == 1
+        assert len(engine._program.shards.pools) == 1
 
     @needs_pool
     def test_aliased_arguments_stay_in_process(self):
@@ -350,8 +320,8 @@ class TestExecution:
         engine.run("launch", [out, data, n])
         assert engine.shard_stats["dispatches"] == 0
         assert engine.shard_stats["inline_runs"] >= 1
-        assert engine._program._pool_broken
-        assert not engine._program._pools  # idle workers released, not leaked
+        assert engine._program.shards.broken
+        assert not engine._program.shards.pools  # idle workers released, not leaked
         np.testing.assert_array_equal(out, data * 3.0)
 
     @needs_pool
@@ -405,15 +375,14 @@ class TestExecution:
         assert sharedmem.owned_segment_count() == 0
 
     @needs_pool
-    @pytest.mark.parametrize("inner", [INNER_COMPILED, INNER_VECTORIZED])
-    def test_inner_flavours_agree_with_interpreter(self, inner):
+    def test_workers_agree_with_interpreter(self):
         bench = BENCHMARKS["matmul"]
         module = bench.compile_cuda(PipelineOptions.all_optimizations())
         reference_args = bench.make_inputs(2)
         interpreter = Interpreter(module)
         interpreter.run(bench.entry, reference_args)
         engine_args = bench.make_inputs(2)
-        engine = MulticoreEngine(module, workers=2, inner=inner)
+        engine = MulticoreEngine(module, workers=2)
         engine.run(bench.entry, engine_args)
         np.testing.assert_array_equal(np.asarray(reference_args[2]),
                                       np.asarray(engine_args[2]))

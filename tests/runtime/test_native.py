@@ -349,13 +349,13 @@ class TestArtifactCache:
         the content-addressed key depends on it."""
         from repro.dialects import omp as omp_d
         from repro.runtime.codegen_c import RegionCodegen
-        from repro.runtime.native import _NativeFunctionCompiler, _NativeProgram
+        from repro.runtime.compiler import _FunctionCompiler, program_for
 
         def region_source():
             module = _lowered(QUICK_CUDA)
-            program = _NativeProgram(module, XEON_8375C)
+            program = program_for(module, XEON_8375C, "native")
             fn = module.lookup("launch")
-            compiler = _NativeFunctionCompiler(program, fn, False)
+            compiler = _FunctionCompiler(program, fn, False)
 
             def find(block):
                 for op in block.operations:
@@ -369,7 +369,8 @@ class TestArtifactCache:
                 return None
 
             wsloop = find(fn.body_block)
-            codegen = RegionCodegen(program, wsloop, "r", compiler.slot)
+            codegen = RegionCodegen(program, program.plans.plan(wsloop), "r",
+                                    compiler.slot)
             return codegen.emit_span()[0]
 
         assert region_source() == region_source()
@@ -427,32 +428,34 @@ class TestLazyRegistry:
                               capture_output=True, env=environment, timeout=120)
 
     def test_membership_before_engine_import(self):
-        """`"native" in ENGINES` must hold before any engine module loads:
-        the membership test itself triggers one targeted lazy import."""
+        """The engine table is static: importing the package loads no engine
+        module, and which names are valid does not depend on which engine
+        modules have been imported."""
         code = (
             "import sys\n"
             "import repro.runtime as rt\n"
-            "assert 'repro.runtime.native' not in sys.modules\n"
-            "assert 'repro.runtime.engine' not in sys.modules\n"
+            "for name in ('engine', 'native', 'compiler', 'vectorizer',\n"
+            "             'multicore', 'interpreter', 'autotune'):\n"
+            "    assert f'repro.runtime.{name}' not in sys.modules, name\n"
+            "assert rt.ENGINE_NATIVE == 'native'\n"
             "assert 'native' in rt.ENGINES\n"
-            "assert 'repro.runtime.native' in sys.modules\n"
-            "assert 'repro.runtime.engine' not in sys.modules\n"
             "assert 'no-such-engine' not in rt.ENGINES\n"
         )
         completed = self._run(code)
         assert completed.returncode == 0, completed.stderr.decode()
 
     def test_env_selected_engine_resolves_before_registration(self):
-        """REPRO_ENGINE=native validates through the factory lookup even
-        when the registry is consulted before any engine import."""
+        """REPRO_ENGINE=native validates and builds whichever module gets
+        imported first — there is no registration to race."""
         code = (
-            "from repro.runtime import registry\n"
-            "factory = registry.engine_factory('native')\n"
-            "assert callable(factory)\n"
-            "assert registry.engine_names()[:3] == "
-            "('compiled', 'vectorized', 'multicore')\n"
+            "import repro.runtime.interpreter\n"
             "import repro.runtime as rt\n"
+            "assert rt.engine_names()[:3] == "
+            "('compiled', 'vectorized', 'multicore')\n"
             "assert rt.resolve_engine() == 'native'\n"
+            "from repro.dialects import func\n"
+            "executor = rt.make_executor(func.ModuleOp())\n"
+            "assert type(executor.inner).__name__ == 'NativeEngine'\n"
         )
         completed = self._run(code, REPRO_ENGINE="native")
         assert completed.returncode == 0, completed.stderr.decode()

@@ -467,8 +467,7 @@ class TestResilientExecutor:
         rebuild, _ = _stub_rebuild({})
         executor = ResilientExecutor(stub, "native", rebuild,
                                      log=ResilienceLog())
-        assert isinstance(executor, _StubEngine)  # __class__ proxy
-        assert type(executor) is ResilientExecutor  # type() sees the wrapper
+        assert type(executor) is ResilientExecutor
         assert executor.workers == 3  # __getattr__ delegation
         assert executor.inner is stub
         assert stub._resilience_strict  # wrapped engines run strict

@@ -14,7 +14,7 @@ TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 
 KNOBS = {
     # engine selection and sizing
-    "REPRO_ENGINE", "REPRO_WORKERS", "REPRO_MULTICORE_INNER", "REPRO_CC",
+    "REPRO_ENGINE", "REPRO_WORKERS", "REPRO_CC",
     # cache tiers
     "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_CACHE_CAPACITY",
     # autotuner measurement loop
@@ -35,7 +35,7 @@ def _source_tokens():
 
 
 def test_source_knobs_equal_the_pinned_list():
-    assert len(KNOBS) == 17
+    assert len(KNOBS) == 16
     assert _source_tokens() == KNOBS
 
 

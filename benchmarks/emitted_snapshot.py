@@ -1,31 +1,41 @@
 """Record everything the engines *emit* for a fixed module set, to diff two commits.
 
-A refactor of the scalar-op emitters must change where a form is written,
-not what is emitted.  This script makes that checkable: for the 12
-ledger-corpus kernels (cpuified, ``PipelineOptions.all_optimizations()``),
-the 12 Rodinia SIMT-oracle modules and — for op variety the Rodinia kernels
-lack — the differential-fuzz corpus, it runs each module once per engine and
-records
+A refactor of an emitter must change where a form is written, not what is
+emitted.  This script makes that checkable: for the 12 ledger-corpus kernels
+(cpuified, ``PipelineOptions.all_optimizations()``), the 12 Rodinia
+SIMT-oracle modules and — for op variety the Rodinia kernels lack — the
+differential-fuzz corpus, it runs each module once per engine and records
 
-* the generated Python source of every block runner the compiled engine
-  builds and every phase function the vectorized engine builds (captured at
-  the ``exec`` call), and
+* the generated Python source of every function the compiled engine
+  finalises (one per function body, region phase and ``omp`` body since
+  PR 15; one per block before) and every phase function the vectorized
+  engine builds (captured at the ``exec`` call), and
 * the assembled C source of every native unit with its ``native.unit_key``.
 
 ``--diff`` gives two verdicts, because the two kinds of output have
 different contracts.  C sources and unit keys address the ``.so`` cache, so
 any difference there is a changed artifact.  Generated Python is private to
-one process: a slot or generated-name renumbering, or a block that is simply
-no longer compiled, changes the text and nothing else.  Python differences
-are therefore classified per module (``renumbered`` / ``fewer blocks``
-/ ``other``) and the first differing source pair is printed, so the cause
-can be named rather than guessed.
+one process: a slot or generated-name renumbering, a block that is simply
+no longer compiled, or blocks now inlined into the function that runs them
+change the text and nothing else.  Python differences are therefore
+classified per module (``renumbered`` / ``fewer blocks`` / ``whole
+functions`` / ``other``) and the first differing source pair is printed, so
+the cause can be named rather than guessed.
+
+``--c-digest`` is the C verdict without a parent checkout: one SHA-256 over
+the assembled C sources of the 108 modules in a fixed order (the sources,
+not the unit keys, so that ``REPRO_CC`` does not enter), compared with the
+committed ``benchmarks/emitted_c.sha256``.  It fails when the digest moved
+while ``NATIVE_FORMAT`` did not — an emitter change that forgot it changes
+every cached artifact's meaning — and skips where ``cc -fopenmp`` is
+missing, because the sources are captured where native units seal.
 
 Usage, from any checkout::
 
     python benchmarks/emitted_snapshot.py --out change.json
     python benchmarks/emitted_snapshot.py --root /path/to/parent --out parent.json
     python benchmarks/emitted_snapshot.py --diff parent.json change.json
+    python benchmarks/emitted_snapshot.py --c-digest
 """
 
 from __future__ import annotations
@@ -52,33 +62,16 @@ def _digest(texts) -> str:
     return hasher.hexdigest()
 
 
-def snapshot(root: Path) -> dict:
+def _modules(root: Path):
+    """``(label, build, entry, make_args)`` of the 108 modules, in a fixed
+    order; puts ``root`` on ``sys.path`` first."""
     os.environ.pop("REPRO_CACHE", None)
     sys.path[:0] = [str(root / "src"), str(root), str(root / "benchmarks" / "ledger")]
     import corpus  # the ledger's frozen corpus (benchmarks/ledger/corpus)
     from repro.frontend import compile_cuda
     from repro.rodinia import BENCHMARKS
-    from repro.runtime import compiler, make_executor, native, vectorizer
     from repro.transforms import PipelineOptions
     from tests.helpers import generate_fuzz_kernel
-
-    emitted = []
-
-    def spy_exec(source, namespace):
-        emitted.append(source)
-        exec(source, namespace)  # noqa: S102 - forwards the engines' own codegen
-
-    compiler.exec = spy_exec      # module globals shadow the builtin
-    vectorizer.exec = spy_exec
-    units = []
-    real_unit_key = native.unit_key
-
-    def spy_unit_key(source):
-        key = real_unit_key(source)
-        units.append((key, source))
-        return key
-
-    native.unit_key = spy_unit_key
 
     modules = []
     options = PipelineOptions.all_optimizations()
@@ -107,6 +100,39 @@ def snapshot(root: Path) -> dict:
                 f"fuzz-oracle/{seed}",
                 lambda fuzz=fuzz: fuzz.compile(cuda_lower=False),
                 fuzz.entry, lambda fuzz=fuzz: fuzz.make_args()))
+    return modules
+
+
+def _spy_units() -> list:
+    """The ``(unit key, assembled C source)`` list native units append to
+    as they seal."""
+    from repro.runtime import native
+
+    units = []
+    real_unit_key = native.unit_key
+
+    def spy_unit_key(source):
+        key = real_unit_key(source)
+        units.append((key, source))
+        return key
+
+    native.unit_key = spy_unit_key
+    return units
+
+
+def snapshot(root: Path) -> dict:
+    modules = _modules(root)
+    from repro.runtime import compiler, make_executor, vectorizer
+
+    emitted = []
+
+    def spy_exec(source, namespace):
+        emitted.append(source)
+        exec(source, namespace)  # noqa: S102 - forwards the engines' own codegen
+
+    compiler.exec = spy_exec      # module globals shadow the builtin
+    vectorizer.exec = spy_exec
+    units = _spy_units()
 
     record = {}
     for label, build, entry, make_args in modules:
@@ -125,6 +151,38 @@ def snapshot(root: Path) -> dict:
     return record
 
 
+def c_digest(root: Path) -> int:
+    """Print ``NATIVE_FORMAT=<n> sha256=<digest> modules=<count>`` and
+    compare it with the committed line (module docstring)."""
+    modules = _modules(root)
+    from repro.runtime import make_executor, native
+
+    if not native.native_available():
+        print("cc -fopenmp unavailable: no native unit seals here - "
+              "emitted-C digest skipped")
+        return 0
+    units = _spy_units()
+    sources = []
+    for _, build, entry, make_args in modules:
+        del units[:]
+        make_executor(build(), engine="native").run(entry, make_args())
+        sources.extend(sorted(source for _, source in units))
+    line = (f"NATIVE_FORMAT={native.NATIVE_FORMAT} sha256={_digest(sources)} "
+            f"modules={len(modules)}")
+    print(line)
+    committed = (root / "benchmarks" / "emitted_c.sha256").read_text().strip()
+    if line == committed:
+        return 0
+    if committed.split()[0] == line.split()[0]:
+        print(f"committed: {committed}\nthe emitted C changed but NATIVE_FORMAT "
+              "did not: bump it in src/repro/runtime/native.py, then commit the "
+              "line above as benchmarks/emitted_c.sha256", file=sys.stderr)
+    else:
+        print(f"committed: {committed}\nNATIVE_FORMAT moved: commit the line "
+              "above as benchmarks/emitted_c.sha256", file=sys.stderr)
+    return 1
+
+
 #: a slot reference or a generated name (``_f12``, ``_vphase3``, ``_t7``).
 _NUMBERED = re.compile(r"regs\[\d+\]|\b_[a-z]+\d+\b")
 
@@ -132,6 +190,14 @@ _NUMBERED = re.compile(r"regs\[\d+\]|\b_[a-z]+\d+\b")
 def _shape(source: str) -> str:
     """``source`` with every slot index and generated-name suffix blanked."""
     return _NUMBERED.sub(lambda match: re.sub(r"\d+", "#", match.group()), source)
+
+
+def _assignments(sources) -> Counter:
+    """The register-assignment lines of ``sources`` with numbering and
+    indentation blanked: what the ops compute, whichever function holds them."""
+    return Counter(line.strip() for source in sources
+                   for line in _shape(source).splitlines()
+                   if line.lstrip().startswith("regs[#]"))
 
 
 def _python_cause(parent_sources, change_sources) -> str:
@@ -142,6 +208,11 @@ def _python_cause(parent_sources, change_sources) -> str:
         return "renumbered"
     if not after - before:
         return "fewer blocks"  # the same sources up to numbering, minus some
+    if (len(change_sources) <= len(parent_sources)
+            and not _assignments(parent_sources) - _assignments(change_sources)):
+        # no more sources, holding every assignment the parent's held: blocks
+        # inlined into the function that runs them, under its one prologue
+        return "whole functions"
     return "other"
 
 
@@ -212,9 +283,13 @@ def main() -> int:
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--out")
     parser.add_argument("--diff", nargs=2, metavar=("PARENT", "CHANGE"))
+    parser.add_argument("--c-digest", action="store_true",
+                        help="check the emitted C against benchmarks/emitted_c.sha256")
     args = parser.parse_args()
     if args.diff:
         return diff(*args.diff)
+    if args.c_digest:
+        return c_digest(Path(args.root).resolve())
     record = snapshot(Path(args.root).resolve())
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True))
     print(f"{len(record)} modules -> {args.out}")

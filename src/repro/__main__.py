@@ -40,6 +40,9 @@ def _add_address_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from .service.admission import (DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_DEPTH,
+                                    DEFAULT_QUEUE_TIMEOUT_S)
+
     parser = argparse.ArgumentParser(
         prog="repro", description="repro command-line interface")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -52,13 +55,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "default: process default / REPRO_ENGINE)")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker processes in the multicore engine's pool")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       help="concurrent request cap (REPRO_SERVE_INFLIGHT)")
-    serve.add_argument("--queue-depth", type=int, default=None,
-                       help="bounded wait queue depth (REPRO_SERVE_QUEUE)")
-    serve.add_argument("--queue-timeout", type=float, default=None,
-                       help="seconds a queued request may wait "
-                            "(REPRO_SERVE_QUEUE_TIMEOUT_S)")
+    serve.add_argument("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT,
+                       help="concurrent request cap")
+    serve.add_argument("--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
+                       help="bounded wait queue depth")
+    serve.add_argument("--queue-timeout", type=float, default=DEFAULT_QUEUE_TIMEOUT_S,
+                       help="seconds a queued request may wait")
 
     for name, help_text in (("stats", "print a running daemon's stats JSON"),
                             ("shutdown", "stop a running daemon")):

@@ -55,7 +55,8 @@ class RegionPlan:
       order is the argument ABI of the emitted C.
     * ``parallel_proof`` — the store-safety verdict: the dims / grid axes
       that must have extent 1 for iterations to run concurrently, or
-      ``None`` when write-write safety cannot be proven (SIMT regions are
+      ``None`` when write-write safety cannot be proven — the analysis'
+      reason is then recorded as a ``parallel`` refusal (SIMT regions are
       never asked).  Computed on first use, once, whoever asks.
     * ``refusals`` — ``(capability, reason)`` pairs recorded where an
       execution tier declined the region.  Plans are shared by every
@@ -127,12 +128,12 @@ class RegionPlan:
             if self.kind == SIMT:
                 self._proof = None
             else:
-                prove = (launch_required_axes if self.kind == LAUNCH
-                         else span_required_dims)
-                self._proof = prove(self._module, self.op)
-                if self._proof is None:
-                    self.refuse("parallel", "store-safety analysis cannot "
-                                "prove the region's stores write-write safe")
+                self._proof, reason = (
+                    launch_required_axes(self._module, self.op, self.shared_allocas)
+                    if self.kind == LAUNCH
+                    else span_required_dims(self._module, self.op))
+                if reason is not None:
+                    self.refuse("parallel", reason)
         return self._proof
 
     def refuse(self, capability: str, reason: str) -> None:

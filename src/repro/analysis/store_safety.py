@@ -409,9 +409,10 @@ def _callee_shard_safe(module, fn, cache: Dict[int, bool],
 # The seeding below is soundness-critical — it decides when real parallel
 # execution (worker shards here, OpenMP teams in the native engine) is
 # unobservable — so both engines share this single implementation.
-def span_required_dims(module, op) -> Optional[FrozenSet[int]]:
-    """Required-singleton dims of an iteration-space region, or ``None``
-    when the store analysis cannot prove write-write safety at all."""
+def span_required_dims(module, op) -> Tuple[Optional[FrozenSet[int]], Optional[str]]:
+    """``(required-singleton dims, None)`` of an iteration-space region, or
+    ``(None, why)`` when the store analysis cannot prove write-write safety
+    at all."""
     analysis = _StoreSafety(module, len(op.induction_vars))
     for dim, induction_var in enumerate(op.induction_vars):
         lower = _const_int(op.lower_bounds[dim])
@@ -419,14 +420,14 @@ def span_required_dims(module, op) -> Optional[FrozenSet[int]]:
         bound = (id(op.upper_bounds[dim])
                  if lower == 0 and step == 1 else None)
         analysis.seed_lane(induction_var, dim, bound)
-    try:
-        return analysis.run(split_executed(op.body)[0])
-    except _Unsafe:
-        return None
+    return _verdict(analysis, op)
 
 
-def launch_required_axes(module, op) -> Optional[FrozenSet[int]]:
-    """Required-singleton grid axes of a launch block grid, or ``None``."""
+def launch_required_axes(module, op, shared_allocas: Sequence
+                         ) -> Tuple[Optional[FrozenSet[int]], Optional[str]]:
+    """``(required-singleton grid axes, None)`` of a launch block grid, or
+    ``(None, why)``; ``shared_allocas`` are the launch's block-shared
+    buffers (``RegionPlan.shared_allocas``)."""
     arguments = op.body.arguments
     analysis = _StoreSafety(module, 3)
     for axis in range(3):
@@ -435,13 +436,14 @@ def launch_required_axes(module, op) -> Optional[FrozenSet[int]]:
         # the canonical bx*blockDim + tx global-index pattern.
         analysis.seed_bounded_uniform(arguments[3 + axis],
                                       id(arguments[9 + axis]))
-    for nested in op.body.operations:
-        if (isinstance(nested, memref_d.AllocaOp)
-                and memref_d.is_shared_memref(nested.result)):
-            # block-shared buffers are block-private: a block never
-            # straddles a shard boundary.
-            analysis.private.add(id(nested.result))
+    # block-shared buffers are block-private: a block never straddles a
+    # shard boundary.
+    analysis.private.update(id(alloca.result) for alloca in shared_allocas)
+    return _verdict(analysis, op)
+
+
+def _verdict(analysis: _StoreSafety, op):
     try:
-        return analysis.run(split_executed(op.body)[0])
-    except _Unsafe:
-        return None
+        return analysis.run(split_executed(op.body)[0]), None
+    except _Unsafe as exc:
+        return None, str(exc)

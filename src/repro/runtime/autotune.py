@@ -144,25 +144,39 @@ def module_content_key(module) -> str:
     return key
 
 
-def argument_signature(arguments: Sequence) -> str:
-    """A stable rendering of the argument shapes/dtypes (plus scalar values).
-
-    Arrays contribute shape, dtype and writability (the tuner's snapshot
-    and parity sets); scalars contribute their value, because integer
-    scalars typically size the iteration space and therefore shift the
-    engine break-even points.
+def _argument_facts(arguments: Sequence) -> Tuple:
+    """Per argument, what a tuning key depends on — the one place that
+    decides it.  Arrays contribute dtype, shape and writability (the tuner's
+    snapshot and parity sets); scalars contribute their value, because
+    integer scalars typically size the iteration space and therefore shift
+    the engine break-even points; anything else only its type.  The key
+    text (:func:`argument_signature`) renders these facts and the auto
+    engine's steady-state path compares them, so the two cannot disagree.
     """
+    return tuple(
+        (argument.dtype, argument.shape, argument.flags.writeable)
+        if isinstance(argument, np.ndarray)
+        else (type(argument).__name__, repr(argument))
+        if isinstance(argument, (bool, int, float, np.integer, np.floating))
+        else (type(argument).__name__,)
+        for argument in arguments)
+
+
+def _signature_text(facts: Tuple) -> str:
     parts: List[str] = []
-    for argument in arguments:
-        if isinstance(argument, np.ndarray):
-            shape = "x".join(str(dim) for dim in argument.shape)
-            mode = "w" if argument.flags.writeable else "r"
-            parts.append(f"nd[{argument.dtype.str}:{shape}:{mode}]")
-        elif isinstance(argument, (bool, int, float, np.integer, np.floating)):
-            parts.append(f"{type(argument).__name__}:{argument!r}")
+    for fact in facts:
+        if len(fact) == 3:
+            dtype, shape, writeable = fact
+            parts.append(f"nd[{dtype.str}:{'x'.join(str(dim) for dim in shape)}:"
+                         f"{'w' if writeable else 'r'}]")
         else:
-            parts.append(type(argument).__name__)
+            parts.append(":".join(fact))
     return ",".join(parts)
+
+
+def argument_signature(arguments: Sequence) -> str:
+    """A stable rendering of the argument shapes/dtypes (plus scalar values)."""
+    return _signature_text(_argument_facts(arguments))
 
 
 def host_fingerprint() -> dict:
@@ -186,6 +200,26 @@ def host_fingerprint() -> dict:
     }
 
 
+def _key_suffix(machine: MachineModel, threads: Optional[int], collect_cost: bool,
+                max_dynamic_ops: Optional[int], workers: Optional[int]) -> str:
+    """The lines of a tuning key fixed by the execution parameters (an
+    :class:`AutoEngine` computes them once)."""
+    return "\n".join([
+        f"machine:{machine.name}",
+        f"threads:{threads}",
+        f"collect_cost:{collect_cost}",
+        f"max_dynamic_ops:{max_dynamic_ops}",
+        f"workers:{workers}",
+    ])
+
+
+def _build_key(module, function_name: str, facts: Tuple, suffix: str) -> str:
+    text = (f"module:{module_content_key(module)}\n"
+            f"function:{function_name}\n"
+            f"args:{_signature_text(facts)}\n{suffix}")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def tuning_key(module, function_name: str, arguments: Sequence, *,
                machine: MachineModel = XEON_8375C,
                threads: Optional[int] = None,
@@ -200,17 +234,9 @@ def tuning_key(module, function_name: str, arguments: Sequence, *,
     record and compared on lookup, so a stale record is found (and
     invalidated in place) instead of lingering under a dead key.
     """
-    text = "\n".join([
-        f"module:{module_content_key(module)}",
-        f"function:{function_name}",
-        f"args:{argument_signature(arguments)}",
-        f"machine:{machine.name}",
-        f"threads:{threads}",
-        f"collect_cost:{collect_cost}",
-        f"max_dynamic_ops:{max_dynamic_ops}",
-        f"workers:{workers}",
-    ])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _build_key(module, function_name, _argument_facts(arguments),
+                      _key_suffix(machine, threads, collect_cost,
+                                  max_dynamic_ops, workers))
 
 
 def candidate_configs(*, machine: MachineModel = XEON_8375C,
@@ -394,23 +420,6 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
 _RESOLVED_MEMO: Dict[str, Tuple[int, TuningConfig]] = {}
 
 
-def _dispatch_signature(arguments: Sequence) -> Tuple:
-    """A cheap, comparison-only rendering of the dispatch-relevant argument
-    facts (no string building, no hashing) for the steady-state fast path.
-
-    Two argument lists with equal dispatch signatures produce equal
-    :func:`argument_signature` strings and therefore equal tuning keys, so
-    the fast path can skip recomputing the full key entirely.
-    """
-    return tuple(
-        (argument.shape, argument.dtype, argument.flags.writeable)
-        if isinstance(argument, np.ndarray)
-        else (type(argument), argument)
-        if isinstance(argument, (bool, int, float, np.integer, np.floating))
-        else (type(argument),)
-        for argument in arguments)
-
-
 class AutoEngine:
     """The ``engine="auto"`` executor: tune once, dispatch the cached winner.
 
@@ -428,8 +437,8 @@ class AutoEngine:
 
     The dispatch executor (winner engine + resilience wrapper) is built
     once and reused while the tuning key, chosen config and TuningCache
-    generation stay unchanged — warm steady-state dispatch is one cache-key
-    hash plus the inner engine's own run.  The cost report accumulates
+    generation stay unchanged — warm steady-state dispatch is one comparison
+    of the arguments' key facts plus the inner engine's own run.  The cost report accumulates
     across ``run`` calls like every other engine: :attr:`report` combines
     the live inner executor's accumulating report with the folded totals of
     any retired inner executors, bit-identical to the same sequence of runs
@@ -457,7 +466,8 @@ class AutoEngine:
         self._inner_fastsig: Optional[Tuple] = None
         self._inner_config: Optional[TuningConfig] = None
         self._inner_generation = -1
-        self._key_suffix: Optional[str] = None
+        self._key_suffix = _key_suffix(machine, threads, collect_cost,
+                                       max_dynamic_ops, workers)
         self.auto_stats: dict = {"runs": 0, "tuned": 0, "cache_hits": 0,
                                  "invalidated": 0, "winner": None,
                                  "measurements": {}}
@@ -468,23 +478,6 @@ class AutoEngine:
             engine, self._module, machine=self._machine, threads=self._threads,
             collect_cost=self._collect_cost,
             max_dynamic_ops=self._max_dynamic_ops, workers=workers)
-
-    def _key(self, function_name: str, arguments: Sequence) -> str:
-        # same text layout as :func:`tuning_key`, with the per-instance
-        # constant lines prebuilt (warm dispatch is on the wall-clock path).
-        suffix = self._key_suffix
-        if suffix is None:
-            suffix = self._key_suffix = "\n".join([
-                f"machine:{self._machine.name}",
-                f"threads:{self._threads}",
-                f"collect_cost:{self._collect_cost}",
-                f"max_dynamic_ops:{self._max_dynamic_ops}",
-                f"workers:{self._workers}",
-            ])
-        text = (f"module:{module_content_key(self._module)}\n"
-                f"function:{function_name}\n"
-                f"args:{argument_signature(arguments)}\n{suffix}")
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def _resolve_config(self, key: str, function_name: str,
                         arguments: Sequence) -> Tuple[TuningConfig, bool, Dict[str, float]]:
@@ -530,7 +523,9 @@ class AutoEngine:
 
     def run(self, function_name: str, arguments: Sequence = ()):
         cache = global_tuning_cache()
-        fastsig = (function_name, _dispatch_signature(arguments))
+        # comparing the key's own facts: the steady state builds no key text
+        # and hashes nothing.
+        fastsig = (function_name, _argument_facts(arguments))
         if (self._inner is not None and fastsig == self._inner_fastsig
                 and self._inner_generation == cache.generation):
             # steady state: same kernel/shapes, no cache mutation since the
@@ -539,7 +534,8 @@ class AutoEngine:
             executor = self._inner
             key = self._inner_key
         else:
-            key = self._key(function_name, arguments)
+            key = _build_key(self._module, function_name, fastsig[1],
+                             self._key_suffix)
             memo = _RESOLVED_MEMO.get(key)
             if memo is not None and memo[0] == cache.generation:
                 config, tuned, measurements = memo[1], False, {}

@@ -55,8 +55,9 @@ TUNING_FORMAT = 2
 #: environment knobs.
 DISK_ENV_VAR = "REPRO_CACHE"
 DISK_DIR_ENV_VAR = "REPRO_CACHE_DIR"
-CAPACITY_ENV_VAR = "REPRO_CACHE_CAPACITY"
 
+#: entries the in-process LRU keeps / artifacts the ``.so`` tier keeps on
+#: disk, unless the constructor is given a ``capacity``.
 _DEFAULT_CAPACITY = 256
 
 #: name prefix of a publish in flight (a writer between ``mkstemp`` and
@@ -148,12 +149,6 @@ class CacheStats:
 
 #: the tuning tier counts with the same dataclass.
 TuningCacheStats = CacheStats
-
-
-def _env_capacity(capacity: Optional[int]) -> int:
-    if capacity is None:
-        capacity = int(os.environ.get(CAPACITY_ENV_VAR, _DEFAULT_CAPACITY))
-    return max(1, capacity)
 
 
 def _unlink_quietly(path) -> bool:
@@ -325,7 +320,7 @@ class KernelCache(_DiskStore):
     def __init__(self, capacity: Optional[int] = None,
                  disk_dir: object = None) -> None:
         super().__init__(disk_dir)
-        self.capacity = _env_capacity(capacity)
+        self.capacity = max(1, _DEFAULT_CAPACITY if capacity is None else capacity)
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
 
     def lookup(self, key: str, *, shared: bool = False):
@@ -446,7 +441,7 @@ class NativeArtifactCache(_DiskStore):
     def __init__(self, capacity: Optional[int] = None,
                  directory: object = None) -> None:
         super().__init__(directory)
-        self.capacity = _env_capacity(capacity)
+        self.capacity = max(1, _DEFAULT_CAPACITY if capacity is None else capacity)
         self._temp_dir: Optional[str] = None
         self._pinned: set = set()
 
@@ -665,7 +660,7 @@ def clear_global_tuning_cache(disk: bool = False) -> None:
 
 
 __all__ = [
-    "CACHE_FORMAT", "CAPACITY_ENV_VAR", "DISK_DIR_ENV_VAR", "DISK_ENV_VAR",
+    "CACHE_FORMAT", "DISK_DIR_ENV_VAR", "DISK_ENV_VAR",
     "PUBLISH_TIMEOUT_S", "TUNING_FORMAT",
     "CacheStats", "KernelCache", "NativeArtifactCache", "TuningCache",
     "TuningCacheStats", "clear_global_cache", "clear_global_tuning_cache",

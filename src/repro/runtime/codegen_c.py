@@ -51,7 +51,7 @@ emitter coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS, CONTEXT_OPS,
                                   split_executed)
@@ -59,7 +59,7 @@ from ..dialects import arith, func as func_d, gpu as gpu_d
 from ..dialects import memref as memref_d, omp as omp_d, scf
 from ..ir import MemRefType
 from . import optable
-from .costmodel import op_cost
+from .costmodel import memory_access_cost, op_cost
 from .memory import dtype_for
 
 #: ops that must never appear inside a natively compiled region body.
@@ -172,6 +172,15 @@ class RegionSpec:
     simd_ok: bool = False
 
 
+class _Scope(NamedTuple):
+    """Where a structured op's C construct stands (``RegionCodegen._STRUCTURED``)."""
+
+    ref: Callable[[object], str]    # reads an operand of the op's header
+    child: Callable[[object], None]  # emits one child block
+    times: str                      # multiplier on the op's per-iteration charge
+    block: bool                     # at block scope, outside any thread loop
+
+
 class RegionCodegen:
     """Emits one region as a self-contained C function.
 
@@ -188,8 +197,6 @@ class RegionCodegen:
         self.symbol = symbol
         self.slot_of = slot_of
         self.machine = program.machine
-        self.local_cost = program.local_cost
-        self.global_base = program.global_base
         self.out = _Writer()
         self._uid = 0
         self.cexpr: Dict[int, str] = {}          # id(value) -> C expression
@@ -272,37 +279,30 @@ class RegionCodegen:
             raise UnsupportedRegion("phase-crossing value has no lane")
         return expr
 
-    def _define(self, value, expr: str) -> None:
-        """Emit the definition of ``value`` as ``expr``."""
+    def _lane(self, value, thread: str = " + t") -> Optional[str]:
+        """The per-thread lane caching ``value`` across phase boundaries —
+        thread ``t``'s, or lane 0 with ``thread=""`` — if it has one."""
         top = self._toplevel.get(id(value))
-        if top is not None:
-            kind, index = top
-            target = (f"TI[{index} * NT + t]" if kind == "i"
-                      else f"TF[{index} * NT + t]")
-            self.cexpr[id(value)] = target
-            self.out.w(f"{target} = {expr};")
-            return
-        name = self._name("v")
-        self.cexpr[id(value)] = name
-        if self.simt:
-            self._local_token[id(value)] = self._chunk_token
-        self.out.w(f"{self._ctype_of(value)} {name} = {expr};")
+        if top is None:
+            return None
+        kind, index = top
+        return f"{'TI' if kind == 'i' else 'TF'}[{index} * NT{thread}]"
 
-    def _declare_result(self, value) -> str:
-        """Pre-declare a construct result (scf.for / scf.if) in scope."""
-        top = self._toplevel.get(id(value))
-        if top is not None:
-            kind, index = top
-            target = (f"TI[{index} * NT + t]" if kind == "i"
-                      else f"TF[{index} * NT + t]")
-            self.cexpr[id(value)] = target
-            return target
-        name = self._name("v")
-        self.cexpr[id(value)] = name
-        if self.simt:
-            self._local_token[id(value)] = self._chunk_token
-        self.out.w(f"{self._ctype_of(value)} {name};")
-        return name
+    def _define(self, value, expr: Optional[str] = None) -> str:
+        """Bind ``value`` to its lane or to a fresh C local defined as
+        ``expr``; without one the local is only declared — a construct result
+        (scf.for / scf.if / scf.while / call) assigned in nested scopes."""
+        target = self._lane(value)
+        if target is None:
+            target = self._name("v")
+            if self.simt:
+                self._local_token[id(value)] = self._chunk_token
+            declaration = f"{self._ctype_of(value)} {target}"
+            self.out.w(f"{declaration};" if expr is None else f"{declaration} = {expr};")
+        elif expr is not None:
+            self.out.w(f"{target} = {expr};")
+        self.cexpr[id(value)] = target
+        return target
 
     # -- static cost folding ---------------------------------------------------
     def _access_charge(self, memref_value) -> Tuple[float, float]:
@@ -316,12 +316,9 @@ class RegionCodegen:
         if not isinstance(mtype, MemRefType):
             raise UnsupportedRegion("memory access through a non-memref value")
         space = mtype.memory_space
-        if space in ("shared", "local"):
-            return self.local_cost, 0.0
         elem_bytes = dtype_for(mtype.element_type).itemsize
-        work = self.global_base * max(1.0, elem_bytes / 4.0)
-        gb = float(elem_bytes) if space == "global" else 0.0
-        return work, gb
+        return (memory_access_cost(self.machine, space, elem_bytes),
+                float(elem_bytes) if space == "global" else 0.0)
 
     def _static_charge(self, op) -> Tuple[float, float]:
         """The (work, global_bytes) charged once per execution of ``op``'s
@@ -425,14 +422,9 @@ class RegionCodegen:
         if isinstance(op, func_d.CallOp):
             self._emit_call(op)
             return
-        if isinstance(op, scf.ForOp):
-            self._emit_for(op)
-            return
-        if isinstance(op, scf.IfOp):
-            self._emit_if(op)
-            return
-        if isinstance(op, scf.WhileOp):
-            self._emit_while(op)
+        structured = self._STRUCTURED.get(type(op))
+        if structured is not None:
+            structured(self, op, _Scope(self.ref, self._emit_block, "", False))
             return
         raise UnsupportedRegion(f"op {op.name}")
 
@@ -526,7 +518,7 @@ class RegionCodegen:
         elems = " * ".join(f"({extent})" for extent in source.extents) or "1"
         count = self._name("n")
         index = self._name("i")
-        cost = self.global_base * max(1.0, source.elem_bytes / 4.0)
+        cost = memory_access_cost(self.machine, "global", source.elem_bytes)
         self.out.w(f"const int64_t {count} = {elems};")
         self.out.open(f"for (int64_t {index} = 0; {index} < {count}; ++{index}) {{")
         self.out.w(f"{destination.name}[{index}] = "
@@ -549,7 +541,7 @@ class RegionCodegen:
         try:
             # results must be declared *outside* the inlined scope: the
             # callee's values go out of C scope at the closing brace.
-            results = [self._declare_result(result) for result in op.results]
+            results = [self._define(result) for result in op.results]
             self.out.open("{")
             for argument, operand in zip(callee.arguments, op.operands):
                 if isinstance(argument.type, MemRefType):
@@ -569,11 +561,25 @@ class RegionCodegen:
             self._inline_stack.pop()
 
     # -- structured control flow --------------------------------------------------
-    def _emit_for(self, op) -> None:
-        lower = self.ref(op.lower_bound)
-        upper = self.ref(op.upper_bound)
-        step = self.ref(op.step)
-        results = [self._declare_result(result) for result in op.results]
+    #
+    # One emitter per op, for a construct inside one thread (a span iteration,
+    # a thread-loop chunk) and for one at block scope driving the thread loops;
+    # the :class:`_Scope` says which.  ``_name()`` order is emitted text.
+    def _update_carried(self, carried: Sequence[str], values: Sequence) -> None:
+        """Two-phase update so permuted yields read pre-update values."""
+        temps = []
+        for value in values:
+            temp = self._name("y")
+            temps.append(temp)
+            self.out.w(f"{self._ctype_of(value)} {temp} = {self.ref(value)};")
+        for temp, name in zip(temps, carried):
+            self.out.w(f"{name} = {temp};")
+
+    def _emit_for(self, op, scope: "_Scope") -> None:
+        lower = scope.ref(op.lower_bound)
+        upper = scope.ref(op.upper_bound)
+        step = scope.ref(op.step)
+        results = [self._define(result) for result in op.results]
         cost = op_cost("scf.for")
         self.out.open("{")
         ub = self._name("ub")
@@ -594,45 +600,35 @@ class RegionCodegen:
         self.cexpr[id(op.induction_var)] = iv
         for name, argument in zip(carried, op.iter_args):
             self.cexpr[id(argument)] = name
-        self._emit_block(op.body)
+        scope.child(op.body)
         _, term = self._split(op.body)
         if isinstance(term, scf.YieldOp) and carried:
-            # two-phase update so permuted yields read pre-update values
-            temps = []
-            for name, value in zip(carried, term.operands):
-                temp = self._name("y")
-                temps.append(temp)
-                self.out.w(f"{self._ctype_of(value)} {temp} = {self.ref(value)};")
-            for temp, name in zip(temps, carried):
-                self.out.w(f"{name} = {temp};")
-        self.out.w(f"W += {c_double(cost)};")
+            self._update_carried(carried, term.operands)
+        self.out.w(f"W += {c_double(cost)}{scope.times};")
         self.out.close()
         for result, name in zip(results, carried):
             self.out.w(f"{result} = {name};")
         self.out.close()
 
-    def _emit_if(self, op) -> None:
+    def _emit_if(self, op, scope: "_Scope") -> None:
         if op.results and op.else_block is None:
             raise UnsupportedRegion("scf.if with results but no else branch")
-        results = [self._declare_result(result) for result in op.results]
-
-        def copy_results(block) -> None:
+        results = [self._define(result) for result in op.results]
+        self.out.open(f"if ({scope.ref(op.condition)}) {{")
+        for block in (op.then_block, op.else_block):
+            if block is None:
+                continue
+            if block is op.else_block:
+                self.out.close("} else {")
+                self.out.indent += 1
+            scope.child(block)
             _, term = self._split(block)
             if results and isinstance(term, scf.YieldOp):
                 for target, value in zip(results, term.operands):
                     self.out.w(f"{target} = {self.ref(value)};")
-
-        self.out.open(f"if ({self.ref(op.condition)}) {{")
-        self._emit_block(op.then_block)
-        copy_results(op.then_block)
-        if op.else_block is not None:
-            self.out.close("} else {")
-            self.out.indent += 1
-            self._emit_block(op.else_block)
-            copy_results(op.else_block)
         self.out.close()
 
-    def _emit_while(self, op) -> None:
+    def _emit_while(self, op, scope: "_Scope") -> None:
         """``scf.while`` as a C ``for (;;)``, mirroring the compiled engine's
         _c_while charge for charge: ``op_cost("scf.while")`` at the head of
         every iteration (including the final failed check), no entry charge;
@@ -641,9 +637,13 @@ class RegionCodegen:
         _, before_term = self._split(op.before_block)
         if not isinstance(before_term, scf.ConditionOp):
             raise UnsupportedRegion("scf.while without scf.condition")
-        results = [self._declare_result(result) for result in op.results]
+        results = [self._define(result) for result in op.results]
         cost = op_cost("scf.while")
-        self.out.open("{")
+        # the scope for carried values and the braced exit are text the
+        # block-scope form (which carries nothing) never had; emitted C is
+        # an artifact key, so each form keeps its own.
+        if not scope.block:
+            self.out.open("{")
         carried = []
         for init in op.init_args:
             name = self._name("c")
@@ -652,37 +652,34 @@ class RegionCodegen:
         for name, argument in zip(carried, op.before_block.arguments):
             self.cexpr[id(argument)] = name
         self.out.open("for (;;) {")
-        self.out.w(f"W += {c_double(cost)};")
-        self._emit_block(op.before_block)
-        condition = self.ref(before_term.condition)
+        self.out.w(f"W += {c_double(cost)}{scope.times};")
+        scope.child(op.before_block)
+        condition = scope.ref(before_term.condition)
         forwarded = list(before_term.forwarded)
-        self.out.open(f"if (!({condition})) {{")
-        for target, value in zip(results, forwarded):
-            self.out.w(f"{target} = {self.ref(value)};")
-        self.out.w("break;")
-        self.out.close()
-        after_names = []
+        if scope.block:
+            self.out.w(f"if (!({condition})) break;")
+        else:
+            self.out.open(f"if (!({condition})) {{")
+            for target, value in zip(results, forwarded):
+                self.out.w(f"{target} = {self.ref(value)};")
+            self.out.w("break;")
+            self.out.close()
         for argument, value in zip(op.after_block.arguments, forwarded):
             name = self._name("w")
-            after_names.append(name)
             self.cexpr[id(argument)] = name
             self.out.w(f"{self._ctype_of(argument)} {name} = {self.ref(value)};")
-        self._emit_block(op.after_block)
+        scope.child(op.after_block)
         _, after_term = self._split(op.after_block)
         if isinstance(after_term, scf.YieldOp) and carried:
-            # two-phase update so permuted yields read pre-update values
-            temps = []
-            for value in after_term.operands:
-                temp = self._name("y")
-                temps.append(temp)
-                self.out.w(f"{self._ctype_of(value)} {temp} = {self.ref(value)};")
-            for temp, name in zip(temps, carried):
-                self.out.w(f"{name} = {temp};")
+            self._update_carried(carried, after_term.operands)
         elif carried:
             for name, value in zip(carried, forwarded):
                 self.out.w(f"{name} = {self.ref(value)};")
         self.out.close()
-        self.out.close()
+        if not scope.block:
+            self.out.close()
+
+    _STRUCTURED = {scf.ForOp: _emit_for, scf.IfOp: _emit_if, scf.WhileOp: _emit_while}
 
     def _simd_eligible(self, ops: Sequence) -> bool:
         """No op whose C form is not IEEE-exact under vectorization
@@ -699,6 +696,28 @@ class RegionCodegen:
                         return False
         return True
 
+    # -- the region function ----------------------------------------------------
+    def _function_head(self, *params: str) -> None:
+        """Open the region's C function: the live-in ABI every region shares,
+        then its own ``params``; the counters; the live-in bindings."""
+        self.out.lines += [
+            f"void {self.symbol}(const int64_t* LI, const double* LF,",
+            "        void* const* LP, const int64_t* LS,",
+            *(f"        {line}" for line in params),
+            "{"]
+        self.out.w("double W = 0.0, GB = 0.0;")
+        self.out.w(f"int64_t OPS = 0, {'PH = 0, ' if self.simt else ''}ERR = 0;")
+        self._emit_livein_prologue()
+
+    def _function_tail(self) -> str:
+        """Write the counters back, close the function; its whole text."""
+        self.out.lines += [
+            "    outf[0] = W; outf[1] = GB;",
+            f"    outi[0] = OPS; outi[1] = {'PH' if self.simt else '0'}; outi[2] = ERR;",
+            "}"]
+        self._mark_stored()
+        return "\n".join(self.out.lines)
+
     # ------------------------------------------------------------------------
     # Span regions (omp.wsloop / barrier-free scf.parallel)
     # ------------------------------------------------------------------------
@@ -714,29 +733,17 @@ class RegionCodegen:
         for value in self.plan.live_ins:
             self._bind_livein(value)
 
-        header = _Writer()
-        header.indent = 0
-        header.w(f"void {self.symbol}(const int64_t* LI, const double* LF,")
-        header.w("        void* const* LP, const int64_t* LS,")
-        header.w("        const int64_t* RLB, const int64_t* RST,")
-        header.w("        const int64_t* RLEN, int64_t total, int64_t mode,")
-        header.w("        double* outf, int64_t* outi)")
-        header.w("{")
-
-        self.out.w("double W = 0.0, GB = 0.0;")
-        self.out.w("int64_t OPS = 0, ERR = 0;")
-        self._emit_livein_prologue()
+        self._function_head("const int64_t* RLB, const int64_t* RST,",
+                            "const int64_t* RLEN, int64_t total, int64_t mode,",
+                            "double* outf, int64_t* outi)")
 
         body = _Writer()
         body.indent = 2
         saved = self.out
         self.out = body
         body.w("int64_t rem = lin;")
-        coords = []
         for dim in reversed(range(num_dims)):
-            coord = f"q{dim}"
-            coords.append(coord)
-            body.w(f"const int64_t {coord} = rem % RLEN[{dim}];")
+            body.w(f"const int64_t q{dim} = rem % RLEN[{dim}];")
             if dim:
                 body.w(f"rem /= RLEN[{dim}];")
         body.w("(void)rem;")
@@ -749,8 +756,7 @@ class RegionCodegen:
         self._emit_block(op.body)
         self.out = saved
 
-        lines = [*header.lines]
-        lines.extend(self.out.lines)
+        lines = self.out.lines
 
         # max-reduction on ERR: error *codes* must not sum across threads.
         # Counter reductions reassociate W/GB/OPS partial sums — exact, and
@@ -787,11 +793,7 @@ class RegionCodegen:
             lines.append("    } else {")
             lines += loop(None)
             lines.append("    }")
-        lines.append("    outf[0] = W; outf[1] = GB;")
-        lines.append("    outi[0] = OPS; outi[1] = 0; outi[2] = ERR;")
-        lines.append("}")
-        self._mark_stored()
-        return "\n".join(lines), self.spec
+        return self._function_tail(), self.spec
 
     # ------------------------------------------------------------------------
     # Launch regions (gpu.launch with structured barriers)
@@ -803,8 +805,9 @@ class RegionCodegen:
     # thread-uniform control).  Each level splits into items: *chunks* of
     # plain ops (one `for (t)` thread loop each), *barriers* (`PH += 1` —
     # the phase boundary is the end of the preceding thread loop), and
-    # nested *structural* ops.  Values that cross a phase boundary are
-    # cached in per-thread lanes (TI/TF).
+    # nested *structural* ops — written by the same emitters as inside a
+    # thread, under the block ``_Scope`` (``_emit_struct``).  Values that
+    # cross a phase boundary are cached in per-thread lanes (TI/TF).
     def _level_items(self, ops: Sequence) -> List[Tuple[str, object]]:
         """Split one structural level into chunk / barrier / struct items."""
         items: List[Tuple[str, object]] = []
@@ -1072,11 +1075,9 @@ class RegionCodegen:
         """A C expression for ``value`` readable at block scope (outside any
         thread loop): lane 0 of a cut value — uniform, so any lane works —
         or a scope-free expression (live-in, block builtin, constant)."""
-        top = self._toplevel.get(id(value))
-        if top is not None:
-            kind, index = top
-            return (f"TI[{index} * NT]" if kind == "i"
-                    else f"TF[{index} * NT]")
+        lane = self._lane(value, thread="")
+        if lane is not None:
+            return lane
         expr = self.cexpr.get(id(value))
         if expr is not None and self._local_token.get(id(value)) is None:
             return expr
@@ -1126,17 +1127,8 @@ class RegionCodegen:
         for value in self.plan.live_ins:
             self._bind_livein(value)
 
-        header = _Writer()
-        header.indent = 0
-        header.w(f"void {self.symbol}(const int64_t* LI, const double* LF,")
-        header.w("        void* const* LP, const int64_t* LS,")
-        header.w("        const int64_t* GRID, const int64_t* BLOCK,")
-        header.w("        int64_t par_ok, double* outf, int64_t* outi)")
-        header.w("{")
-
-        self.out.w("double W = 0.0, GB = 0.0;")
-        self.out.w("int64_t OPS = 0, PH = 0, ERR = 0;")
-        self._emit_livein_prologue()
+        self._function_head("const int64_t* GRID, const int64_t* BLOCK,",
+                            "int64_t par_ok, double* outf, int64_t* outi)")
         self.out.w("const int64_t NT = BLOCK[0] * BLOCK[1] * BLOCK[2];")
         self.out.w("const int64_t nblocks = GRID[0] * GRID[1] * GRID[2];")
 
@@ -1188,14 +1180,13 @@ class RegionCodegen:
         # loops realize chunks, `PH += 1` realizes each dynamic barrier
         # (+1 for the entry phase, matching the SIMT rounds count).
         body.w("PH += 1;")
-        self._emit_level(ops, term)
+        self._emit_level(op.body)
         body.close(f"}} else ERR = {ERR_OOM};")
         for name, _, _ in scratch:
             body.w(f"free({name});")
         self.out = saved
 
-        lines = [*header.lines]
-        lines.extend(self.out.lines)
+        lines = self.out.lines
         lines.append("    if (NT > 0) {")
         lines.append("    if (par_ok) {")
         # max-reduction on ERR: error *codes* must not sum across threads.
@@ -1210,15 +1201,12 @@ class RegionCodegen:
         lines.append("    }")
         lines.append("    }")
         lines.append("    }")
-        lines.append("    outf[0] = W; outf[1] = GB;")
-        lines.append("    outi[0] = OPS; outi[1] = PH; outi[2] = ERR;")
-        lines.append("}")
-        self._mark_stored()
-        return "\n".join(lines), self.spec
+        return self._function_tail(), self.spec
 
-    def _emit_level(self, ops: Sequence, term) -> None:
+    def _emit_level(self, block) -> None:
         """Emit one structural level: folded per-level charges (×NT), then
         its items in order."""
+        ops, term = self._split(block)
         nops = len(ops) + (1 if term is not None else 0)
         work = gb = 0.0
         for nested in ops:
@@ -1253,50 +1241,11 @@ class RegionCodegen:
     def _emit_struct(self, op) -> None:
         """A barrier-containing scf.for / scf.if / scf.while at block scope:
         every thread executes it with the same (uniform) control decisions,
-        so one C-level construct drives the per-level thread loops."""
-        if isinstance(op, scf.IfOp):
-            self.out.open(f"if ({self._struct_ref(op.condition)}) {{")
-            then_ops, then_term = self._split(op.then_block)
-            self._emit_level(then_ops, then_term)
-            if op.else_block is not None:
-                self.out.close("} else {")
-                self.out.indent += 1
-                else_ops, else_term = self._split(op.else_block)
-                self._emit_level(else_ops, else_term)
-            self.out.close()
-            return
-        if isinstance(op, scf.ForOp):
-            cost = op_cost("scf.for")
-            lower = self._struct_ref(op.lower_bound)
-            upper = self._struct_ref(op.upper_bound)
-            step = self._struct_ref(op.step)
-            self.out.open("{")
-            ub = self._name("ub")
-            st = self._name("st")
-            self.out.w(f"const int64_t {ub} = {upper};")
-            self.out.w(f"const int64_t {st} = {step};")
-            self.out.w(f"if ({st} <= 0) ERR = {ERR_BAD_STEP};")
-            iv = self._name("iv")
-            self.cexpr[id(op.induction_var)] = iv
-            self.out.open(f"if ({st} > 0) for (int64_t {iv} = {lower}; "
-                          f"{iv} < {ub}; {iv} += {st}) {{")
-            body_ops, body_term = self._split(op.body)
-            self._emit_level(body_ops, body_term)
-            self.out.w(f"W += {c_double(cost)} * (double)NT;")
-            self.out.close()
-            self.out.close()
-            return
-        # scf.while (validated carried-value-free by _struct_header_operands)
-        cost = op_cost("scf.while")
-        _, before_term = self._split(op.before_block)
-        self.out.open("for (;;) {")
-        self.out.w(f"W += {c_double(cost)} * (double)NT;")
-        before_ops, _ = self._split(op.before_block)
-        self._emit_level(before_ops, before_term)
-        self.out.w(f"if (!({self._struct_ref(before_term.condition)})) break;")
-        after_ops, after_term = self._split(op.after_block)
-        self._emit_level(after_ops, after_term)
-        self.out.close()
+        so one C-level construct drives the per-level thread loops, reads
+        its operands from lane 0 and charges for all ``NT`` threads
+        (``_struct_header_operands`` validated it carries no values)."""
+        self._STRUCTURED[type(op)](self, op, _Scope(
+            self._struct_ref, self._emit_level, " * (double)NT", True))
 
     def _mark_stored(self) -> None:
         for index, buf_spec in enumerate(self.spec.buffers):

@@ -1,4 +1,4 @@
-"""Compiled execution engine: one-time translation of IR to Python closures.
+"""Compiled execution engine: one-time translation of IR to generated Python.
 
 The tree-walking :class:`~repro.runtime.interpreter.Interpreter` re-dispatches
 on the operation type for every dynamic operation and copies the whole
@@ -10,18 +10,27 @@ removes that hot-path overhead by *compiling* each function once:
   place (SSA dominance guarantees dead values are never read), so the
   per-iteration ``dict(env)`` copy disappears entirely; SIMT threads take a
   flat ``regs[:]`` list copy instead of a dict copy.
-* **specialized closures** — each operation compiles to a small closure with
-  operand slots, cost constants and type coercions resolved at compile time;
-  straight-line block bodies are stitched into generated straight-line code
-  (the ``generate_ast``-style "lower once, execute many" idiom).  Pure
-  scalar ops are rendered from their :mod:`~repro.runtime.optable` row.
+* **whole-function generation** — every op compiles to source lines with
+  operand slots, cost constants and type coercions resolved at compile time,
+  and a structured op (``scf.for`` / ``scf.if`` / ``scf.while``) is one
+  emitter that writes its header and splices its child blocks' lines one
+  indent deeper (the ``generate_ast``-style "lower once, execute many"
+  idiom), so a function body, a region phase or an ``omp`` body is *one*
+  generated Python function finalised by one ``exec``: a loop iteration or
+  a branch costs no Python call.  Pure scalar ops are rendered from their
+  :mod:`~repro.runtime.optable` row; the ops that run once per region
+  (allocation, the ``gpu.*`` host ops, ``omp.*``, the region shells) stay
+  bound closures the text calls.  A barrier is the line ``yield _B`` where it
+  stands, so a function is a generator exactly when its text contains one.
+  Past ``_MAX_INLINE_DEPTH`` nested structured ops a child block becomes its
+  own function, because CPython bounds static nesting.
 * **lazy iteration spaces** — ``scf.parallel`` / ``omp.wsloop`` iteration
   spaces are ``itertools.product`` streams, never materialized lists.
 * **compiled barrier phases** — bodies whose barriers sit in straight-line
-  position compile to an explicit list of *phase closures* executed
+  position compile to an explicit list of *phase functions* executed
   phase-by-phase over all threads with no generators at all; bodies with
-  barriers under control flow fall back to compiled *generator* closures
-  scheduled by the same barrier-phase loop the interpreter uses.
+  barriers under control flow fall back to one compiled *generator* function
+  per thread, scheduled by the same barrier-phase loop the interpreter uses.
 
 Cost accounting is replicated charge-for-charge in the interpreter's
 execution order, so a compiled run produces a bit-identical
@@ -41,14 +50,16 @@ and ``shards`` in the native and multicore engines.
 
 Compiled programs are cached on the module object itself, keyed by the
 engine row and the machine model (cost constants are baked into the
-closures), next to the module's region plans.  The cache
+generated text), next to the module's region plans.  The cache
 assumes the module is not mutated after its first compiled run — call
 :func:`invalidate_compiled` after transforming an already-executed module.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from importlib import import_module
+from inspect import isgeneratorfunction
 from itertools import islice, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,12 +71,19 @@ from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
 from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
-                        machine_vectorizable, op_cost)
+                        machine_vectorizable, memory_access_cost, op_cost)
 from .errors import InterpreterError
 from .memory import MemRefStorage
-from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
+from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
+                      row_for)
 
-_BARRIER = object()  # yielded by compiled generator closures at barriers
+_BARRIER = object()  # yielded by generated generator functions at barriers
+
+#: how many structured ops nest their child blocks inline in one generated
+#: function; a child block deeper than this is finalised as its own function
+#: and called.  CPython (3.11) refuses more than 20 statically nested loops
+#: and 100 indentation levels, and every structured op costs one of each.
+_MAX_INLINE_DEPTH = 16
 
 #: attribute used to cache compiled programs on the module operation.
 _CACHE_ATTR = "_compiled_programs"
@@ -76,7 +94,7 @@ class _BarrierEscape(Exception):
 
 
 class _State:
-    """Mutable per-run execution state shared by all compiled closures.
+    """Mutable per-run execution state shared by all compiled code.
 
     ``shard`` is the multicore engine's dispatch context (worker pool +
     worker count); it is ``None`` for the compiled/vectorized engines and
@@ -107,13 +125,13 @@ class _State:
 
 
 class _CompiledFunction:
-    """One function lowered to closures: register template + body runner."""
+    """One compiled function: register template + body runner, a generator
+    function (``is_gen``) exactly when the IR function may reach a barrier."""
 
-    __slots__ = ("name", "template", "arg_slots", "return_slots", "runner", "is_gen")
+    __slots__ = ("template", "arg_slots", "return_slots", "runner", "is_gen")
 
-    def __init__(self, name: str, template: List, arg_slots: List[int],
+    def __init__(self, template: List, arg_slots: List[int],
                  return_slots: List[int], runner: Callable, is_gen: bool) -> None:
-        self.name = name
         self.template = template
         self.arg_slots = arg_slots
         self.return_slots = return_slots
@@ -153,11 +171,8 @@ class _Program:
         planner, dispatcher = _ROWS[row]
         self.planner = _resolve(planner)
         self.dispatcher = _resolve(dispatcher)
-        self._functions: Dict[Tuple[int, bool], _CompiledFunction] = {}
+        self._functions: Dict[int, _CompiledFunction] = {}
         self._speedups: Dict[int, float] = {}
-        # cost constants baked into memory-access closures
-        self.local_cost = machine.local_access_cost
-        self.global_base = machine.global_access_cost * machine.hbm_bandwidth_factor
         #: lanes, emitted C and worker shards all charge analytically
         #: (cost x count, regrouped per lane / thread / worker), which equals
         #: the interpreter's sequential sum only for dyadic access costs.
@@ -186,11 +201,10 @@ class _Program:
         #: (:class:`repro.runtime.multicore._Shards`), made at its first region.
         self.shards = None
 
-    def function(self, fn: func_d.FuncOp, gen: bool) -> _CompiledFunction:
-        key = (id(fn), gen)
-        compiled = self._functions.get(key)
+    def function(self, fn: func_d.FuncOp) -> _CompiledFunction:
+        compiled = self._functions.get(id(fn))
         if compiled is None:
-            compiled = self._functions[key] = _FunctionCompiler(self, fn, gen).compile()
+            compiled = self._functions[id(fn)] = _FunctionCompiler(self, fn).compile()
         return compiled
 
     def speedup(self, threads: int) -> float:
@@ -338,18 +352,46 @@ class _Region:
 # ---------------------------------------------------------------------------
 # Function compilation
 # ---------------------------------------------------------------------------
-class _FunctionCompiler:
-    """Translates one function body to slot-addressed closures."""
+def _counted(block) -> Tuple[List, int]:
+    """A block's executed ops and its dynamic-op count (terminator included)."""
+    ops, term = _split_executed(block)
+    return ops, len(ops) + (1 if term is not None else 0)
 
-    def __init__(self, program: _Program, fn: func_d.FuncOp, gen: bool) -> None:
+
+def _copy(dst_slots: Sequence[int], src_slots: Sequence[int]) -> List[str]:
+    """The line binding each ``dst`` register to its ``src`` — one
+    simultaneous assignment, so permuted loop-carried values read their
+    pre-update registers — or nothing for no pairs."""
+    pairs = list(zip(dst_slots, src_slots))
+    if not pairs:
+        return []
+    return [", ".join(f"regs[{dst}]" for dst, _ in pairs) + " = "
+            + ", ".join(f"regs[{src}]" for _, src in pairs)]
+
+
+class _FunctionCompiler:
+    """Translates one function to slot-addressed generated Python.
+
+    Every op compiles to source lines (``compile_op``); a structured op's
+    lines contain its child blocks' lines one indent deeper, and an op that
+    runs once per region binds a closure whose call is its line.  The lines
+    of a function body, a region phase or an ``omp`` body are finalised by
+    one ``exec`` each (:func:`_build_runner`).
+    """
+
+    def __init__(self, program: _Program, fn: func_d.FuncOp) -> None:
         self.program = program
-        self.may_yield = program.plans.op_may_yield
         self.fn = fn
-        self.gen_mode = gen
         self._slots: Dict[int, int] = {}
         self.template: List = []
         self._prebound: set = set()  # result ids of launch-prebound shared allocas
-        self._uid = 0  # unique suffix for names captured by generated source
+        self._uid = 0  # unique suffix for names bound or assigned by generated source
+        #: globals of every function generated for ``fn``: the callables and
+        #: step closures its source names.
+        self.ns: Dict[str, object] = {"_IE": InterpreterError, "_B": _BARRIER}
+        #: structured ops enclosing the block being emitted, within the
+        #: generated function being emitted.
+        self._depth = 0
         #: regions offered to the row's dispatcher so far: names the emitted C
         #: symbol and keys the shard registry, so it must count in compile
         #: order (a body's nested regions before the region itself).
@@ -375,110 +417,89 @@ class _FunctionCompiler:
 
     def compile(self) -> _CompiledFunction:
         arg_slots = self.slots(self.fn.arguments)
-        runner = self.compile_block(self.fn.body_block, gen=self.gen_mode)
+        is_gen = self.program.plans.function_may_yield(self.fn)
+        runner = self._function_of(*_counted(self.fn.body_block), suspends=is_gen)
         _, term = _split_executed(self.fn.body_block)
         return_slots = self.slots(term.operands) if isinstance(term, func_d.ReturnOp) else []
-        return _CompiledFunction(self.fn.sym_name, self.template, arg_slots,
-                                 return_slots, runner, self.gen_mode)
+        return _CompiledFunction(self.template, arg_slots, return_slots, runner, is_gen)
 
     # -- block compilation ----------------------------------------------------
-    def compile_block(self, block, gen: bool) -> Callable:
-        """Compile a block to a runner closure (generator closure if ``gen``)."""
-        ops, term = _split_executed(block)
-        nops = len(ops) + (1 if term is not None else 0)
-        items = []
+    def compile_block(self, ops: Sequence, nops: int) -> List[str]:
+        """Source of one block execution.  Its dynamic-op count is batched
+        into a single increment (every op of a block executes exactly once
+        per block execution), then come the ops' lines in order."""
+        lines = []
+        if nops:
+            lines = [f"report.dynamic_ops += {nops}",
+                     "if max_ops is not None and report.dynamic_ops > max_ops:",
+                     "    raise _IE('dynamic operation budget exceeded')"]
         for op in ops:
-            item = self.compile_op(op, gen)
-            if item is not None:
-                items.append(item)
-        return _build_runner(items, nops, gen)
+            lines.extend(self.compile_op(op))
+        return lines
+
+    def _function_of(self, ops: Sequence, nops: int,
+                     suspends: Optional[bool]) -> Callable:
+        """A block finalised as its own generated function."""
+        outer, self._depth = self._depth, 0
+        lines = self.compile_block(ops, nops)
+        self._depth = outer
+        return _build_runner(lines, self.ns, self._name("run"), suspends)
 
     def compile_phase(self, ops: Sequence, nops: int) -> Callable:
         """Compile one barrier-delimited phase (``RegionPlan.phases`` entry)."""
-        steps = [item for item in (self.compile_op(op, gen=False) for op in ops)
-                 if item is not None]
-        return _build_runner(steps, nops, gen=False)
+        return self._function_of(ops, nops, suspends=False)
+
+    def _nested(self, block) -> List[str]:
+        """A structured op's child block, one indent deeper than the op."""
+        ops, nops = _counted(block)
+        self._depth += 1
+        lines = (self.compile_block(ops, nops) if self._depth <= _MAX_INLINE_DEPTH
+                 else self._spill(ops, nops))
+        self._depth -= 1
+        return [f"    {line}" for line in lines or ["pass"]]
+
+    def _spill(self, ops: Sequence, nops: int) -> List[str]:
+        """The call of a child block too deep to inline (``_MAX_INLINE_DEPTH``)."""
+        run = self._function_of(ops, nops, suspends=None)
+        call, = self._bound(run)
+        return [f"yield from {call}" if isgeneratorfunction(run) else call]
+
+    def _bound(self, step: Callable) -> List[str]:
+        """The line calling ``step(state, regs)``, the closure of an op that
+        runs once per region."""
+        name = self._name("s")
+        self.ns[name] = step
+        return [f"{name}(state, regs)"]
 
     # -- op compilation --------------------------------------------------------
-    def compile_op(self, op, gen: bool):
-        """Compile one op to an item ``(kind, closure)`` with kind ``'p'``
-        (plain step), ``'g'`` (generator step) or ``'b'`` (barrier yield);
-        returns ``None`` for ops with no runtime action (constants)."""
+    def compile_op(self, op) -> List[str]:
+        """The source lines of one op; none for an op with no runtime action."""
         if isinstance(op, _BARRIER_OPS):
-            if gen:
-                return ("b", None)
-            def barrier(state, regs):
-                raise _BarrierEscape()
-            return ("p", barrier)
-        if isinstance(op, arith.ConstantOp):
-            self.template[self.slot(op.result)] = op.value
-            return None
-        if isinstance(op, memref_d.DimOp):
-            return ("p", self._c_dim(op))
+            return ["yield _B"]
+        emitter = _EMITTERS.get(type(op))
+        if emitter is not None:
+            return emitter(self, op)
         row = row_for(op)
         if row is not None:
             return self._c_scalar(op, row)
-        if isinstance(op, memref_d.AllocOp):  # covers AllocaOp
-            if id(op.result) in self._prebound:
-                return None
-            return ("p", self._c_alloc(op))
-        if isinstance(op, memref_d.DeallocOp):
-            return ("p", self._c_dealloc(op))
-        if isinstance(op, memref_d.LoadOp):
-            return self._c_load(op)
-        if isinstance(op, memref_d.StoreOp):
-            return self._c_store(op)
-        if isinstance(op, memref_d.CopyOp):
-            return ("p", self._c_copy(op))
-        if isinstance(op, func_d.CallOp):
-            return self._c_call(op, gen)
-        if isinstance(op, scf.ForOp):
-            if gen and self.may_yield(op):
-                return ("g", self._c_for(op, gen=True))
-            return ("p", self._c_for(op, gen=False))
-        if isinstance(op, scf.IfOp):
-            if gen and self.may_yield(op):
-                return ("g", self._c_if(op, gen=True))
-            return ("p", self._c_if(op, gen=False))
-        if isinstance(op, scf.WhileOp):
-            if gen and self.may_yield(op):
-                return ("g", self._c_while(op, gen=True))
-            return ("p", self._c_while(op, gen=False))
-        if isinstance(op, scf.ParallelOp):
-            return ("p", self._c_scf_parallel(op))
-        if isinstance(op, gpu_d.LaunchOp):
-            return ("p", self._c_gpu_launch(op))
-        if isinstance(op, gpu_d.GPUAllocOp):
-            return ("p", self._c_gpu_alloc(op))
-        if isinstance(op, gpu_d.GPUDeallocOp):
-            return ("p", self._c_gpu_dealloc(op))
-        if isinstance(op, gpu_d.GPUMemcpyOp):
-            return ("p", self._c_gpu_memcpy(op))
-        if isinstance(op, omp_d.OmpParallelOp):
-            return ("p", self._c_omp_parallel(op))
-        if isinstance(op, omp_d.OmpWsLoopOp):
-            return ("p", self._c_omp_wsloop(op))
-        if isinstance(op, omp_d.OmpBarrierOp):
-            return ("p", self._c_omp_barrier(op))
-        if isinstance(op, omp_d.OmpSingleOp):
-            return ("p", self._c_omp_single(op))
         message = f"no interpretation for op {op.name}"
-        def unsupported(state, regs):
-            raise InterpreterError(message)
-        return ("p", unsupported)
+        return [f"raise _IE({message!r})"]
 
-    # -- scalar ops (inlined into the generated block source) -------------------
-    def _c_scalar(self, op, row):
+    def _c_constant(self, op) -> List[str]:
+        self.template[self.slot(op.result)] = op.value
+        return []
+
+    def _c_scalar(self, op, row) -> List[str]:
         """Every pure scalar op, rendered from its :mod:`optable` row."""
-        ns = {}
         operands = [f"regs[{self.slot(value)}]" for value in op.operands]
         target = self.slot(op.result)
-        expr = python_expr(row, operands, ns, self._name)
-        return ("src", [f"w[-1] += {cycles(row)!r}",
-                        f"regs[{target}] = {expr}"], ns)
+        expr = python_expr(row, operands, self.ns, self._name)
+        return [f"w[-1] += {cycles(row)!r}", f"regs[{target}] = {expr}"]
 
     # -- memory ops -------------------------------------------------------------
-    def _c_alloc(self, op):
+    def _c_alloc(self, op) -> List[str]:
+        if id(op.result) in self._prebound:
+            return []
         size_slots = self.slots(op.operands)
         ds = self.slot(op.result)
         mtype = op.memref_type
@@ -488,46 +509,33 @@ class _FunctionCompiler:
             storage = allocate(mtype, sizes)
             state.work[-1] += ALLOC_CYCLES
             regs[ds] = storage
-        return step
+        return self._bound(step)
 
-    def _c_dealloc(self, op):
+    def _c_dealloc(self, op) -> List[str]:
         ms = self.slot(op.memref)
         def step(state, regs):
             regs[ms].free()  # raises on double free (centralized in storage)
             state.work[-1] += ALLOC_CYCLES
-        return step
-
-    def _mem_cost_prefix(self):
-        return self.program.local_cost, self.program.global_base
+        return self._bound(step)
 
     def _access_lines(self, memref_slot: int) -> List[str]:
         """Shared prologue of a load/store: liveness check + access charge.
 
         Leaves the storage in ``_s`` and its array in ``_a``; the
         use-after-free guard is centralized in ``MemRefStorage.check_alive``,
-        and the cost and traffic accounting replicates ``memory_access_cost``
-        exactly (memory space and element width are runtime properties of the
-        buffer).
+        and the charge is rendered over run-time expressions (memory space
+        and element width are runtime properties of the buffer).
         """
-        local_cost, global_base = self._mem_cost_prefix()
-        return [
-            f"_s = regs[{memref_slot}]",
-            "_a = _s.check_alive()",
-            "_sp = _s.memory_space",
-            "if _sp == 'shared' or _sp == 'local':",
-            f"    w[-1] += {local_cost!r}",
-            "else:",
-            "    _eb = _a.itemsize",
-            f"    w[-1] += {global_base!r} * max(1.0, _eb / 4.0)",
-            "    if _sp == 'global':",
-            "        report.global_bytes += _eb",
-        ]
+        return [f"_s = regs[{memref_slot}]",
+                "_a = _s.check_alive()",
+                "_sp = _s.memory_space",
+                *access_charge_lines(self.program.machine, "_sp", "_a.itemsize")]
 
     @staticmethod
     def _index_expr(idx_slots: Sequence[int]) -> str:
         return ", ".join(f"int(regs[{s}])" for s in idx_slots)
 
-    def _c_load(self, op):
+    def _c_load(self, op) -> List[str]:
         ms = self.slot(op.memref)
         idx_slots = self.slots(op.indices)
         ds = self.slot(op.result)
@@ -537,278 +545,134 @@ class _FunctionCompiler:
             access = f"regs[{ds}] = _a.item({self._index_expr(idx_slots)})"
         else:
             access = f"regs[{ds}] = _a.item(({self._index_expr(idx_slots)}))"
-        return ("src", [*self._access_lines(ms), access], {})
+        return [*self._access_lines(ms), access]
 
-    def _c_store(self, op):
+    def _c_store(self, op) -> List[str]:
         vs = self.slot(op.value)
         ms = self.slot(op.memref)
         idx_slots = self.slots(op.indices)
         target = self._index_expr(idx_slots) if idx_slots else "()"
-        access = f"_a[{target}] = regs[{vs}]"
-        return ("src", [*self._access_lines(ms), access], {})
+        return [*self._access_lines(ms), f"_a[{target}] = regs[{vs}]"]
 
-    def _c_dim(self, op):
+    def _c_dim(self, op) -> List[str]:
         ms, ds = self.slot(op.memref), self.slot(op.result)
-        dim = op.dim
-        def step(state, regs):
-            regs[ds] = int(regs[ms].check_alive().shape[dim])
-        return step
+        return [f"regs[{ds}] = int(regs[{ms}].check_alive().shape[{op.dim}])"]
 
-    def _c_copy(self, op):
+    def _c_copy(self, op) -> List[str]:
         ss, ds = self.slot(op.source), self.slot(op.destination)
-        _, global_base = self._mem_cost_prefix()
+        machine = self.program.machine
         def step(state, regs):
             source = regs[ss]
             destination = regs[ds]
             destination.copy_from(source)  # checks both buffers' liveness
-            element_bytes = int(source.array.itemsize)
-            state.work[-1] += (2.0 * int(source.array.size)
-                               * (global_base * max(1.0, element_bytes / 4.0)))
+            state.work[-1] += (2.0 * int(source.array.size) * memory_access_cost(
+                machine, "global", int(source.array.itemsize)))
             state.report.global_bytes += 2 * int(source.array.nbytes)
-        return step
+        return self._bound(step)
 
     # -- functions ---------------------------------------------------------------
-    def _c_call(self, op, gen: bool):
+    def _c_call(self, op) -> List[str]:
         program = self.program
         callee = program.module.lookup(op.callee)
         if callee is None or callee.is_declaration:
             message = f"call to unknown function {op.callee!r}"
-            def unknown(state, regs):
-                raise InterpreterError(message)
-            return ("p", unknown)
-        use_gen = gen and program.plans.function_may_yield(callee)
-        arg_slots = self.slots(op.operands)
-        res_slots = self.slots(op.results)
-        cost = op_cost("func.call")
-        cell: List[Optional[_CompiledFunction]] = [None]
-        if use_gen:
-            def step(state, regs):
-                compiled = cell[0]
-                if compiled is None:
-                    compiled = cell[0] = program.function(callee, True)
-                state.work[-1] += cost
-                inner = compiled.template[:]
-                for dst, src in zip(compiled.arg_slots, arg_slots):
-                    inner[dst] = regs[src]
-                yield from compiled.runner(state, inner)
-                for dst, src in zip(res_slots, compiled.return_slots):
-                    regs[dst] = inner[src]
-            return ("g", step)
-        def step(state, regs):
-            compiled = cell[0]
-            if compiled is None:
-                compiled = cell[0] = program.function(callee, False)
-            state.work[-1] += cost
-            inner = compiled.template[:]
-            for dst, src in zip(compiled.arg_slots, arg_slots):
-                inner[dst] = regs[src]
-            compiled.runner(state, inner)
-            for dst, src in zip(res_slots, compiled.return_slots):
-                regs[dst] = inner[src]
-        return ("p", step)
+            return [f"raise _IE({message!r})"]
+        arg_slots = tuple(self.slots(op.operands))
+        res_slots = tuple(self.slots(op.results))
+        # compiled at the first call, so that recursion terminates
+        enter = self._name("fn")
+        self.ns[enter] = partial(program.function, callee)
+        run = "_f.runner(state, _in)"
+        if program.plans.function_may_yield(callee):
+            run = f"yield from {run}"
+        return [f"_f = {enter}()",
+                f"w[-1] += {op_cost('func.call')!r}",
+                "_in = _f.template[:]",
+                f"for _dst, _src in zip(_f.arg_slots, {arg_slots!r}):",
+                "    _in[_dst] = regs[_src]",
+                run,
+                f"for _dst, _src in zip({res_slots!r}, _f.return_slots):",
+                "    regs[_dst] = _in[_src]"]
 
     # -- structured control flow ---------------------------------------------------
-    def _c_for(self, op, gen: bool):
+    #
+    # One emitter per op.  Loop-carried values live in the registers of the
+    # block arguments they are bound to: written on entry and again at the
+    # end of every iteration, read once more for the op's results.
+    def _c_for(self, op) -> List[str]:
         lb, ub, st = self.slot(op.lower_bound), self.slot(op.upper_bound), self.slot(op.step)
         iv_slot = self.slot(op.induction_var)
         init_slots = self.slots(op.iter_init)
         iter_slots = self.slots(op.iter_args)
         result_slots = self.slots(op.results)
-        body = self.compile_block(op.body, gen=gen and self.may_yield(op))
+        body = self._nested(op.body)
         _, term = _split_executed(op.body)
         yield_slots = (self.slots(term.operands)
-                       if isinstance(term, scf.YieldOp) and result_slots else None)
+                       if isinstance(term, scf.YieldOp) and result_slots else init_slots)
         cost = op_cost("scf.for")
-        if gen:
-            def run(state, regs):
-                work = state.work
-                work[-1] += cost
-                lower = int(regs[lb])
-                upper = int(regs[ub])
-                step = int(regs[st])
-                if step <= 0:
-                    raise InterpreterError("scf.for requires a positive step")
-                carried = [regs[s] for s in init_slots]
-                iv = lower
-                while iv < upper:
-                    regs[iv_slot] = iv
-                    for dst, value in zip(iter_slots, carried):
-                        regs[dst] = value
-                    yield from body(state, regs)
-                    if yield_slots is not None:
-                        carried = [regs[s] for s in yield_slots]
-                    iv += step
-                    work[-1] += cost
-                for dst, value in zip(result_slots, carried):
-                    regs[dst] = value
-            return run
-        if not iter_slots:
-            def run(state, regs):
-                work = state.work
-                work[-1] += cost
-                lower = int(regs[lb])
-                upper = int(regs[ub])
-                step = int(regs[st])
-                if step <= 0:
-                    raise InterpreterError("scf.for requires a positive step")
-                iv = lower
-                while iv < upper:
-                    regs[iv_slot] = iv
-                    body(state, regs)
-                    iv += step
-                    work[-1] += cost
-            return run
-        def run(state, regs):
-            work = state.work
-            work[-1] += cost
-            lower = int(regs[lb])
-            upper = int(regs[ub])
-            step = int(regs[st])
-            if step <= 0:
-                raise InterpreterError("scf.for requires a positive step")
-            carried = [regs[s] for s in init_slots]
-            iv = lower
-            while iv < upper:
-                regs[iv_slot] = iv
-                for dst, value in zip(iter_slots, carried):
-                    regs[dst] = value
-                body(state, regs)
-                if yield_slots is not None:
-                    carried = [regs[s] for s in yield_slots]
-                iv += step
-                work[-1] += cost
-            for dst, value in zip(result_slots, carried):
-                regs[dst] = value
-        return run
+        iv, upper, step = self._name("iv"), self._name("ub"), self._name("st")
+        return [f"w[-1] += {cost!r}",
+                f"{iv} = int(regs[{lb}])",
+                f"{upper} = int(regs[{ub}])",
+                f"{step} = int(regs[{st}])",
+                f"if {step} <= 0:",
+                "    raise _IE('scf.for requires a positive step')",
+                *_copy(iter_slots, init_slots),
+                f"while {iv} < {upper}:",
+                f"    regs[{iv_slot}] = {iv}",
+                *body,
+                *(f"    {line}" for line in _copy(iter_slots, yield_slots)),
+                f"    {iv} += {step}",
+                f"    w[-1] += {cost!r}",
+                *_copy(result_slots, iter_slots)]
 
-    def _branch_copy_pairs(self, op, block):
-        """(result_slot, yielded_slot) pairs for one scf.if branch."""
-        if block is None or not op.results:
-            return None
+    def _branch(self, op, block) -> List[str]:
+        """One ``scf.if`` branch: its block, then the op's results bound to
+        the values it yields."""
+        lines = self._nested(block)
         _, term = _split_executed(block)
-        if not isinstance(term, scf.YieldOp):
-            return []
-        return list(zip(self.slots(op.results), self.slots(term.operands)))
+        if op.results and isinstance(term, scf.YieldOp):
+            lines += (f"    {line}" for line in
+                      _copy(self.slots(op.results), self.slots(term.operands)))
+        return lines
 
-    def _c_if(self, op, gen: bool):
-        cs = self.slot(op.condition)
-        has_results = bool(op.results)
-        then_gen = gen and any(self.may_yield(o) for o in op.then_block.operations)
-        then_run = self.compile_block(op.then_block, gen=then_gen)
-        then_copy = self._branch_copy_pairs(op, op.then_block) or []
-        else_block = op.else_block
-        if else_block is not None:
-            else_gen = gen and any(self.may_yield(o) for o in else_block.operations)
-            else_run = self.compile_block(else_block, gen=else_gen)
-            else_copy = self._branch_copy_pairs(op, else_block) or []
-        else:
-            else_run = None
-            else_copy = []
-        cost = op_cost("scf.if")
-        if gen:
-            def run(state, regs):
-                state.work[-1] += cost
-                if regs[cs]:
-                    result = then_run(state, regs)
-                    if result is not None:
-                        yield from result
-                    for dst, src in then_copy:
-                        regs[dst] = regs[src]
-                elif else_run is not None:
-                    result = else_run(state, regs)
-                    if result is not None:
-                        yield from result
-                    for dst, src in else_copy:
-                        regs[dst] = regs[src]
-                elif has_results:
-                    raise InterpreterError("scf.if with results requires an else branch")
-            return run
-        def run(state, regs):
-            state.work[-1] += cost
-            if regs[cs]:
-                then_run(state, regs)
-                for dst, src in then_copy:
-                    regs[dst] = regs[src]
-            elif else_run is not None:
-                else_run(state, regs)
-                for dst, src in else_copy:
-                    regs[dst] = regs[src]
-            elif has_results:
-                raise InterpreterError("scf.if with results requires an else branch")
-        return run
+    def _c_if(self, op) -> List[str]:
+        lines = [f"w[-1] += {op_cost('scf.if')!r}",
+                 f"if regs[{self.slot(op.condition)}]:",
+                 *self._branch(op, op.then_block)]
+        if op.else_block is not None:
+            lines += ["else:", *self._branch(op, op.else_block)]
+        elif op.results:
+            lines += ["else:",
+                      "    raise _IE('scf.if with results requires an else branch')"]
+        return lines
 
-    def _c_while(self, op, gen: bool):
+    def _c_while(self, op) -> List[str]:
         init_slots = self.slots(op.init_args)
         before_args = self.slots(op.before_block.arguments)
-        before_gen = gen and any(self.may_yield(o)
-                                 for o in op.before_block.operations)
-        before_run = self.compile_block(op.before_block, gen=before_gen)
+        before = self._nested(op.before_block)
         _, before_term = _split_executed(op.before_block)
-        if isinstance(before_term, scf.ConditionOp):
-            cond_slot = self.slot(before_term.condition)
-            fwd_slots = self.slots(before_term.forwarded)
-        else:
-            cond_slot = None
-            fwd_slots = []
+        lines = [*_copy(before_args, init_slots),
+                 "while True:",
+                 f"    w[-1] += {op_cost('scf.while')!r}",
+                 *before]
+        if not isinstance(before_term, scf.ConditionOp):
+            return lines + ["    raise _IE('scf.while before-region did not "
+                            "reach scf.condition')"]
+        cond_slot = self.slot(before_term.condition)
+        fwd_slots = self.slots(before_term.forwarded)
         after_args = self.slots(op.after_block.arguments)
-        after_gen = gen and any(self.may_yield(o)
-                                for o in op.after_block.operations)
-        after_run = self.compile_block(op.after_block, gen=after_gen)
+        after = self._nested(op.after_block)
         _, after_term = _split_executed(op.after_block)
-        yield_slots = self.slots(after_term.operands) if isinstance(after_term, scf.YieldOp) else None
-        result_slots = self.slots(op.results)
-        cost = op_cost("scf.while")
-        if gen:
-            def run(state, regs):
-                work = state.work
-                carried = [regs[s] for s in init_slots]
-                while True:
-                    work[-1] += cost
-                    for dst, value in zip(before_args, carried):
-                        regs[dst] = value
-                    result = before_run(state, regs)
-                    if result is not None:
-                        yield from result
-                    if cond_slot is None:
-                        raise InterpreterError(
-                            "scf.while before-region did not reach scf.condition")
-                    proceed = regs[cond_slot]
-                    forwarded = [regs[s] for s in fwd_slots]
-                    if not proceed:
-                        for dst, value in zip(result_slots, forwarded):
-                            regs[dst] = value
-                        return
-                    for dst, value in zip(after_args, forwarded):
-                        regs[dst] = value
-                    result = after_run(state, regs)
-                    if result is not None:
-                        yield from result
-                    carried = ([regs[s] for s in yield_slots]
-                               if yield_slots is not None else forwarded)
-            return run
-        def run(state, regs):
-            work = state.work
-            carried = [regs[s] for s in init_slots]
-            while True:
-                work[-1] += cost
-                for dst, value in zip(before_args, carried):
-                    regs[dst] = value
-                before_run(state, regs)
-                if cond_slot is None:
-                    raise InterpreterError(
-                        "scf.while before-region did not reach scf.condition")
-                proceed = regs[cond_slot]
-                forwarded = [regs[s] for s in fwd_slots]
-                if not proceed:
-                    for dst, value in zip(result_slots, forwarded):
-                        regs[dst] = value
-                    return
-                for dst, value in zip(after_args, forwarded):
-                    regs[dst] = value
-                after_run(state, regs)
-                carried = ([regs[s] for s in yield_slots]
-                           if yield_slots is not None else forwarded)
-        return run
+        yield_slots = (self.slots(after_term.operands)
+                       if isinstance(after_term, scf.YieldOp) else fwd_slots)
+        return [*lines,
+                f"    if not regs[{cond_slot}]:",
+                *(f"        {line}" for line in _copy(self.slots(op.results), fwd_slots)),
+                "        break",
+                *(f"    {line}" for line in _copy(after_args, fwd_slots)),
+                *after,
+                *(f"    {line}" for line in _copy(before_args, yield_slots))]
 
     # -- parallel regions -------------------------------------------------------
     #
@@ -838,7 +702,7 @@ class _FunctionCompiler:
             region = _Region(plan, bounds, self.slots(plan.induction_vars))
         return region
 
-    def _dispatched(self, region: _Region) -> Callable:
+    def _dispatched(self, region: _Region) -> List[str]:
         """Offer a planned region to the row's dispatcher; ``base`` otherwise."""
         dispatcher = self.program.dispatcher
         run = None
@@ -846,10 +710,10 @@ class _FunctionCompiler:
             self.offered += 1
             run = dispatcher(self, region)
         self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
-        return region.base if run is None else run
+        return self._bound(region.base if run is None else run)
 
     def _span_shell(self, op, count: Callable, message: str,
-                    finish: Callable) -> Callable:
+                    finish: Callable) -> List[str]:
         """``omp.wsloop`` and barrier-free ``scf.parallel``: they differ in
         the report counter, the escape message and the epilogue only."""
         region = self._region(op)
@@ -882,7 +746,7 @@ class _FunctionCompiler:
             state.work[-1] += fork_cost + work / state.program.speedup(threads)
         return finish
 
-    def _c_scf_parallel(self, op):
+    def _c_scf_parallel(self, op) -> List[str]:
         if self.program.plans.plan(op).kind == SIMT:
             return self._c_scf_parallel_simt(op)
 
@@ -892,7 +756,7 @@ class _FunctionCompiler:
             op, count, "unexpected barrier in barrier-free parallel loop",
             self._parallel_accounting())
 
-    def _c_scf_parallel_simt(self, op):
+    def _c_scf_parallel_simt(self, op) -> List[str]:
         # grid-wide barrier phases always run in this process: there is no
         # dispatcher to offer them to (a cross-worker phase join would be
         # needed, and the C emitter scopes barriers per block).
@@ -916,9 +780,9 @@ class _FunctionCompiler:
             wall = (fork_cost + work / state.program.speedup(threads)
                     + phases * phase_cost)
             work_stack[-1] += wall
-        return run
+        return self._bound(run)
 
-    def _c_gpu_launch(self, op):
+    def _c_gpu_launch(self, op) -> List[str]:
         region = self._region(op)
         region.message = "barrier executed outside a parallel context"
         grid_slots, block_slots = region.bounds
@@ -937,31 +801,31 @@ class _FunctionCompiler:
         region.base = base
         return self._dispatched(region)
 
-    def _c_gpu_alloc(self, op):
+    def _c_gpu_alloc(self, op) -> List[str]:
         size_slots = self.slots(op.operands)
         ds = self.slot(op.result)
         mtype = op.result.type
         allocate = MemRefStorage.allocate
         def step(state, regs):
             regs[ds] = allocate(mtype, [int(regs[s]) for s in size_slots])
-        return step
+        return self._bound(step)
 
-    def _c_gpu_dealloc(self, op):
+    def _c_gpu_dealloc(self, op) -> List[str]:
         ms = self.slot(op.memref)
         def step(state, regs):
             regs[ms].free()  # raises on double free (centralized in storage)
-        return step
+        return self._bound(step)
 
-    def _c_gpu_memcpy(self, op):
+    def _c_gpu_memcpy(self, op) -> List[str]:
         ds, ss = self.slot(op.destination), self.slot(op.source)
         def step(state, regs):
             regs[ds].copy_from(regs[ss])  # checks both buffers' liveness
-        return step
+        return self._bound(step)
 
     # -- OpenMP -------------------------------------------------------------------
-    def _c_omp_parallel(self, op):
+    def _c_omp_parallel(self, op) -> List[str]:
         nested = op.nest_level > 0
-        body = self.compile_block(op.body, gen=False)
+        body = self._function_of(*_counted(op.body), suspends=False)
         machine = self.program.machine
         fork = machine.nested_fork_cost if nested else machine.fork_cost
         penalty = machine.false_sharing_penalty
@@ -981,7 +845,7 @@ class _FunctionCompiler:
             if nested:
                 work *= penalty
             work_stack[-1] += fork + work
-        return run
+        return self._bound(run)
 
     @staticmethod
     def _static_team(op) -> Tuple[bool, bool, Optional[int]]:
@@ -1011,27 +875,55 @@ class _FunctionCompiler:
             state.work[-1] += wall
         return finish
 
-    def _c_omp_wsloop(self, op):
+    def _c_omp_wsloop(self, op) -> List[str]:
         def count(state):
             state.report.workshared_loops += 1
         return self._span_shell(op, count, "GPU barrier inside a workshared loop",
                                 self._wsloop_accounting(op))
 
-    def _c_omp_barrier(self, op):
+    def _c_omp_barrier(self, op) -> List[str]:
         sync_cost = self.program.machine.sync_cost
         def step(state, regs):
             state.report.barriers += 1
             state.work[-1] += sync_cost
-        return step
+        return self._bound(step)
 
-    def _c_omp_single(self, op):
-        body = self.compile_block(op.body, gen=False)
+    def _c_omp_single(self, op) -> List[str]:
+        body = self._function_of(*_counted(op.body), suspends=False)
         def run(state, regs):
             try:
                 body(state, regs)
             except _BarrierEscape:
                 raise InterpreterError("GPU barrier inside omp.single") from None
-        return run
+        return self._bound(run)
+
+
+#: the op arms of :meth:`_FunctionCompiler.compile_op`, by exact op type like
+#: the interpreter's handler table (pure scalar ops go through their
+#: :mod:`optable` row instead).
+_EMITTERS = {
+    arith.ConstantOp: _FunctionCompiler._c_constant,
+    memref_d.AllocOp: _FunctionCompiler._c_alloc,
+    memref_d.AllocaOp: _FunctionCompiler._c_alloc,
+    memref_d.DeallocOp: _FunctionCompiler._c_dealloc,
+    memref_d.LoadOp: _FunctionCompiler._c_load,
+    memref_d.StoreOp: _FunctionCompiler._c_store,
+    memref_d.DimOp: _FunctionCompiler._c_dim,
+    memref_d.CopyOp: _FunctionCompiler._c_copy,
+    func_d.CallOp: _FunctionCompiler._c_call,
+    scf.ForOp: _FunctionCompiler._c_for,
+    scf.IfOp: _FunctionCompiler._c_if,
+    scf.WhileOp: _FunctionCompiler._c_while,
+    scf.ParallelOp: _FunctionCompiler._c_scf_parallel,
+    gpu_d.LaunchOp: _FunctionCompiler._c_gpu_launch,
+    gpu_d.GPUAllocOp: _FunctionCompiler._c_gpu_alloc,
+    gpu_d.GPUDeallocOp: _FunctionCompiler._c_gpu_dealloc,
+    gpu_d.GPUMemcpyOp: _FunctionCompiler._c_gpu_memcpy,
+    omp_d.OmpParallelOp: _FunctionCompiler._c_omp_parallel,
+    omp_d.OmpWsLoopOp: _FunctionCompiler._c_omp_wsloop,
+    omp_d.OmpBarrierOp: _FunctionCompiler._c_omp_barrier,
+    omp_d.OmpSingleOp: _FunctionCompiler._c_omp_single,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +947,7 @@ def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan,
                     chunk(state, regs)
             return len(_chunks)
     else:
-        body = fc.compile_block(plan.op.body, gen=True)
+        body = fc._function_of(*_counted(plan.op.body), suspends=True)
 
         def run_simt(state, thread_regs, _body=body):
             live = [_body(state, regs) for regs in thread_regs]
@@ -1122,48 +1014,40 @@ def closures(fc: _FunctionCompiler, region: _Region,
 
 
 # ---------------------------------------------------------------------------
-# Block-runner code generation
+# Function finalisation
 # ---------------------------------------------------------------------------
-def _build_runner(items: Sequence[Tuple], nops: int, gen: bool) -> Callable:
-    """Stitch compiled items into one straight-line block runner.
+def _escaping(body: Callable) -> Callable:
+    """Run the generator function ``body`` where nothing can suspend: its
+    first barrier escapes to the enclosing shell (the interpreter's
+    ``for _ in self._execute_ops(...): raise``)."""
+    def run(state, regs):
+        for _ in body(state, regs):
+            raise _BarrierEscape()
+    return run
 
-    The runner batches the block's dynamic-op count into a single increment
-    (every op of a block executes exactly once per block execution), splices
-    inlined op source (``src`` items) directly into the generated body, and
-    invokes the remaining step closures without any per-op dispatch.  ``gen``
-    blocks become generator functions yielding at barriers.
+
+def _build_runner(lines: Sequence[str], namespace: Dict[str, object], name: str,
+                  suspends: Optional[bool]) -> Callable:
+    """Finalise the lines of one function body with one ``exec``.
+
+    Whether the function is a generator is a property of its text — it
+    yields at the barriers it contains.  ``suspends`` says what the caller
+    does with it: ``True``, it drives a generator (a SIMT thread, a callee
+    that may yield), so a body without a reachable barrier is still made
+    one; ``False``, it cannot suspend, so a body that does yield is driven
+    to its first barrier, which escapes; ``None``, it takes either.
     """
-    namespace = {"_IE": InterpreterError, "_B": _BARRIER}
-    lines = [
-        "def run(state, regs):",
-        "    report = state.report",
-        f"    report.dynamic_ops += {nops}",
-        "    if state.max_ops is not None and report.dynamic_ops > state.max_ops:",
-        "        raise _IE('dynamic operation budget exceeded')",
-        "    w = state.work",
-    ]
-    needs_yield = False
-    for index, item in enumerate(items):
-        kind = item[0]
-        if kind == "src":
-            _, src_lines, ns = item
-            namespace.update(ns)
-            lines.extend(f"    {line}" for line in src_lines)
-        elif kind == "p":
-            namespace[f"s{index}"] = item[1]
-            lines.append(f"    s{index}(state, regs)")
-        elif kind == "g":
-            namespace[f"s{index}"] = item[1]
-            lines.append(f"    yield from s{index}(state, regs)")
-            needs_yield = True
-        else:  # barrier
-            lines.append("    yield _B")
-            needs_yield = True
-    if gen and not needs_yield:
-        lines.append("    if False:")
-        lines.append("        yield None")
-    exec("\n".join(lines), namespace)  # noqa: S102 - compile-time codegen
-    return namespace["run"]
+    body = [*lines, "if False:", "    yield"] if suspends else lines or ["pass"]
+    source = "\n".join([f"def {name}(state, regs):",
+                        "    report = state.report",
+                        "    max_ops = state.max_ops",
+                        "    w = state.work",
+                        *(f"    {line}" for line in body)])
+    exec(source, namespace)  # noqa: S102 - compile-time codegen
+    run = namespace[name]
+    if suspends is False and isgeneratorfunction(run):
+        return _escaping(run)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -1207,13 +1091,14 @@ class CompiledEngine:
         if len(arguments) != len(fn.arguments):
             raise InterpreterError(
                 f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
-        compiled = self._program.function(fn, gen=False)
+        compiled = self._program.function(fn)
+        runner = _escaping(compiled.runner) if compiled.is_gen else compiled.runner
         state = self._make_state()
         regs = compiled.template[:]
         for slot, argument in zip(compiled.arg_slots, arguments):
             regs[slot] = self._wrap_argument(argument)
         try:
-            compiled.runner(state, regs)
+            runner(state, regs)
         except _BarrierEscape:
             raise InterpreterError("barrier executed outside a parallel context") from None
         results = [regs[s] for s in compiled.return_slots]

@@ -172,7 +172,7 @@ def _execute_shard(program, key, live_ins, start: int, stop: int,
         fn = program.module.lookup(key[0])
         if fn is None:
             raise InterpreterError(f"worker cannot resolve function {key[0]!r}")
-        program.function(fn, key[1])  # deterministic recompile fills the registry
+        program.function(fn)  # deterministic recompile fills the registry
         region = regions.get(key)
         if region is None:
             raise InterpreterError(f"worker cannot resolve shard region {key!r}")
@@ -362,7 +362,7 @@ class _Shards:
     (``program.shards``; made when the dispatcher takes its first region)."""
 
     def __init__(self) -> None:
-        #: (function name, gen flag, ordinal) -> worker-side region record.
+        #: (function name, ordinal) -> worker-side region record.
         self.regions: Dict[Tuple, Dict] = {}
         self.pools: Dict[int, _WorkerPool] = {}
         self._finalizer = weakref.finalize(self, _shutdown_pools, self.pools)
@@ -592,7 +592,7 @@ def shards(fc: _FunctionCompiler, region: _Region):
     if program.shards is None:
         program.shards = _Shards()
     launch = plan.kind == LAUNCH
-    key = (fc.fn.sym_name, fc.gen_mode, fc.offered)
+    key = (fc.fn.sym_name, fc.offered)
     bounds = region.bounds
     program.shards.regions[key] = {
         "kind": "launch" if launch else "span",

@@ -544,7 +544,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     if unit is None:
         unit = fc.dispatch_state = NativeUnit(program)
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
-    symbol = f"repro_{sanitized}_{'g' if fc.gen_mode else 'p'}{fc.offered}"
+    symbol = f"repro_{sanitized}_p{fc.offered}"
     launch = plan.kind == LAUNCH
     try:
         codegen = RegionCodegen(program, plan, symbol, fc.slot)

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..dialects import arith, func as func_d, gpu as gpu_d, math as math_d
 from ..dialects import memref as memref_d, polygeist, scf
-from .costmodel import op_cost
+from .costmodel import MachineModel, memory_access_cost, op_cost
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,24 @@ def static_cost(op):
         return cycles(row)
     entry = STATIC_COST.get(type(op))
     return op_cost(entry) if isinstance(entry, str) else entry
+
+
+def access_charge_lines(machine: MachineModel, space: str, itemsize: str,
+                        count: str = "") -> List[str]:
+    """Generated-Python lines charging :data:`MEMORY` accesses of a buffer
+    whose memory space and element width are only known at run time:
+    :func:`~repro.runtime.costmodel.memory_access_cost` over the expressions
+    ``space`` and ``itemsize``, times ``count`` accesses (one when empty).
+    The two constants are the cost of a 4-byte element, whose width factor
+    is exactly 1.0."""
+    times = f" * {count}" if count else ""
+    return [f"if {space} == 'shared' or {space} == 'local':",
+            f"    w[-1] += {memory_access_cost(machine, 'local', 4)!r}{times}",
+            "else:",
+            f"    w[-1] += {memory_access_cost(machine, 'global', 4)!r}"
+            f" * max(1.0, {itemsize} / 4.0){times}",
+            f"    if {space} == 'global':",
+            f"        report.global_bytes += {itemsize}{times}"]
 
 
 def c_prelude_helpers() -> str:

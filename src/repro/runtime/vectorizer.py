@@ -78,10 +78,11 @@ from .compiler import (
     build_parallel_thread_regs,
     closures,
 )
-from .costmodel import exact_cycles, op_cost
+from .costmodel import exact_cycles, memory_access_cost, op_cost
 from .errors import InterpreterError
 from .memory import MemRefStorage, dtype_for
-from .optable import ALLOC_CYCLES, cycles, python_expr, row_for
+from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
+                      row_for)
 
 _U = "u"  # uniform: one Python scalar (or storage) shared by all lanes
 _V = "v"  # varying: a full-width (num_lanes,) numpy array
@@ -282,8 +283,6 @@ class _RegionVectorizer:
     def __init__(self, fc: _FunctionCompiler) -> None:
         self.fc = fc
         self.program = fc.program
-        self.local_cost = self.program.local_cost
-        self.global_base = self.program.global_base
         self.kinds: Dict[int, str] = {}
         self.lane_bufs: Dict[int, _LaneBuffer] = {}
         # thread-index provenance ("taint"): slots / rank-0 cells holding a
@@ -549,24 +548,16 @@ class _RegionVectorizer:
         self.emit(f"regs[{slot}] = np.zeros((_N,) + {shape!r}, dtype={dt})")
 
     def _lane_buf_charge(self, buf: _LaneBuffer, ctx: _Ctx) -> None:
-        if buf.space in ("shared", "local"):
-            self.charge(self.local_cost, ctx)
-        else:
-            itemsize = int(np.dtype(buf.dtype).itemsize)
-            self.charge(self.global_base * max(1.0, itemsize / 4.0), ctx)
-            if buf.space == "global":
-                self.emit(f"report.global_bytes += {itemsize} * {ctx.count}")
+        itemsize = int(np.dtype(buf.dtype).itemsize)
+        self.charge(memory_access_cost(self.program.machine, buf.space, itemsize), ctx)
+        if buf.space == "global":
+            self.emit(f"report.global_bytes += {itemsize} * {ctx.count}")
 
     def _storage_charge_lines(self, svar: str, ctx: _Ctx) -> None:
         """Runtime-space charge for a uniform storage access (post-access)."""
-        self.emit(f"if {svar}.memory_space == 'shared' or {svar}.memory_space == 'local':")
-        self.emit(f"    w[-1] += {self.local_cost!r} * {ctx.count}")
-        self.emit("else:")
-        eb = self.fc._name("eb")
-        self.emit(f"    {eb} = {svar}.array.itemsize")
-        self.emit(f"    w[-1] += {self.global_base!r} * max(1.0, {eb} / 4.0) * {ctx.count}")
-        self.emit(f"    if {svar}.memory_space == 'global':")
-        self.emit(f"        report.global_bytes += {eb} * {ctx.count}")
+        for line in access_charge_lines(self.program.machine, f"{svar}.memory_space",
+                                        f"{svar}.array.itemsize", ctx.count):
+            self.emit(line)
 
     def _masked(self, expr: str, kind: str, ctx: _Ctx) -> str:
         """Compress a varying operand to active lanes (uniforms pass through)."""
@@ -698,20 +689,17 @@ class _RegionVectorizer:
 
     # -- control flow ------------------------------------------------------------
     def emit_if(self, op, ctx: _Ctx) -> None:
-        then_ops, then_term = _split_executed(op.then_block)
-        then_nops = len(then_ops) + (1 if then_term is not None else 0)
-        else_block = op.else_block
-        if else_block is not None:
-            else_ops, else_term = _split_executed(else_block)
-            else_nops = len(else_ops) + (1 if else_term is not None else 0)
-        else:
-            else_ops, else_term, else_nops = [], None, 0
-        if op.results and else_block is None:
+        if op.results and op.else_block is None:
             raise _Unsupported("scf.if with results but no else branch")
-        then_yield = list(then_term.operands) if isinstance(then_term, scf.YieldOp) else []
-        else_yield = list(else_term.operands) if isinstance(else_term, scf.YieldOp) else []
         if any(isinstance(result.type, MemRefType) for result in op.results):
             raise _Unsupported("scf.if yielding a memref value")
+        #: per branch: its executed ops, their dynamic-op count, what it yields.
+        branches = []
+        for block in (op.then_block, op.else_block):
+            if block is not None:
+                ops, term = _split_executed(block)
+                branches.append((ops, len(ops) + (1 if term is not None else 0),
+                                 list(term.operands) if isinstance(term, scf.YieldOp) else []))
 
         cond_kind = self.kind_of(op.condition)
         self.charge(op_cost("scf.if"), ctx)
@@ -720,66 +708,43 @@ class _RegionVectorizer:
             raise _Unsupported("control-flow nesting too deep to vectorize")
         try:
             if cond_kind == _U:
-                self._emit_uniform_if(op, ctx, then_ops, then_nops, then_yield,
-                                      else_block, else_ops, else_nops, else_yield)
+                self._emit_uniform_if(op, ctx, branches)
             else:
-                self._emit_masked_if(op, ctx, then_ops, then_nops, then_yield,
-                                     else_block, else_ops, else_nops, else_yield)
+                self._emit_masked_if(op, ctx, branches)
         finally:
             self._depth -= 1
 
-    def _emit_uniform_if(self, op, ctx, then_ops, then_nops, then_yield,
-                         else_block, else_ops, else_nops, else_yield) -> None:
+    def _emit_uniform_if(self, op, ctx, branches) -> None:
         # pre-classify both branches to join result kinds consistently
-        result_kinds = self._join_branch_kinds(op, ctx, then_ops, then_yield,
-                                               else_ops, else_yield,
-                                               bool(else_block))
-        self.emit(f"if {self.ref(op.condition)}:")
-        self._indent += 1
-        self.count_ops(then_nops, ctx.count)
-        for nested in then_ops:
-            self.emit_op(nested, ctx)
-        self._emit_branch_result_copies(op, then_yield, result_kinds)
-        if not then_ops and not op.results and not then_nops:
-            self.emit("pass")
-        self._indent -= 1
-        if else_block is not None:
-            self.emit("else:")
+        result_kinds = self._join_branch_kinds(op, ctx, branches)
+        for header, (ops, nops, yielded) in zip(
+                (f"if {self.ref(op.condition)}:", "else:"), branches):
+            self.emit(header)
             self._indent += 1
-            self.count_ops(else_nops, ctx.count)
-            for nested in else_ops:
+            self.count_ops(nops, ctx.count)
+            for nested in ops:
                 self.emit_op(nested, ctx)
-            self._emit_branch_result_copies(op, else_yield, result_kinds)
-            if not else_ops and not op.results and not else_nops:
+            self._emit_branch_result_copies(op, yielded, result_kinds)
+            if not ops and not op.results and not nops:
                 self.emit("pass")
             self._indent -= 1
 
-    def _join_branch_kinds(self, op, ctx, then_ops, then_yield, else_ops,
-                           else_yield, has_else) -> List[str]:
+    def _join_branch_kinds(self, op, ctx, branches) -> List[str]:
         """Result kinds joined over both branches (dry classification runs)."""
         if not op.results:
             return []
-        snap = self._snapshot()
-        try:
-            for nested in then_ops:
-                self.emit_op(nested, ctx)
-            then_kinds = [self.kind_of(value) for value in then_yield]
-        finally:
-            self._restore(snap)
-        if has_else:
+        kinds = []
+        for ops, _, yielded in branches:
             snap = self._snapshot()
             try:
-                for nested in else_ops:
+                for nested in ops:
                     self.emit_op(nested, ctx)
-                else_kinds = [self.kind_of(value) for value in else_yield]
+                kinds.append([self.kind_of(value) for value in yielded])
             finally:
                 self._restore(snap)
-        else:
-            else_kinds = then_kinds
-        if "buf" in then_kinds or "buf" in else_kinds:
+        if any("buf" in branch for branch in kinds):
             raise _Unsupported("scf.if yielding a memref value")
-        return [_V if _V in pair else _U
-                for pair in zip(then_kinds, else_kinds)]
+        return [_V if _V in pair else _U for pair in zip(*kinds)]
 
     def _emit_branch_result_copies(self, op, yielded, result_kinds) -> None:
         for result, value, kind in zip(op.results, yielded, result_kinds):
@@ -789,8 +754,7 @@ class _RegionVectorizer:
             target = self.define(result, kind)
             self.emit(f"{target} = {source}")
 
-    def _emit_masked_if(self, op, ctx, then_ops, then_nops, then_yield,
-                        else_block, else_ops, else_nops, else_yield) -> None:
+    def _emit_masked_if(self, op, ctx, branches) -> None:
         defining = op.condition.defining_op()
         if (isinstance(defining, arith._CmpOp) and defining.predicate == "eq"
                 and ((self.is_lane_index(defining.lhs)
@@ -803,72 +767,49 @@ class _RegionVectorizer:
             # closures.  Broad data-dependent equality masks (e.g.
             # ``flag[tid] == 1``) are not lane-index-derived and vectorize.
             raise _Unsupported("single-lane equality guard")
-        cond = self.ref(op.condition)
+        taken = f"(np.asarray({self.ref(op.condition)}) != 0)"
+        mvar, then_tmps = self._emit_masked_branch(op, ctx, taken, *branches[0])
+        else_tmps = (self._emit_masked_branch(op, ctx, f"~{mvar}", *branches[1])[1]
+                     if len(branches) == 2 else [])
+        for result, then_tmp, else_tmp in zip(op.results, then_tmps, else_tmps):
+            target = self.define(result, _V)
+            self.emit(f"{target} = np.where({mvar}, {then_tmp}, {else_tmp})")
+
+    def _emit_masked_branch(self, op, ctx, selected: str, ops, nops,
+                            yielded) -> Tuple[str, List[str]]:
+        """One branch of a masked ``scf.if``, run by the lanes of ``ctx``
+        that ``selected`` picks; returns the name of their mask and of the
+        temporaries holding what the branch yields.  A branch no lane takes
+        binds what it would have assigned to 0 instead, so that the
+        full-width expressions reading those registers stay defined."""
         mvar = self.fc._name("m")
         nvar = self.fc._name("n")
-        if ctx.mask is None:
-            self.emit(f"{mvar} = (np.asarray({cond}) != 0)")
-        else:
-            self.emit(f"{mvar} = {ctx.mask} & (np.asarray({cond}) != 0)")
+        self.emit(f"{mvar} = {selected}" if ctx.mask is None
+                  else f"{mvar} = {ctx.mask} & {selected}")
         self.emit(f"{nvar} = int({mvar}.sum())")
-        then_ctx = _Ctx(mask=mvar, count=nvar)
-
-        then_tmps = [self.fc._name("t") for _ in op.results]
-        self.count_ops(then_nops, nvar)
+        tmps = [self.fc._name("t") for _ in op.results]
+        self.count_ops(nops, nvar)
         self.emit(f"if {nvar}:")
         self._indent += 1
         log_start = len(self._assign_log)
-        for nested in then_ops:
-            self.emit_op(nested, then_ctx)
-        for tmp, value in zip(then_tmps, then_yield):
+        branch_ctx = _Ctx(mask=mvar, count=nvar)
+        for nested in ops:
+            self.emit_op(nested, branch_ctx)
+        for tmp, value in zip(tmps, yielded):
             self.emit(f"{tmp} = {self.ref(value)}")
-        if not then_ops and not then_tmps:
+        if not ops and not tmps:
             self.emit("pass")
         self._indent -= 1
         assigned = list(dict.fromkeys(self._assign_log[log_start:]))
-        if assigned or then_tmps:
+        if assigned or tmps:
             self.emit("else:")
             self._indent += 1
             for slot in assigned:
                 self.emit(f"regs[{slot}] = 0")
-            for tmp in then_tmps:
+            for tmp in tmps:
                 self.emit(f"{tmp} = 0")
             self._indent -= 1
-
-        else_tmps = [self.fc._name("t") for _ in op.results]
-        if else_block is not None:
-            m2var = self.fc._name("m")
-            n2var = self.fc._name("n")
-            if ctx.mask is None:
-                self.emit(f"{m2var} = ~{mvar}")
-            else:
-                self.emit(f"{m2var} = {ctx.mask} & ~{mvar}")
-            self.emit(f"{n2var} = int({m2var}.sum())")
-            else_ctx = _Ctx(mask=m2var, count=n2var)
-            self.count_ops(else_nops, n2var)
-            self.emit(f"if {n2var}:")
-            self._indent += 1
-            log_start = len(self._assign_log)
-            for nested in else_ops:
-                self.emit_op(nested, else_ctx)
-            for tmp, value in zip(else_tmps, else_yield):
-                self.emit(f"{tmp} = {self.ref(value)}")
-            if not else_ops and not else_tmps:
-                self.emit("pass")
-            self._indent -= 1
-            assigned = list(dict.fromkeys(self._assign_log[log_start:]))
-            if assigned or else_tmps:
-                self.emit("else:")
-                self._indent += 1
-                for slot in assigned:
-                    self.emit(f"regs[{slot}] = 0")
-                for tmp in else_tmps:
-                    self.emit(f"{tmp} = 0")
-                self._indent -= 1
-
-        for result, then_tmp, else_tmp in zip(op.results, then_tmps, else_tmps):
-            target = self.define(result, _V)
-            self.emit(f"{target} = np.where({mvar}, {then_tmp}, {else_tmp})")
+        return mvar, tmps
 
     def emit_for(self, op, ctx: _Ctx) -> None:
         for bound in (op.lower_bound, op.upper_bound, op.step):

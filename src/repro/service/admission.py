@@ -17,38 +17,12 @@ own capacity, not of the offered load.  Counters feed the stats endpoint.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional
-
-#: environment defaults (flags override).
-MAX_INFLIGHT_ENV_VAR = "REPRO_SERVE_INFLIGHT"
-QUEUE_DEPTH_ENV_VAR = "REPRO_SERVE_QUEUE"
-QUEUE_TIMEOUT_ENV_VAR = "REPRO_SERVE_QUEUE_TIMEOUT_S"
 
 DEFAULT_MAX_INFLIGHT = 8
 DEFAULT_QUEUE_DEPTH = 256
 DEFAULT_QUEUE_TIMEOUT_S = 30.0
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 class AdmissionController:
@@ -59,16 +33,9 @@ class AdmissionController:
     counters are mutated under one lock and surfaced via ``snapshot()``.
     """
 
-    def __init__(self, max_inflight: Optional[int] = None,
-                 queue_depth: Optional[int] = None,
-                 queue_timeout_s: Optional[float] = None) -> None:
-        if max_inflight is None:
-            max_inflight = _env_int(MAX_INFLIGHT_ENV_VAR, DEFAULT_MAX_INFLIGHT)
-        if queue_depth is None:
-            queue_depth = _env_int(QUEUE_DEPTH_ENV_VAR, DEFAULT_QUEUE_DEPTH)
-        if queue_timeout_s is None:
-            queue_timeout_s = _env_float(QUEUE_TIMEOUT_ENV_VAR,
-                                         DEFAULT_QUEUE_TIMEOUT_S)
+    def __init__(self, max_inflight: int = DEFAULT_MAX_INFLIGHT,
+                 queue_depth: int = DEFAULT_QUEUE_DEPTH,
+                 queue_timeout_s: float = DEFAULT_QUEUE_TIMEOUT_S) -> None:
         self.max_inflight = max(1, max_inflight)
         self.queue_depth = max(0, queue_depth)
         self.queue_timeout_s = queue_timeout_s
@@ -139,6 +106,5 @@ class AdmissionController:
 
 __all__ = [
     "AdmissionController", "DEFAULT_MAX_INFLIGHT", "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_QUEUE_TIMEOUT_S", "MAX_INFLIGHT_ENV_VAR", "QUEUE_DEPTH_ENV_VAR",
-    "QUEUE_TIMEOUT_ENV_VAR",
+    "DEFAULT_QUEUE_TIMEOUT_S",
 ]

@@ -55,13 +55,12 @@ from ..runtime.cache import global_cache
 from ..runtime.errors import StreamPoisonedError
 from ..runtime.resilience import global_log, record_event, retry_policy
 from ..transforms import PipelineOptions
-from .admission import AdmissionController
+from .admission import (DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_DEPTH,
+                        DEFAULT_QUEUE_TIMEOUT_S, AdmissionController)
 from .metrics import ServiceMetrics
 from . import protocol
 
-#: environment knobs (the CLI maps flags onto constructor arguments; these
-#: cover embedded/in-process servers).
-REQUEST_TIMEOUT_ENV_VAR = "REPRO_SERVE_REQUEST_TIMEOUT_S"
+#: the per-launch deadline, unless the constructor is given one.
 DEFAULT_REQUEST_TIMEOUT_S = 60.0
 
 #: accept() poll interval; bounds shutdown latency without busy-waiting.
@@ -177,20 +176,14 @@ class KernelServer:
                  host: Optional[str] = None, port: int = 0,
                  engine: Optional[str] = None,
                  workers: Optional[int] = None,
-                 max_inflight: Optional[int] = None,
-                 queue_depth: Optional[int] = None,
-                 queue_timeout_s: Optional[float] = None,
-                 request_timeout_s: Optional[float] = None) -> None:
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
+                 queue_depth: int = DEFAULT_QUEUE_DEPTH,
+                 queue_timeout_s: float = DEFAULT_QUEUE_TIMEOUT_S,
+                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S) -> None:
         if engine is not None:
             resolve_engine(engine)  # fail fast on a bad engine name
         self.engine = engine
         self.workers = workers
-        if request_timeout_s is None:
-            raw = os.environ.get(REQUEST_TIMEOUT_ENV_VAR, "").strip()
-            try:
-                request_timeout_s = float(raw) if raw else DEFAULT_REQUEST_TIMEOUT_S
-            except ValueError:
-                request_timeout_s = DEFAULT_REQUEST_TIMEOUT_S
         self.request_timeout_s = request_timeout_s
         self.admission = AdmissionController(max_inflight, queue_depth,
                                              queue_timeout_s)
@@ -549,5 +542,4 @@ class KernelServer:
         return snapshot
 
 
-__all__ = ["DEFAULT_REQUEST_TIMEOUT_S", "KernelServer",
-           "REQUEST_TIMEOUT_ENV_VAR", "options_spec"]
+__all__ = ["DEFAULT_REQUEST_TIMEOUT_S", "KernelServer", "options_spec"]

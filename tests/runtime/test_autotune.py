@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 import repro
 from repro.frontend import compile_cuda
 from repro.runtime import (
+    A64FX_CMG,
     clear_global_tuning_cache,
     engine_names,
     global_tuning_cache,
@@ -161,6 +163,29 @@ class TestKeys:
         assert key != tuning_key(module, "other", make_args())
         assert key != tuning_key(module, "launch", make_args(), threads=32)
         assert key != tuning_key(module, "launch", make_args(), workers=2)
+
+    def test_keys_are_byte_identical_to_tuning_format_2(self):
+        """Records on disk stay valid: these two keys were recorded at
+        663d6e5, before the key builder and the argument facts were unified
+        (numpy scalars are left out: their repr depends on the numpy major)."""
+        module = types.SimpleNamespace(_content_key="ir:pinned")
+        readonly = np.arange(6, dtype=np.int64).reshape(2, 3)
+        readonly.flags.writeable = False
+        arguments = [np.zeros((4, 8), dtype=np.float32), readonly, 7, -0.0, True,
+                     "text", np.zeros((), dtype=np.float64)]
+        assert argument_signature(arguments) == (
+            "nd[<f4:4x8:w],nd[<i8:2x3:r],int:7,float:-0.0,bool:True,str,nd[<f8::w]")
+        assert tuning_key(module, "launch", arguments) == (
+            "3b721b06713d22947f0a1b08ba8c49b6d79e2b236c3227d0b4d5ce7d0e7111fb")
+        assert tuning_key(module, "launch", arguments, machine=A64FX_CMG, threads=4,
+                          collect_cost=False, max_dynamic_ops=1000, workers=2) == (
+            "c37fd9714bfba88cccde1cf2c371d7e6b3c3dc4c107c74e500887d3f6bccc41c")
+
+    def test_steady_state_compares_what_the_key_hashes(self):
+        """``0.0 == -0.0`` but their keys differ: the fast path must not
+        dispatch one with the executor resolved for the other."""
+        assert autotune._argument_facts([0.0]) != autotune._argument_facts([-0.0])
+        assert argument_signature([0.0]) != argument_signature([-0.0])
 
     def test_host_fingerprint_fields(self):
         fingerprint = host_fingerprint()

@@ -31,7 +31,6 @@ from repro.rodinia import BENCHMARKS
 from repro.runtime import reset_faults, resilience, shutdown_worker_pools
 from repro.runtime.cache import (
     CACHE_FORMAT,
-    CAPACITY_ENV_VAR,
     PUBLISH_TIMEOUT_S,
     TUNING_FORMAT,
     KernelCache,
@@ -442,9 +441,10 @@ class TestNativeArtifactTier:
         assert directory.is_dir()
         assert "repro-native-" in directory.name
 
-    def test_capacity_env_knob(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV_VAR, "3")
-        assert NativeArtifactCache().capacity == 3
+    def test_capacity_is_a_constructor_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_CAPACITY", "3")  # deleted in PR 15: not read
+        assert NativeArtifactCache().capacity == 256
+        assert NativeArtifactCache(capacity=3).capacity == 3
 
     def test_store_publishes_atomically_and_evicts(self, tmp_path):
         cache = NativeArtifactCache(capacity=2, directory=tmp_path)

@@ -32,6 +32,7 @@ from tests.helpers import (
     const_index,
     finish_function,
     insert_barrier,
+    run_engine_matrix,
 )
 
 
@@ -208,6 +209,197 @@ class TestCompiledSemantics:
         assert np.allclose(out, data.reshape(n_blocks, -1).sum(axis=1), rtol=1e-5)
 
 
+def _bump(builder, buf, index):
+    """``buf[index] += 1.0`` — the innermost body of the nests below."""
+    old = builder.insert(memref_d.LoadOp(buf, [index]))
+    one = builder.insert(arith.ConstantOp(1.0, F32))
+    builder.insert(memref_d.StoreOp(
+        builder.insert(arith.AddFOp(old.result, one.result)).result, buf, [index]))
+
+
+def _nest_for(builder, depth, innermost):
+    for level in range(depth):
+        loop = builder.insert(scf.ForOp(
+            const_index(builder, 0), const_index(builder, 2 if level % 8 == 0 else 1),
+            const_index(builder, 1)))
+        Builder.at_end(loop.body).insert(scf.YieldOp())
+        builder = Builder.before_op(loop.body.terminator)
+    innermost(builder)
+
+
+def _nest_while(builder, depth, innermost):
+    """Each level carries a counter through init → before → after → yield."""
+    for level in range(depth):
+        loop = builder.insert(scf.WhileOp([const_index(builder, 0)]))
+        before = Builder.at_end(loop.before_block)
+        count = loop.before_block.arguments[0]
+        more = before.insert(arith.CmpIOp(
+            arith.CmpPredicate.LT, count, const_index(before, 2 if level % 8 == 0 else 1)))
+        before.insert(scf.ConditionOp(more.result, [count]))
+        after = Builder.at_end(loop.after_block)
+        bumped = after.insert(arith.AddIOp(loop.after_block.arguments[0],
+                                           const_index(after, 1)))
+        after.insert(scf.YieldOp([bumped.result]))
+        builder = Builder.before_op(bumped)
+    innermost(builder)
+
+
+def _nest_if(builder, depth, innermost):
+    true = builder.insert(arith.CmpIOp(arith.CmpPredicate.EQ, const_index(builder, 0),
+                                       const_index(builder, 0))).result
+    for _ in range(depth):
+        branch = builder.insert(scf.IfOp(true, with_else=False))
+        Builder.at_end(branch.then_block).insert(scf.YieldOp())
+        builder = Builder.before_op(branch.then_block.terminator)
+    innermost(builder)
+
+
+class TestWholeFunctionGeneration:
+    """A compiled function is one generated Python function; these pin what
+    that could break, against the interpreter (outputs and CostReport)."""
+
+    @pytest.mark.parametrize("nest,depth", [(_nest_for, 25), (_nest_while, 25),
+                                            (_nest_if, 110)])
+    def test_nests_deeper_than_cpython_allows_inline(self, nest, depth):
+        """CPython refuses >20 statically nested loops and >100 indentation
+        levels: a naive whole-function emitter dies with SyntaxError here."""
+        module, fn, builder = build_function("main", [memref((4,), F32)], ["buf"])
+        loop, inner = build_parallel(builder, 4)
+        nest(inner, depth, lambda b: _bump(b, fn.arguments[0], loop.induction_vars[0]))
+        close_parallel(inner)
+        finish_function(builder)
+        verify(module)
+        run_engine_matrix(module, "main", lambda: [np.zeros(4, dtype=np.float32)], [0],
+                          engines=("interp", "compiled", "vectorized"), label=nest.__name__)
+
+    def test_for_iter_args_with_permuted_yields(self):
+        """``yield %b, %a``: every carried value reads its pre-update register."""
+        def build(fn, builder):
+            a = builder.insert(arith.ConstantOp(1.0, F32))
+            b = builder.insert(arith.ConstantOp(2.0, F32))
+            loop = builder.insert(scf.ForOp(const_index(builder, 0), const_index(builder, 3),
+                                            const_index(builder, 1), [a.result, b.result]))
+            inner = Builder.at_end(loop.body)
+            grown = inner.insert(arith.AddFOp(loop.iter_args[0], loop.iter_args[1]))
+            inner.insert(scf.YieldOp([loop.iter_args[1], grown.result]))
+            for index, result in enumerate(loop.results):
+                builder.insert(memref_d.StoreOp(result, fn.arguments[0],
+                                                [const_index(builder, index)]))
+        module = _store_result_module(build)
+        run_engine_matrix(module, "main", lambda: [np.zeros(16, dtype=np.float32)], [0],
+                          engines=("interp", "compiled"))
+        data = np.zeros(16, dtype=np.float32)
+        CompiledEngine(module).run("main", [data])
+        assert list(data[:2]) == [5.0, 8.0]  # (1,2) -> (2,3) -> (3,5) -> (5,8)
+
+    def test_while_forwarding_values(self):
+        """Results are what ``scf.condition`` forwards at exit, and the after
+        region receives them — more values than the one the loop carries."""
+        def build(fn, builder):
+            loop = builder.insert(scf.WhileOp([const_index(builder, 0)], [INDEX, INDEX]))
+            before = Builder.at_end(loop.before_block)
+            count = loop.before_block.arguments[0]
+            more = before.insert(arith.CmpIOp(arith.CmpPredicate.LT, count,
+                                              const_index(before, 4)))
+            tenfold = before.insert(arith.MulIOp(count, const_index(before, 10)))
+            before.insert(scf.ConditionOp(more.result, [count, tenfold.result]))
+            after = Builder.at_end(loop.after_block)
+            index, value = loop.after_block.arguments
+            seen = after.insert(arith.SIToFPOp(
+                after.insert(arith.IndexCastOp(value, I32)).result, F32))
+            after.insert(memref_d.StoreOp(seen.result, fn.arguments[0], [index]))
+            after.insert(scf.YieldOp([after.insert(arith.AddIOp(
+                index, const_index(after, 1))).result]))
+            last = builder.insert(arith.SIToFPOp(builder.insert(arith.IndexCastOp(
+                loop.results[1], I32)).result, F32))
+            builder.insert(memref_d.StoreOp(last.result, fn.arguments[0], [loop.results[0]]))
+        module = _store_result_module(build)
+        run_engine_matrix(module, "main", lambda: [np.zeros(16, dtype=np.float32)], [0],
+                          engines=("interp", "compiled"))
+        data = np.zeros(16, dtype=np.float32)
+        CompiledEngine(module).run("main", [data])
+        assert list(data[:5]) == [0.0, 10.0, 20.0, 30.0, 40.0]
+
+    @staticmethod
+    def _simt_module(build_body, callee=None):
+        """``out[tid] = f(inp)`` over 8 SIMT threads sharing one buffer."""
+        module, fn, builder = build_function(
+            "main", [memref((8,), F32), memref((8,), F32)], ["inp", "out"])
+        if callee is not None:
+            module.add_function(callee)
+        shared = builder.insert(memref_d.AllocaOp(memref((8,), F32, "shared"))).result
+        loop, inner = build_parallel(builder, 8)
+        build_body(fn, inner, shared, loop.induction_vars[0])
+        close_parallel(inner)
+        finish_function(builder)
+        verify(module)
+        return module
+
+    @staticmethod
+    def _agree_simt(module):
+        run_engine_matrix(
+            module, "main",
+            lambda: [np.arange(8, dtype=np.float32), np.zeros(8, dtype=np.float32)],
+            [1], engines=("interp", "compiled"))
+
+    def test_if_with_results_around_a_barrier(self):
+        """The barrier sits under ``scf.if``, so every thread is one generator
+        function — and the branch yields a value across its suspension."""
+        def build_body(fn, inner, shared, tid):
+            mine = inner.insert(memref_d.LoadOp(fn.arguments[0], [tid]))
+            inner.insert(memref_d.StoreOp(mine.result, shared, [tid]))
+            always = inner.insert(arith.CmpIOp(arith.CmpPredicate.EQ, const_index(inner, 0),
+                                               const_index(inner, 0)))
+            branch = inner.insert(scf.IfOp(always.result, [F32]))
+            then = Builder.at_end(branch.then_block)
+            insert_barrier(then, [tid])
+            mirrored = then.insert(arith.SubIOp(const_index(then, 7), tid))
+            then.insert(scf.YieldOp([then.insert(
+                memref_d.LoadOp(shared, [mirrored.result])).result]))
+            otherwise = Builder.at_end(branch.else_block)
+            otherwise.insert(scf.YieldOp([mine.result]))
+            inner.insert(memref_d.StoreOp(branch.results[0], fn.arguments[1], [tid]))
+        module = self._simt_module(build_body)
+        self._agree_simt(module)
+        engine = CompiledEngine(module)
+        out = np.zeros(8, dtype=np.float32)
+        engine.run("main", [np.arange(8, dtype=np.float32), out])
+        assert list(out) == list(range(7, -1, -1)) and engine.report.simt_phases == 2
+
+    @pytest.mark.parametrize("barrier_in_callee", [True, False])
+    def test_call_from_a_simt_body(self, barrier_in_callee):
+        """One call emitter: a callee that may reach a barrier is entered with
+        ``yield from``, any other with a plain call."""
+        shared_type = memref((8,), F32, "shared")
+        callee = func.FuncOp("exchange", FunctionType((shared_type, INDEX, F32), (F32,)),
+                             device=True, arg_names=["shared", "tid", "x"])
+        cb = Builder.at_end(callee.body_block)
+        shared_arg, tid_arg, x = callee.arguments
+        cb.insert(memref_d.StoreOp(x, shared_arg, [tid_arg]))
+        if barrier_in_callee:
+            insert_barrier(cb, [])
+            tid_arg = cb.insert(arith.SubIOp(const_index(cb, 7), tid_arg)).result
+        cb.insert(func.ReturnOp([cb.insert(memref_d.LoadOp(shared_arg, [tid_arg])).result]))
+
+        def build_body(fn, inner, shared, tid):
+            mine = inner.insert(memref_d.LoadOp(fn.arguments[0], [tid]))
+            got = inner.insert(func.CallOp("exchange", [shared, tid, mine.result], [F32]))
+            # the region's own barrier, under control flow: either way every
+            # thread runs as one generator function containing the call
+            always = inner.insert(arith.CmpIOp(arith.CmpPredicate.EQ, const_index(inner, 0),
+                                               const_index(inner, 0)))
+            guard = inner.insert(scf.IfOp(always.result, with_else=False))
+            then = Builder.at_end(guard.then_block)
+            insert_barrier(then, [tid])
+            then.insert(scf.YieldOp())
+            inner.insert(memref_d.StoreOp(got.result, fn.arguments[1], [tid]))
+        module = self._simt_module(build_body, callee)
+        self._agree_simt(module)
+        out = np.zeros(8, dtype=np.float32)
+        CompiledEngine(module).run("main", [np.arange(8, dtype=np.float32), out])
+        assert list(out) == list(range(7, -1, -1) if barrier_in_callee else range(8))
+
+
 class TestInlineTemplates:
     """The inline source templates must stay in lockstep with the ops'
     ``PY_FUNC`` / ``CmpPredicate`` evaluations they shortcut."""
@@ -321,6 +513,33 @@ class TestErrors:
         with pytest.raises(InterpreterError, match="budget exceeded"):
             CompiledEngine(module, max_dynamic_ops=10).run(
                 "main", [np.zeros(64, dtype=np.float32)])
+
+    def test_dynamic_op_budget_deep_inside_a_generator_body(self):
+        """The budget runs out three loops deep in a SIMT thread that is one
+        generator function: same exception, and the same ``dynamic_ops`` at
+        the raise as when every block was its own closure (per-block checks,
+        exact counter)."""
+        module, fn, builder = build_function("main", [memref((4,), F32)], ["buf"])
+        loop, inner = build_parallel(builder, 4)
+        tid = loop.induction_vars[0]
+
+        def body(b):
+            _bump(b, fn.arguments[0], tid)
+            insert_barrier(b, [tid])  # under three loops: the generator path
+        nest = inner
+        for _ in range(3):
+            level = nest.insert(scf.ForOp(const_index(nest, 0), const_index(nest, 3),
+                                          const_index(nest, 1)))
+            Builder.at_end(level.body).insert(scf.YieldOp())
+            nest = Builder.before_op(level.body.terminator)
+        body(nest)
+        close_parallel(inner)
+        finish_function(builder)
+        verify(module)
+        engine = CompiledEngine(module, max_dynamic_ops=150)
+        with pytest.raises(InterpreterError, match="dynamic operation budget exceeded"):
+            engine.run("main", [np.zeros(4, dtype=np.float32)])
+        assert engine.report.dynamic_ops == 153  # recorded at 663d6e5
 
     def test_collect_cost_disabled(self):
         module, fn, builder = build_function("main", [memref((8,), F32)], ["buf"])

@@ -355,7 +355,7 @@ class TestArtifactCache:
             module = _lowered(QUICK_CUDA)
             program = program_for(module, XEON_8375C, "native")
             fn = module.lookup("launch")
-            compiler = _FunctionCompiler(program, fn, False)
+            compiler = _FunctionCompiler(program, fn)
 
             def find(block):
                 for op in block.operations:

@@ -16,14 +16,11 @@ KNOBS = {
     # engine selection and sizing
     "REPRO_ENGINE", "REPRO_WORKERS", "REPRO_CC",
     # cache tiers
-    "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_CACHE_CAPACITY",
+    "REPRO_CACHE", "REPRO_CACHE_DIR",
     # autotuner measurement loop
     "REPRO_TUNE_REPEATS", "REPRO_TUNE_WARMUP",
     # resilience layer
     "REPRO_FAULTS", "REPRO_RETRIES", "REPRO_TIMEOUT_S", "REPRO_BACKOFF_S",
-    # serving daemon
-    "REPRO_SERVE_INFLIGHT", "REPRO_SERVE_QUEUE",
-    "REPRO_SERVE_QUEUE_TIMEOUT_S", "REPRO_SERVE_REQUEST_TIMEOUT_S",
 }
 
 
@@ -35,7 +32,7 @@ def _source_tokens():
 
 
 def test_source_knobs_equal_the_pinned_list():
-    assert len(KNOBS) == 16
+    assert len(KNOBS) == 11
     assert _source_tokens() == KNOBS
 
 

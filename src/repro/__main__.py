@@ -7,7 +7,7 @@ Commands:
   client sends ``shutdown`` or the process receives SIGINT.
 * ``stats`` — scrape a running daemon's stats endpoint and print the
   JSON document (latency percentiles, warm-hit rate, admission counters,
-  stream coalescing, cache hits, resilience-log counts).
+  per-tenant launch counts, cache hits, resilience-log counts).
 * ``shutdown`` — ask a running daemon to stop.
 
 Examples::

@@ -13,8 +13,8 @@ plus a sixth selection that picks among them per kernel:
   Bit-identical outputs and cost reports, much faster wall clock.
 * :class:`~repro.runtime.vectorizer.VectorizedEngine` — the compiled engine
   plus whole-grid NumPy execution of barrier-delimited phases: SSA registers
-  become lane arrays, loads/stores become gathers/scatters; phases the
-  analyzer cannot vectorize fall back to compiled closures per phase.
+  become lane arrays, loads/stores become gathers/scatters; a region with a
+  phase the analyzer cannot vectorize falls back to compiled closures.
 * :class:`~repro.runtime.multicore.MulticoreEngine` — ``gpu.launch`` block
   grids and outermost barrier-free parallel loops sharded across a
   persistent worker-process pool, with memrefs promoted to

@@ -183,8 +183,8 @@ class _Program:
         #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
         #: ``inline_runs`` and the unit counters move at run time).
         self.vector_stats = {
-            "vectorized_regions": 0, "mixed_regions": 0, "fallback_regions": 0,
-            "vectorized_phases": 0, "closure_phases": 0,
+            "vectorized_regions": 0, "fallback_regions": 0,
+            "vectorized_phases": 0,
         }
         self.native_stats = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
@@ -250,8 +250,7 @@ def build_launch_thread_regs(regs, arg_slots, bx, by, bz, grid, block):
     """Per-thread register lists for one ``gpu.launch`` block.
 
     Thread order is tz outermost / tx innermost, matching the interpreter's
-    env construction; shared by the compiled SIMT path and the vectorized
-    engine's mixed-mode launch runner so the register layout cannot diverge.
+    env construction.
     """
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = arg_slots
     g0, g1, g2 = grid
@@ -929,15 +928,13 @@ _EMITTERS = {
 # ---------------------------------------------------------------------------
 # The closure body planner
 # ---------------------------------------------------------------------------
-def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan,
-                 chunks: Optional[List[Callable]]) -> Callable:
+def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan) -> Callable:
     """A SIMT body as a phase driver ``run_simt(state, thread_regs) -> phases``:
     one closure per phase, run phase-by-phase over all threads, when barriers
     are straight-line; compiled generator closures scheduled by the
     interpreter's barrier-phase loop otherwise."""
     if plan.phases is not None:
-        if chunks is None:
-            chunks = [fc.compile_phase(ops, nops) for ops, nops in plan.phases]
+        chunks = [fc.compile_phase(ops, nops) for ops, nops in plan.phases]
 
         def run_simt(state, thread_regs, _chunks=chunks):
             if not thread_regs:
@@ -967,20 +964,14 @@ def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan,
     return run_simt
 
 
-def closures(fc: _FunctionCompiler, region: _Region,
-             chunks: Optional[List[Callable]] = None) -> Callable:
+def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
     """The compiled engine's body planner: every thread / iteration runs the
-    region's phases as Python closures over its own register list.
-
-    ``chunks`` are the plan's phases already compiled by a planner that
-    tried something faster first and fell back here, so that no body is
-    translated twice.
-    """
+    region's phases as Python closures over its own register list."""
     plan = region.plan
     region.tier = "closures"
     index_slots = region.index_slots
     if plan.kind == LAUNCH:
-        run_simt = _simt_driver(fc, plan, chunks)
+        run_simt = _simt_driver(fc, plan)
         shared_allocas = region.shared
 
         def run_blocks(state, regs, grid, block, start, stop):
@@ -997,13 +988,13 @@ def closures(fc: _FunctionCompiler, region: _Region,
                 report.simt_phases += phases
         return run_blocks
     if plan.kind == SIMT:
-        run_simt = _simt_driver(fc, plan, chunks)
+        run_simt = _simt_driver(fc, plan)
 
         def run_grid(state, regs, ranges, total):
             return run_simt(state, build_parallel_thread_regs(
                 regs, index_slots, product(*ranges)))
         return run_grid
-    body, = chunks or [fc.compile_phase(*plan.phases[0])]
+    body = fc.compile_phase(*plan.phases[0])
 
     def run_span(state, regs, ranges, start, stop):
         for point in _span_points(ranges, start, stop):

@@ -26,12 +26,13 @@ operations:
 * ``scf.for`` with lane-invariant bounds runs the loop sequentially with a
   vectorized body.
 
-Phases containing unsupported ops (nested parallelism, ``scf.while``,
-calls, deallocs, lane-varying loop bounds, ...) fall back *per phase* to
-the compiled closures — correctness never depends on the analyzer being
-complete.  Regions whose barriers sit under control flow fall back
-wholesale to the compiled generator scheduling.  Either way the reason is
-recorded on the region's plan (``engine.regions``).
+The decision is made *per region*: a region with a phase containing an
+unsupported op (nested parallelism, ``scf.while``, calls, deallocs,
+lane-varying loop bounds, ...) falls back wholesale to the compiled
+closures — correctness never depends on the analyzer being complete — and
+so does a region whose barriers sit under control flow (to the compiled
+generator scheduling).  Either way the reason is recorded on the region's
+plan (``engine.regions``).
 
 This module is a *body planner* (:func:`lanes`): the region shell in
 :mod:`repro.runtime.compiler` hands it a region's plan — phases already
@@ -60,8 +61,7 @@ Python ints.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,9 +73,6 @@ from .compiler import (
     _FunctionCompiler,
     _Region,
     _split_executed,
-    bind_shared_allocas,
-    build_launch_thread_regs,
-    build_parallel_thread_regs,
     closures,
 )
 from .costmodel import exact_cycles, memory_access_cost, op_cost
@@ -90,7 +87,7 @@ _V = "v"  # varying: a full-width (num_lanes,) numpy array
 #: maximum scf.if/scf.for nesting depth the vectorizer will analyze.  The
 #: dry-run classification passes (branch kind joins, iter-arg fixpoints)
 #: re-emit nested bodies, so emission work grows with ~2^depth; beyond this
-#: depth the phase falls back to closures instead of compiling slowly.
+#: depth the region falls back to closures instead of compiling slowly.
 _MAX_NESTING = 10
 
 
@@ -199,38 +196,12 @@ def _lane_arrays(ranges: Sequence[range]) -> List[np.ndarray]:
 class _LaneBuffer:
     """Compile-time record of a per-lane alloca: vector rep ``(N, *shape)``."""
 
-    __slots__ = ("slot", "shape", "dtype", "space", "element_type")
+    __slots__ = ("shape", "dtype", "space")
 
-    def __init__(self, slot: int, shape: Tuple[int, ...], dtype, space: str,
-                 element_type) -> None:
-        self.slot = slot
+    def __init__(self, shape: Tuple[int, ...], dtype, space: str) -> None:
         self.shape = shape
         self.dtype = dtype
         self.space = space
-        self.element_type = element_type
-
-
-class _VectorPhase:
-    """One compiled phase: ``run(state, regs, n, lanes)`` + its interface.
-
-    ``reads``/``buf_reads``/``buf_writes``/``created``/``defs`` describe the
-    phase's boundary traffic for the mixed-mode adapter (gather live-ins
-    from per-thread register lists, scatter definitions back); ``source``
-    keeps the generated code for debugging.
-    """
-
-    __slots__ = ("run", "source", "reads", "buf_reads", "buf_writes",
-                 "created", "defs")
-
-    def __init__(self, run, source, reads, buf_reads, buf_writes,
-                 created, defs) -> None:
-        self.run = run
-        self.source = source
-        self.reads = reads          # {slot: np.dtype} varying scalar live-ins
-        self.buf_reads = buf_reads  # set of lane-buffer slots gathered
-        self.buf_writes = buf_writes  # pre-existing lane buffers written
-        self.created = created      # [(slot, shape, dtype, space, elem_type)]
-        self.defs = defs            # [(slot, "u"|"v")] top-level scalar defs
 
 
 class _Ctx:
@@ -263,10 +234,6 @@ def _np_dtype_name(value) -> str:
     return "np.float64" if value.type.is_float else "np.int64"
 
 
-def _np_dtype(value):
-    return np.float64 if value.type.is_float else np.int64
-
-
 # ---------------------------------------------------------------------------
 # The region vectorizer: classification + source emission, one parallel region
 # ---------------------------------------------------------------------------
@@ -275,9 +242,7 @@ class _RegionVectorizer:
 
     Value-kind classification (uniform vs. varying vs. per-lane buffer) is
     shared across the region's phases so a slot defined in phase *k* keeps
-    its representation when phase *j > k* reads it — including across
-    fallback phases, whose top-level definitions are registered
-    conservatively as varying.
+    its representation when phase *j > k* reads it.
     """
 
     def __init__(self, fc: _FunctionCompiler) -> None:
@@ -295,17 +260,10 @@ class _RegionVectorizer:
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {}
         self._indent = 0
-        self._defined: Set[int] = set()
-        self._reads: Dict[int, object] = {}
         self._assign_log: List[int] = []
-        self._created: List[int] = []
-        self._buf_writes: Set[int] = set()
         self._depth = 0
 
     # -- shared helpers --------------------------------------------------------
-    def mark_varying(self, slot: int) -> None:
-        self.kinds[slot] = _V
-
     def mark_lane_index(self, slot: int) -> None:
         self.kinds[slot] = _V
         self.lane_taint.add(slot)
@@ -326,34 +284,6 @@ class _RegionVectorizer:
         if not exact_cycles(cost):
             raise _Unsupported(f"non-dyadic op cost {cost}")
 
-    def register_fallback_defs(self, ops: Sequence) -> None:
-        """Record the top-level definitions of a closure-executed phase.
-
-        Scalar results become (conservatively) varying; statically shaped
-        per-lane allocations become lane buffers the mixed-mode adapter can
-        stack/unstack; everything else stays opaque, which makes any later
-        vectorized phase reading it fall back too (its memref operand will
-        be classified varying, an unsupported combination).
-        """
-        for op in ops:
-            if isinstance(op, arith.ConstantOp):
-                self.fc.template[self.slot(op.result)] = op.value
-                continue
-            if isinstance(op, memref_d.AllocOp):
-                if id(op.result) in self.fc._prebound:
-                    continue  # uniform per-block storage bound by the runner
-                if not op.operands:
-                    mtype = op.memref_type
-                    slot = self.slot(op.result)
-                    self.lane_bufs[slot] = _LaneBuffer(
-                        slot, tuple(mtype.shape), dtype_for(mtype.element_type),
-                        mtype.memory_space, mtype.element_type)
-                    continue
-                # dynamically sized: opaque — later vector phases reading it
-                # will classify the operand varying and fall back themselves.
-            for result in op.results:
-                self.mark_varying(self.slot(result))
-
     # -- emission primitives ----------------------------------------------------
     def emit(self, line: str) -> None:
         self.lines.append("    " * self._indent + line)
@@ -371,17 +301,12 @@ class _RegionVectorizer:
         self.emit("    raise _IE('dynamic operation budget exceeded')")
 
     def ref(self, value) -> str:
-        """R-value expression for an SSA value; records live-in reads."""
-        slot = self.slot(value)
-        if slot not in self._defined and (slot in self.lane_bufs
-                                          or self.kinds.get(slot) == _V):
-            self._reads.setdefault(slot, value)
-        return f"regs[{slot}]"
+        """R-value expression for an SSA value."""
+        return f"regs[{self.slot(value)}]"
 
     def define(self, value, kind: str) -> str:
         """L-value expression for an SSA result; records the definition."""
         slot = self.slot(value)
-        self._defined.add(slot)
         self._assign_log.append(slot)
         self.lane_taint.discard(slot)
         if kind == _V:
@@ -392,35 +317,26 @@ class _RegionVectorizer:
 
     def _snapshot(self):
         return (len(self.lines), self._indent, dict(self.kinds),
-                dict(self.lane_bufs), set(self._defined), dict(self._reads),
-                list(self._assign_log), list(self._created), set(self._buf_writes),
+                dict(self.lane_bufs), list(self._assign_log),
                 set(self.lane_taint), set(self.taint_bufs))
 
     def _restore(self, snap) -> None:
-        (nlines, indent, kinds, bufs, defined, reads, log, created, writes,
-         taint, taint_bufs) = snap
+        nlines, indent, kinds, bufs, log, taint, taint_bufs = snap
         del self.lines[nlines:]
         self._indent = indent
         self.kinds = kinds
         self.lane_bufs = bufs
-        self._defined = defined
-        self._reads = reads
         self._assign_log = log
-        self._created = created
-        self._buf_writes = writes
         self.lane_taint = taint
         self.taint_bufs = taint_bufs
 
     # -- phase compilation -------------------------------------------------------
-    def vectorize_phase(self, ops: Sequence, nops: int) -> _VectorPhase:
+    def vectorize_phase(self, ops: Sequence, nops: int) -> Callable:
+        """One phase as ``run(state, regs, n, lanes)`` over all its lanes."""
         self.lines = []
         self.ns = dict(_BASE_NAMESPACE)
         self._indent = 2
-        self._defined = set()
-        self._reads = {}
         self._assign_log = []
-        self._created = []
-        self._buf_writes = set()
         self._depth = 0
 
         ctx = _Ctx(mask=None, count="_N")
@@ -444,42 +360,12 @@ class _RegionVectorizer:
         source = "\n".join(header + count_lines
                            + ["    with np.errstate(all='ignore'):"] + body)
         exec(source, self.ns)  # noqa: S102 - compile-time codegen
-        run = self.ns[name]
-
-        created_slots = set(self._created)
-        reads = {}
-        buf_reads = set()
-        for slot, value in self._reads.items():
-            if slot in self.lane_bufs:
-                if slot not in created_slots:
-                    buf_reads.add(slot)
-            else:
-                reads[slot] = _np_dtype(value)
-        buf_writes = {slot for slot in self._buf_writes if slot not in created_slots}
-        top_result_slots = {self.slot(result) for op in ops for result in op.results}
-        # only top-level allocas can be read by later phases (SSA dominance);
-        # branch-local ones must not be materialized (their lanes may not
-        # even have executed the allocation).
-        created = [(slot, self.lane_bufs[slot].shape, self.lane_bufs[slot].dtype,
-                    self.lane_bufs[slot].space, self.lane_bufs[slot].element_type)
-                   for slot in self._created if slot in top_result_slots]
-        defs = []
-        for op in ops:
-            if isinstance(op, arith.ConstantOp):
-                continue  # template-initialized; already in every thread's regs
-            for result in op.results:
-                slot = self.slot(result)
-                if slot in created_slots or slot in self.lane_bufs:
-                    continue
-                defs.append((slot, self.kinds.get(slot, _U)))
-        return _VectorPhase(run, source, reads, buf_reads, buf_writes,
-                            created, defs)
+        return self.ns[name]
 
     # -- op emission -------------------------------------------------------------
     def emit_op(self, op, ctx: _Ctx) -> None:
         if isinstance(op, arith.ConstantOp):
             self.fc.template[self.slot(op.result)] = op.value
-            self._defined.add(self.slot(op.result))
             return
         if isinstance(op, memref_d.DimOp):
             return self.emit_dim(op, ctx)
@@ -529,7 +415,6 @@ class _RegionVectorizer:
             # launch-prebound shared buffer: bound uniformly by the region
             # runner; counted as a dynamic op but no action and no charge,
             # exactly like the interpreter's pre-bound early return.
-            self._defined.add(self.slot(op.result))
             return
         if op.operands:
             raise _Unsupported("dynamically sized per-lane allocation")
@@ -540,11 +425,8 @@ class _RegionVectorizer:
         self.charge(ALLOC_CYCLES, ctx)
         dt = self.fc._name("dt")
         self.ns[dt] = dtype
-        self._defined.add(slot)
         self._assign_log.append(slot)
-        self.lane_bufs[slot] = _LaneBuffer(slot, shape, dtype,
-                                           mtype.memory_space, mtype.element_type)
-        self._created.append(slot)
+        self.lane_bufs[slot] = _LaneBuffer(shape, dtype, mtype.memory_space)
         self.emit(f"regs[{slot}] = np.zeros((_N,) + {shape!r}, dtype={dt})")
 
     def _lane_buf_charge(self, buf: _LaneBuffer, ctx: _Ctx) -> None:
@@ -574,7 +456,6 @@ class _RegionVectorizer:
         if mem_kind == "buf":
             slot = self.slot(op.memref)
             buf = self.lane_bufs[slot]
-            self.ref(op.memref)
             target = self.define(op.result, _V)
             if not buf.shape and slot in self.taint_bufs:
                 self.lane_taint.add(self.slot(op.result))
@@ -631,9 +512,6 @@ class _RegionVectorizer:
         if mem_kind == "buf":
             slot = self.slot(op.memref)
             buf = self.lane_bufs[slot]
-            self.ref(op.memref)
-            if slot not in self._created:
-                self._buf_writes.add(slot)
             if not buf.shape and self.is_lane_index(op.value):
                 self.taint_bufs.add(slot)
             value = self._masked(self.ref(op.value), value_kind, ctx)
@@ -883,11 +761,9 @@ class _RegionVectorizer:
         self._depth -= 1
 
     def _bind_iter_kinds(self, op, iter_kinds: List[str]) -> None:
-        self._defined.add(self.slot(op.induction_var))
         self.kinds.pop(self.slot(op.induction_var), None)
         for arg, kind in zip(op.iter_args, iter_kinds):
             slot = self.slot(arg)
-            self._defined.add(slot)
             if kind == _V:
                 self.kinds[slot] = _V
             else:
@@ -895,79 +771,8 @@ class _RegionVectorizer:
 
 
 # ---------------------------------------------------------------------------
-# The mixed-mode adapter
-# ---------------------------------------------------------------------------
-def _make_mixed_chunk(phase: _VectorPhase):
-    """Adapt a vectorized phase to run between closure phases.
-
-    Gathers the phase's varying live-ins from the per-thread register lists
-    into lane arrays, runs the vectorized phase, then scatters its
-    definitions back (including materializing per-lane buffers it created as
-    real :class:`MemRefStorage` objects for downstream closure phases).
-    """
-    scalar_reads = sorted(phase.reads.items())
-    buf_gathers = sorted(phase.buf_reads | phase.buf_writes)
-    buf_writebacks = sorted(phase.buf_writes)
-    created = phase.created
-    scalar_defs = phase.defs
-    run = phase.run
-
-    def adapter(state, thread_regs):
-        n = len(thread_regs)
-        vregs = thread_regs[0][:]
-        lanes = np.arange(n)
-        for slot, dtype in scalar_reads:
-            vregs[slot] = np.fromiter((t[slot] for t in thread_regs), dtype, n)
-        for slot in buf_gathers:
-            vregs[slot] = np.stack([t[slot].check_alive() for t in thread_regs])
-        run(state, vregs, n, lanes)
-        for slot in buf_writebacks:
-            arrays = vregs[slot]
-            for i, tregs in enumerate(thread_regs):
-                tregs[slot].check_alive()[...] = arrays[i]
-        for slot, shape, dtype, space, element_type in created:
-            arrays = vregs[slot]
-            for i, tregs in enumerate(thread_regs):
-                tregs[slot] = MemRefStorage(np.array(arrays[i], dtype=dtype),
-                                            space, element_type)
-        for slot, kind in scalar_defs:
-            value = vregs[slot]
-            if kind == _V and isinstance(value, np.ndarray):
-                for tregs, scalar in zip(thread_regs, value.tolist()):
-                    tregs[slot] = scalar
-            else:
-                for tregs in thread_regs:
-                    tregs[slot] = value
-
-    return adapter
-
-
-# ---------------------------------------------------------------------------
 # The lane body planner
 # ---------------------------------------------------------------------------
-def _vectorize_phases(fc: _FunctionCompiler, region: _Region, varying_slots):
-    """``("vec", phase) | ("closure", runner)`` per phase of the plan; every
-    phase the vectorizer declines is compiled to closures here, once, with
-    the reason recorded on the plan."""
-    rv = _RegionVectorizer(fc)
-    for slot in varying_slots:
-        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
-    plans = []
-    stats = fc.program.vector_stats
-    for ops, nops in region.plan.phases:
-        try:
-            phase = rv.vectorize_phase(ops, nops)
-        except _Unsupported as exc:
-            region.plan.refuse("vectorized", str(exc))
-            plans.append(("closure", fc.compile_phase(ops, nops)))
-            rv.register_fallback_defs(ops)
-            stats["closure_phases"] += 1
-            continue
-        plans.append(("vec", phase))
-        stats["vectorized_phases"] += 1
-    return plans
-
-
 def _vector_span_runner(iv_slots, phase):
     """A span runner executing ``[start, stop)`` lanes of one phase.
 
@@ -993,10 +798,11 @@ def _vector_span_runner(iv_slots, phase):
 def lanes(fc: _FunctionCompiler, region: _Region):
     """The vectorized engine's body planner.
 
-    Each region is analyzed phase by phase; vectorizable phases run as
-    whole-grid NumPy functions, the rest as compiled closures — per phase
-    when barriers are straight-line (a *mixed* region), through
-    :func:`~repro.runtime.compiler.closures` for the whole region otherwise.
+    A region is decided as a whole: when every phase of its plan
+    vectorizes, the phases run as whole-grid NumPy functions; when the
+    vectorizer declines one (or barriers sit under control flow), the region
+    runs on :func:`~repro.runtime.compiler.closures`, the reason recorded on
+    its plan.
     """
     program, plan = fc.program, region.plan
     if not program.exact_or_refuse(plan):
@@ -1007,103 +813,66 @@ def lanes(fc: _FunctionCompiler, region: _Region):
         plan.refuse("vectorized", "barrier under control flow")
         return closures(fc, region)
     a = region.index_slots
-    plans = _vectorize_phases(fc, region, a[3:6] if plan.kind == LAUNCH else a)
-    n_vec = sum(1 for kind, _ in plans if kind == "vec")
-    num_phases = len(plans)
-    if n_vec == 0:
+    rv = _RegionVectorizer(fc)
+    for slot in (a[3:6] if plan.kind == LAUNCH else a):
+        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
+    try:
+        phases = [rv.vectorize_phase(ops, nops) for ops, nops in plan.phases]
+    except _Unsupported as exc:
         stats["fallback_regions"] += 1
-        return closures(fc, region, [runner for _, runner in plans])
-    full = n_vec == num_phases
-    if full:
-        stats["vectorized_regions"] += 1
-        region.tier = "vectorized"
-        phases = [phase.run for _, phase in plans]
-    else:
-        stats["mixed_regions"] += 1
-        region.tier = "mixed"
-        chunk_steps = [(kind, step if kind == "closure" else _make_mixed_chunk(step))
-                       for kind, step in plans]
-
-        def run_threads(state, thread_regs):
-            for kind, step in chunk_steps:
-                if kind == "closure":
-                    for tregs in thread_regs:
-                        step(state, tregs)
-                else:
-                    step(state, thread_regs)
+        plan.refuse("vectorized", str(exc))
+        return closures(fc, region)
+    num_phases = len(phases)
+    stats["vectorized_regions"] += 1
+    stats["vectorized_phases"] += num_phases
+    region.tier = "vectorized"
 
     if plan.kind == LAUNCH:
         shared_allocas = region.shared
-        if full:
-            allocate = MemRefStorage.allocate
-
-            def run_blocks(state, regs, grid, block, start, stop):
-                g0, g1, g2 = grid
-                b0, b1, b2 = block
-                report = state.report
-                nthreads = b0 * b1 * b2
-                if nthreads <= 0:
-                    return
-                tz_grid, ty_grid, tx_grid = _lane_arrays(
-                    [range(b2), range(b1), range(b0)])
-                lane_ids = np.arange(nthreads)
-                for linear in range(start, stop):
-                    bx = linear % g0
-                    by = (linear // g0) % g1
-                    bz = linear // (g0 * g1)
-                    regs[a[0]] = bx
-                    regs[a[1]] = by
-                    regs[a[2]] = bz
-                    regs[a[3]] = tx_grid
-                    regs[a[4]] = ty_grid
-                    regs[a[5]] = tz_grid
-                    regs[a[6]] = g0
-                    regs[a[7]] = g1
-                    regs[a[8]] = g2
-                    regs[a[9]] = b0
-                    regs[a[10]] = b1
-                    regs[a[11]] = b2
-                    for dst, mtype in shared_allocas:
-                        regs[dst] = allocate(mtype, [])
-                    for phase in phases:
-                        phase(state, regs, nthreads, lane_ids)
-                    report.simt_phases += num_phases
-            return run_blocks
+        allocate = MemRefStorage.allocate
 
         def run_blocks(state, regs, grid, block, start, stop):
-            g0, g1 = grid[0], grid[1]
+            g0, g1, g2 = grid
+            b0, b1, b2 = block
             report = state.report
+            nthreads = b0 * b1 * b2
+            if nthreads <= 0:
+                return
+            tz_grid, ty_grid, tx_grid = _lane_arrays(
+                [range(b2), range(b1), range(b0)])
+            lane_ids = np.arange(nthreads)
             for linear in range(start, stop):
                 bx = linear % g0
                 by = (linear // g0) % g1
                 bz = linear // (g0 * g1)
-                thread_regs = build_launch_thread_regs(
-                    regs, a, bx, by, bz, grid, block)
-                bind_shared_allocas(shared_allocas, thread_regs)
-                if not thread_regs:
-                    continue
-                run_threads(state, thread_regs)
+                regs[a[0]] = bx
+                regs[a[1]] = by
+                regs[a[2]] = bz
+                regs[a[3]] = tx_grid
+                regs[a[4]] = ty_grid
+                regs[a[5]] = tz_grid
+                regs[a[6]] = g0
+                regs[a[7]] = g1
+                regs[a[8]] = g2
+                regs[a[9]] = b0
+                regs[a[10]] = b1
+                regs[a[11]] = b2
+                for dst, mtype in shared_allocas:
+                    regs[dst] = allocate(mtype, [])
+                for phase in phases:
+                    phase(state, regs, nthreads, lane_ids)
                 report.simt_phases += num_phases
         return run_blocks
 
     if plan.kind == SIMT:
-        if full:
-            def run_grid(state, regs, ranges, total):
-                if not total:
-                    return 0
-                for dst, grid in zip(a, _lane_arrays(ranges)):
-                    regs[dst] = grid
-                lane_ids = np.arange(total)
-                for phase in phases:
-                    phase(state, regs, total, lane_ids)
-                return num_phases
-            return run_grid
-
         def run_grid(state, regs, ranges, total):
-            thread_regs = build_parallel_thread_regs(regs, a, product(*ranges))
-            if not thread_regs:
+            if not total:
                 return 0
-            run_threads(state, thread_regs)
+            for dst, grid in zip(a, _lane_arrays(ranges)):
+                regs[dst] = grid
+            lane_ids = np.arange(total)
+            for phase in phases:
+                phase(state, regs, total, lane_ids)
             return num_phases
         return run_grid
 
@@ -1118,9 +887,9 @@ class VectorizedEngine(CompiledEngine):
 
     Shares the compiled engine's API, caching and cost semantics; parallel
     regions whose barrier-delimited phases pass the vectorizer's analysis
-    run as full-grid NumPy code, everything else falls back to the compiled
-    closures (per phase where possible, per region otherwise).  Outputs and
-    :class:`CostReport` fields stay bit-identical to the interpreter.
+    run as full-grid NumPy code, every other region falls back to the
+    compiled closures.  Outputs and :class:`CostReport` fields stay
+    bit-identical to the interpreter.
     """
 
     ROW = "vectorized"

@@ -1,7 +1,7 @@
 """Kernel-as-a-service: the ``repro serve`` daemon and its client.
 
 Turns the per-process stack (shared compile cache, native artifact tier,
-tuning cache, MocCUDA streams, resilience chain) into a long-running
+tuning cache, resilience chain) into a long-running
 multi-tenant server behind a local socket:
 
 * :mod:`~repro.service.protocol` — framed JSON+binary wire protocol with
@@ -10,8 +10,9 @@ multi-tenant server behind a local socket:
   load shedding;
 * :mod:`~repro.service.metrics` — per-request latency percentiles,
   warm-hit rate, error/degraded/retry counters;
-* :mod:`~repro.service.server` — :class:`KernelServer`: per-tenant stream
-  isolation, same-kernel request coalescing, resilience-wrapped execution;
+* :mod:`~repro.service.server` — :class:`KernelServer`: a request runs in
+  the handler thread that received it under a per-tenant lock, transient
+  launch failures retried, resilience-wrapped execution;
 * :mod:`~repro.service.client` — :class:`ServiceClient`: blocking client,
   one connection per concurrent caller.
 

@@ -10,14 +10,11 @@ kernel infrastructure into shared server state:
   tier and the autotuner's :class:`TuningCache`, so the first tenant to
   compile a kernel pays the pipeline and every other tenant's request is
   a warm hit;
-* **per-tenant stream isolation** — each tenant owns a MocCUDA-style
-  :class:`~repro.moccuda.shim.Stream` (one worker thread, FIFO): tenants
-  execute concurrently with each other, requests of one tenant execute in
-  order, and a tenant's failure (poisoned stream, injected fault) never
-  blocks or corrupts another tenant's stream;
-* **request batching** — back-to-back launches of the same kernel by one
-  tenant coalesce through the stream's existing same-kernel coalescing
-  window into a single queue dispatch;
+* **per-tenant isolation** — a request runs in the handler thread that
+  received it, under its tenant's lock: tenants execute concurrently with
+  each other, requests of one tenant execute one at a time in lock order,
+  and a tenant's failure (kernel error, injected fault) is answered on
+  that request and never blocks or corrupts another tenant;
 * **admission control** — a bounded in-flight limit plus a bounded wait
   queue (:mod:`repro.service.admission`); excess load is shed with an
   explicit ``"rejected"`` response instead of growing an unbounded
@@ -25,11 +22,13 @@ kernel infrastructure into shared server state:
 * **resilience** — server-side execution runs under the engine fallback
   chain (:mod:`repro.runtime.resilience`): a taxonomy failure (real or
   ``REPRO_FAULTS``-injected) degrades *that request* down the chain with
-  bit-identical outputs, and a poisoned tenant stream is drained, cleared
-  and retried under the retry policy — other tenants are unaffected;
+  bit-identical outputs, and a *transient* failure of the launch itself
+  (:func:`~repro.runtime.errors.is_transient`, e.g. the ``shim.launch``
+  fault site) is retried on freshly decoded arguments under the retry
+  policy — a deterministic kernel fault is answered once, not retried;
 * **metrics** — per-request latency/warm-hit/error/degraded counters
   (:mod:`repro.service.metrics`) surfaced on the ``stats`` endpoint
-  together with admission, stream-coalescing and resilience-log counts.
+  together with admission, per-tenant launch and resilience-log counts.
 
 Transport is a framed-JSON protocol (:mod:`repro.service.protocol`) over
 an ``AF_UNIX`` socket by default (TCP on request).  Start from the CLI
@@ -46,25 +45,27 @@ import os
 import socket
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..frontend import compile_cuda
-from ..moccuda.shim import Stream
 from ..runtime import XEON_8375C, make_executor, resolve_engine
 from ..runtime.cache import global_cache
-from ..runtime.errors import StreamPoisonedError
-from ..runtime.resilience import global_log, record_event, retry_policy
+from ..runtime.resilience import (call_with_retry, global_log, inject,
+                                  record_event, retry_policy)
 from ..transforms import PipelineOptions
 from .admission import (DEFAULT_MAX_INFLIGHT, DEFAULT_QUEUE_DEPTH,
                         DEFAULT_QUEUE_TIMEOUT_S, AdmissionController)
 from .metrics import ServiceMetrics
 from . import protocol
 
-#: the per-launch deadline, unless the constructor is given one.
-DEFAULT_REQUEST_TIMEOUT_S = 60.0
-
 #: accept() poll interval; bounds shutdown latency without busy-waiting.
 _ACCEPT_POLL_S = 0.2
+
+#: floor under ``REPRO_BACKOFF_S`` between attempts of one launch: a handler
+#: retrying at once would spend its whole retry budget on one transient
+#: condition before any other tenant's request got to run.
+_MIN_RETRY_BACKOFF_S = 0.05
 
 
 def _pipeline_options(spec) -> Optional[PipelineOptions]:
@@ -86,34 +87,14 @@ def options_spec(options: Optional[PipelineOptions]):
             for name in PipelineOptions.__dataclass_fields__}
 
 
-class _LaunchSlot(list):
-    """One queued launch: the argument list plus its completion state.
-
-    Subclassing ``list`` keeps the stream's coalescing window untouched —
-    the slot *is* the argument sequence the engine runs — while carrying
-    the per-request result channel the service needs (the stock shim
-    discards executor reports; the service must return them per request).
-    """
-
-    def __init__(self, arguments) -> None:
-        super().__init__(arguments)
-        self.done = threading.Event()
-        self.error: Optional[BaseException] = None
-        self.engine_used: Optional[str] = None
-        self.report: Optional[Dict] = None
-
-
 class _ServiceKernel:
     """A compiled kernel handle with per-launch result capture.
 
     Compiles once through the shared kernel cache (``cache="shared"``:
     the canonical module object, so the engines' per-module compiled
-    program caches amortize across all tenants).  ``_dispatch`` matches
-    the shim's :class:`CompiledKernel` contract — the stream's coalescing
-    window hands it the whole batch — but builds one executor per launch
-    so every request gets its own CostReport, bit-identical to an
-    in-process single run, and one request's failure never fails its
-    batch neighbours.
+    program caches amortize across all tenants).  :meth:`run` builds one
+    executor per launch so every request gets its own CostReport,
+    bit-identical to an in-process single run.
     """
 
     def __init__(self, source: str, entry: str, *,
@@ -133,34 +114,26 @@ class _ServiceKernel:
             options=options, noalias=noalias, cache="shared")
         self.content_key = self.module._content_key
 
-    def _dispatch(self, arg_lists) -> None:
-        """Run one coalesced batch; each slot completes independently."""
-        for slot in arg_lists:
-            try:
-                executor = make_executor(self.module, engine=self.engine,
-                                         machine=self.machine,
-                                         workers=self.workers)
-                executor.run(self.entry, slot)
-                slot.engine_used = getattr(executor, "engine_name",
-                                           self.engine_resolved)
-                slot.report = protocol.encode_report(executor.report)
-            except BaseException as error:  # noqa: BLE001 - per-slot isolation
-                slot.error = error
-            finally:
-                slot.done.set()
+    def run(self, arguments: List) -> Tuple[str, Dict]:
+        """Run one launch in place on ``arguments``; returns the engine that
+        ran it (after any degradation) and the wire-encoded CostReport."""
+        executor = make_executor(self.module, engine=self.engine,
+                                 machine=self.machine, workers=self.workers)
+        executor.run(self.entry, arguments)
+        return (getattr(executor, "engine_name", self.engine_resolved),
+                protocol.encode_report(executor.report))
 
 
 class _Tenant:
-    """Per-tenant server state: one stream (one worker thread), a lock
-    serializing launches with poison recovery, and the slots currently in
-    flight (so a killed batch can fail its waiters instead of stranding
-    them)."""
+    """Per-tenant server state: the lock its launches run under and the two
+    counters the ``stats`` document reports for it — ``launches`` (attempts
+    that took the lock) and ``dispatches`` (attempts handed to an executor;
+    fewer when a fault killed the launch first)."""
 
-    def __init__(self, name: str, stream_id: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.stream = Stream(stream_id)
         self.lock = threading.Lock()
-        self.outstanding: Dict[int, _LaunchSlot] = {}
+        self.counts = {"launches": 0, "dispatches": 0}
 
 
 class KernelServer:
@@ -178,13 +151,11 @@ class KernelServer:
                  workers: Optional[int] = None,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 queue_timeout_s: float = DEFAULT_QUEUE_TIMEOUT_S,
-                 request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S) -> None:
+                 queue_timeout_s: float = DEFAULT_QUEUE_TIMEOUT_S) -> None:
         if engine is not None:
             resolve_engine(engine)  # fail fast on a bad engine name
         self.engine = engine
         self.workers = workers
-        self.request_timeout_s = request_timeout_s
         self.admission = AdmissionController(max_inflight, queue_depth,
                                              queue_timeout_s)
         self.metrics = ServiceMetrics()
@@ -235,7 +206,7 @@ class KernelServer:
         self.stop()
 
     def stop(self) -> None:
-        """Stop accepting, drain tenants, release every worker thread."""
+        """Stop accepting, close every connection, join the handler threads."""
         self._shutdown.set()
         try:
             self._listener.close()
@@ -245,6 +216,7 @@ class KernelServer:
             self._accept_thread.join(timeout=5.0)
         with self._lock:
             connections = list(self._connections)
+            threads = list(self._threads)
         for connection in connections:
             try:
                 connection.shutdown(socket.SHUT_RDWR)
@@ -254,15 +226,8 @@ class KernelServer:
                 connection.close()
             except OSError:
                 pass
-        for thread in list(self._threads):
+        for thread in threads:
             thread.join(timeout=5.0)
-        with self._lock:
-            tenants = list(self._tenants.values())
-        for tenant in tenants:
-            try:
-                tenant.stream.close()
-            except BaseException:  # noqa: BLE001 - leftover poisons surface here
-                pass
         if self.socket_path is not None:
             try:
                 os.unlink(self.socket_path)
@@ -329,6 +294,8 @@ class KernelServer:
             with self._lock:
                 if connection in self._connections:
                     self._connections.remove(connection)
+                # forgotten with its connection; stop() joins the live ones
+                self._threads.remove(threading.current_thread())
 
     # -- request dispatch --------------------------------------------------------
     def _handle(self, header: Dict, frames: List[bytes]) -> Tuple[Dict, List[bytes]]:
@@ -395,57 +362,9 @@ class KernelServer:
         with self._lock:
             tenant = self._tenants.get(tenant_name)
             if tenant is None:
-                tenant = _Tenant(tenant_name, len(self._tenants) + 1)
+                tenant = _Tenant(tenant_name)
                 self._tenants[tenant_name] = tenant
             return tenant
-
-    def _recover(self, tenant: _Tenant) -> None:
-        """Drain the tenant's stream, clear its poison and fail every slot
-        a killed batch left behind.
-
-        An injected (or real) batch failure fires *before* the kernel's
-        dispatch runs, so the slots of that coalesced window never
-        complete on their own.  After a full drain every slot that was
-        going to run has run; anything still pending was killed — mark it
-        failed so its waiter can retry instead of hanging.  Holding the
-        tenant lock serializes this against new launches (launches take
-        the same lock), so a recovering drain can never swallow a launch
-        enqueued concurrently by another handler thread.
-        """
-        with tenant.lock:
-            poison: Optional[BaseException] = None
-            try:
-                tenant.stream.synchronize()
-            except BaseException as error:  # noqa: BLE001 - surfaced poison
-                poison = error
-            for slot in list(tenant.outstanding.values()):
-                if not slot.done.is_set():
-                    slot.error = poison if poison is not None else (
-                        StreamPoisonedError(
-                            f"tenant {tenant.name}: launch batch killed "
-                            "by an earlier stream failure"))
-                    slot.done.set()
-
-    def _await_slot(self, tenant: _Tenant, slot: _LaunchSlot) -> None:
-        """Wait for a launched slot, watching for a killed batch.
-
-        The success path is event-driven (no added latency: the wait
-        returns the moment the dispatch completes).  The poll interval
-        only bounds how quickly a *poisoned* stream is noticed; recovery
-        then fails the stranded slots so every waiter wakes.
-        """
-        deadline = time.monotonic() + self.request_timeout_s
-        while not slot.done.wait(timeout=0.05):
-            if tenant.stream.poisoned is not None:
-                self._recover(tenant)
-            elif time.monotonic() > deadline:
-                self._recover(tenant)
-                if not slot.done.is_set():
-                    slot.error = TimeoutError(
-                        f"launch did not complete within "
-                        f"{self.request_timeout_s}s")
-                    slot.done.set()
-                return
 
     def _handle_launch(self, header: Dict,
                        frames: List[bytes]) -> Tuple[Dict, List[bytes]]:
@@ -458,60 +377,55 @@ class KernelServer:
             tenant = self._tenant_for(header.get("tenant"))
             specs = header.get("args", [])
             policy = retry_policy()
-            attempt = 0
-            slot: _LaunchSlot
-            while True:
+            policy = replace(policy, backoff_s=max(policy.backoff_s,
+                                                   _MIN_RETRY_BACKOFF_S))
+            attempts = 0
+
+            def attempt():
+                # fresh arguments: a failed run may have stored into the last
+                nonlocal attempts
+                attempts += 1
                 arguments = protocol.decode_args(specs, frames)
-                slot = _LaunchSlot(arguments)
-                launched = False
                 with tenant.lock:
-                    try:
-                        tenant.stream.launch(kernel, slot)
-                        tenant.outstanding[id(slot)] = slot
-                        launched = True
-                    except StreamPoisonedError as exc:
-                        # a *previous* failed batch on this tenant; fail
-                        # this attempt, then recover the stream below.
-                        slot.error = exc
-                        slot.done.set()
-                if not launched:
-                    self._recover(tenant)
-                else:
-                    try:
-                        self._await_slot(tenant, slot)
-                    finally:
-                        with tenant.lock:
-                            tenant.outstanding.pop(id(slot), None)
-                if slot.error is None:
-                    break
-                if attempt >= policy.retries:
-                    break
-                attempt += 1
-                global_log().record("service.launch", "retry",
-                                    type(slot.error).__name__, str(slot.error),
-                                    attempt, kernel.engine_resolved)
-                policy.sleep("service.launch", attempt - 1)
-            latency = time.perf_counter() - start
-            if slot.error is not None:
+                    tenant.counts["launches"] += 1
+                    inject("shim.launch")
+                    tenant.counts["dispatches"] += 1
+                    return (arguments, *kernel.run(arguments))
+
+            try:
+                arguments, engine_used, report = call_with_retry(
+                    "service.launch", attempt, policy=policy,
+                    engine=kernel.engine_resolved)
+            except protocol.ProtocolError:
+                raise  # a malformed request, answered by the connection loop
+            except Exception as error:  # noqa: BLE001 - answered, never raised
+                latency = time.perf_counter() - start
+                retries = attempts - 1
                 self.metrics.record_launch(latency, warm=warm, error=True,
-                                           retries=attempt)
+                                           retries=retries)
                 record_event("service.launch", "degrade",
-                             type(slot.error).__name__,
+                             type(error).__name__,
                              f"tenant {tenant.name}: request failed after "
-                             f"{attempt} retries")
-                return ({"status": "error",
-                         "error": type(slot.error).__name__,
-                         "detail": str(slot.error), "retries": attempt,
+                             f"{retries} retries")
+                return ({"status": "error", "error": type(error).__name__,
+                         "detail": str(error), "retries": retries,
                          "latency_s": latency, "warm": warm}, [])
-            degraded = slot.engine_used != kernel.engine_resolved
+            latency = time.perf_counter() - start
+            retries = attempts - 1
+            if retries:
+                record_event("service.launch", "recover",
+                             detail=f"tenant {tenant.name}: request succeeded "
+                                    f"after {retries} retries",
+                             attempt=retries, engine=engine_used)
+            degraded = engine_used != kernel.engine_resolved
             self.metrics.record_launch(latency, warm=warm, degraded=degraded,
-                                       retries=attempt)
-            result_specs, result_frames = protocol.encode_args(list(slot))
+                                       retries=retries)
+            result_specs, result_frames = protocol.encode_args(arguments)
             return ({"status": "ok", "key": kernel.content_key,
-                     "report": slot.report, "engine": slot.engine_used,
+                     "report": report, "engine": engine_used,
                      "requested_engine": kernel.engine_resolved,
                      "degraded": degraded, "warm": warm,
-                     "retries": attempt, "latency_s": latency,
+                     "retries": retries, "latency_s": latency,
                      "args": result_specs}, result_frames)
         finally:
             self.admission.release()
@@ -522,13 +436,15 @@ class KernelServer:
         snapshot = self.metrics.snapshot()
         snapshot["admission"] = self.admission.snapshot()
         with self._lock:
-            tenants = {name: dict(tenant.stream.stats)
+            tenants = {name: dict(tenant.counts)
                        for name, tenant in self._tenants.items()}
             kernels = len(self._kernels)
-        streams = {"tenants": len(tenants), "per_tenant": tenants}
-        for field in ("tasks", "launches", "dispatches", "coalesced"):
-            streams[field] = sum(stats.get(field, 0)
-                                 for stats in tenants.values())
+        # ``tasks`` / ``coalesced``: no request is queued or batched, and
+        # none ever was on a recorded run; the keys stay for their readers.
+        streams = {"tenants": len(tenants), "per_tenant": tenants,
+                   "tasks": 0, "coalesced": 0}
+        for field in ("launches", "dispatches"):
+            streams[field] = sum(counts[field] for counts in tenants.values())
         snapshot["streams"] = streams
         snapshot["kernels"] = kernels
         cache_stats = global_cache().stats
@@ -542,4 +458,4 @@ class KernelServer:
         return snapshot
 
 
-__all__ = ["DEFAULT_REQUEST_TIMEOUT_S", "KernelServer", "options_spec"]
+__all__ = ["KernelServer", "options_spec"]

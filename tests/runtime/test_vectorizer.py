@@ -2,8 +2,9 @@
 
 Differential parity against the interpreter over the whole suite lives in
 ``test_engine_parity.py``; these tests pin the vectorizer's own behaviour —
-which regions vectorize, that unsupported phases fall back per phase while
-staying bit-identical, the machine-level disable, engine selection, and the
+which regions vectorize, that a region with an unsupported phase falls back
+wholesale while staying bit-identical, the machine-level disable, engine
+selection, and the
 bulk storage accessors it is built on.
 """
 
@@ -60,22 +61,29 @@ class TestRegionSelection:
         stats = engine.vector_stats
         assert stats["vectorized_regions"] >= 1
         assert stats["fallback_regions"] == 0
-        assert stats["mixed_regions"] == 0
 
     @pytest.mark.parametrize("name", ["hotspot", "lud", "pathfinder"])
-    def test_rodinia_oracle_mixed_phases(self, name):
-        """Per-phase fallback on real kernels: the single-lane ``tid == 0``
-        staging phase runs on compiled closures while the arithmetic phase
-        vectorizes — mixed phases within one ``gpu.launch``, with outputs and
-        cost reports still pinned by the parity suite."""
+    def test_rodinia_oracle_single_lane_guard_falls_back_wholesale(self, name):
+        """The vectorizer decides per region: one single-lane ``tid == 0``
+        staging phase sends the whole ``gpu.launch`` to the compiled closures
+        — its arithmetic phases included — bit-identical to ``interp``, with
+        the reason on ``engine.regions``."""
         bench = BENCHMARKS[name]
         module = bench.compile_cuda(cuda_lower=False)
-        engine = VectorizedEngine(module)
-        engine.run(bench.entry, bench.make_inputs(1))
+        (interp, interp_args), (engine, vector_args) = run_both(
+            module, bench.entry, lambda: bench.make_inputs(1))
+        for expected, actual in zip(interp_args, vector_args):
+            if isinstance(expected, np.ndarray):
+                np.testing.assert_array_equal(expected, actual)
+        assert report_fields(interp.report) == report_fields(engine.report)
         stats = engine.vector_stats
-        assert stats["mixed_regions"] == 1
-        assert stats["vectorized_phases"] >= 1
-        assert stats["closure_phases"] >= 1
+        assert stats["vectorized_regions"] == 0
+        assert stats["fallback_regions"] == 1
+        assert stats["vectorized_phases"] == 0
+        region, = engine.regions
+        assert region["tier"] == "closures"
+        assert any("single-lane equality guard" in reason
+                   for reason in region["refusals"])
 
     def test_barrier_under_control_flow_falls_back_wholesale(self):
         bench = BENCHMARKS["backprop layerforward"]
@@ -147,11 +155,14 @@ class TestFallbackParity:
         np.testing.assert_array_equal(interp_args[1], vector_args[1])
         assert report_fields(interp.report) == report_fields(engine.report)
         stats = engine.vector_stats
-        assert stats["mixed_regions"] == 1
-        assert stats["vectorized_phases"] == 1
-        assert stats["closure_phases"] == 1
-        # the vectorized staging phase and the closure phase really did
-        # execute as two barrier phases of one region
+        assert stats["vectorized_regions"] == 0
+        assert stats["fallback_regions"] == 1
+        assert stats["vectorized_phases"] == 0
+        region, = engine.regions
+        assert region["tier"] == "closures"
+        assert any("scf.while" in reason for reason in region["refusals"])
+        # the staging phase and the while phase still executed as two
+        # barrier phases of one region
         assert engine.report.simt_phases == 2
 
     def test_budget_enforced_per_lane_block(self):
@@ -194,8 +205,8 @@ class TestVectorSemantics:
     def test_broad_equality_mask_vectorizes(self):
         """The single-lane-guard heuristic keys on lane-index provenance:
         ``if (flag[tid] == 1)`` is a broad data-dependent mask and must
-        vectorize, while ``if (tid == 0)`` phases fall back (pinned by the
-        Rodinia mixed-phase tests)."""
+        vectorize, while ``if (tid == 0)`` regions fall back (pinned by the
+        Rodinia single-lane-guard tests)."""
         source = """
         __global__ void kernel(int* flag, float* out, float* in, int n) {
             int tid = blockIdx.x * blockDim.x + threadIdx.x;
@@ -222,7 +233,7 @@ class TestVectorSemantics:
         np.testing.assert_array_equal(interp_args[1], vector_args[1])
         assert report_fields(interp.report) == report_fields(engine.report)
         assert engine.vector_stats["vectorized_regions"] == 1
-        assert engine.vector_stats["closure_phases"] == 0
+        assert engine.vector_stats["fallback_regions"] == 0
 
     def test_float_min_max_nan_parity(self):
         """Python min/max do not propagate a NaN second argument

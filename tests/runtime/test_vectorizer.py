@@ -63,7 +63,7 @@ class TestRegionSelection:
         assert stats["fallback_regions"] == 0
 
     @pytest.mark.parametrize("name", ["hotspot", "lud", "pathfinder"])
-    def test_rodinia_oracle_single_lane_guard_falls_back_wholesale(self, name):
+    def test_single_lane_guard_falls_back(self, name):
         """The vectorizer decides per region: one single-lane ``tid == 0``
         staging phase sends the whole ``gpu.launch`` to the compiled closures
         — its arithmetic phases included — bit-identical to ``interp``, with

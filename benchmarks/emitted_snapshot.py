@@ -12,9 +12,16 @@ differential-fuzz corpus, it runs each module once per engine and records
   engine builds (captured at the ``exec`` call), and
 * the assembled C source of every native unit with its ``native.unit_key``.
 
+Only the 72 lowered modules emit C: barriers are lowered by cpuify, the
+native engine compiles spans, and the 36 un-lowered modules (``oracle/*``,
+``fuzz-oracle/*``) run on the closure tier under every engine — they stay
+in the snapshot for their generated Python.
+
 ``--diff`` gives two verdicts, because the two kinds of output have
 different contracts.  C sources and unit keys address the ``.so`` cache, so
-any difference there is a changed artifact.  Generated Python is private to
+any difference there in a lowered module is a changed artifact (and an
+un-lowered module that emits C at all is a second barrier lowering come
+back).  Generated Python is private to
 one process: a slot or generated-name renumbering, a block that is simply
 no longer compiled, or blocks now inlined into the function that runs them
 change the text and nothing else.  Python differences are therefore
@@ -23,7 +30,7 @@ functions`` / ``other``) and the first differing source pair is printed, so
 the cause can be named rather than guessed.
 
 ``--c-digest`` is the C verdict without a parent checkout: one SHA-256 over
-the assembled C sources of the 108 modules in a fixed order (the sources,
+the assembled C sources of the 72 lowered modules in a fixed order (the sources,
 not the unit keys, so that ``REPRO_CC`` does not enter), compared with the
 committed ``benchmarks/emitted_c.sha256``.  It fails when the digest moved
 while ``NATIVE_FORMAT`` did not — an emitter change that forgot it changes
@@ -54,6 +61,11 @@ from pathlib import Path
 FUZZ_SEEDS = 60
 
 
+def _unlowered(label: str) -> bool:
+    """Whether ``label`` names a module compiled with ``cuda_lower=False``."""
+    return label.split("/")[0] in ("oracle", "fuzz-oracle")
+
+
 def _digest(texts) -> str:
     hasher = hashlib.sha256()
     for text in texts:
@@ -63,8 +75,8 @@ def _digest(texts) -> str:
 
 
 def _modules(root: Path):
-    """``(label, build, entry, make_args)`` of the 108 modules, in a fixed
-    order; puts ``root`` on ``sys.path`` first."""
+    """``(label, build, entry, make_args)`` of the 108 modules (72 lowered,
+    36 un-lowered), in a fixed order; puts ``root`` on ``sys.path`` first."""
     os.environ.pop("REPRO_CACHE", None)
     sys.path[:0] = [str(root / "src"), str(root), str(root / "benchmarks" / "ledger")]
     import corpus  # the ledger's frozen corpus (benchmarks/ledger/corpus)
@@ -154,7 +166,7 @@ def snapshot(root: Path) -> dict:
 def c_digest(root: Path) -> int:
     """Print ``NATIVE_FORMAT=<n> sha256=<digest> modules=<count>`` and
     compare it with the committed line (module docstring)."""
-    modules = _modules(root)
+    modules = [module for module in _modules(root) if not _unlowered(module[0])]
     from repro.runtime import make_executor, native
 
     if not native.native_available():
@@ -237,14 +249,26 @@ def diff(parent_path: str, change_path: str) -> int:
     def python(record, label, engine):
         return record.get(label, {}).get(engine, {}).get("python", [])
 
-    c_differing = [label for label in labels
+    lowered = [label for label in labels if not _unlowered(label)]
+    c_differing = [label for label in lowered
                    if native(parent, label) != native(change, label)]
-    print(f"modules whose C sources / native unit keys differ: "
-          f"{len(c_differing)} of {len(change)}")
+    print(f"lowered: C sources / native unit keys differing "
+          f"{len(c_differing)} of {len(lowered)}")
     for label in c_differing:
         print(f"  DIFFERS (C) {label}")
+    unlowered = [label for label in labels if _unlowered(label)]
+    emitting = [label for label in unlowered if native(change, label)[0]]
+    gone = [label for label in unlowered
+            if native(parent, label)[0] and not native(change, label)[0]]
+    print(f"un-lowered: {len(emitting)} of {len(unlowered)} emit C"
+          + (f"; native units gone in {len(gone)}, expected (barriers are "
+             "lowered by cpuify, not by the emitter)" if gone else ""))
+    for label in emitting:
+        print(f"  EMITS C (un-lowered) {label}")
+    c_differing += emitting
 
     causes = Counter()
+    lowered_differing = 0
     first = None
     for label in labels:
         for engine in ("compiled", "vectorized", "native"):
@@ -254,13 +278,14 @@ def diff(parent_path: str, change_path: str) -> int:
                 continue
             cause = _python_cause(before, after)
             causes[cause] += 1
+            lowered_differing += not _unlowered(label)
             print(f"  DIFFERS (Python, {engine}) {label}: {cause}; "
                   f"{len(before)} -> {len(after)} sources")
             if first is None:
                 first = (label, engine, before, after)
     differing = sum(causes.values())
     print(f"(module, engine) pairs whose generated Python differs: {differing}"
-          f" of {3 * len(change)}"
+          f" of {3 * len(change)} ({lowered_differing} in lowered modules)"
           + "".join(f"; {cause}: {count}" for cause, count in sorted(causes.items())))
     if first is not None and not c_differing:
         label, engine, before, after = first

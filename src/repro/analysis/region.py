@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..dialects import func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d
 from ..ir import Operation, Value
-from .store_safety import launch_required_axes, span_required_dims
+from .store_safety import span_required_dims
 from .structure import (BARRIER_OPS, CONTEXT_OPS, contains_barrier,
                         free_values_in, split_executed)
 
@@ -53,11 +53,12 @@ class RegionPlan:
     * ``live_ins`` — the values the region captures: the op's own operands,
       then every outside value its body uses, in first-use order.  This
       order is the argument ABI of the emitted C.
-    * ``parallel_proof`` — the store-safety verdict: the dims / grid axes
-      that must have extent 1 for iterations to run concurrently, or
-      ``None`` when write-write safety cannot be proven — the analysis'
-      reason is then recorded as a ``parallel`` refusal (SIMT regions are
-      never asked).  Computed on first use, once, whoever asks.
+    * ``parallel_proof`` — a span's store-safety verdict: the dims that
+      must have extent 1 for iterations to run concurrently, or ``None``
+      when write-write safety cannot be proven — the analysis' reason is
+      then recorded as a ``parallel`` refusal.  Un-lowered regions (SIMT,
+      launch) are never asked: no tier runs them concurrently.  Computed on
+      first use, once, whoever asks.
     * ``refusals`` — ``(capability, reason)`` pairs recorded where an
       execution tier declined the region.  Plans are shared by every
       compiled program of the module, so a module run under two machine
@@ -125,13 +126,10 @@ class RegionPlan:
     @property
     def parallel_proof(self) -> Optional[FrozenSet[int]]:
         if self._proof is _UNSET:
-            if self.kind == SIMT:
+            if self.kind in (SIMT, LAUNCH):
                 self._proof = None
             else:
-                self._proof, reason = (
-                    launch_required_axes(self._module, self.op, self.shared_allocas)
-                    if self.kind == LAUNCH
-                    else span_required_dims(self._module, self.op))
+                self._proof, reason = span_required_dims(self._module, self.op)
                 if reason is not None:
                     self.refuse("parallel", reason)
         return self._proof

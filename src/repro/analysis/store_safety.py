@@ -81,9 +81,6 @@ class _StoreSafety:
     def seed_lane(self, value, dim: int, bound_id: Optional[int]) -> None:
         self.desc[id(value)] = ("i", frozenset((dim,)), bound_id)
 
-    def seed_bounded_uniform(self, value, bound_id: Optional[int]) -> None:
-        self.desc[id(value)] = ("u", bound_id)
-
     # -- walk ------------------------------------------------------------------
     def run(self, ops: Sequence) -> FrozenSet[int]:
         for op in ops:
@@ -420,29 +417,6 @@ def span_required_dims(module, op) -> Tuple[Optional[FrozenSet[int]], Optional[s
         bound = (id(op.upper_bounds[dim])
                  if lower == 0 and step == 1 else None)
         analysis.seed_lane(induction_var, dim, bound)
-    return _verdict(analysis, op)
-
-
-def launch_required_axes(module, op, shared_allocas: Sequence
-                         ) -> Tuple[Optional[FrozenSet[int]], Optional[str]]:
-    """``(required-singleton grid axes, None)`` of a launch block grid, or
-    ``(None, why)``; ``shared_allocas`` are the launch's block-shared
-    buffers (``RegionPlan.shared_allocas``)."""
-    arguments = op.body.arguments
-    analysis = _StoreSafety(module, 3)
-    for axis in range(3):
-        analysis.seed_lane(arguments[axis], axis, id(op.grid_dims[axis]))
-        # threadIdx lies in [0, blockDim) of its axis — the addend of
-        # the canonical bx*blockDim + tx global-index pattern.
-        analysis.seed_bounded_uniform(arguments[3 + axis],
-                                      id(arguments[9 + axis]))
-    # block-shared buffers are block-private: a block never straddles a
-    # shard boundary.
-    analysis.private.update(id(alloca.result) for alloca in shared_allocas)
-    return _verdict(analysis, op)
-
-
-def _verdict(analysis: _StoreSafety, op):
     try:
         return analysis.run(split_executed(op.body)[0]), None
     except _Unsafe as exc:

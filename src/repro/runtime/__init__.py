@@ -12,21 +12,26 @@ plus a sixth selection that picks among them per kernel:
   SSA slot numbering, compiled barrier phases and lazy iteration spaces.
   Bit-identical outputs and cost reports, much faster wall clock.
 * :class:`~repro.runtime.vectorizer.VectorizedEngine` — the compiled engine
-  plus whole-grid NumPy execution of barrier-delimited phases: SSA registers
-  become lane arrays, loads/stores become gathers/scatters; a region with a
-  phase the analyzer cannot vectorize falls back to compiled closures.
-* :class:`~repro.runtime.multicore.MulticoreEngine` — ``gpu.launch`` block
-  grids and outermost barrier-free parallel loops sharded across a
-  persistent worker-process pool, with memrefs promoted to
+  plus whole-grid NumPy execution of spans (the barrier-free parallel loops
+  cpuify produces): SSA registers become lane arrays, loads/stores become
+  gathers/scatters; a span the analyzer cannot vectorize falls back to
+  compiled closures.
+* :class:`~repro.runtime.multicore.MulticoreEngine` — outermost spans
+  sharded across a persistent worker-process pool, with memrefs promoted to
   ``multiprocessing.shared_memory`` views (:mod:`repro.runtime.sharedmem`)
   so workers scatter/gather in place, and per-worker costs folded in thread
   order for bit-identical reports.
-* :class:`~repro.runtime.native.NativeEngine` — parallel regions transpiled
+* :class:`~repro.runtime.native.NativeEngine` — spans transpiled
   to C (:mod:`repro.runtime.codegen_c`), compiled once with the system
   toolchain (``cc -O3 -fopenmp``; ``REPRO_CC``) into content-addressed
   shared objects and dispatched zero-copy through ctypes — the paper's
   "GPU kernels as native OpenMP CPU code" artifact.  Degrades per region
   (and wholesale, without a toolchain) to the compiled engine.
+
+  The three fast tiers take spans only: ``__syncthreads`` is lowered in the
+  IR by cpuify, and un-lowered regions (``gpu.launch``, ``scf.parallel``
+  with barriers — the SIMT oracle) run on the compiled closures under
+  every engine, the refusal named in ``engine.regions``.
 * :class:`~repro.runtime.autotune.AutoEngine` (``engine="auto"``) — the
   measurement-driven autotuner: the first run of a given
   module/function/argument-shape measures every viable engine configuration

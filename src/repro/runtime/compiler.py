@@ -46,7 +46,11 @@ function compiler, whose *region shell* compiles every parallel region from
 its :class:`~repro.analysis.region.RegionPlan`, and the table of engine
 rows (``_ROWS``) naming the body planner and the dispatcher the shell
 composes — :func:`closures` here, ``lanes`` in the vectorizer, ``native``
-and ``shards`` in the native and multicore engines.
+and ``shards`` in the native and multicore engines.  Planners and
+dispatchers see *spans* only (``omp.wsloop``, barrier-free
+``scf.parallel``): barriers are lowered in the IR by cpuify, so an
+un-lowered region (``gpu.launch``, ``scf.parallel`` with barriers) runs on
+:func:`closures` under every row, with the refusal named on its plan.
 
 Compiled programs are cached on the module object itself, keyed by the
 engine row and the machine model (cost constants are baked into the
@@ -139,16 +143,29 @@ class _CompiledFunction:
         self.is_gen = is_gen
 
 
-#: the four engines as fixed rows: which *body planner* turns a region's
-#: phases into a runner, and which *dispatcher* (if any) may take a whole
-#: region elsewhere, with the shell's in-process run as its fallback.  Named
+#: the four engines as fixed rows: which *body planner* turns a span's body
+#: into a runner, which *dispatcher* (if any) may take a whole span
+#: elsewhere, with the shell's in-process run as its fallback, and the
+#: ``(stats, counter)`` in which the row counts a region its fast tier
+#: declined.  Both callables are handed spans only (``_unlowered``).  Named
 #: ``module:function`` and resolved on first use, because those modules
 #: import this one.
 _ROWS = {
-    "compiled": ("compiler:closures", None),
-    "vectorized": ("vectorizer:lanes", None),
-    "native": ("compiler:closures", "native:native"),
-    "multicore": ("compiler:closures", "multicore:shards"),
+    "compiled": ("compiler:closures", None, None),
+    "vectorized": ("vectorizer:lanes", None,
+                   ("vector_stats", "fallback_regions")),
+    "native": ("compiler:closures", "native:native",
+               ("native_stats", "fallback_regions")),
+    "multicore": ("compiler:closures", "multicore:shards",
+                  ("shard_stats", "rejected_regions")),
+}
+
+#: why every fast tier declines an un-lowered region, by plan kind.
+UNLOWERED = {
+    LAUNCH: ("un-lowered gpu.launch region: barriers are lowered by cpuify "
+             "(compile with cuda_lower=True)"),
+    SIMT: ("un-lowered scf.parallel region with barriers: barriers are "
+           "lowered by cpuify (compile with cuda_lower=True)"),
 }
 
 
@@ -168,7 +185,7 @@ class _Program:
         self.machine = machine
         self.row = row
         self.plans = plans
-        planner, dispatcher = _ROWS[row]
+        planner, dispatcher, self.declined = _ROWS[row]
         self.planner = _resolve(planner)
         self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[int, _CompiledFunction] = {}
@@ -182,10 +199,7 @@ class _Program:
         #: compile-time counters, filled as functions are first compiled
         #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
         #: ``inline_runs`` and the unit counters move at run time).
-        self.vector_stats = {
-            "vectorized_regions": 0, "fallback_regions": 0,
-            "vectorized_phases": 0,
-        }
+        self.vector_stats = {"vectorized_regions": 0, "fallback_regions": 0}
         self.native_stats = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
             "simd_regions": 0, "bailouts": 0, "units_ready": 0,
@@ -330,10 +344,10 @@ class _Region:
     (``bounds``: lower / upper / step slot lists of a span, grid / block
     slot lists of a launch; ``index_slots``: the induction variables, or the
     launch body's twelve id / dim arguments; ``shared``: ``(slot, type)`` per
-    prebound shared alloca), then the planner's ``body``, the in-process
-    ``base`` run and the accounting around it (``count``, ``finish``,
-    ``message``) — and hands it to the row's planner and dispatcher, which
-    name the ``tier`` that took the region.
+    prebound shared alloca) — and, for a span, the planner's ``body``, the
+    in-process ``base`` run and the accounting around it (``count``,
+    ``finish``, ``message``), which it hands to the row's planner and
+    dispatcher; they name the ``tier`` that took the region.
     """
 
     __slots__ = ("plan", "bounds", "index_slots", "shared", "body", "base",
@@ -677,17 +691,15 @@ class _FunctionCompiler:
     #
     # One shell per region kind.  The shell owns what every engine shares —
     # the slots, the report counter, the work frame, the barrier-escape
-    # message and the wall-clock epilogue — and composes the two callables of
-    # the program's row (``_ROWS``).  The *body planner* builds the runner of
-    # the region body: ``run_span(state, regs, ranges, start, stop)`` for
-    # spans, ``run_grid(state, regs, ranges, total) -> phases`` for SIMT
-    # regions, ``run_blocks(state, regs, grid, block, start, stop)`` for
-    # launches; the start/stop forms execute any contiguous sub-span, which
-    # is what the multicore dispatcher ships to its workers.  The
-    # *dispatcher*, if the row has one, may return a runner that takes the
-    # whole region elsewhere and falls back to the shell's ``base``.  Run
-    # closures capture what they need as locals: no plan or region object is
-    # read at run time.
+    # message and the wall-clock epilogue.  For a *span* it composes the two
+    # callables of the program's row (``_ROWS``): the *body planner* builds
+    # ``run_span(state, regs, ranges, start, stop)``, which executes any
+    # contiguous sub-span (what the multicore dispatcher ships to its
+    # workers), and the *dispatcher*, if the row has one, may return a runner
+    # that takes the whole span elsewhere and falls back to the shell's
+    # ``base``.  An un-lowered region is never offered to either: its body is
+    # always :func:`closures` (``_unlowered``).  Run closures capture what
+    # they need as locals: no plan or region object is read at run time.
     def _region(self, op) -> _Region:
         plan = self.program.plans.plan(op)
         if plan.kind == LAUNCH:
@@ -755,24 +767,33 @@ class _FunctionCompiler:
             op, count, "unexpected barrier in barrier-free parallel loop",
             self._parallel_accounting())
 
+    def _unlowered(self, region: _Region) -> Callable:
+        """The body of a region cpuify has not lowered, under every row: the
+        closure tier keeps full ``gpu.launch`` / SIMT semantics, and a row
+        with a faster tier says by name (``UNLOWERED``) why it did not run."""
+        program, plan = self.program, region.plan
+        if program.declined is not None:
+            stats, counter = program.declined
+            getattr(program, stats)[counter] += 1
+            plan.refuse(program.row, UNLOWERED[plan.kind])
+        body = closures(self, region)
+        program.regions.append((self.fn.sym_name, plan, region.tier))
+        return body
+
     def _c_scf_parallel_simt(self, op) -> List[str]:
-        # grid-wide barrier phases always run in this process: there is no
-        # dispatcher to offer them to (a cross-worker phase join would be
-        # needed, and the C emitter scopes barriers per block).
         region = self._region(op)
         lb_slots, ub_slots, st_slots = region.bounds
         machine = self.program.machine
         fork_cost = machine.fork_cost
         phase_cost = machine.simt_phase_cost
-        run_grid = self.program.planner(self, region)
-        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
+        run_grid = self._unlowered(region)
 
         def run(state, regs):
             ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
             state.report.parallel_regions += 1
             work_stack = state.work
             work_stack.append(0.0)
-            phases = run_grid(state, regs, ranges, total)
+            phases = run_grid(state, regs, ranges)
             state.report.simt_phases += phases
             work = work_stack.pop()
             threads = min(state.threads, max(1, total))
@@ -783,22 +804,19 @@ class _FunctionCompiler:
 
     def _c_gpu_launch(self, op) -> List[str]:
         region = self._region(op)
-        region.message = "barrier executed outside a parallel context"
         grid_slots, block_slots = region.bounds
         saved_prebound = self._prebound
         self._prebound = saved_prebound | {
             id(alloca.result) for alloca in region.plan.shared_allocas}
         try:
-            run_blocks = region.body = self.program.planner(self, region)
+            run_blocks = self._unlowered(region)
         finally:
             self._prebound = saved_prebound
 
-        def base(state, regs):
-            grid = [int(regs[s]) for s in grid_slots]
-            block = [int(regs[s]) for s in block_slots]
-            run_blocks(state, regs, grid, block, 0, grid[0] * grid[1] * grid[2])
-        region.base = base
-        return self._dispatched(region)
+        def run(state, regs):
+            run_blocks(state, regs, [int(regs[s]) for s in grid_slots],
+                       [int(regs[s]) for s in block_slots])
+        return self._bound(run)
 
     def _c_gpu_alloc(self, op) -> List[str]:
         size_slots = self.slots(op.operands)
@@ -965,8 +983,12 @@ def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan) -> Callable:
 
 
 def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
-    """The compiled engine's body planner: every thread / iteration runs the
-    region's phases as Python closures over its own register list."""
+    """The compiled engine's body planner, and every row's for an un-lowered
+    region: every thread / iteration runs the region's phases as Python
+    closures over its own register list.  Returns ``run_span(state, regs,
+    ranges, start, stop)`` for a span, ``run_grid(state, regs, ranges) ->
+    phases`` for a SIMT ``scf.parallel``, ``run_blocks(state, regs, grid,
+    block)`` for a launch."""
     plan = region.plan
     region.tier = "closures"
     index_slots = region.index_slots
@@ -974,10 +996,10 @@ def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
         run_simt = _simt_driver(fc, plan)
         shared_allocas = region.shared
 
-        def run_blocks(state, regs, grid, block, start, stop):
-            g0, g1 = grid[0], grid[1]
+        def run_blocks(state, regs, grid, block):
+            g0, g1, g2 = grid
             report = state.report
-            for linear in range(start, stop):
+            for linear in range(g0 * g1 * g2):
                 bx = linear % g0
                 by = (linear // g0) % g1
                 bz = linear // (g0 * g1)
@@ -990,7 +1012,7 @@ def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
     if plan.kind == SIMT:
         run_simt = _simt_driver(fc, plan)
 
-        def run_grid(state, regs, ranges, total):
+        def run_grid(state, regs, ranges):
             return run_simt(state, build_parallel_thread_regs(
                 regs, index_slots, product(*ranges)))
         return run_grid

@@ -5,8 +5,9 @@ CPU cores; until now every engine executed in one Python process and the
 ``threads=`` knob only scaled the analytic cost model.  This engine makes
 thread scaling a measured quantity: a persistent ``multiprocessing`` worker
 pool (forked once per compiled program) receives contiguous sub-spans of
-each ``gpu.launch`` block grid and each outermost barrier-free parallel
-loop (``omp.wsloop`` / ``scf.parallel``), executes them with the very
+each outermost span (``omp.wsloop`` / barrier-free ``scf.parallel``; barriers
+are lowered in the IR by cpuify, and un-lowered regions run in-process on
+the closure tier), executes them with the very
 closures the compiled engine runs in-process (the engine's row is the
 ``closures`` body planner plus the :func:`shards` dispatcher below — the
 region shell, the plans and the accounting live in
@@ -35,11 +36,9 @@ invariants:
   single sequential sum bit for bit.  Regions containing *nested* parallel
   regions would contribute non-dyadic wall terms (division by the
   ``effective_speedup``), so they are never sharded.
-* **barrier scoping** — ``gpu.launch`` barriers synchronize threads of one
-  block, and a block never straddles a shard boundary, so workers run
-  their blocks' barrier phases internally and join at the region boundary;
-  ``scf.parallel`` regions whose barriers span the whole grid run
-  in-process.
+* **no barrier crosses a shard** — only barrier-free spans are sharded, so
+  workers never synchronize with each other and join at the region
+  boundary.
 
 Like the compiled engine's documented divergences, the ``max_dynamic_ops``
 budget is enforced per shard (each worker receives the remaining budget;
@@ -62,7 +61,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.region import LAUNCH
 from .compiler import (
     CompiledEngine,
     _BarrierEscape,
@@ -81,7 +79,7 @@ from . import sharedmem
 #: environment variable selecting the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: minimum work units (iterations / blocks) per worker for a dispatch to be
+#: minimum iterations per worker for a dispatch to be
 #: worth the IPC round trip; below this the region runs in-process.
 MIN_UNITS_PER_WORKER = 2
 
@@ -184,14 +182,8 @@ def _execute_shard(program, key, live_ins, start: int, stop: int,
     report = CostReport(machine=program.machine, threads=threads)
     state = _State(report, threads, [0.0], max_ops, program)
     try:
-        if region["kind"] == "span":
-            ranges, _ = _iteration_space(regs, *region["bounds"])
-            region["run"](state, regs, ranges, start, stop)
-        else:
-            grid_slots, block_slots = region["bounds"]
-            grid = [int(regs[s]) for s in grid_slots]
-            block = [int(regs[s]) for s in block_slots]
-            region["run"](state, regs, grid, block, start, stop)
+        ranges, _ = _iteration_space(regs, *region["bounds"])
+        region["run"](state, regs, ranges, start, stop)
     except _BarrierEscape:
         raise InterpreterError(region["barrier_message"]) from None
     return {
@@ -569,7 +561,7 @@ def _shard_width(state, total: int) -> int:
 
 def shards(fc: _FunctionCompiler, region: _Region):
     """The multicore engine's dispatcher: when the store analysis proves the
-    region's iterations / blocks write-write independent, register its body
+    span's iterations write-write independent, register its body
     runner for the workers and return a runner that splits each execution
     into contiguous spans, one per worker, folding their costs back in
     worker order; the shell's in-process ``base`` run takes every execution
@@ -591,30 +583,23 @@ def shards(fc: _FunctionCompiler, region: _Region):
     region.tier = "multicore"
     if program.shards is None:
         program.shards = _Shards()
-    launch = plan.kind == LAUNCH
     key = (fc.fn.sym_name, fc.offered)
     bounds = region.bounds
     program.shards.regions[key] = {
-        "kind": "launch" if launch else "span",
         "run": region.body,
         "template": fc.template,
         "bounds": bounds,
         "barrier_message": region.message,
     }
     live_in_slots = sorted({fc.slot(value) for value in plan.live_ins})
-    singleton = sorted(proof)  # dims / grid axes that must have extent 1
+    singleton = sorted(proof)  # dims that must have extent 1
     base, count, finish = region.base, region.count, region.finish
 
     def run(state, regs):
-        if launch:
-            extents = [int(regs[s]) for s in bounds[0]]
-            total = extents[0] * extents[1] * extents[2]
-        else:
-            ranges, total = _iteration_space(regs, *bounds)
-            extents = [len(axis) for axis in ranges]
+        ranges, total = _iteration_space(regs, *bounds)
         results = None
         width = _shard_width(state, total)
-        if width and all(extents[dim] == 1 for dim in singleton):
+        if width and all(len(ranges[dim]) == 1 for dim in singleton):
             pool = state.shard.pool()
             if pool is not None:
                 results = _dispatch_shards(
@@ -623,11 +608,8 @@ def shards(fc: _FunctionCompiler, region: _Region):
         if results is None:
             stats["inline_runs"] += 1
             return base(state, regs)
-        if launch:
-            state.work[-1] += _fold_results(state, results)
-        else:
-            count(state)
-            finish(state, total, _fold_results(state, results))
+        count(state)
+        finish(state, total, _fold_results(state, results))
     return run
 
 

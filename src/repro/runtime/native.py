@@ -7,9 +7,13 @@ row is the compiled engine's ``closures`` body planner plus the
 in-process run is every dispatch's fallback, lives in
 :mod:`repro.runtime.compiler`:
 
-* at translation time each ``omp.wsloop`` / barrier-free ``scf.parallel`` /
-  ``gpu.launch`` region is handed to :mod:`repro.runtime.codegen_c`; all
-  regions of a function are assembled into one C translation unit;
+* at translation time each span (``omp.wsloop`` / barrier-free
+  ``scf.parallel``) is handed to :mod:`repro.runtime.codegen_c`; all
+  regions of a function are assembled into one C translation unit.
+  Un-lowered regions (``gpu.launch``, ``scf.parallel`` with barriers) are
+  never offered: cpuify lowers barriers in the IR, and a module compiled
+  without it runs those regions on the closure tier, the refusal named on
+  the plan;
 * the unit is compiled once with the system C compiler (``cc -O3 -fopenmp``;
   override with ``REPRO_CC``) into a shared object keyed by the SHA-256 of
   the generated source in the content-addressed artifact cache
@@ -19,12 +23,12 @@ in-process run is every dispatch's fallback, lives in
 * at run time the dispatcher marshals the region's live-in scalars and
   ``MemRefStorage`` buffers zero-copy through ctypes (data pointers +
   shapes), calls the compiled function, and folds the counters it returns
-  (work cycles, dynamic ops, global traffic, SIMT phases) through the same
+  (work cycles, dynamic ops, global traffic) through the same
   accounting epilogues the compiled engine uses — so outputs *and*
   :class:`~repro.runtime.costmodel.CostReport`\\ s stay bit-identical to the
   interpreter (pinned by the five-engine parity matrix and the differential
   fuzz suite);
-* real parallelism (``#pragma omp parallel for`` across iterations/blocks)
+* real parallelism (``#pragma omp parallel for`` across iterations)
   is enabled per region only when the write-write store-safety analysis
   (:mod:`repro.analysis.store_safety`, asked once per region through its
   :class:`~repro.analysis.region.RegionPlan`) proves shards independent
@@ -32,8 +36,7 @@ in-process run is every dispatch's fallback, lives in
   buffer aliasing); unproven regions still run as *sequential* C.
 
 Anything the emitter cannot translate — nested parallel constructs,
-dynamic-extent private allocas, barriers under thread-varying control flow
-or inside state-carrying loops, recursion — falls back **per region** to
+dynamic-extent private allocas, recursion — falls back **per region** to
 the compiled closures, with the emitter's reason recorded on the plan
 (``engine.regions``); a missing or broken C
 toolchain degrades the whole engine to compiled execution (same graceful
@@ -54,11 +57,9 @@ import tempfile
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.region import LAUNCH
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
     ERR_BAD_STEP,
-    ERR_OOM,
     RegionCodegen,
     UnsupportedRegion,
     assemble_unit,
@@ -73,12 +74,10 @@ CC_ENV_VAR = "REPRO_CC"
 
 #: bump when the generated-code contract (ABI, counters) changes; part of
 #: the artifact cache key so stale shared objects can never be dlopened.
-#: 3: span `par_ok` became a `mode` bitmask (bit 0 parallel, bit 1 simd);
-#:    launch bodies compile structurally (barriers under uniform control
-#:    flow, scf.while) with min-cut phase splitting.
+#: 3: span `par_ok` became a `mode` bitmask (bit 0 parallel, bit 1 simd).
 NATIVE_FORMAT = 3
 
-#: minimum iterations/blocks before a region is worth an OpenMP team.
+#: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
 
 
@@ -394,15 +393,10 @@ _F64_2 = ctypes.c_double * 2
 
 
 def _region_error(code: int) -> InterpreterError:
-    """The engine error for a nonzero native error code.
-
-    Codes combine across OpenMP threads with a ``max`` reduction, so they
-    stay semantic (mixed step/OOM errors surface the OOM classification).
-    """
+    """The engine error for a nonzero native error code (codes combine
+    across OpenMP threads with a ``max`` reduction, so they stay semantic)."""
     if code == ERR_BAD_STEP:
         return InterpreterError("scf.for requires a positive step")
-    if code == ERR_OOM:
-        return InterpreterError("native region scratch allocation failed")
     return InterpreterError(f"native region failed (code {code})")
 
 
@@ -506,32 +500,14 @@ class _RegionHandle:
             ctypes.c_int64(total), ctypes.c_int64(mode),
             outf, outi)
         del arrays  # keep buffers alive across the call
-        return outf[0], outf[1], outi[0], outi[1], outi[2]
-
-    def call_launch(self, marshalled, grid, block):
-        li, lf, pointers, shapes, arrays, no_alias = marshalled
-        total_blocks = grid[0] * grid[1] * grid[2]
-        par_ok = (no_alias and total_blocks >= 2
-                  and total_blocks * block[0] * block[1] * block[2] >= _MIN_PARALLEL_UNITS
-                  and self.required_dims is not None
-                  and all(grid[axis] == 1 for axis in self.required_dims))
-        pack_i, pack_f, pack_p, pack_s = self._pack(li, lf, pointers, shapes)
-        grid_pack = (ctypes.c_int64 * 3)(*grid)
-        block_pack = (ctypes.c_int64 * 3)(*block)
-        outf = _F64_2()
-        outi = _I64_3()
-        self.unit.function(self.spec.symbol)(
-            pack_i, pack_f, pack_p, pack_s, grid_pack, block_pack,
-            ctypes.c_int64(1 if par_ok else 0), outf, outi)
-        del arrays
-        return outf[0], outf[1], outi[0], outi[1], outi[2]
+        return outf[0], outf[1], outi[0], outi[2]
 
 
 # ---------------------------------------------------------------------------
 # The native dispatcher
 # ---------------------------------------------------------------------------
 def native(fc: _FunctionCompiler, region: _Region):
-    """The native engine's dispatcher: emit the region as C into the
+    """The native engine's dispatcher: emit the span as C into the
     function's translation unit and return a runner that calls it, with the
     shell's in-process ``base`` run for every dispatch the C code cannot
     take; ``None`` (and the reason, on the plan) when the region cannot be
@@ -545,10 +521,8 @@ def native(fc: _FunctionCompiler, region: _Region):
         unit = fc.dispatch_state = NativeUnit(program)
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
     symbol = f"repro_{sanitized}_p{fc.offered}"
-    launch = plan.kind == LAUNCH
     try:
-        codegen = RegionCodegen(program, plan, symbol, fc.slot)
-        source, spec = codegen.emit_launch() if launch else codegen.emit_span()
+        source, spec = RegionCodegen(program, plan, symbol, fc.slot).emit_span()
     except UnsupportedRegion as exc:
         stats["fallback_regions"] += 1
         plan.refuse("native", str(exc))
@@ -578,27 +552,17 @@ def native(fc: _FunctionCompiler, region: _Region):
         if marshalled is None:
             stats["bailouts"] += 1
             return base(state, regs)
-        report = state.report
-        if launch:
-            grid = [int(regs[slot]) for slot in bounds[0]]
-            block = [int(regs[slot]) for slot in bounds[1]]
-            work, global_bytes, ops, phases, error = handle.call_launch(
-                marshalled, grid, block)
-        else:
-            ranges, total = _iteration_space(regs, *bounds)
-            count(state)
-            work, global_bytes, ops, _, error = handle.call_span(
-                marshalled, ranges, total)
+        ranges, total = _iteration_space(regs, *bounds)
+        count(state)
+        work, global_bytes, ops, error = handle.call_span(
+            marshalled, ranges, total)
         if error:
             raise _region_error(error)
         stats["native_dispatches"] += 1
+        report = state.report
         report.dynamic_ops += int(ops)
         report.global_bytes += global_bytes
-        if launch:
-            report.simt_phases += int(phases)
-            state.work[-1] += work
-        else:
-            finish(state, total, work)
+        finish(state, total, work)
     return run
 
 

@@ -1,12 +1,12 @@
-"""Vectorized SIMT engine: whole-grid NumPy execution between barriers.
+"""Vectorized engine: whole-grid NumPy execution of barrier-free spans.
 
-The compiled engine (PR 1) removed per-op dispatch but still runs every SIMT
-thread / parallel-loop iteration as a separate Python closure call.  This
-module exploits the same structural invariant the paper uses for barrier
-elimination — *a barrier splits a thread body into phases that are
-independent across threads within a phase* (§III-A) — to execute each
-barrier-delimited phase for **all threads at once** as NumPy array
-operations:
+The compiled engine (PR 1) removed per-op dispatch but still runs every
+parallel-loop iteration as a separate Python closure call.  This module
+exploits the structural invariant the paper's barrier lowering establishes —
+*the iterations of a barrier-free parallel loop are independent* (§III-A;
+cpuify's loop fission makes every barrier-delimited phase such a loop) — to
+execute a span (``omp.wsloop`` / barrier-free ``scf.parallel``) for **all
+iterations at once** as NumPy array operations:
 
 * SSA registers become full-width arrays of shape ``(num_lanes,)``
   (``float64``/``int64``, matching the interpreter's Python-scalar
@@ -26,28 +26,27 @@ operations:
 * ``scf.for`` with lane-invariant bounds runs the loop sequentially with a
   vectorized body.
 
-The decision is made *per region*: a region with a phase containing an
-unsupported op (nested parallelism, ``scf.while``, calls, deallocs,
-lane-varying loop bounds, ...) falls back wholesale to the compiled
-closures — correctness never depends on the analyzer being complete — and
-so does a region whose barriers sit under control flow (to the compiled
-generator scheduling).  Either way the reason is recorded on the region's
-plan (``engine.regions``).
+The decision is made *per span*: one containing an unsupported op (nested
+parallelism, ``scf.while``, calls, deallocs, lane-varying loop bounds, ...)
+falls back wholesale to the compiled closures — correctness never depends
+on the analyzer being complete — with the reason recorded on the region's
+plan (``engine.regions``).  Un-lowered regions (``gpu.launch``,
+``scf.parallel`` with barriers) never reach this module: they run on the
+closure tier under every engine.
 
 This module is a *body planner* (:func:`lanes`): the region shell in
-:mod:`repro.runtime.compiler` hands it a region's plan — phases already
-split, shared allocas already bound — and runs whatever it returns inside
-the same accounting the compiled engine uses.
+:mod:`repro.runtime.compiler` hands it a span's plan and runs whatever it
+returns inside the same accounting the compiled engine uses.
 
 Cost accounting is computed analytically (per-op static cost × lane count,
 the same ``memory_access_cost`` formulas × access count).  Because every
 per-op charge on the supported machines is an exact binary fraction
 (multiples of 2⁻⁸), float accumulation is associative in exact arithmetic
 and the grouped analytic totals are **bit-identical** to the interpreter's
-sequential per-thread accumulation; machines with non-dyadic access costs
+sequential per-iteration accumulation; machines with non-dyadic access costs
 (e.g. ``A64FX_CMG``'s HBM factor) disable vectorization entirely and fall
-back to the compiled engine.  ``dynamic_ops``, phase counts and traffic
-counters are replicated exactly; like the compiled engine, the
+back to the compiled engine.  ``dynamic_ops`` and traffic counters are
+replicated exactly; like the compiled engine, the
 ``max_dynamic_ops`` budget is checked per block of lanes rather than per
 scalar op (the counter itself stays exact).
 
@@ -67,7 +66,6 @@ import numpy as np
 
 from ..dialects import arith, memref as memref_d, scf
 from ..ir import MemRefType
-from ..analysis.region import LAUNCH, SIMT
 from .compiler import (
     CompiledEngine,
     _FunctionCompiler,
@@ -77,7 +75,7 @@ from .compiler import (
 )
 from .costmodel import exact_cycles, memory_access_cost, op_cost
 from .errors import InterpreterError
-from .memory import MemRefStorage, dtype_for
+from .memory import dtype_for
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
                       row_for)
 
@@ -238,12 +236,8 @@ def _np_dtype_name(value) -> str:
 # The region vectorizer: classification + source emission, one parallel region
 # ---------------------------------------------------------------------------
 class _RegionVectorizer:
-    """Compiles the barrier-delimited phases of one parallel region.
-
-    Value-kind classification (uniform vs. varying vs. per-lane buffer) is
-    shared across the region's phases so a slot defined in phase *k* keeps
-    its representation when phase *j > k* reads it.
-    """
+    """Compiles the body of one span, classifying every value it defines
+    as uniform, varying or a per-lane buffer."""
 
     def __init__(self, fc: _FunctionCompiler) -> None:
         self.fc = fc
@@ -256,10 +250,10 @@ class _RegionVectorizer:
         # ``if (flag[tid] == c)`` may select many).
         self.lane_taint: Set[int] = set()
         self.taint_bufs: Set[int] = set()
-        # per-phase emission state
+        # emission state
         self.lines: List[str] = []
-        self.ns: Dict[str, object] = {}
-        self._indent = 0
+        self.ns: Dict[str, object] = dict(_BASE_NAMESPACE)
+        self._indent = 2
         self._assign_log: List[int] = []
         self._depth = 0
 
@@ -332,13 +326,7 @@ class _RegionVectorizer:
 
     # -- phase compilation -------------------------------------------------------
     def vectorize_phase(self, ops: Sequence, nops: int) -> Callable:
-        """One phase as ``run(state, regs, n, lanes)`` over all its lanes."""
-        self.lines = []
-        self.ns = dict(_BASE_NAMESPACE)
-        self._indent = 2
-        self._assign_log = []
-        self._depth = 0
-
+        """The span body as ``run(state, regs, n, lanes)`` over all its lanes."""
         ctx = _Ctx(mask=None, count="_N")
         for op in ops:
             self.emit_op(op, ctx)
@@ -411,11 +399,6 @@ class _RegionVectorizer:
 
     # -- memory ------------------------------------------------------------------
     def emit_alloc(self, op, ctx: _Ctx) -> None:
-        if id(op.result) in self.fc._prebound:
-            # launch-prebound shared buffer: bound uniformly by the region
-            # runner; counted as a dynamic op but no action and no charge,
-            # exactly like the interpreter's pre-bound early return.
-            return
         if op.operands:
             raise _Unsupported("dynamically sized per-lane allocation")
         mtype = op.memref_type
@@ -773,15 +756,35 @@ class _RegionVectorizer:
 # ---------------------------------------------------------------------------
 # The lane body planner
 # ---------------------------------------------------------------------------
-def _vector_span_runner(iv_slots, phase):
-    """A span runner executing ``[start, stop)`` lanes of one phase.
+def lanes(fc: _FunctionCompiler, region: _Region):
+    """The vectorized engine's body planner.
 
-    Induction-variable grids are the row-major lane arrays sliced to
-    the span, so a sub-span sees exactly the lanes the sequential
-    engines would visit in that interval, in the same order.
+    A span is decided as a whole: when its body vectorizes it runs as one
+    whole-grid NumPy function; when the vectorizer declines an op it runs on
+    :func:`~repro.runtime.compiler.closures`, the reason recorded on its
+    plan.
     """
+    program, plan = fc.program, region.plan
+    if not program.exact_or_refuse(plan):
+        return closures(fc, region)
+    stats = program.vector_stats
+    iv_slots = region.index_slots
+    rv = _RegionVectorizer(fc)
+    for slot in iv_slots:
+        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
+    try:
+        phase = rv.vectorize_phase(*plan.phases[0])
+    except _Unsupported as exc:
+        stats["fallback_regions"] += 1
+        plan.refuse("vectorized", str(exc))
+        return closures(fc, region)
+    stats["vectorized_regions"] += 1
+    region.tier = "vectorized"
 
     def run_span(state, regs, ranges, start, stop):
+        # induction-variable grids are the row-major lane arrays sliced to
+        # the span, so a sub-span sees exactly the lanes the sequential
+        # engines would visit in that interval, in the same order.
         total = 1
         for axis in ranges:
             total *= len(axis)
@@ -795,100 +798,15 @@ def _vector_span_runner(iv_slots, phase):
     return run_span
 
 
-def lanes(fc: _FunctionCompiler, region: _Region):
-    """The vectorized engine's body planner.
-
-    A region is decided as a whole: when every phase of its plan
-    vectorizes, the phases run as whole-grid NumPy functions; when the
-    vectorizer declines one (or barriers sit under control flow), the region
-    runs on :func:`~repro.runtime.compiler.closures`, the reason recorded on
-    its plan.
-    """
-    program, plan = fc.program, region.plan
-    if not program.exact_or_refuse(plan):
-        return closures(fc, region)
-    stats = program.vector_stats
-    if plan.phases is None:
-        stats["fallback_regions"] += 1
-        plan.refuse("vectorized", "barrier under control flow")
-        return closures(fc, region)
-    a = region.index_slots
-    rv = _RegionVectorizer(fc)
-    for slot in (a[3:6] if plan.kind == LAUNCH else a):
-        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
-    try:
-        phases = [rv.vectorize_phase(ops, nops) for ops, nops in plan.phases]
-    except _Unsupported as exc:
-        stats["fallback_regions"] += 1
-        plan.refuse("vectorized", str(exc))
-        return closures(fc, region)
-    num_phases = len(phases)
-    stats["vectorized_regions"] += 1
-    stats["vectorized_phases"] += num_phases
-    region.tier = "vectorized"
-
-    if plan.kind == LAUNCH:
-        shared_allocas = region.shared
-        allocate = MemRefStorage.allocate
-
-        def run_blocks(state, regs, grid, block, start, stop):
-            g0, g1, g2 = grid
-            b0, b1, b2 = block
-            report = state.report
-            nthreads = b0 * b1 * b2
-            if nthreads <= 0:
-                return
-            tz_grid, ty_grid, tx_grid = _lane_arrays(
-                [range(b2), range(b1), range(b0)])
-            lane_ids = np.arange(nthreads)
-            for linear in range(start, stop):
-                bx = linear % g0
-                by = (linear // g0) % g1
-                bz = linear // (g0 * g1)
-                regs[a[0]] = bx
-                regs[a[1]] = by
-                regs[a[2]] = bz
-                regs[a[3]] = tx_grid
-                regs[a[4]] = ty_grid
-                regs[a[5]] = tz_grid
-                regs[a[6]] = g0
-                regs[a[7]] = g1
-                regs[a[8]] = g2
-                regs[a[9]] = b0
-                regs[a[10]] = b1
-                regs[a[11]] = b2
-                for dst, mtype in shared_allocas:
-                    regs[dst] = allocate(mtype, [])
-                for phase in phases:
-                    phase(state, regs, nthreads, lane_ids)
-                report.simt_phases += num_phases
-        return run_blocks
-
-    if plan.kind == SIMT:
-        def run_grid(state, regs, ranges, total):
-            if not total:
-                return 0
-            for dst, grid in zip(a, _lane_arrays(ranges)):
-                regs[dst] = grid
-            lane_ids = np.arange(total)
-            for phase in phases:
-                phase(state, regs, total, lane_ids)
-            return num_phases
-        return run_grid
-
-    return _vector_span_runner(a, phases[0])
-
-
 # ---------------------------------------------------------------------------
 # Engine front end
 # ---------------------------------------------------------------------------
 class VectorizedEngine(CompiledEngine):
     """Drop-in engine executing whole thread grids as NumPy array operations.
 
-    Shares the compiled engine's API, caching and cost semantics; parallel
-    regions whose barrier-delimited phases pass the vectorizer's analysis
-    run as full-grid NumPy code, every other region falls back to the
-    compiled closures.  Outputs and :class:`CostReport` fields stay
+    Shares the compiled engine's API, caching and cost semantics; spans
+    whose body passes the vectorizer's analysis run as full-grid NumPy code,
+    every other region runs on the compiled closures.  Outputs and :class:`CostReport` fields stay
     bit-identical to the interpreter.
     """
 

@@ -4,10 +4,12 @@ The plan replaces what each engine used to derive for itself, so its facts
 are checked against *independent* derivations, never against an engine that
 reads the plan: the interpreter's own phase counts, a copy of the capture
 walk ``codegen_c`` used to carry (its order is the C argument ABI), and the
-store-safety entry points called directly.  The remaining tests pin what
+store-safety entry point called directly.  The remaining tests pin what
 the refactor is for: a region is analysed once whoever asks, a tier that
-declines a region says why, and the engine tower stays one function
-compiler with one definition of each region entry point.
+declines a region says why, the engine tower stays one function
+compiler with one definition of each region entry point — and what cpuify
+hands the engines is barrier-free ``omp.wsloop`` spans only, the traffic
+claim that lets the fast tiers hold no barrier lowering of their own.
 """
 
 import ast
@@ -19,8 +21,7 @@ import pytest
 
 from repro.analysis import contains_barrier
 from repro.analysis.region import LAUNCH, PARALLEL, SIMT, WSLOOP, RegionPlans
-from repro.analysis.store_safety import (_StoreSafety, launch_required_axes,
-                                         span_required_dims)
+from repro.analysis.store_safety import _StoreSafety, span_required_dims
 from repro.dialects import func as func_d, gpu as gpu_d, omp as omp_d, scf
 from repro.frontend import compile_cuda
 from repro.moccuda import MocCUDASession
@@ -30,9 +31,9 @@ from repro.runtime import (A64FX_CMG, XEON_8375C, Interpreter, MulticoreEngine,
                            clear_global_tuning_cache, make_executor,
                            native_available, shutdown_worker_pools)
 from repro.runtime.codegen_c import RegionCodegen, UnsupportedRegion
-from repro.runtime.compiler import invalidate_compiled, program_for
+from repro.runtime.compiler import UNLOWERED, invalidate_compiled, program_for
 from repro.transforms import PipelineOptions
-from tests.helpers import generate_fuzz_kernel
+from tests.helpers import FUZZ_PIPELINES, generate_fuzz_kernel
 
 ROOT = Path(__file__).resolve().parents[2]
 REGION_OPS = (scf.ParallelOp, gpu_d.LaunchOp, omp_d.OmpWsLoopOp)
@@ -137,7 +138,7 @@ def _check_plans(label, module, entry, arguments):
         where = f"{label}: {op.name}"
         if isinstance(op, gpu_d.LaunchOp):
             assert plan.kind == LAUNCH, where
-            direct, _ = launch_required_axes(module, op, plan.shared_allocas)
+            direct = None  # un-lowered: no tier runs it concurrently
         elif isinstance(op, omp_d.OmpWsLoopOp):
             assert plan.kind == WSLOOP, where
             direct, _ = span_required_dims(module, op)
@@ -151,13 +152,12 @@ def _check_plans(label, module, entry, arguments):
 
         captured = _captured_values(op)
         assert [id(v) for v in plan.live_ins] == [id(v) for v in captured], where
-        if plan.kind != SIMT:
+        if plan.kind in (WSLOOP, PARALLEL):
             slots = {}
             codegen = RegionCodegen(program, plan, "r",
                                     lambda v: slots.setdefault(id(v), len(slots)))
             try:
-                _, spec = (codegen.emit_launch() if plan.kind == LAUNCH
-                           else codegen.emit_span())
+                _, spec = codegen.emit_span()
             except UnsupportedRegion:
                 pass
             else:
@@ -200,6 +200,45 @@ class TestPlanFacts:
         assert program_for(module, A64FX_CMG, "vectorized").plans is compiled.plans
         invalidate_compiled(module)
         assert program_for(module, XEON_8375C).plans is not compiled.plans
+
+
+class TestLoweredTraffic:
+    """The claim that licenses the fast tiers to hold no barrier lowering of
+    their own: every region cpuify hands an engine is a barrier-free
+    ``omp.wsloop`` span.  A pass change that starts leaving ``launch`` /
+    ``simt`` / ``parallel`` regions (e.g. a ``barrier_fallback`` SIMT loop)
+    fails here, by name, instead of quietly losing the fast tiers."""
+
+    @staticmethod
+    def _spans(label, module):
+        plans = RegionPlans(module)
+        regions = [op for op in module.walk() if isinstance(op, REGION_OPS)]
+        for op in regions:
+            plan = plans.plan(op)
+            assert plan.kind == WSLOOP, f"{label}: cpuify left a {plan.kind} region"
+            assert len(plan.phases) == 1, label
+            assert not contains_barrier(op, immediate_region_only=False), label
+        return len(regions)
+
+    #: regions in the 12 Rodinia modules per pipeline (the two backprop
+    #: benchmarks share one source, so each module holds both kernels).
+    @pytest.mark.parametrize("pipeline, expected", [
+        ("all", 15), ("innerpar", 43), ("disabled", 54), ("mincut+openmpopt", 51)])
+    def test_rodinia_lowers_to_barrier_free_wsloops(self, pipeline, expected):
+        assert set(FUZZ_PIPELINES) == {"all", "innerpar", "disabled",
+                                       "mincut+openmpopt"}
+        regions = sum(
+            self._spans(f"{name} [{pipeline}]",
+                        BENCHMARKS[name].compile_cuda(FUZZ_PIPELINES[pipeline]))
+            for name in sorted(BENCHMARKS))
+        assert regions == expected
+
+    def test_fuzz_corpus_lowers_to_barrier_free_wsloops(self):
+        kernels = [generate_fuzz_kernel(seed) for seed in range(FUZZ_SEEDS)]
+        assert sum(kernel.has_barrier for kernel in kernels) == 24
+        regions = sum(self._spans(f"fuzz/{kernel.seed} [{kernel.pipeline}]",
+                                  kernel.compile()) for kernel in kernels)
+        assert regions == 146
 
 
 @needs_cc
@@ -261,9 +300,13 @@ void launch(float* out, int n) { k<<<(n + 31) / 32, 32>>>(out, n); }
 """
 
 
-def _refusals(engine_cls, source, arguments, *, lower, **kwargs):
-    module = compile_cuda(source, cuda_lower=lower,
-                          options=PipelineOptions.all_optimizations())
+#: lowered, but ``put`` stays a ``func.call`` inside the span.
+KEEP_CALLS = PipelineOptions.all_optimizations().with_options(inline_device=False)
+
+
+def _refusals(engine_cls, source, arguments, *, lower,
+              options=PipelineOptions.all_optimizations(), **kwargs):
+    module = compile_cuda(source, cuda_lower=lower, options=options)
     engine = engine_cls(module, **kwargs)
     engine.run("launch", arguments)
     assert engine.regions
@@ -275,29 +318,42 @@ class TestRefusalReasons:
 
     @needs_cc
     def test_native_reports_the_emitters_reason(self):
-        arguments = [np.ones(64, np.float32), np.zeros(64, np.float32), 64]
-        ((tier, refusals),) = _refusals(NativeEngine, VARYING_BARRIER_CUDA,
-                                        arguments, lower=False)
-        assert tier == "closures"
-        assert refusals == ["native: barrier under thread-varying control flow"]
+        # opt_disabled keeps the thread loop parallel: the block-level span
+        # holds an omp.parallel the emitter does not translate.
+        regions = _refusals(NativeEngine, OWNED_CUDA, [np.zeros(64, np.float32), 64],
+                            lower=True, options=PipelineOptions.opt_disabled())
+        assert ("closures", ["native: nested parallel construct omp.parallel"]) in regions
 
     def test_vectorizer_reports_the_declined_phase(self):
         ((tier, refusals),) = _refusals(VectorizedEngine, UNINLINED_CALL_CUDA,
-                                        [np.zeros(64, np.float32), 64], lower=False)
+                                        [np.zeros(64, np.float32), 64],
+                                        lower=True, options=KEEP_CALLS)
         assert tier == "closures"
         assert refusals == ["vectorized: op func.call is not vectorizable"]
 
     def test_vectorizer_reports_barriers_under_control_flow(self):
+        self._unlowered_launch_is_refused_by_name(VectorizedEngine)
+
+    @pytest.mark.parametrize("engine_cls", [MulticoreEngine, NativeEngine])
+    def test_dispatchers_report_an_unlowered_launch(self, engine_cls):
+        self._unlowered_launch_is_refused_by_name(engine_cls)
+
+    @staticmethod
+    def _unlowered_launch_is_refused_by_name(engine_cls):
+        """Barriers are cpuify's job: a ``gpu.launch`` that kept its
+        ``__syncthreads`` runs on the closure tier and every faster tier
+        says so, instead of lowering it a second time."""
         arguments = [np.ones(64, np.float32), np.zeros(64, np.float32), 64]
-        ((tier, refusals),) = _refusals(VectorizedEngine, VARYING_BARRIER_CUDA,
+        ((tier, refusals),) = _refusals(engine_cls, VARYING_BARRIER_CUDA,
                                         arguments, lower=False)
         assert tier == "closures"
-        assert refusals == ["vectorized: barrier under control flow"]
+        assert refusals == [f"{engine_cls.ROW}: {UNLOWERED[LAUNCH]}"]
+        assert "cuda_lower=True" in UNLOWERED[LAUNCH]
 
     def test_unproven_store_safety_is_reported(self):
         ((tier, refusals),) = _refusals(MulticoreEngine, UNINLINED_CALL_CUDA,
                                         [np.zeros(64, np.float32), 64],
-                                        lower=False, workers=2)
+                                        lower=True, options=KEEP_CALLS, workers=2)
         assert tier == "closures"
         assert refusals == ["parallel: call to store-unsafe function 'put'"]
 
@@ -367,9 +423,6 @@ class TestTowerCensus:
         codegen = self._sources()["codegen_c.py"]
         assert codegen.count("for (int64_t {iv}") == 1
         assert codegen.count("for (;;) {") == 1
-        struct = next(node for node in ast.walk(ast.parse(codegen))
-                      if isinstance(node, ast.FunctionDef) and node.name == "_emit_struct")
-        assert not re.search(r"\b(for|if|while) \(", ast.unparse(struct))
 
     def test_one_function_compiler_no_mixins(self):
         classes = re.findall(r"^class (\w+)", "\n".join(self._sources().values()),
@@ -383,8 +436,7 @@ class TestTowerCensus:
         sources = self._sources()
         callers = {name for name, text in sources.items()
                    if "is_shared_memref(" in text}
-        assert callers == {"interpreter.py", "codegen_c.py"}
-        assert sources["codegen_c.py"].count("is_shared_memref(") == 1
+        assert callers == {"interpreter.py"}
         assert not any("straight = all(" in text for text in sources.values())
 
     def test_analysis_and_transforms_do_not_import_the_runtime(self):

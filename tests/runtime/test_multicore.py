@@ -11,6 +11,7 @@ contract after shared-memory promotion.
 import numpy as np
 import pytest
 
+from repro.analysis.region import LAUNCH
 from repro.frontend import compile_cuda
 from repro.rodinia import BENCHMARKS
 from repro.runtime import (
@@ -24,6 +25,7 @@ from repro.runtime import (
     resolve_engine,
     shutdown_worker_pools,
 )
+from repro.runtime.compiler import UNLOWERED
 from repro.runtime.multicore import (
     WORKERS_ENV_VAR,
     _split_spans,
@@ -224,12 +226,23 @@ class TestShardAnalysis:
         assert engine.shard_stats["inline_runs"] == 0
 
     @needs_pool
-    def test_oracle_launch_dispatches_with_barriers(self):
+    def test_barrier_kernel_dispatches_lowered_only(self):
+        """Workers get barrier-free spans: hotspot's ``__syncthreads`` are
+        removed by cpuify, and its un-lowered launch stays in-process with
+        the refusal named."""
         bench = BENCHMARKS["hotspot"]
-        module = bench.compile_cuda(cuda_lower=False)
-        engine = MulticoreEngine(module, workers=2)
+        engine = MulticoreEngine(
+            bench.compile_cuda(PipelineOptions.all_optimizations()), workers=2)
         engine.run(bench.entry, bench.make_inputs(4))
-        assert engine.shard_stats["dispatches"] == 1
+        assert engine.shard_stats["dispatches"] >= 1
+
+        engine = MulticoreEngine(bench.compile_cuda(cuda_lower=False), workers=2)
+        engine.run(bench.entry, bench.make_inputs(4))
+        assert engine.shard_stats["dispatches"] == 0
+        assert engine.shard_stats["rejected_regions"] == 1
+        (region,) = engine.regions
+        assert region["tier"] == "closures"
+        assert region["refusals"] == [f"multicore: {UNLOWERED[LAUNCH]}"]
 
 
 class TestExecution:

@@ -5,10 +5,10 @@ differential fuzz suite already pin the native engine's outputs and
 CostReports bit for bit; this file covers the machinery around them:
 
 * region coverage — the kernels that must compile natively do (including
-  the two formerly-fallback classes: ``scf.while`` bodies and barriers
-  under uniform control flow), and the constructs the emitter still
-  rejects (nested ``omp.parallel``, thread-varying guarded barriers) fall
-  back per region;
+  ``scf.while`` bodies), the constructs the emitter rejects (nested
+  ``omp.parallel``) fall back per region, and un-lowered ``gpu.launch``
+  regions are refused by name — barriers are lowered by cpuify, never by
+  the emitter;
 * the content-addressed artifact cache — warm units skip the C compiler,
   corrupt ``.so`` files recompile instead of crashing the dlopen, and the
   disk tier evicts by access age without touching pinned artifacts;
@@ -26,6 +26,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.region import LAUNCH
 from repro.frontend import compile_cuda
 from repro.rodinia import BENCHMARKS
 from repro.runtime import (
@@ -37,6 +38,7 @@ from repro.runtime import (
     native_available,
 )
 from repro.runtime.cache import NativeArtifactCache
+from repro.runtime.compiler import UNLOWERED
 from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
 from tests.helpers import generate_fuzz_kernel, report_fields
@@ -95,20 +97,28 @@ class TestRegionCoverage:
         assert stats["compile_errors"] == 0
 
     @needs_cc
-    def test_launch_simt_compiles_natively(self):
-        """A straight-line __syncthreads oracle runs through native chunked
-        phase execution (the gpu.launch path), bit-identically."""
+    def test_barrier_kernel_compiles_natively_lowered_only(self):
+        """A straight-line __syncthreads kernel reaches C through cpuify's
+        barrier lowering; its un-lowered gpu.launch runs the SIMT phases on
+        the closure tier, bit-identically, and says why."""
         for seed in range(60):
             kernel = generate_fuzz_kernel(seed)
             if kernel.has_barrier and "reduce=False" in kernel.description:
                 break
         else:
             pytest.skip("no straight-line barrier kernel in the seed window")
-        module = kernel.compile(cuda_lower=False)
         engine = _assert_native_matches_interp(
-            module, kernel.entry, kernel.make_args, 2)
+            kernel.compile(), kernel.entry, kernel.make_args, 2)
         assert engine.native_stats["native_dispatches"] >= 1
+
+        engine = _assert_native_matches_interp(
+            kernel.compile(cuda_lower=False), kernel.entry, kernel.make_args, 2)
         assert engine.report.simt_phases > 0
+        assert engine.native_stats["native_regions"] == 0
+        assert engine.native_stats["fallback_regions"] == len(engine.regions) >= 1
+        for region in engine.regions:
+            assert region["tier"] == "closures"
+            assert region["refusals"] == [f"native: {UNLOWERED[LAUNCH]}"]
 
     @needs_cc
     def test_inlined_device_call_compiles_natively(self):
@@ -131,7 +141,10 @@ class TestRegionCoverage:
             scale<<<(n + 31) / 32, 32>>>(out, in, n);
         }
         """
-        module = compile_cuda(source)  # un-lowered: gpu.launch + func.call
+        module = compile_cuda(  # lowered, the call kept: wsloop + func.call
+            source, cuda_lower=True,
+            options=PipelineOptions.all_optimizations().with_options(
+                inline_device=False))
         engine = _assert_native_matches_interp(module, "launch", _quick_args, 0)
         stats = engine.native_stats
         assert stats["compile_errors"] == 0

@@ -2,20 +2,24 @@
 
 The native backend originally rejected (a) ``scf.while`` loops and (b)
 barriers under control flow, falling back per region to the compiled
-closures.  Both classes now compile to C — (a) as a structural loop over
-the while op's before/after regions with the compiled engine's exact
-per-iteration cost charge, (b) as structured-control-flow phase chunking
-(uniform guards only) with min-cut-chosen phase-crossing lanes.  These
-tests pin each class across all five engines — outputs and CostReports
-bit-identical to the interpreter — and, where the toolchain exists, assert
-the regions really execute native rather than silently falling back.
+closures.  Both classes now reach C through cpuify — (a) as a structural
+loop over the while op's before/after regions with the compiled engine's
+exact per-iteration cost charge, (b) because the barrier lowering in the IR
+(loop fission, min-cut value caching, interchange) leaves barrier-free spans
+only.  These tests pin each class across all five engines, lowered and
+un-lowered — outputs and CostReports bit-identical to the interpreter — and,
+where the toolchain exists, assert that the lowered regions really execute
+native and that the un-lowered ones are refused by name, not lowered a
+second time by the emitter.
 """
 
 import numpy as np
 import pytest
 
 from repro.frontend import compile_cuda
+from repro.analysis.region import LAUNCH
 from repro.runtime import Interpreter, NativeEngine, native_available
+from repro.runtime.compiler import UNLOWERED
 from repro.transforms import PipelineOptions
 from tests.helpers import report_fields, run_engine_matrix
 
@@ -113,9 +117,8 @@ def _make_args(n=128, seed=3):
     return [a, b, np.zeros(n, dtype=np.float32), n]
 
 
-def _assert_region_native(source, *, cuda_lower):
-    """Native engine vs. interpreter on one module, asserting the region
-    compiled (no per-region fallback) when the toolchain is available."""
+def _run_native(source, *, cuda_lower):
+    """Native engine vs. interpreter on one module; returns the engine."""
     options = PipelineOptions.all_optimizations() if cuda_lower else None
     module = compile_cuda(source, cuda_lower=cuda_lower, options=options)
     interp_args = _make_args()
@@ -126,10 +129,7 @@ def _assert_region_native(source, *, cuda_lower):
     engine.run("launch", native_args)
     np.testing.assert_array_equal(interp_args[2], native_args[2])
     assert report_fields(interp.report) == report_fields(engine.report)
-    stats = engine.native_stats
-    assert stats["fallback_regions"] == 0
-    assert stats["native_dispatches"] >= 1
-    return stats
+    return engine
 
 
 CLASS_SOURCES = {
@@ -157,41 +157,58 @@ class TestFiveEngineParity:
                           workers=2, label=f"{name} [oracle]")
 
 
+THREAD_VARYING_GUARD_CUDA = """
+__global__ void k(float* a, float* b, float* out, int n) {
+    int tx = threadIdx.x;
+    int gid = blockIdx.x * blockDim.x + tx;
+    __shared__ float buf[32];
+    buf[tx] = a[gid];
+    if (tx < 16) {
+        __syncthreads();
+    }
+    out[gid] = buf[0] + b[gid];
+}
+void launch(float* a, float* b, float* out, int n) {
+    k<<<n / 32, 32>>>(a, b, out, n);
+}
+"""
+
+
 @needs_cc
 class TestNativeCompilesBothClasses:
+    @staticmethod
+    def _assert_lowered_native(source):
+        stats = _run_native(source, cuda_lower=True).native_stats
+        assert stats["fallback_regions"] == 0
+        assert stats["native_regions"] >= 1
+        assert stats["native_dispatches"] >= 1
+
     def test_while_span_compiles_native(self):
-        _assert_region_native(WHILE_SPAN_CUDA, cuda_lower=True)
+        self._assert_lowered_native(WHILE_SPAN_CUDA)
 
     def test_do_while_span_compiles_native(self):
-        _assert_region_native(DO_WHILE_SPAN_CUDA, cuda_lower=True)
+        self._assert_lowered_native(DO_WHILE_SPAN_CUDA)
 
-    def test_guarded_barrier_launch_compiles_native(self):
-        stats = _assert_region_native(BARRIER_FOR_CUDA, cuda_lower=False)
-        assert stats["native_regions"] >= 1
+    def test_guarded_barrier_lowered_compiles_native(self):
+        self._assert_lowered_native(BARRIER_FOR_CUDA)
 
-    def test_barrier_in_while_launch_compiles_native(self):
-        stats = _assert_region_native(BARRIER_WHILE_CUDA, cuda_lower=False)
-        assert stats["native_regions"] >= 1
+    def test_barrier_in_while_lowered_compiles_native(self):
+        self._assert_lowered_native(BARRIER_WHILE_CUDA)
+
+    def test_unlowered_classes_are_refused_by_name(self):
+        for source in (BARRIER_FOR_CUDA, BARRIER_WHILE_CUDA):
+            engine = _run_native(source, cuda_lower=False)
+            (region,) = engine.regions
+            assert region["kind"] == LAUNCH and region["tier"] == "closures"
+            assert region["refusals"] == [f"native: {UNLOWERED[LAUNCH]}"]
+            stats = engine.native_stats
+            assert stats["native_regions"] == stats["native_dispatches"] == 0
+            assert stats["fallback_regions"] == 1
 
     def test_thread_varying_guard_still_falls_back(self):
-        """A barrier under a *thread-varying* branch is outside the uniform
-        contract: the region must fall back, not miscompile."""
-        source = """
-        __global__ void k(float* a, float* b, float* out, int n) {
-            int tx = threadIdx.x;
-            int gid = blockIdx.x * blockDim.x + tx;
-            __shared__ float buf[32];
-            buf[tx] = a[gid];
-            if (tx < 16) {
-                __syncthreads();
-            }
-            out[gid] = buf[0] + b[gid];
-        }
-        void launch(float* a, float* b, float* out, int n) {
-            k<<<n / 32, 32>>>(a, b, out, n);
-        }
-        """
-        module = compile_cuda(source, cuda_lower=False)
-        engine = NativeEngine(module)
-        engine.run("launch", _make_args())
+        """A barrier under a *thread-varying* branch: the interpreter's SIMT
+        scheduling defines it, the closure tier reproduces it, and no tier
+        tries to be cleverer."""
+        engine = _run_native(THREAD_VARYING_GUARD_CUDA, cuda_lower=False)
         assert engine.native_stats["fallback_regions"] >= 1
+        assert [region["tier"] for region in engine.regions] == ["closures"]

@@ -2,15 +2,16 @@
 
 Differential parity against the interpreter over the whole suite lives in
 ``test_engine_parity.py``; these tests pin the vectorizer's own behaviour —
-which regions vectorize, that a region with an unsupported phase falls back
-wholesale while staying bit-identical, the machine-level disable, engine
-selection, and the
-bulk storage accessors it is built on.
+which spans vectorize, that a span with an unsupported op (and every
+un-lowered region) falls back wholesale while staying bit-identical, the
+machine-level disable, engine selection, and the bulk storage accessors it
+is built on.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.region import LAUNCH, SIMT
 from repro.ir import Builder, F32, I32, INDEX, memref, verify
 from repro.dialects import arith, func, memref as memref_d, scf
 from repro.frontend import compile_cuda
@@ -27,7 +28,8 @@ from repro.runtime import (
     machine_vectorizable,
     make_executor,
 )
-from repro.transforms import PipelineOptions
+from repro.runtime.compiler import UNLOWERED
+from repro.transforms import PipelineOptions, cpuify
 
 from tests.helpers import (
     build_function,
@@ -64,34 +66,36 @@ class TestRegionSelection:
 
     @pytest.mark.parametrize("name", ["hotspot", "lud", "pathfinder"])
     def test_single_lane_guard_falls_back(self, name):
-        """The vectorizer decides per region: one single-lane ``tid == 0``
-        staging phase sends the whole ``gpu.launch`` to the compiled closures
-        — its arithmetic phases included — bit-identical to ``interp``, with
-        the reason on ``engine.regions``."""
+        """The vectorizer decides per span: with the thread loops kept
+        parallel, cpuify's fission leaves the single-lane ``tid == 0``
+        staging phase a span of its own, which goes to the compiled closures
+        while the arithmetic phase next to it vectorizes — bit-identical to
+        ``interp``, with the reason on ``engine.regions``."""
         bench = BENCHMARKS[name]
-        module = bench.compile_cuda(cuda_lower=False)
+        module = bench.compile_cuda(
+            PipelineOptions.all_optimizations(inner_serialize=False))
         (interp, interp_args), (engine, vector_args) = run_both(
             module, bench.entry, lambda: bench.make_inputs(1))
         for expected, actual in zip(interp_args, vector_args):
             if isinstance(expected, np.ndarray):
                 np.testing.assert_array_equal(expected, actual)
         assert report_fields(interp.report) == report_fields(engine.report)
-        stats = engine.vector_stats
-        assert stats["vectorized_regions"] == 0
-        assert stats["fallback_regions"] == 1
-        assert stats["vectorized_phases"] == 0
-        region, = engine.regions
-        assert region["tier"] == "closures"
-        assert any("single-lane equality guard" in reason
-                   for reason in region["refusals"])
+        guarded = [region for region in engine.regions
+                   if "vectorized: single-lane equality guard" in region["refusals"]]
+        assert [region["tier"] for region in guarded] == ["closures"]
+        assert engine.vector_stats["vectorized_regions"] >= 1
 
     def test_barrier_under_control_flow_falls_back_wholesale(self):
+        """An un-lowered launch is the closure tier's, whatever its phases
+        hold: the vectorizer is never offered it."""
         bench = BENCHMARKS["backprop layerforward"]
         module = bench.compile_cuda(cuda_lower=False)
         engine = VectorizedEngine(module)
         engine.run(bench.entry, bench.make_inputs(1))
-        stats = engine.vector_stats
-        assert stats["fallback_regions"] >= 1
+        assert engine.vector_stats == {"vectorized_regions": 0, "fallback_regions": 1}
+        region, = engine.regions
+        assert region["tier"] == "closures"
+        assert region["refusals"] == [f"vectorized: {UNLOWERED[LAUNCH]}"]
 
     def test_a64fx_disables_vectorization(self):
         assert machine_vectorizable(XEON_8375C)
@@ -101,7 +105,6 @@ class TestRegionSelection:
         engine = VectorizedEngine(module, machine=A64FX_CMG, threads=12)
         engine.run(bench.entry, bench.make_inputs(1))
         assert engine.vector_stats["vectorized_regions"] == 0
-        assert engine.vector_stats["vectorized_phases"] == 0
 
 
 class TestFallbackParity:
@@ -143,26 +146,32 @@ class TestFallbackParity:
         return module
 
     def test_unsupported_phase_falls_back_bit_identical(self):
-        module = self._while_phase_module()
-
         def make_args():
             rng = np.random.default_rng(3)
             return [rng.random(16).astype(np.float32),
                     np.zeros(16, dtype=np.float32)]
 
+        # lowered, each phase is a span of its own: the staging span
+        # vectorizes, the one holding the scf.while falls back
         (interp, interp_args), (engine, vector_args) = run_both(
-            module, "main", make_args)
+            cpuify(self._while_phase_module()), "main", make_args)
         np.testing.assert_array_equal(interp_args[1], vector_args[1])
         assert report_fields(interp.report) == report_fields(engine.report)
-        stats = engine.vector_stats
-        assert stats["vectorized_regions"] == 0
-        assert stats["fallback_regions"] == 1
-        assert stats["vectorized_phases"] == 0
+        assert engine.vector_stats == {"vectorized_regions": 1, "fallback_regions": 1}
+        assert [(region["tier"], region["refusals"]) for region in engine.regions] == [
+            ("vectorized", []),
+            ("closures", ["vectorized: op scf.while is not vectorizable"])]
+
+        # un-lowered, the SIMT scf.parallel is refused whole, by name, and
+        # still executes as two barrier phases of one region
+        (interp, interp_args), (engine, vector_args) = run_both(
+            self._while_phase_module(), "main", make_args)
+        np.testing.assert_array_equal(interp_args[1], vector_args[1])
+        assert report_fields(interp.report) == report_fields(engine.report)
+        assert engine.vector_stats == {"vectorized_regions": 0, "fallback_regions": 1}
         region, = engine.regions
         assert region["tier"] == "closures"
-        assert any("scf.while" in reason for reason in region["refusals"])
-        # the staging phase and the while phase still executed as two
-        # barrier phases of one region
+        assert region["refusals"] == [f"vectorized: {UNLOWERED[SIMT]}"]
         assert engine.report.simt_phases == 2
 
     def test_budget_enforced_per_lane_block(self):
@@ -175,7 +184,8 @@ class TestFallbackParity:
 
 class TestVectorSemantics:
     def test_barrier_phase_vectorized_reverse(self):
-        """Shared-memory reverse: both phases vectorize, 2 SIMT phases."""
+        """Shared-memory reverse: cpuify splits it at the barrier and both
+        phases vectorize."""
         module, fn, builder = build_function(
             "main", [memref((16,), F32), memref((16,), F32)], ["inp", "out"])
         shared = builder.insert(
@@ -195,12 +205,10 @@ class TestVectorSemantics:
 
         inp = np.arange(16, dtype=np.float32)
         out = np.zeros(16, dtype=np.float32)
-        engine = VectorizedEngine(module)
+        engine = VectorizedEngine(cpuify(module))
         engine.run("main", [inp, out])
         assert np.allclose(out, inp[::-1])
-        assert engine.report.simt_phases == 2
-        assert engine.vector_stats["vectorized_regions"] == 1
-        assert engine.vector_stats["vectorized_phases"] == 2
+        assert engine.vector_stats == {"vectorized_regions": 2, "fallback_regions": 0}
 
     def test_broad_equality_mask_vectorizes(self):
         """The single-lane-guard heuristic keys on lane-index provenance:

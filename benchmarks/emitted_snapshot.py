@@ -35,7 +35,10 @@ not the unit keys, so that ``REPRO_CC`` does not enter), compared with the
 committed ``benchmarks/emitted_c.sha256``.  It fails when the digest moved
 while ``NATIVE_FORMAT`` did not — an emitter change that forgot it changes
 every cached artifact's meaning — and skips where ``cc -fopenmp`` is
-missing, because the sources are captured where native units seal.
+missing, because the sources are captured where native units seal.  It also
+emits every module a second time under ``A64FX_CMG`` and fails if any
+source differs from the default machine's: the C is machine-independent
+(charges arrive through the ``K`` argument), so one ``.so`` serves both.
 
 Usage, from any checkout::
 
@@ -165,9 +168,10 @@ def snapshot(root: Path) -> dict:
 
 def c_digest(root: Path) -> int:
     """Print ``NATIVE_FORMAT=<n> sha256=<digest> modules=<count>`` and
-    compare it with the committed line (module docstring)."""
+    compare it with the committed line; check that the sources do not depend
+    on the machine model (module docstring)."""
     modules = [module for module in _modules(root) if not _unlowered(module[0])]
-    from repro.runtime import make_executor, native
+    from repro.runtime import A64FX_CMG, XEON_8375C, make_executor, native
 
     if not native.native_available():
         print("cc -fopenmp unavailable: no native unit seals here - "
@@ -175,10 +179,24 @@ def c_digest(root: Path) -> int:
         return 0
     units = _spy_units()
     sources = []
-    for _, build, entry, make_args in modules:
+    machine_dependent = []
+
+    def emit(build, entry, make_args, machine):
         del units[:]
-        make_executor(build(), engine="native").run(entry, make_args())
-        sources.extend(sorted(source for _, source in units))
+        make_executor(build(), engine="native", machine=machine).run(entry, make_args())
+        return sorted(source for _, source in units)
+
+    for label, *module in modules:
+        default = emit(*module, XEON_8375C)
+        sources.extend(default)
+        if emit(*module, A64FX_CMG) != default:
+            machine_dependent.append(label)
+    if machine_dependent:
+        print(f"the emitted C depends on the machine model in "
+              f"{len(machine_dependent)} of {len(modules)} modules "
+              f"({', '.join(machine_dependent[:5])}, ...): a charge was printed "
+              "as a literal instead of read from K", file=sys.stderr)
+        return 1
     line = (f"NATIVE_FORMAT={native.NATIVE_FORMAT} sha256={_digest(sources)} "
             f"modules={len(modules)}")
     print(line)

@@ -399,7 +399,10 @@ class MocCUDASession:
     other engines) — on the multicore engine the transpiled NLL-loss
     launch is sharded across real CPU cores, and on the native engine it
     runs as compiled OpenMP C, which is the closest this reproduction gets
-    to MocCUDA's actual many-core A64FX execution.
+    to MocCUDA's actual many-core A64FX execution.  ``machine`` defaults to
+    ``A64FX_CMG``; every engine is exact under it (its access costs are
+    charged on the cost model's 2^-8-cycle grid), and the native ``.so`` of
+    a kernel is the one any other machine model uses.
     """
 
     def __init__(self, options: Optional[PipelineOptions] = None,

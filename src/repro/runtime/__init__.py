@@ -54,7 +54,8 @@ selection layer loads every engine module with it.
 
 * :mod:`~repro.runtime.costmodel` defines the machine descriptions
   (``XEON_8375C`` for the Rodinia/MCUDA study, ``A64FX_CMG`` for MocCUDA)
-  and the per-operation/memory cost tables.
+  and the per-operation/memory cost tables; every charge lies on one
+  2^-8-cycle grid, so every engine is exact under any machine model.
 * :class:`~repro.runtime.memory.MemRefStorage` is the numpy-backed buffer
   type shared by all execution modes.
 * :mod:`~repro.runtime.cache` is the content-addressed kernel compile
@@ -97,7 +98,6 @@ from .costmodel import (
     MachineModel,
     OP_COSTS,
     XEON_8375C,
-    machine_vectorizable,
     memory_access_cost,
     op_cost,
 )
@@ -176,7 +176,7 @@ __all__ = [
     "fallback_engines", "global_resilience_log", "reset_faults",
     "resilience",
     "CompiledEngine", "invalidate_compiled",
-    "VectorizedEngine", "machine_vectorizable",
+    "VectorizedEngine",
     "MulticoreEngine", "default_workers", "multicore_available",
     "shutdown_worker_pools",
     "NativeEngine", "native_available",

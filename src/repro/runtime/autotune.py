@@ -20,10 +20,7 @@ arguments**:
   CPUs actually available; an explicit ``workers=`` pins it; a width below
   2 attaches no shard context and *is* the compiled engine, so it is never
   a candidate),
-* the native engine only where the ``cc -fopenmp`` toolchain probe passes,
-* the vectorized engine only where the machine model is vectorizable
-  (elsewhere it falls back to compiled wholesale and would only duplicate
-  a candidate).
+* the native engine only where the ``cc -fopenmp`` toolchain probe passes.
 
 Each candidate is built *bare* (no resilience wrapper — the tuner wants the
 engine's true failure and true speed) and measured with the shared
@@ -65,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cache import global_tuning_cache
-from .costmodel import CostReport, MachineModel, XEON_8375C, machine_vectorizable
+from .costmodel import CostReport, MachineModel, XEON_8375C
 from .measure import measure_best
 from .engine import ENGINES, build_engine
 from .resilience import ResilientExecutor, maybe_resilient, record_event
@@ -239,8 +236,7 @@ def tuning_key(module, function_name: str, arguments: Sequence, *,
                                   max_dynamic_ops, workers))
 
 
-def candidate_configs(*, machine: MachineModel = XEON_8375C,
-                      workers: Optional[int] = None) -> List[TuningConfig]:
+def candidate_configs(*, workers: Optional[int] = None) -> List[TuningConfig]:
     """The configurations the tuner measures (gated by host capabilities).
 
     ``workers`` pins the multicore pool width when the caller passed one
@@ -258,8 +254,6 @@ def candidate_configs(*, machine: MachineModel = XEON_8375C,
     for name in ENGINES:
         if name in ("auto", "interp"):
             continue
-        if name == "vectorized" and not machine_vectorizable(machine):
-            continue  # would duplicate the compiled candidate wholesale
         if name == "native" and not native_available():
             continue  # toolchain probe failed: native would degrade anyway
         if name == "multicore":
@@ -360,7 +354,7 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
     best_label, best_seconds = "interp", reference_seconds
     best_config = TuningConfig("interp")
 
-    for config in candidate_configs(machine=machine, workers=workers):
+    for config in candidate_configs(workers=workers):
         label = config.label
         try:
             executor = build(config.engine, config.workers)

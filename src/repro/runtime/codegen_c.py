@@ -25,12 +25,18 @@ unit is the helpers those forms call.
 **Bit-identical cost accounting.**  The generated C accumulates the same
 counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
 ``global_bytes`` — with every static per-op charge folded into
-one constant per block.  On machines whose per-access costs are exact binary
-fractions (:func:`repro.runtime.costmodel.machine_vectorizable`), float
-accumulation of those charges is associative in exact arithmetic, so the
-folded totals (and OpenMP ``reduction(+)`` partial sums) are bit-identical
-to the interpreter's sequential accumulation; all double literals are
-emitted as C99 hex floats so no decimal round-trip can perturb them.
+one constant per block.  Every charge lies on the cycle grid
+(:data:`repro.runtime.costmodel.CYCLE_GRID`), whatever the machine model, so
+float accumulation is associative in exact arithmetic and the folded totals
+(and OpenMP ``reduction(+)`` partial sums) are bit-identical to the
+interpreter's sequential accumulation; all double literals are emitted as
+C99 hex floats so no decimal round-trip can perturb them.
+
+**Machine-independent C.**  The folded charges are the only place the
+machine model enters a region, so they are not printed: they are collected
+in :attr:`RegionSpec.costs` and the C reads ``K[j]``, an argument the
+dispatcher fills from the spec, into a prologue local ``k<j>`` — one cached
+``.so`` serves every :class:`~repro.runtime.costmodel.MachineModel`.
 
 Anything the emitter cannot prove it can translate exactly — nested
 parallel constructs, dynamic-extent private allocas, recursion — raises
@@ -59,7 +65,7 @@ _NESTED_CONTEXT_OPS = CONTEXT_OPS
 #: largest private (stack) buffer the emitter will place per iteration.
 _MAX_PRIVATE_BYTES = 1 << 16
 
-#: error code written into ``outi[2]`` by generated code.
+#: error code written into ``outi[1]`` by generated code.
 ERR_BAD_STEP = 1
 
 
@@ -154,6 +160,8 @@ class RegionSpec:
     float_slots: List[int] = field(default_factory=list)
     buffers: List[BufSpec] = field(default_factory=list)
     num_dims: int = 0
+    #: the machine-dependent cycle charges the C reads as ``K[j]``.
+    costs: List[float] = field(default_factory=list)
     #: the emitted C contains `#pragma omp simd` variants the
     #: dispatcher may select (mode bit 1) when the store-safety/alias proof
     #: holds.  Statically false when the body calls libm functions whose
@@ -224,6 +232,8 @@ class RegionCodegen:
             w(f"const int64_t li{index} = LI[{index}];")
         for index in range(len(self.spec.float_slots)):
             w(f"const double lf{index} = LF[{index}];")
+        for index in range(len(self.spec.costs)):
+            w(f"const double k{index} = K[{index}];")
         for index, buf_spec in enumerate(self.spec.buffers):
             ctype = _CTYPES[buf_spec.dtype]
             w(f"{ctype}* const lp{index} = ({ctype}*)LP[{index}];")
@@ -268,6 +278,12 @@ class RegionCodegen:
         return (memory_access_cost(self.machine, space, elem_bytes),
                 float(elem_bytes) if space == "global" else 0.0)
 
+    def _cost(self, cycles: float) -> str:
+        """The prologue local holding the charge ``cycles``.  One slot per
+        site: values that coincide on this machine need not on another."""
+        self.spec.costs.append(cycles)
+        return f"k{len(self.spec.costs) - 1}"
+
     def _static_charge(self, op) -> Tuple[float, float]:
         """The (work, global_bytes) charged once per execution of ``op``'s
         own straight-line step, excluding anything its nested blocks charge
@@ -310,7 +326,7 @@ class RegionCodegen:
         if count_ops and nops:
             self.out.w(f"OPS += {c_int(nops)};")
         if work:
-            self.out.w(f"W += {c_double(work)};")
+            self.out.w(f"W += {self._cost(work)};")
         if gb:
             self.out.w(f"GB += {c_double(gb)};")
         for op in ops:
@@ -442,7 +458,7 @@ class RegionCodegen:
         self.out.w(f"{destination.name}[{index}] = "
                    f"({destination.ctype}){source.name}[{index}];")
         self.out.close()
-        self.out.w(f"W += 2.0 * (double){count} * {c_double(cost)};")
+        self.out.w(f"W += 2.0 * (double){count} * {self._cost(cost)};")
         self.out.w(f"GB += (double)(2 * {count} * {source.elem_bytes});")
 
     # -- calls -------------------------------------------------------------------
@@ -614,21 +630,9 @@ class RegionCodegen:
         for value in self.plan.live_ins:
             self._bind_livein(value)
 
-        # the live-in ABI, then the span's bounds; the counters; the bindings
-        self.out.lines += [
-            f"void {self.symbol}(const int64_t* LI, const double* LF,",
-            "        void* const* LP, const int64_t* LS,",
-            "        const int64_t* RLB, const int64_t* RST,",
-            "        const int64_t* RLEN, int64_t total, int64_t mode,",
-            "        double* outf, int64_t* outi)",
-            "{"]
-        self.out.w("double W = 0.0, GB = 0.0;")
-        self.out.w("int64_t OPS = 0, ERR = 0;")
-        self._emit_livein_prologue()
-
         body = _Writer()
         body.indent = 2
-        saved = self.out
+        header = self.out
         self.out = body
         body.w("int64_t rem = lin;")
         for dim in reversed(range(num_dims)):
@@ -643,13 +647,25 @@ class RegionCodegen:
             self.cexpr[id(induction_var)] = name
             body.w(f"const int64_t {name} = RLB[{dim}] + q{dim} * RST[{dim}];")
         self._emit_block(op.body)
-        self.out = saved
+        self.out = header
+
+        # the live-in ABI and the body's charges, then the span's bounds
+        self.out.lines += [
+            f"void {self.symbol}(const int64_t* LI, const double* LF,",
+            "        const double* K, void* const* LP, const int64_t* LS,",
+            "        const int64_t* RLB, const int64_t* RST,",
+            "        const int64_t* RLEN, int64_t total, int64_t mode,",
+            "        double* outf, int64_t* outi)",
+            "{"]
+        self.out.w("double W = 0.0, GB = 0.0;")
+        self.out.w("int64_t OPS = 0, ERR = 0;")
+        self._emit_livein_prologue()
 
         lines = self.out.lines
 
         # max-reduction on ERR: error *codes* must not sum across threads.
         # Counter reductions reassociate W/GB/OPS partial sums — exact, and
-        # therefore bit-identical, on dyadic machines (module docstring).
+        # therefore bit-identical, on the cycle grid (module docstring).
         reductions = "reduction(+:W,GB,OPS) reduction(max:ERR)"
 
         def loop(pragma: Optional[str]) -> List[str]:
@@ -682,10 +698,8 @@ class RegionCodegen:
             lines.append("    } else {")
             lines += loop(None)
             lines.append("    }")
-        # outi[1] was the SIMT phase count of the region ABI: always 0 now,
-        # kept so cached artifacts stay valid (NATIVE_FORMAT unchanged).
         lines += ["    outf[0] = W; outf[1] = GB;",
-                  "    outi[0] = OPS; outi[1] = 0; outi[2] = ERR;",
+                  "    outi[0] = OPS; outi[1] = ERR;",
                   "}"]
         for index, buf_spec in enumerate(self.spec.buffers):
             buf_spec.stored = f"lp{index}" in self._stored_buffers

@@ -75,7 +75,7 @@ from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
 from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
-                        machine_vectorizable, memory_access_cost, op_cost)
+                        memory_access_cost, op_cost)
 from .errors import InterpreterError
 from .memory import MemRefStorage
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
@@ -190,10 +190,6 @@ class _Program:
         self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[int, _CompiledFunction] = {}
         self._speedups: Dict[int, float] = {}
-        #: lanes, emitted C and worker shards all charge analytically
-        #: (cost x count, regrouped per lane / thread / worker), which equals
-        #: the interpreter's sequential sum only for dyadic access costs.
-        self.exact_costs = machine_vectorizable(machine)
         #: one ``(function, plan, tier)`` per compiled region, in compile order.
         self.regions: List[Tuple[str, RegionPlan, str]] = []
         #: compile-time counters, filled as functions are first compiled
@@ -226,13 +222,6 @@ class _Program:
         if cached is None:
             cached = self._speedups[threads] = self.machine.effective_speedup(threads)
         return cached
-
-    def exact_or_refuse(self, plan: RegionPlan) -> bool:
-        """Whether this row's analytic charging is exact on this machine;
-        records the refusal on ``plan`` when it is not."""
-        if not self.exact_costs:
-            plan.refuse(self.row, "machine model is not dyadic")
-        return self.exact_costs
 
 
 def program_for(module: func_d.ModuleOp, machine: MachineModel,

@@ -572,8 +572,6 @@ def shards(fc: _FunctionCompiler, region: _Region):
     differs.
     """
     program, plan = fc.program, region.plan
-    if not program.exact_or_refuse(plan):
-        return None
     stats = program.shard_stats
     proof = plan.parallel_proof
     if proof is None:

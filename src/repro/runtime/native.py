@@ -19,7 +19,8 @@ in-process run is every dispatch's fallback, lives in
   the generated source in the content-addressed artifact cache
   (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches skip
   the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes* do
-  too;
+  too.  The source holds no machine-model constant (charges arrive as the
+  ``K`` argument), so one ``.so`` per kernel serves every machine model;
 * at run time the dispatcher marshals the region's live-in scalars and
   ``MemRefStorage`` buffers zero-copy through ctypes (data pointers +
   shapes), calls the compiled function, and folds the counters it returns
@@ -75,7 +76,9 @@ CC_ENV_VAR = "REPRO_CC"
 #: bump when the generated-code contract (ABI, counters) changes; part of
 #: the artifact cache key so stale shared objects can never be dlopened.
 #: 3: span `par_ok` became a `mode` bitmask (bit 0 parallel, bit 1 simd).
-NATIVE_FORMAT = 3
+#: 4: block charges come in through the `K` argument instead of literals
+#: (machine-independent C); `outi` lost its dead SIMT-phase slot.
+NATIVE_FORMAT = 4
 
 #: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
@@ -388,7 +391,7 @@ class NativeUnit:
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
-_I64_3 = ctypes.c_int64 * 3
+_I64_2 = ctypes.c_int64 * 2
 _F64_2 = ctypes.c_double * 2
 
 
@@ -409,6 +412,8 @@ class _RegionHandle:
         #: dims that must have extent 1 for parallel execution, or ``None``
         #: when the store analysis rejected parallelism outright.
         self.required_dims = required_dims
+        #: the machine's charges, packed once (``K`` of the region ABI).
+        self.costs = (ctypes.c_double * max(1, len(spec.costs)))(*spec.costs)
 
     def ready(self) -> bool:
         return self.unit.ready()
@@ -494,13 +499,13 @@ class _RegionHandle:
         steps = (ctypes.c_int64 * max(1, ndim))(*[r.step for r in ranges])
         lens = (ctypes.c_int64 * max(1, ndim))(*[len(r) for r in ranges])
         outf = _F64_2()
-        outi = _I64_3()
+        outi = _I64_2()
         self.unit.function(self.spec.symbol)(
-            pack_i, pack_f, pack_p, pack_s, lbs, steps, lens,
+            pack_i, pack_f, self.costs, pack_p, pack_s, lbs, steps, lens,
             ctypes.c_int64(total), ctypes.c_int64(mode),
             outf, outi)
         del arrays  # keep buffers alive across the call
-        return outf[0], outf[1], outi[0], outi[2]
+        return outf[0], outf[1], outi[0], outi[1]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +518,6 @@ def native(fc: _FunctionCompiler, region: _Region):
     take; ``None`` (and the reason, on the plan) when the region cannot be
     emitted at all."""
     program, plan = fc.program, region.plan
-    if not program.exact_or_refuse(plan):
-        return None
     stats = program.native_stats
     unit = fc.dispatch_state
     if unit is None:
@@ -586,10 +589,8 @@ class NativeEngine(CompiledEngine):
         # failure as one clear ToolchainError up front — before any
         # argument is written — so the fallback chain can rebuild on the
         # next engine.  Direct construction keeps the historical graceful
-        # degrade (every region runs its compiled base plan).  A non-dyadic
-        # machine model is a configuration, not a failure, and never raises.
-        if (getattr(self, "_resilience_strict", False)
-                and self._program.exact_costs):
+        # degrade (every region runs its compiled base plan).
+        if getattr(self, "_resilience_strict", False):
             require_toolchain()
         return super().run(function_name, arguments)
 

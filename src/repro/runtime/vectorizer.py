@@ -40,13 +40,11 @@ returns inside the same accounting the compiled engine uses.
 
 Cost accounting is computed analytically (per-op static cost × lane count,
 the same ``memory_access_cost`` formulas × access count).  Because every
-per-op charge on the supported machines is an exact binary fraction
-(multiples of 2⁻⁸), float accumulation is associative in exact arithmetic
-and the grouped analytic totals are **bit-identical** to the interpreter's
-sequential per-iteration accumulation; machines with non-dyadic access costs
-(e.g. ``A64FX_CMG``'s HBM factor) disable vectorization entirely and fall
-back to the compiled engine.  ``dynamic_ops`` and traffic counters are
-replicated exactly; like the compiled engine, the
+charge lies on the cycle grid (:data:`~repro.runtime.costmodel.CYCLE_GRID`)
+on every machine model, float accumulation is associative in exact
+arithmetic and the grouped analytic totals are **bit-identical** to the
+interpreter's sequential per-iteration accumulation.  ``dynamic_ops`` and
+traffic counters are replicated exactly; like the compiled engine, the
 ``max_dynamic_ops`` budget is checked per block of lanes rather than per
 scalar op (the counter itself stays exact).
 
@@ -765,8 +763,6 @@ def lanes(fc: _FunctionCompiler, region: _Region):
     plan.
     """
     program, plan = fc.program, region.plan
-    if not program.exact_or_refuse(plan):
-        return closures(fc, region)
     stats = program.vector_stats
     iv_slots = region.index_slots
     rv = _RegionVectorizer(fc)

@@ -360,16 +360,20 @@ class TestRefusalReasons:
     @pytest.mark.parametrize("engine_cls", [VectorizedEngine, MulticoreEngine,
                                             NativeEngine])
     def test_non_dyadic_machine_is_reported(self, engine_cls):
+        """Kept under its old name; the contract flipped: there is nothing
+        to report.  Every charge lies on the cycle grid, so a machine whose
+        own constants do not is no reason to refuse a tier."""
         ((tier, refusals),) = _refusals(engine_cls, OWNED_CUDA,
                                         [np.zeros(64, np.float32), 64],
                                         lower=True, machine=A64FX_CMG)
-        assert tier == "closures"
-        assert refusals == [f"{engine_cls.ROW}: machine model is not dyadic"]
+        assert tier == engine_cls.ROW
+        assert refusals == []
 
     def test_moccuda_default_machine_no_longer_refuses_silently(self):
-        """``MocCUDASession(engine="native")`` runs every launch on the
-        compiled closures (the ledger's ``shim.native_region_share = 0``
-        lead): its default A64FX model is not dyadic.  Now it says so."""
+        """``MocCUDASession(engine="native")`` used to run every launch on
+        the compiled closures (the ledger's ``shim.native_region_share = 0``
+        lead) because its default A64FX model is not dyadic.  It no longer
+        refuses at all: every region of the session's kernel is native."""
         with MocCUDASession(engine="native") as session:
             log_probs = np.log(np.full((8, 4), 0.25, dtype=np.float32))
             session.nll_loss(log_probs, np.zeros(8, dtype=np.int32))
@@ -378,8 +382,8 @@ class TestRefusalReasons:
                                 machine=session.machine).regions
         assert regions
         for region in regions:
-            assert region["function"] and region["kind"] and region["tier"] == "closures"
-            assert "native: machine model is not dyadic" in region["refusals"]
+            assert region["function"] and region["kind"] and region["tier"] == "native"
+            assert not any(refusal.startswith("native:") for refusal in region["refusals"])
 
 
 class TestTowerCensus:

@@ -23,6 +23,7 @@ from repro.runtime import (
     A64FX_CMG,
     CompiledEngine,
     Interpreter,
+    MachineModel,
     MulticoreEngine,
     NativeEngine,
     VectorizedEngine,
@@ -33,6 +34,10 @@ from repro.transforms import PipelineOptions
 from tests.helpers import report_fields
 
 ALL_NAMES = sorted(BENCHMARKS)
+#: a machine none of whose access costs is a binary fraction, next to the
+#: A64FX (4.0 x 0.45): the fast tiers must be exact on any model.
+UGLY_MACHINE = MachineModel(name="ugly", cores=12, global_access_cost=3.3,
+                            hbm_bandwidth_factor=0.37, local_access_cost=1.7)
 OMP_NAMES = sorted(n for n in BENCHMARKS if BENCHMARKS[n].omp_source is not None)
 #: barrier-heavy kernels whose oracle runs exercise SIMT phase execution.
 ORACLE_NAMES = ["backprop layerforward", "hotspot", "lud", "nw", "particlefilter",
@@ -88,9 +93,11 @@ def assert_engines_agree(module, entry, make_args, output_indices, *,
     interpreter = Interpreter(module, machine=machine, threads=threads)
     interpreter.run(entry, oracle_args)
 
+    engines = {}
     for engine_factory in FAST_ENGINES:
         engine_args = make_args()
-        engine = engine_factory(module, machine=machine, threads=threads)
+        engine = engines[engine_factory.__name__] = engine_factory(
+            module, machine=machine, threads=threads)
         engine.run(entry, engine_args)
         for index in output_indices:
             np.testing.assert_array_equal(
@@ -101,6 +108,7 @@ def assert_engines_agree(module, entry, make_args, output_indices, *,
             f"cost reports diverged for {engine_factory.__name__}:"
             f"\n  interp {report_fields(interpreter.report)}"
             f"\n  engine {report_fields(engine.report)}")
+    return engines
 
 
 class TestRodiniaParity:
@@ -110,6 +118,19 @@ class TestRodiniaParity:
         module = bench.compile_cuda(PipelineOptions.all_optimizations())
         assert_engines_agree(module, bench.entry, lambda: bench.make_inputs(1),
                              bench.output_indices)
+
+    @pytest.mark.parametrize("machine", [A64FX_CMG, UGLY_MACHINE],
+                             ids=lambda machine: machine.name)
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_cuda_lowered_parity_second_machine(self, name, machine):
+        """The fast tiers run — not fall back — under any machine model."""
+        bench = BENCHMARKS[name]
+        module = bench.compile_cuda(PipelineOptions.all_optimizations())
+        engines = assert_engines_agree(
+            module, bench.entry, lambda: bench.make_inputs(1),
+            bench.output_indices, machine=machine)
+        regions = engines["NativeEngine"].regions
+        assert regions and all(region["tier"] == "native" for region in regions)
 
     @pytest.mark.parametrize("name", OMP_NAMES)
     def test_openmp_reference_parity(self, name):
@@ -156,8 +177,7 @@ class TestQuickstartParity:
 
     def test_quickstart_parity_a64fx(self):
         """Machine-model constants are baked into compiled closures per
-        machine; the A64FX's non-dyadic HBM access cost additionally disables
-        vectorization, so this pins the engine-level fallback too."""
+        machine, and read by the native C from its ``K`` argument."""
         module = compile_cuda(QUICKSTART_CUDA, cuda_lower=True,
                               options=PipelineOptions.all_optimizations())
         assert_engines_agree(module, "launch", self._make_args, (0,),

@@ -209,12 +209,23 @@ class TestShardAnalysis:
         np.testing.assert_array_equal(output, reference)
 
     def test_non_dyadic_machine_disables_sharding(self):
+        """Kept under its old name; the contract flipped.  A64FX's charges
+        lie on the cycle grid, so per-worker costs folded in worker order
+        equal the interpreter's sequential sum and the span shards."""
         bench = BENCHMARKS["matmul"]
         module = bench.compile_cuda(PipelineOptions.all_optimizations())
+        interp_args, shard_args = bench.make_inputs(1), bench.make_inputs(1)
+        interp = Interpreter(module, machine=A64FX_CMG)
+        interp.run(bench.entry, interp_args)
         engine = MulticoreEngine(module, machine=A64FX_CMG, workers=2)
-        engine.run(bench.entry, bench.make_inputs(1))
-        assert engine.shard_stats["sharded_regions"] == 0
-        assert engine.shard_stats["dispatches"] == 0
+        engine.run(bench.entry, shard_args)
+        stats = engine.shard_stats
+        assert stats["sharded_regions"] == 1 and stats["rejected_regions"] == 0
+        assert stats["dispatches"] + stats["inline_runs"] == 1
+        assert stats["dispatches"] == (1 if multicore_available() else 0)
+        for index in bench.output_indices:
+            np.testing.assert_array_equal(interp_args[index], shard_args[index])
+        assert vars(interp.report) == vars(engine.report)
 
     @needs_pool
     def test_matmul_wsloop_dispatches(self):

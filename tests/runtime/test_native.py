@@ -168,8 +168,9 @@ class TestRegionCoverage:
             assert stats["native_dispatches"] >= 1, name
 
     def test_non_dyadic_machine_degrades_to_compiled(self):
-        """The C counters are exact only on dyadic machine models: elsewhere
-        no region is emitted and every one runs its compiled base plan."""
+        """Kept under its old name; the contract flipped.  Every charge lies
+        on the cycle grid, so a machine whose own constants do not (A64FX:
+        4.0 x 0.45 cycles per global word) runs native like any other."""
         module = _lowered(QUICK_CUDA)
         interp_args, native_args = _quick_args(), _quick_args()
         interp = Interpreter(module, machine=A64FX_CMG)
@@ -179,8 +180,9 @@ class TestRegionCoverage:
         np.testing.assert_array_equal(interp_args[0], native_args[0])
         assert report_fields(interp.report) == report_fields(engine.report)
         stats = engine.native_stats
-        assert stats["native_regions"] == 0
-        assert stats["native_dispatches"] == 0
+        assert stats["native_regions"] >= 1
+        assert stats["native_dispatches"] >= 1
+        assert stats["fallback_regions"] == stats["bailouts"] == 0
 
     def test_missing_toolchain_degrades_to_compiled(self, monkeypatch):
         monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-cc")
@@ -387,6 +389,81 @@ class TestArtifactCache:
             return codegen.emit_span()[0]
 
         assert region_source() == region_source()
+
+
+@pytest.fixture
+def sealed_units(monkeypatch):
+    """The ``(unit key, assembled C source)`` of every native unit sealed
+    during the test, in order."""
+    from repro.runtime import native
+
+    units = []
+    real_unit_key = native.unit_key
+
+    def spy(source):
+        units.append((real_unit_key(source), source))
+        return units[-1][0]
+
+    monkeypatch.setattr(native, "unit_key", spy)
+    return units
+
+
+class TestMachineIndependentArtifacts:
+    """The emitted C holds no machine-model constant (the charges arrive as
+    the ``K`` argument), so one ``.so`` per kernel serves every machine."""
+
+    @needs_cc
+    @pytest.mark.parametrize("seed", [18, 36])
+    def test_charges_that_coincide_on_one_machine_keep_their_own_slot(
+            self, seed, sealed_units):
+        """Two blocks of these kernels are charged the same on the Xeon and
+        differently on the A64FX: one ``K`` slot per charge *site*, or the C
+        would depend on the machine through which slots merge."""
+        fuzz = generate_fuzz_kernel(seed)
+        for machine in (XEON_8375C, A64FX_CMG):
+            engine = NativeEngine(fuzz.compile(), machine=machine)
+            engine.run(fuzz.entry, fuzz.make_args())
+            assert engine.native_stats["native_dispatches"] >= 1
+        (_, xeon), (_, a64fx) = sealed_units
+        assert xeon == a64fx and "K[1]" in xeon
+
+    @needs_cc
+    def test_cache_filled_under_one_machine_is_warm_under_the_other(
+            self, tmp_path, monkeypatch, sealed_units):
+        # REPRO_CC is part of the unit key, so the same command builds under
+        # the first machine and must not be reached under the second.
+        forbid = tmp_path / "forbid-cc"
+        guard = tmp_path / "guarded-cc"
+        guard.write_text(f'#!/bin/sh\n[ -e "{forbid}" ] && exit 97\nexec cc "$@"\n')
+        guard.chmod(0o755)
+        monkeypatch.setenv(CC_ENV_VAR, str(guard))
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def run_suite(machine):
+            del sealed_units[:]
+            totals = dict.fromkeys(("units_ready", "artifact_hits", "compile_errors",
+                                    "native_dispatches", "bailouts"), 0)
+            for name in sorted(BENCHMARKS):
+                bench = BENCHMARKS[name]
+                engine = NativeEngine(
+                    bench.compile_cuda(PipelineOptions.all_optimizations()),
+                    machine=machine)
+                engine.run(bench.entry, bench.make_inputs(1))
+                for counter in totals:
+                    totals[counter] += engine.native_stats[counter]
+            return [key for key, _ in sealed_units], totals
+
+        cold_keys, cold = run_suite(XEON_8375C)
+        assert cold["units_ready"] == len(cold_keys) == len(BENCHMARKS)
+        assert cold["artifact_hits"] == 0
+        forbid.touch()
+        warm_keys, warm = run_suite(A64FX_CMG)
+        assert warm_keys == cold_keys
+        assert warm["artifact_hits"] == warm["units_ready"] == len(cold_keys)
+        assert warm["compile_errors"] == warm["bailouts"] == 0
+        assert warm["native_dispatches"] == cold["native_dispatches"] >= len(cold_keys)
+        assert len(list((tmp_path / "cache" / "native").glob("*.so"))) == len(cold_keys)
 
 
 class TestArtifactEviction:

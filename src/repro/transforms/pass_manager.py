@@ -47,20 +47,23 @@ class FunctionPass(Pass):
 
 @dataclass(frozen=True)
 class PassStatistic:
-    """One pass execution: what ran, whether it changed the IR, how long."""
+    """One pass execution: what ran, whether it changed the IR, how long
+    the pass took and how long verifying its output took (0.0 when the
+    manager does not verify)."""
 
     name: str
     changed: bool
     seconds: float
+    verify_seconds: float = 0.0
 
 
 class PassManager:
     """Runs an ordered list of passes, optionally verifying after each.
 
-    Every run records a :class:`PassStatistic` per pass (wall-clock time and
-    whether the IR changed); with ``verbose=True`` each pass additionally
-    prints a live timing line — the Rodinia harness exposes this under its
-    ``--pass-stats`` flag.
+    Every run records a :class:`PassStatistic` per pass (wall-clock time of
+    the pass and of the verification after it, and whether the IR changed);
+    with ``verbose=True`` each pass additionally prints a live timing line —
+    the Rodinia harness exposes this under its ``--pass-stats`` flag.
     """
 
     def __init__(self, passes: Sequence[Pass] = (), verify_each: bool = True,
@@ -83,16 +86,26 @@ class PassManager:
             changed = pass_.run(module)
             elapsed = time.perf_counter() - start
             changed_any |= changed
-            self.statistics.append(PassStatistic(pass_.NAME, changed, elapsed))
-            if self.verbose:
-                status = "changed" if changed else "no-op"
-                print(f"  [pass] {pass_.NAME:<22} {status:<8} {elapsed * 1e3:8.2f} ms")
-            if self.verify_each:
-                verify(module)
+            verify_elapsed = 0.0
+            try:
+                if self.verify_each:
+                    start = time.perf_counter()
+                    verify(module)
+                    verify_elapsed = time.perf_counter() - start
+            finally:
+                # recorded (and printed) also when the pass broke the IR:
+                # the last line names the pass the error belongs to.
+                self.statistics.append(
+                    PassStatistic(pass_.NAME, changed, elapsed, verify_elapsed))
+                if self.verbose:
+                    status = "changed" if changed else "no-op"
+                    print(f"  [pass] {pass_.NAME:<22} {status:<8} {elapsed * 1e3:8.2f} ms"
+                          f"   verify {verify_elapsed * 1e3:6.2f} ms")
         return changed_any
 
     def statistics_summary(self) -> str:
-        """Per-pass aggregate table: runs, IR changes, total wall-clock time."""
+        """Per-pass aggregate table: runs, IR changes, total wall-clock time,
+        and under it the time spent verifying after the passes."""
         totals: Dict[str, List[float]] = {}
         order: List[str] = []
         for stat in self.statistics:
@@ -111,6 +124,9 @@ class PassManager:
         lines.append(f"{'total':<24} {len(self.statistics):>5d} "
                      f"{sum(int(s.changed) for s in self.statistics):>8d} "
                      f"{total * 1e3:>10.2f}")
+        verified = [s.verify_seconds for s in self.statistics if s.verify_seconds]
+        lines.append(f"{'verify':<24} {len(verified):>5d} {'':>8} "
+                     f"{sum(verified) * 1e3:>10.2f}")
         return "\n".join(lines)
 
 

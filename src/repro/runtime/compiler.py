@@ -67,8 +67,6 @@ from inspect import isgeneratorfunction
 from itertools import islice, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..analysis.region import LAUNCH, SIMT, RegionPlan, RegionPlans
 from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
                                   split_executed as _split_executed)
@@ -77,7 +75,7 @@ from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
                         memory_access_cost, op_cost)
 from .errors import InterpreterError
-from .memory import MemRefStorage
+from .memory import MemRefStorage, wrap_argument
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
                       row_for)
 
@@ -104,28 +102,19 @@ class _State:
     worker count); it is ``None`` for the compiled/vectorized engines and
     inside worker processes, which makes every shard-capable region runner
     fall through to plain in-process execution.
-
-    ``strict`` is set by the resilience layer
-    (:class:`~repro.runtime.resilience.ResilientExecutor`): strict runs
-    raise their taxonomy error instead of silently degrading, so the
-    fallback chain owns the degradation decision.  It lives here rather
-    than on the program because programs are cached on the module and
-    shared across engine instances.
     """
 
-    __slots__ = ("report", "threads", "work", "max_ops", "program", "shard",
-                 "strict")
+    __slots__ = ("report", "threads", "work", "max_ops", "program", "shard")
 
     def __init__(self, report: CostReport, threads: int, work: List[float],
                  max_ops: Optional[int], program: "_Program",
-                 shard=None, strict: bool = False) -> None:
+                 shard=None) -> None:
         self.report = report
         self.threads = threads
         self.work = work
         self.max_ops = max_ops
         self.program = program
         self.shard = shard
-        self.strict = strict
 
 
 class _CompiledFunction:
@@ -190,8 +179,10 @@ class _Program:
         self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[int, _CompiledFunction] = {}
         self._speedups: Dict[int, float] = {}
-        #: one ``(function, plan, tier)`` per compiled region, in compile order.
-        self.regions: List[Tuple[str, RegionPlan, str]] = []
+        #: one ``(function, plan, tier, bailouts)`` per compiled region, in
+        #: compile order; ``bailouts`` is the native dispatcher's live tally
+        #: of run-time refusals by reason (``None`` on the other tiers).
+        self.regions: List[Tuple[str, RegionPlan, str, Optional[Dict]]] = []
         #: compile-time counters, filled as functions are first compiled
         #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
         #: ``inline_runs`` and the unit counters move at run time).
@@ -210,6 +201,9 @@ class _Program:
         #: the multicore dispatcher's region registry and worker pools
         #: (:class:`repro.runtime.multicore._Shards`), made at its first region.
         self.shards = None
+        #: the native dispatcher's translation units, one per compiled
+        #: function that offered it a region (a strict run seals them all).
+        self.native_units: List = []
 
     def function(self, fn: func_d.FuncOp) -> _CompiledFunction:
         compiled = self._functions.get(id(fn))
@@ -336,11 +330,12 @@ class _Region:
     prebound shared alloca) — and, for a span, the planner's ``body``, the
     in-process ``base`` run and the accounting around it (``count``,
     ``finish``, ``message``), which it hands to the row's planner and
-    dispatcher; they name the ``tier`` that took the region.
+    dispatcher; they name the ``tier`` that took the region (and the native
+    dispatcher hands back its run-time ``bailouts`` tally).
     """
 
     __slots__ = ("plan", "bounds", "index_slots", "shared", "body", "base",
-                 "count", "finish", "message", "tier")
+                 "count", "finish", "message", "tier", "bailouts")
 
     def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
         self.plan = plan
@@ -348,7 +343,7 @@ class _Region:
         self.index_slots = index_slots
         self.shared: List[Tuple[int, object]] = []
         self.body = self.base = self.count = self.finish = None
-        self.message = self.tier = None
+        self.message = self.tier = self.bailouts = None
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +704,8 @@ class _FunctionCompiler:
         if dispatcher is not None:
             self.offered += 1
             run = dispatcher(self, region)
-        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
+        self.program.regions.append((self.fn.sym_name, region.plan, region.tier,
+                                     region.bailouts))
         return self._bound(region.base if run is None else run)
 
     def _span_shell(self, op, count: Callable, message: str,
@@ -766,7 +762,7 @@ class _FunctionCompiler:
             getattr(program, stats)[counter] += 1
             plan.refuse(program.row, UNLOWERED[plan.kind])
         body = closures(self, region)
-        program.regions.append((self.fn.sym_name, plan, region.tier))
+        program.regions.append((self.fn.sym_name, plan, region.tier, None))
         return body
 
     def _c_scf_parallel_simt(self, op) -> List[str]:
@@ -1066,6 +1062,11 @@ class CompiledEngine:
     #: the engine's row of ``_ROWS``; subclasses name theirs.
     ROW = "compiled"
 
+    #: a taxonomy (:class:`~repro.runtime.errors.ResilienceError`) failure is
+    #: raised before the run's first store or not at all, so the resilience
+    #: wrapper need not snapshot the arguments to re-run them elsewhere.
+    FAILS_BEFORE_FIRST_STORE = True
+
     def __init__(self, module: func_d.ModuleOp, machine: MachineModel = XEON_8375C,
                  threads: Optional[int] = None, collect_cost: bool = True,
                  max_dynamic_ops: Optional[int] = None) -> None:
@@ -1078,12 +1079,16 @@ class CompiledEngine:
         self._program = program_for(module, machine, self.ROW)
         self._work: List[float] = [0.0]
 
+    def _preflight(self) -> None:
+        """Hook, called with the entry function compiled and no argument
+        written yet: the last point a taxonomy error may be raised
+        (``FAILS_BEFORE_FIRST_STORE``; the native engine seals here)."""
+
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
         shard-dispatch context here)."""
         return _State(self.report, self.threads, self._work,
-                      self.max_dynamic_ops, self._program,
-                      strict=getattr(self, "_resilience_strict", False))
+                      self.max_dynamic_ops, self._program)
 
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
@@ -1094,11 +1099,12 @@ class CompiledEngine:
             raise InterpreterError(
                 f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
         compiled = self._program.function(fn)
+        self._preflight()
         runner = _escaping(compiled.runner) if compiled.is_gen else compiled.runner
         state = self._make_state()
         regs = compiled.template[:]
-        for slot, argument in zip(compiled.arg_slots, arguments):
-            regs[slot] = self._wrap_argument(argument)
+        for index, slot in enumerate(compiled.arg_slots):
+            regs[slot] = self._wrap_argument(arguments[index], index)
         try:
             runner(state, regs)
         except _BarrierEscape:
@@ -1109,21 +1115,21 @@ class CompiledEngine:
         self._work[0] = 0.0
         return results
 
-    @staticmethod
-    def _wrap_argument(argument):
-        if isinstance(argument, np.ndarray):
-            return MemRefStorage.from_numpy(argument)
-        return argument
+    #: hook: the multicore engine tracks the storages it may promote.
+    _wrap_argument = staticmethod(wrap_argument)
 
     @property
     def regions(self) -> List[Dict]:
         """Per region compiled so far: its function, its kind, the tier that
-        took it and the reason each faster tier of this engine gave for
-        declining it (compile-time facts; run-time bailouts stay counters)."""
+        took it, the reason each faster tier of this engine gave for
+        declining it (compile-time facts) and, by reason, the dispatches its
+        native code refused at run time (``bailouts``; they sum to
+        ``native_stats["bailouts"]``)."""
         asked = ((self.ROW, "parallel") if self._program.dispatcher is not None
                  else (self.ROW,))
         return [{"function": function, "kind": plan.kind, "tier": tier,
                  "refusals": [f"{capability}: {reason}"
                               for capability, reason in plan.refusals
-                              if capability in asked]}
-                for function, plan, tier in self._program.regions]
+                              if capability in asked],
+                 "bailouts": dict(bailouts or ())}
+                for function, plan, tier, bailouts in self._program.regions]

@@ -21,8 +21,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..ir import Operation, Value
 from ..dialects import func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, polygeist, scf
@@ -34,7 +32,7 @@ from .costmodel import (
     op_cost,
 )
 from .errors import InterpreterError
-from .memory import MemRefStorage
+from .memory import MemRefStorage, wrap_argument
 from .optable import ALLOC_CYCLES, cycles, row_for
 
 _BARRIER = object()  # sentinel yielded by the execution generator at barriers
@@ -64,17 +62,12 @@ class Interpreter:
         fn = self.module.lookup(function_name)
         if fn is None or fn.is_declaration:
             raise InterpreterError(f"no function body for {function_name!r}")
-        runtime_args = [self._wrap_argument(argument) for argument in arguments]
+        runtime_args = [wrap_argument(argument, index)
+                        for index, argument in enumerate(arguments)]
         results = self._call_function(fn, runtime_args)
         self.report.cycles += self._work_stack[0]
         self._work_stack[0] = 0.0
         return results
-
-    @staticmethod
-    def _wrap_argument(argument):
-        if isinstance(argument, np.ndarray):
-            return MemRefStorage.from_numpy(argument)
-        return argument
 
     # -------------------------------------------------------------- internals --
     def _charge(self, cycles: float) -> None:

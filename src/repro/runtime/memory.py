@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir import FloatType, IndexType, IntegerType, MemorySpace, MemRefType, Type
-from .errors import UseAfterFreeError
+from .errors import InterpreterError, UseAfterFreeError
 
 
 def dtype_for(element_type: Type) -> np.dtype:
@@ -40,6 +40,25 @@ def dtype_for(element_type: Type) -> np.dtype:
             return np.dtype(np.int32)
         return np.dtype(np.int64)
     raise TypeError(f"no numpy dtype for element type {element_type}")
+
+
+def wrap_argument(argument, index: int):
+    """The ``index``-th argument of a run as every engine sees it: an
+    ``ndarray`` becomes a :class:`MemRefStorage` over the caller's own bytes,
+    so the caller reads the kernel's stores afterwards; anything else passes.
+
+    A memref is dense row-major, so a strided view would have to be copied
+    and its stores copied back.  It is rejected instead: the copy would
+    silently break aliasing between arguments, and the caller who wants it
+    writes ``np.ascontiguousarray`` and sees the copy.
+    """
+    if not isinstance(argument, np.ndarray):
+        return argument
+    if not argument.flags.c_contiguous:
+        raise InterpreterError(
+            f"argument {index} is not C-contiguous (shape {argument.shape}, "
+            f"strides {argument.strides}); pass a contiguous array")
+    return MemRefStorage.from_numpy(argument)
 
 
 class MemRefStorage:

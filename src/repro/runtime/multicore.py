@@ -72,7 +72,7 @@ from .compiler import (
 from .costmodel import CostReport, MachineModel, XEON_8375C
 from .errors import (DispatchTimeoutError, InterpreterError, UseAfterFreeError,
                      WorkerCrashError)
-from .memory import MemRefStorage
+from .memory import MemRefStorage, wrap_argument
 from . import resilience
 from . import sharedmem
 
@@ -627,6 +627,10 @@ class MulticoreEngine(CompiledEngine):
 
     ROW = "multicore"
 
+    #: a worker can crash, hang or run out of shared memory after earlier
+    #: shards stored: the resilience wrapper snapshots before these runs.
+    FAILS_BEFORE_FIRST_STORE = False
+
     def __init__(self, module, machine: MachineModel = XEON_8375C,
                  threads: Optional[int] = None, collect_cost: bool = True,
                  max_dynamic_ops: Optional[int] = None,
@@ -645,9 +649,9 @@ class MulticoreEngine(CompiledEngine):
             state.shard = _ShardContext(self._program, self.workers, self)
         return state
 
-    def _wrap_argument(self, argument):
+    def _wrap_argument(self, argument, index):
         if isinstance(argument, np.ndarray):
-            storage = MemRefStorage.from_numpy(argument)
+            storage = wrap_argument(argument, index)
             self._run_storages.append(storage)
             if np.shares_memory(argument, storage.array):
                 # promotion to shared memory swaps the backing array out

@@ -21,9 +21,10 @@ in-process run is every dispatch's fallback, lives in
   the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes* do
   too.  The source holds no machine-model constant (charges arrive as the
   ``K`` argument), so one ``.so`` per kernel serves every machine model;
-* at run time the dispatcher marshals the region's live-in scalars and
-  ``MemRefStorage`` buffers zero-copy through ctypes (data pointers +
-  shapes), calls the compiled function, and folds the counters it returns
+* at run time the dispatcher checks the region's live-in scalars and
+  ``MemRefStorage`` buffers against the contract the C was specialized for
+  and writes them zero-copy (data pointers + shapes) into a pooled ctypes
+  pack, calls the compiled function, and folds the counters it returns
   (work cycles, dynamic ops, global traffic) through the same
   accounting epilogues the compiled engine uses — so outputs *and*
   :class:`~repro.runtime.costmodel.CostReport`\\ s stay bit-identical to the
@@ -57,6 +58,8 @@ import subprocess
 import tempfile
 import threading
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
@@ -123,12 +126,14 @@ def native_available() -> bool:
 
 def _probe_cached() -> Tuple[bool, str]:
     command = tuple(compiler_command())
-    with _PROBE_LOCK:
-        cached = _PROBE_RESULTS.get(command)
-        if cached is None:
-            cached = _probe_toolchain(list(command))
-            _PROBE_RESULTS[command] = cached
-        return cached
+    cached = _PROBE_RESULTS.get(command)
+    if cached is None:
+        with _PROBE_LOCK:
+            cached = _PROBE_RESULTS.get(command)
+            if cached is None:
+                cached = _probe_toolchain(list(command))
+                _PROBE_RESULTS[command] = cached
+    return cached
 
 
 def probe_detail() -> str:
@@ -217,11 +222,20 @@ def unit_key(source: str) -> str:
 class NativeUnit:
     """All native regions of one compiled function, built as one ``.so``.
 
-    Regions are added during function translation; the first dispatch seals
-    the unit: the C source is assembled, compiled (or fetched warm from the
-    artifact cache) and dlopened.  A corrupt cached artifact fails the
+    Regions are added during function translation; sealing the unit
+    assembles the C source, compiles it (or fetches it warm from the
+    artifact cache) and dlopens it.  A corrupt cached artifact fails the
     dlopen, is invalidated and recompiled once; a failed compile disables
-    the unit (every region runs its compiled-engine base plan).
+    the unit (every region runs its compiled-engine base plan) and records
+    a ``native.cc`` degrade event.
+
+    When a unit seals is what makes the native engine fail before its first
+    store or not at all: a strict (resilience-wrapped) run seals every unit
+    its program knows — the entry function's included — before it writes an
+    argument, and raises the failed one's :class:`ToolchainError` there.  A
+    unit first met mid-run (a callee's, compiled at its first call) seals at
+    its first dispatch; if that fails the run finishes on the bit-identical
+    base plans, and it is the *next* run that raises and degrades.
     """
 
     def __init__(self, program) -> None:
@@ -232,8 +246,8 @@ class NativeUnit:
         self.library = None
         self.functions: Dict[str, object] = {}
         self.key: Optional[str] = None
-        #: why the unit failed (strict resilience runs raise this instead
-        #: of silently running the compiled base plans).
+        #: why the unit failed (strict resilience runs raise this up front
+        #: instead of silently running the compiled base plans).
         self.failure: Optional[ToolchainError] = None
         self._lock = threading.Lock()
 
@@ -250,9 +264,6 @@ class NativeUnit:
             if self.status == "open":
                 self._seal()
         return self.status == "ready"
-
-    def function(self, symbol: str):
-        return self.functions[symbol]
 
     # -- sealing ---------------------------------------------------------------
     def _seal(self) -> None:
@@ -296,6 +307,7 @@ class NativeUnit:
             for symbol in self.symbols:
                 function = getattr(library, symbol)
                 function.restype = None
+                function.argtypes = _ARGTYPES
                 self.functions[symbol] = function
         except AttributeError as exc:
             cache.invalidate(self.key)
@@ -391,8 +403,10 @@ class NativeUnit:
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
-_I64_2 = ctypes.c_int64 * 2
-_F64_2 = ctypes.c_double * 2
+#: the region ABI (``codegen_c``): eight arrays, ``total`` and ``mode`` by
+#: value, two output arrays.  Arrays travel as addresses of pack members.
+_ARGTYPES = ((ctypes.c_void_p,) * 8 + (ctypes.c_int64,) * 2
+             + (ctypes.c_void_p,) * 2)
 
 
 def _region_error(code: int) -> InterpreterError:
@@ -403,8 +417,39 @@ def _region_error(code: int) -> InterpreterError:
     return InterpreterError(f"native region failed (code {code})")
 
 
+class _Pack:
+    """The ctypes arrays of one dispatch of one region, allocated once.
+
+    ``head`` / ``tail`` are their addresses in ABI order, around ``total``
+    and ``mode``; the pack owns the arrays, so the addresses stay valid.
+    """
+
+    __slots__ = ("li", "lf", "lp", "ls", "lbs", "steps", "lens", "outf",
+                 "outi", "head", "tail")
+
+    def __init__(self, spec, costs) -> None:
+        def array(ctype, length):
+            return (ctype * max(1, length))()
+
+        i64, f64 = ctypes.c_int64, ctypes.c_double
+        self.li = array(i64, len(spec.int_slots))
+        self.lf = array(f64, len(spec.float_slots))
+        self.lp = array(ctypes.c_void_p, len(spec.buffers))
+        self.ls = array(i64, sum(buf.rank for buf in spec.buffers))
+        self.lbs = array(i64, spec.num_dims)
+        self.steps = array(i64, spec.num_dims)
+        self.lens = array(i64, spec.num_dims)
+        self.outf, self.outi = array(f64, 2), array(i64, 2)
+        address = ctypes.addressof
+        self.head = tuple(address(member) for member in (
+            self.li, self.lf, costs, self.lp, self.ls, self.lbs, self.steps,
+            self.lens))
+        self.tail = (address(self.outf), address(self.outi))
+
+
 class _RegionHandle:
-    """Marshals one region's live-ins and calls its compiled function."""
+    """Checks one region's live-ins against the contract its C code was
+    specialized for, writes them into a pooled pack and calls the function."""
 
     def __init__(self, unit: NativeUnit, spec, required_dims) -> None:
         self.unit = unit
@@ -414,46 +459,85 @@ class _RegionHandle:
         self.required_dims = required_dims
         #: the machine's charges, packed once (``K`` of the region ABI).
         self.costs = (ctypes.c_double * max(1, len(spec.costs)))(*spec.costs)
+        self.buffers = [(buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
+                         buf.stored) for buf in spec.buffers]
+        #: free packs.  Programs are cached on the module and shared by the
+        #: daemon's handler threads: ``list.pop`` / ``append`` are atomic, so
+        #: a pack is in one dispatch at a time and the pool grows to one pack
+        #: per concurrently dispatching thread.
+        self.pool: List[_Pack] = []
+        #: dispatches this region refused at run time, by reason.
+        self.bailouts: Dict[str, int] = {}
 
-    def ready(self) -> bool:
-        return self.unit.ready()
-
-    def marshal(self, regs):
-        """(li, lf, lp, ls, storages, par_precondition) or ``None``.
-
-        ``None`` means a live-in violated the contract the C code was
-        specialized against (dtype, rank, space, writability, liveness) —
-        the caller runs its compiled base plan instead, which either
-        executes correctly or raises the exact engine error.
-        """
-        spec = self.spec
+    def dispatch(self, regs, bounds):
+        """``(total, work, global_bytes, ops, error)`` of one native run, or
+        the reason (a ``str``) the dispatch is refused: a live-in violated
+        the contract the C code was specialized against (``scalar``: one of
+        the wrong kind altogether), and the caller runs its compiled base
+        plan instead, which either executes correctly or raises the exact
+        engine error.  ``regs`` keeps the buffers alive across the call."""
         try:
-            li = [int(regs[slot]) for slot in spec.int_slots]
-            lf = [float(regs[slot]) for slot in spec.float_slots]
-        except (TypeError, ValueError):
-            return None
-        pointers: List[int] = []
-        shapes: List[int] = []
-        arrays = []
-        intervals: List[Tuple[int, int, bool]] = []
-        for buf in spec.buffers:
-            storage = regs[buf.slot]
-            if not isinstance(storage, MemRefStorage) or storage.freed:
-                return None
-            array = storage.array
-            if (array.dtype.name != buf.dtype or array.ndim != buf.rank
-                    or not array.flags["C_CONTIGUOUS"]
-                    or storage.memory_space != buf.space):
-                return None
-            if buf.stored and not array.flags["WRITEABLE"]:
-                return None
-            address = array.ctypes.data
-            pointers.append(address)
-            shapes.extend(int(extent) for extent in array.shape)
-            arrays.append(array)
-            intervals.append((address, address + array.nbytes, buf.stored))
-        par_ok = not self._overlapping(intervals)
-        return li, lf, pointers, shapes, arrays, par_ok
+            pack = self.pool.pop()
+        except IndexError:
+            pack = _Pack(self.spec, self.costs)
+        try:
+            spec = self.spec
+            try:
+                for index, slot in enumerate(spec.int_slots):
+                    pack.li[index] = int(regs[slot])
+                for index, slot in enumerate(spec.float_slots):
+                    pack.lf[index] = float(regs[slot])
+            except (TypeError, ValueError):
+                return "scalar"
+            pointers, shapes = pack.lp, pack.ls
+            intervals: List[Tuple[int, int, bool]] = []
+            cursor = 0
+            for index, (slot, dtype, rank, space, stored) in enumerate(
+                    self.buffers):
+                storage = regs[slot]
+                if not isinstance(storage, MemRefStorage):
+                    return "scalar"
+                if storage.freed:
+                    return "freed"
+                array = storage.array
+                if array.dtype != dtype:
+                    return "dtype"
+                if array.ndim != rank:
+                    return "rank"
+                flags = array.flags
+                if not flags.c_contiguous:
+                    return "layout"
+                if storage.memory_space != space:
+                    return "space"
+                if stored and not flags.writeable:
+                    return "read-only"
+                address = array.ctypes.data
+                pointers[index] = address
+                for extent in array.shape:
+                    shapes[cursor] = extent
+                    cursor += 1
+                intervals.append((address, address + array.nbytes, stored))
+            ranges, total = _iteration_space(regs, *bounds)
+            # one store-safety/alias proof gates both execution modes: OpenMP
+            # teams additionally need enough units to amortize, SIMD needs the
+            # emitter to have proven the inner loop serializable-exact.
+            required = self.required_dims
+            proof = (required is not None
+                     and not self._overlapping(intervals)
+                     and all(len(ranges[dim]) == 1 for dim in required))
+            mode = ((1 if proof and total >= _MIN_PARALLEL_UNITS else 0)
+                    | (2 if proof and spec.simd_ok else 0))
+            lbs, steps, lens = pack.lbs, pack.steps, pack.lens
+            for index, axis in enumerate(ranges):
+                lbs[index] = axis.start
+                steps[index] = axis.step
+                lens[index] = len(axis)
+            self.unit.functions[spec.symbol](*pack.head, total, mode,
+                                             *pack.tail)
+            outf, outi = pack.outf, pack.outi
+            return total, outf[0], outf[1], outi[0], outi[1]
+        finally:
+            self.pool.append(pack)
 
     @staticmethod
     def _overlapping(intervals) -> bool:
@@ -476,37 +560,6 @@ class _RegionHandle:
                     return True
         return False
 
-    @staticmethod
-    def _pack(li, lf, pointers, shapes):
-        pack_i = (ctypes.c_int64 * max(1, len(li)))(*li)
-        pack_f = (ctypes.c_double * max(1, len(lf)))(*lf)
-        pack_p = (ctypes.c_void_p * max(1, len(pointers)))(*pointers)
-        pack_s = (ctypes.c_int64 * max(1, len(shapes)))(*shapes)
-        return pack_i, pack_f, pack_p, pack_s
-
-    def call_span(self, marshalled, ranges, total: int):
-        li, lf, pointers, shapes, arrays, no_alias = marshalled
-        # one store-safety/alias proof gates both execution modes: OpenMP
-        # teams additionally need enough units to amortize, SIMD needs the
-        # emitter to have proven the inner loop serializable-exact.
-        proof = (no_alias and self.required_dims is not None
-                 and all(len(ranges[dim]) == 1 for dim in self.required_dims))
-        mode = ((1 if proof and total >= _MIN_PARALLEL_UNITS else 0)
-                | (2 if proof and getattr(self.spec, "simd_ok", False) else 0))
-        pack_i, pack_f, pack_p, pack_s = self._pack(li, lf, pointers, shapes)
-        ndim = len(ranges)
-        lbs = (ctypes.c_int64 * max(1, ndim))(*[r.start for r in ranges])
-        steps = (ctypes.c_int64 * max(1, ndim))(*[r.step for r in ranges])
-        lens = (ctypes.c_int64 * max(1, ndim))(*[len(r) for r in ranges])
-        outf = _F64_2()
-        outi = _I64_2()
-        self.unit.function(self.spec.symbol)(
-            pack_i, pack_f, self.costs, pack_p, pack_s, lbs, steps, lens,
-            ctypes.c_int64(total), ctypes.c_int64(mode),
-            outf, outi)
-        del arrays  # keep buffers alive across the call
-        return outf[0], outf[1], outi[0], outi[1]
-
 
 # ---------------------------------------------------------------------------
 # The native dispatcher
@@ -522,6 +575,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     unit = fc.dispatch_state
     if unit is None:
         unit = fc.dispatch_state = NativeUnit(program)
+        program.native_units.append(unit)
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
     symbol = f"repro_{sanitized}_p{fc.offered}"
     try:
@@ -538,32 +592,30 @@ def native(fc: _FunctionCompiler, region: _Region):
     proof = plan.parallel_proof
     handle = _RegionHandle(unit, spec,
                            None if proof is None else tuple(sorted(proof)))
+    region.bailouts = tally = handle.bailouts
     base, count, finish = region.base, region.count, region.finish
     bounds = region.bounds
 
     def run(state, regs):
         if state.max_ops is not None:
+            outcome = "budget"
+        elif not unit.ready():
+            # a unit first met mid-run that failed to seal: this run stays
+            # on the bit-identical base plan, the next strict run raises.
+            outcome = "unit not ready"
+        else:
+            outcome = handle.dispatch(regs, bounds)
+        if isinstance(outcome, str):
             stats["bailouts"] += 1
+            tally[outcome] = tally.get(outcome, 0) + 1
             return base(state, regs)
-        if not handle.ready():
-            failure = handle.unit.failure
-            if failure is not None and state.strict:
-                raise failure
-            stats["bailouts"] += 1
-            return base(state, regs)
-        marshalled = handle.marshal(regs)
-        if marshalled is None:
-            stats["bailouts"] += 1
-            return base(state, regs)
-        ranges, total = _iteration_space(regs, *bounds)
+        total, work, global_bytes, ops, error = outcome
         count(state)
-        work, global_bytes, ops, error = handle.call_span(
-            marshalled, ranges, total)
         if error:
             raise _region_error(error)
         stats["native_dispatches"] += 1
         report = state.report
-        report.dynamic_ops += int(ops)
+        report.dynamic_ops += ops
         report.global_bytes += global_bytes
         finish(state, total, work)
     return run
@@ -584,15 +636,17 @@ class NativeEngine(CompiledEngine):
 
     ROW = "native"
 
-    def run(self, function_name: str, arguments=()):
-        # Strict (resilience-wrapped) runs surface the *cached* toolchain
-        # failure as one clear ToolchainError up front — before any
-        # argument is written — so the fallback chain can rebuild on the
-        # next engine.  Direct construction keeps the historical graceful
-        # degrade (every region runs its compiled base plan).
+    def _preflight(self) -> None:
+        # Strict (resilience-wrapped) runs surface a toolchain failure — the
+        # *cached* probe's, or the failed compile of a unit the program
+        # knows (see NativeUnit) — as one clear ToolchainError here, so the
+        # fallback chain rebuilds on the next engine.  Direct construction
+        # keeps the historical graceful degrade (regions run their base plan).
         if getattr(self, "_resilience_strict", False):
             require_toolchain()
-        return super().run(function_name, arguments)
+            for unit in self._program.native_units:
+                if not unit.ready() and unit.failure is not None:
+                    raise unit.failure
 
     @property
     def native_stats(self) -> Dict[str, int]:

@@ -447,11 +447,22 @@ class ResilientExecutor:
 
     Runs on the requested engine; when a :mod:`~repro.runtime.errors`
     taxonomy error escapes ``run()``, rebuilds the executor on the next
-    engine in :data:`FALLBACK_CHAIN`, restores any writable ``ndarray``
-    arguments from pre-run snapshots, and re-runs.  The wrapped engines
-    run *strict* (``_resilience_strict``): instead of silently degrading
-    they raise their taxonomy error so the wrapper owns — and logs —
-    every degradation decision.
+    engine in :data:`FALLBACK_CHAIN` and re-runs on pristine inputs.  The
+    wrapped engines run *strict* (``_resilience_strict``): instead of
+    silently degrading they raise their taxonomy error so the wrapper owns
+    — and logs — every degradation decision.
+
+    The invariant that keeps the inputs pristine: an in-process engine
+    (``native``, ``vectorized``, ``compiled``) raises a taxonomy error
+    before its first store or not at all, and says so with a class
+    attribute, ``FAILS_BEFORE_FIRST_STORE`` (the native engine seals its
+    translation units up front; a ``cc`` failure met mid-run finishes that
+    run on the base plans and degrades the *next* one).  The snapshot of
+    the writable ``ndarray`` arguments exists for engines that cannot
+    promise that — ``multicore``, whose workers can die after earlier
+    shards stored, and anything that does not declare the attribute — and
+    is taken lazily, right before the first such engine runs, while the
+    arguments are still as the caller passed them.
 
     Everything else (``report``, ``shutdown``, engine-specific stats)
     delegates to the innermost live executor.
@@ -480,8 +491,11 @@ class ResilientExecutor:
     def run(self, function_name: str, arguments=()):
         from .errors import ResilienceError
 
-        snapshot = self._snapshot(arguments)
+        snapshot = None
         while True:
+            if snapshot is None and not getattr(
+                    self._inner, "FAILS_BEFORE_FIRST_STORE", False):
+                snapshot = self._snapshot(arguments)
             try:
                 return self._inner.run(function_name, arguments)
             except ResilienceError as exc:
@@ -512,12 +526,12 @@ class ResilientExecutor:
     def _snapshot(arguments):
         """Pre-run copies of every writable ``ndarray`` argument.
 
-        Always armed, not only under ``REPRO_FAULTS``: a *real* taxonomy
-        failure can strike mid-run (e.g. the first native region's ``cc``
-        compile failing after earlier regions already stored into
-        writable buffers), and the fallback engine must re-run on
-        pristine inputs to keep outputs bit-identical.  The clean-path
-        cost is one copy per writable array per wrapped run.
+        Armed for every engine that may fail after a store, not only under
+        ``REPRO_FAULTS``: a *real* taxonomy failure can strike mid-run (a
+        worker dying after earlier shards stored into writable buffers),
+        and the fallback engine must re-run on pristine inputs to keep
+        outputs bit-identical.  The clean-path cost is one copy per
+        writable array per wrapped run of such an engine.
         """
         return [(index, argument.copy())
                 for index, argument in enumerate(arguments)

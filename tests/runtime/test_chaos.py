@@ -277,3 +277,107 @@ class TestCleanPathRestored:
         assert executor.native_stats["units_ready"] == 1
         assert executor.native_stats["native_dispatches"] >= 1
         assert len(resilience.global_log()) == 0
+
+
+#: ``launch`` owns one region and, when ``both``, calls ``stage``, which owns
+#: another: two translation units, the callee's first met mid-run (a callee
+#: compiles at its first call).  ``out`` is read and written, so a re-run on
+#: inputs that were not pristine would show.
+TWO_UNIT_CUDA = """
+__global__ void first(float* tmp, float* in, int n) {{
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {{ tmp[gid] = in[gid] * {factor}f; }}
+}}
+
+__global__ void second(float* out, float* tmp, int n) {{
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {{ out[gid] = out[gid] + tmp[gid] + 0.25f; }}
+}}
+
+void stage(float* out, float* tmp, int n) {{
+    second<<<(n + 31) / 32, 32>>>(out, tmp, n);
+}}
+
+void launch(float* out, float* tmp, float* in, int n, int both) {{
+    first<<<(n + 31) / 32, 32>>>(tmp, in, n);
+    if (both) {{ stage(out, tmp, n); }}
+}}
+"""
+
+
+class _CountedCopies(np.ndarray):
+    """An argument that counts the ``ndarray.copy`` calls made on it."""
+
+    copies = 0
+
+    def copy(self, *args, **kwargs):
+        _CountedCopies.copies += 1
+        return super().copy(*args, **kwargs)
+
+
+class TestFailBeforeFirstStore:
+    """The invariant the lazy snapshot rests on: an in-process engine raises
+    a taxonomy error before its first store or not at all."""
+
+    @staticmethod
+    def _two_unit_args(both: int, n: int = 192):
+        rng = np.random.default_rng(5)
+        return [rng.random(n).astype(np.float32), np.zeros(n, dtype=np.float32),
+                rng.random(n).astype(np.float32), n, both]
+
+    @needs_cc
+    def test_mid_run_cc_failure_degrades_the_next_run(self, monkeypatch):
+        module = compile_cuda(TWO_UNIT_CUDA.format(factor="9.375"),
+                              cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+        executor = make_executor(module, engine="native")
+        log = resilience.global_log()
+
+        def run_both(both, interp):
+            """One run on each side; a report accumulates over the runs of
+            one engine, so ``interp`` lives as long as the executor's."""
+            expected, arguments = (self._two_unit_args(both) for _ in range(2))
+            interp.run("launch", expected)
+            executor.run("launch", arguments)
+            for want, got in zip(expected[:2], arguments[:2]):
+                np.testing.assert_array_equal(got, want)
+            assert report_fields(executor.report) == report_fields(interp.report)
+
+        oracle = Interpreter(module)
+        run_both(0, oracle)   # seals the entry's unit; the callee is unmet
+        assert executor.native_stats["units_ready"] == 1
+        monkeypatch.setenv("REPRO_FAULTS", "native.cc:*")
+        reset_faults()
+        # run 1 meets the callee's unit mid-run, after `first` stored into
+        # tmp: cc fails, the region runs its base plan, the run stays native.
+        run_both(1, oracle)
+        assert executor.engine_name == "native"
+        assert len(log.events(op="native.cc", action="degrade")) == 1
+        assert not log.events(op="engine.run")
+        assert [region["bailouts"] for region in executor.regions] == [
+            {}, {"unit not ready": 1}]
+        assert executor.native_stats["bailouts"] == 1
+        # run 2 raises the unit's error up front and lands on the next engine.
+        run_both(1, Interpreter(module))
+        assert executor.engine_name == "multicore"
+        degrade, = log.events(op="engine.run", action="degrade")
+        assert degrade.error == "ToolchainError"
+        assert len(log.events(op="native.cc", action="degrade")) == 1
+
+    @pytest.mark.parametrize("engine, copies", [
+        ("native", 0), ("vectorized", 0), ("compiled", 0), ("multicore", 2)])
+    def test_only_engines_that_may_fail_late_are_snapshotted(self, engine, copies):
+        """``out`` and ``in`` are writable: a wrapped multicore run copies
+        both before it starts, the in-process engines copy nothing."""
+        module = _module("10.5")
+        expected, fields = _reference(module, _args())
+        arguments = [argument.view(_CountedCopies)
+                     if isinstance(argument, np.ndarray) else argument
+                     for argument in _args()]
+        executor = make_executor(module, engine=engine, workers=2)
+        _CountedCopies.copies = 0
+        executor.run("launch", arguments)
+        assert _CountedCopies.copies == copies
+        assert executor.engine_name == engine
+        np.testing.assert_array_equal(arguments[0], expected)
+        assert report_fields(executor.report) == fields

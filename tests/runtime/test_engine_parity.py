@@ -23,11 +23,14 @@ from repro.runtime import (
     A64FX_CMG,
     CompiledEngine,
     Interpreter,
+    InterpreterError,
     MachineModel,
     MulticoreEngine,
     NativeEngine,
     VectorizedEngine,
     XEON_8375C,
+    engine_names,
+    make_executor,
     shutdown_worker_pools,
 )
 from repro.transforms import PipelineOptions
@@ -190,3 +193,71 @@ class TestQuickstartParity:
         for threads in (1, 4, 32):
             assert_engines_agree(module, "launch", self._make_args, (0,),
                                  threads=threads)
+
+
+SCALE_CUDA = """
+__global__ void scale(float* out, float* in, int n) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {
+        out[gid] = in[gid] * 0.5f + 1.0f;
+    }
+}
+
+void launch(float* out, float* in, int n) {
+    scale<<<(n + 31) / 32, 32>>>(out, in, n);
+}
+"""
+
+
+class TestArgumentContracts:
+    def test_aliased_live_in_forces_sequential_mode(self):
+        """One array passed as both the loaded and the stored argument: the
+        engines agree, and the native dispatch's alias check hands the C
+        ``mode`` = 0 (no OpenMP team, no SIMD variant: the store-safety
+        proof is per buffer) — and ``mode`` bit 0 when nothing aliases."""
+        module = compile_cuda(SCALE_CUDA, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+        n = 512
+
+        def aliased():
+            shared = np.random.default_rng(4).random(n).astype(np.float32)
+            return [shared, shared, n]
+
+        engines = assert_engines_agree(module, "launch", aliased, (0,))
+        native = engines["NativeEngine"]
+        if not native.native_stats["units_ready"]:
+            pytest.skip("no working cc -fopenmp")
+        modes = []
+        for unit in native._program.native_units:
+            for symbol, function in list(unit.functions.items()):
+                def spy(*arguments, _function=function):
+                    modes.append(arguments[9])
+                    return _function(*arguments)
+                unit.functions[symbol] = spy
+        native.run("launch", aliased())
+        distinct = aliased()
+        distinct[0] = np.zeros(n, dtype=np.float32)
+        native.run("launch", distinct)
+        assert modes[0] == 0 and modes[1] & 1
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_non_contiguous_argument_is_rejected(self, engine):
+        """A strided view used to be copied by ``np.ascontiguousarray``: the
+        kernel wrote the hidden copy and the caller's array kept its zeros,
+        with no error, on every engine."""
+        bench = BENCHMARKS["matmul"]
+        module = bench.compile_cuda(PipelineOptions.all_optimizations())
+        arguments = bench.make_inputs(1)
+        output, = bench.output_indices
+        strided = np.zeros(2 * arguments[output].size,
+                           dtype=arguments[output].dtype)[::2]
+        arguments[output] = strided
+        executor = make_executor(module, engine=engine, workers=2)
+        with pytest.raises(InterpreterError,
+                           match=rf"argument {output} is not C-contiguous "
+                                 rf".*strides \({strided.strides[0]},\)"):
+            executor.run(bench.entry, arguments)
+        assert not strided.any()
+        arguments[output] = np.ascontiguousarray(strided)
+        executor.run(bench.entry, arguments)
+        assert arguments[output].any()

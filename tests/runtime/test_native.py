@@ -297,6 +297,175 @@ class TestDispatchBailouts:
         assert report_fields(interp.report) == report_fields(engine.report)
 
 
+    @needs_cc
+    def test_bailouts_are_named_per_region(self):
+        """Every run-time refusal counts under its reason on the region that
+        refused, and the reasons sum to the engine-wide counter."""
+        module = _lowered(QUICK_CUDA)
+        budget = NativeEngine(module, max_dynamic_ops=10**9)
+        budget.run("launch", _quick_args())
+        region, = budget.regions
+        assert region["bailouts"] == {"budget": 1}
+
+        engine = NativeEngine(module)   # shares the cached program's tallies
+        frozen = _quick_args()
+        frozen[0].setflags(write=False)
+        with pytest.raises(ValueError):
+            engine.run("launch", frozen)
+        widened = _quick_args()
+        widened[1] = widened[1].astype(np.float64)
+        engine.run("launch", widened)   # the base plan takes any dtype
+        np.testing.assert_array_equal(
+            widened[0], (widened[1] * 2.0 + 1.0).astype(np.float32))
+        engine.run("launch", _quick_args())
+        region, = engine.regions
+        assert region["bailouts"] == {"budget": 1, "read-only": 1, "dtype": 1}
+        assert engine.native_stats["bailouts"] == 3
+        assert engine.native_stats["native_dispatches"] == 1
+
+
+def _freeing_module():
+    """``main(out, drop)``: a scratch buffer, freed when ``drop``, then read
+    by a parallel loop — the region's live-in is a freed storage."""
+    from repro.dialects import memref as memref_d, scf
+    from repro.ir import F32, I1, memref, verify
+    from tests.helpers import (build_function, build_parallel, close_parallel,
+                               finish_function)
+
+    module, fn, builder = build_function(
+        "main", [memref((64,), F32), I1], ["out", "drop"])
+    scratch = builder.insert(memref_d.AllocOp(memref((64,), F32))).result
+    branch = builder.insert(scf.IfOp(fn.arguments[1], with_else=False))
+    then = branch.then_block
+    then.append(memref_d.DeallocOp(scratch))
+    then.append(scf.YieldOp())
+    loop, inner = build_parallel(builder, 64)
+    index = loop.induction_vars[0]
+    loaded = inner.insert(memref_d.LoadOp(scratch, [index])).result
+    inner.insert(memref_d.StoreOp(loaded, fn.arguments[0], [index]))
+    close_parallel(inner)
+    finish_function(builder)
+    verify(module)
+    return module
+
+
+TWO_KERNEL_CUDA = """
+__global__ void scale(float* out, float* in, int n) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) { out[gid] = in[gid] * 3.0f + 0.125f; }
+}
+__global__ void blend(float* out, float* a, float* b, int n, float w) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) { out[gid] = a[gid] * w + b[gid]; }
+}
+void launch_scale(float* out, float* in, int n) {
+    scale<<<(n + 31) / 32, 32>>>(out, in, n);
+}
+void launch_blend(float* out, float* a, float* b, int n, float w) {
+    blend<<<(n + 31) / 32, 32>>>(out, a, b, n, w);
+}
+"""
+
+
+class TestPackPool:
+    """Dispatch writes live-ins into a per-region free list of ctypes packs;
+    programs are cached on the module, so threads share the list."""
+
+    @pytest.fixture()
+    def packs(self, monkeypatch):
+        """Every pack built while the test runs."""
+        from repro.runtime import native
+
+        built = []
+
+        class _Counted(native._Pack):
+            def __init__(self, spec, costs):
+                super().__init__(spec, costs)
+                built.append(self)
+
+        monkeypatch.setattr(native, "_Pack", _Counted)
+        return built
+
+    @needs_cc
+    def test_bailed_dispatch_returns_its_pack(self, packs):
+        """A dispatch refused mid-way (scalars written, then a freed buffer)
+        puts its pack back: the next dispatches reuse it."""
+        module = _freeing_module()
+        engine = NativeEngine(module)
+        out = np.ones(64, dtype=np.float32)
+        engine.run("main", [out, False])
+        assert not out.any() and len(packs) == 1
+        with pytest.raises(InterpreterError, match="use after free"):
+            engine.run("main", [out, True])
+        engine.run("main", [out, False])
+        region, = engine.regions
+        assert region["bailouts"] == {"freed": 1}
+        assert engine.native_stats["native_dispatches"] == 2
+        assert len(packs) == 1
+
+    @needs_cc
+    def test_threads_share_one_program(self, packs):
+        """Eight threads x 200 runs, a fresh executor per run as the daemon
+        makes them, two kernels, inputs seeded per thread: every output and
+        CostReport equals the single-threaded reference, and no thread ever
+        sees another's pack (a shared pack would mix their live-ins)."""
+        import threading
+
+        from repro.runtime import make_executor
+
+        threads, runs, n = 8, 200, 160
+        module = compile_cuda(TWO_KERNEL_CUDA, filename="pack_pool.cu",
+                              cuda_lower=True, cache="shared")
+
+        def inputs(seed):
+            rng = np.random.default_rng(seed)
+            a, b = (rng.random(n).astype(np.float32) for _ in range(2))
+            zeros = np.zeros(n, dtype=np.float32)
+            return {"launch_scale": [zeros, a, n],
+                    "launch_blend": [zeros.copy(), a, b, n, 0.5 + seed]}
+
+        def run(entry, arguments):
+            arguments = [a.copy() if isinstance(a, np.ndarray) else a
+                         for a in arguments]
+            executor = make_executor(module, engine="native")
+            executor.run(entry, arguments)
+            assert executor.engine_name == "native"
+            return arguments[0].tobytes(), report_fields(executor.report)
+
+        references = {seed: {entry: run(entry, arguments)
+                             for entry, arguments in inputs(seed).items()}
+                      for seed in range(threads)}
+        assert len({reference["launch_blend"][0]
+                    for reference in references.values()}) == threads
+        failures = []
+
+        def worker(seed):
+            try:
+                mine = inputs(seed)
+                for index in range(runs):
+                    entry = ("launch_scale", "launch_blend")[index % 2]
+                    if run(entry, mine[entry]) != references[seed][entry]:
+                        failures.append((seed, index, entry))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append((seed, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=worker, args=(seed,))
+                    for seed in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert not failures
+        # one pack per concurrently dispatching thread per region, at most
+        assert 2 <= len(packs) <= 2 * threads
+
+
 class TestArtifactCache:
     @needs_cc
     def test_warm_unit_skips_the_compiler(self, tmp_path, monkeypatch):

@@ -456,6 +456,45 @@ class TestResilientExecutor:
         np.testing.assert_array_equal(observed["value"],
                                       np.arange(4, dtype=np.float32))
 
+    def test_snapshot_is_taken_when_a_late_failing_engine_is_reached(self):
+        """``native`` declares it fails before its first store: no copy is
+        made for its run, and when it degrades the snapshot is taken right
+        then, before ``multicore`` (which declares nothing) mutates and
+        fails — so the third engine still sees what the caller passed."""
+        snapshots = []
+
+        class _Lazy(ResilientExecutor):
+            @staticmethod
+            def _snapshot(arguments):
+                snapshots.append(list(built))  # the engines reached so far
+                return ResilientExecutor._snapshot(arguments)
+
+        class _Checker(_StubEngine):
+            def run(self, function_name, arguments=()):
+                self.seen = arguments[0].copy()
+                return super().run(function_name, arguments)
+
+        class _FailsEarly(_StubEngine):
+            FAILS_BEFORE_FIRST_STORE = True
+
+        plan = {"multicore": _StubEngine("multicore", WorkerCrashError("dead"),
+                                         mutate=True),
+                "vectorized": _Checker("vectorized")}
+        rebuild, built = _stub_rebuild(plan)
+        executor = _Lazy(_FailsEarly("native", ToolchainError("no cc")),
+                         "native", rebuild, log=ResilienceLog())
+        data = np.arange(4, dtype=np.float32)
+        assert executor.run("main", [data]) == "ok:vectorized"
+        assert built == ["multicore", "vectorized"]
+        assert snapshots == [["multicore"]]
+        np.testing.assert_array_equal(plan["vectorized"].seen,
+                                      np.arange(4, dtype=np.float32))
+        # a clean run of an engine that declares the invariant copies nothing
+        executor = _Lazy(_FailsEarly("native"), "native", rebuild,
+                         log=ResilienceLog())
+        assert executor.run("main", [data]) == "ok:native"
+        assert len(snapshots) == 1
+
     def test_snapshot_copies_only_writable_ndarrays(self):
         frozen = np.zeros(3, dtype=np.float32)
         frozen.flags.writeable = False

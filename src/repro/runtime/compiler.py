@@ -179,10 +179,11 @@ class _Program:
         self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[int, _CompiledFunction] = {}
         self._speedups: Dict[int, float] = {}
-        #: one ``(function, plan, tier, bailouts)`` per compiled region, in
-        #: compile order; ``bailouts`` is the native dispatcher's live tally
-        #: of run-time refusals by reason (``None`` on the other tiers).
-        self.regions: List[Tuple[str, RegionPlan, str, Optional[Dict]]] = []
+        #: one ``(function, plan, tier)`` per compiled region, in compile order.
+        self.regions: List[Tuple[str, RegionPlan, str]] = []
+        #: ``id(plan)`` -> the dispatches the region's native code refused at
+        #: run time, by reason (the native dispatcher's live tally).
+        self.bailouts: Dict[int, Dict[str, int]] = {}
         #: compile-time counters, filled as functions are first compiled
         #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
         #: ``inline_runs`` and the unit counters move at run time).
@@ -208,7 +209,13 @@ class _Program:
     def function(self, fn: func_d.FuncOp) -> _CompiledFunction:
         compiled = self._functions.get(id(fn))
         if compiled is None:
-            compiled = self._functions[id(fn)] = _FunctionCompiler(self, fn).compile()
+            fc = _FunctionCompiler(self, fn)
+            compiled = fc.compile()
+            # programs are shared by threads: a unit becomes reachable (here,
+            # and through the runner) only once every region is in it.
+            if fc.dispatch_state is not None:
+                self.native_units.append(fc.dispatch_state)
+            self._functions[id(fn)] = compiled
         return compiled
 
     def speedup(self, threads: int) -> float:
@@ -330,12 +337,11 @@ class _Region:
     prebound shared alloca) — and, for a span, the planner's ``body``, the
     in-process ``base`` run and the accounting around it (``count``,
     ``finish``, ``message``), which it hands to the row's planner and
-    dispatcher; they name the ``tier`` that took the region (and the native
-    dispatcher hands back its run-time ``bailouts`` tally).
+    dispatcher; they name the ``tier`` that took the region.
     """
 
     __slots__ = ("plan", "bounds", "index_slots", "shared", "body", "base",
-                 "count", "finish", "message", "tier", "bailouts")
+                 "count", "finish", "message", "tier")
 
     def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
         self.plan = plan
@@ -343,7 +349,7 @@ class _Region:
         self.index_slots = index_slots
         self.shared: List[Tuple[int, object]] = []
         self.body = self.base = self.count = self.finish = None
-        self.message = self.tier = self.bailouts = None
+        self.message = self.tier = None
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +710,7 @@ class _FunctionCompiler:
         if dispatcher is not None:
             self.offered += 1
             run = dispatcher(self, region)
-        self.program.regions.append((self.fn.sym_name, region.plan, region.tier,
-                                     region.bailouts))
+        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
         return self._bound(region.base if run is None else run)
 
     def _span_shell(self, op, count: Callable, message: str,
@@ -762,7 +767,7 @@ class _FunctionCompiler:
             getattr(program, stats)[counter] += 1
             plan.refuse(program.row, UNLOWERED[plan.kind])
         body = closures(self, region)
-        program.regions.append((self.fn.sym_name, plan, region.tier, None))
+        program.regions.append((self.fn.sym_name, plan, region.tier))
         return body
 
     def _c_scf_parallel_simt(self, op) -> List[str]:
@@ -1125,11 +1130,12 @@ class CompiledEngine:
         declining it (compile-time facts) and, by reason, the dispatches its
         native code refused at run time (``bailouts``; they sum to
         ``native_stats["bailouts"]``)."""
-        asked = ((self.ROW, "parallel") if self._program.dispatcher is not None
+        program = self._program
+        asked = ((self.ROW, "parallel") if program.dispatcher is not None
                  else (self.ROW,))
         return [{"function": function, "kind": plan.kind, "tier": tier,
                  "refusals": [f"{capability}: {reason}"
                               for capability, reason in plan.refusals
                               if capability in asked],
-                 "bailouts": dict(bailouts or ())}
-                for function, plan, tier, bailouts in self._program.regions]
+                 "bailouts": dict(program.bailouts.get(id(plan), ()))}
+                for function, plan, tier in program.regions]

@@ -58,7 +58,7 @@ def wrap_argument(argument, index: int):
         raise InterpreterError(
             f"argument {index} is not C-contiguous (shape {argument.shape}, "
             f"strides {argument.strides}); pass a contiguous array")
-    return MemRefStorage.from_numpy(argument)
+    return MemRefStorage(argument)
 
 
 class MemRefStorage:

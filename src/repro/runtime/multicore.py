@@ -653,11 +653,10 @@ class MulticoreEngine(CompiledEngine):
         if isinstance(argument, np.ndarray):
             storage = wrap_argument(argument, index)
             self._run_storages.append(storage)
-            if np.shares_memory(argument, storage.array):
-                # promotion to shared memory swaps the backing array out
-                # from under the caller's ndarray; remember the pair so the
-                # caller still observes every write after the run.
-                self._arg_sync.append((argument, storage))
+            # promotion to shared memory swaps the backing array out from
+            # under the caller's ndarray; remember the pair so the caller
+            # still observes every write after the run.
+            self._arg_sync.append((argument, storage))
             return storage
         return argument
 

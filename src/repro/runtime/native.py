@@ -417,36 +417,6 @@ def _region_error(code: int) -> InterpreterError:
     return InterpreterError(f"native region failed (code {code})")
 
 
-class _Pack:
-    """The ctypes arrays of one dispatch of one region, allocated once.
-
-    ``head`` / ``tail`` are their addresses in ABI order, around ``total``
-    and ``mode``; the pack owns the arrays, so the addresses stay valid.
-    """
-
-    __slots__ = ("li", "lf", "lp", "ls", "lbs", "steps", "lens", "outf",
-                 "outi", "head", "tail")
-
-    def __init__(self, spec, costs) -> None:
-        def array(ctype, length):
-            return (ctype * max(1, length))()
-
-        i64, f64 = ctypes.c_int64, ctypes.c_double
-        self.li = array(i64, len(spec.int_slots))
-        self.lf = array(f64, len(spec.float_slots))
-        self.lp = array(ctypes.c_void_p, len(spec.buffers))
-        self.ls = array(i64, sum(buf.rank for buf in spec.buffers))
-        self.lbs = array(i64, spec.num_dims)
-        self.steps = array(i64, spec.num_dims)
-        self.lens = array(i64, spec.num_dims)
-        self.outf, self.outi = array(f64, 2), array(i64, 2)
-        address = ctypes.addressof
-        self.head = tuple(address(member) for member in (
-            self.li, self.lf, costs, self.lp, self.ls, self.lbs, self.steps,
-            self.lens))
-        self.tail = (address(self.outf), address(self.outi))
-
-
 class _RegionHandle:
     """Checks one region's live-ins against the contract its C code was
     specialized for, writes them into a pooled pack and calls the function."""
@@ -465,9 +435,23 @@ class _RegionHandle:
         #: daemon's handler threads: ``list.pop`` / ``append`` are atomic, so
         #: a pack is in one dispatch at a time and the pool grows to one pack
         #: per concurrently dispatching thread.
-        self.pool: List[_Pack] = []
-        #: dispatches this region refused at run time, by reason.
-        self.bailouts: Dict[str, int] = {}
+        self.pool: List[Tuple] = []
+
+    def _new_pack(self) -> Tuple:
+        """The ctypes arrays of one dispatch, allocated once: the nine the
+        dispatch writes or reads, then their addresses in ABI order around
+        ``total`` and ``mode`` (the pack owns the arrays, so they stay valid)."""
+        spec, i64, f64 = self.spec, ctypes.c_int64, ctypes.c_double
+        li, lf, lp, ls, lbs, steps, lens, outf, outi = arrays = [
+            (ctype * max(1, length))() for ctype, length in (
+                (i64, len(spec.int_slots)), (f64, len(spec.float_slots)),
+                (ctypes.c_void_p, len(spec.buffers)),
+                (i64, sum(buf.rank for buf in spec.buffers)),
+                (i64, spec.num_dims), (i64, spec.num_dims),
+                (i64, spec.num_dims), (f64, 2), (i64, 2))]
+        head = tuple(map(ctypes.addressof, (li, lf, self.costs, lp, ls, lbs,
+                                            steps, lens)))
+        return (*arrays, head, tuple(map(ctypes.addressof, (outf, outi))))
 
     def dispatch(self, regs, bounds):
         """``(total, work, global_bytes, ops, error)`` of one native run, or
@@ -479,17 +463,18 @@ class _RegionHandle:
         try:
             pack = self.pool.pop()
         except IndexError:
-            pack = _Pack(self.spec, self.costs)
+            pack = self._new_pack()
+        (li, lf, pointers, shapes, lbs, steps, lens, outf, outi, head,
+         tail) = pack
         try:
             spec = self.spec
             try:
                 for index, slot in enumerate(spec.int_slots):
-                    pack.li[index] = int(regs[slot])
+                    li[index] = int(regs[slot])
                 for index, slot in enumerate(spec.float_slots):
-                    pack.lf[index] = float(regs[slot])
+                    lf[index] = float(regs[slot])
             except (TypeError, ValueError):
                 return "scalar"
-            pointers, shapes = pack.lp, pack.ls
             intervals: List[Tuple[int, int, bool]] = []
             cursor = 0
             for index, (slot, dtype, rank, space, stored) in enumerate(
@@ -527,14 +512,11 @@ class _RegionHandle:
                      and all(len(ranges[dim]) == 1 for dim in required))
             mode = ((1 if proof and total >= _MIN_PARALLEL_UNITS else 0)
                     | (2 if proof and spec.simd_ok else 0))
-            lbs, steps, lens = pack.lbs, pack.steps, pack.lens
             for index, axis in enumerate(ranges):
                 lbs[index] = axis.start
                 steps[index] = axis.step
                 lens[index] = len(axis)
-            self.unit.functions[spec.symbol](*pack.head, total, mode,
-                                             *pack.tail)
-            outf, outi = pack.outf, pack.outi
+            self.unit.functions[spec.symbol](*head, total, mode, *tail)
             return total, outf[0], outf[1], outi[0], outi[1]
         finally:
             self.pool.append(pack)
@@ -574,8 +556,8 @@ def native(fc: _FunctionCompiler, region: _Region):
     stats = program.native_stats
     unit = fc.dispatch_state
     if unit is None:
+        # ``_Program.function`` registers it once the function is compiled.
         unit = fc.dispatch_state = NativeUnit(program)
-        program.native_units.append(unit)
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
     symbol = f"repro_{sanitized}_p{fc.offered}"
     try:
@@ -592,7 +574,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     proof = plan.parallel_proof
     handle = _RegionHandle(unit, spec,
                            None if proof is None else tuple(sorted(proof)))
-    region.bailouts = tally = handle.bailouts
+    tally = program.bailouts.setdefault(id(plan), {})
     base, count, finish = region.base, region.count, region.finish
     bounds = region.bounds
 
@@ -637,11 +619,9 @@ class NativeEngine(CompiledEngine):
     ROW = "native"
 
     def _preflight(self) -> None:
-        # Strict (resilience-wrapped) runs surface a toolchain failure — the
-        # *cached* probe's, or the failed compile of a unit the program
-        # knows (see NativeUnit) — as one clear ToolchainError here, so the
-        # fallback chain rebuilds on the next engine.  Direct construction
-        # keeps the historical graceful degrade (regions run their base plan).
+        # Strict (resilience-wrapped) runs raise a toolchain failure — the
+        # *cached* probe's, or a known unit's failed compile (see NativeUnit)
+        # — here; direct construction keeps the graceful degrade.
         if getattr(self, "_resilience_strict", False):
             require_toolchain()
             for unit in self._program.native_units:

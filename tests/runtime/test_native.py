@@ -364,6 +364,10 @@ void launch_scale(float* out, float* in, int n) {
 void launch_blend(float* out, float* a, float* b, int n, float w) {
     blend<<<(n + 31) / 32, 32>>>(out, a, b, n, w);
 }
+void launch_both(float* out, float* a, float* b, int n, float w) {
+    scale<<<(n + 31) / 32, 32>>>(b, a, n);
+    blend<<<(n + 31) / 32, 32>>>(out, a, b, n, w);
+}
 """
 
 
@@ -377,13 +381,13 @@ class TestPackPool:
         from repro.runtime import native
 
         built = []
+        new_pack = native._RegionHandle._new_pack
 
-        class _Counted(native._Pack):
-            def __init__(self, spec, costs):
-                super().__init__(spec, costs)
-                built.append(self)
+        def counted(handle):
+            built.append(new_pack(handle))
+            return built[-1]
 
-        monkeypatch.setattr(native, "_Pack", _Counted)
+        monkeypatch.setattr(native._RegionHandle, "_new_pack", counted)
         return built
 
     @needs_cc
@@ -464,6 +468,70 @@ class TestPackPool:
         assert not failures
         # one pack per concurrently dispatching thread per region, at most
         assert 2 <= len(packs) <= 2 * threads
+
+    @needs_cc
+    def test_threads_start_cold(self):
+        """Nothing compiled when eight threads first launch (two tenants'
+        first requests for one kernel): a function's translation unit is
+        known to the other threads' up-front seal only once all its regions
+        are in it, so no unit seals half-built — every run is native,
+        nothing bails out, outputs and CostReports equal the interpreter's."""
+        import threading
+
+        from repro.runtime import invalidate_compiled, make_executor
+
+        threads, n = 8, 160
+        entries = ("launch_both", "launch_scale", "launch_blend")
+        module = compile_cuda(TWO_KERNEL_CUDA, filename="pack_pool.cu",
+                              cuda_lower=True, cache="shared")
+
+        def run(entry, engine):
+            rng = np.random.default_rng(3)
+            a, b = (rng.random(n).astype(np.float32) for _ in range(2))
+            arguments = [np.zeros(n, dtype=np.float32), a, b, n, 0.75]
+            if entry == "launch_scale":
+                del arguments[2], arguments[3:]
+            executor = make_executor(module, engine=engine)
+            executor.run(entry, arguments)
+            assert getattr(executor, "engine_name", engine) == engine
+            return ([a.tobytes() for a in arguments[:3]
+                     if isinstance(a, np.ndarray)],
+                    report_fields(executor.report))
+
+        references = {entry: run(entry, "interp") for entry in entries}
+        failures = []
+        for _ in range(6):
+            invalidate_compiled(module)
+            gate = threading.Barrier(threads)
+
+            def worker(seed):
+                try:
+                    gate.wait(timeout=60)
+                    for index in range(6):
+                        entry = entries[(seed + index) % 3]
+                        if run(entry, "native") != references[entry]:
+                            failures.append((seed, index, entry))
+                except Exception as exc:  # surfaced by the assertion below
+                    failures.append((seed, repr(exc)))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                pool = [threading.Thread(target=worker, args=(seed,),
+                                         daemon=True)
+                        for seed in range(threads)]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in pool)
+            assert not failures
+            engine = NativeEngine(module)
+            assert engine.native_stats["bailouts"] == 0
+            assert {region["tier"] for region in engine.regions} == {"native"}
+            assert {region["function"] for region in engine.regions} == set(entries)
 
 
 class TestArtifactCache:

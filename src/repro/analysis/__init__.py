@@ -11,8 +11,16 @@
   across a parallel loop split,
 * :mod:`~repro.analysis.liveness`   — crossing values at a split point,
 * :mod:`~repro.analysis.structure`  — parallel-nest structural helpers,
-* :mod:`~repro.analysis.store_safety` — write-write safety of a parallel
-  region's stores (what licenses real parallel execution in the engines).
+* :mod:`~repro.analysis.lanes`      — the lane facts of a span: how every
+  value of its body depends on the iteration (uniform, injective over lane
+  dims, varying; held per lane or not), one forward pass with control
+  dependence in its transfer functions.  Read by the vectorizer (what to
+  emit) and by
+* :mod:`~repro.analysis.store_safety` — the store check over those facts:
+  write-write safety of a span (what licenses real parallel execution in
+  the ``native`` and ``multicore`` engines),
+* :mod:`~repro.analysis.region`     — ``RegionPlan``, where both are
+  computed once per region (``plan.lanes``, ``plan.parallel_proof``).
 """
 
 from .alias import AliasResult, alias, is_allocation, may_alias, must_alias

@@ -5,9 +5,10 @@ The paper's point is that a single high-level form of a parallel construct
 The execution engines are four such consumers — closures, NumPy lanes,
 emitted OpenMP C, worker shards — and what they need to know about a region
 is the same: what kind of region it is, which values it captures, where its
-barriers split it into phases, which buffers are block-shared, and whether
-its iterations may really run concurrently.  :class:`RegionPlan` answers
-those questions once per region op; :class:`RegionPlans` memoises the plans
+barriers split it into phases, which buffers are block-shared, how each
+value of its body depends on the iteration, and whether its iterations may
+really run concurrently.  :class:`RegionPlan` answers those questions once
+per region op; :class:`RegionPlans` memoises the plans
 of one module together with the barrier-reachability walk they share.
 
 Nothing here imports from :mod:`repro.runtime`: the plan states facts about
@@ -23,6 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..dialects import func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d
 from ..ir import Operation, Value
+from .lanes import LaneFacts
 from .store_safety import span_required_dims
 from .structure import (BARRIER_OPS, CONTEXT_OPS, contains_barrier,
                         free_values_in, split_executed)
@@ -53,12 +55,18 @@ class RegionPlan:
     * ``live_ins`` — the values the region captures: the op's own operands,
       then every outside value its body uses, in first-use order.  This
       order is the argument ABI of the emitted C.
+    * ``lanes`` — a span's :class:`~repro.analysis.lanes.LaneFacts`: per
+      value of the body, uniform / injective over lane dims / varying, and
+      whether it is held per lane.  The vectorizer emits from them
+      (scalar or lane array, masked or plain ``scf.if``, the single-lane
+      guard), ``parallel_proof`` is the store check over them.  Computed on
+      first use, once, whoever asks; spans only.
     * ``parallel_proof`` — a span's store-safety verdict: the dims that
       must have extent 1 for iterations to run concurrently, or ``None``
       when write-write safety cannot be proven — the analysis' reason is
       then recorded as a ``parallel`` refusal.  Un-lowered regions (SIMT,
       launch) are never asked: no tier runs them concurrently.  Computed on
-      first use, once, whoever asks.
+      first use, once, whoever asks (``native``, ``multicore``).
     * ``refusals`` — ``(capability, reason)`` pairs recorded where an
       execution tier declined the region.  Plans are shared by every
       compiled program of the module, so a module run under two machine
@@ -71,7 +79,7 @@ class RegionPlan:
         self.body_ops, self.terminator = split_executed(op.body)
         self.refusals: List[Tuple[str, str]] = []
         self.shared_allocas: List[Operation] = []
-        self._live_ins = self._proof = _UNSET
+        self._live_ins = self._lanes = self._proof = _UNSET
         if isinstance(op, gpu_d.LaunchOp):
             self.kind = LAUNCH
             self.grid_dims = tuple(op.grid_dims)
@@ -124,12 +132,19 @@ class RegionPlan:
         return self._live_ins
 
     @property
+    def lanes(self) -> LaneFacts:
+        if self._lanes is _UNSET:
+            self._lanes = LaneFacts(self.op)
+        return self._lanes
+
+    @property
     def parallel_proof(self) -> Optional[FrozenSet[int]]:
         if self._proof is _UNSET:
             if self.kind in (SIMT, LAUNCH):
                 self._proof = None
             else:
-                self._proof, reason = span_required_dims(self._module, self.op)
+                self._proof, reason = span_required_dims(
+                    self._module, self.op, self.lanes)
                 if reason is not None:
                     self.refuse("parallel", reason)
         return self._proof

@@ -137,7 +137,6 @@ class _Buffer:
     space: str                # memory space for cost accounting
     kind: str                 # 'livein' | 'private'
     elem_bytes: int
-    freed_var: Optional[str] = None
 
 
 @dataclass
@@ -314,7 +313,7 @@ class RegionCodegen:
                 for block in region.blocks:
                     self._precheck(list(block.operations))
 
-    def _emit_block(self, block, *, count_ops: bool = True) -> None:
+    def _emit_block(self, block) -> None:
         """Emit one straight-line block: folded static charges + op code."""
         ops, term = self._split(block)
         nops = len(ops) + (1 if term is not None else 0)
@@ -323,7 +322,7 @@ class RegionCodegen:
             op_work, op_gb = self._static_charge(op)
             work += op_work
             gb += op_gb
-        if count_ops and nops:
+        if nops:
             self.out.w(f"OPS += {c_int(nops)};")
         if work:
             self.out.w(f"W += {self._cost(work)};")

@@ -469,11 +469,9 @@ class ResilientExecutor:
     """
 
     def __init__(self, executor, engine: str, rebuild: Callable[[str], object],
-                 *, policy: Optional[RetryPolicy] = None,
-                 log: Optional[ResilienceLog] = None) -> None:
+                 *, log: Optional[ResilienceLog] = None) -> None:
         self._inner = executor
         self._rebuild = rebuild
-        self._policy = policy or retry_policy()
         self._log = global_log() if log is None else log
         self._engine_chain = (engine,) + fallback_engines(engine)
         self._engine_index = 0

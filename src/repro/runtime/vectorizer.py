@@ -8,9 +8,13 @@ cpuify's loop fission makes every barrier-delimited phase such a loop) — to
 execute a span (``omp.wsloop`` / barrier-free ``scf.parallel``) for **all
 iterations at once** as NumPy array operations:
 
-* SSA registers become full-width arrays of shape ``(num_lanes,)``
-  (``float64``/``int64``, matching the interpreter's Python-scalar
-  arithmetic bit for bit); each pure scalar op is the ``lanes`` form of its
+* SSA registers that vary between iterations become full-width arrays of
+  shape ``(num_lanes,)`` (``float64``/``int64``, matching the interpreter's
+  Python-scalar arithmetic bit for bit), the others stay one scalar — which
+  is which, and which values derive from a lane index, is read off the
+  span's plan (:mod:`repro.analysis.lanes`, the facts the store check also
+  reads), so every op is emitted exactly once, at any nesting depth;
+* each pure scalar op is the ``lanes`` form of its
   :mod:`~repro.runtime.optable` row (the ``_v_*`` helpers below are what
   those forms call), or its scalar form when no operand varies;
 * thread-index induction variables become precomputed index grids
@@ -29,7 +33,7 @@ iterations at once** as NumPy array operations:
 The decision is made *per span*: one containing an unsupported op (nested
 parallelism, ``scf.while``, calls, deallocs, lane-varying loop bounds, ...)
 falls back wholesale to the compiled closures — correctness never depends
-on the analyzer being complete — with the reason recorded on the region's
+on the emitter being complete — with the reason recorded on the region's
 plan (``engine.regions``).  Un-lowered regions (``gpu.launch``,
 ``scf.parallel`` with barriers) never reach this module: they run on the
 closure tier under every engine.
@@ -58,20 +62,22 @@ Python ints.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.lanes import LaneFacts
 from ..dialects import arith, memref as memref_d, scf
 from ..ir import MemRefType
 from .compiler import (
+    _MAX_INLINE_DEPTH,
     CompiledEngine,
     _FunctionCompiler,
     _Region,
     _split_executed,
     closures,
 )
-from .costmodel import exact_cycles, memory_access_cost, op_cost
+from .costmodel import memory_access_cost, op_cost
 from .errors import InterpreterError
 from .memory import dtype_for
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
@@ -79,12 +85,6 @@ from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
 
 _U = "u"  # uniform: one Python scalar (or storage) shared by all lanes
 _V = "v"  # varying: a full-width (num_lanes,) numpy array
-
-#: maximum scf.if/scf.for nesting depth the vectorizer will analyze.  The
-#: dry-run classification passes (branch kind joins, iter-arg fixpoints)
-#: re-emit nested bodies, so emission work grows with ~2^depth; beyond this
-#: depth the region falls back to closures instead of compiling slowly.
-_MAX_NESTING = 10
 
 
 class _Unsupported(Exception):
@@ -234,54 +234,35 @@ def _np_dtype_name(value) -> str:
 # The region vectorizer: classification + source emission, one parallel region
 # ---------------------------------------------------------------------------
 class _RegionVectorizer:
-    """Compiles the body of one span, classifying every value it defines
-    as uniform, varying or a per-lane buffer."""
+    """Emits the body of one span, every op once: which values are uniform
+    (one scalar) or varying (a lane array), and which derive from a lane
+    index, are the lane facts of the span's plan."""
 
-    def __init__(self, fc: _FunctionCompiler) -> None:
+    def __init__(self, fc: _FunctionCompiler, facts: LaneFacts) -> None:
         self.fc = fc
         self.program = fc.program
-        self.kinds: Dict[int, str] = {}
+        self.facts = facts
         self.lane_bufs: Dict[int, _LaneBuffer] = {}
-        # thread-index provenance ("taint"): slots / rank-0 cells holding a
-        # value derived from a lane index, used by the single-lane-guard
-        # profitability heuristic (``if (tid == c)`` selects O(1) lanes,
-        # ``if (flag[tid] == c)`` may select many).
-        self.lane_taint: Set[int] = set()
-        self.taint_bufs: Set[int] = set()
         # emission state
         self.lines: List[str] = []
         self.ns: Dict[str, object] = dict(_BASE_NAMESPACE)
         self._indent = 2
         self._assign_log: List[int] = []
-        self._depth = 0
 
     # -- shared helpers --------------------------------------------------------
-    def mark_lane_index(self, slot: int) -> None:
-        self.kinds[slot] = _V
-        self.lane_taint.add(slot)
-
-    def is_lane_index(self, value) -> bool:
-        return self.slot(value) in self.lane_taint
-
     def slot(self, value) -> int:
         return self.fc.slot(value)
 
     def kind_of(self, value) -> str:
-        slot = self.slot(value)
-        if slot in self.lane_bufs:
+        if self.slot(value) in self.lane_bufs:
             return "buf"
-        return self.kinds.get(slot, _U)
-
-    def require_exact(self, cost: float) -> None:
-        if not exact_cycles(cost):
-            raise _Unsupported(f"non-dyadic op cost {cost}")
+        return _V if self.facts.varies(value) else _U
 
     # -- emission primitives ----------------------------------------------------
     def emit(self, line: str) -> None:
         self.lines.append("    " * self._indent + line)
 
     def charge(self, cost: float, ctx: _Ctx) -> None:
-        self.require_exact(cost)
         if cost:
             self.emit(f"w[-1] += {cost!r} * {ctx.count}")
 
@@ -296,31 +277,11 @@ class _RegionVectorizer:
         """R-value expression for an SSA value."""
         return f"regs[{self.slot(value)}]"
 
-    def define(self, value, kind: str) -> str:
+    def define(self, value) -> str:
         """L-value expression for an SSA result; records the definition."""
         slot = self.slot(value)
         self._assign_log.append(slot)
-        self.lane_taint.discard(slot)
-        if kind == _V:
-            self.kinds[slot] = _V
-        else:
-            self.kinds.pop(slot, None)
         return f"regs[{slot}]"
-
-    def _snapshot(self):
-        return (len(self.lines), self._indent, dict(self.kinds),
-                dict(self.lane_bufs), list(self._assign_log),
-                set(self.lane_taint), set(self.taint_bufs))
-
-    def _restore(self, snap) -> None:
-        nlines, indent, kinds, bufs, log, taint, taint_bufs = snap
-        del self.lines[nlines:]
-        self._indent = indent
-        self.kinds = kinds
-        self.lane_bufs = bufs
-        self._assign_log = log
-        self.lane_taint = taint
-        self.taint_bufs = taint_bufs
 
     # -- phase compilation -------------------------------------------------------
     def vectorize_phase(self, ops: Sequence, nops: int) -> Callable:
@@ -328,13 +289,6 @@ class _RegionVectorizer:
         ctx = _Ctx(mask=None, count="_N")
         for op in ops:
             self.emit_op(op, ctx)
-
-        name = self.fc._name("vphase")
-        header = [
-            f"def {name}(state, regs, _N, _lanes):",
-            "    report = state.report",
-            "    w = state.work",
-        ]
         count_lines = []
         if nops:
             count_lines = [
@@ -342,11 +296,36 @@ class _RegionVectorizer:
                 "    if state.max_ops is not None and report.dynamic_ops > state.max_ops:",
                 "        raise _IE('dynamic operation budget exceeded')",
             ]
-        body = self.lines if self.lines else ["        pass"]
-        source = "\n".join(header + count_lines
-                           + ["    with np.errstate(all='ignore'):"] + body)
+        return self.ns[self._function("vphase", "", count_lines)]
+
+    def _function(self, prefix: str, parameters: str, prologue: Sequence[str]) -> str:
+        """Finalise the lines emitted so far as one generated function."""
+        name = self.fc._name(prefix)
+        source = "\n".join([
+            f"def {name}(state, regs, _N, _lanes{parameters}):",
+            "    report = state.report",
+            "    w = state.work",
+            *prologue,
+            "    with np.errstate(all='ignore'):",
+            *(self.lines or ["        pass"])])
         exec(source, self.ns)  # noqa: S102 - compile-time codegen
-        return self.ns[name]
+        return name
+
+    def emit_block(self, ops: Sequence, ctx: _Ctx) -> None:
+        """A structured op's child block at the current indent — past
+        ``_MAX_INLINE_DEPTH`` levels as its own function, which is called
+        here, because CPython bounds static nesting."""
+        if self._indent - 2 < _MAX_INLINE_DEPTH:
+            for op in ops:
+                self.emit_op(op, ctx)
+            return
+        outer, self.lines, self._indent = (self.lines, self._indent), [], 2
+        inner = _Ctx(mask="_mask" if ctx.mask else None, count="_count")
+        for op in ops:
+            self.emit_op(op, inner)
+        name = self._function("vblock", ", _mask, _count", ())
+        self.lines, self._indent = outer
+        self.emit(f"{name}(state, regs, _N, _lanes, {ctx.mask}, {ctx.count})")
 
     # -- op emission -------------------------------------------------------------
     def emit_op(self, op, ctx: _Ctx) -> None:
@@ -379,21 +358,11 @@ class _RegionVectorizer:
         if "buf" in kinds or isinstance(op.result.type, MemRefType):
             raise _Unsupported(f"{op.name} over memref values")
         varying = _V in kinds
-        # thread-index provenance survives casts and uniform +, -, * offsets
-        if isinstance(op, arith._CastOp):
-            tainted = self.is_lane_index(op.input)
-        else:
-            tainted = (isinstance(op, (arith.AddIOp, arith.SubIOp, arith.MulIOp))
-                       and ((self.is_lane_index(op.lhs) and kinds[1] == _U)
-                            or (self.is_lane_index(op.rhs) and kinds[0] == _U)))
         expr = python_expr(row, [self.ref(value) for value in op.operands],
                            self.ns, self.fc._name, lanes=varying,
                            mask=ctx.mask or "None")
         self.charge(cycles(row), ctx)
-        target = self.define(op.result, _V if varying else _U)
-        if tainted:
-            self.lane_taint.add(self.slot(op.result))
-        self.emit(f"{target} = {expr}")
+        self.emit(f"{self.define(op.result)} = {expr}")
 
     # -- memory ------------------------------------------------------------------
     def emit_alloc(self, op, ctx: _Ctx) -> None:
@@ -437,9 +406,7 @@ class _RegionVectorizer:
         if mem_kind == "buf":
             slot = self.slot(op.memref)
             buf = self.lane_bufs[slot]
-            target = self.define(op.result, _V)
-            if not buf.shape and slot in self.taint_bufs:
-                self.lane_taint.add(self.slot(op.result))
+            target = self.define(op.result)
             if not buf.shape:
                 self.emit(f"{target} = regs[{slot}].astype({result_dt})")
             else:
@@ -463,7 +430,7 @@ class _RegionVectorizer:
         if _V not in idx_kinds:
             # lane-invariant access: execute once, charge per lane
             index_tuple = ", ".join(f"int({self.ref(i)})" for i in op.indices)
-            target = self.define(op.result, _U)
+            target = self.define(op.result)
             self.emit(f"{target} = {svar}.load(({index_tuple}{',' if len(op.indices) == 1 else ''}))")
             self._storage_charge_lines(svar, ctx)
             return
@@ -474,7 +441,7 @@ class _RegionVectorizer:
                 expr = f"int({expr})"
             parts.append(self._masked(expr, kind, ctx))
         gather_call = f"{svar}.load_block(({', '.join(parts)}{',' if len(parts) == 1 else ''}))"
-        target = self.define(op.result, _V)
+        target = self.define(op.result)
         if ctx.mask is None:
             self.emit(f"{target} = {gather_call}.astype({result_dt})")
         else:
@@ -493,8 +460,6 @@ class _RegionVectorizer:
         if mem_kind == "buf":
             slot = self.slot(op.memref)
             buf = self.lane_bufs[slot]
-            if not buf.shape and self.is_lane_index(op.value):
-                self.taint_bufs.add(slot)
             value = self._masked(self.ref(op.value), value_kind, ctx)
             if not buf.shape:
                 if ctx.mask is None:
@@ -535,15 +500,13 @@ class _RegionVectorizer:
 
     def emit_dim(self, op, ctx: _Ctx) -> None:
         mem_kind = self.kind_of(op.memref)
-        target_kind = _U
         if mem_kind == "buf":
             buf = self.lane_bufs[self.slot(op.memref)]
-            target = self.define(op.result, target_kind)
-            self.emit(f"{target} = {int(buf.shape[op.dim])}")
+            self.emit(f"{self.define(op.result)} = {int(buf.shape[op.dim])}")
             return
         if mem_kind != _U:
             raise _Unsupported("lane-varying memref operand")
-        target = self.define(op.result, target_kind)
+        target = self.define(op.result)
         self.emit(f"{target} = int({self.ref(op.memref)}.check_alive().shape[{op.dim}])")
 
     # -- control flow ------------------------------------------------------------
@@ -560,65 +523,37 @@ class _RegionVectorizer:
                 branches.append((ops, len(ops) + (1 if term is not None else 0),
                                  list(term.operands) if isinstance(term, scf.YieldOp) else []))
 
-        cond_kind = self.kind_of(op.condition)
         self.charge(op_cost("scf.if"), ctx)
-        self._depth += 1
-        if self._depth > _MAX_NESTING:
-            raise _Unsupported("control-flow nesting too deep to vectorize")
-        try:
-            if cond_kind == _U:
-                self._emit_uniform_if(op, ctx, branches)
-            else:
-                self._emit_masked_if(op, ctx, branches)
-        finally:
-            self._depth -= 1
+        if self.kind_of(op.condition) == _U:
+            self._emit_uniform_if(op, ctx, branches)
+        else:
+            self._emit_masked_if(op, ctx, branches)
 
     def _emit_uniform_if(self, op, ctx, branches) -> None:
-        # pre-classify both branches to join result kinds consistently
-        result_kinds = self._join_branch_kinds(op, ctx, branches)
         for header, (ops, nops, yielded) in zip(
                 (f"if {self.ref(op.condition)}:", "else:"), branches):
             self.emit(header)
             self._indent += 1
             self.count_ops(nops, ctx.count)
-            for nested in ops:
-                self.emit_op(nested, ctx)
-            self._emit_branch_result_copies(op, yielded, result_kinds)
+            self.emit_block(ops, ctx)
+            for result, value in zip(op.results, yielded):
+                self.emit(f"{self.define(result)} = {self._as_kind_of(result, value)}")
             if not ops and not op.results and not nops:
                 self.emit("pass")
             self._indent -= 1
 
-    def _join_branch_kinds(self, op, ctx, branches) -> List[str]:
-        """Result kinds joined over both branches (dry classification runs)."""
-        if not op.results:
-            return []
-        kinds = []
-        for ops, _, yielded in branches:
-            snap = self._snapshot()
-            try:
-                for nested in ops:
-                    self.emit_op(nested, ctx)
-                kinds.append([self.kind_of(value) for value in yielded])
-            finally:
-                self._restore(snap)
-        if any("buf" in branch for branch in kinds):
-            raise _Unsupported("scf.if yielding a memref value")
-        return [_V if _V in pair else _U for pair in zip(*kinds)]
-
-    def _emit_branch_result_copies(self, op, yielded, result_kinds) -> None:
-        for result, value, kind in zip(op.results, yielded, result_kinds):
-            source = self.ref(value)
-            if kind == _V and self.kind_of(value) == _U:
-                source = f"_v_bcast({source}, _N, {_np_dtype_name(result)})"
-            target = self.define(result, kind)
-            self.emit(f"{target} = {source}")
+    def _as_kind_of(self, target, value) -> str:
+        """``value`` in the representation of ``target``, which it flows into."""
+        if self.kind_of(target) == _V and self.kind_of(value) == _U:
+            return f"_v_bcast({self.ref(value)}, _N, {_np_dtype_name(target)})"
+        return self.ref(value)
 
     def _emit_masked_if(self, op, ctx, branches) -> None:
         defining = op.condition.defining_op()
         if (isinstance(defining, arith._CmpOp) and defining.predicate == "eq"
-                and ((self.is_lane_index(defining.lhs)
+                and ((self.facts.lane_index(defining.lhs)
                       and self.kind_of(defining.rhs) == _U)
-                     or (self.is_lane_index(defining.rhs)
+                     or (self.facts.lane_index(defining.rhs)
                          and self.kind_of(defining.lhs) == _U))):
             # single-lane guard (``if (tid == c)`` with a lane-index-derived
             # operand against a uniform): masked full-width execution would
@@ -631,8 +566,7 @@ class _RegionVectorizer:
         else_tmps = (self._emit_masked_branch(op, ctx, f"~{mvar}", *branches[1])[1]
                      if len(branches) == 2 else [])
         for result, then_tmp, else_tmp in zip(op.results, then_tmps, else_tmps):
-            target = self.define(result, _V)
-            self.emit(f"{target} = np.where({mvar}, {then_tmp}, {else_tmp})")
+            self.emit(f"{self.define(result)} = np.where({mvar}, {then_tmp}, {else_tmp})")
 
     def _emit_masked_branch(self, op, ctx, selected: str, ops, nops,
                             yielded) -> Tuple[str, List[str]]:
@@ -652,8 +586,7 @@ class _RegionVectorizer:
         self._indent += 1
         log_start = len(self._assign_log)
         branch_ctx = _Ctx(mask=mvar, count=nvar)
-        for nested in ops:
-            self.emit_op(nested, branch_ctx)
+        self.emit_block(ops, branch_ctx)
         for tmp, value in zip(tmps, yielded):
             self.emit(f"{tmp} = {self.ref(value)}")
         if not ops and not tmps:
@@ -678,29 +611,8 @@ class _RegionVectorizer:
         body_nops = len(body_ops) + (1 if term is not None else 0)
         yield_vals = list(term.operands) if isinstance(term, scf.YieldOp) else []
         cost = op_cost("scf.for")
-        self._depth += 1
-        if self._depth > _MAX_NESTING:
-            self._depth -= 1
-            raise _Unsupported("control-flow nesting too deep to vectorize")
-
-        # fixpoint classification of the loop-carried kinds
-        iter_kinds = [self.kind_of(value) for value in op.iter_init]
-        while True:
-            snap = self._snapshot()
-            try:
-                self._bind_iter_kinds(op, iter_kinds)
-                for nested in body_ops:
-                    self.emit_op(nested, ctx)
-                new_kinds = [_V if (old == _V or self.kind_of(value) == _V) else _U
-                             for old, value in zip(iter_kinds, yield_vals)]
-                if any(self.kind_of(value) == "buf" for value in yield_vals):
-                    raise _Unsupported("scf.for carrying a memref value")
-            finally:
-                self._restore(snap)
-            if new_kinds == iter_kinds:
-                break
-            iter_kinds = new_kinds
-
+        if any(self.kind_of(value) == "buf" for value in (*op.iter_init, *yield_vals)):
+            raise _Unsupported("scf.for carrying a memref value")
         self.charge(cost, ctx)
         lb = self.fc._name("lb")
         ub = self.fc._name("ub")
@@ -714,41 +626,21 @@ class _RegionVectorizer:
         # emits, so ctx.count > 0 whenever these lines run.
         self.emit(f"if {st} <= 0:")
         self.emit("    raise _IE('scf.for requires a positive step')")
-        self._bind_iter_kinds(op, iter_kinds)
-        for arg, init, kind in zip(op.iter_args, op.iter_init, iter_kinds):
-            source = self.ref(init)
-            if kind == _V and self.kind_of(init) == _U:
-                source = f"_v_bcast({source}, _N, {_np_dtype_name(arg)})"
-            self.emit(f"regs[{self.slot(arg)}] = {source}")
+        for arg, init in zip(op.iter_args, op.iter_init):
+            self.emit(f"regs[{self.slot(arg)}] = {self._as_kind_of(arg, init)}")
         self.emit(f"{iv} = {lb}")
         self.emit(f"while {iv} < {ub}:")
         self._indent += 1
-        iv_target = self.define(op.induction_var, _U)
-        self.emit(f"{iv_target} = {iv}")
+        self.emit(f"{self.define(op.induction_var)} = {iv}")
         self.count_ops(body_nops, ctx.count)
-        for nested in body_ops:
-            self.emit_op(nested, ctx)
-        for arg, value, kind in zip(op.iter_args, yield_vals, iter_kinds):
-            source = self.ref(value)
-            if kind == _V and self.kind_of(value) == _U:
-                source = f"_v_bcast({source}, _N, {_np_dtype_name(arg)})"
-            self.emit(f"regs[{self.slot(arg)}] = {source}")
+        self.emit_block(body_ops, ctx)
+        for arg, value in zip(op.iter_args, yield_vals):
+            self.emit(f"regs[{self.slot(arg)}] = {self._as_kind_of(arg, value)}")
         self.emit(f"{iv} += {st}")
         self.emit(f"w[-1] += {cost!r} * {ctx.count}")
         self._indent -= 1
-        for result, arg, kind in zip(op.results, op.iter_args, iter_kinds):
-            target = self.define(result, kind)
-            self.emit(f"{target} = regs[{self.slot(arg)}]")
-        self._depth -= 1
-
-    def _bind_iter_kinds(self, op, iter_kinds: List[str]) -> None:
-        self.kinds.pop(self.slot(op.induction_var), None)
-        for arg, kind in zip(op.iter_args, iter_kinds):
-            slot = self.slot(arg)
-            if kind == _V:
-                self.kinds[slot] = _V
-            else:
-                self.kinds.pop(slot, None)
+        for result, arg in zip(op.results, op.iter_args):
+            self.emit(f"{self.define(result)} = regs[{self.slot(arg)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +657,8 @@ def lanes(fc: _FunctionCompiler, region: _Region):
     program, plan = fc.program, region.plan
     stats = program.vector_stats
     iv_slots = region.index_slots
-    rv = _RegionVectorizer(fc)
-    for slot in iv_slots:
-        rv.mark_lane_index(slot)  # region lanes ARE the thread indices
     try:
-        phase = rv.vectorize_phase(*plan.phases[0])
+        phase = _RegionVectorizer(fc, plan.lanes).vectorize_phase(*plan.phases[0])
     except _Unsupported as exc:
         stats["fallback_regions"] += 1
         plan.refuse("vectorized", str(exc))
@@ -801,9 +690,9 @@ class VectorizedEngine(CompiledEngine):
     """Drop-in engine executing whole thread grids as NumPy array operations.
 
     Shares the compiled engine's API, caching and cost semantics; spans
-    whose body passes the vectorizer's analysis run as full-grid NumPy code,
-    every other region runs on the compiled closures.  Outputs and :class:`CostReport` fields stay
-    bit-identical to the interpreter.
+    whose every op has a lane form run as full-grid NumPy code, every other
+    region runs on the compiled closures.  Outputs and :class:`CostReport`
+    fields stay bit-identical to the interpreter.
     """
 
     ROW = "vectorized"

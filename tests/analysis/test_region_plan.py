@@ -21,7 +21,9 @@ import pytest
 
 from repro.analysis import contains_barrier
 from repro.analysis.region import LAUNCH, PARALLEL, SIMT, WSLOOP, RegionPlans
-from repro.analysis.store_safety import _StoreSafety, span_required_dims
+from repro.analysis.lanes import LaneFacts
+from repro.analysis.store_safety import span_required_dims
+from repro.analysis.structure import split_executed
 from repro.dialects import func as func_d, gpu as gpu_d, omp as omp_d, scf
 from repro.frontend import compile_cuda
 from repro.moccuda import MocCUDASession
@@ -32,6 +34,7 @@ from repro.runtime import (A64FX_CMG, XEON_8375C, Interpreter, MulticoreEngine,
                            native_available, shutdown_worker_pools)
 from repro.runtime.codegen_c import RegionCodegen, UnsupportedRegion
 from repro.runtime.compiler import UNLOWERED, invalidate_compiled, program_for
+from repro.runtime.vectorizer import _RegionVectorizer
 from repro.transforms import PipelineOptions
 from tests.helpers import FUZZ_PIPELINES, generate_fuzz_kernel
 
@@ -141,13 +144,13 @@ def _check_plans(label, module, entry, arguments):
             direct = None  # un-lowered: no tier runs it concurrently
         elif isinstance(op, omp_d.OmpWsLoopOp):
             assert plan.kind == WSLOOP, where
-            direct, _ = span_required_dims(module, op)
+            direct, _ = span_required_dims(module, op, LaneFacts(op))
         elif contains_barrier(op, immediate_region_only=True):
             assert plan.kind == SIMT, where
             direct = None
         else:
             assert plan.kind == PARALLEL, where
-            direct, _ = span_required_dims(module, op)
+            direct, _ = span_required_dims(module, op, LaneFacts(op))
         assert plan.parallel_proof == direct, where
 
         captured = _captured_values(op)
@@ -243,17 +246,18 @@ class TestLoweredTraffic:
 
 @needs_cc
 class TestAnalysedOnce:
-    def test_cold_auto_tune_runs_store_safety_once_per_region(self, monkeypatch):
-        """``auto`` builds the native and the multicore program of a module;
-        both ask for the proof, the analysis runs once."""
+    def test_auto_runs_the_lane_pass_once_per_span(self, monkeypatch):
+        """``auto`` builds the vectorized, the native and the multicore
+        program of a module; the first reads the lane facts to emit lanes,
+        the others ask for the proof over them, the pass runs once."""
         runs = []
-        real_run = _StoreSafety.run
+        real_init = LaneFacts.__init__
 
-        def counting_run(self, ops):
-            runs.append(ops)
-            return real_run(self, ops)
+        def counting_init(self, op):
+            runs.append(op)
+            real_init(self, op)
 
-        monkeypatch.setattr(_StoreSafety, "run", counting_run)
+        monkeypatch.setattr(LaneFacts, "__init__", counting_init)
         regions = 0
         for name in sorted(BENCHMARKS):
             bench = BENCHMARKS[name]
@@ -262,7 +266,8 @@ class TestAnalysedOnce:
             executor = make_executor(module, engine="auto", workers=2)
             executor.run(bench.entry, bench.make_inputs(1))
             measured = executor.auto_stats["measurements"]
-            assert any(tag.startswith("native") for tag in measured), name
+            for row in ("vectorized", "native", "multicore"):
+                assert any(tag.startswith(row) for tag in measured), (name, row)
             regions += len(_region_ops(module, bench.entry))
         assert regions == 13
         assert len(runs) == regions
@@ -359,10 +364,9 @@ class TestRefusalReasons:
 
     @pytest.mark.parametrize("engine_cls", [VectorizedEngine, MulticoreEngine,
                                             NativeEngine])
-    def test_non_dyadic_machine_is_reported(self, engine_cls):
-        """Kept under its old name; the contract flipped: there is nothing
-        to report.  Every charge lies on the cycle grid, so a machine whose
-        own constants do not is no reason to refuse a tier."""
+    def test_a64fx_refuses_no_tier(self, engine_cls):
+        """Every charge lies on the cycle grid, whatever the machine's own
+        constants: A64FX spans run on the tier asked for, nothing reported."""
         ((tier, refusals),) = _refusals(engine_cls, OWNED_CUDA,
                                         [np.zeros(64, np.float32), 64],
                                         lower=True, machine=A64FX_CMG)
@@ -442,6 +446,65 @@ class TestTowerCensus:
                    if "is_shared_memref(" in text}
         assert callers == {"interpreter.py"}
         assert not any("straight = all(" in text for text in sources.values())
+
+    def test_one_lane_analysis(self):
+        """The lane lattice and its transfer functions live in one module;
+        the vectorizer reads them off the plan instead of classifying by
+        dry-run emission."""
+        package = ROOT / "src" / "repro"
+        holders = {path.relative_to(package).as_posix()
+                   for layer in ("analysis", "runtime")
+                   for path in (package / layer).glob("*.py")
+                   if re.search(r"isinstance\(op, arith\.(AddI|SubI|MulI)Op\)",
+                                path.read_text())}
+        # affine.py: the pre-lowering affine forms cpuify's own passes read
+        assert holders == {"analysis/lanes.py", "analysis/affine.py"}
+        vectorizer = self._sources()["vectorizer.py"]
+        for gone in ("_snapshot", "_restore", "lane_taint", "taint_bufs",
+                     "_MAX_NESTING", "_join_branch_kinds", "_bind_iter_kinds",
+                     "require_exact"):
+            assert gone not in vectorizer, gone
+        for reader in ("native.py", "multicore.py"):
+            assert "plan.parallel_proof" in self._sources()[reader]
+            assert ".lanes" not in self._sources()[reader].replace("vectorizer:lanes", "")
+
+    def test_the_vectorizer_emits_each_op_once(self, monkeypatch):
+        """Kinds come from the plan, not from dry runs: over Rodinia ×
+        ``all_optimizations`` a vectorized span costs one ``emit_op`` per
+        executed op (up to 7.7 per op before), a declined one fewer."""
+        def executed(op):
+            return 1 + sum(executed(nested) for region in op.regions
+                           for block in region.blocks
+                           for nested in split_executed(block)[0])
+
+        spans = []  # [vectorizer, ops in its span, emit_op calls]
+        real_phase = _RegionVectorizer.vectorize_phase
+        real_emit = _RegionVectorizer.emit_op
+
+        def vectorize_phase(self, ops, nops):
+            spans.append([self, sum(map(executed, ops)), 0])
+            return real_phase(self, ops, nops)
+
+        def emit_op(self, op, ctx):
+            assert spans[-1][0] is self
+            spans[-1][2] += 1
+            return real_emit(self, op, ctx)
+
+        monkeypatch.setattr(_RegionVectorizer, "vectorize_phase", vectorize_phase)
+        monkeypatch.setattr(_RegionVectorizer, "emit_op", emit_op)
+        vectorized = 0
+        for name in sorted(BENCHMARKS):
+            bench = BENCHMARKS[name]
+            engine = VectorizedEngine(
+                bench.compile_cuda(PipelineOptions.all_optimizations()))
+            engine.run(bench.entry, bench.make_inputs(1))
+            tiers = [region["tier"] for region in engine.regions]
+            assert len(spans) == len(tiers) and tiers, name
+            for tier, (_, ops, calls) in zip(tiers, spans):
+                assert calls == ops if tier == "vectorized" else calls < ops, name
+            vectorized += tiers.count("vectorized")
+            del spans[:]
+        assert vectorized == 10  # 9 of the 12 kernels; srad_v1 holds two spans
 
     def test_analysis_and_transforms_do_not_import_the_runtime(self):
         for package in ("analysis", "transforms"):

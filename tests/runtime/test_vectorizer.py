@@ -96,10 +96,10 @@ class TestRegionSelection:
         assert region["tier"] == "closures"
         assert region["refusals"] == [f"vectorized: {UNLOWERED[LAUNCH]}"]
 
-    def test_a64fx_disables_vectorization(self):
-        """Kept under its old name; the contract flipped.  A64FX's access
-        costs are charged on the cycle grid, so its spans vectorize and the
-        analytic totals equal the interpreter's sequential sum."""
+    def test_a64fx_spans_vectorize(self):
+        """A64FX's access costs are charged on the cycle grid, so its spans
+        vectorize and the analytic totals equal the interpreter's
+        sequential sum."""
         bench = BENCHMARKS["matmul"]
         module = bench.compile_cuda(PipelineOptions.all_optimizations())
         (interp, interp_args), (engine, vector_args) = run_both(
@@ -110,6 +110,50 @@ class TestRegionSelection:
         for index in bench.output_indices:
             np.testing.assert_array_equal(interp_args[index], vector_args[index])
         assert report_fields(interp.report) == report_fields(engine.report)
+
+
+    @pytest.mark.parametrize("depth, trips", [(12, 4), (40, 32)])
+    def test_a_nest_deeper_than_ten_levels_vectorizes(self, depth, trips):
+        """Alternating ``scf.for`` / ``scf.if`` levels, a value carried
+        through each: every op is emitted once, so depth costs nothing (the
+        dry-run classifier doubled its work per level and gave up past ten),
+        and past CPython's static nesting limit a block is its own function."""
+        module, fn, builder = build_function("main", [memref((16,), F32), INDEX],
+                                             ["out", "n"])
+        out, n = fn.arguments
+        loop, inner = build_parallel(builder, 16)
+        tid = loop.induction_vars[0]
+
+        def nest(b, depth, acc):
+            if depth == 0:
+                lane = b.insert(arith.SIToFPOp(tid, F32)).result
+                return b.insert(arith.AddFOp(acc, lane)).result
+            if depth % 2:
+                level = b.insert(scf.ForOp(const_index(b, 0),
+                                           const_index(b, 2 if depth % 8 == 1 else 1),
+                                           const_index(b, 1), [acc]))
+                body = Builder.at_end(level.body)
+                body.insert(scf.YieldOp([nest(body, depth - 1, level.iter_args[0])]))
+            else:
+                cond = b.insert(arith.CmpIOp("lt", tid, n)).result
+                level = b.insert(scf.IfOp(cond, [F32]))
+                taken = Builder.at_end(level.then_block)
+                taken.insert(scf.YieldOp([nest(taken, depth - 1, acc)]))
+                Builder.at_end(level.else_block).insert(scf.YieldOp([acc]))
+            return level.results[0]
+
+        total = nest(inner, depth, inner.insert(arith.constant_float(0.0)).result)
+        inner.insert(memref_d.StoreOp(total, out, [tid]))
+        close_parallel(inner)
+        finish_function(builder)
+        verify(module)
+
+        (interp, interp_args), (engine, vector_args) = run_both(
+            module, "main", lambda: [np.zeros(16, dtype=np.float32), 11])
+        np.testing.assert_array_equal(interp_args[0], vector_args[0])
+        assert interp_args[0][10] == 10.0 * trips and interp_args[0][11] == 0.0
+        assert report_fields(interp.report) == report_fields(engine.report)
+        assert engine.vector_stats == {"vectorized_regions": 1, "fallback_regions": 0}
 
 
 class TestFallbackParity:

@@ -40,12 +40,22 @@ emits every module a second time under ``A64FX_CMG`` and fails if any
 source differs from the default machine's: the C is machine-independent
 (charges arrive through the ``K`` argument), so one ``.so`` serves both.
 
+``--cc-time [flags…]`` is what the emitted C costs to build, the 80% of a
+cold start: per lowered module its C bytes, how many copies of the span
+loop each region function holds (two under a store-safety proof — the
+pragma loop and the plain one — one without) and the ``cc`` wall time,
+fastest of ``CC_REPEATS``, under the engine's own flags followed by each
+given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
+-O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).
+``--only corpus`` restricts it to the labels with that prefix.
+
 Usage, from any checkout::
 
     python benchmarks/emitted_snapshot.py --out change.json
     python benchmarks/emitted_snapshot.py --root /path/to/parent --out parent.json
     python benchmarks/emitted_snapshot.py --diff parent.json change.json
     python benchmarks/emitted_snapshot.py --c-digest
+    python benchmarks/emitted_snapshot.py --only corpus --cc-time -O1 -O2 -O3
 """
 
 from __future__ import annotations
@@ -56,12 +66,20 @@ import hashlib
 import json
 import os
 import re
+import statistics
+import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
 FUZZ_SEEDS = 60
+#: ``--cc-time`` reports the fastest of this many ``cc`` runs per unit.
+CC_REPEATS = 5
+#: the head of a span loop: one per copy of a region's body in its function.
+SPAN_LOOP = "for (int64_t lin = 0; lin < total; ++lin) {"
 
 
 def _unlowered(label: str) -> bool:
@@ -135,6 +153,16 @@ def _spy_units() -> list:
     return units
 
 
+def _emitted_c(units: list, build, entry, make_args, **executor_options) -> list:
+    """The assembled C sources of one module's native units (``units`` is
+    :func:`_spy_units`' list), sorted."""
+    from repro.runtime import make_executor
+
+    del units[:]
+    make_executor(build(), engine="native", **executor_options).run(entry, make_args())
+    return sorted(source for _, source in units)
+
+
 def snapshot(root: Path) -> dict:
     modules = _modules(root)
     from repro.runtime import compiler, make_executor, vectorizer
@@ -162,6 +190,7 @@ def snapshot(root: Path) -> dict:
                 row[engine]["unit_keys"] = sorted(key for key, _ in units)
                 row[engine]["c_sha"] = _digest(
                     source for _, source in sorted(units))
+                row[engine]["c_bytes"] = sum(len(source) for _, source in units)
         record[label] = row
     return record
 
@@ -171,7 +200,7 @@ def c_digest(root: Path) -> int:
     compare it with the committed line; check that the sources do not depend
     on the machine model (module docstring)."""
     modules = [module for module in _modules(root) if not _unlowered(module[0])]
-    from repro.runtime import A64FX_CMG, XEON_8375C, make_executor, native
+    from repro.runtime import A64FX_CMG, XEON_8375C, native
 
     if not native.native_available():
         print("cc -fopenmp unavailable: no native unit seals here - "
@@ -180,16 +209,10 @@ def c_digest(root: Path) -> int:
     units = _spy_units()
     sources = []
     machine_dependent = []
-
-    def emit(build, entry, make_args, machine):
-        del units[:]
-        make_executor(build(), engine="native", machine=machine).run(entry, make_args())
-        return sorted(source for _, source in units)
-
     for label, *module in modules:
-        default = emit(*module, XEON_8375C)
+        default = _emitted_c(units, *module, machine=XEON_8375C)
         sources.extend(default)
-        if emit(*module, A64FX_CMG) != default:
+        if _emitted_c(units, *module, machine=A64FX_CMG) != default:
             machine_dependent.append(label)
     if machine_dependent:
         print(f"the emitted C depends on the machine model in "
@@ -211,6 +234,58 @@ def c_digest(root: Path) -> int:
         print(f"committed: {committed}\nNATIVE_FORMAT moved: commit the line "
               "above as benchmarks/emitted_c.sha256", file=sys.stderr)
     return 1
+
+
+def body_copies(source: str) -> list:
+    """Per region function of one assembled unit, how many span loops — copies
+    of the region's body — it holds."""
+    return [function.count(SPAN_LOOP) for function in source.split("\nvoid ")[1:]]
+
+
+def cc_time(root: Path, flags, only: str) -> int:
+    """Print the ``--cc-time`` table (module docstring)."""
+    modules = [module for module in _modules(root)
+               if not _unlowered(module[0]) and module[0].startswith(only)]
+    import corpus
+    from repro.runtime import native
+
+    if not native.native_available():
+        print("cc -fopenmp unavailable: no native unit seals here - cc timing skipped")
+        return 0
+    units = _spy_units()
+    base = [*native.compiler_command(), *native.compiler_flags()]
+    columns = [[flag] for flag in flags] or [[]]
+    print(f"{' '.join(base)}  (fastest of {CC_REPEATS}, seconds)")
+    print(f"{'module':32s} {'C bytes':>8s}  " + "  ".join(
+        f"{' '.join(column) or 'as built':>8s}" for column in columns) + "  body copies")
+    groups = {}
+    with tempfile.TemporaryDirectory(prefix="repro-cc-time-") as temp:
+        source_path, output = os.path.join(temp, "unit.c"), os.path.join(temp, "unit.so")
+
+        def build(column) -> float:
+            began = time.perf_counter()
+            subprocess.run([*base, *column, source_path, "-o", output], check=True)
+            return time.perf_counter() - began
+
+        for label, *module in modules:
+            sources = _emitted_c(units, *module)
+            seconds = [0.0] * len(columns)
+            for source in sources:
+                Path(source_path).write_text(source)
+                for index, column in enumerate(columns):
+                    seconds[index] += min(build(column) for _ in range(CC_REPEATS))
+            copies = [count for source in sources for count in body_copies(source)]
+            print(f"{label:32s} {sum(map(len, sources)):8d}  "
+                  + "  ".join(f"{value:8.3f}" for value in seconds)
+                  + "  " + " ".join(map(str, copies)))
+            group, _, name = label.partition("/")
+            groups.setdefault(group, []).append(seconds)
+            if name in corpus.COLD_SET:
+                groups.setdefault("cold set", []).append(seconds)
+    for key, rows in groups.items():
+        print(f"{f'geomean ms, {key} ({len(rows)})':41s}  " + "  ".join(
+            f"{1e3 * statistics.geometric_mean(column):8.1f}" for column in zip(*rows)))
+    return 0
 
 
 #: a slot reference or a generated name (``_f12``, ``_vphase3``, ``_t7``).
@@ -274,6 +349,12 @@ def diff(parent_path: str, change_path: str) -> int:
           f"{len(c_differing)} of {len(lowered)}")
     for label in c_differing:
         print(f"  DIFFERS (C) {label}")
+
+    def c_bytes(record):
+        return sum(record.get(label, {}).get("native", {}).get("c_bytes", 0)
+                   for label in lowered)
+
+    print(f"lowered: C bytes parent -> change {c_bytes(parent)} -> {c_bytes(change)}")
     unlowered = [label for label in labels if _unlowered(label)]
     emitting = [label for label in unlowered if native(change, label)[0]]
     gone = [label for label in unlowered
@@ -328,11 +409,18 @@ def main() -> int:
     parser.add_argument("--diff", nargs=2, metavar=("PARENT", "CHANGE"))
     parser.add_argument("--c-digest", action="store_true",
                         help="check the emitted C against benchmarks/emitted_c.sha256")
+    parser.add_argument("--only", default="", metavar="PREFIX",
+                        help="--cc-time: only the modules whose label starts with PREFIX")
+    parser.add_argument("--cc-time", nargs=argparse.REMAINDER, metavar="FLAG",
+                        help="time cc on the emitted C, once per FLAG appended to the "
+                             "engine's flags (must come last on the command line)")
     args = parser.parse_args()
     if args.diff:
         return diff(*args.diff)
     if args.c_digest:
         return c_digest(Path(args.root).resolve())
+    if args.cc_time is not None:
+        return cc_time(Path(args.root).resolve(), args.cc_time, args.only)
     record = snapshot(Path(args.root).resolve())
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True))
     print(f"{len(record)} modules -> {args.out}")

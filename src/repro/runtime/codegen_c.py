@@ -8,9 +8,11 @@ emits one C function per region: a loop over the linearized iteration
 space, executed under ``#pragma omp parallel for`` when the write-write
 store-safety analysis (:mod:`repro.analysis.store_safety`) proves the region
 shard-safe (and sequentially otherwise — sequential C is still far faster
-than Python closures); the same proof also unlocks ``#pragma omp simd`` on
-the innermost loop (dispatch ``mode`` bit 1), statically disabled when the
-body calls libm functions whose vector variants are not IEEE-exact.
+than Python closures).  The pragma sits on that linearized span loop and
+reads ``parallel for simd`` unless the body calls libm functions whose
+vector variants are not IEEE-exact; the dispatcher's ``mode`` flag selects
+it or the plain copy of the loop, and a span without a proof is emitted as
+the plain loop alone.
 
 Spans are all there is to emit: ``__syncthreads`` is removed in the IR by
 cpuify (parallel-loop fission, min-cut value caching, interchange — the
@@ -161,10 +163,10 @@ class RegionSpec:
     num_dims: int = 0
     #: the machine-dependent cycle charges the C reads as ``K[j]``.
     costs: List[float] = field(default_factory=list)
-    #: the emitted C contains `#pragma omp simd` variants the
-    #: dispatcher may select (mode bit 1) when the store-safety/alias proof
-    #: holds.  Statically false when the body calls libm functions whose
-    #: vector variants are not IEEE-exact, or inlines other functions.
+    #: the emitted C's team loop is `parallel for simd`.  Statically false
+    #: when the span has no store-safety proof (it has no team loop at all),
+    #: when the body calls libm functions whose vector variants are not
+    #: IEEE-exact, or when it inlines other functions.
     simd_ok: bool = False
 
 
@@ -625,7 +627,6 @@ class RegionCodegen:
         self._precheck(ops)
         num_dims = len(op.induction_vars)
         self.spec.num_dims = num_dims
-        self.spec.simd_ok = self._simd_eligible(ops)
         for value in self.plan.live_ins:
             self._bind_livein(value)
 
@@ -647,6 +648,8 @@ class RegionCodegen:
             body.w(f"const int64_t {name} = RLB[{dim}] + q{dim} * RST[{dim}];")
         self._emit_block(op.body)
         self.out = header
+        proven = self.plan.parallel_proof is not None
+        self.spec.simd_ok = proven and self._simd_eligible(ops)
 
         # the live-in ABI and the body's charges, then the span's bounds
         self.out.lines += [
@@ -676,23 +679,20 @@ class RegionCodegen:
             out.append("    }")
             return out
 
-        # mode bit 0: OpenMP worksharing (store-safety proof + ≥64 units);
-        # mode bit 1: innermost SIMD (same proof, no size threshold).
-        if self.spec.simd_ok:
-            lines.append("    if ((mode & 1) && (mode & 2)) {")
-            lines += loop("#pragma omp parallel for simd schedule(static) "
-                          + reductions)
-            lines.append("    } else if (mode & 1) {")
-            lines += loop("#pragma omp parallel for schedule(static) "
-                          + reductions)
-            lines.append("    } else if (mode & 2) {")
-            lines += loop("#pragma omp simd " + reductions)
-            lines.append("    } else {")
+        # The body is printed at most twice: once under the pragma (`mode`,
+        # the dispatcher's store-safety/alias proof and >= 64 units) and once
+        # plain; a span with no proof is the plain loop alone.  One body under
+        # `if(parallel: mode) if(simd: mode)` compiles faster still and was
+        # rejected: an unproven or aliased dispatch must execute a loop that
+        # carries NO OpenMP directive (a false `if(simd:)` only lowers the
+        # preferred simdlen, the safelen assertion stays on the loop), and
+        # GOMP_parallel on every small dispatch costs about 10 us a launch.
+        if not proven:
             lines += loop(None)
-            lines.append("    }")
         else:
-            lines.append("    if (mode & 1) {")
-            lines += loop("#pragma omp parallel for schedule(static) "
+            simd = " simd" if self.spec.simd_ok else ""
+            lines.append("    if (mode) {")
+            lines += loop(f"#pragma omp parallel for{simd} schedule(static) "
                           + reductions)
             lines.append("    } else {")
             lines += loop(None)
@@ -710,7 +710,6 @@ class RegionCodegen:
 # ---------------------------------------------------------------------------
 PRELUDE_HEAD = r"""
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 
@@ -722,6 +721,7 @@ PRELUDE_HEAD = r"""
 
 
 def assemble_unit(functions: Sequence[str]) -> str:
-    """One self-contained C translation unit from emitted region functions."""
-    return (PRELUDE_HEAD + optable.c_prelude_helpers() + "\n\n"
-            + "\n\n".join(functions) + "\n")
+    """One self-contained C translation unit from emitted region functions,
+    under the :mod:`optable` helpers they call."""
+    body = "\n\n".join(functions)
+    return PRELUDE_HEAD + optable.c_prelude_helpers(body) + "\n\n" + body + "\n"

@@ -81,7 +81,10 @@ CC_ENV_VAR = "REPRO_CC"
 #: 3: span `par_ok` became a `mode` bitmask (bit 0 parallel, bit 1 simd).
 #: 4: block charges come in through the `K` argument instead of literals
 #: (machine-independent C); `outi` lost its dead SIMT-phase slot.
-NATIVE_FORMAT = 4
+#: 5: `mode` is one flag and a span body is printed at most twice (the
+#: pragma loop and the plain loop; the plain loop alone without a proof);
+#: the prelude holds only the helpers the unit calls, no `<stdlib.h>`.
+NATIVE_FORMAT = 5
 
 #: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
@@ -95,6 +98,10 @@ def compiler_command() -> List[str]:
 def compiler_flags() -> List[str]:
     """Flags for building region shared objects.
 
+    ``-O3`` is the lowest level whose kernels stay inside the spread of
+    ``-O3``'s own runs (README, "The ``-O`` level is measured"): ``-O1``
+    builds the emitted C twice as fast and runs ``pathfinder`` 7-11% and
+    ``streamcluster`` 6% slower, ``-O2`` runs ``pathfinder`` 3-4% slower.
     ``-ffp-contract=off`` matters for bit-identical outputs: GCC contracts
     ``a*b+c`` into fused multiply-adds by default at ``-O3``, which rounds
     differently from the Python engines' separate multiply and add.
@@ -503,15 +510,14 @@ class _RegionHandle:
                     cursor += 1
                 intervals.append((address, address + array.nbytes, stored))
             ranges, total = _iteration_space(regs, *bounds)
-            # one store-safety/alias proof gates both execution modes: OpenMP
-            # teams additionally need enough units to amortize, SIMD needs the
-            # emitter to have proven the inner loop serializable-exact.
+            # the pragma loop needs the store-safety proof to hold for these
+            # live-ins and enough units to amortize a team; anything else runs
+            # the plain loop, which carries no OpenMP directive.
             required = self.required_dims
-            proof = (required is not None
-                     and not self._overlapping(intervals)
-                     and all(len(ranges[dim]) == 1 for dim in required))
-            mode = ((1 if proof and total >= _MIN_PARALLEL_UNITS else 0)
-                    | (2 if proof and spec.simd_ok else 0))
+            mode = (required is not None
+                    and total >= _MIN_PARALLEL_UNITS
+                    and not self._overlapping(intervals)
+                    and all(len(ranges[dim]) == 1 for dim in required))
             for index, axis in enumerate(ranges):
                 lbs[index] = axis.start
                 steps[index] = axis.step

@@ -316,6 +316,10 @@ def access_charge_lines(machine: MachineModel, space: str, itemsize: str,
             f"        report.global_bytes += {itemsize}{times}"]
 
 
-def c_prelude_helpers() -> str:
-    """The C definitions the rows' ``c`` forms call, in row order."""
-    return "".join(dict.fromkeys(row.helper for row in ROWS.values()))
+def c_prelude_helpers(functions: str) -> str:
+    """The C definitions the rows' ``c`` forms call, in row order: those of
+    the rows the emitted text ``functions`` uses (a row with a helper has
+    the ``c`` form ``<helper name>(...)``)."""
+    return "".join(dict.fromkeys(
+        row.helper for row in ROWS.values()
+        if row.helper and row.c.partition("(")[0] + "(" in functions))

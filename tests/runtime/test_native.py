@@ -22,6 +22,7 @@ CostReports bit for bit; this file covers the machinery around them:
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
 from tests.helpers import generate_fuzz_kernel, report_fields
 
+ROOT = Path(__file__).resolve().parents[2]
 HAVE_CC = native_available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working cc -fopenmp")
 
@@ -322,6 +324,155 @@ class TestDispatchBailouts:
         assert region["bailouts"] == {"budget": 1, "read-only": 1, "dtype": 1}
         assert engine.native_stats["bailouts"] == 3
         assert engine.native_stats["native_dispatches"] == 1
+
+
+# ---------------------------------------------------------------------------
+# One flag, two loops: which copy of a span's body a dispatch runs
+# ---------------------------------------------------------------------------
+def _row_module(through_call=False):
+    """``main(out, in, hi, hj)``: ``out[i] = in[i] + j`` over ``[0, hi) x
+    [0, hj)`` — every ``j`` stores the same cell, so the proof is "dim 1 must
+    be a singleton"; with ``through_call`` the store is made by a callee, and
+    there is no proof at all."""
+    from repro.dialects import arith, func, memref as memref_d, scf
+    from repro.ir import INDEX, Builder, FunctionType, memref, verify
+    from tests.helpers import (build_function, close_parallel, const_index,
+                               finish_function)
+
+    row = memref((128,), INDEX)
+    module, fn, b = build_function("main", [row, row, INDEX, INDEX])
+    out, source, hi, hj = fn.arguments
+    zero, one = const_index(b, 0), const_index(b, 1)
+    span = b.insert(scf.ParallelOp([zero, zero], [hi, hj], [one, one]))
+    inner = Builder.at_end(span.body)
+    i, j = span.induction_vars
+    loaded = inner.insert(memref_d.LoadOp(source, [i])).result
+    value = inner.insert(arith.AddIOp(loaded, j)).result
+    if through_call:
+        poke = func.FuncOp("poke", FunctionType((row, INDEX, INDEX), ()), device=True)
+        module.add_function(poke)
+        callee = Builder.at_end(poke.body_block)
+        buffer, index, stored = poke.arguments
+        callee.insert(memref_d.StoreOp(stored, buffer, [index]))
+        callee.insert(func.ReturnOp())
+        inner.insert(func.CallOp("poke", [out, i, value]))
+    else:
+        inner.insert(memref_d.StoreOp(value, out, [i]))
+    close_parallel(inner)
+    finish_function(b)
+    verify(module)
+    return module, span
+
+
+def _mode_soak():
+    """Subprocess entry (``OMP_NUM_THREADS=2``): the dispatches that must run
+    the plain loop do, 64 proven units take the team, and every one of them
+    equals ``interp`` in outputs and CostReport."""
+    from repro.analysis.region import RegionPlans
+    from repro.runtime import native
+
+    modes = []
+    seal = native.NativeUnit._seal
+
+    def spying_seal(unit):
+        seal(unit)
+        for symbol, function in list(unit.functions.items()):
+            def call(*arguments, function=function):
+                modes.append((arguments[8], bool(arguments[9])))
+                function(*arguments)
+            unit.functions[symbol] = call
+
+    native.NativeUnit._seal = spying_seal
+    proven, span = _row_module()
+    assert RegionPlans(proven).plan(span).parallel_proof == frozenset({1})
+    unproven, span = _row_module(through_call=True)
+    assert RegionPlans(unproven).plan(span).parallel_proof is None
+    cases = [("64 proven units", proven, 64, 1, False, True),
+             ("63 proven units", proven, 63, 1, False, False),
+             ("non-singleton required dim", proven, 64, 2, False, False),
+             ("aliased live-ins", proven, 64, 1, True, False),
+             ("no proof", unproven, 64, 1, False, False)]
+    for name, module, hi, hj, aliased, team in cases:
+        def arguments():
+            out = np.arange(128, dtype=np.int64)
+            return [out, out if aliased else 3 * out, hi, hj]
+
+        expected, got = arguments(), arguments()
+        interp = Interpreter(module)
+        interp.run("main", expected)
+        engine = NativeEngine(module)   # a module's program, and stats, are shared
+        engine.run("main", got)
+        assert modes[-1] == (hi * hj, team), (name, modes[-1])
+        np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
+        assert report_fields(engine.report) == report_fields(interp.report), name
+    for module, dispatches in ((proven, 4), (unproven, 1)):
+        stats = NativeEngine(module).native_stats
+        assert (stats["native_dispatches"], stats["bailouts"]) == (dispatches, 0)
+
+
+def _snapshot_tool():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "emitted_snapshot", ROOT / "benchmarks" / "emitted_snapshot.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+class TestOneFlagTwoLoops:
+    @needs_cc
+    def test_only_a_proven_dispatch_of_64_units_takes_the_team(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.runtime.test_native import _mode_soak; _mode_soak()"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OMP_NUM_THREADS="2",
+                     PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])))
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_a_body_is_printed_once_per_loop_that_can_run(self, monkeypatch):
+        """A region's body is in its unit twice under a store-safety proof —
+        the pragma loop and a plain loop that holds no directive — and once,
+        in a function with no directive at all, without one: over the
+        snapshot tool's 72 lowered modules (every region of which has a
+        proof) and a hand-built span that stores through a callee."""
+        from repro.runtime.codegen_c import assemble_unit
+        from repro.runtime.compiler import program_for
+
+        tool = _snapshot_tool()
+        monkeypatch.setattr(sys, "path", list(sys.path))   # _modules prepends
+        monkeypatch.delenv("REPRO_CACHE", raising=False)   # ... and pops this
+        modules = [(label, build, entry) for label, build, entry, _ in tool._modules(ROOT)
+                   if not tool._unlowered(label)]
+        assert len(modules) == 72
+        modules.append(("no proof", lambda: _row_module(through_call=True)[0], "main"))
+        copies = []
+        for label, build, entry in modules:
+            module = build()
+            program = program_for(module, XEON_8375C, "native")
+            program.function(module.lookup(entry))
+            plans = [plan for _, plan, tier in program.regions if tier == "native"]
+            functions = [source for unit in program.native_units
+                         for source in unit.sources]
+            assert len(plans) == len(functions) >= 1, label
+            unit = assemble_unit(functions)
+            assert tool.body_copies(unit) == [
+                1 if plan.parallel_proof is None else 2 for plan in plans], label
+            copies += tool.body_copies(unit)
+            for function in functions:
+                *pragma_loops, plain = function.split(tool.SPAN_LOOP)[1:]
+                body = plain[:plain.rindex("    }\n    outf[0]")]
+                assert unit.count(body) == 1 + len(pragma_loops), label
+                assert "#pragma" not in plain, label
+                assert function.count("#pragma") == len(pragma_loops), label
+            assert program.native_stats["simd_regions"] == sum(
+                "parallel for simd" in function for function in functions), label
+        assert copies.count(2) == len(copies) - 1 and copies[-1] == 1
+
+    def test_no_mode_bitmask_is_left_in_the_sources(self):
+        for path in (ROOT / "src").rglob("*.py"):
+            assert "mode & " not in path.read_text(), path
 
 
 def _freeing_module():

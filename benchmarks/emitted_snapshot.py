@@ -7,15 +7,16 @@ SIMT-oracle modules and — for op variety the Rodinia kernels lack — the
 differential-fuzz corpus, it runs each module once per engine and records
 
 * the generated Python source of every function the compiled engine
-  finalises (one per function body, region phase and ``omp`` body since
-  PR 15; one per block before) and every phase function the vectorized
-  engine builds (captured at the ``exec`` call), and
+  finalises (one per function body, span body and ``omp`` body) and every
+  phase function the vectorized engine builds (captured at the ``exec``
+  call), and
 * the assembled C source of every native unit with its ``native.unit_key``.
 
 Only the 72 lowered modules emit C: barriers are lowered by cpuify, the
 native engine compiles spans, and the 36 un-lowered modules (``oracle/*``,
-``fuzz-oracle/*``) run on the closure tier under every engine — they stay
-in the snapshot for their generated Python.
+``fuzz-oracle/*``) hand their regions to the interpreter under every engine
+— they emit host Python only (the function that launches the region), and
+stay in the snapshot for it.
 
 ``--diff`` gives two verdicts, because the two kinds of output have
 different contracts.  C sources and unit keys address the ``.so`` cache, so

@@ -4,12 +4,11 @@ The paper's point is that a single high-level form of a parallel construct
 (``scf.parallel`` + ``polygeist.barrier``) serves every consumer unchanged.
 The execution engines are four such consumers — closures, NumPy lanes,
 emitted OpenMP C, worker shards — and what they need to know about a region
-is the same: what kind of region it is, which values it captures, where its
-barriers split it into phases, which buffers are block-shared, how each
+is the same: what kind of region it is, which values it captures, how each
 value of its body depends on the iteration, and whether its iterations may
 really run concurrently.  :class:`RegionPlan` answers those questions once
-per region op; :class:`RegionPlans` memoises the plans
-of one module together with the barrier-reachability walk they share.
+per region op; :class:`RegionPlans` memoises the plans of one module
+together with the barrier-reachability walk the C emitter asks of callees.
 
 Nothing here imports from :mod:`repro.runtime`: the plan states facts about
 the IR, the engines decide what to do with them.  The reference interpreter
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..dialects import func as func_d, gpu as gpu_d, memref as memref_d
+from ..dialects import func as func_d, gpu as gpu_d
 from ..dialects import omp as omp_d
 from ..ir import Operation, Value
 from .lanes import LaneFacts
@@ -41,17 +40,12 @@ class RegionPlan:
     """What every engine needs to know about one region op.
 
     * ``kind`` — :data:`WSLOOP` | :data:`PARALLEL` | :data:`SIMT` |
-      :data:`LAUNCH`; the first two are *spans* (``lower_bounds`` /
-      ``upper_bounds`` / ``steps`` / ``induction_vars``, as are SIMT
-      regions), a launch has ``grid_dims`` / ``block_dims`` / ``block_args``.
-    * ``body_ops`` / ``terminator`` — the executed ops of the region body.
-    * ``phases`` — ``[(ops, dynamic-op count)]``, one entry per
-      barrier-delimited phase, when every barrier sits in straight-line
-      position of the body; ``None`` when one sits under control flow.  Every
-      op, including the barrier itself, counts toward the phase it ends, and
-      the terminator toward the last.  Spans are one phase.
-    * ``shared_allocas`` — the launch body's top-level shared-memory
-      allocas: one buffer per block, bound before the threads run.
+      :data:`LAUNCH`.  The first two are *spans*, the only regions an
+      engine compiles: ``lower_bounds`` / ``upper_bounds`` / ``steps`` /
+      ``induction_vars`` and ``body``, the executed ops of the span body
+      with their dynamic-op count (terminator included).  Un-lowered
+      regions (SIMT, launch) carry no more than ``kind``, ``live_ins`` and
+      ``refusals``: every engine hands them to the interpreter.
     * ``live_ins`` — the values the region captures: the op's own operands,
       then every outside value its body uses, in first-use order.  This
       order is the argument ABI of the emitted C.
@@ -76,52 +70,24 @@ class RegionPlan:
     def __init__(self, plans: "RegionPlans", op: Operation) -> None:
         self.op = op
         self._module = plans.module
-        self.body_ops, self.terminator = split_executed(op.body)
         self.refusals: List[Tuple[str, str]] = []
-        self.shared_allocas: List[Operation] = []
         self._live_ins = self._lanes = self._proof = _UNSET
         if isinstance(op, gpu_d.LaunchOp):
             self.kind = LAUNCH
-            self.grid_dims = tuple(op.grid_dims)
-            self.block_dims = tuple(op.block_dims)
-            self.block_args = tuple(op.body.arguments)
-            self.shared_allocas = [
-                nested for nested in self.body_ops
-                if isinstance(nested, memref_d.AllocaOp)
-                and memref_d.is_shared_memref(nested.result)]
+        elif isinstance(op, omp_d.OmpWsLoopOp):
+            self.kind = WSLOOP
+        elif contains_barrier(op, immediate_region_only=True):
+            self.kind = SIMT
         else:
-            if isinstance(op, omp_d.OmpWsLoopOp):
-                self.kind = WSLOOP
-            elif contains_barrier(op, immediate_region_only=True):
-                self.kind = SIMT
-            else:
-                self.kind = PARALLEL
-            self.lower_bounds = tuple(op.lower_bounds)
-            self.upper_bounds = tuple(op.upper_bounds)
-            self.steps = tuple(op.steps)
-            self.induction_vars = tuple(op.induction_vars)
-        self.phases = self._split_phases(plans)
-
-    def _split_phases(self, plans: "RegionPlans"):
-        ops = self.body_ops
-        tail = 1 if self.terminator is not None else 0
-        if self.kind in (WSLOOP, PARALLEL):
-            return [(ops, len(ops) + tail)]
-        if not all(isinstance(op, BARRIER_OPS) or not plans.op_may_yield(op)
-                   for op in ops):
-            return None
-        phases: List[Tuple[List, int]] = []
-        current: List = []
-        count = 0
-        for op in ops:
-            count += 1
-            if isinstance(op, BARRIER_OPS):
-                phases.append((current, count))
-                current, count = [], 0
-            else:
-                current.append(op)
-        phases.append((current, count + tail))
-        return phases
+            self.kind = PARALLEL
+        if self.kind in (LAUNCH, SIMT):
+            return
+        self.lower_bounds = tuple(op.lower_bounds)
+        self.upper_bounds = tuple(op.upper_bounds)
+        self.steps = tuple(op.steps)
+        self.induction_vars = tuple(op.induction_vars)
+        ops, terminator = split_executed(op.body)
+        self.body = (ops, len(ops) + (1 if terminator is not None else 0))
 
     @property
     def live_ins(self) -> List[Value]:

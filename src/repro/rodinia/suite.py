@@ -236,12 +236,14 @@ def run_benchmark(name: str, *, variant: str = "cuda",
 def verify_benchmark(name: str, options: Optional[PipelineOptions] = None,
                      scale: int = 1, rtol: float = 1e-4,
                      engine: Optional[str] = None) -> bool:
-    """Check that the cpuified CUDA code matches the SIMT oracle bit-for-bit
-    (floats: within tolerance) on this benchmark's outputs."""
+    """Check that the cpuified CUDA code, run on ``engine``, matches the
+    SIMT oracle bit-for-bit (floats: within tolerance) on this benchmark's
+    outputs.  The oracle runs on the interpreter, whatever ``engine`` is:
+    every engine hands an un-lowered region to it."""
     bench = BENCHMARKS[name]
     oracle_args = bench.make_inputs(scale)
     oracle = bench.compile_cuda(cuda_lower=False)
-    make_executor(oracle, engine=engine).run(bench.entry, oracle_args)
+    make_executor(oracle, engine="interp").run(bench.entry, oracle_args)
 
     cpu_args = bench.make_inputs(scale)
     lowered = bench.compile_cuda(options or PipelineOptions.all_optimizations())

@@ -6,11 +6,12 @@ plus a sixth selection that picks among them per kernel:
 * :class:`~repro.runtime.interpreter.Interpreter` — the tree-walking
   reference engine: un-lowered modules run with SIMT (GPU oracle) semantics,
   lowered modules run under the simulated-multicore cost model.  It is the
-  correctness and cost-accounting oracle.
+  correctness and cost-accounting oracle, and the one implementation of
+  barrier semantics.
 * :class:`~repro.runtime.compiler.CompiledEngine` — the default engine: a
   one-time translation of each function to specialized Python closures with
-  SSA slot numbering, compiled barrier phases and lazy iteration spaces.
-  Bit-identical outputs and cost reports, much faster wall clock.
+  SSA slot numbering and lazy iteration spaces.  Bit-identical outputs and
+  cost reports, much faster wall clock.
 * :class:`~repro.runtime.vectorizer.VectorizedEngine` — the compiled engine
   plus whole-grid NumPy execution of spans (the barrier-free parallel loops
   cpuify produces): SSA registers become lane arrays, loads/stores become
@@ -28,10 +29,11 @@ plus a sixth selection that picks among them per kernel:
   "GPU kernels as native OpenMP CPU code" artifact.  Degrades per region
   (and wholesale, without a toolchain) to the compiled engine.
 
-  The three fast tiers take spans only: ``__syncthreads`` is lowered in the
-  IR by cpuify, and un-lowered regions (``gpu.launch``, ``scf.parallel``
-  with barriers — the SIMT oracle) run on the compiled closures under
-  every engine, the refusal named in ``engine.regions``.
+  Every compiled engine compiles spans only: ``__syncthreads`` is lowered
+  in the IR by cpuify, and an un-lowered region (``gpu.launch``,
+  ``scf.parallel`` with barriers — the SIMT oracle) is handed to the
+  interpreter under every engine (``Interpreter.run_region``), the tier
+  ``"interp"`` and the refusal named in ``engine.regions``.
 * :class:`~repro.runtime.autotune.AutoEngine` (``engine="auto"``) — the
   measurement-driven autotuner: the first run of a given
   module/function/argument-shape measures every viable engine configuration

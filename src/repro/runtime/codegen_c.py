@@ -18,7 +18,7 @@ Spans are all there is to emit: ``__syncthreads`` is removed in the IR by
 cpuify (parallel-loop fission, min-cut value caching, interchange — the
 paper's §III-B), so this module holds no barrier lowering of its own, and
 un-lowered regions (``gpu.launch``, ``scf.parallel`` with barriers) run on
-the closure tier (``compiler._FunctionCompiler._unlowered``).
+the interpreter (``compiler._FunctionCompiler._interpreted``).
 
 Scalar ops are emitted as the ``c`` form of their
 :mod:`~repro.runtime.optable` row, and the prelude of every translation

@@ -2,35 +2,30 @@
 
 The tree-walking :class:`~repro.runtime.interpreter.Interpreter` re-dispatches
 on the operation type for every dynamic operation and copies the whole
-environment dictionary per loop iteration and per SIMT thread.  This module
+environment dictionary per loop iteration.  This module
 removes that hot-path overhead by *compiling* each function once:
 
 * **SSA value numbering** — every SSA value of a function gets a flat integer
   slot in a per-invocation register list.  Loop iterations reuse slots in
   place (SSA dominance guarantees dead values are never read), so the
-  per-iteration ``dict(env)`` copy disappears entirely; SIMT threads take a
-  flat ``regs[:]`` list copy instead of a dict copy.
+  per-iteration ``dict(env)`` copy disappears entirely.
 * **whole-function generation** — every op compiles to source lines with
   operand slots, cost constants and type coercions resolved at compile time,
   and a structured op (``scf.for`` / ``scf.if`` / ``scf.while``) is one
   emitter that writes its header and splices its child blocks' lines one
   indent deeper (the ``generate_ast``-style "lower once, execute many"
-  idiom), so a function body, a region phase or an ``omp`` body is *one*
+  idiom), so a function body, a span body or an ``omp`` body is *one*
   generated Python function finalised by one ``exec``: a loop iteration or
   a branch costs no Python call.  Pure scalar ops are rendered from their
   :mod:`~repro.runtime.optable` row; the ops that run once per region
   (allocation, the ``gpu.*`` host ops, ``omp.*``, the region shells) stay
-  bound closures the text calls.  A barrier is the line ``yield _B`` where it
-  stands, so a function is a generator exactly when its text contains one.
-  Past ``_MAX_INLINE_DEPTH`` nested structured ops a child block becomes its
-  own function, because CPython bounds static nesting.
+  bound closures the text calls.  A barrier is the line ``raise _BE()``:
+  every context shell catches it and raises the interpreter's message
+  naming the context.  Past ``_MAX_INLINE_DEPTH`` nested structured ops a
+  child block becomes its own function, because CPython bounds static
+  nesting.  No generated function is a generator.
 * **lazy iteration spaces** — ``scf.parallel`` / ``omp.wsloop`` iteration
   spaces are ``itertools.product`` streams, never materialized lists.
-* **compiled barrier phases** — bodies whose barriers sit in straight-line
-  position compile to an explicit list of *phase functions* executed
-  phase-by-phase over all threads with no generators at all; bodies with
-  barriers under control flow fall back to one compiled *generator* function
-  per thread, scheduled by the same barrier-phase loop the interpreter uses.
 
 Cost accounting is replicated charge-for-charge in the interpreter's
 execution order, so a compiled run produces a bit-identical
@@ -38,7 +33,8 @@ execution order, so a compiled run produces a bit-identical
 ``tests/runtime/test_engine_parity.py`` pin this).  Two deliberate
 differences, both only observable on malformed IR or exhausted budgets: the
 ``max_dynamic_ops`` budget is checked per *block* instead of per op (the
-dynamic-op counter itself stays exact), and use-before-def reads surface as
+dynamic-op counter itself stays exact) up to an un-lowered region, inside
+which the interpreter checks it per op, and use-before-def reads surface as
 ``None`` values instead of a "use of undefined value" error.
 
 This module also hosts what the four compiled engines share: the one
@@ -49,8 +45,9 @@ composes — :func:`closures` here, ``lanes`` in the vectorizer, ``native``
 and ``shards`` in the native and multicore engines.  Planners and
 dispatchers see *spans* only (``omp.wsloop``, barrier-free
 ``scf.parallel``): barriers are lowered in the IR by cpuify, so an
-un-lowered region (``gpu.launch``, ``scf.parallel`` with barriers) runs on
-:func:`closures` under every row, with the refusal named on its plan.
+un-lowered region (``gpu.launch``, ``scf.parallel`` with barriers) is one
+step that runs the interpreter on it (:meth:`Interpreter.run_region`) under
+every row, with the refusal named on its plan.
 
 Compiled programs are cached on the module object itself, keyed by the
 engine row and the machine model (cost constants are baked into the
@@ -63,7 +60,6 @@ from __future__ import annotations
 
 from functools import partial
 from importlib import import_module
-from inspect import isgeneratorfunction
 from itertools import islice, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,11 +71,10 @@ from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
                         memory_access_cost, op_cost)
 from .errors import InterpreterError
+from .interpreter import Interpreter
 from .memory import MemRefStorage, wrap_argument
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
                       row_for)
-
-_BARRIER = object()  # yielded by generated generator functions at barriers
 
 #: how many structured ops nest their child blocks inline in one generated
 #: function; a child block deeper than this is finalised as its own function
@@ -92,7 +87,8 @@ _CACHE_ATTR = "_compiled_programs"
 
 
 class _BarrierEscape(Exception):
-    """A barrier executed in a context that cannot suspend (compiled code)."""
+    """A barrier reached in compiled code; the enclosing context shell names
+    the context in the interpreter's words."""
 
 
 class _State:
@@ -118,25 +114,23 @@ class _State:
 
 
 class _CompiledFunction:
-    """One compiled function: register template + body runner, a generator
-    function (``is_gen``) exactly when the IR function may reach a barrier."""
+    """One compiled function: register template + body runner."""
 
-    __slots__ = ("template", "arg_slots", "return_slots", "runner", "is_gen")
+    __slots__ = ("template", "arg_slots", "return_slots", "runner")
 
     def __init__(self, template: List, arg_slots: List[int],
-                 return_slots: List[int], runner: Callable, is_gen: bool) -> None:
+                 return_slots: List[int], runner: Callable) -> None:
         self.template = template
         self.arg_slots = arg_slots
         self.return_slots = return_slots
         self.runner = runner
-        self.is_gen = is_gen
 
 
 #: the four engines as fixed rows: which *body planner* turns a span's body
 #: into a runner, which *dispatcher* (if any) may take a whole span
 #: elsewhere, with the shell's in-process run as its fallback, and the
 #: ``(stats, counter)`` in which the row counts a region its fast tier
-#: declined.  Both callables are handed spans only (``_unlowered``).  Named
+#: declined.  Both callables are handed spans only (``_interpreted``).  Named
 #: ``module:function`` and resolved on first use, because those modules
 #: import this one.
 _ROWS = {
@@ -250,58 +244,6 @@ def invalidate_compiled(module: func_d.ModuleOp) -> None:
         delattr(module, _CACHE_ATTR)
 
 
-def build_launch_thread_regs(regs, arg_slots, bx, by, bz, grid, block):
-    """Per-thread register lists for one ``gpu.launch`` block.
-
-    Thread order is tz outermost / tx innermost, matching the interpreter's
-    env construction.
-    """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = arg_slots
-    g0, g1, g2 = grid
-    b0, b1, b2 = block
-    block_regs = regs[:]
-    thread_regs = []
-    append = thread_regs.append
-    for tz in range(b2):
-        for ty in range(b1):
-            for tx in range(b0):
-                per_thread = block_regs[:]
-                per_thread[a0] = bx
-                per_thread[a1] = by
-                per_thread[a2] = bz
-                per_thread[a3] = tx
-                per_thread[a4] = ty
-                per_thread[a5] = tz
-                per_thread[a6] = g0
-                per_thread[a7] = g1
-                per_thread[a8] = g2
-                per_thread[a9] = b0
-                per_thread[a10] = b1
-                per_thread[a11] = b2
-                append(per_thread)
-    return thread_regs
-
-
-def bind_shared_allocas(shared_allocas, thread_regs):
-    """Allocate each prebound shared buffer once and bind it in every thread."""
-    allocate = MemRefStorage.allocate
-    for dst, mtype in shared_allocas:
-        storage = allocate(mtype, [])
-        for per_thread in thread_regs:
-            per_thread[dst] = storage
-
-
-def build_parallel_thread_regs(regs, iv_slots, iterations):
-    """Per-thread register lists for a SIMT ``scf.parallel`` iteration space."""
-    thread_regs = []
-    for point in iterations:
-        per_thread = regs[:]
-        for dst, value in zip(iv_slots, point):
-            per_thread[dst] = value
-        thread_regs.append(per_thread)
-    return thread_regs
-
-
 def _iteration_space(regs, lb_slots, ub_slots, st_slots) -> Tuple[List[range], int]:
     """Read a region's (ranges, total points) from its bound slots."""
     ranges = [range(int(regs[lb]), int(regs[ub]), int(regs[st]))
@@ -328,26 +270,23 @@ def _span_points(ranges, start: int, stop: Optional[int]):
 
 
 class _Region:
-    """One parallel region while it is being compiled (compile time only).
+    """One span while it is being compiled (compile time only).
 
     The shell fills it in as it goes — the plan and the slots it resolved
-    (``bounds``: lower / upper / step slot lists of a span, grid / block
-    slot lists of a launch; ``index_slots``: the induction variables, or the
-    launch body's twelve id / dim arguments; ``shared``: ``(slot, type)`` per
-    prebound shared alloca) — and, for a span, the planner's ``body``, the
-    in-process ``base`` run and the accounting around it (``count``,
-    ``finish``, ``message``), which it hands to the row's planner and
-    dispatcher; they name the ``tier`` that took the region.
+    (``bounds``: the lower / upper / step slot lists; ``index_slots``: the
+    induction variables) — and the planner's ``body``, the in-process
+    ``base`` run and the accounting around it (``count``, ``finish``,
+    ``message``), which it hands to the row's planner and dispatcher; they
+    name the ``tier`` that took the region.
     """
 
-    __slots__ = ("plan", "bounds", "index_slots", "shared", "body", "base",
+    __slots__ = ("plan", "bounds", "index_slots", "body", "base",
                  "count", "finish", "message", "tier")
 
     def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
         self.plan = plan
         self.bounds = bounds
         self.index_slots = index_slots
-        self.shared: List[Tuple[int, object]] = []
         self.body = self.base = self.count = self.finish = None
         self.message = self.tier = None
 
@@ -378,7 +317,7 @@ class _FunctionCompiler:
     Every op compiles to source lines (``compile_op``); a structured op's
     lines contain its child blocks' lines one indent deeper, and an op that
     runs once per region binds a closure whose call is its line.  The lines
-    of a function body, a region phase or an ``omp`` body are finalised by
+    of a function body, a span body or an ``omp`` body are finalised by
     one ``exec`` each (:func:`_build_runner`).
     """
 
@@ -387,11 +326,10 @@ class _FunctionCompiler:
         self.fn = fn
         self._slots: Dict[int, int] = {}
         self.template: List = []
-        self._prebound: set = set()  # result ids of launch-prebound shared allocas
         self._uid = 0  # unique suffix for names bound or assigned by generated source
         #: globals of every function generated for ``fn``: the callables and
         #: step closures its source names.
-        self.ns: Dict[str, object] = {"_IE": InterpreterError, "_B": _BARRIER}
+        self.ns: Dict[str, object] = {"_IE": InterpreterError, "_BE": _BarrierEscape}
         #: structured ops enclosing the block being emitted, within the
         #: generated function being emitted.
         self._depth = 0
@@ -420,11 +358,10 @@ class _FunctionCompiler:
 
     def compile(self) -> _CompiledFunction:
         arg_slots = self.slots(self.fn.arguments)
-        is_gen = self.program.plans.function_may_yield(self.fn)
-        runner = self._function_of(*_counted(self.fn.body_block), suspends=is_gen)
+        runner = self.function_of(*_counted(self.fn.body_block))
         _, term = _split_executed(self.fn.body_block)
         return_slots = self.slots(term.operands) if isinstance(term, func_d.ReturnOp) else []
-        return _CompiledFunction(self.template, arg_slots, return_slots, runner, is_gen)
+        return _CompiledFunction(self.template, arg_slots, return_slots, runner)
 
     # -- block compilation ----------------------------------------------------
     def compile_block(self, ops: Sequence, nops: int) -> List[str]:
@@ -440,17 +377,13 @@ class _FunctionCompiler:
             lines.extend(self.compile_op(op))
         return lines
 
-    def _function_of(self, ops: Sequence, nops: int,
-                     suspends: Optional[bool]) -> Callable:
-        """A block finalised as its own generated function."""
+    def function_of(self, ops: Sequence, nops: int) -> Callable:
+        """A block (``nops``: its dynamic-op count) finalised as its own
+        generated function ``run(state, regs)``."""
         outer, self._depth = self._depth, 0
         lines = self.compile_block(ops, nops)
         self._depth = outer
-        return _build_runner(lines, self.ns, self._name("run"), suspends)
-
-    def compile_phase(self, ops: Sequence, nops: int) -> Callable:
-        """Compile one barrier-delimited phase (``RegionPlan.phases`` entry)."""
-        return self._function_of(ops, nops, suspends=False)
+        return _build_runner(lines, self.ns, self._name("run"))
 
     def _nested(self, block) -> List[str]:
         """A structured op's child block, one indent deeper than the op."""
@@ -463,9 +396,7 @@ class _FunctionCompiler:
 
     def _spill(self, ops: Sequence, nops: int) -> List[str]:
         """The call of a child block too deep to inline (``_MAX_INLINE_DEPTH``)."""
-        run = self._function_of(ops, nops, suspends=None)
-        call, = self._bound(run)
-        return [f"yield from {call}" if isgeneratorfunction(run) else call]
+        return self._bound(self.function_of(ops, nops))
 
     def _bound(self, step: Callable) -> List[str]:
         """The line calling ``step(state, regs)``, the closure of an op that
@@ -478,7 +409,7 @@ class _FunctionCompiler:
     def compile_op(self, op) -> List[str]:
         """The source lines of one op; none for an op with no runtime action."""
         if isinstance(op, _BARRIER_OPS):
-            return ["yield _B"]
+            return ["raise _BE()"]
         emitter = _EMITTERS.get(type(op))
         if emitter is not None:
             return emitter(self, op)
@@ -501,8 +432,6 @@ class _FunctionCompiler:
 
     # -- memory ops -------------------------------------------------------------
     def _c_alloc(self, op) -> List[str]:
-        if id(op.result) in self._prebound:
-            return []
         size_slots = self.slots(op.operands)
         ds = self.slot(op.result)
         mtype = op.memref_type
@@ -585,15 +514,12 @@ class _FunctionCompiler:
         # compiled at the first call, so that recursion terminates
         enter = self._name("fn")
         self.ns[enter] = partial(program.function, callee)
-        run = "_f.runner(state, _in)"
-        if program.plans.function_may_yield(callee):
-            run = f"yield from {run}"
         return [f"_f = {enter}()",
                 f"w[-1] += {op_cost('func.call')!r}",
                 "_in = _f.template[:]",
                 f"for _dst, _src in zip(_f.arg_slots, {arg_slots!r}):",
                 "    _in[_dst] = regs[_src]",
-                run,
+                "_f.runner(state, _in)",
                 f"for _dst, _src in zip({res_slots!r}, _f.return_slots):",
                 "    regs[_dst] = _in[_src]"]
 
@@ -679,7 +605,7 @@ class _FunctionCompiler:
 
     # -- parallel regions -------------------------------------------------------
     #
-    # One shell per region kind.  The shell owns what every engine shares —
+    # One shell per span kind.  The shell owns what every engine shares —
     # the slots, the report counter, the work frame, the barrier-escape
     # message and the wall-clock epilogue.  For a *span* it composes the two
     # callables of the program's row (``_ROWS``): the *body planner* builds
@@ -687,21 +613,14 @@ class _FunctionCompiler:
     # contiguous sub-span (what the multicore dispatcher ships to its
     # workers), and the *dispatcher*, if the row has one, may return a runner
     # that takes the whole span elsewhere and falls back to the shell's
-    # ``base``.  An un-lowered region is never offered to either: its body is
-    # always :func:`closures` (``_unlowered``).  Run closures capture what
+    # ``base``.  An un-lowered region is never offered to either: the
+    # interpreter runs it (``_interpreted``).  Run closures capture what
     # they need as locals: no plan or region object is read at run time.
     def _region(self, op) -> _Region:
         plan = self.program.plans.plan(op)
-        if plan.kind == LAUNCH:
-            bounds = (self.slots(plan.grid_dims), self.slots(plan.block_dims))
-            region = _Region(plan, bounds, self.slots(plan.block_args))
-            region.shared = [(self.slot(alloca.result), alloca.memref_type)
-                             for alloca in plan.shared_allocas]
-        else:
-            bounds = (self.slots(plan.lower_bounds), self.slots(plan.upper_bounds),
-                      self.slots(plan.steps))
-            region = _Region(plan, bounds, self.slots(plan.induction_vars))
-        return region
+        bounds = (self.slots(plan.lower_bounds), self.slots(plan.upper_bounds),
+                  self.slots(plan.steps))
+        return _Region(plan, bounds, self.slots(plan.induction_vars))
 
     def _dispatched(self, region: _Region) -> List[str]:
         """Offer a planned region to the row's dispatcher; ``base`` otherwise."""
@@ -749,7 +668,7 @@ class _FunctionCompiler:
 
     def _c_scf_parallel(self, op) -> List[str]:
         if self.program.plans.plan(op).kind == SIMT:
-            return self._c_scf_parallel_simt(op)
+            return self._interpreted(op)
 
         def count(state):
             state.report.parallel_regions += 1
@@ -757,56 +676,29 @@ class _FunctionCompiler:
             op, count, "unexpected barrier in barrier-free parallel loop",
             self._parallel_accounting())
 
-    def _unlowered(self, region: _Region) -> Callable:
-        """The body of a region cpuify has not lowered, under every row: the
-        closure tier keeps full ``gpu.launch`` / SIMT semantics, and a row
-        with a faster tier says by name (``UNLOWERED``) why it did not run."""
-        program, plan = self.program, region.plan
+    def _interpreted(self, op) -> List[str]:
+        """A region cpuify has not lowered (``gpu.launch``, ``scf.parallel``
+        with barriers), under every row: one step that runs the interpreter
+        on the op, its env built from the plan's live-ins, against this run's
+        report, work stack, threads and budget.  A row with a faster tier
+        says by name (``UNLOWERED``) why it did not run."""
+        program = self.program
+        plan = program.plans.plan(op)
         if program.declined is not None:
             stats, counter = program.declined
             getattr(program, stats)[counter] += 1
             plan.refuse(program.row, UNLOWERED[plan.kind])
-        body = closures(self, region)
-        program.regions.append((self.fn.sym_name, plan, region.tier))
-        return body
+        program.regions.append((self.fn.sym_name, plan, "interp"))
+        live_ins = [(id(value), self.slot(value)) for value in plan.live_ins]
+        module, machine = program.module, program.machine
 
-    def _c_scf_parallel_simt(self, op) -> List[str]:
-        region = self._region(op)
-        lb_slots, ub_slots, st_slots = region.bounds
-        machine = self.program.machine
-        fork_cost = machine.fork_cost
-        phase_cost = machine.simt_phase_cost
-        run_grid = self._unlowered(region)
-
-        def run(state, regs):
-            ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
-            state.report.parallel_regions += 1
-            work_stack = state.work
-            work_stack.append(0.0)
-            phases = run_grid(state, regs, ranges)
-            state.report.simt_phases += phases
-            work = work_stack.pop()
-            threads = min(state.threads, max(1, total))
-            wall = (fork_cost + work / state.program.speedup(threads)
-                    + phases * phase_cost)
-            work_stack[-1] += wall
-        return self._bound(run)
-
-    def _c_gpu_launch(self, op) -> List[str]:
-        region = self._region(op)
-        grid_slots, block_slots = region.bounds
-        saved_prebound = self._prebound
-        self._prebound = saved_prebound | {
-            id(alloca.result) for alloca in region.plan.shared_allocas}
-        try:
-            run_blocks = self._unlowered(region)
-        finally:
-            self._prebound = saved_prebound
-
-        def run(state, regs):
-            run_blocks(state, regs, [int(regs[s]) for s in grid_slots],
-                       [int(regs[s]) for s in block_slots])
-        return self._bound(run)
+        def step(state, regs):
+            env = {key: regs[slot] for key, slot in live_ins}
+            # one interpreter per execution: run_region binds the run's state
+            # to it, and a program is shared by threads
+            Interpreter(module, machine).run_region(
+                op, env, state.report, state.work, state.threads, state.max_ops)
+        return self._bound(step)
 
     def _c_gpu_alloc(self, op) -> List[str]:
         size_slots = self.slots(op.operands)
@@ -832,7 +724,7 @@ class _FunctionCompiler:
     # -- OpenMP -------------------------------------------------------------------
     def _c_omp_parallel(self, op) -> List[str]:
         nested = op.nest_level > 0
-        body = self._function_of(*_counted(op.body), suspends=False)
+        body = self.function_of(*_counted(op.body))
         machine = self.program.machine
         fork = machine.nested_fork_cost if nested else machine.fork_cost
         penalty = machine.false_sharing_penalty
@@ -896,7 +788,7 @@ class _FunctionCompiler:
         return self._bound(step)
 
     def _c_omp_single(self, op) -> List[str]:
-        body = self._function_of(*_counted(op.body), suspends=False)
+        body = self.function_of(*_counted(op.body))
         def run(state, regs):
             try:
                 body(state, regs)
@@ -922,7 +814,7 @@ _EMITTERS = {
     scf.IfOp: _FunctionCompiler._c_if,
     scf.WhileOp: _FunctionCompiler._c_while,
     scf.ParallelOp: _FunctionCompiler._c_scf_parallel,
-    gpu_d.LaunchOp: _FunctionCompiler._c_gpu_launch,
+    gpu_d.LaunchOp: _FunctionCompiler._interpreted,
     gpu_d.GPUAllocOp: _FunctionCompiler._c_gpu_alloc,
     gpu_d.GPUDeallocOp: _FunctionCompiler._c_gpu_dealloc,
     gpu_d.GPUMemcpyOp: _FunctionCompiler._c_gpu_memcpy,
@@ -936,77 +828,13 @@ _EMITTERS = {
 # ---------------------------------------------------------------------------
 # The closure body planner
 # ---------------------------------------------------------------------------
-def _simt_driver(fc: _FunctionCompiler, plan: RegionPlan) -> Callable:
-    """A SIMT body as a phase driver ``run_simt(state, thread_regs) -> phases``:
-    one closure per phase, run phase-by-phase over all threads, when barriers
-    are straight-line; compiled generator closures scheduled by the
-    interpreter's barrier-phase loop otherwise."""
-    if plan.phases is not None:
-        chunks = [fc.compile_phase(ops, nops) for ops, nops in plan.phases]
-
-        def run_simt(state, thread_regs, _chunks=chunks):
-            if not thread_regs:
-                return 0
-            for chunk in _chunks:
-                for regs in thread_regs:
-                    chunk(state, regs)
-            return len(_chunks)
-    else:
-        body = fc._function_of(*_counted(plan.op.body), suspends=True)
-
-        def run_simt(state, thread_regs, _body=body):
-            live = [_body(state, regs) for regs in thread_regs]
-            phases = 0
-            while live:
-                phases += 1
-                survivors = []
-                keep = survivors.append
-                for thread in live:
-                    try:
-                        next(thread)
-                    except StopIteration:
-                        continue
-                    keep(thread)
-                live = survivors
-            return phases
-    return run_simt
-
-
 def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
-    """The compiled engine's body planner, and every row's for an un-lowered
-    region: every thread / iteration runs the region's phases as Python
-    closures over its own register list.  Returns ``run_span(state, regs,
-    ranges, start, stop)`` for a span, ``run_grid(state, regs, ranges) ->
-    phases`` for a SIMT ``scf.parallel``, ``run_blocks(state, regs, grid,
-    block)`` for a launch."""
-    plan = region.plan
+    """The compiled engine's body planner: every iteration runs the span's
+    body as one generated function over the shell's register list.  Returns
+    ``run_span(state, regs, ranges, start, stop)``."""
     region.tier = "closures"
     index_slots = region.index_slots
-    if plan.kind == LAUNCH:
-        run_simt = _simt_driver(fc, plan)
-        shared_allocas = region.shared
-
-        def run_blocks(state, regs, grid, block):
-            g0, g1, g2 = grid
-            report = state.report
-            for linear in range(g0 * g1 * g2):
-                bx = linear % g0
-                by = (linear // g0) % g1
-                bz = linear // (g0 * g1)
-                thread_regs = build_launch_thread_regs(
-                    regs, index_slots, bx, by, bz, grid, block)
-                bind_shared_allocas(shared_allocas, thread_regs)
-                phases = run_simt(state, thread_regs)
-                report.simt_phases += phases
-        return run_blocks
-    if plan.kind == SIMT:
-        run_simt = _simt_driver(fc, plan)
-
-        def run_grid(state, regs, ranges):
-            return run_simt(state, build_parallel_thread_regs(
-                regs, index_slots, product(*ranges)))
-        return run_grid
-    body = fc.compile_phase(*plan.phases[0])
+    body = fc.function_of(*region.plan.body)
 
     def run_span(state, regs, ranges, start, stop):
         for point in _span_points(ranges, start, stop):
@@ -1019,38 +847,16 @@ def closures(fc: _FunctionCompiler, region: _Region) -> Callable:
 # ---------------------------------------------------------------------------
 # Function finalisation
 # ---------------------------------------------------------------------------
-def _escaping(body: Callable) -> Callable:
-    """Run the generator function ``body`` where nothing can suspend: its
-    first barrier escapes to the enclosing shell (the interpreter's
-    ``for _ in self._execute_ops(...): raise``)."""
-    def run(state, regs):
-        for _ in body(state, regs):
-            raise _BarrierEscape()
-    return run
-
-
-def _build_runner(lines: Sequence[str], namespace: Dict[str, object], name: str,
-                  suspends: Optional[bool]) -> Callable:
-    """Finalise the lines of one function body with one ``exec``.
-
-    Whether the function is a generator is a property of its text — it
-    yields at the barriers it contains.  ``suspends`` says what the caller
-    does with it: ``True``, it drives a generator (a SIMT thread, a callee
-    that may yield), so a body without a reachable barrier is still made
-    one; ``False``, it cannot suspend, so a body that does yield is driven
-    to its first barrier, which escapes; ``None``, it takes either.
-    """
-    body = [*lines, "if False:", "    yield"] if suspends else lines or ["pass"]
+def _build_runner(lines: Sequence[str], namespace: Dict[str, object],
+                  name: str) -> Callable:
+    """Finalise the lines of one function body with one ``exec``."""
     source = "\n".join([f"def {name}(state, regs):",
                         "    report = state.report",
                         "    max_ops = state.max_ops",
                         "    w = state.work",
-                        *(f"    {line}" for line in body)])
+                        *(f"    {line}" for line in lines or ["pass"])])
     exec(source, namespace)  # noqa: S102 - compile-time codegen
-    run = namespace[name]
-    if suspends is False and isgeneratorfunction(run):
-        return _escaping(run)
-    return run
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1105,13 +911,12 @@ class CompiledEngine:
                 f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
         compiled = self._program.function(fn)
         self._preflight()
-        runner = _escaping(compiled.runner) if compiled.is_gen else compiled.runner
         state = self._make_state()
         regs = compiled.template[:]
         for index, slot in enumerate(compiled.arg_slots):
             regs[slot] = self._wrap_argument(arguments[index], index)
         try:
-            runner(state, regs)
+            compiled.runner(state, regs)
         except _BarrierEscape:
             raise InterpreterError("barrier executed outside a parallel context") from None
         results = [regs[s] for s in compiled.return_slots]

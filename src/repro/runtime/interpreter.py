@@ -6,7 +6,9 @@ One interpreter covers both execution modes the evaluation needs:
   still containing ``gpu.launch``, runs with genuine SIMT semantics: every
   block executes its threads in barrier-delimited phases, so
   ``__syncthreads`` behaves exactly as on a GPU.  This is the correctness
-  oracle every transformed module is compared against.
+  oracle every transformed module is compared against, and the only SIMT
+  executor: the compiled engines run an un-lowered region through
+  :meth:`Interpreter.run_region`.
 * **simulated CPU execution** — a module lowered by ``cpuify`` runs its
   ``omp.parallel`` / ``omp.wsloop`` structure under the analytic cost model
   of :mod:`repro.runtime.costmodel`, producing a :class:`CostReport` whose
@@ -68,6 +70,19 @@ class Interpreter:
         self.report.cycles += self._work_stack[0]
         self._work_stack[0] = 0.0
         return results
+
+    def run_region(self, op: Operation, env: Dict[int, object], report: CostReport,
+                   work: List[float], threads: int, max_ops: Optional[int]) -> None:
+        """Execute one un-lowered region op (``gpu.launch``, ``scf.parallel``
+        with barriers) inside another engine's run: ``env`` binds the values
+        it captures, counters go to that run's ``report``, charges to
+        ``work[-1]``, under its ``threads`` and ``max_ops``.  The caller has
+        already counted ``op`` itself.  This is the one implementation of
+        barrier semantics every engine uses."""
+        self.report, self._work_stack = report, work
+        self.threads, self.max_dynamic_ops = threads, max_ops
+        for _ in self._handlers[type(op)](self, op, env):
+            pass  # a region handler runs its own barrier phases: none escapes
 
     # -------------------------------------------------------------- internals --
     def _charge(self, cycles: float) -> None:

@@ -7,7 +7,7 @@ thread scaling a measured quantity: a persistent ``multiprocessing`` worker
 pool (forked once per compiled program) receives contiguous sub-spans of
 each outermost span (``omp.wsloop`` / barrier-free ``scf.parallel``; barriers
 are lowered in the IR by cpuify, and un-lowered regions run in-process on
-the closure tier), executes them with the very
+the interpreter), executes them with the very
 closures the compiled engine runs in-process (the engine's row is the
 ``closures`` body planner plus the :func:`shards` dispatcher below — the
 region shell, the plans and the accounting live in

@@ -12,7 +12,7 @@ in-process run is every dispatch's fallback, lives in
   regions of a function are assembled into one C translation unit.
   Un-lowered regions (``gpu.launch``, ``scf.parallel`` with barriers) are
   never offered: cpuify lowers barriers in the IR, and a module compiled
-  without it runs those regions on the closure tier, the refusal named on
+  without it runs those regions on the interpreter, the refusal named on
   the plan;
 * the unit is compiled once with the system C compiler (``cc -O3 -fopenmp``;
   override with ``REPRO_CC``) into a shared object keyed by the SHA-256 of

@@ -35,8 +35,8 @@ parallelism, ``scf.while``, calls, deallocs, lane-varying loop bounds, ...)
 falls back wholesale to the compiled closures — correctness never depends
 on the emitter being complete — with the reason recorded on the region's
 plan (``engine.regions``).  Un-lowered regions (``gpu.launch``,
-``scf.parallel`` with barriers) never reach this module: they run on the
-closure tier under every engine.
+``scf.parallel`` with barriers) never reach this module: the interpreter
+runs them under every engine.
 
 This module is a *body planner* (:func:`lanes`): the region shell in
 :mod:`repro.runtime.compiler` hands it a span's plan and runs whatever it
@@ -658,7 +658,7 @@ def lanes(fc: _FunctionCompiler, region: _Region):
     stats = program.vector_stats
     iv_slots = region.index_slots
     try:
-        phase = _RegionVectorizer(fc, plan.lanes).vectorize_phase(*plan.phases[0])
+        phase = _RegionVectorizer(fc, plan.lanes).vectorize_phase(*plan.body)
     except _Unsupported as exc:
         stats["fallback_regions"] += 1
         plan.refuse("vectorized", str(exc))

@@ -2,17 +2,18 @@
 
 The plan replaces what each engine used to derive for itself, so its facts
 are checked against *independent* derivations, never against an engine that
-reads the plan: the interpreter's own phase counts, a copy of the capture
-walk ``codegen_c`` used to carry (its order is the C argument ABI), and the
-store-safety entry point called directly.  The remaining tests pin what
-the refactor is for: a region is analysed once whoever asks, a tier that
-declines a region says why, the engine tower stays one function
-compiler with one definition of each region entry point — and what cpuify
-hands the engines is barrier-free ``omp.wsloop`` spans only, the traffic
-claim that lets the fast tiers hold no barrier lowering of their own.
+reads the plan: a copy of the capture walk ``codegen_c`` used to carry (its
+order is the C argument ABI) and the store-safety entry point called
+directly.  The remaining tests pin what the refactor is for: a region is
+analysed once whoever asks, a tier that declines a region says why, the
+engine tower stays one function compiler with one definition of each region
+entry point and one SIMT executor (the interpreter) — and what cpuify hands
+the engines is barrier-free ``omp.wsloop`` spans only, the traffic claim
+that lets the fast tiers hold no barrier lowering of their own.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from repro.dialects import func as func_d, gpu as gpu_d, omp as omp_d, scf
 from repro.frontend import compile_cuda
 from repro.moccuda import MocCUDASession
 from repro.rodinia import BENCHMARKS
-from repro.runtime import (A64FX_CMG, XEON_8375C, Interpreter, MulticoreEngine,
+from repro.runtime import (A64FX_CMG, XEON_8375C, MulticoreEngine,
                            NativeEngine, VectorizedEngine,
                            clear_global_tuning_cache, make_executor,
                            native_available, shutdown_worker_pools)
@@ -57,16 +58,15 @@ def _rodinia(variant):
         bench = BENCHMARKS[name]
         module = (bench.compile_cuda(cuda_lower=False) if variant == "oracle"
                   else bench.compile_cuda(PipelineOptions.all_optimizations()))
-        yield f"{name} [{variant}]", module, bench.entry, bench.make_inputs(1)
+        yield f"{name} [{variant}]", module, bench.entry
 
 
 def _fuzz():
     for seed in range(FUZZ_SEEDS):
         kernel = generate_fuzz_kernel(seed)
-        yield f"fuzz/{seed}", kernel.compile(), kernel.entry, kernel.make_args()
+        yield f"fuzz/{seed}", kernel.compile(), kernel.entry
         if kernel.has_barrier:
-            yield (f"fuzz-oracle/{seed}", kernel.compile(cuda_lower=False),
-                   kernel.entry, kernel.make_args())
+            yield f"fuzz-oracle/{seed}", kernel.compile(cuda_lower=False), kernel.entry
 
 
 def _region_ops(module, entry):
@@ -117,20 +117,7 @@ def _captured_values(op):
     return order
 
 
-class _PhaseCountingInterpreter(Interpreter):
-    """Records ``(body ops, threads, phases)`` of every SIMT execution."""
-
-    def __init__(self, module):
-        super().__init__(module)
-        self.simt_runs = []
-
-    def _run_simt(self, ops, envs):
-        phases = super()._run_simt(ops, envs)
-        self.simt_runs.append((ops, len(envs), phases))
-        return phases
-
-
-def _check_plans(label, module, entry, arguments):
+def _check_plans(label, module, entry):
     """Every plan fact of ``module`` against its independent derivation;
     returns the number of regions checked."""
     plans = RegionPlans(module)
@@ -152,6 +139,8 @@ def _check_plans(label, module, entry, arguments):
             assert plan.kind == PARALLEL, where
             direct, _ = span_required_dims(module, op, LaneFacts(op))
         assert plan.parallel_proof == direct, where
+        if plan.kind in (LAUNCH, SIMT):  # the interpreter's: nothing to compile
+            assert not hasattr(plan, "body") and not hasattr(plan, "steps"), where
 
         captured = _captured_values(op)
         assert [id(v) for v in plan.live_ins] == [id(v) for v in captured], where
@@ -167,14 +156,6 @@ def _check_plans(label, module, entry, arguments):
                 bound = (spec.int_slots + spec.float_slots
                          + [buffer.slot for buffer in spec.buffers])
                 assert sorted(bound) == sorted(slots[id(v)] for v in captured), where
-
-    interpreter = _PhaseCountingInterpreter(module)
-    interpreter.run(entry, arguments)
-    by_body = {id(op.body.operations): plans.plan(op) for op in ops}
-    for body_ops, threads, phases in interpreter.simt_runs:
-        plan = by_body[id(body_ops)]
-        if plan.phases is not None and threads:
-            assert phases == len(plan.phases), f"{label}: {plan.kind}"
     return len(ops)
 
 
@@ -186,15 +167,6 @@ class TestPlanFacts:
 
     def test_fuzz_corpus(self):
         assert sum(_check_plans(*case) for case in _fuzz()) >= FUZZ_SEEDS
-
-    def test_phase_counts_include_barrier_and_terminator(self):
-        module = BENCHMARKS["pathfinder"].compile_cuda(cuda_lower=False)
-        (launch,) = _region_ops(module, BENCHMARKS["pathfinder"].entry)
-        plan = RegionPlans(module).plan(launch)
-        assert plan.phases is not None and len(plan.phases) > 1
-        assert sum(count for _, count in plan.phases) == len(plan.body_ops) + 1
-        assert all(alloca.result.type.memory_space == "shared"
-                   for alloca in plan.shared_allocas) and plan.shared_allocas
 
     def test_plans_are_shared_and_dropped_with_the_programs(self):
         module = BENCHMARKS["matmul"].compile_cuda(PipelineOptions.all_optimizations())
@@ -219,7 +191,6 @@ class TestLoweredTraffic:
         for op in regions:
             plan = plans.plan(op)
             assert plan.kind == WSLOOP, f"{label}: cpuify left a {plan.kind} region"
-            assert len(plan.phases) == 1, label
             assert not contains_barrier(op, immediate_region_only=False), label
         return len(regions)
 
@@ -346,12 +317,12 @@ class TestRefusalReasons:
     @staticmethod
     def _unlowered_launch_is_refused_by_name(engine_cls):
         """Barriers are cpuify's job: a ``gpu.launch`` that kept its
-        ``__syncthreads`` runs on the closure tier and every faster tier
+        ``__syncthreads`` runs on the interpreter and every faster tier
         says so, instead of lowering it a second time."""
         arguments = [np.ones(64, np.float32), np.zeros(64, np.float32), 64]
         ((tier, refusals),) = _refusals(engine_cls, VARYING_BARRIER_CUDA,
                                         arguments, lower=False)
-        assert tier == "closures"
+        assert tier == "interp"
         assert refusals == [f"{engine_cls.ROW}: {UNLOWERED[LAUNCH]}"]
         assert "cuda_lower=True" in UNLOWERED[LAUNCH]
 
@@ -394,9 +365,15 @@ class TestTowerCensus:
     """The lattice this refactor removed must not grow back unnoticed."""
 
     RUNTIME = ROOT / "src" / "repro" / "runtime"
-    HOOKS = ("_c_omp_wsloop", "_c_scf_parallel", "_c_scf_parallel_simt",
-             "_c_gpu_launch", "_wsloop_span_plan", "_parallel_span_plan",
-             "_launch_plan")
+    HOOKS = ("_c_omp_wsloop", "_c_scf_parallel", "_interpreted", "_span_shell",
+             "_wsloop_span_plan", "_parallel_span_plan", "_launch_plan")
+    #: what only the compiled SIMT executor needed: thread-register
+    #: builders, shared-alloca prebinding and generator-function codegen.
+    SIMT_ONLY = ("_simt_driver", "build_launch_thread_regs",
+                 "build_parallel_thread_regs", "bind_shared_allocas",
+                 "_c_scf_parallel_simt", "_c_gpu_launch", "_prebound",
+                 "compile_phase", "_escaping", "is_gen", "suspends",
+                 "isgeneratorfunction", "_BARRIER")
 
     def _sources(self):
         return {path.name: path.read_text() for path in self.RUNTIME.glob("*.py")}
@@ -416,14 +393,10 @@ class TestTowerCensus:
         methods = {node.name: node for node in ast.walk(compiler)
                    if isinstance(node, ast.FunctionDef)}
         for name, allowed in (("_c_for", 0), ("_c_if", 0), ("_c_while", 0),
-                              ("_c_call", 1)):
+                              ("_c_call", 0)):
             nested = [node for node in ast.walk(methods[name])
                       if isinstance(node, ast.FunctionDef)][1:]
             assert len(nested) <= allowed, (name, [node.name for node in nested])
-        # no closure delegates to a generator twin; the generated text does
-        # in two places (a callee that may reach a barrier, the depth spill)
-        assert not [node for node in ast.walk(compiler) if isinstance(node, ast.YieldFrom)]
-        assert len(re.findall(r'f"yield from ', self._sources()["compiler.py"])) <= 2
         returns = [node.value for node in ast.walk(methods["compile_op"])
                    if isinstance(node, ast.Return)]
         assert returns and not [value for value in returns
@@ -431,6 +404,59 @@ class TestTowerCensus:
         codegen = self._sources()["codegen_c.py"]
         assert codegen.count("for (int64_t {iv}") == 1
         assert codegen.count("for (;;) {") == 1
+
+    def test_one_simt_executor(self):
+        """Barrier semantics have one implementation, the interpreter's: the
+        compiled SIMT path stays deleted, and un-lowered plans hold nothing
+        a compiled SIMT path would read."""
+        sources = self._sources()
+        for name, text in sources.items():
+            for gone in self.SIMT_ONLY:
+                if name != "interpreter.py" or gone != "_BARRIER":
+                    assert not re.search(rf"\b{gone}\b", text), (name, gone)
+        defining = [name for name, text in sources.items() if "def _run_simt(" in text]
+        assert defining == ["interpreter.py"]
+        region = (ROOT / "src" / "repro" / "analysis" / "region.py").read_text()
+        for gone in ("phases", "shared_allocas", "grid_dims", "block_dims", "block_args"):
+            assert gone not in region, gone
+
+    def test_compiler_generates_no_generators(self):
+        """No ``yield`` in ``compiler.py``: not in its Python, not in a
+        string its templates are made of."""
+        text = self._sources()["compiler.py"]
+        tree = ast.parse(text)
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Yield, ast.YieldFrom))]
+        assert not [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.search(r"\byield\b", node.value)]
+
+    def test_no_generated_function_is_a_generator(self, monkeypatch):
+        """Every function the compiled and vectorized engines ``exec`` — over
+        Rodinia lowered and un-lowered — is a plain function, captured at the
+        ``exec`` call the way ``benchmarks/emitted_snapshot.py`` does."""
+        from repro.runtime import compiler, vectorizer
+
+        generated = []
+
+        def spy_exec(source, namespace):
+            exec(source, namespace)  # noqa: S102 - forwards the engines' own codegen
+            name = re.match(r"def (\w+)\(", source).group(1)
+            generated.append((source, namespace[name]))
+
+        monkeypatch.setattr(compiler, "exec", spy_exec, raising=False)
+        monkeypatch.setattr(vectorizer, "exec", spy_exec, raising=False)
+        for name in sorted(BENCHMARKS):
+            bench = BENCHMARKS[name]
+            for module in (bench.compile_cuda(PipelineOptions.all_optimizations()),
+                           bench.compile_cuda(cuda_lower=False)):
+                invalidate_compiled(module)
+                for engine in ("compiled", "vectorized"):
+                    make_executor(module, engine=engine).run(
+                        bench.entry, bench.make_inputs(1))
+        assert len(generated) >= 12 * 2 * 2  # a fresh program generates its entry
+        for source, function in generated:
+            assert not inspect.isgeneratorfunction(function), source
 
     def test_one_function_compiler_no_mixins(self):
         classes = re.findall(r"^class (\w+)", "\n".join(self._sources().values()),

@@ -105,6 +105,25 @@ def run_engine_matrix(module, entry: str, make_args: Callable[[], List],
             f"\n  {engine_name} {report_fields(engine.report)}")
 
 
+def run_unlowered(module, entry: str, make_args: Callable[[], List], *,
+                  machine=None, threads: Optional[int] = None,
+                  label: str = "") -> None:
+    """The engine matrix of an un-lowered module: one interpreter run, plus
+    the check that every compiled row hands each region of ``entry`` to the
+    interpreter (``tier == "interp"``) — the rows then run the same code,
+    so comparing them would compare the interpreter with itself."""
+    from repro.runtime import Interpreter, XEON_8375C
+    from repro.runtime.compiler import _ROWS, program_for
+
+    machine = machine or XEON_8375C
+    for row in _ROWS:
+        program = program_for(module, machine, row)
+        program.function(module.lookup(entry))
+        tiers = [tier for _, _, tier in program.regions]
+        assert tiers and set(tiers) == {"interp"}, f"{label}: {row} ran {tiers}"
+    Interpreter(module, machine=machine, threads=threads).run(entry, make_args())
+
+
 # ---------------------------------------------------------------------------
 # Seeded random CUDA-kernel generator (the differential fuzzer's front half)
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ opposite bars:
   All 13 regions must compile to C, none may fall back;
 * ``oracle`` (SIMT): 12 benchmarks keep ``gpu.launch`` regions with their
   ``__syncthreads``.  The native engine has no barrier lowering of its own:
-  all 13 must run on the closure tier, each saying so by name.
+  all 13 must run on the interpreter, each saying so by name.
 
 Either way outputs and CostReports must stay bit-identical to the
 interpreter, and the total region count is pinned so a silently-skipped
@@ -92,7 +92,7 @@ class TestNativeCoverage:
         for name in ALL_NAMES:
             engine = _run_against_interp(name, "oracle")
             for region in engine.regions:
-                assert region["kind"] == LAUNCH and region["tier"] == "closures", name
+                assert region["kind"] == LAUNCH and region["tier"] == "interp", name
                 assert region["refusals"] == [f"native: {UNLOWERED[LAUNCH]}"], name
             stats = engine.native_stats
             assert stats["native_regions"] == stats["native_dispatches"] == 0, name

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from repro.ir import Builder, F32, FunctionType, I32, INDEX, memref, verify
-from repro.dialects import arith, func, gpu as gpu_d, memref as memref_d, scf
+from repro.dialects import arith, func, gpu as gpu_d, memref as memref_d, omp as omp_d, scf
 from repro.runtime import (
     CompiledEngine,
     Interpreter,
     InterpreterError,
+    NativeEngine,
+    VectorizedEngine,
     XEON_8375C,
     invalidate_compiled,
     make_executor,
@@ -33,6 +35,7 @@ from tests.helpers import (
     finish_function,
     insert_barrier,
     run_engine_matrix,
+    run_unlowered,
 )
 
 
@@ -130,7 +133,8 @@ class TestCompiledSemantics:
         assert data[0] == pytest.approx(9.0)
 
     def test_simt_barrier_phases(self):
-        """Shared-memory reverse needs real barrier semantics and phase counts."""
+        """Shared-memory reverse needs real barrier semantics and phase counts:
+        the compiled engine hands the SIMT region to the interpreter."""
         module, fn, builder = build_function("main", [memref((16,), F32), memref((16,), F32)],
                                              ["inp", "out"], noalias=True)
         shared = builder.insert(memref_d.AllocaOp(memref((16,), F32, "shared"))).result
@@ -151,10 +155,11 @@ class TestCompiledSemantics:
         engine = CompiledEngine(module)
         engine.run("main", [inp, out])
         assert np.allclose(out, inp[::-1])
-        assert engine.report.simt_phases == 2  # straight-line body → 2 phase chunks
+        assert engine.report.simt_phases == 2
+        assert [region["tier"] for region in engine.regions] == ["interp"]
 
     def test_gpu_launch_shared_memory_reduction(self):
-        """Barriers under a loop take the compiled-generator SIMT path."""
+        """Barriers under a loop: the launch runs on the interpreter."""
         module = func.ModuleOp()
         n_blocks, block_size = 2, 8
         n = n_blocks * block_size
@@ -337,14 +342,15 @@ class TestWholeFunctionGeneration:
 
     @staticmethod
     def _agree_simt(module):
-        run_engine_matrix(
-            module, "main",
-            lambda: [np.arange(8, dtype=np.float32), np.zeros(8, dtype=np.float32)],
-            [1], engines=("interp", "compiled"))
+        """Every row delegates the SIMT region; the interpreter's output."""
+        out = np.zeros(8, dtype=np.float32)
+        run_unlowered(module, "main", lambda: [np.arange(8, dtype=np.float32), out])
+        return out
 
     def test_if_with_results_around_a_barrier(self):
-        """The barrier sits under ``scf.if``, so every thread is one generator
-        function — and the branch yields a value across its suspension."""
+        """The barrier sits under ``scf.if``, and the branch yields a value
+        across the suspension: no compiled function suspends, so no row
+        compiles the region."""
         def build_body(fn, inner, shared, tid):
             mine = inner.insert(memref_d.LoadOp(fn.arguments[0], [tid]))
             inner.insert(memref_d.StoreOp(mine.result, shared, [tid]))
@@ -360,16 +366,15 @@ class TestWholeFunctionGeneration:
             otherwise.insert(scf.YieldOp([mine.result]))
             inner.insert(memref_d.StoreOp(branch.results[0], fn.arguments[1], [tid]))
         module = self._simt_module(build_body)
-        self._agree_simt(module)
+        assert list(self._agree_simt(module)) == list(range(7, -1, -1))
         engine = CompiledEngine(module)
-        out = np.zeros(8, dtype=np.float32)
-        engine.run("main", [np.arange(8, dtype=np.float32), out])
-        assert list(out) == list(range(7, -1, -1)) and engine.report.simt_phases == 2
+        engine.run("main", [np.arange(8, dtype=np.float32), np.zeros(8, dtype=np.float32)])
+        assert engine.report.simt_phases == 2
 
     @pytest.mark.parametrize("barrier_in_callee", [True, False])
     def test_call_from_a_simt_body(self, barrier_in_callee):
-        """One call emitter: a callee that may reach a barrier is entered with
-        ``yield from``, any other with a plain call."""
+        """A SIMT body calling a callee that may reach a barrier, or not:
+        the region is the interpreter's under every row either way."""
         shared_type = memref((8,), F32, "shared")
         callee = func.FuncOp("exchange", FunctionType((shared_type, INDEX, F32), (F32,)),
                              device=True, arg_names=["shared", "tid", "x"])
@@ -384,8 +389,7 @@ class TestWholeFunctionGeneration:
         def build_body(fn, inner, shared, tid):
             mine = inner.insert(memref_d.LoadOp(fn.arguments[0], [tid]))
             got = inner.insert(func.CallOp("exchange", [shared, tid, mine.result], [F32]))
-            # the region's own barrier, under control flow: either way every
-            # thread runs as one generator function containing the call
+            # the region's own barrier, under control flow
             always = inner.insert(arith.CmpIOp(arith.CmpPredicate.EQ, const_index(inner, 0),
                                                const_index(inner, 0)))
             guard = inner.insert(scf.IfOp(always.result, with_else=False))
@@ -394,9 +398,7 @@ class TestWholeFunctionGeneration:
             then.insert(scf.YieldOp())
             inner.insert(memref_d.StoreOp(got.result, fn.arguments[1], [tid]))
         module = self._simt_module(build_body, callee)
-        self._agree_simt(module)
-        out = np.zeros(8, dtype=np.float32)
-        CompiledEngine(module).run("main", [np.arange(8, dtype=np.float32), out])
+        out = self._agree_simt(module)
         assert list(out) == list(range(7, -1, -1) if barrier_in_callee else range(8))
 
 
@@ -514,18 +516,18 @@ class TestErrors:
             CompiledEngine(module, max_dynamic_ops=10).run(
                 "main", [np.zeros(64, dtype=np.float32)])
 
-    def test_dynamic_op_budget_deep_inside_a_generator_body(self):
-        """The budget runs out three loops deep in a SIMT thread that is one
-        generator function: same exception, and the same ``dynamic_ops`` at
-        the raise as when every block was its own closure (per-block checks,
-        exact counter)."""
+    @pytest.mark.parametrize("budget", [40, 150])
+    def test_dynamic_op_budget_inside_an_unlowered_region(self, budget):
+        """The budget runs out three loops deep in a SIMT thread: the region
+        is the interpreter's, which checks per op, so the raise and the
+        ``dynamic_ops`` at it are the interpreter's own."""
         module, fn, builder = build_function("main", [memref((4,), F32)], ["buf"])
         loop, inner = build_parallel(builder, 4)
         tid = loop.induction_vars[0]
 
         def body(b):
             _bump(b, fn.arguments[0], tid)
-            insert_barrier(b, [tid])  # under three loops: the generator path
+            insert_barrier(b, [tid])  # under three loops
         nest = inner
         for _ in range(3):
             level = nest.insert(scf.ForOp(const_index(nest, 0), const_index(nest, 3),
@@ -536,10 +538,13 @@ class TestErrors:
         close_parallel(inner)
         finish_function(builder)
         verify(module)
-        engine = CompiledEngine(module, max_dynamic_ops=150)
-        with pytest.raises(InterpreterError, match="dynamic operation budget exceeded"):
-            engine.run("main", [np.zeros(4, dtype=np.float32)])
-        assert engine.report.dynamic_ops == 153  # recorded at 663d6e5
+        counts = []
+        for engine_cls in (Interpreter, CompiledEngine):
+            engine = engine_cls(module, max_dynamic_ops=budget)
+            with pytest.raises(InterpreterError, match="dynamic operation budget exceeded"):
+                engine.run("main", [np.zeros(4, dtype=np.float32)])
+            counts.append(engine.report.dynamic_ops)
+        assert counts == [budget + 1] * 2
 
     def test_collect_cost_disabled(self):
         module, fn, builder = build_function("main", [memref((8,), F32)], ["buf"])
@@ -554,3 +559,65 @@ class TestErrors:
         engine.run("main", [np.zeros(8, dtype=np.float32)])
         assert engine.report.cycles == 0.0
         assert engine.report.dynamic_ops > 0
+
+
+def _barrier_between_stores(placement):
+    """``buf[i] = 1``, a barrier, ``buf[i] = 2`` where cpuify would never
+    leave one — ``i`` is 0, or the workshared loop's index."""
+    module, fn, builder = build_function("main", [memref((4,), F32)], ["buf"])
+
+    def stores_around_a_barrier(b, buf, index):
+        b.insert(memref_d.StoreOp(b.insert(arith.ConstantOp(1.0, F32)).result, buf, [index]))
+        insert_barrier(b, [])
+        b.insert(memref_d.StoreOp(b.insert(arith.ConstantOp(2.0, F32)).result, buf, [index]))
+
+    buf = fn.arguments[0]
+    if placement == "function body":
+        stores_around_a_barrier(builder, buf, const_index(builder, 0))
+    else:
+        team = Builder.at_end(builder.insert(omp_d.OmpParallelOp()).body)
+        if placement == "omp.parallel":
+            stores_around_a_barrier(team, buf, const_index(team, 0))
+        elif placement == "omp.wsloop":
+            loop = team.insert(omp_d.OmpWsLoopOp(
+                [const_index(team, 0)], [const_index(team, 4)], [const_index(team, 1)]))
+            stores_around_a_barrier(Builder.at_end(loop.body), buf, loop.induction_vars[0])
+        elif placement == "omp.single":
+            single = Builder.at_end(team.insert(omp_d.OmpSingleOp()).body)
+            stores_around_a_barrier(single, buf, const_index(single, 0))
+        else:  # a callee reached from omp.parallel
+            callee = func.FuncOp("put", FunctionType((memref((4,), F32),), ()),
+                                 device=True, arg_names=["buf"])
+            module.add_function(callee)
+            body = Builder.at_end(callee.body_block)
+            stores_around_a_barrier(body, callee.arguments[0], const_index(body, 0))
+            body.insert(func.ReturnOp())
+            team.insert(func.CallOp("put", [buf], []))
+    finish_function(builder)
+    return module
+
+
+class TestBarrierEscapes:
+    """A barrier in a context that does not suspend is the line ``raise
+    _BE()`` in compiled code; every context shell names the context with
+    the interpreter's exact message, and what was stored before the barrier
+    is what the interpreter stored."""
+
+    @pytest.mark.parametrize("engine_cls", [CompiledEngine, VectorizedEngine, NativeEngine])
+    @pytest.mark.parametrize("placement, message", [
+        ("function body", "barrier executed outside a parallel context"),
+        ("omp.parallel", "GPU barrier inside an OpenMP region"),
+        ("omp.wsloop", "GPU barrier inside a workshared loop"),
+        ("omp.single", "GPU barrier inside omp.single"),
+        ("callee of omp.parallel", "GPU barrier inside an OpenMP region"),
+    ])
+    def test_same_message_and_stores_as_the_interpreter(self, placement, message,
+                                                        engine_cls):
+        module = _barrier_between_stores(placement)
+        results = []
+        for engine in (Interpreter(module), engine_cls(module)):
+            buf = np.zeros(4, dtype=np.float32)
+            with pytest.raises(InterpreterError) as raised:
+                engine.run("main", [buf])
+            results.append((str(raised.value), list(buf)))
+        assert results[0] == results[1] == (message, [1.0, 0.0, 0.0, 0.0])

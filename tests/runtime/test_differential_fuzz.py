@@ -4,11 +4,11 @@
 grammar over arith expressions, memref loads/stores, ``scf.for`` loops,
 ``scf.if`` branches, optional ``__syncthreads`` (staging and tree
 reductions), 1D/2D grids and guarded stores, across four pipeline
-configurations.  Every kernel runs through all four engines
-(``interp``/``compiled``/``vectorized``/``multicore``); outputs and
-CostReports must be bit-identical — this extends
+configurations.  Every cpuified kernel runs through all five engines;
+outputs and CostReports must be bit-identical — this extends
 ``test_engine_parity.py`` from the hand-picked Rodinia kernels to
-generated coverage.
+generated coverage.  A barrier kernel's un-lowered module runs once, on the
+interpreter, which every engine row hands its regions to.
 
 Knobs: ``REPRO_FUZZ_COUNT`` (kernel count, default 60, CI smoke uses a
 reduced count) and ``REPRO_FUZZ_SEED`` (base seed, default 0).  Every
@@ -21,7 +21,8 @@ import os
 import pytest
 
 from repro.runtime import shutdown_worker_pools
-from tests.helpers import FuzzKernel, generate_fuzz_kernel, run_engine_matrix
+from tests.helpers import (FuzzKernel, generate_fuzz_kernel, run_engine_matrix,
+                           run_unlowered)
 
 FUZZ_COUNT = max(1, int(os.environ.get("REPRO_FUZZ_COUNT", "60")))
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
@@ -42,11 +43,8 @@ def _check_kernel(kernel: FuzzKernel) -> None:
     run_engine_matrix(module, kernel.entry, kernel.make_args, OUT_INDEX,
                       workers=2, label=kernel.description)
     if kernel.has_barrier:
-        # the un-lowered module exercises SIMT barrier-phase execution on
-        # every engine (the GPU-semantics oracle path).
-        oracle = kernel.compile(cuda_lower=False)
-        run_engine_matrix(oracle, kernel.entry, kernel.make_args, OUT_INDEX,
-                          workers=2, label=kernel.description + " [oracle]")
+        run_unlowered(kernel.compile(cuda_lower=False), kernel.entry,
+                      kernel.make_args, label=kernel.description + " [oracle]")
 
 
 @pytest.mark.parametrize("seed", SEEDS)

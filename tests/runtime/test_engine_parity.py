@@ -1,10 +1,12 @@
 """Differential tests: compiled/vectorized/multicore/native vs. the interpreter.
 
-Every Rodinia suite kernel (cuda-lowered, OpenMP reference and un-lowered
-SIMT oracle variants) plus the quickstart example runs through **all five**
-execution engines; outputs must be bit-identical and the simulated-cycle
-``CostReport``s must match field for field (``cycles``, ``dynamic_ops``,
-phases, traffic, ...).  This is what allows the fast engines to run
+Every Rodinia suite kernel (cuda-lowered and OpenMP reference variants)
+plus the quickstart example runs through **all five** execution engines;
+outputs must be bit-identical and the simulated-cycle ``CostReport``s must
+match field for field (``cycles``, ``dynamic_ops``, phases, traffic, ...).
+An un-lowered (SIMT oracle) module is checked once on the interpreter plus
+the proof that every engine row hands its regions to it (``run_unlowered``).
+This is what allows the fast engines to run
 everywhere while the interpreter stays the semantic oracle — it pins the
 vectorized engine's analytic cost accounting to the interpreter's
 sequential accumulation bit for bit, the multicore engine's per-worker
@@ -34,7 +36,7 @@ from repro.runtime import (
     shutdown_worker_pools,
 )
 from repro.transforms import PipelineOptions
-from tests.helpers import report_fields
+from tests.helpers import report_fields, run_unlowered
 
 ALL_NAMES = sorted(BENCHMARKS)
 #: a machine none of whose access costs is a binary fraction, next to the
@@ -42,9 +44,6 @@ ALL_NAMES = sorted(BENCHMARKS)
 UGLY_MACHINE = MachineModel(name="ugly", cores=12, global_access_cost=3.3,
                             hbm_bandwidth_factor=0.37, local_access_cost=1.7)
 OMP_NAMES = sorted(n for n in BENCHMARKS if BENCHMARKS[n].omp_source is not None)
-#: barrier-heavy kernels whose oracle runs exercise SIMT phase execution.
-ORACLE_NAMES = ["backprop layerforward", "hotspot", "lud", "nw", "particlefilter",
-                "pathfinder"]
 
 
 def _multicore_two_workers(module, **kwargs):
@@ -142,12 +141,11 @@ class TestRodiniaParity:
         assert_engines_agree(module, bench.entry, lambda: bench.make_inputs(1),
                              bench.output_indices)
 
-    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    @pytest.mark.parametrize("name", ALL_NAMES)
     def test_simt_oracle_parity(self, name):
         bench = BENCHMARKS[name]
-        module = bench.compile_cuda(cuda_lower=False)
-        assert_engines_agree(module, bench.entry, lambda: bench.make_inputs(1),
-                             bench.output_indices)
+        run_unlowered(bench.compile_cuda(cuda_lower=False), bench.entry,
+                      lambda: bench.make_inputs(1), label=name)
 
     def test_opt_disabled_parity(self):
         bench = BENCHMARKS["backprop layerforward"]
@@ -173,9 +171,12 @@ class TestQuickstartParity:
 
     @pytest.mark.parametrize("lower", [False, True])
     def test_quickstart_parity(self, lower):
-        kwargs = ({"cuda_lower": True, "options": PipelineOptions.all_optimizations()}
-                  if lower else {})
-        module = compile_cuda(QUICKSTART_CUDA, **kwargs)
+        if not lower:
+            run_unlowered(compile_cuda(QUICKSTART_CUDA), "launch", self._make_args,
+                          threads=32)
+            return
+        module = compile_cuda(QUICKSTART_CUDA, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
         assert_engines_agree(module, "launch", self._make_args, (0,), threads=32)
 
     def test_quickstart_parity_a64fx(self):

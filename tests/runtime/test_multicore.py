@@ -252,7 +252,7 @@ class TestShardAnalysis:
         assert engine.shard_stats["dispatches"] == 0
         assert engine.shard_stats["rejected_regions"] == 1
         (region,) = engine.regions
-        assert region["tier"] == "closures"
+        assert region["tier"] == "interp"
         assert region["refusals"] == [f"multicore: {UNLOWERED[LAUNCH]}"]
 
 

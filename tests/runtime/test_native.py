@@ -102,7 +102,7 @@ class TestRegionCoverage:
     def test_barrier_kernel_compiles_natively_lowered_only(self):
         """A straight-line __syncthreads kernel reaches C through cpuify's
         barrier lowering; its un-lowered gpu.launch runs the SIMT phases on
-        the closure tier, bit-identically, and says why."""
+        the interpreter, bit-identically, and says why."""
         for seed in range(60):
             kernel = generate_fuzz_kernel(seed)
             if kernel.has_barrier and "reduce=False" in kernel.description:
@@ -119,7 +119,7 @@ class TestRegionCoverage:
         assert engine.native_stats["native_regions"] == 0
         assert engine.native_stats["fallback_regions"] == len(engine.regions) >= 1
         for region in engine.regions:
-            assert region["tier"] == "closures"
+            assert region["tier"] == "interp"
             assert region["refusals"] == [f"native: {UNLOWERED[LAUNCH]}"]
 
     @needs_cc

@@ -6,9 +6,10 @@ closures.  Both classes now reach C through cpuify — (a) as a structural
 loop over the while op's before/after regions with the compiled engine's
 exact per-iteration cost charge, (b) because the barrier lowering in the IR
 (loop fission, min-cut value caching, interchange) leaves barrier-free spans
-only.  These tests pin each class across all five engines, lowered and
-un-lowered — outputs and CostReports bit-identical to the interpreter — and,
-where the toolchain exists, assert that the lowered regions really execute
+only.  These tests pin each class across all five engines lowered —
+outputs and CostReports bit-identical to the interpreter — and un-lowered on
+the interpreter, which every engine hands the region to; where the
+toolchain exists, they assert that the lowered regions really execute
 native and that the un-lowered ones are refused by name, not lowered a
 second time by the emitter.
 """
@@ -21,7 +22,7 @@ from repro.analysis.region import LAUNCH
 from repro.runtime import Interpreter, NativeEngine, native_available
 from repro.runtime.compiler import UNLOWERED
 from repro.transforms import PipelineOptions
-from tests.helpers import report_fields, run_engine_matrix
+from tests.helpers import report_fields, run_engine_matrix, run_unlowered
 
 needs_cc = pytest.mark.skipif(not native_available(),
                               reason="no working cc -fopenmp")
@@ -141,7 +142,8 @@ CLASS_SOURCES = {
 
 
 class TestFiveEngineParity:
-    """Both region classes, cpuified and SIMT-oracle paths, five engines."""
+    """Both region classes, cpuified on five engines; the SIMT oracle on the
+    interpreter, which every row delegates to."""
 
     @pytest.mark.parametrize("name", sorted(CLASS_SOURCES))
     def test_lowered_parity(self, name):
@@ -152,9 +154,8 @@ class TestFiveEngineParity:
 
     @pytest.mark.parametrize("name", sorted(CLASS_SOURCES))
     def test_oracle_parity(self, name):
-        module = compile_cuda(CLASS_SOURCES[name], cuda_lower=False)
-        run_engine_matrix(module, "launch", _make_args, OUT,
-                          workers=2, label=f"{name} [oracle]")
+        run_unlowered(compile_cuda(CLASS_SOURCES[name], cuda_lower=False),
+                      "launch", _make_args, label=f"{name} [oracle]")
 
 
 THREAD_VARYING_GUARD_CUDA = """
@@ -199,7 +200,7 @@ class TestNativeCompilesBothClasses:
         for source in (BARRIER_FOR_CUDA, BARRIER_WHILE_CUDA):
             engine = _run_native(source, cuda_lower=False)
             (region,) = engine.regions
-            assert region["kind"] == LAUNCH and region["tier"] == "closures"
+            assert region["kind"] == LAUNCH and region["tier"] == "interp"
             assert region["refusals"] == [f"native: {UNLOWERED[LAUNCH]}"]
             stats = engine.native_stats
             assert stats["native_regions"] == stats["native_dispatches"] == 0
@@ -207,8 +208,8 @@ class TestNativeCompilesBothClasses:
 
     def test_thread_varying_guard_still_falls_back(self):
         """A barrier under a *thread-varying* branch: the interpreter's SIMT
-        scheduling defines it, the closure tier reproduces it, and no tier
-        tries to be cleverer."""
+        scheduling defines it, the interpreter runs it, and no tier tries to
+        be cleverer."""
         engine = _run_native(THREAD_VARYING_GUARD_CUDA, cuda_lower=False)
         assert engine.native_stats["fallback_regions"] >= 1
-        assert [region["tier"] for region in engine.regions] == ["closures"]
+        assert [region["tier"] for region in engine.regions] == ["interp"]

@@ -85,7 +85,7 @@ class TestRegionSelection:
         assert engine.vector_stats["vectorized_regions"] >= 1
 
     def test_barrier_under_control_flow_falls_back_wholesale(self):
-        """An un-lowered launch is the closure tier's, whatever its phases
+        """An un-lowered launch is the interpreter's, whatever its phases
         hold: the vectorizer is never offered it."""
         bench = BENCHMARKS["backprop layerforward"]
         module = bench.compile_cuda(cuda_lower=False)
@@ -93,7 +93,7 @@ class TestRegionSelection:
         engine.run(bench.entry, bench.make_inputs(1))
         assert engine.vector_stats == {"vectorized_regions": 0, "fallback_regions": 1}
         region, = engine.regions
-        assert region["tier"] == "closures"
+        assert region["tier"] == "interp"
         assert region["refusals"] == [f"vectorized: {UNLOWERED[LAUNCH]}"]
 
     def test_a64fx_spans_vectorize(self):
@@ -219,7 +219,7 @@ class TestFallbackParity:
         assert report_fields(interp.report) == report_fields(engine.report)
         assert engine.vector_stats == {"vectorized_regions": 0, "fallback_regions": 1}
         region, = engine.regions
-        assert region["tier"] == "closures"
+        assert region["tier"] == "interp"
         assert region["refusals"] == [f"vectorized: {UNLOWERED[SIMT]}"]
         assert engine.report.simt_phases == 2
 

@@ -360,21 +360,26 @@ class TestServerEndToEnd:
         assert response["status"] == "error"
         assert "version" in response["detail"]
 
-    def test_admission_rejection_surfaces_to_the_client(self, server):
+    def test_admission_rejection_surfaces_to_the_client(self, tmp_path):
         # deterministically exhaust the server's admission slots, then
-        # observe the shed response end to end.
-        while server.admission.acquire(timeout=0):
-            pass
-        try:
-            with ServiceClient(server.address) as client:
-                with pytest.raises(ServiceRejected):
-                    client.launch(SAXPY, "launch",
-                                  [np.ones(4, dtype=np.float32),
-                                   np.ones(4, dtype=np.float32),
-                                   np.float32(1.0), 4], engine="interp")
-        finally:
-            for _ in range(server.admission.max_inflight):
-                server.admission.release()
+        # observe the shed response end to end; with no queue the request is
+        # shed at once instead of waiting out the queue timeout.
+        with KernelServer(socket_path=str(tmp_path / "shed.sock"),
+                          queue_depth=0) as server:
+            while server.admission.acquire(timeout=0):
+                pass
+            shed = server.admission.snapshot()["rejected_queue_full"]
+            try:
+                with ServiceClient(server.address) as client:
+                    with pytest.raises(ServiceRejected):
+                        client.launch(SAXPY, "launch",
+                                      [np.ones(4, dtype=np.float32),
+                                       np.ones(4, dtype=np.float32),
+                                       np.float32(1.0), 4], engine="interp")
+            finally:
+                for _ in range(server.admission.max_inflight):
+                    server.admission.release()
+            assert server.admission.snapshot()["rejected_queue_full"] == shed + 1
 
     def test_tenants_get_isolated_streams(self, server):
         n = 32

@@ -43,8 +43,8 @@ source differs from the default machine's: the C is machine-independent
 
 ``--cc-time [flags…]`` is what the emitted C costs to build, the 80% of a
 cold start: per lowered module its C bytes, how many copies of the span
-loop each region function holds (two under a store-safety proof — the
-pragma loop and the plain one — one without) and the ``cc`` wall time,
+loop each region holds (one: the team path and the plain path both call
+``<symbol>_span``, with or without a store-safety proof) and the ``cc`` wall time,
 fastest of ``CC_REPEATS``, under the engine's own flags followed by each
 given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
 -O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).
@@ -79,8 +79,11 @@ from pathlib import Path
 FUZZ_SEEDS = 60
 #: ``--cc-time`` reports the fastest of this many ``cc`` runs per unit.
 CC_REPEATS = 5
-#: the head of a span loop: one per copy of a region's body in its function.
-SPAN_LOOP = "for (int64_t lin = 0; lin < total; ++lin) {"
+#: the head of a span loop: one per copy of a region's body in its functions.
+SPAN_LOOP = "for (int64_t lin = lo; lin < hi; ++lin) {"
+#: the head of the function holding a region's body, ``<symbol>_span``; the
+#: region's exported function follows it.
+SPAN_FUNCTION = "\nstatic __attribute__((noinline)) void "
 
 
 def _unlowered(label: str) -> bool:
@@ -238,9 +241,9 @@ def c_digest(root: Path) -> int:
 
 
 def body_copies(source: str) -> list:
-    """Per region function of one assembled unit, how many span loops — copies
-    of the region's body — it holds."""
-    return [function.count(SPAN_LOOP) for function in source.split("\nvoid ")[1:]]
+    """Per region of one assembled unit, how many span loops — copies of the
+    region's body — its two functions hold."""
+    return [region.count(SPAN_LOOP) for region in source.split(SPAN_FUNCTION)[1:]]
 
 
 def cc_time(root: Path, flags, only: str) -> int:

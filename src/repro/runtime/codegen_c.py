@@ -4,15 +4,19 @@ The paper's headline artifact is *transpiled C*: CUDA kernels lowered through
 high-level parallel constructs and emitted as OpenMP CPU code that runs at
 native speed.  This module closes that gap for the reproduction: it walks a
 lowered *span* — an ``omp.wsloop`` or a barrier-free ``scf.parallel`` — and
-emits one C function per region: a loop over the linearized iteration
-space, executed under ``#pragma omp parallel for`` when the write-write
-store-safety analysis (:mod:`repro.analysis.store_safety`) proves the region
-shard-safe (and sequentially otherwise — sequential C is still far faster
-than Python closures).  The pragma sits on that linearized span loop and
-reads ``parallel for simd`` unless the body calls libm functions whose
-vector variants are not IEEE-exact; the dispatcher's ``mode`` flag selects
-it or the plain copy of the loop, and a span without a proof is emitted as
-the plain loop alone.
+emits two C functions per region.  ``<symbol>_span(lo, hi)`` holds the body,
+printed once, in a loop over the iterations ``[lo, hi)`` of the row-major
+iteration space: it reads the extents once, delinearizes ``lo`` once and
+then steps the indices like an odometer (innermost first, carrying
+outward), so no iteration divides.  The exported ``<symbol>`` (the region
+ABI) calls it over ``[0, total)`` — the plain path, which carries no OpenMP
+directive and makes no libgomp call — or, when the dispatcher's ``mode``
+flag is set, from a ``#pragma omp parallel`` team in which each thread
+takes one contiguous static chunk.  ``mode`` requires the write-write
+store-safety analysis (:mod:`repro.analysis.store_safety`) to prove the
+region shard-safe, and a span without a proof has no team path at all
+(sequential C is still far faster than Python closures).  Nothing is
+``simd``: an odometer loop has no ``omp simd`` form.
 
 Spans are all there is to emit: ``__syncthreads`` is removed in the IR by
 cpuify (parallel-loop fission, min-cut value caching, interchange — the
@@ -30,9 +34,10 @@ counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
 one constant per block.  Every charge lies on the cycle grid
 (:data:`repro.runtime.costmodel.CYCLE_GRID`), whatever the machine model, so
 float accumulation is associative in exact arithmetic and the folded totals
-(and OpenMP ``reduction(+)`` partial sums) are bit-identical to the
-interpreter's sequential accumulation; all double literals are emitted as
-C99 hex floats so no decimal round-trip can perturb them.
+(and the per-chunk partial sums an OpenMP ``reduction(+)`` adds) are
+bit-identical to the interpreter's sequential accumulation; all double
+literals are emitted as C99 hex floats so no decimal round-trip can perturb
+them.
 
 **Machine-independent C.**  The folded charges are the only place the
 machine model enters a region, so they are not printed: they are collected
@@ -163,11 +168,6 @@ class RegionSpec:
     num_dims: int = 0
     #: the machine-dependent cycle charges the C reads as ``K[j]``.
     costs: List[float] = field(default_factory=list)
-    #: the emitted C's team loop is `parallel for simd`.  Statically false
-    #: when the span has no store-safety proof (it has no team loop at all),
-    #: when the body calls libm functions whose vector variants are not
-    #: IEEE-exact, or when it inlines other functions.
-    simd_ok: bool = False
 
 
 class RegionCodegen:
@@ -519,8 +519,6 @@ class RegionCodegen:
         st = self._name("st")
         self.out.w(f"const int64_t {ub} = {upper};")
         self.out.w(f"const int64_t {st} = {step};")
-        # never *read* ERR here: under reduction(max:ERR) each thread's
-        # private copy starts at the max identity (INT64_MIN), not 0.
         self.out.w(f"if ({st} <= 0) ERR = {ERR_BAD_STEP};")
         carried = []
         for init in op.iter_init:
@@ -605,23 +603,13 @@ class RegionCodegen:
 
     _STRUCTURED = {scf.ForOp: _emit_for, scf.IfOp: _emit_if, scf.WhileOp: _emit_while}
 
-    def _simd_eligible(self, ops: Sequence) -> bool:
-        """No op whose C form is not IEEE-exact under vectorization
-        (``Row.simd_exact``: exp, log, sin, pow, ...) and no call."""
-        for op in ops:
-            row = optable.row_for(op)
-            if row is not None and not row.simd_exact:
-                return False
-            if isinstance(op, func_d.CallOp):
-                return False  # inlined callees: not scanned, stay conservative
-            for region in op.regions:
-                for block in region.blocks:
-                    if not self._simd_eligible(list(block.operations)):
-                        return False
-        return True
-
     # -- the region function ----------------------------------------------------
     def emit_span(self) -> Tuple[str, RegionSpec]:
+        """Two C functions: ``<symbol>_span`` runs the iterations ``[lo, hi)``
+        of the row-major iteration space and holds the body, once; the
+        exported ``<symbol>`` (the region ABI) calls it over ``[0, total)``,
+        or, when ``mode`` is set, once per OpenMP thread over one contiguous
+        chunk."""
         op = self.op
         ops, _ = self._split(op.body)
         self._precheck(ops)
@@ -629,77 +617,86 @@ class RegionCodegen:
         self.spec.num_dims = num_dims
         for value in self.plan.live_ins:
             self._bind_livein(value)
+        # grid names ("q" index, "len" extent, "lb" / "step" bounds, "sv"
+        # value) are disjoint from the _name() prefixes, so nothing the body
+        # declares can shadow them (a memref.copy's count is "n<uid>").
+        dims = range(num_dims)
+        for dim, induction_var in enumerate(op.induction_vars):
+            self.cexpr[id(induction_var)] = f"sv{dim}"
 
         body = _Writer()
         body.indent = 2
         header = self.out
         self.out = body
-        body.w("int64_t rem = lin;")
-        for dim in reversed(range(num_dims)):
-            body.w(f"const int64_t q{dim} = rem % RLEN[{dim}];")
-            if dim:
-                body.w(f"rem /= RLEN[{dim}];")
-        body.w("(void)rem;")
-        for dim, induction_var in enumerate(op.induction_vars):
-            # "sv" (span variable), disjoint from the _name() prefixes so a
-            # nested scf.for's "iv<uid>" counter can never shadow it.
-            name = f"sv{dim}"
-            self.cexpr[id(induction_var)] = name
-            body.w(f"const int64_t {name} = RLB[{dim}] + q{dim} * RST[{dim}];")
+        for dim in dims:
+            body.w(f"const int64_t sv{dim} = lb{dim} + q{dim} * step{dim};")
         self._emit_block(op.body)
+        # the odometer: step the innermost index, carry outward
+        step = "++q0;" if num_dims else ""
+        for dim in range(1, num_dims):
+            step = f"if (++q{dim} == len{dim}) {{ q{dim} = 0; {step} }}"
+        body.w(step)
         self.out = header
-        proven = self.plan.parallel_proof is not None
-        self.spec.simd_ok = proven and self._simd_eligible(ops)
 
-        # the live-in ABI and the body's charges, then the span's bounds
-        self.out.lines += [
-            f"void {self.symbol}(const int64_t* LI, const double* LF,",
-            "        const double* K, void* const* LP, const int64_t* LS,",
-            "        const int64_t* RLB, const int64_t* RST,",
-            "        const int64_t* RLEN, int64_t total, int64_t mode,",
-            "        double* outf, int64_t* outi)",
-            "{"]
+        abi = ("const int64_t* LI, const double* LF,\n"
+               "        const double* K, void* const* LP, const int64_t* LS,\n"
+               "        const int64_t* RLB, const int64_t* RST,\n"
+               "        const int64_t* RLEN, ")
+        lines = self.out.lines
+        lines += [f"static __attribute__((noinline)) void {self.symbol}_span({abi}"
+                  "int64_t lo, int64_t hi,",
+                  "        double* outf, int64_t* outi)",
+                  "{"]
         self.out.w("double W = 0.0, GB = 0.0;")
         self.out.w("int64_t OPS = 0, ERR = 0;")
         self._emit_livein_prologue()
-
-        lines = self.out.lines
-
-        # max-reduction on ERR: error *codes* must not sum across threads.
-        # Counter reductions reassociate W/GB/OPS partial sums — exact, and
-        # therefore bit-identical, on the cycle grid (module docstring).
-        reductions = "reduction(+:W,GB,OPS) reduction(max:ERR)"
-
-        def loop(pragma: Optional[str]) -> List[str]:
-            out = []
-            if pragma:
-                out.append(pragma)
-            out.append("    for (int64_t lin = 0; lin < total; ++lin) {")
-            out.extend(body.lines)
-            out.append("    }")
-            return out
-
-        # The body is printed at most twice: once under the pragma (`mode`,
-        # the dispatcher's store-safety/alias proof and >= 64 units) and once
-        # plain; a span with no proof is the plain loop alone.  One body under
-        # `if(parallel: mode) if(simd: mode)` compiles faster still and was
-        # rejected: an unproven or aliased dispatch must execute a loop that
-        # carries NO OpenMP directive (a false `if(simd:)` only lowers the
-        # preferred simdlen, the safelen assertion stays on the loop), and
-        # GOMP_parallel on every small dispatch costs about 10 us a launch.
-        if not proven:
-            lines += loop(None)
-        else:
-            simd = " simd" if self.spec.simd_ok else ""
-            lines.append("    if (mode) {")
-            lines += loop(f"#pragma omp parallel for{simd} schedule(static) "
-                          + reductions)
-            lines.append("    } else {")
-            lines += loop(None)
-            lines.append("    }")
-        lines += ["    outf[0] = W; outf[1] = GB;",
+        for dim in dims:
+            self.out.w(f"const int64_t len{dim} = RLEN[{dim}], lb{dim} = RLB[{dim}],"
+                       f" step{dim} = RST[{dim}];")
+        # a zero extent makes the space empty: return before dividing by it
+        self.out.w("if (hi <= lo) { outf[0] = outf[1] = 0.0; "
+                   "outi[0] = outi[1] = 0; return; }")
+        self.out.w("int64_t rem = lo;")
+        for dim in reversed(dims):
+            self.out.w(f"int64_t q{dim} = rem % len{dim}; rem /= len{dim};")
+        self.out.w("for (int64_t lin = lo; lin < hi; ++lin) {")
+        lines += body.lines
+        lines += ["    }",
+                  "    outf[0] = W; outf[1] = GB;",
                   "    outi[0] = OPS; outi[1] = ERR;",
-                  "}"]
+                  "}",
+                  "",
+                  f"void {self.symbol}({abi}int64_t total, int64_t mode,",
+                  "        double* outf, int64_t* outi)",
+                  "{"]
+        call = f"{self.symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, "
+        if self.plan.parallel_proof is not None:
+            # `mode`: the dispatcher's store-safety/alias proof held and there
+            # are >= 64 units.  Any other dispatch takes the plain path, which
+            # carries no OpenMP directive and makes no libgomp call.  The
+            # max-reduction keeps ERR a code; the counter reductions
+            # reassociate partial sums — exact on the cycle grid (module
+            # docstring).
+            lines += [
+                "    if (mode) {",
+                "        double W = 0.0, GB = 0.0;",
+                "        int64_t OPS = 0, ERR = 0;",
+                "#pragma omp parallel reduction(+:W,GB,OPS) reduction(max:ERR)",
+                "        {",
+                "            const int64_t team = omp_get_num_threads(), "
+                "rank = omp_get_thread_num();",
+                "            const int64_t share = total / team, extra = total % team;",
+                "            const int64_t lo = rank * share + (rank < extra ? rank : extra);",
+                "            double f[2];",
+                "            int64_t e[2];",
+                f"            {call}lo, lo + share + (rank < extra), f, e);",
+                "            W += f[0]; GB += f[1]; OPS += e[0]; ERR = e[1];",
+                "        }",
+                "        outf[0] = W; outf[1] = GB;",
+                "        outi[0] = OPS; outi[1] = ERR;",
+                "        return;",
+                "    }"]
+        lines += [f"    {call}0, total, outf, outi);", "}"]
         for index, buf_spec in enumerate(self.spec.buffers):
             buf_spec.stored = f"lp{index}" in self._stored_buffers
         return "\n".join(lines), self.spec
@@ -712,6 +709,7 @@ PRELUDE_HEAD = r"""
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
+#include <omp.h>
 
 /* Scalar semantics mirror the Python engines exactly: doubles for float
  * arithmetic (f32 rounds only on store), int64 lanes for integers, and the

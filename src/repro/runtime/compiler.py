@@ -184,7 +184,7 @@ class _Program:
         self.vector_stats = {"vectorized_regions": 0, "fallback_regions": 0}
         self.native_stats = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
-            "simd_regions": 0, "bailouts": 0, "units_ready": 0,
+            "bailouts": 0, "units_ready": 0,
             "artifact_hits": 0, "compile_errors": 0, "corrupt_artifacts": 0,
         }
         self.shard_stats = {

@@ -30,8 +30,9 @@ in-process run is every dispatch's fallback, lives in
   :class:`~repro.runtime.costmodel.CostReport`\\ s stay bit-identical to the
   interpreter (pinned by the five-engine parity matrix and the differential
   fuzz suite);
-* real parallelism (``#pragma omp parallel for`` across iterations)
-  is enabled per region only when the write-write store-safety analysis
+* real parallelism (a ``#pragma omp parallel`` team, one static chunk of
+  the iterations per thread) is enabled per region only when the
+  write-write store-safety analysis
   (:mod:`repro.analysis.store_safety`, asked once per region through its
   :class:`~repro.analysis.region.RegionPlan`) proves shards independent
   (required-singleton dims are re-checked per dispatch, as is runtime
@@ -84,7 +85,11 @@ CC_ENV_VAR = "REPRO_CC"
 #: 5: `mode` is one flag and a span body is printed at most twice (the
 #: pragma loop and the plain loop; the plain loop alone without a proof);
 #: the prelude holds only the helpers the unit calls, no `<stdlib.h>`.
-NATIVE_FORMAT = 5
+#: 6: the body is printed once, in `<symbol>_span(lo, hi)`: an odometer
+#: index delinearized once per call (no division per iteration), called
+#: over `[0, total)` or, under `mode`, once per OpenMP thread over one
+#: static chunk; no `simd`.
+NATIVE_FORMAT = 6
 
 #: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
@@ -510,9 +515,9 @@ class _RegionHandle:
                     cursor += 1
                 intervals.append((address, address + array.nbytes, stored))
             ranges, total = _iteration_space(regs, *bounds)
-            # the pragma loop needs the store-safety proof to hold for these
-            # live-ins and enough units to amortize a team; anything else runs
-            # the plain loop, which carries no OpenMP directive.
+            # the team path needs the store-safety proof to hold for these
+            # live-ins and enough units to amortize a team; anything else takes
+            # the plain path, which carries no OpenMP directive.
             required = self.required_dims
             mode = (required is not None
                     and total >= _MIN_PARALLEL_UNITS
@@ -573,8 +578,6 @@ def native(fc: _FunctionCompiler, region: _Region):
         plan.refuse("native", str(exc))
         return None
     stats["native_regions"] += 1
-    if spec.simd_ok:
-        stats["simd_regions"] += 1
     unit.add(source, symbol)
     region.tier = "native"
     proof = plan.parallel_proof

@@ -67,11 +67,6 @@ class Row:
     int_result: bool = False
     #: operands are coerced with ``float()`` before ``py`` sees them.
     float_args: bool = False
-    #: the C form is IEEE-exact (correctly rounded), so vectorizing it —
-    #: which for libm calls only exists via fast-math libmvec variants —
-    #: cannot perturb results.  ``False`` statically disables
-    #: ``#pragma omp simd`` for a region containing the op.
-    simd_exact: bool = True
 
 
 _SHLI_HELPER = """\
@@ -136,25 +131,24 @@ _FLOAT_BINARIES = (
 #: comparison predicate -> operator, the same in Python, NumPy and C.
 _CMP_OPERATOR = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
-#: libm call of each ``math.<fn>`` (guards mirror ``UNARY_FUNCTIONS``), and
-#: whether its scalar result is correctly rounded (``Row.simd_exact``).
+#: libm call of each ``math.<fn>`` (guards mirror ``UNARY_FUNCTIONS``).
 _MATH_C = {
-    "exp": ("exp(x)", False),
-    "exp2": ("pow(2.0, x)", False),
-    "log": ("x > 0.0 ? log(x) : -INFINITY", False),
-    "log2": ("x > 0.0 ? log2(x) : -INFINITY", False),
-    "log10": ("x > 0.0 ? log10(x) : -INFINITY", False),
-    "sqrt": ("x >= 0.0 ? sqrt(x) : NAN", True),
-    "rsqrt": ("x > 0.0 ? 1.0 / sqrt(x) : INFINITY", False),
-    "fabs": ("fabs(x)", True),
-    "sin": ("sin(x)", False),
-    "cos": ("cos(x)", False),
-    "tan": ("tan(x)", False),
-    "tanh": ("tanh(x)", False),
-    "floor": ("floor(x)", True),
-    "ceil": ("ceil(x)", True),
-    "erf": ("erf(x)", False),
-    "round": ("rint(x)", True),
+    "exp": "exp(x)",
+    "exp2": "pow(2.0, x)",
+    "log": "x > 0.0 ? log(x) : -INFINITY",
+    "log2": "x > 0.0 ? log2(x) : -INFINITY",
+    "log10": "x > 0.0 ? log10(x) : -INFINITY",
+    "sqrt": "x >= 0.0 ? sqrt(x) : NAN",
+    "rsqrt": "x > 0.0 ? 1.0 / sqrt(x) : INFINITY",
+    "fabs": "fabs(x)",
+    "sin": "sin(x)",
+    "cos": "cos(x)",
+    "tan": "tan(x)",
+    "tanh": "tanh(x)",
+    "floor": "floor(x)",
+    "ceil": "ceil(x)",
+    "erf": "erf(x)",
+    "round": "rint(x)",
 }
 
 _TO_INT = dict(py=int, inline="int({a})", c="(int64_t)({a})")
@@ -191,14 +185,13 @@ def _build_rows() -> Dict[object, Row]:
         lanes="np.where(np.asarray({a}) != 0, {b}, {c})",
         c="(({a}) ? {b} : {c})")
     for fn, evaluate in math_d.UNARY_FUNCTIONS.items():
-        body, exact = _MATH_C[fn]
+        body = _MATH_C[fn]
         rows[math_d.UnaryMathOp, fn] = Row(
             "math.unary", evaluate, c=f"repro_{fn}({{a}})",
             helper=f"static inline double repro_{fn}(double x) {{ return {body}; }}\n",
-            float_args=True, simd_exact=exact)
+            float_args=True)
     rows[math_d.PowFOp] = Row("math.powf", math_d.PowFOp.evaluate,
-                              c="repro_powf({a}, {b})", helper=_POWF_HELPER,
-                              simd_exact=False)
+                              c="repro_powf({a}, {b})", helper=_POWF_HELPER)
     # attribute-defined rows (module docstring).  ``memref.dim`` has an
     # OP_COSTS entry no engine has ever charged; ``cost=None`` keeps it so.
     rows[arith.ConstantOp] = Row("arith.constant", None)

@@ -29,7 +29,7 @@ from tests.helpers import (build_function, close_parallel, const_index,
                            finish_function)
 
 ROOT = Path(__file__).resolve().parents[2]
-EXTENT = 256     # two OpenMP threads under schedule(static): lanes 0-127, 128-255
+EXTENT = 256     # two OpenMP threads, one static chunk each: lanes 0-127, 128-255
 BOUNDARY = 128   # the first lane of the second thread
 
 

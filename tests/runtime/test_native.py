@@ -364,11 +364,10 @@ def _row_module(through_call=False):
     return module, span
 
 
-def _mode_soak():
-    """Subprocess entry (``OMP_NUM_THREADS=2``): the dispatches that must run
-    the plain loop do, 64 proven units take the team, and every one of them
-    equals ``interp`` in outputs and CostReport."""
-    from repro.analysis.region import RegionPlans
+def _spy_dispatches(plain=()):
+    """Wrap every native function sealed from now on; return the list each
+    call appends its ``(total, mode)`` to.  While ``plain`` is non-empty a
+    call runs with ``mode`` 0, the plain path."""
     from repro.runtime import native
 
     modes = []
@@ -379,10 +378,22 @@ def _mode_soak():
         for symbol, function in list(unit.functions.items()):
             def call(*arguments, function=function):
                 modes.append((arguments[8], bool(arguments[9])))
+                if plain:
+                    arguments = (*arguments[:9], 0, *arguments[10:])
                 function(*arguments)
             unit.functions[symbol] = call
 
     native.NativeUnit._seal = spying_seal
+    return modes
+
+
+def _mode_soak():
+    """Subprocess entry (``OMP_NUM_THREADS=2``): the dispatches that must run
+    the plain loop do, 64 proven units take the team, and every one of them
+    equals ``interp`` in outputs and CostReport."""
+    from repro.analysis.region import RegionPlans
+
+    modes = _spy_dispatches()
     proven, span = _row_module()
     assert RegionPlans(proven).plan(span).parallel_proof == frozenset({1})
     unproven, span = _row_module(through_call=True)
@@ -410,6 +421,124 @@ def _mode_soak():
         assert (stats["native_dispatches"], stats["bailouts"]) == (dispatches, 0)
 
 
+def _grid_module():
+    """``main(out, src, lo, hi, st, hj, bad)``: over ``i`` in ``range(lo, hi,
+    st)`` x ``j`` in ``[0, hj)``, ``out[i, j] = v = 16 * src[i] + j``, then an
+    ``scf.for`` whose step is 0 where ``v == bad``.  Every iteration stores
+    its own cell, so the proof is empty and any dispatch of 64 units takes
+    the team."""
+    from repro.dialects import arith, memref as memref_d, scf
+    from repro.ir import INDEX, Builder, memref, verify
+    from tests.helpers import (build_function, close_parallel, const_index,
+                               finish_function)
+
+    module, fn, b = build_function(
+        "main", [memref((48, 8), INDEX), memref((48,), INDEX)] + [INDEX] * 5)
+    out, source, lo, hi, st, hj, bad = fn.arguments
+    zero, one = const_index(b, 0), const_index(b, 1)
+    span = b.insert(scf.ParallelOp([lo, zero], [hi, hj], [st, one]))
+    inner = Builder.at_end(span.body)
+    i, j = span.induction_vars
+    loaded = inner.insert(memref_d.LoadOp(source, [i])).result
+    scaled = inner.insert(arith.MulIOp(loaded, const_index(inner, 16))).result
+    value = inner.insert(arith.AddIOp(scaled, j)).result
+    inner.insert(memref_d.StoreOp(value, out, [i, j]))
+    hit = inner.insert(arith.CmpIOp("eq", value, bad)).result
+    step = inner.insert(arith.SelectOp(hit, zero, one)).result
+    loop = inner.insert(scf.ForOp(zero, one, step))
+    loop.body.append(scf.YieldOp())
+    close_parallel(inner)
+    finish_function(b)
+    verify(module)
+    return module, span
+
+
+#: ``(name, lo, hi, st, hj, bad)`` of :func:`_chunk_soak`; ``bad`` is the
+#: value of the last iteration in row-major order, or -1 for none.
+CHUNK_CASES = (
+    ("uneven split, a chunk starts mid-row", 0, 13, 1, 5, -1),
+    ("64 units", 0, 16, 1, 4, -1),
+    ("zero extent in the inner dim", 0, 13, 1, 0, -1),
+    ("zero extent in the outer dim", 7, 7, 1, 5, -1),
+    ("nonzero lower bound, step 3", 3, 40, 3, 5, -1),
+    ("ERR_BAD_STEP in the last thread's chunk", 0, 13, 1, 5, 16 * 12 + 4),
+)
+
+
+def _chunk_soak():
+    """Subprocess entry (run under an ``OMP_NUM_THREADS``): every case of
+    the 2-D :func:`_grid_module` equals ``interp`` in outputs and
+    CostReport; a dispatch of >= 64 units takes the team, a smaller one the
+    plain path.  The case that raises raises interp's error with interp's
+    outputs (the bad step is the last iteration and nothing is stored after
+    it); at a raise no engine's CostReport is interp's (the counters of the
+    failed region are dropped), so its CostReport must equal the plain
+    path's instead."""
+    from repro.analysis.region import RegionPlans
+
+    plain = []
+    modes = _spy_dispatches(plain)
+    module, span = _grid_module()
+    assert RegionPlans(module).plan(span).parallel_proof == frozenset()
+
+    def run(engine, case):
+        arguments = [np.full((48, 8), -7, dtype=np.int64),
+                     np.arange(48, dtype=np.int64), *case]
+        try:
+            engine.run("main", arguments)
+            error = None
+        except InterpreterError as exc:
+            error = str(exc)
+        return arguments[0], error, report_fields(engine.report)
+
+    for name, *case in CHUNK_CASES:
+        expected, expected_error, expected_report = run(Interpreter(module), case)
+        got, error, report = run(NativeEngine(module), case)
+        lo, hi, st, hj, _ = case
+        units = len(range(lo, hi, st)) * hj
+        assert modes[-1] == (units, units >= 64), (name, modes[-1])
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+        assert error == expected_error, (name, error)
+        if error is None:
+            assert report == expected_report, name
+        else:
+            plain.append(True)
+            assert run(NativeEngine(module), case)[1:] == (error, report), name
+            plain.clear()
+
+
+def _affinity_soak():
+    """Subprocess entry: loading libgomp and a team dispatch leave this
+    process's CPU affinity as it inherited it from its parent, and a thread
+    started afterwards gets the same."""
+    import threading
+
+    modes = _spy_dispatches()
+    module, _ = _grid_module()
+    NativeEngine(module).run("main", [np.zeros((48, 8), dtype=np.int64),
+                                      np.arange(48, dtype=np.int64), 0, 16, 1, 4, -1])
+    assert modes == [(64, True)]
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(os.sched_getaffinity(0)))
+    thread.start()
+    thread.join()
+    assert os.sched_getaffinity(0) == seen[0] == os.sched_getaffinity(os.getppid())
+
+
+def _soak(entry: str, threads: int) -> None:
+    """Run ``tests.runtime.test_native.<entry>()`` in a fresh interpreter
+    under ``OMP_NUM_THREADS=threads`` and libgomp's default placement."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OMP_PROC_BIND", "OMP_PLACES")}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"from tests.runtime.test_native import {entry}; {entry}()"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(env, OMP_NUM_THREADS=str(threads),
+                 PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])))
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def _snapshot_tool():
     import importlib.util
 
@@ -420,23 +549,39 @@ def _snapshot_tool():
     return tool
 
 
+class TestChunkedSpan:
+    """The team path splits ``[0, total)`` into one contiguous chunk per
+    OpenMP thread, each delinearized once and stepped by odometer."""
+
+    @needs_cc
+    @pytest.mark.parametrize("threads", [3, 70], ids=["3-threads", "more-threads-than-units"])
+    def test_edge_cases_equal_interp(self, threads):
+        _soak("_chunk_soak", threads)
+
+    @needs_cc
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity API")
+    def test_a_team_dispatch_leaves_the_cpu_affinity_alone(self):
+        """``OMP_PROC_BIND`` would pin the calling thread when libgomp loads
+        (README): the engine sets no placement, so the threads and children
+        a process starts after its first native run keep every CPU."""
+        _soak("_affinity_soak", 2)
+
+
 class TestOneFlagTwoLoops:
     @needs_cc
     def test_only_a_proven_dispatch_of_64_units_takes_the_team(self):
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "from tests.runtime.test_native import _mode_soak; _mode_soak()"],
-            cwd=ROOT, capture_output=True, text=True, timeout=300,
-            env=dict(os.environ, OMP_NUM_THREADS="2",
-                     PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])))
-        assert done.returncode == 0, done.stderr[-2000:]
+        _soak("_mode_soak", 2)
 
-    def test_a_body_is_printed_once_per_loop_that_can_run(self, monkeypatch):
-        """A region's body is in its unit twice under a store-safety proof —
-        the pragma loop and a plain loop that holds no directive — and once,
-        in a function with no directive at all, without one: over the
-        snapshot tool's 72 lowered modules (every region of which has a
-        proof) and a hand-built span that stores through a callee."""
+    def test_a_body_is_printed_once(self, monkeypatch):
+        """Every region's body is in its unit once, in ``<symbol>_span``,
+        which holds no directive and calls no libgomp function.  The plain
+        path calls it over the whole space; under a store-safety proof the
+        exported function also holds one ``#pragma omp parallel`` whose
+        threads call it, each over its own chunk.  Over the snapshot tool's
+        72 lowered modules (every region of which has a proof) and a
+        hand-built span that stores through a callee; no ``simd``, no
+        ``collapse`` anywhere."""
         from repro.runtime.codegen_c import assemble_unit
         from repro.runtime.compiler import program_for
 
@@ -447,7 +592,7 @@ class TestOneFlagTwoLoops:
                    if not tool._unlowered(label)]
         assert len(modules) == 72
         modules.append(("no proof", lambda: _row_module(through_call=True)[0], "main"))
-        copies = []
+        pragmas = []
         for label, build, entry in modules:
             module = build()
             program = program_for(module, XEON_8375C, "native")
@@ -457,18 +602,20 @@ class TestOneFlagTwoLoops:
                          for source in unit.sources]
             assert len(plans) == len(functions) >= 1, label
             unit = assemble_unit(functions)
-            assert tool.body_copies(unit) == [
-                1 if plan.parallel_proof is None else 2 for plan in plans], label
-            copies += tool.body_copies(unit)
+            assert tool.body_copies(unit) == [1] * len(plans), label
+            assert "simd" not in unit and "collapse" not in unit, label
             for function in functions:
-                *pragma_loops, plain = function.split(tool.SPAN_LOOP)[1:]
-                body = plain[:plain.rindex("    }\n    outf[0]")]
-                assert unit.count(body) == 1 + len(pragma_loops), label
-                assert "#pragma" not in plain, label
-                assert function.count("#pragma") == len(pragma_loops), label
-            assert program.native_stats["simd_regions"] == sum(
-                "parallel for simd" in function for function in functions), label
-        assert copies.count(2) == len(copies) - 1 and copies[-1] == 1
+                span, exported = function.split("\nvoid ")
+                symbol = exported[:exported.index("(")]
+                assert unit.count(span[span.index(tool.SPAN_LOOP):]) == 1, label
+                assert "#pragma" not in span and "omp_" not in span, label
+                plain = f"{symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, 0, total, outf, outi);"
+                assert exported.endswith(f"\n    {plain}\n}}"), label
+                assert exported.count("_span(") == 1 + exported.count("#pragma"), label
+                pragmas.append(exported.count("#pragma omp parallel "))
+            assert sum(pragmas[-len(plans):]) == sum(
+                plan.parallel_proof is not None for plan in plans), label
+        assert pragmas == [1] * (len(pragmas) - 1) + [0]
 
     def test_no_mode_bitmask_is_left_in_the_sources(self):
         for path in (ROOT / "src").rglob("*.py"):

@@ -5,10 +5,10 @@ The public entry point is :func:`cpuify`, which mirrors the paper's
 for tests, ablations and custom pipelines.
 """
 
-from .pass_manager import FunctionPass, Pass, PassManager, PassStatistic, PipelineOptions
+from .pass_manager import Pass, PassManager, PassStatistic, PipelineOptions
 from .canonicalize import CanonicalizePass, canonicalize
 from .cse import CSEPass, eliminate_common_subexpressions
-from .dce import DCEPass, eliminate_dead_code
+from .dce import eliminate_dead_code
 from .licm import LICMPass, ParallelLICMPass, hoist_loop_invariant_code
 from .mem2reg import Mem2RegPass, promote_memory_to_registers
 from .inline import InlinerPass, inline_call, inline_functions, remove_dead_functions
@@ -43,10 +43,10 @@ from .omp_opt import OpenMPOptPass, fuse_parallel_regions, hoist_parallel_region
 from .cpuify import FALLBACK_ATTR, BarrierLoweringPass, build_pipeline, cpuify
 
 __all__ = [
-    "FunctionPass", "Pass", "PassManager", "PassStatistic", "PipelineOptions",
+    "Pass", "PassManager", "PassStatistic", "PipelineOptions",
     "CanonicalizePass", "canonicalize",
     "CSEPass", "eliminate_common_subexpressions",
-    "DCEPass", "eliminate_dead_code",
+    "eliminate_dead_code",
     "LICMPass", "ParallelLICMPass", "hoist_loop_invariant_code",
     "Mem2RegPass", "promote_memory_to_registers",
     "InlinerPass", "inline_call", "inline_functions", "remove_dead_functions",

@@ -5,9 +5,10 @@ from the unified host/device module produced by the frontend it
 
 1. converts ``gpu.launch`` into the nested-parallel representation,
 2. inlines ``__device__`` helpers into kernels,
-3. runs the generic optimizations (canonicalize, CSE, serial LICM) plus the
-   parallel-specific ones controlled by :class:`PipelineOptions`
-   (barrier-aware mem2reg, parallel LICM, loop unrolling, barrier
+3. runs the generic cleanups (canonicalize, which ends in dead-code
+   elimination, and CSE) plus the parallel-specific optimizations controlled
+   by :class:`PipelineOptions` (barrier-aware mem2reg, parallel LICM — serial
+   LICM only when parallel LICM is ablated away — loop unrolling, barrier
    elimination),
 4. lowers the remaining barriers by repeated parallel-loop splitting and
    interchange,
@@ -26,7 +27,6 @@ from ..analysis import barriers_in, contains_barrier
 from .pass_manager import Pass, PassManager, PipelineOptions
 from .canonicalize import CanonicalizePass
 from .cse import CSEPass
-from .dce import DCEPass
 from .inline import InlinerPass
 from .licm import LICMPass, ParallelLICMPass
 from .mem2reg import Mem2RegPass
@@ -41,9 +41,10 @@ from .omp_opt import OpenMPOptPass
 
 
 FALLBACK_ATTR = "barrier_fallback"
-"""Attribute set on parallel loops whose barriers could not be lowered; the
-CPU executor runs them with SIMT-style phase execution instead (correct but
-paying the full synchronization cost)."""
+"""Attribute set on parallel loops whose barriers could not be lowered; they
+stay ``scf.parallel`` with their barriers, and every engine hands them to
+:meth:`repro.runtime.Interpreter.run_region` (region tier ``"interp"``):
+correct, but paying the full synchronization cost."""
 
 
 class BarrierLoweringPass(Pass):
@@ -124,25 +125,20 @@ def build_pipeline(options: PipelineOptions, verbose: bool = False) -> PassManag
         pm.add(ParallelLICMPass())
     if options.inline_device:
         pm.add(InlinerPass(device_only=True))
-    pm.add(CanonicalizePass())
     pm.add(CSEPass())
-    pm.add(LICMPass())
+    if not options.parallel_licm:
+        pm.add(LICMPass())
     if options.mem2reg:
         pm.add(Mem2RegPass())
     if options.parallel_licm:
         pm.add(ParallelLICMPass())
     if options.affine:
         pm.add(LoopUnrollPass())
-        pm.add(CanonicalizePass())
     if options.barrier_elim:
         pm.add(BarrierEliminationPass())
-    if options.mem2reg:
-        pm.add(Mem2RegPass())
-    pm.add(CanonicalizePass())
     pm.add(BarrierLoweringPass(use_mincut=options.mincut))
     pm.add(CanonicalizePass())
     pm.add(CSEPass())
-    pm.add(DCEPass())
     if options.barrier_elim:
         pm.add(BarrierEliminationPass())
     if options.collapse:
@@ -153,7 +149,6 @@ def build_pipeline(options: PipelineOptions, verbose: bool = False) -> PassManag
     if options.openmp_opt:
         pm.add(OpenMPOptPass())
     pm.add(CanonicalizePass())
-    pm.add(DCEPass())
     return pm
 
 

@@ -4,14 +4,15 @@ Erases operations whose results are unused and whose execution has no
 externally visible effect.  Ops with recursive side effects (loops, ifs)
 are removed when their bodies contain no effects and none of their results
 are used; allocations whose result is never used are also removed.
+
+It runs as the tail of every :class:`~repro.transforms.CanonicalizePass`;
+the pipeline has no separate DCE pass.
 """
 
 from __future__ import annotations
 
 from ..ir import EffectKind, Operation
 from ..dialects import func as func_d, memref as memref_d
-from ..dialects.func import ModuleOp
-from .pass_manager import Pass
 
 
 def _only_allocates_itself(op: Operation) -> bool:
@@ -46,10 +47,3 @@ def eliminate_dead_code(root: Operation) -> bool:
             if op.parent_block is not None and not any(r.has_uses for r in op.results):
                 op.erase()
                 changed_any = True
-
-
-class DCEPass(Pass):
-    NAME = "dce"
-
-    def run(self, module: ModuleOp) -> bool:
-        return eliminate_dead_code(module)

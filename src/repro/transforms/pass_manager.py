@@ -31,20 +31,6 @@ class Pass:
         return f"<{self.NAME}>"
 
 
-class FunctionPass(Pass):
-    """Convenience base class: run over every function with a body."""
-
-    def run(self, module: ModuleOp) -> bool:
-        changed = False
-        for fn in module.functions:
-            if not fn.is_declaration:
-                changed |= self.run_on_function(fn, module)
-        return changed
-
-    def run_on_function(self, fn, module: ModuleOp) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class PassStatistic:
     """One pass execution: what ran, whether it changed the IR, how long

@@ -137,6 +137,17 @@ FUZZ_PIPELINES = {
 }
 
 
+def pipeline_corpus(fuzz_seeds: int = 60):
+    """(label, CUDA source) of every Rodinia benchmark and the first
+    ``fuzz_seeds`` fuzz kernels: the modules the per-pass tests walk."""
+    from repro.rodinia import BENCHMARKS
+
+    for name in sorted(BENCHMARKS):
+        yield name, BENCHMARKS[name].cuda_source
+    for seed in range(fuzz_seeds):
+        yield f"fuzz/{seed}", generate_fuzz_kernel(seed).source
+
+
 @dataclass
 class FuzzKernel:
     """One generated CUDA kernel plus everything needed to execute it."""

@@ -31,7 +31,7 @@ from repro.ir import (
 )
 from repro.rodinia import BENCHMARKS
 from repro.transforms.cpuify import build_pipeline
-from tests.helpers import FUZZ_PIPELINES, generate_fuzz_kernel
+from tests.helpers import FUZZ_PIPELINES, pipeline_corpus
 
 FUZZ_SEEDS = 60
 
@@ -387,25 +387,20 @@ class TestNestedRoot:
 # ---------------------------------------------------------------------------
 # (i) every module every pipeline produces, after every pass
 # ---------------------------------------------------------------------------
-def _corpus():
-    for name in sorted(BENCHMARKS):
-        yield name, BENCHMARKS[name].cuda_source
-    for seed in range(FUZZ_SEEDS):
-        yield f"fuzz/{seed}", generate_fuzz_kernel(seed).source
-
-
 @pytest.mark.parametrize("pipeline", sorted(FUZZ_PIPELINES))
 def test_agrees_with_reference_after_every_pass(pipeline):
-    checked = 0
-    for name, source in _corpus():
+    checked = modules = 0
+    for name, source in pipeline_corpus(FUZZ_SEEDS):
         module = compile_cuda(source, cuda_lower=False, cache=False)
+        modules += 1
         assert _assert_agree(module, f"{name}: frontend") is None
         for position, pass_ in enumerate(build_pipeline(FUZZ_PIPELINES[pipeline]).passes):
             pass_.run(module)
             label = f"{name} [{pipeline}] after #{position} {pass_.NAME}"
             assert _assert_agree(module, label) is None, label
             checked += 1
-    assert checked >= 72 * 15
+    assert modules == len(BENCHMARKS) + FUZZ_SEEDS == 72
+    assert checked == modules * len(build_pipeline(FUZZ_PIPELINES[pipeline]).passes)
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ class AffineExpr:
     def coefficient_of(self, value: Value) -> int:
         return self.coefficients.get(id(value), 0)
 
-    def symbol_values(self) -> List[Value]:
-        return list(self.symbols.values())
-
-    def involves(self, value: Value) -> bool:
-        return self.coefficient_of(value) != 0
-
     def equivalent(self, other: "AffineExpr") -> bool:
         """Structural equality: same symbols, coefficients and constant."""
         if self.constant != other.constant:

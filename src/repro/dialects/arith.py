@@ -8,7 +8,7 @@ recompute-vs-cache decision in parallel loop splitting.
 from __future__ import annotations
 
 
-from ..ir import F32, I1, INDEX, FloatType, IndexType, IntegerType, Operation, Type, Value
+from ..ir import F32, I1, FloatType, IndexType, IntegerType, Operation, Type, Value
 
 
 class ConstantOp(Operation):
@@ -294,14 +294,6 @@ class IntCastOp(_CastOp):
     OP_NAME = "arith.intcast"
 
 
-def constant_index(value: int, name_hint: str = "") -> ConstantOp:
-    """Helper: build an index-typed constant op (not yet inserted)."""
-    return ConstantOp(value, INDEX, name_hint)
-
-
 def constant_float(value: float, type: FloatType = F32, name_hint: str = "") -> ConstantOp:
     return ConstantOp(value, type, name_hint)
 
-
-def constant_int(value: int, type: IntegerType = IntegerType(32), name_hint: str = "") -> ConstantOp:
-    return ConstantOp(value, type, name_hint)

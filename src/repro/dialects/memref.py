@@ -193,7 +193,3 @@ def is_shared_memref(value: Value) -> bool:
     """True if ``value`` is a memref in GPU shared memory space."""
     return isinstance(value.type, MemRefType) and value.type.memory_space == MemorySpace.SHARED
 
-
-def is_local_memref(value: Value) -> bool:
-    """True if ``value`` is a thread-local memref (registers / stack)."""
-    return isinstance(value.type, MemRefType) and value.type.memory_space == MemorySpace.LOCAL

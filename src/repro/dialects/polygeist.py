@@ -45,16 +45,3 @@ class PolygeistBarrierOp(Operation):
 
     def memory_effects(self):
         return [MemoryEffect(EffectKind.READ, None), MemoryEffect(EffectKind.WRITE, None)]
-
-
-class NoopOp(Operation):
-    """``polygeist.noop`` — placeholder op used by tests and transformations.
-
-    It is pure and result-free, convenient as an anchor when splitting blocks.
-    """
-
-    OP_NAME = "polygeist.noop"
-    IS_PURE = True
-
-    def __init__(self) -> None:
-        super().__init__()

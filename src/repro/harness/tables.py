@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,12 +32,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], *,
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     return "\n".join(lines)
 
-
-def speedup_table(results: Dict[str, Dict[str, float]], baseline_key: str) -> List[List]:
-    """Rows of (name, *speedups-over-baseline) from nested result dicts."""
-    rows = []
-    for name, series in results.items():
-        baseline = series[baseline_key]
-        rows.append([name] + [baseline / value for key, value in series.items()
-                              if key != baseline_key])
-    return rows

@@ -72,18 +72,6 @@ class Builder:
     def block(self) -> Block:
         return self.insertion_point.block
 
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_end(block)
-
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_start(block)
-
-    def set_insertion_point_before(self, op: Operation) -> None:
-        self._ip = InsertionPoint.before(op)
-
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self._ip = InsertionPoint.after(op)
-
     @contextmanager
     def at(self, insertion_point: InsertionPoint):
         """Temporarily move the insertion point."""
@@ -101,6 +89,3 @@ class Builder:
         ip.block.insert(ip.index, op)
         ip.index += 1
         return op
-
-    def insert_all(self, ops) -> list:
-        return [self.insert(op) for op in ops]

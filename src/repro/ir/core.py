@@ -233,10 +233,6 @@ class Operation:
         self._operands.append(value)
         value.add_use(self, index)
 
-    def add_operand(self, value: Value) -> None:
-        """Append an operand (used by variadic ops during construction)."""
-        self._append_operand(value)
-
     def set_operand(self, index: int, value: Value) -> None:
         old = self._operands[index]
         if old is value:
@@ -244,19 +240,6 @@ class Operation:
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(self, index)
-
-    def set_operands(self, values: Sequence[Value]) -> None:
-        """Replace the whole operand list."""
-        for index, old in enumerate(self._operands):
-            old.remove_use(self, index)
-        self._operands = []
-        for value in values:
-            self._append_operand(value)
-
-    def replace_uses_of(self, old: Value, new: Value) -> None:
-        for index, operand in enumerate(self._operands):
-            if operand is old:
-                self.set_operand(index, new)
 
     def drop_all_uses_of_operands(self) -> None:
         for index, operand in enumerate(self._operands):
@@ -275,10 +258,6 @@ class Operation:
         region.parent_op = self
         self.regions.append(region)
         return region
-
-    @property
-    def has_regions(self) -> bool:
-        return bool(self.regions)
 
     # -- structure --------------------------------------------------------------
     @property
@@ -301,9 +280,6 @@ class Operation:
                 return True
             node = node.parent_op
         return False
-
-    def is_proper_ancestor_of(self, other: "Operation") -> bool:
-        return self is not other and self.is_ancestor_of(other)
 
     def is_before_in_block(self, other: "Operation") -> bool:
         """True if both ops share a block and ``self`` comes first."""
@@ -454,14 +430,6 @@ class Block:
         self.arguments.append(arg)
         return arg
 
-    def erase_argument(self, index: int) -> None:
-        arg = self.arguments[index]
-        if arg.has_uses:
-            raise ValueError(f"cannot erase block argument {arg.name}: still has uses")
-        del self.arguments[index]
-        for later in self.arguments[index:]:
-            later.index -= 1
-
     # -- op list ------------------------------------------------------------------
     def append(self, op: Operation) -> Operation:
         op.parent_block = self
@@ -544,12 +512,6 @@ class Region:
     @property
     def empty(self) -> bool:
         return not self.blocks
-
-    @property
-    def entry_block(self) -> Block:
-        if not self.blocks:
-            raise ValueError("region has no blocks")
-        return self.blocks[0]
 
     @property
     def block(self) -> Block:

@@ -59,10 +59,6 @@ class Rewriter:
         op.erase()
         self.erased.append(op)
 
-    def notify_changed(self, op: Operation) -> None:
-        """Tell the driver that ``op`` was modified in place."""
-        self.worklist_additions.append(op)
-
 
 class RewritePattern:
     """Base class for rewrite patterns.

@@ -29,11 +29,6 @@ class Tensor:
     def zeros(cls, *shape: int) -> "Tensor":
         return cls(np.zeros(shape, dtype=np.float32))
 
-    @classmethod
-    def randn(cls, *shape: int, seed: int = 0) -> "Tensor":
-        rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal(shape).astype(np.float32))
-
     def numpy(self) -> np.ndarray:
         return self.data
 

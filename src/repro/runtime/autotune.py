@@ -3,10 +3,11 @@
 The paper's claim is that one IR can reach the best CPU execution strategy
 per kernel — but *which* engine wins varies per kernel: NumPy vectorization
 dominates barrier-free grids, compiled closures win tiny spans, and the
-native OpenMP backend wins big parallel loops
-(``BENCH_engine.json``).  A process-global ``REPRO_ENGINE`` therefore leaves
-large speedups on the table for any mixed workload.  This module closes
-that gap with a sixth first-class engine selection::
+native OpenMP backend wins big parallel loops (the per-engine
+``kernel_ms`` rows of ``benchmarks/ledger``).  A process-global
+``REPRO_ENGINE`` therefore leaves large speedups on the table for any
+mixed workload.  This module closes that gap with a sixth first-class
+engine selection::
 
     executor = make_executor(module, engine="auto")   # or REPRO_ENGINE=auto
     executor.run("launch", args)

@@ -1,21 +1,14 @@
-"""Shared wall-clock measurement loop: warmup + min-of-k steady state.
+"""Wall-clock measurement loop: warmup + min-of-k steady state.
 
-Two consumers time engine executions against each other and must agree on
-methodology or their numbers drift apart:
-
-* the engine wall-clock benchmark / CI perf gate
-  (``benchmarks/bench_engine_wallclock.py``), whose committed floors in
-  ``BENCH_engine.json`` gate every push, and
-* the autotuner (:mod:`repro.runtime.autotune`), whose per-kernel winner
-  selection feeds the same floors through ``engine="auto"``.
-
-Both call :func:`measure_best`: optional untimed per-iteration ``setup``
-(fresh arguments, pristine buffer restore), ``warmup`` untimed-for-scoring
-runs that trigger the one-time translations (compiled closures, worker-pool
-forks, the native engine's ``cc`` invocation), then the minimum wall clock
-over ``repeats`` timed runs.  Min-of-k is the standard steady-state
-estimator for a deterministic workload: the minimum is the run least
-disturbed by scheduler noise.
+The autotuner (:mod:`repro.runtime.autotune`) times candidate engines
+against each other on the real arguments to pick the per-kernel winner of
+``engine="auto"``.  It calls :func:`measure_best`: optional untimed
+per-iteration ``setup`` (fresh arguments, pristine buffer restore),
+``warmup`` untimed-for-scoring runs that trigger the one-time translations
+(compiled closures, worker-pool forks, the native engine's ``cc``
+invocation), then the minimum wall clock over ``repeats`` timed runs.
+Min-of-k is the standard steady-state estimator for a deterministic
+workload: the minimum is the run least disturbed by scheduler noise.
 """
 
 from __future__ import annotations

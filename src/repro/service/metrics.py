@@ -2,13 +2,10 @@
 
 The server records one sample per request (latency, op, tenant, warm/cold,
 engine, outcome) into a bounded ring; ``snapshot()`` folds the ring and the
-counters into the JSON document the stats endpoint serves — the same
-schema ``benchmarks/bench_service_load.py`` writes into
-``BENCH_service.json``:
+counters into the JSON document the stats endpoint serves:
 
 * ``latency`` — p50/p90/p99/max/mean seconds over the retained window,
-* ``throughput_rps`` — completed launches per second since start (or the
-  last ``reset``),
+* ``throughput_rps`` — completed launches per second since start,
 * ``warm_hit_rate`` — fraction of launches whose kernel was already
   compiled server-side (the shared compile-cache amortization tenants buy
   by sharing one daemon),
@@ -17,7 +14,7 @@ schema ``benchmarks/bench_service_load.py`` writes into
   degrades, recoveries) so chaos experiments are observable end to end.
 
 All mutation happens under one lock; the snapshot is consistent (taken
-under the same lock) and cheap enough to scrape on every bench iteration.
+under the same lock) and cheap enough to scrape while the server is under load.
 """
 
 from __future__ import annotations
@@ -83,22 +80,6 @@ class ServiceMetrics:
             self._compiles += 1
             if warm:
                 self._compile_warm_hits += 1
-
-    def reset(self) -> None:
-        """Drop the window and counters (the bench resets after warmup so
-        the published numbers cover only the measured phase)."""
-        with self._lock:
-            self._latencies.clear()
-            self._ops.clear()
-            self._tenants.clear()
-            self._launches = 0
-            self._warm_hits = 0
-            self._errors = 0
-            self._degraded = 0
-            self._retries = 0
-            self._compiles = 0
-            self._compile_warm_hits = 0
-            self._started = time.monotonic()
 
     # -- snapshot ------------------------------------------------------------
     def snapshot(self) -> Dict:

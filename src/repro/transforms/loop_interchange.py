@@ -75,10 +75,6 @@ def _clone_parallel_shell(parallel: scf.ParallelOp) -> scf.ParallelOp:
                           iv_names=[iv.name_hint for iv in parallel.induction_vars])
 
 
-def _is_sole_op(parallel: scf.ParallelOp, op: Operation) -> bool:
-    return _non_terminator_ops(parallel.body) == [op]
-
-
 def pure_siblings(parallel: scf.ParallelOp, container: Operation) -> Optional[list]:
     """Top-level siblings of ``container`` that may be replicated, else None.
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import moccuda as mc
+from repro.harness import fig15_resnet
 from repro.runtime import A64FX_CMG
 
 
@@ -89,6 +90,13 @@ class TestBackendModel:
         assert min(ratios) >= 1.0
         assert max(ratios) <= 6.0
         assert 1.5 <= geomean <= 4.5
+        # the harness' full grid (threads up to 64 oversubscribe one CMG)
+        heatmap = list(fig15_resnet.run_heatmap().values())
+        assert min(heatmap) >= 1.0
+        assert max(heatmap) <= 6.0
+        # Fig. 15 right: ordering of the series at full CMG thread count
+        at_12 = {series: values[12] for series, values in fig15_resnet.run_throughput().items()}
+        assert at_12["moccuda+polygeist"] > at_12["dnnl"] > at_12["onednn"]
 
     def test_expert_and_polygeist_kernels_comparable(self):
         expert = mc.throughput_images_per_second("moccuda+expert", batch=8, threads=12)

@@ -258,14 +258,6 @@ class TestMetrics:
         assert snapshot["latency"]["p50_s"] == pytest.approx(0.020)
         assert snapshot["latency"]["max_s"] == pytest.approx(0.030)
 
-    def test_reset_drops_window_and_counters(self):
-        metrics = ServiceMetrics()
-        metrics.record_launch(1.0, warm=True)
-        metrics.reset()
-        snapshot = metrics.snapshot()
-        assert snapshot["launches"] == 0
-        assert snapshot["latency"]["samples"] == 0
-
 
 class TestServerEndToEnd:
     def _reference(self, source, entry, arguments, engine, options=None):

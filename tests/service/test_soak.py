@@ -111,9 +111,17 @@ def test_concurrent_soak_bit_identical(tmp_path):
             "soak clients wedged"
     finally:
         if server is not None:
+            stats = server.stats()
             server.stop()
 
     assert not errors, errors[:5]
     assert not mismatches, (
         f"{len(mismatches)} served responses diverged from the in-process "
         f"reference; first: {mismatches[0]}")
+    if server is not None:
+        # every request was served (none failed, none was shed), and racing
+        # cold compiles converged on one handle per (kernel, engine)
+        assert stats["errors"] == 0, stats
+        assert stats["admission"]["rejected"] == 0, stats["admission"]
+        assert stats["launches"] == SOAK_CLIENTS * SOAK_COUNT * len(ENGINES)
+        assert stats["kernels"] == SOAK_COUNT * len(ENGINES)

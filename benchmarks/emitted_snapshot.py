@@ -41,11 +41,14 @@ emits every module a second time under ``A64FX_CMG`` and fails if any
 source differs from the default machine's: the C is machine-independent
 (charges arrive through the ``K`` argument), so one ``.so`` serves both.
 
-``--cc-time [flags…]`` is what the emitted C costs to build, the 80% of a
-cold start: per lowered module its C bytes, how many copies of the span
-loop each region holds (one: the team path and the plain path both call
-``<symbol>_span``, with or without a store-safety proof) and the ``cc`` wall time,
-fastest of ``CC_REPEATS``, under the engine's own flags followed by each
+``--cc-time [flags…]`` is what the emitted C costs to build, about three
+quarters of a cold start (the cold set's ``cc`` geomean, 94 ms at ``-O1``,
+against ``cold_geomean_s`` of 0.128 s on a 2-vCPU host): per lowered module
+its C bytes, the ``cc`` wall time, fastest of ``CC_REPEATS``, how many copies
+of the span loop each region holds (one: the team path and the plain path
+both call ``<symbol>_span``, with or without a store-safety proof) and the
+lanes it steps (1 where the lane blocks were refused), under the engine's
+own flags followed by each
 given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
 -O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).
 ``--only corpus`` restricts it to the labels with that prefix.
@@ -80,10 +83,12 @@ FUZZ_SEEDS = 60
 #: ``--cc-time`` reports the fastest of this many ``cc`` runs per unit.
 CC_REPEATS = 5
 #: the head of a span loop: one per copy of a region's body in its functions.
-SPAN_LOOP = "for (int64_t lin = lo; lin < hi; ++lin) {"
+SPAN_LOOP = "for (int64_t lin = lo; lin < hi; lin += width) {"
 #: the head of the function holding a region's body, ``<symbol>_span``; the
 #: region's exported function follows it.
 SPAN_FUNCTION = "\nstatic __attribute__((noinline)) void "
+#: the exported function's clamp of ``width`` to the lanes its span steps.
+WIDTH_CLAMP = re.compile(r"if \(width < 1 \|\| width > (\d+)\) width = 1;")
 
 
 def _unlowered(label: str) -> bool:
@@ -246,6 +251,13 @@ def body_copies(source: str) -> list:
     return [region.count(SPAN_LOOP) for region in source.split(SPAN_FUNCTION)[1:]]
 
 
+def lanes(source: str) -> list:
+    """Per region of one assembled unit, the iterations its span steps at
+    once (1: the lane blocks were refused)."""
+    return [int(WIDTH_CLAMP.search(region).group(1))
+            for region in source.split(SPAN_FUNCTION)[1:]]
+
+
 def cc_time(root: Path, flags, only: str) -> int:
     """Print the ``--cc-time`` table (module docstring)."""
     modules = [module for module in _modules(root)
@@ -261,7 +273,8 @@ def cc_time(root: Path, flags, only: str) -> int:
     columns = [[flag] for flag in flags] or [[]]
     print(f"{' '.join(base)}  (fastest of {CC_REPEATS}, seconds)")
     print(f"{'module':32s} {'C bytes':>8s}  " + "  ".join(
-        f"{' '.join(column) or 'as built':>8s}" for column in columns) + "  body copies")
+        f"{' '.join(column) or 'as built':>8s}" for column in columns)
+        + "  body copies  lanes")
     groups = {}
     with tempfile.TemporaryDirectory(prefix="repro-cc-time-") as temp:
         source_path, output = os.path.join(temp, "unit.c"), os.path.join(temp, "unit.so")
@@ -279,9 +292,10 @@ def cc_time(root: Path, flags, only: str) -> int:
                 for index, column in enumerate(columns):
                     seconds[index] += min(build(column) for _ in range(CC_REPEATS))
             copies = [count for source in sources for count in body_copies(source)]
+            widths = [width for source in sources for width in lanes(source)]
             print(f"{label:32s} {sum(map(len, sources)):8d}  "
                   + "  ".join(f"{value:8.3f}" for value in seconds)
-                  + "  " + " ".join(map(str, copies)))
+                  + f"  {' '.join(map(str, copies)):11s}  " + " ".join(map(str, widths)))
             group, _, name = label.partition("/")
             groups.setdefault(group, []).append(seconds)
             if name in corpus.COLD_SET:

@@ -24,7 +24,7 @@ plus a sixth selection that picks among them per kernel:
   order for bit-identical reports.
 * :class:`~repro.runtime.native.NativeEngine` — spans transpiled
   to C (:mod:`repro.runtime.codegen_c`), compiled once with the system
-  toolchain (``cc -O3 -fopenmp``; ``REPRO_CC``) into content-addressed
+  toolchain (``cc -O1 -fopenmp``; ``REPRO_CC``) into content-addressed
   shared objects and dispatched zero-copy through ctypes — the paper's
   "GPU kernels as native OpenMP CPU code" artifact.  Degrades per region
   (and wholesale, without a toolchain) to the compiled engine.

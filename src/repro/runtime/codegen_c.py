@@ -4,10 +4,10 @@ The paper's headline artifact is *transpiled C*: CUDA kernels lowered through
 high-level parallel constructs and emitted as OpenMP CPU code that runs at
 native speed.  This module closes that gap for the reproduction: it walks a
 lowered *span* — an ``omp.wsloop`` or a barrier-free ``scf.parallel`` — and
-emits two C functions per region.  ``<symbol>_span(lo, hi)`` holds the body,
-printed once, in a loop over the iterations ``[lo, hi)`` of the row-major
-iteration space: it reads the extents once, delinearizes ``lo`` once and
-then steps the indices like an odometer (innermost first, carrying
+emits two C functions per region.  ``<symbol>_span(lo, hi, width)`` holds the
+body, printed once, in a loop over the iterations ``[lo, hi)`` of the
+row-major iteration space: it reads the extents once, delinearizes ``lo``
+once and then steps the indices like an odometer (innermost first, carrying
 outward), so no iteration divides.  The exported ``<symbol>`` (the region
 ABI) calls it over ``[0, total)`` — the plain path, which carries no OpenMP
 directive and makes no libgomp call — or, when the dispatcher's ``mode``
@@ -16,7 +16,30 @@ takes one contiguous static chunk.  ``mode`` requires the write-write
 store-safety analysis (:mod:`repro.analysis.store_safety`) to prove the
 region shard-safe, and a span without a proof has no team path at all
 (sequential C is still far faster than Python closures).  Nothing is
-``simd``: an odometer loop has no ``omp simd`` form.
+``simd`` and no directive steers the C compiler's unrolling.
+
+**Lane blocks.**  ``<symbol>_span`` advances ``width`` consecutive
+iterations ("lanes") per step, up to :data:`LANES`; the dispatcher passes
+``width = LANES`` only when it holds the same licence the team path needs
+(a proof, its required dims singletons, no live-in overlap), and ``1``
+otherwise, which runs exactly the sequential order.  Which values differ
+between lanes is the span's lane analysis (:attr:`RegionPlan.lanes
+<repro.analysis.region.RegionPlan.lanes>`, the facts the vectorizer emits
+from): a lane-uniform value is one C scalar, a uniform-bound ``scf.for`` or
+a uniform ``scf.if`` is scalar control, and lane-varying values live in
+``[LANES]`` arrays written by ``for (l = 0; l < m; ++l)`` lane loops — one
+per straight-line stretch of the block, so that the lanes of a serial chain
+(``acc += a * b`` over a uniform ``k``) are independent chains the CPU
+overlaps.  A value read only inside the lane loop defining it stays a
+local.  A varying ``scf.if`` runs its branches as *masked* lane loops over a
+per-lane mask, each branch only when one of its lanes is active; every op in
+it — loads included, whose masked-off lanes may hold any index — runs on the
+active lanes only, and its charges count them.  What the blocked form does
+not express — a lane-varying ``scf.for`` bound, ``scf.while``, a call or copy
+touching per-lane data — runs as a per-lane scalar island inside one lane
+loop.  A span that still does not fit (a private buffer too large for
+:data:`LANES` copies) is emitted with one lane, the reason recorded on its
+plan as a ``lanes`` refusal (``engine.regions`` reports each region's lanes).
 
 Spans are all there is to emit: ``__syncthreads`` is removed in the IR by
 cpuify (parallel-loop fission, min-cut value caching, interchange — the
@@ -30,20 +53,23 @@ unit is the helpers those forms call.
 
 **Bit-identical cost accounting.**  The generated C accumulates the same
 counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
-``global_bytes`` — with every static per-op charge folded into
-one constant per block.  Every charge lies on the cycle grid
-(:data:`repro.runtime.costmodel.CYCLE_GRID`), whatever the machine model, so
-float accumulation is associative in exact arithmetic and the folded totals
-(and the per-chunk partial sums an OpenMP ``reduction(+)`` adds) are
-bit-identical to the interpreter's sequential accumulation; all double
-literals are emitted as C99 hex floats so no decimal round-trip can perturb
-them.
+``global_bytes`` — with every static per-op charge folded into one constant
+per block, charged once per block step times its active lanes.  Every
+charge lies on the cycle grid (:data:`repro.runtime.costmodel.CYCLE_GRID`),
+whatever the machine model, so the C counts ``work`` as an ``int64`` number
+of grid units and converts it to a double once per call.  Integer sums do
+not depend on their grouping, and a grid sum below 2^53 grid units (2^45
+cycles) is also what the interpreter's sequential float accumulation
+computes exactly — past that limit neither is exact and the two may differ.
+All double literals are emitted as C99 hex floats so no decimal round-trip
+can perturb them.
 
 **Machine-independent C.**  The folded charges are the only place the
 machine model enters a region, so they are not printed: they are collected
-in :attr:`RegionSpec.costs` and the C reads ``K[j]``, an argument the
-dispatcher fills from the spec, into a prologue local ``k<j>`` — one cached
-``.so`` serves every :class:`~repro.runtime.costmodel.MachineModel`.
+in :attr:`RegionSpec.costs` and the C reads ``K[j]`` (grid units), an
+argument the dispatcher fills from the spec, into a prologue local ``k<j>``
+— one cached ``.so`` serves every
+:class:`~repro.runtime.costmodel.MachineModel`.
 
 Anything the emitter cannot prove it can translate exactly — nested
 parallel constructs, dynamic-extent private allocas, recursion — raises
@@ -55,7 +81,7 @@ emitter coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS, CONTEXT_OPS,
                                   split_executed)
@@ -63,14 +89,18 @@ from ..dialects import arith, func as func_d, gpu as gpu_d
 from ..dialects import memref as memref_d, omp as omp_d, scf
 from ..ir import MemRefType
 from . import optable
-from .costmodel import memory_access_cost, op_cost
+from .costmodel import CYCLE_GRID, exact_cycles, memory_access_cost, op_cost
 from .memory import dtype_for
 
 #: ops that must never appear inside a natively compiled region body.
 _NESTED_CONTEXT_OPS = CONTEXT_OPS
 
-#: largest private (stack) buffer the emitter will place per iteration.
+#: largest private (stack) buffer the emitter will place per step, all
+#: lanes' copies together.
 _MAX_PRIVATE_BYTES = 1 << 16
+
+#: iterations a licensed span advances per step (module docstring).
+LANES = 8
 
 #: error code written into ``outi[1]`` by generated code.
 ERR_BAD_STEP = 1
@@ -78,6 +108,10 @@ ERR_BAD_STEP = 1
 
 class UnsupportedRegion(Exception):
     """The region contains a construct the C emitter does not translate."""
+
+
+class NarrowRegion(UnsupportedRegion):
+    """The span cannot be emitted in lane blocks; it is emitted with one lane."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +133,13 @@ def c_int(value: int) -> str:
     return f"INT64_C({int(value)})"
 
 
+def grid_units(cycles: float) -> int:
+    """``cycles`` as a whole number of :data:`CYCLE_GRID` units."""
+    if not exact_cycles(cycles):
+        raise UnsupportedRegion(f"charge {cycles!r} is off the cycle grid")
+    return int(cycles * CYCLE_GRID)
+
+
 _CTYPES = {  # numpy dtype name -> C element type
     "float32": "float", "float64": "double",
     "int8": "int8_t", "int32": "int32_t", "int64": "int64_t",
@@ -117,9 +158,9 @@ def _element_ctype(element_type) -> str:
 # Emitter plumbing
 # ---------------------------------------------------------------------------
 class _Writer:
-    def __init__(self) -> None:
+    def __init__(self, indent: int = 1) -> None:
         self.lines: List[str] = []
-        self.indent = 1
+        self.indent = indent
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -144,6 +185,7 @@ class _Buffer:
     space: str                # memory space for cost accounting
     kind: str                 # 'livein' | 'private'
     elem_bytes: int
+    lane: bool = False        # one copy per lane: ``name[l]`` is this lane's
 
 
 @dataclass
@@ -168,6 +210,24 @@ class RegionSpec:
     num_dims: int = 0
     #: the machine-dependent cycle charges the C reads as ``K[j]``.
     costs: List[float] = field(default_factory=list)
+    #: the most iterations ``<symbol>_span`` advances per step.
+    lanes: int = 1
+
+
+# how an op of a lane-blocked block is emitted (``RegionCodegen._kinds``)
+_PURE = "pure"        # no per-lane operand, no effect, or a private buffer: before the lane loop
+_LANE = "lane"        # inside a lane loop (a structured op: a per-lane scalar island)
+_SPLIT = "split"      # a varying scf.if: its masks in the lane loop, its branches after
+_EFFECT = "effect"    # no per-lane operand, touches memory: once, between lane loops
+_CONTROL = "control"  # uniform scalar control, between lane loops
+_NOP = "nop"          # emits nothing
+
+
+def _ancestor_in(op, block):
+    """The op of ``block`` that is ``op`` or contains it (``None``: none)."""
+    while op is not None and op.parent_block is not block:
+        op = op.parent_op
+    return op
 
 
 class RegionCodegen:
@@ -176,24 +236,39 @@ class RegionCodegen:
     ``plan`` is the region's :class:`~repro.analysis.region.RegionPlan`
     (its ``live_ins`` order is the argument ABI); ``slot_of`` maps an SSA
     value to its register slot in the enclosing compiled function (used to
-    describe that ABI to the dispatcher).
+    describe that ABI to the dispatcher).  ``lanes`` is how many iterations
+    a step may advance (module docstring).
     """
 
-    def __init__(self, program, plan, symbol: str, slot_of) -> None:
+    def __init__(self, program, plan, symbol: str, slot_of, lanes: int = LANES) -> None:
         self.program = program
         self.plan = plan
         self.op = plan.op
         self.symbol = symbol
         self.slot_of = slot_of
         self.machine = program.machine
+        self.lanes = lanes
         self.out = _Writer()
         self._uid = 0
         self.cexpr: Dict[int, str] = {}          # id(value) -> C expression
         self.buffers: Dict[int, _Buffer] = {}    # id(value) -> buffer
-        self.spec = RegionSpec(symbol=symbol)
+        self.spec = RegionSpec(symbol=symbol, lanes=lanes)
         self._livein_index: Dict[int, str] = {}  # id(value) -> bound C name
         self._stored_buffers: set = set()        # live-in buffer names written
         self._inline_stack: List[int] = []
+        # -- lane-block state ----------------------------------------------------
+        self.facts = None          # the plan's LaneFacts, when blocked
+        self.blocked = False       # emitting a block in lane-blocked form
+        self.count = "m"           # lanes the code being emitted runs for
+        self.mask: Optional[str] = None   # their mask array (None: all m)
+        self.held: Set[int] = set()       # values with one copy per lane ...
+        self.arrays: Set[int] = set()     # ... of which these are [lanes] arrays
+        self.lane_values: Set[int] = set()  # results of lane ops
+        self.spilled: Set[int] = set()      # ... read outside their lane loop
+        self.run: Optional[int] = None      # the open lane loop
+        self.run_of: Dict[int, int] = {}    # lane-loop locals -> their loop
+        self.outer: Optional[_Writer] = None  # the block around the open loop
+        self._runs = 0
 
     def _name(self, prefix: str) -> str:
         self._uid += 1
@@ -207,7 +282,7 @@ class RegionCodegen:
             name = f"lp{index}"
             ctype = _element_ctype(type_.element_type)
             shape_base = sum(b.rank for b in self.spec.buffers)
-            extents = [f"LS[{shape_base + d}]" for d in range(type_.rank)]
+            extents = [f"ls{shape_base + d}" for d in range(type_.rank)]
             self.buffers[id(value)] = _Buffer(
                 name=name, ctype=ctype, rank=type_.rank, extents=extents,
                 space=type_.memory_space, kind="livein",
@@ -234,10 +309,12 @@ class RegionCodegen:
         for index in range(len(self.spec.float_slots)):
             w(f"const double lf{index} = LF[{index}];")
         for index in range(len(self.spec.costs)):
-            w(f"const double k{index} = K[{index}];")
+            w(f"const int64_t k{index} = K[{index}];")
         for index, buf_spec in enumerate(self.spec.buffers):
             ctype = _CTYPES[buf_spec.dtype]
             w(f"{ctype}* const lp{index} = ({ctype}*)LP[{index}];")
+        for index in range(sum(buf_spec.rank for buf_spec in self.spec.buffers)):
+            w(f"const int64_t ls{index} = LS[{index}];")
 
     # -- value helpers ---------------------------------------------------------
     def _ctype_of(self, value) -> str:
@@ -248,20 +325,58 @@ class RegionCodegen:
         raise UnsupportedRegion(f"SSA value of type {value.type}")
 
     def ref(self, value) -> str:
-        expr = self.cexpr.get(id(value))
+        key = id(value)
+        expr = self.cexpr.get(key)
         if expr is None:
             raise UnsupportedRegion("use of an untranslated value")
+        if key in self.held:
+            if self.run is None:
+                raise NarrowRegion("a per-lane value is read outside a lane loop")
+            if key in self.arrays:
+                return f"{expr}[l]"
+            if self.run_of[key] != self.run:
+                raise NarrowRegion("a lane-loop local is read in another lane loop")
         return expr
 
     def _define(self, value, expr: Optional[str] = None) -> str:
         """Bind ``value`` to a fresh C local defined as ``expr``; without one
         the local is only declared — a construct result (scf.for / scf.if /
-        scf.while / call) assigned in nested scopes."""
+        scf.while / call) assigned in nested scopes.  Returns the lvalue.  A
+        lane op's result is one per lane: a local of its lane loop, or an
+        array declared around the loop when it is read outside it."""
         target = self._name("v")
-        declaration = f"{self._ctype_of(value)} {target}"
-        self.out.w(f"{declaration};" if expr is None else f"{declaration} = {expr};")
-        self.cexpr[id(value)] = target
+        key = id(value)
+        self.cexpr[key] = target
+        ctype = self._ctype_of(value)
+        if key in self.lane_values:
+            self.held.add(key)
+            if key in self.spilled:
+                self.arrays.add(key)
+                self.outer.w(f"{ctype} {target}[{self.lanes}];")
+                if expr is not None:
+                    self.out.w(f"{target}[l] = {expr};")
+                return f"{target}[l]"
+            self.run_of[key] = self.run
+        self.out.w(f"{ctype} {target};" if expr is None else f"{ctype} {target} = {expr};")
         return target
+
+    def _declare(self, value, lane: bool) -> str:
+        """Declare a construct result at block scope: one scalar, or one
+        array slot per lane."""
+        target = self._name("v")
+        key = id(value)
+        self.cexpr[key] = target
+        if lane:
+            self.held.add(key)
+            self.arrays.add(key)
+            self.out.w(f"{self._ctype_of(value)} {target}[{self.lanes}];")
+        else:
+            self.out.w(f"{self._ctype_of(value)} {target};")
+        return target
+
+    def _times(self, amount: str) -> str:
+        """``amount`` charged once per active lane of the code being emitted."""
+        return amount if self.count == "1" else f"{amount} * {self.count}"
 
     # -- static cost folding ---------------------------------------------------
     def _access_charge(self, memref_value) -> Tuple[float, float]:
@@ -315,8 +430,10 @@ class RegionCodegen:
                 for block in region.blocks:
                     self._precheck(list(block.operations))
 
-    def _emit_block(self, block) -> None:
-        """Emit one straight-line block: folded static charges + op code."""
+    def _emit_block(self, block, tail: Optional[Callable[[], None]] = None) -> None:
+        """Emit one block: its folded static charges, then its ops — in lane
+        loops when blocked, where ``tail`` writes lane-loop lines after the
+        last op (the block's yields)."""
         ops, term = self._split(block)
         nops = len(ops) + (1 if term is not None else 0)
         work = gb = 0.0
@@ -325,13 +442,258 @@ class RegionCodegen:
             work += op_work
             gb += op_gb
         if nops:
-            self.out.w(f"OPS += {c_int(nops)};")
+            self.out.w(f"OPS += {self._times(c_int(nops))};")
         if work:
-            self.out.w(f"W += {self._cost(work)};")
+            self.out.w(f"W += {self._times(self._cost(work))};")
         if gb:
-            self.out.w(f"GB += {c_double(gb)};")
+            self.out.w(f"GB += {self._times(c_int(gb))};")
+        if not self.blocked:
+            for op in ops:
+                self._emit_op(op)
+            return
+        for op, kind in zip(ops, self._kinds(block, ops, term if tail else None)):
+            if kind is _PURE:
+                self._hoisted(op)
+            elif kind is _LANE:
+                self._lane_open()
+                self._island(op, "1")
+            elif kind is _SPLIT:
+                self._emit_masked_if(op)
+            elif kind is _EFFECT:
+                self._lane_close()
+                self._island(op, self.count)
+            elif kind is _CONTROL:
+                self._lane_close()
+                (self._emit_for_lanes if isinstance(op, scf.ForOp)
+                 else self._emit_if_lanes)(op)
+            else:
+                self._emit_op(op)
+        if tail is not None:
+            self._lane_open()
+            tail()
+        self._lane_close()
+
+    # -- lane blocks -----------------------------------------------------------
+    def _kind(self, op, held: Callable) -> str:
+        """How ``op`` of a blocked block is emitted; ``held(value)``: whether
+        ``value`` has one copy per lane."""
+        if isinstance(op, memref_d.DeallocOp):
+            return _NOP
+        if isinstance(op, memref_d.AllocOp):  # covers AllocaOp
+            return _PURE
+        if isinstance(op, scf.IfOp):
+            return _SPLIT if held(op.condition) else _CONTROL
+        if isinstance(op, scf.ForOp):
+            bounds = (op.lower_bound, op.upper_bound, op.step)
+            return _LANE if any(map(held, bounds)) else _CONTROL
+        if isinstance(op, (scf.WhileOp, memref_d.CopyOp)):
+            return _LANE
+        if isinstance(op, memref_d.DimOp):
+            return _PURE
+        lane = any(held(value) or id(value) in self.facts.private
+                   for value in op.operands)
+        if isinstance(op, (func_d.CallOp, memref_d.LoadOp, memref_d.StoreOp)):
+            return _LANE if lane else _EFFECT
+        if optable.row_for(op) is None:
+            raise UnsupportedRegion(f"op {op.name}")
+        return _LANE if lane else _PURE
+
+    def _kinds(self, block, ops: Sequence, term) -> List[str]:
+        """Each op's :meth:`_kind`; and which lane-op results are read
+        outside the lane loop that defines them (``spilled``: they become
+        arrays).  Consecutive lane ops share a lane loop: pure ops are
+        emitted before it and do not end it, a varying ``scf.if`` computes
+        its masks in it and ends it, effects and control end it.  ``term``
+        is the terminator when the block's yields run in its last lane
+        loop."""
+        local: Set[int] = set()
+
+        def held(value) -> bool:
+            return id(value) in self.held or id(value) in local
+
+        kinds = []
         for op in ops:
+            kind = self._kind(op, held)
+            kinds.append(kind)
+            if kind in (_LANE, _SPLIT):
+                local.update(id(result) for result in op.results)
+            elif kind is _CONTROL:
+                local.update(id(result) for result in op.results
+                             if self.facts.varies(result))
+        loop, loop_of = 0, {}
+        for op, kind in zip(ops, kinds):
+            if kind in (_LANE, _SPLIT):  # a split's own use is its condition
+                loop_of[id(op)] = loop
+            if kind in (_SPLIT, _EFFECT, _CONTROL):
+                loop += 1
+        if term is not None:
+            loop_of[id(term)] = loop
+
+        def read_in(use) -> Optional[int]:
+            """The lane loop ``use`` reads its value in (None: none)."""
+            if loop_of.get(id(use.owner)) is not None and use.owner.parent_block is block:
+                return loop_of[id(use.owner)]
+            owner = _ancestor_in(use.owner, block)
+            return None if kinds_of.get(id(owner)) is _SPLIT else loop_of.get(id(owner))
+
+        kinds_of = {id(op): kind for op, kind in zip(ops, kinds)}
+        for op, kind in zip(ops, kinds):
+            if kind is not _LANE:
+                continue
+            for result in op.results:
+                self.lane_values.add(id(result))
+                if any(read_in(use) != loop_of[id(op)] for use in result.uses):
+                    self.spilled.add(id(result))
+        return kinds
+
+    def _lane_open(self) -> None:
+        """Start a lane loop, unless one is open; its text is written ahead
+        of it on close, so declarations and pure ops land before it."""
+        if self.run is not None:
+            return
+        self._runs += 1
+        self.run = self._runs
+        self.outer, self.out = self.out, _Writer(self.out.indent + 1)
+
+    def _lane_close(self) -> None:
+        if self.run is None:
+            return
+        lines, self.out, self.run = self.out.lines, self.outer, None
+        guard = f" if ({self.mask}[l])" if self.mask else ""
+        self.out.w(f"for (int64_t l = 0; l < m; ++l){guard} {{")
+        self.out.lines += lines
+        self.out.w("}")
+
+    def _hoisted(self, op) -> None:
+        """A pure lane-uniform op: one scalar, before the open lane loop."""
+        if self.run is None:
+            return self._emit_op(op)
+        inner, run = self.out, self.run
+        self.out, self.run = self.outer, None
+        try:
             self._emit_op(op)
+        finally:
+            self.out, self.run = inner, run
+
+    def _island(self, op, count: str) -> None:
+        """``op`` as scalar code: per lane inside a lane loop (``count`` 1),
+        or once for all ``count`` active lanes."""
+        saved = self.blocked, self.count
+        self.blocked, self.count = False, count
+        try:
+            self._emit_op(op)
+        finally:
+            self.blocked, self.count = saved
+
+    def _assign_lanes(self, pairs) -> Callable[[], None]:
+        """Lane-loop lines assigning each ``(target, value)`` pair."""
+        def lines() -> None:
+            for target, value in pairs:
+                self.out.w(f"{self.ref(target)} = {self.ref(value)};")
+        return lines
+
+    def _emit_for_lanes(self, op) -> None:
+        """A uniform-bound ``scf.for``: scalar control around a blocked body;
+        a carried value that varies is one array slot per lane, updated in
+        the body's last lane loop."""
+        for argument, result in zip(op.iter_args, op.results):
+            self.cexpr[id(result)] = self._declare(argument, self.facts.varies(argument))
+            if id(argument) in self.arrays:
+                self.held.add(id(result))
+                self.arrays.add(id(result))
+        self.out.open("{")
+        ub, st = self._loop_bounds(op)
+        inits = list(zip(op.iter_args, op.iter_init))
+        for argument, init in inits:
+            if id(argument) not in self.arrays:
+                self.out.w(f"{self.cexpr[id(argument)]} = {self.ref(init)};")
+        lane = [pair for pair in inits if id(pair[0]) in self.arrays]
+        if lane:
+            self._lane_open()
+            self._assign_lanes(lane)()
+            self._lane_close()
+        self._loop_open(op, ub, st)
+        _, term = self._split(op.body)
+        yielded = list(term.operands) if isinstance(term, scf.YieldOp) else []
+        pairs = list(zip(op.iter_args, yielded))
+        lane = [pair for pair in pairs if id(pair[0]) in self.arrays]
+
+        def update() -> None:  # two-phase: permuted yields read pre-update values
+            temps = []
+            for _, value in lane:
+                temps.append(self._name("y"))
+                self.out.w(f"{self._ctype_of(value)} {temps[-1]} = {self.ref(value)};")
+            for (argument, _), temp in zip(lane, temps):
+                self.out.w(f"{self.ref(argument)} = {temp};")
+        self._emit_block(op.body, update if lane else None)
+        scalar = [pair for pair in pairs if id(pair[0]) not in self.arrays]
+        if scalar:
+            self._update_carried([self.cexpr[id(argument)] for argument, _ in scalar],
+                                 [value for _, value in scalar])
+        self._loop_close()
+        self.out.close()
+
+    def _emit_if_lanes(self, op) -> None:
+        """A uniform ``scf.if``: a C ``if`` around blocked branches."""
+        if op.results and op.else_block is None:
+            raise UnsupportedRegion("scf.if with results but no else branch")
+        for result in op.results:
+            self._declare(result, self.facts.varies(result))
+        self.out.open(f"if ({self.ref(op.condition)}) {{")
+        for block in (op.then_block, op.else_block):
+            if block is None:
+                continue
+            if block is op.else_block:
+                self.out.close("} else {")
+                self.out.indent += 1
+            self._emit_branch(op, block)
+        self.out.close()
+
+    def _emit_masked_if(self, op) -> None:
+        """A varying ``scf.if``: the open lane loop splits its lanes into one
+        mask per branch, and each branch a lane takes runs after it as lane
+        loops masked to the lanes that take it."""
+        if op.results and op.else_block is None:
+            raise UnsupportedRegion("scf.if with results but no else branch")
+        branches = [block for block in (op.then_block, op.else_block) if block is not None]
+        masks = [self._name("mk") for _ in branches]
+        counts = [self._name("na") for _ in branches]
+        self._lane_open()
+        scope = self.outer
+        for result in op.results:
+            self.cexpr[id(result)] = name = self._name("v")
+            self.held.add(id(result))
+            self.arrays.add(id(result))
+            scope.w(f"{self._ctype_of(result)} {name}[{self.lanes}];")
+        zero = " = {0}" if self.mask else ""  # the lanes masked off here take neither branch
+        scope.w("unsigned char "
+                + ", ".join(f"{mask}[{self.lanes}]{zero}" for mask in masks) + ";")
+        scope.w(f"int64_t {counts[0]} = 0;")
+        self.out.w(f"const int hit = ({self.ref(op.condition)} != 0);")
+        self.out.w(f"{masks[0]}[l] = hit; {counts[0]} += hit;")
+        if len(masks) == 2:
+            self.out.w(f"{masks[1]}[l] = !hit;")
+        self._lane_close()
+        if len(counts) == 2:
+            self.out.w(f"const int64_t {counts[1]} = {self.count} - {counts[0]};")
+        for block, mask, count in zip(branches, masks, counts):
+            self.out.open(f"if ({count}) {{")
+            saved = self.mask, self.count
+            self.mask, self.count = mask, count
+            self._emit_branch(op, block)
+            self.mask, self.count = saved
+            self.out.close()
+
+    def _emit_branch(self, op, block) -> None:
+        _, term = self._split(block)
+        yielded = (list(term.operands) if op.results and isinstance(term, scf.YieldOp)
+                   else [])
+        pairs = list(zip(op.results, yielded))
+        lane = [pair for pair in pairs if id(pair[0]) in self.arrays]
+        self._emit_block(block, self._assign_lanes(lane) if lane else None)
+        for result, value in pairs:
+            if id(result) not in self.arrays:
+                self.out.w(f"{self.cexpr[id(result)]} = {self.ref(value)};")
 
     # -- op emission -----------------------------------------------------------
     def _scalar_expr(self, op) -> Optional[str]:
@@ -389,6 +751,14 @@ class RegionCodegen:
             raise UnsupportedRegion("access to an untranslated memref")
         return buffer
 
+    def _base(self, buffer: _Buffer) -> str:
+        """The C array holding this lane's elements of ``buffer``."""
+        if not buffer.lane:
+            return buffer.name
+        if self.run is None:
+            raise NarrowRegion("a per-lane buffer is accessed outside a lane loop")
+        return f"{buffer.name}[l]"
+
     def _flat_index(self, buffer: _Buffer, indices: Sequence) -> str:
         if buffer.rank == 0:
             return "0"
@@ -400,7 +770,7 @@ class RegionCodegen:
 
     def _emit_load(self, op) -> None:
         buffer = self._buffer(op.memref)
-        element = f"{buffer.name}[{self._flat_index(buffer, op.indices)}]"
+        element = f"{self._base(buffer)}[{self._flat_index(buffer, op.indices)}]"
         cast = "double" if op.result.type.is_float else "int64_t"
         self._define(op.result, f"({cast}){element}")
 
@@ -408,7 +778,7 @@ class RegionCodegen:
         buffer = self._buffer(op.memref)
         if buffer.kind == "livein":
             self._stored_buffers.add(buffer.name)
-        element = f"{buffer.name}[{self._flat_index(buffer, op.indices)}]"
+        element = f"{self._base(buffer)}[{self._flat_index(buffer, op.indices)}]"
         self.out.w(f"{element} = ({buffer.ctype}){self.ref(op.value)};")
 
     def _private_shape(self, op) -> Tuple[List[int], int]:
@@ -422,19 +792,26 @@ class RegionCodegen:
         return shape, max(1, elems)
 
     def _emit_alloc(self, op) -> None:
+        """A private buffer; in a blocked block one copy per lane, all
+        zeroed per step."""
         mtype = op.memref_type
         shape, elems = self._private_shape(op)
         ctype = _element_ctype(mtype.element_type)
         elem_bytes = dtype_for(mtype.element_type).itemsize
-        if elems * elem_bytes > _MAX_PRIVATE_BYTES:
+        copies = self.lanes if self.blocked else 1
+        if copies * elems * elem_bytes > _MAX_PRIVATE_BYTES:
+            if copies > 1:
+                raise NarrowRegion(f"a private buffer of {elems * elem_bytes} bytes "
+                                   f"is too large for {copies} lanes")
             raise UnsupportedRegion("private alloc too large for the stack")
         name = self._name("b")
-        self.out.w(f"{ctype} {name}[{elems}];")
-        self.out.w(f"memset({name}, 0, sizeof {name});")
+        lanes = f"[{copies}]" if self.blocked else ""
+        self.out.w(f"{ctype} {name}{lanes}[{elems}] = {{0}};")
         self.buffers[id(op.result)] = _Buffer(
             name=name, ctype=ctype, rank=len(shape),
             extents=[str(extent) for extent in shape],
-            space=mtype.memory_space, kind="private", elem_bytes=elem_bytes)
+            space=mtype.memory_space, kind="private", elem_bytes=elem_bytes,
+            lane=self.blocked)
 
     def _emit_dealloc(self, op) -> None:
         buffer = self._buffer(op.memref)
@@ -456,11 +833,11 @@ class RegionCodegen:
         cost = memory_access_cost(self.machine, "global", source.elem_bytes)
         self.out.w(f"const int64_t {count} = {elems};")
         self.out.open(f"for (int64_t {index} = 0; {index} < {count}; ++{index}) {{")
-        self.out.w(f"{destination.name}[{index}] = "
-                   f"({destination.ctype}){source.name}[{index}];")
+        self.out.w(f"{self._base(destination)}[{index}] = "
+                   f"({destination.ctype}){self._base(source)}[{index}];")
         self.out.close()
-        self.out.w(f"W += 2.0 * (double){count} * {self._cost(cost)};")
-        self.out.w(f"GB += (double)(2 * {count} * {source.elem_bytes});")
+        self.out.w(f"W += {self._times(f'2 * {count} * {self._cost(cost)}')};")
+        self.out.w(f"GB += {self._times(f'2 * {count} * {source.elem_bytes}')};")
 
     # -- calls -------------------------------------------------------------------
     def _emit_call(self, op) -> None:
@@ -495,7 +872,7 @@ class RegionCodegen:
         finally:
             self._inline_stack.pop()
 
-    # -- structured control flow --------------------------------------------------
+    # -- structured control flow, as scalar code --------------------------------
     #
     # One emitter per op; ``_name()`` order is emitted text.
     def _update_carried(self, carried: Sequence[str], values: Sequence) -> None:
@@ -508,35 +885,43 @@ class RegionCodegen:
         for temp, name in zip(temps, carried):
             self.out.w(f"{name} = {temp};")
 
-    def _emit_for(self, op) -> None:
-        lower = self.ref(op.lower_bound)
-        upper = self.ref(op.upper_bound)
-        step = self.ref(op.step)
-        results = [self._define(result) for result in op.results]
-        cost = op_cost("scf.for")
-        self.out.open("{")
+    def _loop_bounds(self, op) -> Tuple[str, str]:
+        """An ``scf.for``'s upper bound and step as locals, and its bad-step
+        check; ``(ub, st)``."""
         ub = self._name("ub")
         st = self._name("st")
-        self.out.w(f"const int64_t {ub} = {upper};")
-        self.out.w(f"const int64_t {st} = {step};")
+        self.out.w(f"const int64_t {ub} = {self.ref(op.upper_bound)};")
+        self.out.w(f"const int64_t {st} = {self.ref(op.step)};")
         self.out.w(f"if ({st} <= 0) ERR = {ERR_BAD_STEP};")
+        return ub, st
+
+    def _loop_open(self, op, ub: str, st: str) -> None:
+        iv = self._name("iv")
+        self.out.open(f"if ({st} > 0) for (int64_t {iv} = {self.ref(op.lower_bound)}; "
+                      f"{iv} < {ub}; {iv} += {st}) {{")
+        self.cexpr[id(op.induction_var)] = iv
+
+    def _loop_close(self) -> None:
+        self.out.w(f"W += {self._times(c_int(grid_units(op_cost('scf.for'))))};")
+        self.out.close()
+
+    def _emit_for(self, op) -> None:
+        results = [self._define(result) for result in op.results]
+        self.out.open("{")
+        ub, st = self._loop_bounds(op)
         carried = []
         for init in op.iter_init:
             name = self._name("c")
             carried.append(name)
             self.out.w(f"{self._ctype_of(init)} {name} = {self.ref(init)};")
-        iv = self._name("iv")
-        self.out.open(f"if ({st} > 0) for (int64_t {iv} = {lower}; {iv} < {ub}; "
-                      f"{iv} += {st}) {{")
-        self.cexpr[id(op.induction_var)] = iv
+        self._loop_open(op, ub, st)
         for name, argument in zip(carried, op.iter_args):
             self.cexpr[id(argument)] = name
         self._emit_block(op.body)
         _, term = self._split(op.body)
         if isinstance(term, scf.YieldOp) and carried:
             self._update_carried(carried, term.operands)
-        self.out.w(f"W += {c_double(cost)};")
-        self.out.close()
+        self._loop_close()
         for result, name in zip(results, carried):
             self.out.w(f"{result} = {name};")
         self.out.close()
@@ -569,7 +954,7 @@ class RegionCodegen:
         if not isinstance(before_term, scf.ConditionOp):
             raise UnsupportedRegion("scf.while without scf.condition")
         results = [self._define(result) for result in op.results]
-        cost = op_cost("scf.while")
+        cost = grid_units(op_cost("scf.while"))
         self.out.open("{")
         carried = []
         for init in op.init_args:
@@ -579,7 +964,7 @@ class RegionCodegen:
         for name, argument in zip(carried, op.before_block.arguments):
             self.cexpr[id(argument)] = name
         self.out.open("for (;;) {")
-        self.out.w(f"W += {c_double(cost)};")
+        self.out.w(f"W += {self._times(c_int(cost))};")
         self._emit_block(op.before_block)
         forwarded = list(before_term.forwarded)
         self.out.open(f"if (!({self.ref(before_term.condition)})) {{")
@@ -606,10 +991,21 @@ class RegionCodegen:
     # -- the region function ----------------------------------------------------
     def emit_span(self) -> Tuple[str, RegionSpec]:
         """Two C functions: ``<symbol>_span`` runs the iterations ``[lo, hi)``
-        of the row-major iteration space and holds the body, once; the
-        exported ``<symbol>`` (the region ABI) calls it over ``[0, total)``,
-        or, when ``mode`` is set, once per OpenMP thread over one contiguous
-        chunk."""
+        of the row-major iteration space, ``width`` lanes per step, and holds
+        the body, once; the exported ``<symbol>`` (the region ABI) calls it
+        over ``[0, total)``, or, when ``mode`` is set, once per OpenMP thread
+        over one contiguous chunk.  A span the lane blocks cannot express is
+        emitted with one lane, the reason a ``lanes`` refusal on its plan."""
+        try:
+            return self._emit_span()
+        except NarrowRegion as exc:
+            if self.lanes == 1:
+                raise
+            self.plan.refuse("lanes", str(exc))
+            return RegionCodegen(self.program, self.plan, self.symbol, self.slot_of,
+                                 lanes=1).emit_span()
+
+    def _emit_span(self) -> Tuple[str, RegionSpec]:
         op = self.op
         ops, _ = self._split(op.body)
         self._precheck(ops)
@@ -618,37 +1014,51 @@ class RegionCodegen:
         for value in self.plan.live_ins:
             self._bind_livein(value)
         # grid names ("q" index, "len" extent, "lb" / "step" bounds, "sv"
-        # value) are disjoint from the _name() prefixes, so nothing the body
-        # declares can shadow them (a memref.copy's count is "n<uid>").
+        # value, "l" / "m" lane and lane count) are disjoint from the _name()
+        # prefixes, so nothing the body declares can shadow them (a
+        # memref.copy's count is "n<uid>").
         dims = range(num_dims)
         for dim, induction_var in enumerate(op.induction_vars):
             self.cexpr[id(induction_var)] = f"sv{dim}"
+            self.held.add(id(induction_var))
+            self.arrays.add(id(induction_var))
 
-        body = _Writer()
-        body.indent = 2
+        body = _Writer(2)
         header = self.out
         self.out = body
-        for dim in dims:
-            body.w(f"const int64_t sv{dim} = lb{dim} + q{dim} * step{dim};")
-        self._emit_block(op.body)
-        # the odometer: step the innermost index, carry outward
-        step = "++q0;" if num_dims else ""
-        for dim in range(1, num_dims):
-            step = f"if (++q{dim} == len{dim}) {{ q{dim} = 0; {step} }}"
-        body.w(step)
+        body.w("const int64_t m = hi - lin < width ? hi - lin : width;")
+        if num_dims:
+            body.w("int64_t " + ", ".join(f"sv{dim}[{self.lanes}]" for dim in dims) + ";")
+            # the odometer: step the innermost index, carry outward
+            step = "++q0;"
+            for dim in range(1, num_dims):
+                step = f"if (++q{dim} == len{dim}) {{ q{dim} = 0; {step} }}"
+            body.open("for (int64_t l = 0; l < m; ++l) {")
+            for dim in dims:
+                body.w(f"sv{dim}[l] = lb{dim} + q{dim} * step{dim};")
+            body.w(step)
+            body.close()
+        if self.lanes > 1:
+            self.facts = self.plan.lanes
+            self.blocked = True
+            self._emit_block(op.body)
+        else:
+            self.count = "1"
+            self._lane_open()
+            self._emit_block(op.body)
+            self._lane_close()
         self.out = header
 
         abi = ("const int64_t* LI, const double* LF,\n"
-               "        const double* K, void* const* LP, const int64_t* LS,\n"
+               "        const int64_t* K, void* const* LP, const int64_t* LS,\n"
                "        const int64_t* RLB, const int64_t* RST,\n"
                "        const int64_t* RLEN, ")
         lines = self.out.lines
         lines += [f"static __attribute__((noinline)) void {self.symbol}_span({abi}"
-                  "int64_t lo, int64_t hi,",
+                  "int64_t lo, int64_t hi, int64_t width,",
                   "        double* outf, int64_t* outi)",
                   "{"]
-        self.out.w("double W = 0.0, GB = 0.0;")
-        self.out.w("int64_t OPS = 0, ERR = 0;")
+        self.out.w("int64_t W = 0, GB = 0, OPS = 0, ERR = 0;")
         self._emit_livein_prologue()
         for dim in dims:
             self.out.w(f"const int64_t len{dim} = RLEN[{dim}], lb{dim} = RLB[{dim}],"
@@ -659,16 +1069,19 @@ class RegionCodegen:
         self.out.w("int64_t rem = lo;")
         for dim in reversed(dims):
             self.out.w(f"int64_t q{dim} = rem % len{dim}; rem /= len{dim};")
-        self.out.w("for (int64_t lin = lo; lin < hi; ++lin) {")
+        self.out.w("for (int64_t lin = lo; lin < hi; lin += width) {")
         lines += body.lines
+        # W counts grid units: exact while below 2^53 of them (module docstring)
         lines += ["    }",
-                  "    outf[0] = W; outf[1] = GB;",
+                  f"    outf[0] = (double)W * {c_double(1.0 / CYCLE_GRID)};"
+                  " outf[1] = (double)GB;",
                   "    outi[0] = OPS; outi[1] = ERR;",
                   "}",
                   "",
-                  f"void {self.symbol}({abi}int64_t total, int64_t mode,",
+                  f"void {self.symbol}({abi}int64_t total, int64_t mode, int64_t width,",
                   "        double* outf, int64_t* outi)",
-                  "{"]
+                  "{",
+                  f"    if (width < 1 || width > {self.lanes}) width = 1;"]
         call = f"{self.symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, "
         if self.plan.parallel_proof is not None:
             # `mode`: the dispatcher's store-safety/alias proof held and there
@@ -689,14 +1102,14 @@ class RegionCodegen:
                 "            const int64_t lo = rank * share + (rank < extra ? rank : extra);",
                 "            double f[2];",
                 "            int64_t e[2];",
-                f"            {call}lo, lo + share + (rank < extra), f, e);",
+                f"            {call}lo, lo + share + (rank < extra), width, f, e);",
                 "            W += f[0]; GB += f[1]; OPS += e[0]; ERR = e[1];",
                 "        }",
                 "        outf[0] = W; outf[1] = GB;",
                 "        outi[0] = OPS; outi[1] = ERR;",
                 "        return;",
                 "    }"]
-        lines += [f"    {call}0, total, outf, outi);", "}"]
+        lines += [f"    {call}0, total, width, outf, outi);", "}"]
         for index, buf_spec in enumerate(self.spec.buffers):
             buf_spec.stored = f"lp{index}" in self._stored_buffers
         return "\n".join(lines), self.spec
@@ -707,7 +1120,6 @@ class RegionCodegen:
 # ---------------------------------------------------------------------------
 PRELUDE_HEAD = r"""
 #include <stdint.h>
-#include <string.h>
 #include <math.h>
 #include <omp.h>
 

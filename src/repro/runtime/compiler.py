@@ -199,6 +199,13 @@ class _Program:
         #: the native dispatcher's translation units, one per compiled
         #: function that offered it a region (a strict run seals them all).
         self.native_units: List = []
+        #: how many of them a strict run found ready (-1: none checked yet).
+        self.ready_units = -1
+        #: ``id(plan)`` -> the iterations a native region's C steps at once.
+        self.lanes: Dict[int, int] = {}
+        #: entry name -> its function, looked up once (the module is not
+        #: mutated after its first compiled run; see invalidate_compiled).
+        self.entries: Dict[str, func_d.FuncOp] = {}
 
     def function(self, fn: func_d.FuncOp) -> _CompiledFunction:
         compiled = self._functions.get(id(fn))
@@ -903,9 +910,13 @@ class CompiledEngine:
 
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
-        fn = self.module.lookup(function_name)
-        if fn is None or fn.is_declaration:
-            raise InterpreterError(f"no function body for {function_name!r}")
+        entries = self._program.entries
+        fn = entries.get(function_name)
+        if fn is None:
+            fn = self.module.lookup(function_name)
+            if fn is None or fn.is_declaration:
+                raise InterpreterError(f"no function body for {function_name!r}")
+            entries[function_name] = fn
         if len(arguments) != len(fn.arguments):
             raise InterpreterError(
                 f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
@@ -932,15 +943,17 @@ class CompiledEngine:
     def regions(self) -> List[Dict]:
         """Per region compiled so far: its function, its kind, the tier that
         took it, the reason each faster tier of this engine gave for
-        declining it (compile-time facts) and, by reason, the dispatches its
-        native code refused at run time (``bailouts``; they sum to
-        ``native_stats["bailouts"]``)."""
+        declining it (compile-time facts), the iterations its native code
+        steps at once (``lanes``; ``None`` off the native tier) and, by
+        reason, the dispatches its native code refused at run time
+        (``bailouts``; they sum to ``native_stats["bailouts"]``)."""
         program = self._program
-        asked = ((self.ROW, "parallel") if program.dispatcher is not None
+        asked = ((self.ROW, "parallel", "lanes") if program.dispatcher is not None
                  else (self.ROW,))
         return [{"function": function, "kind": plan.kind, "tier": tier,
                  "refusals": [f"{capability}: {reason}"
                               for capability, reason in plan.refusals
                               if capability in asked],
+                 "lanes": program.lanes.get(id(plan)),
                  "bailouts": dict(program.bailouts.get(id(plan), ()))}
                 for function, plan, tier in program.regions]

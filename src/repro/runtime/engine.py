@@ -12,7 +12,7 @@ benchmarks) goes through this layer and accepts an ``engine`` knob:
   (:mod:`repro.runtime.multicore`).  ``workers=`` (or ``REPRO_WORKERS``)
   picks the pool width.
 * ``"native"`` — parallel regions transpiled to C, compiled with the system
-  toolchain (``cc -O3 -fopenmp``, ``REPRO_CC`` override) and executed as
+  toolchain (``cc -O1 -fopenmp``, ``REPRO_CC`` override) and executed as
   OpenMP shared objects through ctypes (:mod:`repro.runtime.native`);
   degrades to compiled execution without a working toolchain.
 * ``"interp"`` — the reference tree-walking

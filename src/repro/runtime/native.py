@@ -14,7 +14,7 @@ in-process run is every dispatch's fallback, lives in
   never offered: cpuify lowers barriers in the IR, and a module compiled
   without it runs those regions on the interpreter, the refusal named on
   the plan;
-* the unit is compiled once with the system C compiler (``cc -O3 -fopenmp``;
+* the unit is compiled once with the system C compiler (``cc -O1 -fopenmp``;
   override with ``REPRO_CC``) into a shared object keyed by the SHA-256 of
   the generated source in the content-addressed artifact cache
   (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches skip
@@ -25,7 +25,8 @@ in-process run is every dispatch's fallback, lives in
   ``MemRefStorage`` buffers against the contract the C was specialized for
   and writes them zero-copy (data pointers + shapes) into a pooled ctypes
   pack, calls the compiled function, and folds the counters it returns
-  (work cycles, dynamic ops, global traffic) through the same
+  (work cycles — counted in C as int64 grid units, exact below 2^53 of
+  them —, dynamic ops, global traffic) through the same
   accounting epilogues the compiled engine uses — so outputs *and*
   :class:`~repro.runtime.costmodel.CostReport`\\ s stay bit-identical to the
   interpreter (pinned by the five-engine parity matrix and the differential
@@ -36,7 +37,10 @@ in-process run is every dispatch's fallback, lives in
   (:mod:`repro.analysis.store_safety`, asked once per region through its
   :class:`~repro.analysis.region.RegionPlan`) proves shards independent
   (required-singleton dims are re-checked per dispatch, as is runtime
-  buffer aliasing); unproven regions still run as *sequential* C.
+  buffer aliasing); unproven regions still run as *sequential* C.  The
+  same licence lets a span step :data:`~repro.runtime.codegen_c.LANES`
+  iterations at a time (``width``), so the serial chains of neighbouring
+  iterations overlap; without it ``width`` is 1, the sequential order.
 
 Anything the emitter cannot translate — nested parallel constructs,
 dynamic-extent private allocas, recursion — falls back **per region** to
@@ -68,6 +72,7 @@ from .codegen_c import (
     RegionCodegen,
     UnsupportedRegion,
     assemble_unit,
+    grid_units,
 )
 from .compiler import CompiledEngine, _FunctionCompiler, _Region, _iteration_space
 from .errors import InterpreterError, ToolchainError
@@ -89,7 +94,11 @@ CC_ENV_VAR = "REPRO_CC"
 #: index delinearized once per call (no division per iteration), called
 #: over `[0, total)` or, under `mode`, once per OpenMP thread over one
 #: static chunk; no `simd`.
-NATIVE_FORMAT = 6
+#: 7: lane blocks: `<symbol>_span(lo, hi, width)` steps `width` iterations
+#: at a time through lane loops over `[LANES]` arrays and masked branches;
+#: `K` holds int64 grid units, the counters are int64 and `W` becomes a
+#: double once per call.
+NATIVE_FORMAT = 7
 
 #: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
@@ -103,15 +112,16 @@ def compiler_command() -> List[str]:
 def compiler_flags() -> List[str]:
     """Flags for building region shared objects.
 
-    ``-O3`` is the lowest level whose kernels stay inside the spread of
-    ``-O3``'s own runs (README, "The ``-O`` level is measured"): ``-O1``
-    builds the emitted C twice as fast and runs ``pathfinder`` 7-11% and
-    ``streamcluster`` 6% slower, ``-O2`` runs ``pathfinder`` 3-4% slower.
+    ``-O1``, against the ``-O`` rule (README, "The ``-O`` level is
+    measured"): ``-O3`` would run five kernels 9-35% faster, but it builds
+    the lane-blocked C 2.5x slower than ``-O1`` does, and ``-O1`` is the one
+    level that builds it no slower than ``NATIVE_FORMAT`` 6's C at ``-O3``,
+    which the cold start needs.
     ``-ffp-contract=off`` matters for bit-identical outputs: GCC contracts
     ``a*b+c`` into fused multiply-adds by default at ``-O3``, which rounds
     differently from the Python engines' separate multiply and add.
     """
-    return ["-O3", "-fPIC", "-shared", "-fopenmp", "-ffp-contract=off"]
+    return ["-O1", "-fPIC", "-shared", "-fopenmp", "-ffp-contract=off"]
 
 
 _PROBE_LOCK = threading.Lock()
@@ -169,6 +179,18 @@ def require_toolchain() -> None:
         raise toolchain_error()
 
 
+def _dlopen(path) -> ctypes.CDLL:
+    """Load a shared object linked with libgomp.  libgomp's default keeps a
+    finished team's threads spinning, and a native run dispatches regions
+    back to back: beside a request mix the spinning starves whatever else
+    runs, a cold kernel's ``cc`` first (README, "it sets the wait
+    policy").  So the
+    threads sleep unless the user chose a policy; libgomp reads it once,
+    when the first such object loads."""
+    os.environ.setdefault("OMP_WAIT_POLICY", "passive")
+    return ctypes.CDLL(str(path))
+
+
 def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
     if not command or shutil.which(command[0]) is None:
         name = command[0] if command else "<empty>"
@@ -189,7 +211,7 @@ def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
             return False, (f"probe compile exited {completed.returncode}: "
                            f"{stderr[:2000]}")
         try:
-            library = ctypes.CDLL(output)
+            library = _dlopen(output)
         except OSError as exc:
             return False, f"probe dlopen failed: {exc}"
         if int(library.repro_probe()) != 4:
@@ -407,7 +429,7 @@ class NativeUnit:
     @staticmethod
     def _load(path):
         try:
-            return ctypes.CDLL(str(path))
+            return _dlopen(path)
         except OSError:
             return None
 
@@ -415,9 +437,10 @@ class NativeUnit:
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
-#: the region ABI (``codegen_c``): eight arrays, ``total`` and ``mode`` by
-#: value, two output arrays.  Arrays travel as addresses of pack members.
-_ARGTYPES = ((ctypes.c_void_p,) * 8 + (ctypes.c_int64,) * 2
+#: the region ABI (``codegen_c``): eight arrays, ``total``, ``mode`` and
+#: ``width`` by value, two output arrays.  Arrays travel as addresses of
+#: pack members.
+_ARGTYPES = ((ctypes.c_void_p,) * 8 + (ctypes.c_int64,) * 3
              + (ctypes.c_void_p,) * 2)
 
 
@@ -439,8 +462,13 @@ class _RegionHandle:
         #: dims that must have extent 1 for parallel execution, or ``None``
         #: when the store analysis rejected parallelism outright.
         self.required_dims = required_dims
-        #: the machine's charges, packed once (``K`` of the region ABI).
-        self.costs = (ctypes.c_double * max(1, len(spec.costs)))(*spec.costs)
+        #: the machine's charges in grid units, packed once (``K`` of the
+        #: region ABI).  A charge off the grid raises UnsupportedRegion, which
+        #: refuses the region by name where the cast would truncate it.
+        self.costs = (ctypes.c_int64 * max(1, len(spec.costs)))(
+            *map(grid_units, spec.costs))
+        #: iterations a licensed dispatch advances per step.
+        self.lanes = spec.lanes
         self.buffers = [(buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
                          buf.stored) for buf in spec.buffers]
         #: free packs.  Programs are cached on the module and shared by the
@@ -515,19 +543,22 @@ class _RegionHandle:
                     cursor += 1
                 intervals.append((address, address + array.nbytes, stored))
             ranges, total = _iteration_space(regs, *bounds)
-            # the team path needs the store-safety proof to hold for these
-            # live-ins and enough units to amortize a team; anything else takes
-            # the plain path, which carries no OpenMP directive.
+            # the licence to reorder iterations — across a team's chunks or
+            # the lanes of a block — is the store-safety proof holding for
+            # these live-ins.  The team also needs enough units to amortize
+            # it; without the licence the plain path runs one lane at a time,
+            # the sequential order, and carries no OpenMP directive.
             required = self.required_dims
-            mode = (required is not None
-                    and total >= _MIN_PARALLEL_UNITS
-                    and not self._overlapping(intervals)
-                    and all(len(ranges[dim]) == 1 for dim in required))
+            licensed = (required is not None
+                        and all(len(ranges[dim]) == 1 for dim in required)
+                        and not self._overlapping(intervals))
             for index, axis in enumerate(ranges):
                 lbs[index] = axis.start
                 steps[index] = axis.step
                 lens[index] = len(axis)
-            self.unit.functions[spec.symbol](*head, total, mode, *tail)
+            self.unit.functions[spec.symbol](
+                *head, total, licensed and total >= _MIN_PARALLEL_UNITS,
+                self.lanes if licensed else 1, *tail)
             return total, outf[0], outf[1], outi[0], outi[1]
         finally:
             self.pool.append(pack)
@@ -573,6 +604,9 @@ def native(fc: _FunctionCompiler, region: _Region):
     symbol = f"repro_{sanitized}_p{fc.offered}"
     try:
         source, spec = RegionCodegen(program, plan, symbol, fc.slot).emit_span()
+        proof = plan.parallel_proof
+        handle = _RegionHandle(unit, spec,
+                               None if proof is None else tuple(sorted(proof)))
     except UnsupportedRegion as exc:
         stats["fallback_regions"] += 1
         plan.refuse("native", str(exc))
@@ -580,9 +614,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     stats["native_regions"] += 1
     unit.add(source, symbol)
     region.tier = "native"
-    proof = plan.parallel_proof
-    handle = _RegionHandle(unit, spec,
-                           None if proof is None else tuple(sorted(proof)))
+    program.lanes[id(plan)] = spec.lanes
     tally = program.bailouts.setdefault(id(plan), {})
     base, count, finish = region.base, region.count, region.finish
     bounds = region.bounds
@@ -630,12 +662,21 @@ class NativeEngine(CompiledEngine):
     def _preflight(self) -> None:
         # Strict (resilience-wrapped) runs raise a toolchain failure — the
         # *cached* probe's, or a known unit's failed compile (see NativeUnit)
-        # — here; direct construction keeps the graceful degrade.
-        if getattr(self, "_resilience_strict", False):
-            require_toolchain()
-            for unit in self._program.native_units:
-                if not unit.ready() and unit.failure is not None:
-                    raise unit.failure
+        # — here; direct construction keeps the graceful degrade.  Once every
+        # unit of the program is ready there is nothing left to fail, until
+        # a function compiled since adds one.
+        if not getattr(self, "_resilience_strict", False):
+            return
+        program = self._program
+        units = program.native_units
+        if program.ready_units == len(units):
+            return
+        require_toolchain()
+        for unit in units:
+            if not unit.ready() and unit.failure is not None:
+                raise unit.failure
+        if all(unit.status == "ready" for unit in units):
+            program.ready_units = len(units)
 
     @property
     def native_stats(self) -> Dict[str, int]:

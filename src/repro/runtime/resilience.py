@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import (
     CacheCorruptionError,
+    ResilienceError,
     ShmExhaustedError,
     ToolchainError,
     WorkerCrashError,
@@ -487,8 +488,6 @@ class ResilientExecutor:
         return self._inner
 
     def run(self, function_name: str, arguments=()):
-        from .errors import ResilienceError
-
         snapshot = None
         while True:
             if snapshot is None and not getattr(

@@ -9,8 +9,10 @@ only on those whose constants happen to be dyadic.
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from repro.runtime import A64FX_CMG, MachineModel, XEON_8375C, memory_access_cost
-from repro.runtime.costmodel import DEFAULT_OP_COST, OP_COSTS, exact_cycles
+from repro.runtime.costmodel import CYCLE_GRID, DEFAULT_OP_COST, OP_COSTS, exact_cycles
 from repro.runtime.optable import ALLOC_CYCLES
 
 SPACES = ("global", "shared", "local", "constant")
@@ -70,3 +72,16 @@ def test_every_op_cost_is_on_the_grid():
     guard at run time: no engine checks a static charge any more."""
     assert all(exact_cycles(cost) for cost in OP_COSTS.values())
     assert exact_cycles(DEFAULT_OP_COST) and exact_cycles(ALLOC_CYCLES)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 1 << 52), st.lists(st.integers(0, 1 << 45), max_size=64))
+def test_integer_grid_sums_equal_the_sequential_float_sums(start, charges):
+    """The native C counts work as an int64 number of grid units and turns
+    it into cycles once per call; the interpreter adds every charge to a
+    float.  Below 2^53 grid units (here at most 2^52 + 2^51) the two agree
+    bit for bit, whatever the charges and wherever the count starts."""
+    sequential = start / CYCLE_GRID
+    for units in charges:
+        sequential += units / CYCLE_GRID
+    assert float(start + sum(charges)) * (1.0 / CYCLE_GRID) == sequential

@@ -35,6 +35,7 @@ from repro.runtime import (
     make_executor,
     shutdown_worker_pools,
 )
+from repro.runtime.codegen_c import LANES
 from repro.transforms import PipelineOptions
 from tests.helpers import report_fields, run_unlowered
 
@@ -214,8 +215,9 @@ class TestArgumentContracts:
     def test_aliased_live_in_forces_sequential_mode(self):
         """One array passed as both the loaded and the stored argument: the
         engines agree, and the native dispatch's alias check hands the C
-        ``mode`` = 0 (no OpenMP team: the store-safety proof is per buffer)
-        — and ``mode`` = 1 when nothing aliases."""
+        ``mode`` = 0 and ``width`` = 1 (no OpenMP team and one lane at a
+        time: the store-safety proof is per buffer) — and ``mode`` = 1 with
+        ``width`` = LANES when nothing aliases."""
         module = compile_cuda(SCALE_CUDA, cuda_lower=True,
                               options=PipelineOptions.all_optimizations())
         n = 512
@@ -232,14 +234,14 @@ class TestArgumentContracts:
         for unit in native._program.native_units:
             for symbol, function in list(unit.functions.items()):
                 def spy(*arguments, _function=function):
-                    modes.append(arguments[9])
+                    modes.append((arguments[9], arguments[10]))
                     return _function(*arguments)
                 unit.functions[symbol] = spy
         native.run("launch", aliased())
         distinct = aliased()
         distinct[0] = np.zeros(n, dtype=np.float32)
         native.run("launch", distinct)
-        assert modes == [0, 1]
+        assert modes == [(0, 1), (1, LANES)]
 
     @pytest.mark.parametrize("engine", engine_names())
     def test_non_contiguous_argument_is_rejected(self, engine):

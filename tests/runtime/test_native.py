@@ -39,6 +39,7 @@ from repro.runtime import (
     native_available,
 )
 from repro.runtime.cache import NativeArtifactCache
+from repro.runtime.codegen_c import LANES
 from repro.runtime.compiler import UNLOWERED
 from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
@@ -366,8 +367,9 @@ def _row_module(through_call=False):
 
 def _spy_dispatches(plain=()):
     """Wrap every native function sealed from now on; return the list each
-    call appends its ``(total, mode)`` to.  While ``plain`` is non-empty a
-    call runs with ``mode`` 0, the plain path."""
+    call appends its ``(total, mode, width)`` to.  While ``plain`` is
+    non-empty a call runs with ``mode`` 0 and ``width`` 1, the sequential
+    plain path."""
     from repro.runtime import native
 
     modes = []
@@ -377,9 +379,9 @@ def _spy_dispatches(plain=()):
         seal(unit)
         for symbol, function in list(unit.functions.items()):
             def call(*arguments, function=function):
-                modes.append((arguments[8], bool(arguments[9])))
+                modes.append((arguments[8], bool(arguments[9]), arguments[10]))
                 if plain:
-                    arguments = (*arguments[:9], 0, *arguments[10:])
+                    arguments = (*arguments[:9], 0, 1, *arguments[11:])
                 function(*arguments)
             unit.functions[symbol] = call
 
@@ -398,12 +400,12 @@ def _mode_soak():
     assert RegionPlans(proven).plan(span).parallel_proof == frozenset({1})
     unproven, span = _row_module(through_call=True)
     assert RegionPlans(unproven).plan(span).parallel_proof is None
-    cases = [("64 proven units", proven, 64, 1, False, True),
-             ("63 proven units", proven, 63, 1, False, False),
-             ("non-singleton required dim", proven, 64, 2, False, False),
-             ("aliased live-ins", proven, 64, 1, True, False),
-             ("no proof", unproven, 64, 1, False, False)]
-    for name, module, hi, hj, aliased, team in cases:
+    cases = [("64 proven units", proven, 64, 1, False, True, LANES),
+             ("63 proven units", proven, 63, 1, False, False, LANES),
+             ("non-singleton required dim", proven, 64, 2, False, False, 1),
+             ("aliased live-ins", proven, 64, 1, True, False, 1),
+             ("no proof", unproven, 64, 1, False, False, 1)]
+    for name, module, hi, hj, aliased, team, width in cases:
         def arguments():
             out = np.arange(128, dtype=np.int64)
             return [out, out if aliased else 3 * out, hi, hj]
@@ -413,7 +415,7 @@ def _mode_soak():
         interp.run("main", expected)
         engine = NativeEngine(module)   # a module's program, and stats, are shared
         engine.run("main", got)
-        assert modes[-1] == (hi * hj, team), (name, modes[-1])
+        assert modes[-1] == (hi * hj, team, width), (name, modes[-1])
         np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
         assert report_fields(engine.report) == report_fields(interp.report), name
     for module, dispatches in ((proven, 4), (unproven, 1)):
@@ -496,7 +498,7 @@ def _chunk_soak():
         got, error, report = run(NativeEngine(module), case)
         lo, hi, st, hj, _ = case
         units = len(range(lo, hi, st)) * hj
-        assert modes[-1] == (units, units >= 64), (name, modes[-1])
+        assert modes[-1] == (units, units >= 64, LANES), (name, modes[-1])
         np.testing.assert_array_equal(got, expected, err_msg=name)
         assert error == expected_error, (name, error)
         if error is None:
@@ -507,34 +509,143 @@ def _chunk_soak():
             plain.clear()
 
 
+def _guarded_module():
+    """``main(out, a, idx, flag, n)``: over ``i`` in ``[0, n)``, ``if
+    (flag[i]) out[i] = a[idx[i]]``.  Every iteration stores its own cell, so
+    the proof is empty and every dispatch steps LANES lanes at a time."""
+    from repro.dialects import arith, memref as memref_d, scf
+    from repro.ir import F32, INDEX, Builder, memref, verify
+    from tests.helpers import (build_function, close_parallel, const_index,
+                               finish_function)
+
+    module, fn, b = build_function(
+        "main", [memref((96,), F32), memref((96,), F32), memref((96,), INDEX),
+                 memref((96,), INDEX), INDEX])
+    out, source, idx, flag, n = fn.arguments
+    zero, one = const_index(b, 0), const_index(b, 1)
+    span = b.insert(scf.ParallelOp([zero], [n], [one]))
+    inner = Builder.at_end(span.body)
+    i, = span.induction_vars
+    flagged = inner.insert(memref_d.LoadOp(flag, [i])).result
+    taken = inner.insert(arith.CmpIOp("ne", flagged, const_index(inner, 0))).result
+    branch = inner.insert(scf.IfOp(taken, with_else=False))
+    then = Builder.at_end(branch.then_block)
+    index = then.insert(memref_d.LoadOp(idx, [i])).result
+    value = then.insert(memref_d.LoadOp(source, [index])).result
+    then.insert(memref_d.StoreOp(value, out, [i]))
+    then.insert(scf.YieldOp())
+    close_parallel(inner)
+    finish_function(b)
+    verify(module)
+    return module, span
+
+
+#: ``(name, lo, hi, st, hj, bad)`` of :func:`_lane_soak` over
+#: :func:`_grid_module`; iteration ``(i, j)`` has the value ``16 * i + j``.
+LANE_CASES = (
+    ("fewer units than lanes", 0, 1, 1, 5, -1),
+    ("units no multiple of the lanes", 0, 13, 1, 5, -1),
+    ("bad step in the last, partial block", 0, 13, 1, 5, 16 * 12 + 4),
+    ("bad step inside a block", 0, 13, 1, 5, 16 * 7),
+)
+
+
+def _lane_soak():
+    """Subprocess entry (run under an ``OMP_NUM_THREADS``): a licensed span
+    steps LANES lanes at a time, and at the edges of its blocks it equals
+    ``interp`` in outputs and CostReport.  The 2-D :func:`_grid_module`
+    covers a span shorter than a block, one whose last block is partial
+    (and, on a team of three, chunks that start inside a block), and a bad
+    step in a block's last lane and in its middle.  interp stops at the bad
+    step, the C runs on and raises after the region, so there the error is
+    interp's and outputs and CostReport are the one-lane plain path's (the
+    last-lane case stores nothing after it: its outputs are interp's too).
+    :func:`_guarded_module`'s masked-off lanes hold an index far outside
+    ``a``: a load run on one of them would fault this process."""
+    from repro.analysis.region import RegionPlans
+
+    plain = []
+    modes = _spy_dispatches(plain)
+    module, span = _grid_module()
+    assert RegionPlans(module).plan(span).parallel_proof == frozenset()
+
+    def run(engine, case):
+        arguments = [np.full((48, 8), -7, dtype=np.int64),
+                     np.arange(48, dtype=np.int64), *case]
+        try:
+            engine.run("main", arguments)
+            error = None
+        except InterpreterError as exc:
+            error = str(exc)
+        return arguments[0], error, report_fields(engine.report)
+
+    for name, *case in LANE_CASES:
+        lo, hi, st, hj, bad = case
+        units = len(range(lo, hi, st)) * hj
+        expected, expected_error, expected_report = run(Interpreter(module), case)
+        got, error, report = run(NativeEngine(module), case)
+        assert modes[-1] == (units, units >= 64, LANES), (name, modes[-1])
+        assert error == expected_error, (name, error)
+        if error is not None:
+            plain.append(True)
+            sequential, _, expected_report = run(NativeEngine(module), case)
+            plain.clear()
+            if bad != 16 * (hi - 1) + hj - 1:
+                expected = sequential
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+        assert report == expected_report, name
+
+    guarded, span = _guarded_module()
+    assert RegionPlans(guarded).plan(span).parallel_proof == frozenset()
+    for n in (5, 13, 70):
+        def arguments():
+            flag = (np.arange(96) % 3 != 1).astype(np.int64)
+            wild = np.where(flag == 1, np.arange(96) * 7 % 96, 1 << 40)
+            return [np.zeros(96, dtype=np.float32),
+                    np.linspace(0.5, 9.5, 96, dtype=np.float32), wild, flag, n]
+
+        expected, got = arguments(), arguments()
+        interp = Interpreter(guarded)
+        interp.run("main", expected)
+        engine = NativeEngine(guarded)
+        engine.run("main", got)
+        assert modes[-1] == (n, n >= 64, LANES), (n, modes[-1])
+        np.testing.assert_array_equal(got[0], expected[0], err_msg=str(n))
+        assert report_fields(engine.report) == report_fields(interp.report), n
+
+
 def _affinity_soak():
     """Subprocess entry: loading libgomp and a team dispatch leave this
     process's CPU affinity as it inherited it from its parent, and a thread
-    started afterwards gets the same."""
+    started afterwards gets the same; the team's threads sleep between
+    regions (``OMP_WAIT_POLICY``, unset by the parent, is passive) unless
+    the user chose a policy."""
     import threading
 
     modes = _spy_dispatches()
     module, _ = _grid_module()
     NativeEngine(module).run("main", [np.zeros((48, 8), dtype=np.int64),
                                       np.arange(48, dtype=np.int64), 0, 16, 1, 4, -1])
-    assert modes == [(64, True)]
+    assert modes == [(64, True, LANES)]
     seen = []
     thread = threading.Thread(target=lambda: seen.append(os.sched_getaffinity(0)))
     thread.start()
     thread.join()
     assert os.sched_getaffinity(0) == seen[0] == os.sched_getaffinity(os.getppid())
+    assert os.environ["OMP_WAIT_POLICY"] == os.environ.get("USER_WAIT_POLICY", "passive")
 
 
-def _soak(entry: str, threads: int) -> None:
+def _soak(entry: str, threads: int, **extra: str) -> None:
     """Run ``tests.runtime.test_native.<entry>()`` in a fresh interpreter
-    under ``OMP_NUM_THREADS=threads`` and libgomp's default placement."""
+    under ``OMP_NUM_THREADS=threads`` and libgomp's default placement and
+    wait policy."""
     env = {name: value for name, value in os.environ.items()
-           if name not in ("OMP_PROC_BIND", "OMP_PLACES")}
+           if name not in ("OMP_PROC_BIND", "OMP_PLACES", "OMP_WAIT_POLICY")}
     done = subprocess.run(
         [sys.executable, "-c",
          f"from tests.runtime.test_native import {entry}; {entry}()"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
-        env=dict(env, OMP_NUM_THREADS=str(threads),
+        env=dict(env, OMP_NUM_THREADS=str(threads), **extra,
                  PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])))
     assert done.returncode == 0, done.stderr[-2000:]
 
@@ -564,8 +675,86 @@ class TestChunkedSpan:
     def test_a_team_dispatch_leaves_the_cpu_affinity_alone(self):
         """``OMP_PROC_BIND`` would pin the calling thread when libgomp loads
         (README): the engine sets no placement, so the threads and children
-        a process starts after its first native run keep every CPU."""
+        a process starts after its first native run keep every CPU.  It
+        sets the wait policy, only where the user did not."""
         _soak("_affinity_soak", 2)
+        _soak("_affinity_soak", 2, OMP_WAIT_POLICY="active", USER_WAIT_POLICY="active")
+
+
+class TestLaneBlocks:
+    """A licensed span steps LANES iterations at a time: blocks cut short by
+    the span's end or by a team chunk's, a bad step inside one, and masked
+    lanes whose loads would fault, against ``interp`` in subprocesses."""
+
+    @needs_cc
+    @pytest.mark.parametrize("threads", [1, 3], ids=["1-thread", "3-threads"])
+    def test_edge_cases_equal_interp(self, threads):
+        _soak("_lane_soak", threads)
+
+    @needs_cc
+    def test_a_span_the_blocks_cannot_hold_runs_one_lane(self):
+        """A private buffer of 16 KiB fits one lane's stack budget and not
+        eight lanes': the span is emitted with one lane, says why on
+        ``engine.regions``, and equals ``interp``."""
+        from repro.dialects import memref as memref_d, scf
+        from repro.ir import F32, INDEX, Builder, memref, verify
+        from tests.helpers import (build_function, close_parallel, const_index,
+                                   finish_function)
+
+        module, fn, b = build_function("main", [memref((64,), F32), memref((64,), F32)])
+        out, source = fn.arguments
+        zero, one, n = const_index(b, 0), const_index(b, 1), const_index(b, 64)
+        span = b.insert(scf.ParallelOp([zero], [n], [one]))
+        inner = Builder.at_end(span.body)
+        i, = span.induction_vars
+        scratch = inner.insert(memref_d.AllocaOp(memref((4096,), F32))).result
+        inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(source, [i])).result,
+                                      scratch, [i]))
+        inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(scratch, [i])).result,
+                                      out, [i]))
+        close_parallel(inner)
+        finish_function(b)
+        verify(module)
+
+        def arguments():
+            return [np.zeros(64, dtype=np.float32), np.linspace(1, 2, 64, dtype=np.float32)]
+
+        engine = _assert_native_matches_interp(module, "main", arguments, 0)
+        region, = engine.regions
+        assert region["tier"] == "native" and region["lanes"] == 1
+        assert region["refusals"] == [
+            f"lanes: a private buffer of 16384 bytes is too large for {LANES} lanes"]
+
+    def test_every_charge_of_the_snapshot_modules_is_on_the_grid(self, monkeypatch):
+        """The C counts work in int64 grid units, from ``K`` packed with
+        ``costmodel.exact_cycles`` checked; no charge of the 72 snapshot
+        modules is off the grid, under either machine."""
+        from repro.runtime.codegen_c import RegionCodegen
+        from repro.runtime.compiler import program_for
+        from repro.runtime.costmodel import exact_cycles
+
+        tool = _snapshot_tool()
+        monkeypatch.setattr(sys, "path", list(sys.path))   # _modules prepends
+        monkeypatch.delenv("REPRO_CACHE", raising=False)   # ... and pops this
+        modules = [(label, build, entry) for label, build, entry, _ in tool._modules(ROOT)
+                   if not tool._unlowered(label)]
+        assert len(modules) == 72
+        specs = []
+        emit = RegionCodegen.emit_span
+
+        def spying_emit(codegen):
+            source, spec = emit(codegen)
+            specs.append(spec)
+            return source, spec
+        monkeypatch.setattr(RegionCodegen, "emit_span", spying_emit)
+        for machine in (XEON_8375C, A64FX_CMG):
+            del specs[:]
+            for label, build, entry in modules:
+                module = build()
+                program_for(module, machine, "native").function(module.lookup(entry))
+            assert len(specs) >= 72
+            assert [(spec.symbol, cost) for spec in specs for cost in spec.costs
+                    if not exact_cycles(cost)] == []
 
 
 class TestOneFlagTwoLoops:
@@ -609,7 +798,8 @@ class TestOneFlagTwoLoops:
                 symbol = exported[:exported.index("(")]
                 assert unit.count(span[span.index(tool.SPAN_LOOP):]) == 1, label
                 assert "#pragma" not in span and "omp_" not in span, label
-                plain = f"{symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, 0, total, outf, outi);"
+                plain = (f"{symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, "
+                         "0, total, width, outf, outi);")
                 assert exported.endswith(f"\n    {plain}\n}}"), label
                 assert exported.count("_span(") == 1 + exported.count("#pragma"), label
                 pragmas.append(exported.count("#pragma omp parallel "))

@@ -42,13 +42,13 @@ source differs from the default machine's: the C is machine-independent
 (charges arrive through the ``K`` argument), so one ``.so`` serves both.
 
 ``--cc-time [flags…]`` is what the emitted C costs to build, about three
-quarters of a cold start (the cold set's ``cc`` geomean, 94 ms at ``-O1``,
-against ``cold_geomean_s`` of 0.128 s on a 2-vCPU host): per lowered module
-its C bytes, the ``cc`` wall time, fastest of ``CC_REPEATS``, how many copies
-of the span loop each region holds (one: the team path and the plain path
-both call ``<symbol>_span``, with or without a store-safety proof) and the
-lanes it steps (1 where the lane blocks were refused), under the engine's
-own flags followed by each
+quarters of a cold start (the cold set's ``cc`` geomean, 75-92 ms at
+``-O1``, against ``cold_geomean_s`` of 0.10-0.11 s on a 2-vCPU host): per
+lowered module its C bytes, the ``cc`` wall time, fastest of
+``CC_REPEATS``, how many copies of the span loop each region holds (one:
+the team path and the plain path both call ``<symbol>_span``, with or
+without a store-safety proof) and the lanes it steps (8 where a uniform
+loop carries a chain, else 1), under the engine's own flags followed by each
 given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
 -O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).
 ``--only corpus`` restricts it to the labels with that prefix.
@@ -82,8 +82,9 @@ from pathlib import Path
 FUZZ_SEEDS = 60
 #: ``--cc-time`` reports the fastest of this many ``cc`` runs per unit.
 CC_REPEATS = 5
-#: the head of a span loop: one per copy of a region's body in its functions.
-SPAN_LOOP = "for (int64_t lin = lo; lin < hi; lin += width) {"
+#: the head of a span loop: one per copy of a region's body in its functions
+#: (a lane-blocked span steps ``width`` iterations, a one-lane span one).
+SPAN_LOOP = re.compile(r"for \(int64_t lin = lo; lin < hi; (?:lin \+= width|\+\+lin)\) \{")
 #: the head of the function holding a region's body, ``<symbol>_span``; the
 #: region's exported function follows it.
 SPAN_FUNCTION = "\nstatic __attribute__((noinline)) void "
@@ -248,13 +249,13 @@ def c_digest(root: Path) -> int:
 def body_copies(source: str) -> list:
     """Per region of one assembled unit, how many span loops — copies of the
     region's body — its two functions hold."""
-    return [region.count(SPAN_LOOP) for region in source.split(SPAN_FUNCTION)[1:]]
+    return [len(SPAN_LOOP.findall(region)) for region in source.split(SPAN_FUNCTION)[1:]]
 
 
 def lanes(source: str) -> list:
     """Per region of one assembled unit, the iterations its span steps at
-    once (1: the lane blocks were refused)."""
-    return [int(WIDTH_CLAMP.search(region).group(1))
+    once (1: a one-lane span)."""
+    return [int(clamp.group(1)) if (clamp := WIDTH_CLAMP.search(region)) else 1
             for region in source.split(SPAN_FUNCTION)[1:]]
 
 

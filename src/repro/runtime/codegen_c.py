@@ -18,28 +18,32 @@ region shard-safe, and a span without a proof has no team path at all
 (sequential C is still far faster than Python closures).  Nothing is
 ``simd`` and no directive steers the C compiler's unrolling.
 
-**Lane blocks.**  ``<symbol>_span`` advances ``width`` consecutive
-iterations ("lanes") per step, up to :data:`LANES`; the dispatcher passes
-``width = LANES`` only when it holds the same licence the team path needs
-(a proof, its required dims singletons, no live-in overlap), and ``1``
-otherwise, which runs exactly the sequential order.  Which values differ
-between lanes is the span's lane analysis (:attr:`RegionPlan.lanes
-<repro.analysis.region.RegionPlan.lanes>`, the facts the vectorizer emits
-from): a lane-uniform value is one C scalar, a uniform-bound ``scf.for`` or
-a uniform ``scf.if`` is scalar control, and lane-varying values live in
-``[LANES]`` arrays written by ``for (l = 0; l < m; ++l)`` lane loops — one
-per straight-line stretch of the block, so that the lanes of a serial chain
-(``acc += a * b`` over a uniform ``k``) are independent chains the CPU
-overlaps.  A value read only inside the lane loop defining it stays a
-local.  A varying ``scf.if`` runs its branches as *masked* lane loops over a
-per-lane mask, each branch only when one of its lanes is active; every op in
-it — loads included, whose masked-off lanes may hold any index — runs on the
-active lanes only, and its charges count them.  What the blocked form does
-not express — a lane-varying ``scf.for`` bound, ``scf.while``, a call or copy
+**Lane blocks.**  A span in which a uniform-bound ``scf.for`` carries a
+lane-varying value (a serial chain: ``acc += a * b`` over a uniform ``k``)
+is emitted in lane blocks: ``<symbol>_span(lo, hi, width)`` advances
+``width`` consecutive iterations ("lanes") per step, up to :data:`LANES`,
+so that the lanes' chains are independent chains the CPU overlaps.  The
+dispatcher passes ``width = LANES`` only when it holds the same licence the
+team path needs (a proof, its required dims singletons, no live-in
+overlap), and ``1`` otherwise, which runs exactly the sequential order.
+Which values differ between lanes is the span's lane analysis
+(:attr:`RegionPlan.lanes <repro.analysis.region.RegionPlan.lanes>`, the
+facts the vectorizer emits from): a lane-uniform value is one C scalar, a
+uniform-bound ``scf.for`` or a uniform ``scf.if`` is scalar control, and
+lane-varying values live in ``[LANES]`` arrays written by ``for (l = 0; l <
+m; ++l)`` lane loops — one per straight-line stretch of the block.  A value
+read only inside the lane loop defining it stays a local.  A varying
+``scf.if`` runs its branches as *masked* lane loops over a per-lane mask,
+each branch only when one of its lanes is active; every op in it — loads
+included, whose masked-off lanes may hold any index — runs on the active
+lanes only, and its charges count them.  What the blocked form does not
+express — a lane-varying ``scf.for`` bound, ``scf.while``, a call or copy
 touching per-lane data — runs as a per-lane scalar island inside one lane
-loop.  A span that still does not fit (a private buffer too large for
-:data:`LANES` copies) is emitted with one lane, the reason recorded on its
-plan as a ``lanes`` refusal (``engine.regions`` reports each region's lanes).
+loop.  Every other span, and one the blocks cannot hold (a private buffer
+too large for :data:`LANES` copies, the reason recorded on its plan as a
+``lanes`` refusal), is a *one-lane* span: ``<symbol>_span(lo, hi)`` runs
+one iteration at a time as plain scalar C, and the exported function
+ignores ``width`` (``engine.regions`` reports each region's ``width``).
 
 Spans are all there is to emit: ``__syncthreads`` is removed in the IR by
 cpuify (parallel-loop fission, min-cut value caching, interchange — the
@@ -210,8 +214,9 @@ class RegionSpec:
     num_dims: int = 0
     #: the machine-dependent cycle charges the C reads as ``K[j]``.
     costs: List[float] = field(default_factory=list)
-    #: the most iterations ``<symbol>_span`` advances per step.
-    lanes: int = 1
+    #: the most iterations ``<symbol>_span`` advances per step (1: a
+    #: one-lane span, which ignores the dispatcher's ``width``).
+    width: int = 1
 
 
 # how an op of a lane-blocked block is emitted (``RegionCodegen._kinds``)
@@ -230,6 +235,42 @@ def _ancestor_in(op, block):
     return op
 
 
+def _carried_in_memory(facts, loop) -> bool:
+    """Whether ``loop`` both loads and stores a private buffer allocated
+    outside it: a value one iteration leaves for the next."""
+    inside, loaded, stored = set(), set(), set()
+    for nested in loop.walk():
+        if isinstance(nested, memref_d.AllocOp):  # covers AllocaOp
+            inside.add(id(nested.result))
+        elif isinstance(nested, (memref_d.LoadOp, memref_d.StoreOp)):
+            key = id(nested.memref)
+            if key in facts.private:
+                (loaded if isinstance(nested, memref_d.LoadOp) else stored).add(key)
+    return bool((loaded & stored) - inside)
+
+
+def _carries_a_chain(facts, ops: Sequence) -> bool:
+    """Whether a uniform-bound ``scf.for`` among ``ops``, or in the branches
+    and uniform-bound loops of them, carries a lane-varying value — as an
+    iter-arg, or in a private buffer: the serial chain lane blocks
+    overlap."""
+    for op in ops:
+        if isinstance(op, scf.ForOp):
+            if any(map(facts.varies, (op.lower_bound, op.upper_bound, op.step))):
+                continue  # a per-lane island in a blocked span
+            blocks = [op.body]
+            if any(map(facts.varies, op.iter_args)) or _carried_in_memory(facts, op):
+                return True
+        elif isinstance(op, scf.IfOp):
+            blocks = [op.then_block, op.else_block]
+        else:
+            continue
+        if any(_carries_a_chain(facts, split_executed(block)[0])
+               for block in blocks if block is not None):
+            return True
+    return False
+
+
 class RegionCodegen:
     """Emits one span as a self-contained C function.
 
@@ -237,22 +278,27 @@ class RegionCodegen:
     (its ``live_ins`` order is the argument ABI); ``slot_of`` maps an SSA
     value to its register slot in the enclosing compiled function (used to
     describe that ABI to the dispatcher).  ``lanes`` is how many iterations
-    a step may advance (module docstring).
+    a step may advance: by default :data:`LANES` when a uniform loop of the
+    span carries a chain, else 1 (module docstring).
     """
 
-    def __init__(self, program, plan, symbol: str, slot_of, lanes: int = LANES) -> None:
+    def __init__(self, program, plan, symbol: str, slot_of,
+                 lanes: Optional[int] = None) -> None:
         self.program = program
         self.plan = plan
         self.op = plan.op
         self.symbol = symbol
         self.slot_of = slot_of
         self.machine = program.machine
+        if lanes is None:
+            chained = _carries_a_chain(plan.lanes, split_executed(plan.op.body)[0])
+            lanes = LANES if chained else 1
         self.lanes = lanes
         self.out = _Writer()
         self._uid = 0
         self.cexpr: Dict[int, str] = {}          # id(value) -> C expression
         self.buffers: Dict[int, _Buffer] = {}    # id(value) -> buffer
-        self.spec = RegionSpec(symbol=symbol, lanes=lanes)
+        self.spec = RegionSpec(symbol=symbol, width=lanes)
         self._livein_index: Dict[int, str] = {}  # id(value) -> bound C name
         self._stored_buffers: set = set()        # live-in buffer names written
         self._inline_stack: List[int] = []
@@ -991,11 +1037,12 @@ class RegionCodegen:
     # -- the region function ----------------------------------------------------
     def emit_span(self) -> Tuple[str, RegionSpec]:
         """Two C functions: ``<symbol>_span`` runs the iterations ``[lo, hi)``
-        of the row-major iteration space, ``width`` lanes per step, and holds
-        the body, once; the exported ``<symbol>`` (the region ABI) calls it
-        over ``[0, total)``, or, when ``mode`` is set, once per OpenMP thread
-        over one contiguous chunk.  A span the lane blocks cannot express is
-        emitted with one lane, the reason a ``lanes`` refusal on its plan."""
+        of the row-major iteration space, ``width`` lanes per step in lane
+        blocks, and holds the body, once; the exported ``<symbol>`` (the
+        region ABI) calls it over ``[0, total)``, or, when ``mode`` is set,
+        once per OpenMP thread over one contiguous chunk.  A span the lane
+        blocks cannot express is a one-lane span, the reason a ``lanes``
+        refusal on its plan."""
         try:
             return self._emit_span()
         except NarrowRegion as exc:
@@ -1018,44 +1065,49 @@ class RegionCodegen:
         # prefixes, so nothing the body declares can shadow them (a
         # memref.copy's count is "n<uid>").
         dims = range(num_dims)
+        blocked = self.lanes > 1
         for dim, induction_var in enumerate(op.induction_vars):
             self.cexpr[id(induction_var)] = f"sv{dim}"
-            self.held.add(id(induction_var))
-            self.arrays.add(id(induction_var))
+            if blocked:
+                self.held.add(id(induction_var))
+                self.arrays.add(id(induction_var))
+        # the odometer: step the innermost index, carry outward
+        step = "++q0;" if num_dims else ""
+        for dim in range(1, num_dims):
+            step = f"if (++q{dim} == len{dim}) {{ q{dim} = 0; {step} }}"
 
         body = _Writer(2)
         header = self.out
         self.out = body
-        body.w("const int64_t m = hi - lin < width ? hi - lin : width;")
-        if num_dims:
-            body.w("int64_t " + ", ".join(f"sv{dim}[{self.lanes}]" for dim in dims) + ";")
-            # the odometer: step the innermost index, carry outward
-            step = "++q0;"
-            for dim in range(1, num_dims):
-                step = f"if (++q{dim} == len{dim}) {{ q{dim} = 0; {step} }}"
-            body.open("for (int64_t l = 0; l < m; ++l) {")
-            for dim in dims:
-                body.w(f"sv{dim}[l] = lb{dim} + q{dim} * step{dim};")
-            body.w(step)
-            body.close()
-        if self.lanes > 1:
+        if blocked:
+            body.w("const int64_t m = hi - lin < width ? hi - lin : width;")
+            if num_dims:
+                body.w("int64_t " + ", ".join(f"sv{dim}[{self.lanes}]" for dim in dims)
+                       + ";")
+                body.open("for (int64_t l = 0; l < m; ++l) {")
+                for dim in dims:
+                    body.w(f"sv{dim}[l] = lb{dim} + q{dim} * step{dim};")
+                body.w(step)
+                body.close()
             self.facts = self.plan.lanes
             self.blocked = True
             self._emit_block(op.body)
         else:
+            for dim in dims:
+                body.w(f"const int64_t sv{dim} = lb{dim} + q{dim} * step{dim};")
             self.count = "1"
-            self._lane_open()
             self._emit_block(op.body)
-            self._lane_close()
+            body.w(step)
         self.out = header
 
         abi = ("const int64_t* LI, const double* LF,\n"
                "        const int64_t* K, void* const* LP, const int64_t* LS,\n"
                "        const int64_t* RLB, const int64_t* RST,\n"
                "        const int64_t* RLEN, ")
+        width = "width, " if blocked else ""
         lines = self.out.lines
         lines += [f"static __attribute__((noinline)) void {self.symbol}_span({abi}"
-                  "int64_t lo, int64_t hi, int64_t width,",
+                  f"int64_t lo, int64_t hi,{' int64_t width,' if blocked else ''}",
                   "        double* outf, int64_t* outi)",
                   "{"]
         self.out.w("int64_t W = 0, GB = 0, OPS = 0, ERR = 0;")
@@ -1069,7 +1121,7 @@ class RegionCodegen:
         self.out.w("int64_t rem = lo;")
         for dim in reversed(dims):
             self.out.w(f"int64_t q{dim} = rem % len{dim}; rem /= len{dim};")
-        self.out.w("for (int64_t lin = lo; lin < hi; lin += width) {")
+        self.out.w(f"for (int64_t lin = lo; lin < hi; {'lin += width' if blocked else '++lin'}) {{")
         lines += body.lines
         # W counts grid units: exact while below 2^53 of them (module docstring)
         lines += ["    }",
@@ -1080,8 +1132,9 @@ class RegionCodegen:
                   "",
                   f"void {self.symbol}({abi}int64_t total, int64_t mode, int64_t width,",
                   "        double* outf, int64_t* outi)",
-                  "{",
-                  f"    if (width < 1 || width > {self.lanes}) width = 1;"]
+                  "{"]
+        if blocked:
+            lines.append(f"    if (width < 1 || width > {self.lanes}) width = 1;")
         call = f"{self.symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, "
         if self.plan.parallel_proof is not None:
             # `mode`: the dispatcher's store-safety/alias proof held and there
@@ -1102,14 +1155,14 @@ class RegionCodegen:
                 "            const int64_t lo = rank * share + (rank < extra ? rank : extra);",
                 "            double f[2];",
                 "            int64_t e[2];",
-                f"            {call}lo, lo + share + (rank < extra), width, f, e);",
+                f"            {call}lo, lo + share + (rank < extra), {width}f, e);",
                 "            W += f[0]; GB += f[1]; OPS += e[0]; ERR = e[1];",
                 "        }",
                 "        outf[0] = W; outf[1] = GB;",
                 "        outi[0] = OPS; outi[1] = ERR;",
                 "        return;",
                 "    }"]
-        lines += [f"    {call}0, total, width, outf, outi);", "}"]
+        lines += [f"    {call}0, total, {width}outf, outi);", "}"]
         for index, buf_spec in enumerate(self.spec.buffers):
             buf_spec.stored = f"lp{index}" in self._stored_buffers
         return "\n".join(lines), self.spec

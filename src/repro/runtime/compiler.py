@@ -202,7 +202,7 @@ class _Program:
         #: how many of them a strict run found ready (-1: none checked yet).
         self.ready_units = -1
         #: ``id(plan)`` -> the iterations a native region's C steps at once.
-        self.lanes: Dict[int, int] = {}
+        self.widths: Dict[int, int] = {}
         #: entry name -> its function, looked up once (the module is not
         #: mutated after its first compiled run; see invalidate_compiled).
         self.entries: Dict[str, func_d.FuncOp] = {}
@@ -944,7 +944,7 @@ class CompiledEngine:
         """Per region compiled so far: its function, its kind, the tier that
         took it, the reason each faster tier of this engine gave for
         declining it (compile-time facts), the iterations its native code
-        steps at once (``lanes``; ``None`` off the native tier) and, by
+        steps at once (``width``; ``None`` off the native tier) and, by
         reason, the dispatches its native code refused at run time
         (``bailouts``; they sum to ``native_stats["bailouts"]``)."""
         program = self._program
@@ -954,6 +954,6 @@ class CompiledEngine:
                  "refusals": [f"{capability}: {reason}"
                               for capability, reason in plan.refusals
                               if capability in asked],
-                 "lanes": program.lanes.get(id(plan)),
+                 "width": program.widths.get(id(plan)),
                  "bailouts": dict(program.bailouts.get(id(plan), ()))}
                 for function, plan, tier in program.regions]

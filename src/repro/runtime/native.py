@@ -38,9 +38,11 @@ in-process run is every dispatch's fallback, lives in
   :class:`~repro.analysis.region.RegionPlan`) proves shards independent
   (required-singleton dims are re-checked per dispatch, as is runtime
   buffer aliasing); unproven regions still run as *sequential* C.  The
-  same licence lets a span step :data:`~repro.runtime.codegen_c.LANES`
-  iterations at a time (``width``), so the serial chains of neighbouring
-  iterations overlap; without it ``width`` is 1, the sequential order.
+  same licence lets a lane-blocked span (one whose uniform loop carries a
+  chain) step :data:`~repro.runtime.codegen_c.LANES` iterations at a time
+  (``width``), so the serial chains of neighbouring iterations overlap;
+  without it ``width`` is 1, the sequential order.  A one-lane span
+  ignores ``width``.
 
 Anything the emitter cannot translate — nested parallel constructs,
 dynamic-extent private allocas, recursion — falls back **per region** to
@@ -113,10 +115,11 @@ def compiler_flags() -> List[str]:
     """Flags for building region shared objects.
 
     ``-O1``, against the ``-O`` rule (README, "The ``-O`` level is
-    measured"): ``-O3`` would run five kernels 9-35% faster, but it builds
-    the lane-blocked C 2.5x slower than ``-O1`` does, and ``-O1`` is the one
-    level that builds it no slower than ``NATIVE_FORMAT`` 6's C at ``-O3``,
-    which the cold start needs.
+    measured"), which picks ``-O3``: ``-O3`` runs the lane-blocked kernels
+    18-34% faster, but it completely peels every lane loop, which doubles
+    their code and puts the cold start (``req_cold_p50_ms``) at 2.3x the
+    ``NATIVE_FORMAT`` 6 C's at ``-O3``; ``-O1`` builds the cold set no
+    slower than that did.
     ``-ffp-contract=off`` matters for bit-identical outputs: GCC contracts
     ``a*b+c`` into fused multiply-adds by default at ``-O3``, which rounds
     differently from the Python engines' separate multiply and add.
@@ -183,10 +186,12 @@ def _dlopen(path) -> ctypes.CDLL:
     """Load a shared object linked with libgomp.  libgomp's default keeps a
     finished team's threads spinning, and a native run dispatches regions
     back to back: beside a request mix the spinning starves whatever else
-    runs, a cold kernel's ``cc`` first (README, "it sets the wait
-    policy").  So the
-    threads sleep unless the user chose a policy; libgomp reads it once,
-    when the first such object loads."""
+    runs, a cold kernel's ``cc`` first (README, "it sets the wait policy").
+    So, unless the user chose a policy, this puts ``OMP_WAIT_POLICY=passive``
+    in ``os.environ`` — for the whole process and every child it starts,
+    and for any other OpenMP runtime loaded after it.  libgomp reads the
+    variable once, when it loads: if another library loaded it first, this
+    has no effect."""
     os.environ.setdefault("OMP_WAIT_POLICY", "passive")
     return ctypes.CDLL(str(path))
 
@@ -468,7 +473,7 @@ class _RegionHandle:
         self.costs = (ctypes.c_int64 * max(1, len(spec.costs)))(
             *map(grid_units, spec.costs))
         #: iterations a licensed dispatch advances per step.
-        self.lanes = spec.lanes
+        self.width = spec.width
         self.buffers = [(buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
                          buf.stored) for buf in spec.buffers]
         #: free packs.  Programs are cached on the module and shared by the
@@ -547,9 +552,12 @@ class _RegionHandle:
             # the lanes of a block — is the store-safety proof holding for
             # these live-ins.  The team also needs enough units to amortize
             # it; without the licence the plain path runs one lane at a time,
-            # the sequential order, and carries no OpenMP directive.
+            # the sequential order, and carries no OpenMP directive.  A
+            # one-lane span too small for a team has no use for the licence.
             required = self.required_dims
+            width = self.width
             licensed = (required is not None
+                        and (width > 1 or total >= _MIN_PARALLEL_UNITS)
                         and all(len(ranges[dim]) == 1 for dim in required)
                         and not self._overlapping(intervals))
             for index, axis in enumerate(ranges):
@@ -558,7 +566,7 @@ class _RegionHandle:
                 lens[index] = len(axis)
             self.unit.functions[spec.symbol](
                 *head, total, licensed and total >= _MIN_PARALLEL_UNITS,
-                self.lanes if licensed else 1, *tail)
+                width if licensed else 1, *tail)
             return total, outf[0], outf[1], outi[0], outi[1]
         finally:
             self.pool.append(pack)
@@ -614,7 +622,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     stats["native_regions"] += 1
     unit.add(source, symbol)
     region.tier = "native"
-    program.lanes[id(plan)] = spec.lanes
+    program.widths[id(plan)] = spec.width
     tally = program.bailouts.setdefault(id(plan), {})
     base, count, finish = region.base, region.count, region.finish
     bounds = region.bounds

@@ -492,9 +492,7 @@ class TestTowerCensus:
             assert gone not in vectorizer, gone
         for reader in ("native.py", "multicore.py"):
             assert "plan.parallel_proof" in self._sources()[reader]
-            # the lane facts are read by the emitters (vectorizer.py,
-            # codegen_c.py); a dispatcher reads the proof over them only
-            assert "plan.lanes" not in self._sources()[reader]
+            assert ".lanes" not in self._sources()[reader].replace("vectorizer:lanes", "")
 
     def test_the_vectorizer_emits_each_op_once(self, monkeypatch):
         """Kinds come from the plan, not from dry runs: over Rodinia ×

@@ -210,15 +210,25 @@ void launch(float* out, float* in, int n) {
 }
 """
 
+#: :data:`SCALE_CUDA` with a serial chain per thread: emitted in lane blocks.
+DAMP_CUDA = SCALE_CUDA.replace(
+    "out[gid] = in[gid] * 0.5f + 1.0f;",
+    "float acc = 0.0f;\n"
+    "        for (int k = 0; k < 4; ++k) acc = acc * 0.5f + in[gid];\n"
+    "        out[gid] = acc;")
+
 
 class TestArgumentContracts:
-    def test_aliased_live_in_forces_sequential_mode(self):
+    @pytest.mark.parametrize("source, width", [(SCALE_CUDA, 1), (DAMP_CUDA, LANES)],
+                             ids=["one-lane", "lane-blocked"])
+    def test_aliased_live_in_forces_sequential_mode(self, source, width):
         """One array passed as both the loaded and the stored argument: the
         engines agree, and the native dispatch's alias check hands the C
         ``mode`` = 0 and ``width`` = 1 (no OpenMP team and one lane at a
         time: the store-safety proof is per buffer) — and ``mode`` = 1 with
-        ``width`` = LANES when nothing aliases."""
-        module = compile_cuda(SCALE_CUDA, cuda_lower=True,
+        ``width`` = LANES when nothing aliases and the span is lane-blocked
+        (1 for a one-lane span)."""
+        module = compile_cuda(source, cuda_lower=True,
                               options=PipelineOptions.all_optimizations())
         n = 512
 
@@ -241,7 +251,8 @@ class TestArgumentContracts:
         distinct = aliased()
         distinct[0] = np.zeros(n, dtype=np.float32)
         native.run("launch", distinct)
-        assert modes == [(0, 1), (1, LANES)]
+        assert modes == [(0, 1), (1, width)]
+        assert [region["width"] for region in native.regions] == [width]
 
     @pytest.mark.parametrize("engine", engine_names())
     def test_non_contiguous_argument_is_rejected(self, engine):

@@ -365,6 +365,18 @@ def _row_module(through_call=False):
     return module, span
 
 
+def _chained(builder, value):
+    """``value`` carried through a one-trip uniform ``scf.for``: a serial
+    chain, so the span around it is emitted in lane blocks."""
+    from repro.dialects import scf
+    from tests.helpers import const_index
+
+    loop = builder.insert(scf.ForOp(const_index(builder, 0), const_index(builder, 1),
+                                    const_index(builder, 1), [value]))
+    loop.body.append(scf.YieldOp([loop.iter_args[0]]))
+    return loop.results[0]
+
+
 def _spy_dispatches(plain=()):
     """Wrap every native function sealed from now on; return the list each
     call appends its ``(total, mode, width)`` to.  While ``plain`` is
@@ -392,7 +404,8 @@ def _spy_dispatches(plain=()):
 def _mode_soak():
     """Subprocess entry (``OMP_NUM_THREADS=2``): the dispatches that must run
     the plain loop do, 64 proven units take the team, and every one of them
-    equals ``interp`` in outputs and CostReport."""
+    equals ``interp`` in outputs and CostReport.  The span carries no chain:
+    it is a one-lane span, and every dispatch passes ``width`` 1."""
     from repro.analysis.region import RegionPlans
 
     modes = _spy_dispatches()
@@ -400,12 +413,12 @@ def _mode_soak():
     assert RegionPlans(proven).plan(span).parallel_proof == frozenset({1})
     unproven, span = _row_module(through_call=True)
     assert RegionPlans(unproven).plan(span).parallel_proof is None
-    cases = [("64 proven units", proven, 64, 1, False, True, LANES),
-             ("63 proven units", proven, 63, 1, False, False, LANES),
-             ("non-singleton required dim", proven, 64, 2, False, False, 1),
-             ("aliased live-ins", proven, 64, 1, True, False, 1),
-             ("no proof", unproven, 64, 1, False, False, 1)]
-    for name, module, hi, hj, aliased, team, width in cases:
+    cases = [("64 proven units", proven, 64, 1, False, True),
+             ("63 proven units", proven, 63, 1, False, False),
+             ("non-singleton required dim", proven, 64, 2, False, False),
+             ("aliased live-ins", proven, 64, 1, True, False),
+             ("no proof", unproven, 64, 1, False, False)]
+    for name, module, hi, hj, aliased, team in cases:
         def arguments():
             out = np.arange(128, dtype=np.int64)
             return [out, out if aliased else 3 * out, hi, hj]
@@ -415,7 +428,7 @@ def _mode_soak():
         interp.run("main", expected)
         engine = NativeEngine(module)   # a module's program, and stats, are shared
         engine.run("main", got)
-        assert modes[-1] == (hi * hj, team, width), (name, modes[-1])
+        assert modes[-1] == (hi * hj, team, 1), (name, modes[-1])
         np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
         assert report_fields(engine.report) == report_fields(interp.report), name
     for module, dispatches in ((proven, 4), (unproven, 1)):
@@ -425,10 +438,11 @@ def _mode_soak():
 
 def _grid_module():
     """``main(out, src, lo, hi, st, hj, bad)``: over ``i`` in ``range(lo, hi,
-    st)`` x ``j`` in ``[0, hj)``, ``out[i, j] = v = 16 * src[i] + j``, then an
-    ``scf.for`` whose step is 0 where ``v == bad``.  Every iteration stores
-    its own cell, so the proof is empty and any dispatch of 64 units takes
-    the team."""
+    st)`` x ``j`` in ``[0, hj)``, ``out[i, j] = v = 16 * src[i] + j`` (``v``
+    :func:`_chained`), then an ``scf.for`` whose step is 0 where ``v ==
+    bad``.  Every iteration stores its own cell, so the proof is empty, any
+    dispatch of 64 units takes the team and every dispatch steps LANES lanes
+    at a time."""
     from repro.dialects import arith, memref as memref_d, scf
     from repro.ir import INDEX, Builder, memref, verify
     from tests.helpers import (build_function, close_parallel, const_index,
@@ -443,7 +457,7 @@ def _grid_module():
     i, j = span.induction_vars
     loaded = inner.insert(memref_d.LoadOp(source, [i])).result
     scaled = inner.insert(arith.MulIOp(loaded, const_index(inner, 16))).result
-    value = inner.insert(arith.AddIOp(scaled, j)).result
+    value = _chained(inner, inner.insert(arith.AddIOp(scaled, j)).result)
     inner.insert(memref_d.StoreOp(value, out, [i, j]))
     hit = inner.insert(arith.CmpIOp("eq", value, bad)).result
     step = inner.insert(arith.SelectOp(hit, zero, one)).result
@@ -511,8 +525,9 @@ def _chunk_soak():
 
 def _guarded_module():
     """``main(out, a, idx, flag, n)``: over ``i`` in ``[0, n)``, ``if
-    (flag[i]) out[i] = a[idx[i]]``.  Every iteration stores its own cell, so
-    the proof is empty and every dispatch steps LANES lanes at a time."""
+    (flag[i]) out[i] = a[idx[i]]`` (the loaded value :func:`_chained`).
+    Every iteration stores its own cell, so the proof is empty and every
+    dispatch steps LANES lanes at a time."""
     from repro.dialects import arith, memref as memref_d, scf
     from repro.ir import F32, INDEX, Builder, memref, verify
     from tests.helpers import (build_function, close_parallel, const_index,
@@ -531,7 +546,7 @@ def _guarded_module():
     branch = inner.insert(scf.IfOp(taken, with_else=False))
     then = Builder.at_end(branch.then_block)
     index = then.insert(memref_d.LoadOp(idx, [i])).result
-    value = then.insert(memref_d.LoadOp(source, [index])).result
+    value = _chained(then, then.insert(memref_d.LoadOp(source, [index])).result)
     then.insert(memref_d.StoreOp(value, out, [i]))
     then.insert(scf.YieldOp())
     close_parallel(inner)
@@ -637,8 +652,8 @@ def _affinity_soak():
 
 def _soak(entry: str, threads: int, **extra: str) -> None:
     """Run ``tests.runtime.test_native.<entry>()`` in a fresh interpreter
-    under ``OMP_NUM_THREADS=threads`` and libgomp's default placement and
-    wait policy."""
+    under ``OMP_NUM_THREADS=threads``, libgomp's default placement and no
+    wait policy but ``extra``'s."""
     env = {name: value for name, value in os.environ.items()
            if name not in ("OMP_PROC_BIND", "OMP_PLACES", "OMP_WAIT_POLICY")}
     done = subprocess.run(
@@ -694,8 +709,8 @@ class TestLaneBlocks:
     @needs_cc
     def test_a_span_the_blocks_cannot_hold_runs_one_lane(self):
         """A private buffer of 16 KiB fits one lane's stack budget and not
-        eight lanes': the span is emitted with one lane, says why on
-        ``engine.regions``, and equals ``interp``."""
+        eight lanes': the span, which carries a chain, is emitted with one
+        lane, says why on ``engine.regions``, and equals ``interp``."""
         from repro.dialects import memref as memref_d, scf
         from repro.ir import F32, INDEX, Builder, memref, verify
         from tests.helpers import (build_function, close_parallel, const_index,
@@ -708,8 +723,9 @@ class TestLaneBlocks:
         inner = Builder.at_end(span.body)
         i, = span.induction_vars
         scratch = inner.insert(memref_d.AllocaOp(memref((4096,), F32))).result
-        inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(source, [i])).result,
-                                      scratch, [i]))
+        inner.insert(memref_d.StoreOp(
+            _chained(inner, inner.insert(memref_d.LoadOp(source, [i])).result),
+            scratch, [i]))
         inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(scratch, [i])).result,
                                       out, [i]))
         close_parallel(inner)
@@ -721,7 +737,7 @@ class TestLaneBlocks:
 
         engine = _assert_native_matches_interp(module, "main", arguments, 0)
         region, = engine.regions
-        assert region["tier"] == "native" and region["lanes"] == 1
+        assert region["tier"] == "native" and region["width"] == 1
         assert region["refusals"] == [
             f"lanes: a private buffer of 16384 bytes is too large for {LANES} lanes"]
 
@@ -796,10 +812,11 @@ class TestOneFlagTwoLoops:
             for function in functions:
                 span, exported = function.split("\nvoid ")
                 symbol = exported[:exported.index("(")]
-                assert unit.count(span[span.index(tool.SPAN_LOOP):]) == 1, label
+                assert unit.count(span[tool.SPAN_LOOP.search(span).start():]) == 1, label
                 assert "#pragma" not in span and "omp_" not in span, label
+                width = "width, " if tool.WIDTH_CLAMP.search(exported) else ""
                 plain = (f"{symbol}_span(LI, LF, K, LP, LS, RLB, RST, RLEN, "
-                         "0, total, width, outf, outi);")
+                         f"0, total, {width}outf, outi);")
                 assert exported.endswith(f"\n    {plain}\n}}"), label
                 assert exported.count("_span(") == 1 + exported.count("#pragma"), label
                 pragmas.append(exported.count("#pragma omp parallel "))

@@ -41,17 +41,21 @@ emits every module a second time under ``A64FX_CMG`` and fails if any
 source differs from the default machine's: the C is machine-independent
 (charges arrive through the ``K`` argument), so one ``.so`` serves both.
 
-``--cc-time [flags…]`` is what the emitted C costs to build, about three
-quarters of a cold start (the cold set's ``cc`` geomean, 75-92 ms at
-``-O1``, against ``cold_geomean_s`` of 0.10-0.11 s on a 2-vCPU host): per
-lowered module its C bytes, the ``cc`` wall time, fastest of
+``--cc-time [flags…]`` is what the emitted C costs to build, 73% of a cold
+start (the cold set's ``cc`` geomean, 99.5 ms at ``-O1``, against a
+``cold_start`` median ``cold_geomean_s`` of 0.136 s; 2-vCPU Xeon, gcc
+12.2): per lowered module its C bytes, the ``cc`` wall time, fastest of
 ``CC_REPEATS``, how many copies of the span loop each region holds (one:
 the team path and the plain path both call ``<symbol>_span``, with or
 without a store-safety proof) and the lanes it steps (8 where a uniform
 loop carries a chain, else 1), under the engine's own flags followed by each
 given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
--O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).
-``--only corpus`` restricts it to the labels with that prefix.
+-O1 -O2 -O3`` is the table the engine's ``-O`` level was chosen from).  Its
+``tier 2`` column is the ``cc`` time at the promotion flags
+(``native.compiler_flags(native.PROMOTED_LEVEL)``) of the lane-blocked
+units, the ones a steady state rebuilds in the background; the others
+never promote (``-``).  ``--only corpus`` restricts it to the labels with
+that prefix.
 
 Usage, from any checkout::
 
@@ -265,45 +269,56 @@ def cc_time(root: Path, flags, only: str) -> int:
                if not _unlowered(module[0]) and module[0].startswith(only)]
     import corpus
     from repro.runtime import native
+    from repro.runtime.codegen_c import LANES
 
     if not native.native_available():
         print("cc -fopenmp unavailable: no native unit seals here - cc timing skipped")
         return 0
     units = _spy_units()
     base = [*native.compiler_command(), *native.compiler_flags()]
+    promoted = [*native.compiler_command(), *native.compiler_flags(native.PROMOTED_LEVEL)]
     columns = [[flag] for flag in flags] or [[]]
-    print(f"{' '.join(base)}  (fastest of {CC_REPEATS}, seconds)")
+    print(f"{' '.join(base)}  (fastest of {CC_REPEATS}, seconds; tier 2: "
+          f"{' '.join(promoted)}, for the units whose lanes are {LANES})")
     print(f"{'module':32s} {'C bytes':>8s}  " + "  ".join(
         f"{' '.join(column) or 'as built':>8s}" for column in columns)
-        + "  body copies  lanes")
+        + f"  {'tier 2':>8s}  body copies  lanes")
     groups = {}
     with tempfile.TemporaryDirectory(prefix="repro-cc-time-") as temp:
         source_path, output = os.path.join(temp, "unit.c"), os.path.join(temp, "unit.so")
 
-        def build(column) -> float:
+        def build(command) -> float:
             began = time.perf_counter()
-            subprocess.run([*base, *column, source_path, "-o", output], check=True)
+            subprocess.run([*command, source_path, "-o", output], check=True)
             return time.perf_counter() - began
 
         for label, *module in modules:
             sources = _emitted_c(units, *module)
             seconds = [0.0] * len(columns)
+            tier2 = None
             for source in sources:
                 Path(source_path).write_text(source)
                 for index, column in enumerate(columns):
-                    seconds[index] += min(build(column) for _ in range(CC_REPEATS))
+                    seconds[index] += min(build([*base, *column]) for _ in range(CC_REPEATS))
+                if max(lanes(source)) > 1:  # the units that promote
+                    tier2 = (tier2 or 0.0) + min(build(promoted) for _ in range(CC_REPEATS))
             copies = [count for source in sources for count in body_copies(source)]
             widths = [width for source in sources for width in lanes(source)]
             print(f"{label:32s} {sum(map(len, sources)):8d}  "
                   + "  ".join(f"{value:8.3f}" for value in seconds)
+                  + ("         -" if tier2 is None else f"  {tier2:8.3f}")
                   + f"  {' '.join(map(str, copies)):11s}  " + " ".join(map(str, widths)))
             group, _, name = label.partition("/")
-            groups.setdefault(group, []).append(seconds)
+            groups.setdefault(group, []).append((seconds, tier2))
             if name in corpus.COLD_SET:
-                groups.setdefault("cold set", []).append(seconds)
+                groups.setdefault("cold set", []).append((seconds, tier2))
     for key, rows in groups.items():
+        promoted_rows = [tier2 for _, tier2 in rows if tier2 is not None]
         print(f"{f'geomean ms, {key} ({len(rows)})':41s}  " + "  ".join(
-            f"{1e3 * statistics.geometric_mean(column):8.1f}" for column in zip(*rows)))
+            f"{1e3 * statistics.geometric_mean(column):8.1f}"
+            for column in zip(*(seconds for seconds, _ in rows)))
+            + (f"  {1e3 * statistics.geometric_mean(promoted_rows):8.1f}"
+               f" ({len(promoted_rows)} promoted)" if promoted_rows else ""))
     return 0
 
 

@@ -186,6 +186,7 @@ class _Program:
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
             "bailouts": 0, "units_ready": 0,
             "artifact_hits": 0, "compile_errors": 0, "corrupt_artifacts": 0,
+            "promotions": 0, "promotion_failures": 0,
         }
         self.shard_stats = {
             "sharded_regions": 0,   # compile-time: regions proven shardable
@@ -201,8 +202,9 @@ class _Program:
         self.native_units: List = []
         #: how many of them a strict run found ready (-1: none checked yet).
         self.ready_units = -1
-        #: ``id(plan)`` -> the iterations a native region's C steps at once.
-        self.widths: Dict[int, int] = {}
+        #: ``id(plan)`` -> a native region's dispatch handle (the iterations
+        #: its C steps at once, the unit whose ``-O`` level it runs at).
+        self.handles: Dict[int, object] = {}
         #: entry name -> its function, looked up once (the module is not
         #: mutated after its first compiled run; see invalidate_compiled).
         self.entries: Dict[str, func_d.FuncOp] = {}
@@ -944,16 +946,23 @@ class CompiledEngine:
         """Per region compiled so far: its function, its kind, the tier that
         took it, the reason each faster tier of this engine gave for
         declining it (compile-time facts), the iterations its native code
-        steps at once (``width``; ``None`` off the native tier) and, by
-        reason, the dispatches its native code refused at run time
-        (``bailouts``; they sum to ``native_stats["bailouts"]``)."""
+        steps at once (``width``), the ``-O`` level its native dispatches
+        run at (``opt_level``: ``"-O1"``, or ``"-O3"`` once its unit
+        promoted; ``None`` before the unit is ready, and both ``None`` off
+        the native tier) and, by reason, the dispatches its native code
+        refused at run time (``bailouts``; they sum to
+        ``native_stats["bailouts"]``)."""
         program = self._program
         asked = ((self.ROW, "parallel", "lanes") if program.dispatcher is not None
                  else (self.ROW,))
-        return [{"function": function, "kind": plan.kind, "tier": tier,
-                 "refusals": [f"{capability}: {reason}"
-                              for capability, reason in plan.refusals
-                              if capability in asked],
-                 "width": program.widths.get(id(plan)),
-                 "bailouts": dict(program.bailouts.get(id(plan), ()))}
-                for function, plan, tier in program.regions]
+        rows = []
+        for function, plan, tier in program.regions:
+            handle = program.handles.get(id(plan))
+            rows.append({"function": function, "kind": plan.kind, "tier": tier,
+                         "refusals": [f"{capability}: {reason}"
+                                      for capability, reason in plan.refusals
+                                      if capability in asked],
+                         "width": None if handle is None else handle.width,
+                         "opt_level": None if handle is None else handle.unit.level,
+                         "bailouts": dict(program.bailouts.get(id(plan), ()))})
+        return rows

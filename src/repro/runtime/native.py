@@ -14,13 +14,37 @@ in-process run is every dispatch's fallback, lives in
   never offered: cpuify lowers barriers in the IR, and a module compiled
   without it runs those regions on the interpreter, the refusal named on
   the plan;
-* the unit is compiled once with the system C compiler (``cc -O1 -fopenmp``;
+* the unit is compiled with the system C compiler (``cc -O1 -fopenmp``;
   override with ``REPRO_CC``) into a shared object keyed by the SHA-256 of
-  the generated source in the content-addressed artifact cache
-  (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches skip
-  the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes* do
-  too.  The source holds no machine-model constant (charges arrive as the
-  ``K`` argument), so one ``.so`` per kernel serves every machine model;
+  the generated source and the flags in the content-addressed artifact
+  cache (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches
+  skip the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes*
+  do too.  The source holds no machine-model constant (charges arrive as
+  the ``K`` argument), so one ``.so`` per kernel serves every machine model;
+* a lane-blocked unit (one holding a span with ``width > 1``) that keeps
+  running is built again from the same source at :data:`PROMOTED_LEVEL`
+  (tier 2): after :data:`PROMOTE_AFTER` runs the process' one promotion
+  worker (:class:`_Promoter`) builds, publishes and dlopens it in the
+  background and swaps ``unit.functions`` in one assignment.  A unit whose
+  tier-2 artifact is published (a restarted process) seals at tier 2.  Only
+  lane-blocked units promote: ``-O3``'s gain is gcc peeling the ``[8]``
+  lane loops; one-lane units have none, and the slowest of them measure
+  slower at ``-O3`` (README, "The ``-O`` level is measured").  A failed
+  promotion records one ``native.promote`` event and leaves the unit at
+  tier 1; it never fails the unit and never raises.
+
+  :data:`PROMOTE_AFTER` is 16, by a rule fixed before any reading was
+  taken: promotion is for a unit that keeps running, and a one-shot use
+  must never pay for a ``cc`` it cannot use.  The most runs a one-shot use
+  makes of one unit is four — a daemon's warm-up sends one request per
+  client, at most four clients; a cold process runs a kernel twice (its
+  first run and one warm re-run), a cold request once — and the count is
+  that times four, so no one-shot use comes near it.  Its cost to the
+  steady state is the ``-O1`` runs before it: with the worker at idle
+  priority, the ``cc`` itself takes only CPU time nothing else wanted.  A
+  run counts once however many times it dispatches the unit (a host loop
+  around a span), so a unit that runs once never promotes; each
+  lane-blocked corpus kernel makes exactly one dispatch per run;
 * at run time the dispatcher checks the region's live-in scalars and
   ``MemRefStorage`` buffers against the contract the C was specialized for
   and writes them zero-copy (data pointers + shapes) into a pooled ctypes
@@ -61,6 +85,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -105,26 +130,39 @@ NATIVE_FORMAT = 7
 #: minimum iterations before a span is worth an OpenMP team.
 _MIN_PARALLEL_UNITS = 64
 
+#: the ``-O`` level of every unit's first build (tier 1) and of a
+#: lane-blocked unit's rebuild once it keeps running (tier 2).
+BUILD_LEVEL = "-O1"
+PROMOTED_LEVEL = "-O3"
+
+#: runs of a lane-blocked unit before its tier-2 build starts (the rule that
+#: picked it is in the module docstring).
+PROMOTE_AFTER = 16
+
 
 def compiler_command() -> List[str]:
     """The C compiler argv prefix (``REPRO_CC`` may hold a full command)."""
     return os.environ.get(CC_ENV_VAR, "cc").split()
 
 
-def compiler_flags() -> List[str]:
-    """Flags for building region shared objects.
+def compiler_flags(level: str = BUILD_LEVEL) -> List[str]:
+    """Flags for building region shared objects at the ``-O`` ``level``.
 
-    ``-O1``, against the ``-O`` rule (README, "The ``-O`` level is
-    measured"), which picks ``-O3``: ``-O3`` runs the lane-blocked kernels
-    18-34% faster, but it completely peels every lane loop, which doubles
-    their code and puts the cold start (``req_cold_p50_ms``) at 2.3x the
-    ``NATIVE_FORMAT`` 6 C's at ``-O3``; ``-O1`` builds the cold set no
-    slower than that did.
-    ``-ffp-contract=off`` matters for bit-identical outputs: GCC contracts
-    ``a*b+c`` into fused multiply-adds by default at ``-O3``, which rounds
-    differently from the Python engines' separate multiply and add.
+    The ``-O`` rule (README, "The ``-O`` level is measured") picks ``-O3``
+    for the steady state and ``-O1`` for the cold start, and tiering meets
+    both: every unit is built at :data:`BUILD_LEVEL` first, and a
+    lane-blocked unit that keeps running is rebuilt at
+    :data:`PROMOTED_LEVEL` in the background.  ``-O3`` runs the lane-blocked
+    kernels up to a quarter faster because it completely peels every lane
+    loop, which doubles their code and their ``cc`` time — a cold start at
+    ``-O3`` (``req_cold_p50_ms``) read 200 ms against ``-O1``'s 105.  The
+    slowest one-lane kernels read faster at ``-O1``.
+    ``-ffp-contract=off`` matters for bit-identical outputs at every level:
+    GCC contracts ``a*b+c`` into fused multiply-adds by default at ``-O3``,
+    which rounds differently from the Python engines' separate multiply and
+    add.
     """
-    return ["-O1", "-fPIC", "-shared", "-fopenmp", "-ffp-contract=off"]
+    return [level, "-fPIC", "-shared", "-fopenmp", "-ffp-contract=off"]
 
 
 _PROBE_LOCK = threading.Lock()
@@ -246,13 +284,51 @@ atexit.register(_discard_temp_artifacts)
 
 
 def unit_key(source: str) -> str:
-    """Content-addressed key of one translation unit (source x toolchain)."""
+    """Content-addressed key of one translation unit's first build (source x
+    toolchain x flags)."""
+    return _unit_key(source, BUILD_LEVEL)
+
+
+def _unit_key(source: str, level: str) -> str:
     hasher = hashlib.sha256()
     hasher.update(f"native-format:{NATIVE_FORMAT}\n".encode())
-    hasher.update(" ".join(compiler_command() + compiler_flags()).encode())
+    hasher.update(" ".join(compiler_command() + compiler_flags(level)).encode())
     hasher.update(b"\x00")
     hasher.update(source.encode())
     return hasher.hexdigest()
+
+
+def _popen(argv: List[str]) -> subprocess.Popen:
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _run_cc(source: str, output, level: str, spawn=_popen) -> None:
+    """Build ``source`` into the shared object ``output`` at ``level``.
+
+    A ``native.cc`` fault-injection site.  ``spawn(argv)`` starts the
+    compiler process; a non-zero exit raises a permanent
+    :class:`ToolchainError` carrying the stderr.
+    """
+    with tempfile.NamedTemporaryFile(
+            "w", suffix=".c", prefix="repro-native-", delete=False) as handle:
+        handle.write(source)
+        source_path = handle.name
+    try:
+        resilience.inject("native.cc")
+        process = spawn([*compiler_command(), *compiler_flags(level),
+                         source_path, "-o", str(output)])
+        try:
+            _, stderr = process.communicate(timeout=PUBLISH_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+            raise
+        if process.returncode != 0:
+            stderr = stderr.decode(errors="replace")[:2000]
+            raise ToolchainError(f"native compile failed:\n{stderr}",
+                                 detail=stderr, transient=False)
+    finally:
+        _unlink_quietly(source_path)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +351,11 @@ class NativeUnit:
     unit first met mid-run (a callee's, compiled at its first call) seals at
     its first dispatch; if that fails the run finishes on the bit-identical
     base plans, and it is the *next* run that raises and degrades.
+
+    A lane-blocked unit seals at tier 2 when its :data:`PROMOTED_LEVEL`
+    artifact is published, and otherwise promotes after
+    :data:`PROMOTE_AFTER` runs (module docstring); nothing about a promotion
+    touches ``status`` or ``failure``.
     """
 
     def __init__(self, program) -> None:
@@ -282,17 +363,31 @@ class NativeUnit:
         self.sources: List[str] = []
         self.symbols: List[str] = []
         self.status = "open"          # open -> ready | failed
-        self.library = None
+        #: every library the unit loaded: the tier-1 one stays referenced
+        #: after the swap, since a dispatch may still be inside it.
+        self.libraries: List[ctypes.CDLL] = []
         self.functions: Dict[str, object] = {}
         self.key: Optional[str] = None
+        self.source: Optional[str] = None
+        #: the ``-O`` level the functions were built at (``None`` until ready).
+        self.level: Optional[str] = None
+        #: whether a tier-2 build may still be tried: the unit holds a
+        #: lane-blocked span and no promotion of it has failed.
+        self.promotable = False
+        #: runs left before the promotion (0: none due).
+        self.countdown = 0
+        #: the run counted last (``_State``): a run counts once, however many
+        #: times it dispatches the unit.
+        self.last_run = None
         #: why the unit failed (strict resilience runs raise this up front
         #: instead of silently running the compiled base plans).
         self.failure: Optional[ToolchainError] = None
         self._lock = threading.Lock()
 
-    def add(self, source: str, symbol: str) -> None:
+    def add(self, source: str, symbol: str, width: int) -> None:
         self.sources.append(source)
         self.symbols.append(symbol)
+        self.promotable |= width > 1
 
     def ready(self) -> bool:
         if self.status == "ready":
@@ -316,9 +411,11 @@ class NativeUnit:
             resilience.record_event("native.cc", "degrade", "ToolchainError",
                                     str(self.failure)[:500], engine="native")
             return
-        source = assemble_unit(self.sources)
+        source = self.source = assemble_unit(self.sources)
         self.key = unit_key(source)
         cache = global_native_cache()
+        if self.promotable and self._adopt_promoted(cache):
+            return
         path = cache.lookup(self.key)
         if path is None:
             path, failure = self._compile(cache, source)
@@ -343,20 +440,59 @@ class NativeUnit:
                     "recompiled native artifact failed to load"), stats)
                 return
         try:
-            for symbol in self.symbols:
-                function = getattr(library, symbol)
-                function.restype = None
-                function.argtypes = _ARGTYPES
-                self.functions[symbol] = function
+            functions = self._bind(library)
         except AttributeError as exc:
             cache.invalidate(self.key)
             self._fail(ToolchainError(
                 f"native artifact is missing symbol: {exc}"), stats)
             return
-        cache.pin(self.key)
-        self.library = library
+        self._install(cache, self.key, library, functions, BUILD_LEVEL)
+        self.countdown = PROMOTE_AFTER if self.promotable else 0
         self.status = "ready"
         stats["units_ready"] += 1
+
+    def _adopt_promoted(self, cache) -> bool:
+        """Seal at tier 2 if an earlier build published it; a corrupt tier-2
+        artifact is dropped and the unit seals at tier 1."""
+        key = _unit_key(self.source, PROMOTED_LEVEL)
+        path = cache.lookup(key)
+        if path is None or not self._swap_in(cache, key, path):
+            return False
+        self.status = "ready"
+        stats = self.program.native_stats
+        stats["artifact_hits"] += 1
+        stats["units_ready"] += 1
+        return True
+
+    def _swap_in(self, cache, key: str, path) -> bool:
+        """Load the tier-2 artifact at ``path`` and make it the unit's code;
+        one that does not load is dropped, and the unit stays at tier 1."""
+        try:
+            library = _dlopen(path)
+            functions = self._bind(library)
+        except (OSError, AttributeError) as exc:
+            cache.invalidate(key)
+            self._stay(exc)
+            return False
+        self._install(cache, key, library, functions, PROMOTED_LEVEL)
+        return True
+
+    def _bind(self, library) -> Dict[str, object]:
+        """The unit's region functions in ``library`` (AttributeError when
+        one is missing)."""
+        functions = {}
+        for symbol in self.symbols:
+            function = getattr(library, symbol)
+            function.restype = None
+            function.argtypes = _ARGTYPES
+            functions[symbol] = function
+        return functions
+
+    def _install(self, cache, key: str, library, functions, level: str) -> None:
+        cache.pin(key)
+        self.libraries.append(library)
+        self.functions = functions  # one assignment: the swap between dispatches
+        self.level = level
 
     def _fail(self, failure: Optional[ToolchainError], stats,
               counter: Optional[str] = None) -> None:
@@ -380,29 +516,9 @@ class NativeUnit:
         engine still runs native, only warm starts lose the artifact.
         """
         def build(path):
-            with tempfile.NamedTemporaryFile(
-                    "w", suffix=".c", prefix="repro-native-",
-                    delete=False) as handle:
-                handle.write(source)
-                source_path = handle.name
-            try:
-                def invoke():
-                    resilience.inject("native.cc")
-                    completed = subprocess.run(
-                        [*compiler_command(), *compiler_flags(), source_path,
-                         "-o", str(path)],
-                        capture_output=True, timeout=PUBLISH_TIMEOUT_S)
-                    if completed.returncode != 0:
-                        stderr = completed.stderr.decode(
-                            errors="replace")[:2000]
-                        raise ToolchainError(
-                            f"native compile failed:\n{stderr}",
-                            detail=stderr, transient=False)
-
-                resilience.call_with_retry("native.cc", invoke,
-                                           engine="native")
-            finally:
-                _unlink_quietly(source_path)
+            resilience.call_with_retry(
+                "native.cc", lambda: _run_cc(source, path, BUILD_LEVEL),
+                engine="native")
 
         try:
             return cache.store(self.key, build), None
@@ -437,6 +553,151 @@ class NativeUnit:
             return _dlopen(path)
         except OSError:
             return None
+
+    # -- promotion (tier 2) ----------------------------------------------------
+    def count_run(self, state) -> None:
+        """Count the run ``state`` belongs to, once per run, while a promotion
+        is due; queue the promotion on the :data:`PROMOTE_AFTER`-th."""
+        with self._lock:
+            if state is self.last_run or self.countdown <= 0:
+                return
+            self.last_run = state
+            self.countdown -= 1
+            if self.countdown:
+                return
+            self.last_run = None
+        _PROMOTER.submit(self)
+
+    def promote(self) -> None:
+        """Queue the tier-2 build now, whatever the count (a no-op unless a
+        promotion is due: a one-lane unit never promotes)."""
+        with self._lock:
+            due, self.countdown, self.last_run = self.countdown > 0, 0, None
+        if due:
+            _PROMOTER.submit(self)
+
+    def _promote(self, spawn) -> None:
+        """Build, publish, load and swap in the tier-2 library (the promotion
+        worker's thread); on any failure the unit stays at tier 1."""
+        key = _unit_key(self.source, PROMOTED_LEVEL)
+        cache = global_native_cache()
+        try:
+            path = cache.lookup(key) or cache.store(
+                key, lambda output: _run_cc(self.source, output,
+                                            PROMOTED_LEVEL, spawn))
+        except (ToolchainError, OSError, subprocess.SubprocessError) as exc:
+            self._stay(exc)
+            return
+        if self._swap_in(cache, key, path):
+            self.program.native_stats["promotions"] += 1
+
+    def _stay(self, exc: Exception) -> None:
+        """A failed promotion: one event, and the unit never tries again."""
+        self.promotable = False
+        self.program.native_stats["promotion_failures"] += 1
+        resilience.record_event(
+            "native.promote", "fallback", type(exc).__name__,
+            f"unit {self.key[:12]}… stays at {BUILD_LEVEL}: {exc}"[:500],
+            engine="native")
+
+
+class _Promoter:
+    """The process' one promotion worker: a daemon thread, started by the
+    first promotion, that builds one unit at a time.  It runs at the lowest
+    CPU priority (``nice`` 19, inherited by its ``cc``), so the build takes
+    only CPU time nothing else wants, and holds no lock while ``cc`` runs."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        #: units queued or in flight, oldest first.
+        self._queue: List[NativeUnit] = []
+        self._thread: Optional[threading.Thread] = None
+        self._process: Optional[subprocess.Popen] = None
+        self._stopping = False
+
+    def submit(self, unit: NativeUnit) -> None:
+        with self._lock:
+            if self._stopping:
+                return
+            self._queue.append(unit)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._work, name="repro-native-promote", daemon=True)
+                self._thread.start()
+            self._changed.notify_all()
+
+    def _work(self) -> None:
+        try:
+            # Linux: a thread's nice value is its own, and its children inherit it.
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+        except (AttributeError, OSError):
+            pass
+        while True:
+            with self._lock:
+                self._changed.wait_for(lambda: self._queue or self._stopping)
+                if self._stopping:
+                    return
+                unit = self._queue[0]
+            try:
+                unit._promote(self._spawn)
+            except Exception as exc:  # noqa: BLE001 - the worker outlives one unit
+                unit._stay(exc)
+            with self._lock:
+                self._queue.pop(0)
+                self._changed.notify_all()
+
+    def _spawn(self, argv: List[str]) -> subprocess.Popen:
+        """Start a tier-2 ``cc`` in its own process group, which exit ends."""
+        with self._lock:
+            if self._stopping:
+                raise ToolchainError("process exiting: promotion abandoned")
+            self._process = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                start_new_session=True)
+            return self._process
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Whether every queued promotion finished within ``timeout``."""
+        with self._lock:
+            return self._changed.wait_for(lambda: not self._queue, timeout)
+
+    def stop(self) -> None:
+        """At exit: end an in-flight ``cc`` (its whole process group), wait
+        for it, and let the worker unlink its temp files."""
+        with self._lock:
+            self._stopping = True
+            process, thread = self._process, self._thread
+            self._changed.notify_all()
+        if process is not None and process.poll() is None:
+            for signum in (signal.SIGTERM, signal.SIGKILL):
+                try:
+                    os.killpg(process.pid, signum)
+                    process.wait(timeout=5)
+                    break
+                except (OSError, subprocess.TimeoutExpired):
+                    continue
+        if thread is not None:
+            thread.join(timeout=10)
+
+
+_PROMOTER = _Promoter()
+
+
+def await_promotions(timeout: Optional[float] = None) -> bool:
+    """Block until every queued promotion has swapped in or failed (tests)."""
+    return _PROMOTER.wait(timeout)
+
+
+def _new_promoter_in_child() -> None:
+    # a forked child has no worker thread, and may hold a copy of a lock
+    # another thread held at the fork.
+    global _PROMOTER
+    _PROMOTER = _Promoter()
+
+
+atexit.register(lambda: _PROMOTER.stop())
+os.register_at_fork(after_in_child=_new_promoter_in_child)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +881,9 @@ def native(fc: _FunctionCompiler, region: _Region):
         plan.refuse("native", str(exc))
         return None
     stats["native_regions"] += 1
-    unit.add(source, symbol)
+    unit.add(source, symbol, spec.width)
     region.tier = "native"
-    program.widths[id(plan)] = spec.width
+    program.handles[id(plan)] = handle
     tally = program.bailouts.setdefault(id(plan), {})
     base, count, finish = region.base, region.count, region.finish
     bounds = region.bounds
@@ -645,6 +906,8 @@ def native(fc: _FunctionCompiler, region: _Region):
         if error:
             raise _region_error(error)
         stats["native_dispatches"] += 1
+        if unit.countdown:
+            unit.count_run(state)
         report = state.report
         report.dynamic_ops += ops
         report.global_bytes += global_bytes
@@ -689,5 +952,7 @@ class NativeEngine(CompiledEngine):
     @property
     def native_stats(self) -> Dict[str, int]:
         """Region-level telemetry: native vs. fallback regions, dispatches,
-        artifact-cache hits, compile failures."""
+        artifact-cache hits, compile failures, and the units swapped to tier
+        2 (``promotions``) or left at tier 1 by a failed promotion
+        (``promotion_failures``)."""
         return dict(self._program.native_stats)

@@ -15,6 +15,9 @@ artifact cache keys with the main fuzz suite's seeds.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ needs_pool = pytest.mark.skipif(not multicore_available(),
 CHAOS_COUNT = max(1, int(os.environ.get("REPRO_CHAOS_COUNT", "6")))
 CHAOS_SEED = 10_000 + int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 SEEDS = list(range(CHAOS_SEED, CHAOS_SEED + CHAOS_COUNT))
+ROOT = Path(__file__).resolve().parents[2]
 
 #: the combined sweep plan: every fault class, seeded probabilities, so a
 #: run interleaves retries, in-tier fallbacks and chain degradations.
@@ -277,6 +281,173 @@ class TestCleanPathRestored:
         assert executor.native_stats["units_ready"] == 1
         assert executor.native_stats["native_dispatches"] >= 1
         assert len(resilience.global_log()) == 0
+
+
+#: CHAOS_CUDA with a uniform loop carrying a chain: a lane-blocked unit,
+#: which promotes to tier 2.
+CHAOS_LANE_CUDA = CHAOS_CUDA.replace(
+    "out[gid] = in[gid] * {factor}f + 0.5f;",
+    "float acc = 0.5f;\n"
+    "        for (int k = 0; k < 4; ++k) {{ acc = acc * {factor}f + in[gid]; }}\n"
+    "        out[gid] = acc;")
+
+#: a ``REPRO_CC`` that builds tier 1 and refuses every ``-O3`` build.
+NO_O3_CC = """#!/bin/sh
+case " $* " in *" -O3 "*) echo "tier 2 refused" >&2; exit 3;; esac
+exec cc "$@"
+"""
+
+
+class TestPromotionFailures:
+    """A tier-2 build that fails in any way leaves the unit at tier 1: the
+    runs stay native and bit-identical, one ``native.promote`` event is
+    recorded, and a strict (``ResilientExecutor``) run raises nothing."""
+
+    @staticmethod
+    def _lane_module(factor: str):
+        return compile_cuda(CHAOS_LANE_CUDA.format(factor=factor), cuda_lower=True,
+                            options=PipelineOptions.all_optimizations())
+
+    @staticmethod
+    def _unit(executor):
+        unit, = executor.inner._program.native_units
+        return unit
+
+    def _assert_stays_at_tier_one(self, module, expected, fields):
+        from repro.runtime import native
+
+        arguments = _args()
+        executor = make_executor(module, engine="native")
+        executor.run("launch", arguments)
+        np.testing.assert_array_equal(arguments[0], expected)
+        assert report_fields(executor.report) == fields
+        assert executor.engine_name == "native"
+        unit = self._unit(executor)
+        unit.promote()
+        assert native.await_promotions(timeout=120)
+        assert unit.status == "ready" and unit.failure is None
+        assert unit.level == "-O1" and not unit.promotable
+        stats = executor.native_stats
+        assert stats["promotions"] == 0 and stats["promotion_failures"] == 1
+        assert [region["opt_level"] for region in executor.regions] == ["-O1"]
+        event, = resilience.global_log().events(op="native.promote")
+        assert event.action == "fallback"
+        return event
+
+    def _at_tier_one(self, factor):
+        """A fresh lane-blocked module, run once (its unit sealed at tier 1),
+        and its ``interp`` outputs and report fields."""
+        module = self._lane_module(factor)
+        expected, fields = _reference(module, _args())
+        executor = make_executor(module, engine="native")
+        executor.run("launch", _args())
+        assert self._unit(executor).level == "-O1"
+        return module, expected, fields
+
+    @needs_cc
+    def test_injected_cc_fault(self, monkeypatch):
+        module, expected, fields = self._at_tier_one("0.625")
+        monkeypatch.setenv("REPRO_FAULTS", "native.cc:1")
+        reset_faults()
+        event = self._assert_stays_at_tier_one(module, expected, fields)
+        assert event.error == "ToolchainError"
+        assert [(e.op, e.action) for e in resilience.global_log().events()] == [
+            ("native.cc", "inject"), ("native.promote", "fallback")]
+
+    @needs_cc
+    def test_compiler_that_fails_only_at_o3(self, tmp_path, monkeypatch):
+        cc = tmp_path / "no-o3-cc"
+        cc.write_text(NO_O3_CC)
+        cc.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(cc))
+        module, expected, fields = self._at_tier_one("0.375")
+        event = self._assert_stays_at_tier_one(module, expected, fields)
+        assert event.error == "ToolchainError" and "tier 2 refused" in event.detail
+        assert len(resilience.global_log()) == 1
+
+    @needs_cc
+    def test_corrupt_tier_two_artifact_found_at_seal(self, tmp_path, monkeypatch):
+        from repro.runtime import native
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        module, expected, fields = self._at_tier_one("0.875")
+        source = self._unit(make_executor(module, engine="native")).source
+        corrupt = (tmp_path / "native"
+                   / f"{native._unit_key(source, native.PROMOTED_LEVEL)}.so")
+        corrupt.write_bytes(b"not a shared object")
+        # a fresh program seals from the disk tier: tier 2 first.
+        module = self._lane_module("0.875")
+        arguments = _args()
+        executor = make_executor(module, engine="native")
+        executor.run("launch", arguments)
+        np.testing.assert_array_equal(arguments[0], expected)
+        assert report_fields(executor.report) == fields
+        unit = self._unit(executor)
+        assert unit.status == "ready" and unit.level == "-O1"
+        assert unit.countdown == 0 and not unit.promotable
+        assert executor.native_stats["artifact_hits"] == 1
+        assert executor.native_stats["promotion_failures"] == 1
+        assert not corrupt.exists()
+        event, = resilience.global_log().events()
+        assert (event.op, event.action, event.error) == (
+            "native.promote", "fallback", "OSError")
+
+    @needs_cc
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_no_cc_outlives_its_process(self, tmp_path):
+        """A process that exits mid-promotion terminates its ``cc`` — the
+        whole process group, so the compiler's own children too — waits for
+        it and unlinks the build's temp ``.c`` and ``.so``."""
+        pidfile = tmp_path / "grandchild.pid"
+        cc = tmp_path / "slow-o3-cc"
+        cc.write_text(f"""#!/bin/sh
+case " $* " in *" -O3 "*) sleep 60 & echo $! > "{pidfile}"; wait; exit 1;; esac
+exec cc "$@"
+""")
+        cc.chmod(0o755)
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        script = f"""
+import time
+from pathlib import Path
+import numpy as np
+from repro.frontend import compile_cuda
+from repro.runtime import NativeEngine, native
+from repro.transforms import PipelineOptions
+module = compile_cuda({CHAOS_LANE_CUDA.format(factor="0.125")!r}, cuda_lower=True,
+                      options=PipelineOptions.all_optimizations())
+engine = NativeEngine(module)
+engine.run("launch", [np.zeros(64, np.float32), np.ones(64, np.float32), 64])
+unit, = engine._program.native_units
+unit.promote()
+pidfile, deadline = Path({str(pidfile)!r}), time.monotonic() + 60
+while not (pidfile.exists() and pidfile.read_text().strip()):
+    assert time.monotonic() < deadline, "the tier-2 cc never started"
+    time.sleep(0.01)
+print(native._PROMOTER._process.pid, flush=True)
+"""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_CC=str(cc),
+                   REPRO_CACHE="1", REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   TMPDIR=str(temp))
+        env.pop("REPRO_FAULTS", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        pids = [int(done.stdout.split()[-1]), int(pidfile.read_text())]
+        assert not [pid for pid in pids if _alive(pid)]
+        assert not list(temp.glob("repro-native-*"))
+        artifacts = sorted(path.name for path in (tmp_path / "cache" / "native").iterdir())
+        assert len(artifacts) == 1 and not artifacts[0].startswith(".tmp-")
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 #: ``launch`` owns one region and, when ``both``, calls ``stage``, which owns

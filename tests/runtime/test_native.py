@@ -70,6 +70,15 @@ def _quick_args(n=256):
     return [np.zeros(n, dtype=np.float32), data, n]
 
 
+#: QUICK_CUDA's body as a uniform loop carrying a lane-varying chain: a
+#: lane-blocked span.
+DAMP_CUDA = QUICK_CUDA.replace(
+    "out[gid] = in[gid] * 2.0f + 1.0f;",
+    "float acc = 0.0f;\n"
+    "        for (int k = 0; k < 4; ++k) acc = acc * 0.5f + in[gid];\n"
+    "        out[gid] = acc;")
+
+
 def _lowered(source):
     return compile_cuda(source, cuda_lower=True,
                         options=PipelineOptions.all_optimizations())
@@ -876,6 +885,15 @@ void launch_both(float* out, float* a, float* b, int n, float w) {
 """
 
 
+#: TWO_KERNEL_CUDA with ``blend`` as a uniform loop carrying a chain: its
+#: unit is lane-blocked and promotes, ``scale``'s does not.
+LANE_BLEND_CUDA = TWO_KERNEL_CUDA.replace(
+    "if (gid < n) { out[gid] = a[gid] * w + b[gid]; }",
+    "if (gid < n) {\n        float acc = b[gid];\n"
+    "        for (int k = 0; k < 4; ++k) acc = acc * w + a[gid];\n"
+    "        out[gid] = acc;\n    }")
+
+
 class TestPackPool:
     """Dispatch writes live-ins into a per-region free list of ctypes packs;
     programs are cached on the module, so threads share the list."""
@@ -913,17 +931,22 @@ class TestPackPool:
         assert len(packs) == 1
 
     @needs_cc
-    def test_threads_share_one_program(self, packs):
+    @pytest.mark.parametrize("source", [TWO_KERNEL_CUDA, LANE_BLEND_CUDA],
+                             ids=["one-lane", "promoting"])
+    def test_threads_share_one_program(self, packs, source):
         """Eight threads x 200 runs, a fresh executor per run as the daemon
         makes them, two kernels, inputs seeded per thread: every output and
         CostReport equals the single-threaded reference, and no thread ever
-        sees another's pack (a shared pack would mix their live-ins)."""
+        sees another's pack (a shared pack would mix their live-ins).  With
+        a lane-blocked ``blend``, its unit promotes during the runs and every
+        thread keeps dispatching through the swap, to 20 runs past it."""
         import threading
+        import time
 
-        from repro.runtime import make_executor
+        from repro.runtime import make_executor, native
 
         threads, runs, n = 8, 200, 160
-        module = compile_cuda(TWO_KERNEL_CUDA, filename="pack_pool.cu",
+        module = compile_cuda(source, filename="pack_pool.cu",
                               cuda_lower=True, cache="shared")
 
         def inputs(seed):
@@ -946,15 +969,24 @@ class TestPackPool:
                       for seed in range(threads)}
         assert len({reference["launch_blend"][0]
                     for reference in references.values()}) == threads
+        units = [unit for unit in NativeEngine(module)._program.native_units
+                 if unit.promotable]
+        assert len(units) == (source == LANE_BLEND_CUDA)
+        assert all(unit.level == "-O1" for unit in units)
+        deadline = time.monotonic() + 60
         failures = []
 
         def worker(seed):
             try:
                 mine = inputs(seed)
-                for index in range(runs):
+                index = past_swap = 0
+                while index < runs or (units and past_swap < 20
+                                       and time.monotonic() < deadline):
                     entry = ("launch_scale", "launch_blend")[index % 2]
                     if run(entry, mine[entry]) != references[seed][entry]:
                         failures.append((seed, index, entry))
+                    past_swap += any(unit.level == "-O3" for unit in units)
+                    index += 1
             except Exception as exc:  # surfaced by the assertion below
                 failures.append((seed, repr(exc)))
 
@@ -973,6 +1005,10 @@ class TestPackPool:
         assert not failures
         # one pack per concurrently dispatching thread per region, at most
         assert 2 <= len(packs) <= 2 * threads
+        assert native.await_promotions(timeout=60)
+        stats = NativeEngine(module).native_stats
+        assert stats["promotions"] == len(units)
+        assert [unit.level for unit in units] == ["-O3"] * len(units)
 
     @needs_cc
     def test_threads_start_cold(self):
@@ -1247,6 +1283,161 @@ class TestArtifactEviction:
         path = self._store_dummy(cache, "a" * 8, 1_000)
         cache.invalidate("a" * 8)
         assert not path.exists()
+
+
+def _ledger_corpus():
+    """The ledger's frozen corpus package (``benchmarks/ledger/corpus``)."""
+    import importlib.util
+
+    corpus = sys.modules.get("ledger_corpus")
+    if corpus is None:
+        init = ROOT / "benchmarks" / "ledger" / "corpus" / "__init__.py"
+        spec = importlib.util.spec_from_file_location(
+            "ledger_corpus", init, submodule_search_locations=[str(init.parent)])
+        corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _promotion_candidates():
+    """``(label, build, entry, make_args)`` of every corpus, Rodinia and
+    differential-fuzz module, lowered (the snapshot tool's 72)."""
+    corpus = _ledger_corpus()
+    options = PipelineOptions.all_optimizations()
+    for name, kernel in corpus.KERNELS.items():
+        yield (f"corpus/{name}",
+               lambda kernel=kernel: compile_cuda(
+                   kernel.cuda_source, filename=kernel.name, cuda_lower=True,
+                   options=options, cache=False),
+               kernel.entry,
+               lambda name=name: corpus.make_inputs(name, 1, corpus.DEFAULT_SEED))
+    for name in sorted(BENCHMARKS):
+        bench = BENCHMARKS[name]
+        yield (f"rodinia/{name}", lambda bench=bench: bench.compile_cuda(options),
+               bench.entry, lambda bench=bench: bench.make_inputs(1))
+    for seed in range(60):
+        fuzz = generate_fuzz_kernel(seed)
+        yield f"fuzz/{seed}", fuzz.compile, fuzz.entry, fuzz.make_args
+
+
+def _outputs(arguments):
+    return [a.tobytes() for a in arguments if isinstance(a, np.ndarray)]
+
+
+class TestPromotion:
+    """Tier 2: a lane-blocked unit that keeps running is rebuilt from the
+    same C at ``-O3`` in the background and swapped in between dispatches;
+    outputs and CostReports do not move by a bit."""
+
+    @needs_cc
+    def test_every_lane_blocked_unit_runs_bit_identical_across_the_swap(self):
+        """Each lane-blocked corpus, Rodinia and fuzz unit, run before and
+        after its promotion, against ``interp``.  Before is tier 1, unless
+        a unit with the same C (a corpus kernel is a copy of a Rodinia one)
+        promoted first: then the unit seals at tier 2 from the cache."""
+        from repro.runtime import native
+
+        before = {}
+        for label, build, entry, make_args in _promotion_candidates():
+            module = build()
+            runs = [make_args()]
+            engine = NativeEngine(module)
+            engine.run(entry, runs[0])
+            units = [unit for unit in engine._program.native_units
+                     if unit.promotable or unit.level == "-O3"]
+            if not units:
+                continue
+            before[label] = {unit.level for unit in units}
+            reports = [report_fields(engine.report)]
+            for unit in units:
+                unit.promote()
+            assert native.await_promotions(timeout=120), label
+            assert {unit.level for unit in units} == {"-O3"}, label
+            runs.append(make_args())
+            engine = NativeEngine(module)
+            engine.run(entry, runs[1])
+            reports.append(report_fields(engine.report))
+            expected = make_args()
+            oracle = Interpreter(module)
+            oracle.run(entry, expected)
+            for arguments, report in zip(runs, reports):
+                assert _outputs(arguments) == _outputs(expected), label
+                assert report == report_fields(oracle.report), label
+            lanes = [region for region in engine.regions if region["width"] == LANES]
+            assert lanes and {region["opt_level"] for region in lanes} == {"-O3"}, label
+        assert {label.split("/")[1] for label in before
+                if not label.startswith("fuzz")} == {
+            "matmul", "streamcluster", "myocyte", "backprop_layerforward",
+            "backprop layerforward"}
+        assert sum(label.startswith("fuzz") for label in before) >= 20
+        assert sum(levels == {"-O1"} for levels in before.values()) >= 20
+
+    @needs_cc
+    def test_promotes_after_the_count_of_runs_not_dispatches(self, tmp_path,
+                                                             monkeypatch):
+        """Fuzz kernel 3 dispatches its lane-blocked span four times per run:
+        the unit promotes on its PROMOTE_AFTER-th run, never within one."""
+        from repro.runtime import native
+
+        monkeypatch.setenv("REPRO_CACHE", "1")  # no tier-2 artifact yet
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        fuzz = generate_fuzz_kernel(3)
+        module = fuzz.compile()
+        engine = NativeEngine(module)
+        for _ in range(native.PROMOTE_AFTER - 1):
+            engine.run(fuzz.entry, fuzz.make_args())
+        assert native.await_promotions(timeout=120)
+        stats = engine.native_stats
+        assert stats["native_dispatches"] == 4 * (native.PROMOTE_AFTER - 1)
+        assert stats["promotions"] == 0
+        assert [region["opt_level"] for region in engine.regions] == ["-O1", None]
+        engine.run(fuzz.entry, fuzz.make_args())
+        assert native.await_promotions(timeout=120)
+        assert engine.native_stats["promotions"] == 1
+        assert engine.native_stats["promotion_failures"] == 0
+        assert [region["opt_level"] for region in engine.regions] == ["-O3", None]
+
+    @needs_cc
+    def test_a_one_lane_unit_never_promotes(self):
+        from repro.runtime import native
+
+        module = _lowered(QUICK_CUDA)
+        engine = NativeEngine(module)
+        for _ in range(native.PROMOTE_AFTER + 1):
+            engine.run("launch", _quick_args())
+        unit, = engine._program.native_units
+        unit.promote()
+        assert native.await_promotions(timeout=120)
+        assert not unit.promotable and unit.countdown == 0
+        assert engine.native_stats["promotions"] == 0
+        assert [(region["width"], region["opt_level"])
+                for region in engine.regions] == [(1, "-O1")]
+
+    @needs_cc
+    def test_a_restarted_process_seals_at_tier_two(self, tmp_path, monkeypatch):
+        """The tier-2 artifact is published under its own key: a fresh
+        program on the same disk tier loads it instead of the tier-1 one."""
+        from repro.runtime import native
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        first = NativeEngine(_lowered(DAMP_CUDA))
+        first.run("launch", _quick_args())
+        unit, = first._program.native_units
+        unit.promote()
+        assert native.await_promotions(timeout=120)
+        assert first.native_stats["promotions"] == 1
+        assert len(list((tmp_path / "native").glob("*.so"))) == 2
+        second = NativeEngine(_lowered(DAMP_CUDA))
+        arguments = _quick_args()
+        second.run("launch", arguments)
+        stats = second.native_stats
+        assert stats["artifact_hits"] == stats["units_ready"] == 1
+        assert stats["promotions"] == 0
+        assert [region["opt_level"] for region in second.regions] == ["-O3"]
+        expected = _quick_args()
+        Interpreter(_lowered(DAMP_CUDA)).run("launch", expected)
+        assert _outputs(arguments) == _outputs(expected)
 
 
 class TestLazyRegistry:

@@ -70,9 +70,9 @@ from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
                         memory_access_cost, op_cost)
-from .errors import InterpreterError
+from .errors import InterpreterError, arity_error
 from .interpreter import Interpreter
-from .memory import MemRefStorage, wrap_argument
+from .memory import MemRefStorage, is_memref_parameter, wrap_argument
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
                       row_for)
 
@@ -114,14 +114,19 @@ class _State:
 
 
 class _CompiledFunction:
-    """One compiled function: register template + body runner."""
+    """One compiled function: register template + body runner, and the kind
+    of each parameter (``memrefs``: a buffer, else a scalar) a run checks
+    its arguments against."""
 
-    __slots__ = ("template", "arg_slots", "return_slots", "runner")
+    __slots__ = ("fn", "template", "arg_slots", "memrefs", "return_slots",
+                 "runner")
 
-    def __init__(self, template: List, arg_slots: List[int],
+    def __init__(self, fn: func_d.FuncOp, template: List, arg_slots: List[int],
                  return_slots: List[int], runner: Callable) -> None:
+        self.fn = fn
         self.template = template
         self.arg_slots = arg_slots
+        self.memrefs = tuple(map(is_memref_parameter, fn.arguments))
         self.return_slots = return_slots
         self.runner = runner
 
@@ -205,9 +210,9 @@ class _Program:
         #: ``id(plan)`` -> a native region's dispatch handle (the iterations
         #: its C steps at once, the unit whose ``-O`` level it runs at).
         self.handles: Dict[int, object] = {}
-        #: entry name -> its function, looked up once (the module is not
-        #: mutated after its first compiled run; see invalidate_compiled).
-        self.entries: Dict[str, func_d.FuncOp] = {}
+        #: entry name -> its compiled function, looked up once (the module is
+        #: not mutated after its first compiled run; see invalidate_compiled).
+        self.entries: Dict[str, _CompiledFunction] = {}
 
     def function(self, fn: func_d.FuncOp) -> _CompiledFunction:
         compiled = self._functions.get(id(fn))
@@ -219,6 +224,21 @@ class _Program:
             if fc.dispatch_state is not None:
                 self.native_units.append(fc.dispatch_state)
             self._functions[id(fn)] = compiled
+        return compiled
+
+    def entry(self, name: str, count: int) -> _CompiledFunction:
+        """The compiled function a run of ``name`` with ``count`` arguments
+        calls; raises when ``name`` has no body or takes another count."""
+        compiled = self.entries.get(name)
+        if compiled is None:
+            fn = self.module.lookup(name)
+            if fn is None or fn.is_declaration:
+                raise InterpreterError(f"no function body for {name!r}")
+            if count != len(fn.arguments):
+                raise arity_error(fn, count)
+            compiled = self.entries[name] = self.function(fn)
+        elif count != len(compiled.memrefs):
+            raise arity_error(compiled.fn, count)
         return compiled
 
     def speedup(self, threads: int) -> float:
@@ -366,11 +386,13 @@ class _FunctionCompiler:
         return [self.slot(v) for v in values]
 
     def compile(self) -> _CompiledFunction:
+        # numbered first, the parameters hold slots 0 .. n - 1
         arg_slots = self.slots(self.fn.arguments)
         runner = self.function_of(*_counted(self.fn.body_block))
         _, term = _split_executed(self.fn.body_block)
         return_slots = self.slots(term.operands) if isinstance(term, func_d.ReturnOp) else []
-        return _CompiledFunction(self.template, arg_slots, return_slots, runner)
+        return _CompiledFunction(self.fn, self.template, arg_slots, return_slots,
+                                 runner)
 
     # -- block compilation ----------------------------------------------------
     def compile_block(self, ops: Sequence, nops: int) -> List[str]:
@@ -882,6 +904,9 @@ class CompiledEngine:
     #: the engine's row of ``_ROWS``; subclasses name theirs.
     ROW = "compiled"
 
+    #: set on an engine the resilience wrapper runs (``ResilientExecutor``).
+    _resilience_strict = False
+
     #: a taxonomy (:class:`~repro.runtime.errors.ResilienceError`) failure is
     #: raised before the run's first store or not at all, so the resilience
     #: wrapper need not snapshot the arguments to re-run them elsewhere.
@@ -912,27 +937,20 @@ class CompiledEngine:
 
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
-        entries = self._program.entries
-        fn = entries.get(function_name)
-        if fn is None:
-            fn = self.module.lookup(function_name)
-            if fn is None or fn.is_declaration:
-                raise InterpreterError(f"no function body for {function_name!r}")
-            entries[function_name] = fn
-        if len(arguments) != len(fn.arguments):
-            raise InterpreterError(
-                f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
-        compiled = self._program.function(fn)
+        count = len(arguments)
+        compiled = self._program.entry(function_name, count)
         self._preflight()
         state = self._make_state()
         regs = compiled.template[:]
-        for index, slot in enumerate(compiled.arg_slots):
-            regs[slot] = self._wrap_argument(arguments[index], index)
+        # the parameters hold the first slots (``_FunctionCompiler.compile``)
+        regs[:count] = map(self._wrap_argument, arguments, range(count),
+                           compiled.memrefs)
         try:
             compiled.runner(state, regs)
         except _BarrierEscape:
             raise InterpreterError("barrier executed outside a parallel context") from None
-        results = [regs[s] for s in compiled.return_slots]
+        return_slots = compiled.return_slots
+        results = [regs[s] for s in return_slots] if return_slots else []
         if self.collect_cost:
             self.report.cycles += self._work[0]
         self._work[0] = 0.0

@@ -32,6 +32,12 @@ class UseAfterFreeError(InterpreterError):
     """Raised when a freed memref buffer is accessed (load/store/free/copy)."""
 
 
+def arity_error(fn, count: int) -> InterpreterError:
+    """The error of a call to ``fn`` (a ``func.func``) with ``count`` arguments."""
+    return InterpreterError(
+        f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # Failure taxonomy (see runtime/resilience.py for the policy layer)
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .costmodel import (
     memory_access_cost,
     op_cost,
 )
-from .errors import InterpreterError
-from .memory import MemRefStorage, wrap_argument
+from .errors import InterpreterError, arity_error
+from .memory import MemRefStorage, is_memref_parameter, wrap_argument
 from .optable import ALLOC_CYCLES, cycles, row_for
 
 _BARRIER = object()  # sentinel yielded by the execution generator at barriers
@@ -64,8 +64,11 @@ class Interpreter:
         fn = self.module.lookup(function_name)
         if fn is None or fn.is_declaration:
             raise InterpreterError(f"no function body for {function_name!r}")
-        runtime_args = [wrap_argument(argument, index)
-                        for index, argument in enumerate(arguments)]
+        params = fn.arguments
+        if len(arguments) != len(params):
+            raise arity_error(fn, len(arguments))
+        runtime_args = [wrap_argument(argument, index, is_memref_parameter(param))
+                        for index, (argument, param) in enumerate(zip(arguments, params))]
         results = self._call_function(fn, runtime_args)
         self.report.cycles += self._work_stack[0]
         self._work_stack[0] = 0.0
@@ -96,8 +99,7 @@ class Interpreter:
 
     def _call_function(self, fn: func_d.FuncOp, arguments: Sequence) -> List:
         if len(arguments) != len(fn.arguments):
-            raise InterpreterError(
-                f"{fn.sym_name}: expected {len(fn.arguments)} arguments, got {len(arguments)}")
+            raise arity_error(fn, len(arguments))
         env: Dict[int, object] = {id(arg): value for arg, value in zip(fn.arguments, arguments)}
         result: List = []
         for signal in self._execute_ops(fn.body_block.operations, env, result_sink=result):

@@ -42,23 +42,39 @@ def dtype_for(element_type: Type) -> np.dtype:
     raise TypeError(f"no numpy dtype for element type {element_type}")
 
 
-def wrap_argument(argument, index: int):
-    """The ``index``-th argument of a run as every engine sees it: an
-    ``ndarray`` becomes a :class:`MemRefStorage` over the caller's own bytes,
-    so the caller reads the kernel's stores afterwards; anything else passes.
+def is_memref_parameter(value) -> bool:
+    """Whether a function parameter takes a buffer (else a scalar)."""
+    return isinstance(value.type, MemRefType)
+
+
+def wrap_argument(argument, index: int, memref: bool):
+    """The ``index``-th argument of a run as every engine sees it, checked
+    against the kind of its parameter (``memref``: a buffer, else a scalar):
+    an ``ndarray`` becomes a :class:`MemRefStorage` over the caller's own
+    bytes, so the caller reads the kernel's stores afterwards; a
+    :class:`MemRefStorage` or a scalar passes.  A value of the wrong kind
+    raises here, before the run, the same error on every engine.
 
     A memref is dense row-major, so a strided view would have to be copied
     and its stores copied back.  It is rejected instead: the copy would
     silently break aliasing between arguments, and the caller who wants it
     writes ``np.ascontiguousarray`` and sees the copy.
     """
-    if not isinstance(argument, np.ndarray):
+    if isinstance(argument, np.ndarray):
+        if memref:
+            if not argument.flags.c_contiguous:
+                raise InterpreterError(
+                    f"argument {index} is not C-contiguous (shape "
+                    f"{argument.shape}, strides {argument.strides}); pass a "
+                    f"contiguous array")
+            return MemRefStorage(argument)
+        passed = f"an ndarray of shape {argument.shape} ({argument.dtype})"
+    elif isinstance(argument, MemRefStorage) is memref:
         return argument
-    if not argument.flags.c_contiguous:
-        raise InterpreterError(
-            f"argument {index} is not C-contiguous (shape {argument.shape}, "
-            f"strides {argument.strides}); pass a contiguous array")
-    return MemRefStorage(argument)
+    else:
+        passed = f"{type(argument).__name__} {argument!r:.40}"
+    expected = "a memref (an ndarray)" if memref else "a scalar"
+    raise InterpreterError(f"argument {index}: expected {expected}, got {passed}")
 
 
 class MemRefStorage:

@@ -649,16 +649,16 @@ class MulticoreEngine(CompiledEngine):
             state.shard = _ShardContext(self._program, self.workers, self)
         return state
 
-    def _wrap_argument(self, argument, index):
-        if isinstance(argument, np.ndarray):
-            storage = wrap_argument(argument, index)
+    def _wrap_argument(self, argument, index, memref):
+        if isinstance(argument, np.ndarray) and memref:
+            storage = wrap_argument(argument, index, memref)
             self._run_storages.append(storage)
             # promotion to shared memory swaps the backing array out from
             # under the caller's ndarray; remember the pair so the caller
             # still observes every write after the run.
             self._arg_sync.append((argument, storage))
             return storage
-        return argument
+        return wrap_argument(argument, index, memref)
 
     def _arguments_alias(self) -> bool:
         """Whether any two of this run's wrapped arguments share memory.

@@ -45,10 +45,14 @@ in-process run is every dispatch's fallback, lives in
   run counts once however many times it dispatches the unit (a host loop
   around a span), so a unit that runs once never promotes; each
   lane-blocked corpus kernel makes exactly one dispatch per run;
-* at run time the dispatcher checks the region's live-in scalars and
-  ``MemRefStorage`` buffers against the contract the C was specialized for
-  and writes them zero-copy (data pointers + shapes) into a pooled ctypes
-  pack, calls the compiled function, and folds the counters it returns
+* at run time the function's generated code calls the region's
+  dispatcher (``_RegionHandle.dispatch``) directly.  In one pass it checks
+  the region's live-in scalars and ``MemRefStorage`` buffers against the
+  contract the C was specialized for and writes them zero-copy (data
+  pointers + shapes) into a pooled ctypes pack, which keeps the bounds it
+  carried last and rewrites them only when they change; it asks for the
+  aliasing intervals only while the licence below is still possible, calls
+  the compiled function, and folds the counters it returns
   (work cycles — counted in C as int64 grid units, exact below 2^53 of
   them —, dynamic ops, global traffic) through the same
   accounting epilogues the compiled engine uses — so outputs *and*
@@ -89,7 +93,9 @@ import signal
 import subprocess
 import tempfile
 import threading
-from typing import Dict, List, Optional, Tuple
+from math import prod
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,7 +107,7 @@ from .codegen_c import (
     assemble_unit,
     grid_units,
 )
-from .compiler import CompiledEngine, _FunctionCompiler, _Region, _iteration_space
+from .compiler import CompiledEngine, _FunctionCompiler, _Region
 from .errors import InterpreterError, ToolchainError
 from .memory import MemRefStorage
 from . import resilience
@@ -709,6 +715,10 @@ os.register_at_fork(after_in_child=_new_promoter_in_child)
 _ARGTYPES = ((ctypes.c_void_p,) * 8 + (ctypes.c_int64,) * 3
              + (ctypes.c_void_p,) * 2)
 
+#: a writable buffer's address through the buffer protocol: a quarter of
+#: ``ndarray.ctypes.data``, which builds a wrapper object per access.
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
+
 
 def _region_error(code: int) -> InterpreterError:
     """The engine error for a nonzero native error code (codes combine
@@ -718,16 +728,29 @@ def _region_error(code: int) -> InterpreterError:
     return InterpreterError(f"native region failed (code {code})")
 
 
-class _RegionHandle:
-    """Checks one region's live-ins against the contract its C code was
-    specialized for, writes them into a pooled pack and calls the function."""
+def _reader(slots) -> Callable:
+    """``regs`` -> the sequence of its values at ``slots``, read in C (a
+    slice of ``regs`` for one slot or none)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    start = slots[0] if slots else 0
+    return itemgetter(slice(start, start + len(slots)))
 
-    def __init__(self, unit: NativeUnit, spec, required_dims) -> None:
+
+class _Refused(Exception):
+    """A live-in broke the contract the C was specialized for (the reason)."""
+
+
+class _RegionHandle:
+    """One native region's runner (:meth:`dispatch`): the live-in contract
+    its C code was specialized for, a pool of ctypes packs, and the shell's
+    accounting and in-process ``base`` run."""
+
+    def __init__(self, unit: NativeUnit, spec, required_dims, region: _Region,
+                 program) -> None:
         self.unit = unit
         self.spec = spec
-        #: dims that must have extent 1 for parallel execution, or ``None``
-        #: when the store analysis rejected parallelism outright.
-        self.required_dims = required_dims
+        self.symbol = spec.symbol
         #: the machine's charges in grid units, packed once (``K`` of the
         #: region ABI).  A charge off the grid raises UnsupportedRegion, which
         #: refuses the region by name where the cast would truncate it.
@@ -735,8 +758,24 @@ class _RegionHandle:
             *map(grid_units, spec.costs))
         #: iterations a licensed dispatch advances per step.
         self.width = spec.width
-        self.buffers = [(buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
-                         buf.stored) for buf in spec.buffers]
+        #: the extents of the dims that must be 1 for the licence, or ``None``
+        #: when the store analysis rejected it outright.
+        self.required = None if required_dims is None else _reader(required_dims)
+        self.singletons = (1,) * len(required_dims or ())
+        self.ints = _reader(spec.int_slots)
+        self.floats = _reader(spec.float_slots)
+        self.buffers = tuple((buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
+                              buf.stored) for buf in spec.buffers)
+        #: the buffer pairs an alias could race: one of the two is stored.
+        self.pairs = tuple((first, second)
+                           for first, one in enumerate(spec.buffers)
+                           for second, other in enumerate(spec.buffers)
+                           if first < second and (one.stored or other.stored))
+        #: the lower, upper and step bounds, read as one flat tuple.
+        self.bounds = _reader([slot for slots in region.bounds for slot in slots])
+        self.base, self.count, self.finish = region.base, region.count, region.finish
+        self.stats = program.native_stats
+        self.tally = program.bailouts.setdefault(id(region.plan), {})
         #: free packs.  Programs are cached on the module and shared by the
         #: daemon's handler threads: ``list.pop`` / ``append`` are atomic, so
         #: a pack is in one dispatch at a time and the pool grows to one pack
@@ -744,12 +783,14 @@ class _RegionHandle:
         self.pool: List[Tuple] = []
 
     def _new_pack(self) -> Tuple:
-        """The ctypes arrays of one dispatch, allocated once: the nine the
-        dispatch writes or reads, then their addresses in ABI order around
-        ``total`` and ``mode`` (the pack owns the arrays, so they stay valid)."""
+        """The ctypes arrays of one dispatch, allocated once, each as long as
+        what the dispatch writes into it: the nine the dispatch writes or
+        reads, then their addresses in ABI order around ``total`` and
+        ``mode`` (the pack owns the arrays, so they stay valid), then the
+        iteration space the pack carries (``_space``; none yet)."""
         spec, i64, f64 = self.spec, ctypes.c_int64, ctypes.c_double
         li, lf, lp, ls, lbs, steps, lens, outf, outi = arrays = [
-            (ctype * max(1, length))() for ctype, length in (
+            (ctype * length)() for ctype, length in (
                 (i64, len(spec.int_slots)), (f64, len(spec.float_slots)),
                 (ctypes.c_void_p, len(spec.buffers)),
                 (i64, sum(buf.rank for buf in spec.buffers)),
@@ -757,83 +798,133 @@ class _RegionHandle:
                 (i64, spec.num_dims), (f64, 2), (i64, 2))]
         head = tuple(map(ctypes.addressof, (li, lf, self.costs, lp, ls, lbs,
                                             steps, lens)))
-        return (*arrays, head, tuple(map(ctypes.addressof, (outf, outi))))
+        return (*arrays, head, tuple(map(ctypes.addressof, (outf, outi))),
+                [(None,)])
 
-    def dispatch(self, regs, bounds):
-        """``(total, work, global_bytes, ops, error)`` of one native run, or
-        the reason (a ``str``) the dispatch is refused: a live-in violated
-        the contract the C code was specialized against (``scalar``: one of
-        the wrong kind altogether), and the caller runs its compiled base
-        plan instead, which either executes correctly or raises the exact
-        engine error.  ``regs`` keeps the buffers alive across the call."""
+    def dispatch(self, state, regs) -> None:
+        """Run the region natively, or refuse and run its ``base`` plan.
+
+        One pass checks the live-ins against the contract the C was
+        specialized for — the scalars, then each buffer, in a fixed order of
+        checks — and writes them zero-copy into a pooled pack; the first
+        failure names the refusal.  A writable buffer's address comes from
+        the buffer protocol, a read-only or zero-size one (which it refuses)
+        from ``ndarray.ctypes.data``.  ``unit.functions`` is read on every
+        dispatch, so a tier-2 swap takes effect at the next one."""
+        if state.max_ops is not None:
+            return self._refuse("budget", state, regs)
+        unit = self.unit
+        if unit.status != "ready" and not unit.ready():
+            # a unit first met mid-run that failed to seal: this run stays on
+            # the bit-identical base plan, the next strict run raises.
+            return self._refuse("unit not ready", state, regs)
+        pool = self.pool
         try:
-            pack = self.pool.pop()
+            pack = pool.pop()
         except IndexError:
             pack = self._new_pack()
-        (li, lf, pointers, shapes, lbs, steps, lens, outf, outi, head,
-         tail) = pack
+        li, lf, pointers, shapes, _, _, _, outf, outi, head, tail, carried = pack
+        reason = None
         try:
-            spec = self.spec
             try:
-                for index, slot in enumerate(spec.int_slots):
-                    li[index] = int(regs[slot])
-                for index, slot in enumerate(spec.float_slots):
-                    lf[index] = float(regs[slot])
-            except (TypeError, ValueError):
-                return "scalar"
-            intervals: List[Tuple[int, int, bool]] = []
-            cursor = 0
+                li[:] = self.ints(regs)
+                lf[:] = self.floats(regs)
+            except TypeError:
+                # not an int / float as such: convert as the base plan does
+                try:
+                    li[:] = [int(value) for value in self.ints(regs)]
+                    lf[:] = [float(value) for value in self.floats(regs)]
+                except (TypeError, ValueError):
+                    raise _Refused("scalar") from None
+            extents: List[int] = []
             for index, (slot, dtype, rank, space, stored) in enumerate(
                     self.buffers):
                 storage = regs[slot]
                 if not isinstance(storage, MemRefStorage):
-                    return "scalar"
+                    raise _Refused("scalar")
                 if storage.freed:
-                    return "freed"
+                    raise _Refused("freed")
                 array = storage.array
                 if array.dtype != dtype:
-                    return "dtype"
+                    raise _Refused("dtype")
                 if array.ndim != rank:
-                    return "rank"
+                    raise _Refused("rank")
                 flags = array.flags
                 if not flags.c_contiguous:
-                    return "layout"
+                    raise _Refused("layout")
                 if storage.memory_space != space:
-                    return "space"
-                if stored and not flags.writeable:
-                    return "read-only"
-                address = array.ctypes.data
-                pointers[index] = address
-                for extent in array.shape:
-                    shapes[cursor] = extent
-                    cursor += 1
-                intervals.append((address, address + array.nbytes, stored))
-            ranges, total = _iteration_space(regs, *bounds)
+                    raise _Refused("space")
+                writeable = flags.writeable
+                if stored and not writeable:
+                    raise _Refused("read-only")
+                pointers[index] = (_addressof(_from_buffer(array))
+                                   if writeable and array.size
+                                   else array.ctypes.data)
+                extents += array.shape
+            shapes[:] = extents
+            bounds = self.bounds(regs)
+            space = carried[0]
+            if space[0] != bounds:
+                space = self._space(pack, bounds)
+            _, lengths, total = space
             # the licence to reorder iterations — across a team's chunks or
             # the lanes of a block — is the store-safety proof holding for
             # these live-ins.  The team also needs enough units to amortize
             # it; without the licence the plain path runs one lane at a time,
             # the sequential order, and carries no OpenMP directive.  A
             # one-lane span too small for a team has no use for the licence.
-            required = self.required_dims
+            required = self.required
             width = self.width
             licensed = (required is not None
                         and (width > 1 or total >= _MIN_PARALLEL_UNITS)
-                        and all(len(ranges[dim]) == 1 for dim in required)
-                        and not self._overlapping(intervals))
-            for index, axis in enumerate(ranges):
-                lbs[index] = axis.start
-                steps[index] = axis.step
-                lens[index] = len(axis)
-            self.unit.functions[spec.symbol](
+                        and required(lengths) == self.singletons
+                        and not self._overlapping(regs, pointers))
+            unit.functions[self.symbol](
                 *head, total, licensed and total >= _MIN_PARALLEL_UNITS,
                 width if licensed else 1, *tail)
-            return total, outf[0], outf[1], outi[0], outi[1]
+            work, global_bytes, ops, error = outf[0], outf[1], outi[0], outi[1]
+        except _Refused as refused:
+            reason, = refused.args
         finally:
-            self.pool.append(pack)
+            pool.append(pack)
+        if reason is not None:
+            return self._refuse(reason, state, regs)
+        self.count(state)
+        if error:
+            raise _region_error(error)
+        self.stats["native_dispatches"] += 1
+        if unit.countdown:
+            unit.count_run(state)
+        report = state.report
+        report.dynamic_ops += ops
+        report.global_bytes += global_bytes
+        self.finish(state, total, work)
 
     @staticmethod
-    def _overlapping(intervals) -> bool:
+    def _space(pack, bounds) -> Tuple:
+        """Write the iteration space of ``bounds`` into ``pack``, which
+        carries it until other bounds come: ``(bounds, extents, total)``."""
+        dims = len(bounds) // 3
+        parts = bounds[:dims], bounds[dims:-dims], bounds[-dims:]
+        try:
+            lengths = tuple(map(len, map(range, *parts)))
+        except TypeError:
+            # a bound that is not an int as such: int() it, as the base does
+            parts = [list(map(int, part)) for part in parts]
+            lengths = tuple(map(len, map(range, *parts)))
+        _, _, _, _, rlb, rst, rlen, _, _, _, _, carried = pack
+        rlb[:], rst[:], rlen[:] = parts[0], parts[2], lengths
+        space = carried[0] = (bounds, lengths, prod(lengths))
+        return space
+
+    def _refuse(self, reason: str, state, regs) -> None:
+        """Count a refused dispatch under its reason; run the base plan."""
+        self.stats["bailouts"] += 1
+        tally = self.tally
+        tally[reason] = tally.get(reason, 0) + 1
+        self.base(state, regs)
+
+    def _overlapping(self, regs, pointers) -> bool:
         """True if any written buffer overlaps another live-in buffer.
 
         The store-safety analysis proves injectivity per buffer; two
@@ -841,16 +932,13 @@ class _RegionHandle:
         through the other across OpenMP threads, so aliasing runs force
         the sequential path (which is exact for any aliasing).
         """
-        for index in range(len(intervals)):
-            start, stop, stored = intervals[index]
-            if start == stop:
-                continue
-            for other in range(index + 1, len(intervals)):
-                other_start, other_stop, other_stored = intervals[other]
-                if not stored and not other_stored:
-                    continue
-                if start < other_stop and other_start < stop:
-                    return True
+        starts = pointers[:]
+        stops = [start + regs[slot].array.nbytes
+                 for start, (slot, *_) in zip(starts, self.buffers)]
+        for first, second in self.pairs:
+            start, stop = starts[first], stops[first]
+            if start != stop and start < stops[second] and starts[second] < stop:
+                return True
         return False
 
 
@@ -859,9 +947,10 @@ class _RegionHandle:
 # ---------------------------------------------------------------------------
 def native(fc: _FunctionCompiler, region: _Region):
     """The native engine's dispatcher: emit the span as C into the
-    function's translation unit and return a runner that calls it, with the
-    shell's in-process ``base`` run for every dispatch the C code cannot
-    take; ``None`` (and the reason, on the plan) when the region cannot be
+    function's translation unit and return the region handle's
+    :meth:`~_RegionHandle.dispatch`, which runs it, with the shell's
+    in-process ``base`` run for every dispatch the C code cannot take;
+    ``None`` (and the reason, on the plan) when the region cannot be
     emitted at all."""
     program, plan = fc.program, region.plan
     stats = program.native_stats
@@ -875,7 +964,8 @@ def native(fc: _FunctionCompiler, region: _Region):
         source, spec = RegionCodegen(program, plan, symbol, fc.slot).emit_span()
         proof = plan.parallel_proof
         handle = _RegionHandle(unit, spec,
-                               None if proof is None else tuple(sorted(proof)))
+                               None if proof is None else tuple(sorted(proof)),
+                               region, program)
     except UnsupportedRegion as exc:
         stats["fallback_regions"] += 1
         plan.refuse("native", str(exc))
@@ -884,35 +974,7 @@ def native(fc: _FunctionCompiler, region: _Region):
     unit.add(source, symbol, spec.width)
     region.tier = "native"
     program.handles[id(plan)] = handle
-    tally = program.bailouts.setdefault(id(plan), {})
-    base, count, finish = region.base, region.count, region.finish
-    bounds = region.bounds
-
-    def run(state, regs):
-        if state.max_ops is not None:
-            outcome = "budget"
-        elif not unit.ready():
-            # a unit first met mid-run that failed to seal: this run stays
-            # on the bit-identical base plan, the next strict run raises.
-            outcome = "unit not ready"
-        else:
-            outcome = handle.dispatch(regs, bounds)
-        if isinstance(outcome, str):
-            stats["bailouts"] += 1
-            tally[outcome] = tally.get(outcome, 0) + 1
-            return base(state, regs)
-        total, work, global_bytes, ops, error = outcome
-        count(state)
-        if error:
-            raise _region_error(error)
-        stats["native_dispatches"] += 1
-        if unit.countdown:
-            unit.count_run(state)
-        report = state.report
-        report.dynamic_ops += ops
-        report.global_bytes += global_bytes
-        finish(state, total, work)
-    return run
+    return handle.dispatch
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +998,7 @@ class NativeEngine(CompiledEngine):
         # — here; direct construction keeps the graceful degrade.  Once every
         # unit of the program is ready there is nothing left to fail, until
         # a function compiled since adds one.
-        if not getattr(self, "_resilience_strict", False):
+        if not self._resilience_strict:
             return
         program = self._program
         units = program.native_units

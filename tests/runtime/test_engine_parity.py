@@ -255,6 +255,31 @@ class TestArgumentContracts:
         assert [region["width"] for region in native.regions] == [width]
 
     @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("index, value, message", [
+        (1, 3.0, r"expected a memref \(an ndarray\), got float 3\.0"),
+        (1, [1.0, 2.0], r"expected a memref \(an ndarray\), got list \[1\.0, 2\.0\]"),
+        (2, np.array(64), r"expected a scalar, got an ndarray of shape \(\) \(int64\)"),
+        (2, np.array([64]),
+         r"expected a scalar, got an ndarray of shape \(1,\) \(int64\)"),
+    ], ids=["float-for-buffer", "list-for-buffer", "0d-for-scalar", "1d-for-scalar"])
+    def test_wrong_kind_argument_fails_the_same_everywhere(self, engine, index,
+                                                           value, message):
+        """An argument of the wrong kind for its parameter (a number or a
+        list for a buffer, an array for a scalar) used to fail differently
+        on every engine — an ``AttributeError`` deep in a compiled plan, a
+        bare ``TypeError`` from the bounds arithmetic.  Every engine now
+        raises one ``InterpreterError`` naming the argument, the kind its
+        parameter takes and what came instead, before it stores anything."""
+        module = compile_cuda(SCALE_CUDA, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+        arguments = [np.zeros(64, dtype=np.float32), np.ones(64, dtype=np.float32), 64]
+        arguments[index] = value
+        executor = make_executor(module, engine=engine, workers=2)
+        with pytest.raises(InterpreterError, match=rf"^argument {index}: {message}$"):
+            executor.run("launch", arguments)
+        assert not arguments[0].any()
+
+    @pytest.mark.parametrize("engine", engine_names())
     def test_non_contiguous_argument_is_rejected(self, engine):
         """A strided view used to be copied by ``np.ascontiguousarray``: the
         kernel wrote the hidden copy and the caller's array kept its zeros,

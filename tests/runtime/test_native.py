@@ -13,7 +13,10 @@ CostReports bit for bit; this file covers the machinery around them:
   corrupt ``.so`` files recompile instead of crashing the dlopen, and the
   disk tier evicts by access age without touching pinned artifacts;
 * dispatch bail-outs — budget runs, read-only outputs and missing
-  toolchains degrade to the compiled base plans with identical semantics;
+  toolchains degrade to the compiled base plans with identical semantics,
+  each refusal under its reason, while zero-size, read-only, offset and
+  one-byte buffers dispatch natively with the data pointers numpy reports;
+* the warm path's Python work, counted in calls rather than timed;
 * the registry's lazy-on-lookup engine imports — ``"native" in ENGINES``
   holds before anything imported an engine module, so env-selected engines
   cannot race registration.
@@ -41,6 +44,7 @@ from repro.runtime import (
 from repro.runtime.cache import NativeArtifactCache
 from repro.runtime.codegen_c import LANES
 from repro.runtime.compiler import UNLOWERED
+from repro.runtime.memory import MemRefStorage
 from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
 from tests.helpers import generate_fuzz_kernel, report_fields
@@ -64,10 +68,45 @@ void launch(float* out, float* in, int n) {
 """
 
 
+#: QUICK_CUDA on a fixed grid: ``n`` reaches the region as it was passed,
+#: not through the grid arithmetic.
+FIXED_GRID_CUDA = QUICK_CUDA.replace("scale<<<(n + 31) / 32, 32>>>", "scale<<<8, 32>>>")
+
+
 def _quick_args(n=256):
     rng = np.random.default_rng(7)
     data = rng.random(n).astype(np.float32)
     return [np.zeros(n, dtype=np.float32), data, n]
+
+
+# live-ins of ``launch(out, in, n)`` that break the contract its C was
+# specialized for: each edits ``_quick_args()`` in place.
+def _in_as_float64(arguments):
+    arguments[1] = arguments[1].astype(np.float64)
+
+
+def _in_as_matrix(arguments):
+    arguments[1] = arguments[1].reshape(16, 16)
+
+
+def _in_strided(arguments):
+    arguments[1] = MemRefStorage(np.repeat(arguments[1], 2)[::2])
+
+
+def _in_shared(arguments):
+    arguments[1] = MemRefStorage(arguments[1], "shared")
+
+
+def _out_read_only(arguments):
+    arguments[0].setflags(write=False)
+
+
+def _out_as_float64(arguments):
+    arguments[0] = arguments[0].astype(np.float64)
+
+
+def _n_nan(arguments):
+    arguments[2] = float("nan")
 
 
 #: QUICK_CUDA's body as a uniform loop carrying a lane-varying chain: a
@@ -334,6 +373,178 @@ class TestDispatchBailouts:
         assert region["bailouts"] == {"budget": 1, "read-only": 1, "dtype": 1}
         assert engine.native_stats["bailouts"] == 3
         assert engine.native_stats["native_dispatches"] == 1
+
+    @needs_cc
+    @pytest.mark.parametrize("source, faults, reason, raises", [
+        (QUICK_CUDA, [_in_as_float64], "dtype", None),
+        (QUICK_CUDA, [_in_as_matrix], "rank", None),
+        (QUICK_CUDA, [_in_strided], "layout", None),
+        (QUICK_CUDA, [_in_shared], "space", None),
+        (QUICK_CUDA, [_out_read_only], "read-only", ValueError),
+        (FIXED_GRID_CUDA, [_n_nan], "scalar", None),
+        # ``in`` is the first buffer the dispatch checks, so its fault names
+        # the refusal whatever ``out``'s is
+        (QUICK_CUDA, [_out_read_only, _in_as_float64], "dtype", ValueError),
+        (QUICK_CUDA, [_out_as_float64, _in_shared], "space", None),
+    ], ids=["dtype", "rank", "layout", "space", "read-only", "scalar",
+            "first-of-two-dtype", "first-of-two-space"])
+    def test_each_refusal_keeps_its_reason(self, source, faults, reason, raises):
+        """The live-ins a test can hand ``launch(out, in, n)`` that break the
+        contract its C was specialized for, each counted under its reason
+        (one reason per dispatch: the scalars first, then the buffers in the
+        order the dispatch checks them), and the base plan's run after it."""
+        module = _lowered(source)
+        engine = NativeEngine(module)
+        engine.run("launch", _quick_args())
+        handle, = engine._program.handles.values()
+        assert [slot for slot, *_ in handle.buffers] == [1, 0]
+        arguments = _quick_args()
+        for fault in faults:
+            fault(arguments)
+        if raises is None:
+            engine.run("launch", arguments)
+        else:
+            with pytest.raises(raises):
+                engine.run("launch", arguments)
+        region, = engine.regions
+        assert region["bailouts"] == {reason: 1}
+        assert engine.native_stats["native_dispatches"] == 1
+
+    @needs_cc
+    def test_a_unit_that_failed_to_seal_refuses_by_name(self, monkeypatch):
+        monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-cc")
+        engine = _assert_native_matches_interp(_lowered(QUICK_CUDA), "launch",
+                                               _quick_args, 0)
+        region, = engine.regions
+        assert region["bailouts"] == {"unit not ready": 1}
+
+    @needs_cc
+    @pytest.mark.parametrize("case", ["zero-size", "read-only-input", "offset-views",
+                                      "bool-and-int8"])
+    def test_dispatches_natively_and_exactly(self, case):
+        """Buffers the marshalling takes different paths for: zero-size ones
+        and a read-only input (whose address is ``ndarray.ctypes.data``, as
+        the buffer protocol refuses them), views that start inside their
+        base array, and one-byte elements.  Each run dispatches natively and
+        equals the interpreter in every argument and in the CostReport."""
+        rng = np.random.default_rng(11)
+        entry, module = "launch", _lowered(QUICK_CUDA)
+        if case == "zero-size":
+            def make_args():
+                return [np.zeros(0, dtype=np.float32), np.zeros(0, dtype=np.float32), 0]
+        elif case == "read-only-input":
+            def make_args():
+                arguments = _quick_args()
+                arguments[1].setflags(write=False)
+                return arguments
+        elif case == "offset-views":
+            data = rng.random(80).astype(np.float32)
+
+            def make_args():
+                return [np.zeros(80, dtype=np.float32)[3:67], data.copy()[3:67], 64]
+        else:
+            entry, module = "main", _byte_module()
+            flags = rng.integers(0, 2, 64).astype(np.int8)
+            data = rng.integers(-60, 60, 64).astype(np.int8)
+
+            def make_args():
+                return [flags.copy(), data.copy(), np.zeros(64, dtype=np.int8)]
+        interp_args, native_args = make_args(), make_args()
+        interp = Interpreter(module)
+        interp.run(entry, interp_args)
+        engine = NativeEngine(module)
+        engine.run(entry, native_args)
+        for expected, got in zip(interp_args, native_args):
+            if isinstance(expected, np.ndarray):
+                np.testing.assert_array_equal(expected, got)
+        assert report_fields(interp.report) == report_fields(engine.report)
+        region, = engine.regions
+        assert region["bailouts"] == {}
+        assert engine.native_stats["native_dispatches"] == 1
+
+    @needs_cc
+    def test_the_pack_holds_each_buffers_data_pointer(self):
+        """What the C reads as its buffers' addresses is ``ndarray.ctypes.data``
+        of each: a writable offset view's through the buffer protocol, a
+        read-only input's through numpy's own wrapper."""
+        import ctypes
+
+        engine = NativeEngine(_lowered(QUICK_CUDA))
+        engine.run("launch", _quick_args())
+        handle, = engine._program.handles.values()
+        functions = handle.unit.functions
+        seen = []
+        for symbol, function in list(functions.items()):
+            def spy(*arguments, _function=function):
+                pointers = (ctypes.c_void_p * len(handle.buffers)).from_address(
+                    arguments[3])
+                seen.append(list(pointers))
+                return _function(*arguments)
+            functions[symbol] = spy
+        out = np.zeros(80, dtype=np.float32)[3:67]
+        data = np.random.default_rng(5).random(64).astype(np.float32)
+        data.setflags(write=False)
+        engine.run("launch", [out, data, 64])
+        by_slot = {0: out, 1: data}
+        assert seen == [[by_slot[slot].ctypes.data for slot, *_ in handle.buffers]]
+        np.testing.assert_array_equal(out, data * np.float32(2.0) + np.float32(1.0))
+
+
+class TestWarmPathGuard:
+    """The Python work of one warm native run, counted instead of timed, so a
+    change that adds per-dispatch work fails on any host: the Python-level
+    calls (``sys.setprofile``) of one warm ``NativeEngine.run`` of three
+    small Rodinia kernels, whose runs are mostly that work, and the
+    construction of numpy's ``ndarray.ctypes`` wrapper, which a writable
+    buffer's address never needs."""
+
+    #: Python-level calls of one warm scale-1 run: the run shell, argument
+    #: wrapping, the generated host code and one dispatch with its
+    #: accounting.  Upper bounds, at the counts they were pinned at.
+    CALLS = {"nw": 19, "lud": 16, "bfs": 25}
+
+    @staticmethod
+    def _profiled(engine, entry, arguments):
+        """(Python-level calls, ``ndarray.ctypes`` wrappers built) of one run."""
+        wrapper = type(np.empty(1).ctypes).__init__.__code__
+        calls, wrappers = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+                if frame.f_code is wrapper:
+                    wrappers.append(frame)
+        sys.setprofile(profile)
+        try:
+            engine.run(entry, arguments)
+        finally:
+            sys.setprofile(None)
+        return calls, len(wrappers)
+
+    @needs_cc
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_a_warm_run_makes_few_python_calls(self, name):
+        bench = BENCHMARKS[name]
+        engine = NativeEngine(bench.compile_cuda())
+        engine.run(bench.entry, bench.make_inputs(1))
+        calls, wrappers = self._profiled(engine, bench.entry, bench.make_inputs(1))
+        assert len(calls) <= self.CALLS[name], calls
+        assert wrappers == 0
+        assert engine.native_stats["bailouts"] == 0
+        assert engine.native_stats["native_dispatches"] == 2
+
+    @needs_cc
+    def test_a_read_only_input_builds_the_wrapper(self):
+        """The counter sees the wrapper: ``nw``'s read-only ``reference``
+        takes ``ndarray.ctypes.data``, once."""
+        bench = BENCHMARKS["nw"]
+        engine = NativeEngine(bench.compile_cuda())
+        engine.run(bench.entry, bench.make_inputs(1))
+        arguments = bench.make_inputs(1)
+        arguments[1].setflags(write=False)
+        _, wrappers = self._profiled(engine, bench.entry, arguments)
+        assert wrappers == 1
+        assert engine.native_stats["bailouts"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +1047,34 @@ class TestOneFlagTwoLoops:
     def test_no_mode_bitmask_is_left_in_the_sources(self):
         for path in (ROOT / "src").rglob("*.py"):
             assert "mode & " not in path.read_text(), path
+
+
+def _byte_module():
+    """``main(flags, src, dst)``: a parallel loop flipping ``i1`` flags in
+    place and doubling ``i8`` bytes into ``dst`` (one-byte buffers, which the
+    CUDA frontend never makes)."""
+    from repro.dialects import arith, memref as memref_d
+    from repro.ir import I1, I8, memref, verify
+    from tests.helpers import (build_function, build_parallel, close_parallel,
+                               finish_function)
+
+    module, fn, builder = build_function(
+        "main", [memref((64,), I1), memref((64,), I8), memref((64,), I8)],
+        ["flags", "src", "dst"])
+    flags, src, dst = fn.arguments
+    loop, inner = build_parallel(builder, 64)
+    index = loop.induction_vars[0]
+    flag = inner.insert(memref_d.LoadOp(flags, [index])).result
+    true = inner.insert(arith.ConstantOp(1, I1)).result
+    flipped = inner.insert(arith.XOrIOp(flag, true)).result
+    inner.insert(memref_d.StoreOp(flipped, flags, [index]))
+    byte = inner.insert(memref_d.LoadOp(src, [index])).result
+    doubled = inner.insert(arith.AddIOp(byte, byte)).result
+    inner.insert(memref_d.StoreOp(doubled, dst, [index]))
+    close_parallel(inner)
+    finish_function(builder)
+    verify(module)
+    return module
 
 
 def _freeing_module():

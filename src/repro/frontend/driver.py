@@ -41,7 +41,6 @@ def compile_cuda(source: str, filename: str = "<cuda>", *,
                  cpuify_options: Optional[str] = None,
                  options: Optional[PipelineOptions] = None,
                  noalias: bool = True,
-                 run_verifier: bool = True,
                  cache: object = True) -> ModuleOp:
     """Compile CUDA-C source text into an IR module.
 
@@ -63,7 +62,12 @@ def compile_cuda(source: str, filename: str = "<cuda>", *,
         canonical module object (fastest warm path — executor construction is
         amortized too — but the module must not be mutated); ``False``
         bypasses the cache entirely (e.g. to time the real pipeline).
+        Anything else raises ``ValueError``.
+
+    The module is verified after IR generation, and after every pass.
     """
+    if not (cache is True or cache is False or cache == "shared"):
+        raise ValueError(f"cache must be True, False or 'shared', got {cache!r}")
     pipeline_options: Optional[PipelineOptions] = None
     if cuda_lower:
         pipeline_options = options
@@ -81,8 +85,7 @@ def compile_cuda(source: str, filename: str = "<cuda>", *,
             return cached
     program = parse(source, filename)
     module = generate_module(program, noalias=noalias)
-    if run_verifier:
-        verify(module)
+    verify(module)
     if cuda_lower:
         cpuify(module, pipeline_options)
     module._content_key = key

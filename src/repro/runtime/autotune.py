@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cache import global_tuning_cache
-from .costmodel import CostReport, MachineModel, XEON_8375C
+from .costmodel import CostReport, MachineModel, XEON_8375C, resolve_threads
 from .measure import measure_best
 from .engine import ENGINES, build_engine
 from .resilience import ResilientExecutor, maybe_resilient, record_event
@@ -198,15 +198,14 @@ def host_fingerprint() -> dict:
     }
 
 
-def _key_suffix(machine: MachineModel, threads: Optional[int], collect_cost: bool,
-                max_dynamic_ops: Optional[int], workers: Optional[int]) -> str:
+def _key_suffix(machine: MachineModel, threads: Optional[int],
+                workers: Optional[int]) -> str:
     """The lines of a tuning key fixed by the execution parameters (an
-    :class:`AutoEngine` computes them once)."""
+    :class:`AutoEngine` computes them once): ``threads`` as the engines
+    resolve it, so ``None`` and ``machine.cores`` share a record."""
     return "\n".join([
         f"machine:{machine.name}",
-        f"threads:{threads}",
-        f"collect_cost:{collect_cost}",
-        f"max_dynamic_ops:{max_dynamic_ops}",
+        f"threads:{resolve_threads(machine, threads)}",
         f"workers:{workers}",
     ])
 
@@ -221,8 +220,6 @@ def _build_key(module, function_name: str, facts: Tuple, suffix: str) -> str:
 def tuning_key(module, function_name: str, arguments: Sequence, *,
                machine: MachineModel = XEON_8375C,
                threads: Optional[int] = None,
-               collect_cost: bool = True,
-               max_dynamic_ops: Optional[int] = None,
                workers: Optional[int] = None) -> str:
     """The TuningCache key for one dispatch site.
 
@@ -233,8 +230,7 @@ def tuning_key(module, function_name: str, arguments: Sequence, *,
     invalidated in place) instead of lingering under a dead key.
     """
     return _build_key(module, function_name, _argument_facts(arguments),
-                      _key_suffix(machine, threads, collect_cost,
-                                  max_dynamic_ops, workers))
+                      _key_suffix(machine, threads, workers))
 
 
 def candidate_configs(*, workers: Optional[int] = None) -> List[TuningConfig]:
@@ -313,8 +309,6 @@ class TuningResult:
 def tune_module(module, function_name: str, arguments: Sequence, *,
                 machine: MachineModel = XEON_8375C,
                 threads: Optional[int] = None,
-                collect_cost: bool = True,
-                max_dynamic_ops: Optional[int] = None,
                 workers: Optional[int] = None,
                 repeats: Optional[int] = None,
                 warmup: Optional[int] = None) -> TuningResult:
@@ -331,10 +325,8 @@ def tune_module(module, function_name: str, arguments: Sequence, *,
     warmup = tune_warmup() if warmup is None else max(0, warmup)
 
     def build(name: str, pool: Optional[int]):
-        return build_engine(
-            name, module, machine=machine, threads=threads,
-            collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
-            workers=pool)
+        return build_engine(name, module, machine=machine, threads=threads,
+                            workers=pool)
 
     pristine = ResilientExecutor._snapshot(arguments)
 
@@ -443,36 +435,28 @@ class AutoEngine:
     """
 
     def __init__(self, module, *, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None, collect_cost: bool = True,
-                 max_dynamic_ops: Optional[int] = None,
+                 threads: Optional[int] = None,
                  workers: Optional[int] = None) -> None:
         self._module = module
         self._machine = machine
-        self._threads = threads
-        self._collect_cost = collect_cost
-        self._max_dynamic_ops = max_dynamic_ops
+        self._threads = resolve_threads(machine, threads)
         self._workers = workers
         #: totals of retired inner executors (config/key changes are rare).
-        self._base_report = CostReport(
-            machine=machine,
-            threads=threads if threads is not None else machine.cores)
+        self._base_report = CostReport(machine=machine, threads=self._threads)
         self._inner = None
         self._inner_key: Optional[str] = None
         self._inner_fastsig: Optional[Tuple] = None
         self._inner_config: Optional[TuningConfig] = None
         self._inner_generation = -1
-        self._key_suffix = _key_suffix(machine, threads, collect_cost,
-                                       max_dynamic_ops, workers)
+        self._key_suffix = _key_suffix(machine, self._threads, workers)
         self.auto_stats: dict = {"runs": 0, "tuned": 0, "cache_hits": 0,
                                  "invalidated": 0, "winner": None,
                                  "measurements": {}}
 
     # -- internals -------------------------------------------------------------
     def _build(self, engine: str, workers: Optional[int]):
-        return build_engine(
-            engine, self._module, machine=self._machine, threads=self._threads,
-            collect_cost=self._collect_cost,
-            max_dynamic_ops=self._max_dynamic_ops, workers=workers)
+        return build_engine(engine, self._module, machine=self._machine,
+                            threads=self._threads, workers=workers)
 
     def _resolve_config(self, key: str, function_name: str,
                         arguments: Sequence) -> Tuple[TuningConfig, bool, Dict[str, float]]:
@@ -498,8 +482,7 @@ class AutoEngine:
                          f"{function_name}: {stale}; re-tuning")
         result = tune_module(
             self._module, function_name, arguments, machine=self._machine,
-            threads=self._threads, collect_cost=self._collect_cost,
-            max_dynamic_ops=self._max_dynamic_ops, workers=self._workers)
+            threads=self._threads, workers=self._workers)
         cache.insert(key, result.to_record(
             function_name=function_name,
             signature=argument_signature(arguments)))

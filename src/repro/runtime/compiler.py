@@ -30,11 +30,8 @@ removes that hot-path overhead by *compiling* each function once:
 Cost accounting is replicated charge-for-charge in the interpreter's
 execution order, so a compiled run produces a bit-identical
 :class:`~repro.runtime.costmodel.CostReport` (the differential tests in
-``tests/runtime/test_engine_parity.py`` pin this).  Two deliberate
-differences, both only observable on malformed IR or exhausted budgets: the
-``max_dynamic_ops`` budget is checked per *block* instead of per op (the
-dynamic-op counter itself stays exact) up to an un-lowered region, inside
-which the interpreter checks it per op, and use-before-def reads surface as
+``tests/runtime/test_engine_parity.py`` pin this).  One deliberate
+difference, only observable on malformed IR: use-before-def reads surface as
 ``None`` values instead of a "use of undefined value" error.
 
 This module also hosts what the four compiled engines share: the one
@@ -69,7 +66,7 @@ from ..analysis.structure import (BARRIER_OPS as _BARRIER_OPS,
 from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
-                        memory_access_cost, op_cost)
+                        memory_access_cost, op_cost, resolve_threads)
 from .errors import InterpreterError, arity_error
 from .interpreter import Interpreter
 from .memory import MemRefStorage, is_memref_parameter, wrap_argument
@@ -100,15 +97,13 @@ class _State:
     fall through to plain in-process execution.
     """
 
-    __slots__ = ("report", "threads", "work", "max_ops", "program", "shard")
+    __slots__ = ("report", "threads", "work", "program", "shard")
 
     def __init__(self, report: CostReport, threads: int, work: List[float],
-                 max_ops: Optional[int], program: "_Program",
-                 shard=None) -> None:
+                 program: "_Program", shard=None) -> None:
         self.report = report
         self.threads = threads
         self.work = work
-        self.max_ops = max_ops
         self.program = program
         self.shard = shard
 
@@ -399,11 +394,7 @@ class _FunctionCompiler:
         """Source of one block execution.  Its dynamic-op count is batched
         into a single increment (every op of a block executes exactly once
         per block execution), then come the ops' lines in order."""
-        lines = []
-        if nops:
-            lines = [f"report.dynamic_ops += {nops}",
-                     "if max_ops is not None and report.dynamic_ops > max_ops:",
-                     "    raise _IE('dynamic operation budget exceeded')"]
+        lines = [f"report.dynamic_ops += {nops}"] if nops else []
         for op in ops:
             lines.extend(self.compile_op(op))
         return lines
@@ -711,7 +702,7 @@ class _FunctionCompiler:
         """A region cpuify has not lowered (``gpu.launch``, ``scf.parallel``
         with barriers), under every row: one step that runs the interpreter
         on the op, its env built from the plan's live-ins, against this run's
-        report, work stack, threads and budget.  A row with a faster tier
+        report, work stack and threads.  A row with a faster tier
         says by name (``UNLOWERED``) why it did not run."""
         program = self.program
         plan = program.plans.plan(op)
@@ -728,7 +719,7 @@ class _FunctionCompiler:
             # one interpreter per execution: run_region binds the run's state
             # to it, and a program is shared by threads
             Interpreter(module, machine).run_region(
-                op, env, state.report, state.work, state.threads, state.max_ops)
+                op, env, state.report, state.work, state.threads)
         return self._bound(step)
 
     def _c_gpu_alloc(self, op) -> List[str]:
@@ -883,7 +874,6 @@ def _build_runner(lines: Sequence[str], namespace: Dict[str, object],
     """Finalise the lines of one function body with one ``exec``."""
     source = "\n".join([f"def {name}(state, regs):",
                         "    report = state.report",
-                        "    max_ops = state.max_ops",
                         "    w = state.work",
                         *(f"    {line}" for line in lines or ["pass"])])
     exec(source, namespace)  # noqa: S102 - compile-time codegen
@@ -913,13 +903,10 @@ class CompiledEngine:
     FAILS_BEFORE_FIRST_STORE = True
 
     def __init__(self, module: func_d.ModuleOp, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None, collect_cost: bool = True,
-                 max_dynamic_ops: Optional[int] = None) -> None:
+                 threads: Optional[int] = None) -> None:
         self.module = module
         self.machine = machine
-        self.threads = threads if threads is not None else machine.cores
-        self.collect_cost = collect_cost
-        self.max_dynamic_ops = max_dynamic_ops
+        self.threads = resolve_threads(machine, threads)
         self.report = CostReport(machine=machine, threads=self.threads)
         self._program = program_for(module, machine, self.ROW)
         self._work: List[float] = [0.0]
@@ -932,8 +919,7 @@ class CompiledEngine:
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
         shard-dispatch context here)."""
-        return _State(self.report, self.threads, self._work,
-                      self.max_dynamic_ops, self._program)
+        return _State(self.report, self.threads, self._work, self._program)
 
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
@@ -951,8 +937,7 @@ class CompiledEngine:
             raise InterpreterError("barrier executed outside a parallel context") from None
         return_slots = compiled.return_slots
         results = [regs[s] for s in return_slots] if return_slots else []
-        if self.collect_cost:
-            self.report.cycles += self._work[0]
+        self.report.cycles += self._work[0]
         self._work[0] = 0.0
         return results
 

@@ -25,7 +25,7 @@ computed from the structure of the executed program:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,16 @@ XEON_8375C = MachineModel(name="xeon-8375c", cores=32)
 A64FX_CMG = MachineModel(name="a64fx-cmg", cores=12, global_access_cost=4.0,
                          hbm_bandwidth_factor=0.45, fork_cost=3200.0,
                          nested_fork_cost=8000.0)
+
+
+def resolve_threads(machine: MachineModel, threads: Optional[int]) -> int:
+    """The team an engine runs ``threads`` as: ``None`` is every core of
+    ``machine``; anything but a positive int raises."""
+    if threads is None:
+        return machine.cores
+    if not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be a positive int, got {threads!r}")
+    return threads
 
 
 #: base cycle costs per operation name (anything absent costs DEFAULT_OP_COST).

@@ -101,8 +101,7 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def build_engine(name: str, module, *, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None, collect_cost: bool = True,
-                 max_dynamic_ops: Optional[int] = None,
+                 threads: Optional[int] = None,
                  workers: Optional[int] = None) -> Executor:
     """Construct the bare (unwrapped) engine ``name`` over ``module``.
 
@@ -112,16 +111,12 @@ def build_engine(name: str, module, *, machine: MachineModel = XEON_8375C,
     module_name, class_name, takes_workers = _TABLE[resolve_engine(name)]
     engine_class = getattr(import_module(f".{module_name}", __package__), class_name)
     pool = {"workers": workers} if takes_workers else {}
-    return engine_class(module, machine=machine, threads=threads,
-                        collect_cost=collect_cost,
-                        max_dynamic_ops=max_dynamic_ops, **pool)
+    return engine_class(module, machine=machine, threads=threads, **pool)
 
 
 def make_executor(module, *, engine: Optional[str] = None,
                   machine: MachineModel = XEON_8375C,
                   threads: Optional[int] = None,
-                  collect_cost: bool = True,
-                  max_dynamic_ops: Optional[int] = None,
                   workers: Optional[int] = None) -> Executor:
     """Build an executor for the named engine (``None`` = process default).
 
@@ -138,10 +133,8 @@ def make_executor(module, *, engine: Optional[str] = None,
     name = resolve_engine(engine)
 
     def build(engine_name: str):
-        return build_engine(
-            engine_name, module, machine=machine, threads=threads,
-            collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops,
-            workers=workers)
+        return build_engine(engine_name, module, machine=machine,
+                            threads=threads, workers=workers)
 
     return maybe_resilient(build(name), name, build)
 

@@ -32,6 +32,7 @@ from .costmodel import (
     XEON_8375C,
     memory_access_cost,
     op_cost,
+    resolve_threads,
 )
 from .errors import InterpreterError, arity_error
 from .memory import MemRefStorage, is_memref_parameter, wrap_argument
@@ -44,13 +45,10 @@ class Interpreter:
     """Executes a module and accounts simulated cycles."""
 
     def __init__(self, module: func_d.ModuleOp, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None, collect_cost: bool = True,
-                 max_dynamic_ops: Optional[int] = None) -> None:
+                 threads: Optional[int] = None) -> None:
         self.module = module
         self.machine = machine
-        self.threads = threads if threads is not None else machine.cores
-        self.collect_cost = collect_cost
-        self.max_dynamic_ops = max_dynamic_ops
+        self.threads = resolve_threads(machine, threads)
         self.report = CostReport(machine=machine, threads=self.threads)
         self._work_stack: List[float] = [0.0]
 
@@ -75,27 +73,21 @@ class Interpreter:
         return results
 
     def run_region(self, op: Operation, env: Dict[int, object], report: CostReport,
-                   work: List[float], threads: int, max_ops: Optional[int]) -> None:
+                   work: List[float], threads: int) -> None:
         """Execute one un-lowered region op (``gpu.launch``, ``scf.parallel``
         with barriers) inside another engine's run: ``env`` binds the values
         it captures, counters go to that run's ``report``, charges to
-        ``work[-1]``, under its ``threads`` and ``max_ops``.  The caller has
+        ``work[-1]``, under its ``threads``.  The caller has
         already counted ``op`` itself.  This is the one implementation of
         barrier semantics every engine uses."""
         self.report, self._work_stack = report, work
-        self.threads, self.max_dynamic_ops = threads, max_ops
+        self.threads = threads
         for _ in self._handlers[type(op)](self, op, env):
             pass  # a region handler runs its own barrier phases: none escapes
 
     # -------------------------------------------------------------- internals --
     def _charge(self, cycles: float) -> None:
-        if self.collect_cost:
-            self._work_stack[-1] += cycles
-
-    def _count_op(self) -> None:
-        self.report.dynamic_ops += 1
-        if self.max_dynamic_ops is not None and self.report.dynamic_ops > self.max_dynamic_ops:
-            raise InterpreterError("dynamic operation budget exceeded")
+        self._work_stack[-1] += cycles
 
     def _call_function(self, fn: func_d.FuncOp, arguments: Sequence) -> List:
         if len(arguments) != len(fn.arguments):
@@ -112,7 +104,7 @@ class Interpreter:
     def _execute_ops(self, ops: Sequence[Operation], env: Dict[int, object],
                      result_sink: Optional[List] = None):
         for op in list(ops):
-            self._count_op()
+            self.report.dynamic_ops += 1
             if isinstance(op, (polygeist.PolygeistBarrierOp, gpu_d.BarrierOp)):
                 yield _BARRIER
                 continue

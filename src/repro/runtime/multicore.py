@@ -40,10 +40,6 @@ invariants:
   workers never synchronize with each other and join at the region
   boundary.
 
-Like the compiled engine's documented divergences, the ``max_dynamic_ops``
-budget is enforced per shard (each worker receives the remaining budget;
-the parent re-checks the exact summed counter after the join).
-
 Knob: ``workers=`` / ``REPRO_WORKERS`` selects the pool width (default: the
 CPU affinity count).  With one worker, on machines without ``fork``/shared
 memory, or for regions the analysis rejects, the engine degrades to plain
@@ -162,7 +158,7 @@ def _worker_main(conn, program, index: int) -> None:  # pragma: no cover - child
 
 
 def _execute_shard(program, key, live_ins, start: int, stop: int,
-                   threads: int, max_ops: Optional[int]) -> Dict:
+                   threads: int) -> Dict:
     """Run one contiguous shard of a registered region in this process."""
     regions = program.shards.regions
     region = regions.get(key)
@@ -180,7 +176,7 @@ def _execute_shard(program, key, live_ins, start: int, stop: int,
     for slot, (tag, payload) in live_ins.items():
         regs[slot] = sharedmem.decode(payload) if tag == "m" else payload
     report = CostReport(machine=program.machine, threads=threads)
-    state = _State(report, threads, [0.0], max_ops, program)
+    state = _State(report, threads, [0.0], program)
     try:
         ranges, _ = _iteration_space(regs, *region["bounds"])
         region["run"](state, regs, ranges, start, stop)
@@ -467,7 +463,7 @@ def _dispatch_shards(program, state, pool, key, regs, live_in_slots,
     Worker crashes and watchdog timeouts are *transient*: sharded
     stores are injective, so killing the pool, re-forking and
     re-dispatching the same shards is idempotent.  The dispatch
-    retries up to ``REPRO_RETRIES`` times before degrading
+    retries up to ``resilience.DEFAULT_RETRIES`` times before degrading
     in-process.  Setting ``REPRO_TIMEOUT_S`` arms a watchdog that
     bounds each dispatch; it is off by default so a legitimately
     long dispatch (large shards, loaded machine) is never killed —
@@ -477,9 +473,6 @@ def _dispatch_shards(program, state, pool, key, regs, live_in_slots,
         # the pool died between the width check and the dispatch and
         # could not be re-forked: degrade rather than crash.
         return None
-    remaining = None
-    if state.max_ops is not None:
-        remaining = max(0, state.max_ops - state.report.dynamic_ops)
     live_ins = {}
     shipped = []
     try:
@@ -497,7 +490,7 @@ def _dispatch_shards(program, state, pool, key, regs, live_in_slots,
                                 type(exc).__name__, str(exc),
                                 engine="multicore")
         return None
-    tasks = [("shard", key, live_ins, start, stop, state.threads, remaining)
+    tasks = [("shard", key, live_ins, start, stop, state.threads)
              for start, stop in spans]
     policy = resilience.retry_policy()
     attempt = 0
@@ -546,8 +539,6 @@ def _fold_results(state, results: Sequence[Dict]) -> float:
         report.barriers += result["barriers"]
         report.simt_phases += result["simt_phases"]
         report.global_bytes += result["global_bytes"]
-    if state.max_ops is not None and report.dynamic_ops > state.max_ops:
-        raise InterpreterError("dynamic operation budget exceeded")
     return work
 
 
@@ -632,16 +623,14 @@ class MulticoreEngine(CompiledEngine):
     FAILS_BEFORE_FIRST_STORE = False
 
     def __init__(self, module, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None, collect_cost: bool = True,
-                 max_dynamic_ops: Optional[int] = None,
+                 threads: Optional[int] = None,
                  workers: Optional[int] = None) -> None:
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self._arg_sync: List[Tuple[np.ndarray, MemRefStorage]] = []
         self._run_storages: List[MemRefStorage] = []
-        super().__init__(module, machine=machine, threads=threads,
-                         collect_cost=collect_cost, max_dynamic_ops=max_dynamic_ops)
+        super().__init__(module, machine=machine, threads=threads)
 
     def _make_state(self) -> _State:
         state = super()._make_state()

@@ -77,9 +77,7 @@ dynamic-extent private allocas, recursion — falls back **per region** to
 the compiled closures, with the emitter's reason recorded on the plan
 (``engine.regions``); a missing or broken C
 toolchain degrades the whole engine to compiled execution (same graceful
-contract as the multicore engine on hosts without ``fork``).  An active
-``max_dynamic_ops`` budget also routes regions to the compiled plans, whose
-per-block budget checks are part of the documented engine semantics.
+contract as the multicore engine on hosts without ``fork``).
 """
 
 from __future__ import annotations
@@ -811,8 +809,6 @@ class _RegionHandle:
         the buffer protocol, a read-only or zero-size one (which it refuses)
         from ``ndarray.ctypes.data``.  ``unit.functions`` is read on every
         dispatch, so a tier-2 swap takes effect at the next one."""
-        if state.max_ops is not None:
-            return self._refuse("budget", state, regs)
         unit = self.unit
         if unit.status != "ready" and not unit.ready():
             # a unit first met mid-run that failed to seal: this run stays on

@@ -9,8 +9,9 @@ fallback chain without changing a single output bit.  This module is the
 policy layer that makes that an enforced invariant instead of ad-hoc
 ``except`` clauses:
 
-* :class:`RetryPolicy` — ``REPRO_RETRIES`` / ``REPRO_TIMEOUT_S`` /
-  ``REPRO_BACKOFF_S`` with deterministic jittered exponential backoff.
+* :class:`RetryPolicy` — ``DEFAULT_RETRIES`` retries with deterministic
+  jittered exponential backoff from ``DEFAULT_BACKOFF_S``, and the opt-in
+  ``REPRO_TIMEOUT_S`` dispatch watchdog.
 * :class:`ResilienceLog` — a queryable in-process record of every
   injection, retry, fallback, degradation and recovery
   (:func:`global_log`).
@@ -60,9 +61,7 @@ from .errors import (
 
 #: environment knobs.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
-RETRIES_ENV_VAR = "REPRO_RETRIES"
 TIMEOUT_ENV_VAR = "REPRO_TIMEOUT_S"
-BACKOFF_ENV_VAR = "REPRO_BACKOFF_S"
 
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.05
@@ -105,21 +104,6 @@ class RetryPolicy:
     timeout_s: Optional[float] = None
     backoff_s: float = DEFAULT_BACKOFF_S
 
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        def read(var, default, conv):
-            raw = os.environ.get(var, "").strip()
-            if not raw:
-                return default
-            try:
-                return conv(raw)
-            except ValueError:
-                return default
-
-        return cls(retries=max(0, read(RETRIES_ENV_VAR, DEFAULT_RETRIES, int)),
-                   timeout_s=read(TIMEOUT_ENV_VAR, None, float),
-                   backoff_s=read(BACKOFF_ENV_VAR, DEFAULT_BACKOFF_S, float))
-
     @property
     def watchdog_timeout(self) -> Optional[float]:
         """The dispatch watchdog deadline in seconds (``None`` = disabled)."""
@@ -147,8 +131,15 @@ class RetryPolicy:
 
 
 def retry_policy() -> RetryPolicy:
-    """The environment-configured policy (re-read on every call; cheap)."""
-    return RetryPolicy.from_env()
+    """The policy: ``DEFAULT_RETRIES`` and ``DEFAULT_BACKOFF_S`` as they
+    stand, and ``REPRO_TIMEOUT_S`` (unset or malformed: no watchdog), all
+    read on every call."""
+    try:
+        timeout_s = float(os.environ.get(TIMEOUT_ENV_VAR, "").strip())
+    except ValueError:
+        timeout_s = None
+    return RetryPolicy(retries=DEFAULT_RETRIES, timeout_s=timeout_s,
+                       backoff_s=DEFAULT_BACKOFF_S)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +549,9 @@ def maybe_resilient(executor, engine: str, rebuild: Callable[[str], object]):
 
 
 __all__ = [
-    "BACKOFF_ENV_VAR", "DEFAULT_BACKOFF_S", "DEFAULT_RETRIES",
+    "DEFAULT_BACKOFF_S", "DEFAULT_RETRIES",
     "FALLBACK_CHAIN", "FAULTS_ENV_VAR", "FaultPlan",
-    "RETRIES_ENV_VAR", "ResilienceEvent",
+    "ResilienceEvent",
     "ResilienceLog", "ResilientExecutor", "RetryPolicy", "TIMEOUT_ENV_VAR",
     "call_with_retry", "fallback_engines", "fault_fires", "faults_configured",
     "global_log", "inject", "maybe_resilient", "record_event",

@@ -48,9 +48,7 @@ charge lies on the cycle grid (:data:`~repro.runtime.costmodel.CYCLE_GRID`)
 on every machine model, float accumulation is associative in exact
 arithmetic and the grouped analytic totals are **bit-identical** to the
 interpreter's sequential per-iteration accumulation.  ``dynamic_ops`` and
-traffic counters are replicated exactly; like the compiled engine, the
-``max_dynamic_ops`` budget is checked per block of lanes rather than per
-scalar op (the counter itself stays exact).
+traffic counters are replicated exactly.
 
 Known, documented divergences from the interpreter (shared with the spirit
 of the compiled engine's): lockstep execution reorders memory operations
@@ -270,8 +268,6 @@ class _RegionVectorizer:
         if not nops:
             return
         self.emit(f"report.dynamic_ops += {nops} * {count}")
-        self.emit("if state.max_ops is not None and report.dynamic_ops > state.max_ops:")
-        self.emit("    raise _IE('dynamic operation budget exceeded')")
 
     def ref(self, value) -> str:
         """R-value expression for an SSA value."""
@@ -289,13 +285,7 @@ class _RegionVectorizer:
         ctx = _Ctx(mask=None, count="_N")
         for op in ops:
             self.emit_op(op, ctx)
-        count_lines = []
-        if nops:
-            count_lines = [
-                f"    report.dynamic_ops += {nops} * _N",
-                "    if state.max_ops is not None and report.dynamic_ops > state.max_ops:",
-                "        raise _IE('dynamic operation budget exceeded')",
-            ]
+        count_lines = [f"    report.dynamic_ops += {nops} * _N"] if nops else []
         return self.ns[self._function("vphase", "", count_lines)]
 
     def _function(self, prefix: str, parameters: str, prologue: Sequence[str]) -> str:

@@ -45,7 +45,6 @@ import os
 import socket
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..frontend import compile_cuda
@@ -61,11 +60,6 @@ from . import protocol
 
 #: accept() poll interval; bounds shutdown latency without busy-waiting.
 _ACCEPT_POLL_S = 0.2
-
-#: floor under ``REPRO_BACKOFF_S`` between attempts of one launch: a handler
-#: retrying at once would spend its whole retry budget on one transient
-#: condition before any other tenant's request got to run.
-_MIN_RETRY_BACKOFF_S = 0.05
 
 
 def _pipeline_options(spec) -> Optional[PipelineOptions]:
@@ -377,8 +371,6 @@ class KernelServer:
             tenant = self._tenant_for(header.get("tenant"))
             specs = header.get("args", [])
             policy = retry_policy()
-            policy = replace(policy, backoff_s=max(policy.backoff_s,
-                                                   _MIN_RETRY_BACKOFF_S))
             attempts = 0
 
             def attempt():

@@ -115,7 +115,7 @@ def build_pipeline(options: PipelineOptions, verbose: bool = False) -> PassManag
     aggregate table is available afterwards via
     :meth:`PassManager.statistics_summary`.
     """
-    pm = PassManager(verify_each=True, verbose=verbose)
+    pm = PassManager(verbose=verbose)
     pm.add(LowerGPUPass())
     pm.add(CanonicalizePass())
     pm.add(CSEPass())

@@ -35,7 +35,7 @@ class Pass:
 class PassStatistic:
     """One pass execution: what ran, whether it changed the IR, how long
     the pass took and how long verifying its output took (0.0 when the
-    manager does not verify)."""
+    verifier rejected it)."""
 
     name: str
     changed: bool
@@ -44,7 +44,7 @@ class PassStatistic:
 
 
 class PassManager:
-    """Runs an ordered list of passes, optionally verifying after each.
+    """Runs an ordered list of passes, verifying the module after each.
 
     Every run records a :class:`PassStatistic` per pass (wall-clock time of
     the pass and of the verification after it, and whether the IR changed);
@@ -52,10 +52,8 @@ class PassManager:
     the Rodinia harness exposes this under its ``--pass-stats`` flag.
     """
 
-    def __init__(self, passes: Sequence[Pass] = (), verify_each: bool = True,
-                 verbose: bool = False) -> None:
+    def __init__(self, passes: Sequence[Pass] = (), verbose: bool = False) -> None:
         self.passes: List[Pass] = list(passes)
-        self.verify_each = verify_each
         self.verbose = verbose
         self.statistics: List[PassStatistic] = []
 
@@ -74,10 +72,9 @@ class PassManager:
             changed_any |= changed
             verify_elapsed = 0.0
             try:
-                if self.verify_each:
-                    start = time.perf_counter()
-                    verify(module)
-                    verify_elapsed = time.perf_counter() - start
+                start = time.perf_counter()
+                verify(module)
+                verify_elapsed = time.perf_counter() - start
             finally:
                 # recorded (and printed) also when the pass broke the IR:
                 # the last line names the pass the error belongs to.

@@ -24,6 +24,7 @@ import repro
 from repro.frontend import compile_cuda
 from repro.runtime import (
     A64FX_CMG,
+    XEON_8375C,
     clear_global_tuning_cache,
     engine_names,
     global_tuning_cache,
@@ -161,13 +162,16 @@ class TestKeys:
         assert key == tuning_key(module, "launch", make_args())
         assert key != tuning_key(module, "launch", make_args(128))
         assert key != tuning_key(module, "other", make_args())
-        assert key != tuning_key(module, "launch", make_args(), threads=32)
+        assert key != tuning_key(module, "launch", make_args(), threads=4)
+        assert key == tuning_key(module, "launch", make_args(),
+                                 threads=XEON_8375C.cores)
         assert key != tuning_key(module, "launch", make_args(), workers=2)
 
-    def test_keys_are_byte_identical_to_tuning_format_2(self):
-        """Records on disk stay valid: these two keys were recorded at
-        663d6e5, before the key builder and the argument facts were unified
-        (numpy scalars are left out: their repr depends on the numpy major)."""
+    def test_keys_are_pinned(self):
+        """A key's bytes change only on purpose: these two were recorded
+        when the run options left the key and ``threads`` started to key as
+        the engines resolve it (numpy scalars are left out: their repr
+        depends on the numpy major)."""
         module = types.SimpleNamespace(_content_key="ir:pinned")
         readonly = np.arange(6, dtype=np.int64).reshape(2, 3)
         readonly.flags.writeable = False
@@ -176,10 +180,10 @@ class TestKeys:
         assert argument_signature(arguments) == (
             "nd[<f4:4x8:w],nd[<i8:2x3:r],int:7,float:-0.0,bool:True,str,nd[<f8::w]")
         assert tuning_key(module, "launch", arguments) == (
-            "3b721b06713d22947f0a1b08ba8c49b6d79e2b236c3227d0b4d5ce7d0e7111fb")
+            "f9925971f86ef3ffb91989ebba116fca5d6192c352aaaf4ed260ff1c2ebb087b")
         assert tuning_key(module, "launch", arguments, machine=A64FX_CMG, threads=4,
-                          collect_cost=False, max_dynamic_ops=1000, workers=2) == (
-            "c37fd9714bfba88cccde1cf2c371d7e6b3c3dc4c107c74e500887d3f6bccc41c")
+                          workers=2) == (
+            "7455a13f8fadc2ed0d5373584e5358877887b537070885d6af4daa8b31a8a9de")
 
     def test_steady_state_compares_what_the_key_hashes(self):
         """``0.0 == -0.0`` but their keys differ: the fast path must not
@@ -254,6 +258,16 @@ class TestWarmDispatch:
         assert warm.auto_stats["tuned"] == 0
         assert warm.auto_stats["cache_hits"] == 1
         assert warm.auto_stats["winner"] == cold.auto_stats["winner"]
+
+    def test_default_threads_and_all_cores_share_a_record(self):
+        """``threads=None`` runs as ``machine.cores``, so it keys as that:
+        one tuning serves both."""
+        module = compile_saxpy()
+        AutoEngine(module).run("launch", make_args())
+        explicit = AutoEngine(module, threads=XEON_8375C.cores)
+        explicit.run("launch", make_args())
+        assert explicit.auto_stats["tuned"] == 0
+        assert explicit.auto_stats["cache_hits"] == 1
 
     def test_new_shape_retunes(self):
         engine = AutoEngine(compile_saxpy())
@@ -442,7 +456,7 @@ class TestDegradedWinner:
         make_executor(module, engine="compiled").run("launch", reference_args)
 
         monkeypatch.setenv("REPRO_FAULTS", "native.cc:*")
-        monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+        monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)
         reset_faults()
         engine = AutoEngine(module)
         engine.run("launch", arguments)

@@ -83,6 +83,16 @@ class TestKeying:
         module2 = compile_cuda(SOURCE, cuda_lower=True, cache="shared")
         assert module1 is module2
 
+    @pytest.mark.parametrize("mode", ["Shared", "private", None, 1, 0])
+    def test_unknown_mode_is_rejected(self, mode):
+        """Every mode but ``True``, ``False`` and ``"shared"`` raises, naming
+        it, before the cache is consulted: a misspelled ``"shared"`` would
+        otherwise hand out a private copy."""
+        with pytest.raises(ValueError, match=rf"got {mode!r}$"):
+            compile_cuda(SOURCE, cuda_lower=True, cache=mode)
+        stats = global_cache().stats
+        assert stats.memory_hits == 0 and stats.misses == 0
+
     def test_source_change_misses(self):
         compile_cuda(SOURCE, cuda_lower=True)
         compile_cuda(ALT_SOURCE, cuda_lower=True)

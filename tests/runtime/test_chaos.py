@@ -95,7 +95,7 @@ def _teardown_pools():
 
 @pytest.fixture(autouse=True)
 def _clean_resilience(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")  # fault runs never sleep
+    monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)  # fault runs never sleep
     reset_faults()
     resilience.global_log().clear()
     yield
@@ -238,7 +238,7 @@ class TestFaultMatrix:
         expected, fields = _reference(module, _args())
         monkeypatch.setenv("REPRO_FAULTS", "multicore.hang:*")
         monkeypatch.setenv("REPRO_TIMEOUT_S", "1")
-        monkeypatch.setenv("REPRO_RETRIES", "1")
+        monkeypatch.setattr(resilience, "DEFAULT_RETRIES", 1)
         reset_faults()
         arguments = _args()
         engine = MulticoreEngine(module, workers=2)

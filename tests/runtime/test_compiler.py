@@ -503,63 +503,6 @@ class TestErrors:
         with pytest.raises(InterpreterError, match="outside a parallel context"):
             CompiledEngine(module).run("main", [np.zeros(4, dtype=np.float32)])
 
-    def test_dynamic_op_budget(self):
-        module, fn, builder = build_function("main", [memref((64,), F32)], ["buf"])
-        loop, inner = build_parallel(builder, 64)
-        tid = loop.induction_vars[0]
-        as_float = inner.insert(arith.SIToFPOp(
-            inner.insert(arith.IndexCastOp(tid, I32)).result, F32))
-        inner.insert(memref_d.StoreOp(as_float.result, fn.arguments[0], [tid]))
-        close_parallel(inner)
-        finish_function(builder)
-        with pytest.raises(InterpreterError, match="budget exceeded"):
-            CompiledEngine(module, max_dynamic_ops=10).run(
-                "main", [np.zeros(64, dtype=np.float32)])
-
-    @pytest.mark.parametrize("budget", [40, 150])
-    def test_dynamic_op_budget_inside_an_unlowered_region(self, budget):
-        """The budget runs out three loops deep in a SIMT thread: the region
-        is the interpreter's, which checks per op, so the raise and the
-        ``dynamic_ops`` at it are the interpreter's own."""
-        module, fn, builder = build_function("main", [memref((4,), F32)], ["buf"])
-        loop, inner = build_parallel(builder, 4)
-        tid = loop.induction_vars[0]
-
-        def body(b):
-            _bump(b, fn.arguments[0], tid)
-            insert_barrier(b, [tid])  # under three loops
-        nest = inner
-        for _ in range(3):
-            level = nest.insert(scf.ForOp(const_index(nest, 0), const_index(nest, 3),
-                                          const_index(nest, 1)))
-            Builder.at_end(level.body).insert(scf.YieldOp())
-            nest = Builder.before_op(level.body.terminator)
-        body(nest)
-        close_parallel(inner)
-        finish_function(builder)
-        verify(module)
-        counts = []
-        for engine_cls in (Interpreter, CompiledEngine):
-            engine = engine_cls(module, max_dynamic_ops=budget)
-            with pytest.raises(InterpreterError, match="dynamic operation budget exceeded"):
-                engine.run("main", [np.zeros(4, dtype=np.float32)])
-            counts.append(engine.report.dynamic_ops)
-        assert counts == [budget + 1] * 2
-
-    def test_collect_cost_disabled(self):
-        module, fn, builder = build_function("main", [memref((8,), F32)], ["buf"])
-        loop, inner = build_parallel(builder, 8)
-        tid = loop.induction_vars[0]
-        as_float = inner.insert(arith.SIToFPOp(
-            inner.insert(arith.IndexCastOp(tid, I32)).result, F32))
-        inner.insert(memref_d.StoreOp(as_float.result, fn.arguments[0], [tid]))
-        close_parallel(inner)
-        finish_function(builder)
-        engine = CompiledEngine(module, collect_cost=False)
-        engine.run("main", [np.zeros(8, dtype=np.float32)])
-        assert engine.report.cycles == 0.0
-        assert engine.report.dynamic_ops > 0
-
 
 def _barrier_between_stores(placement):
     """``buf[i] = 1``, a barrier, ``buf[i] = 2`` where cpuify would never

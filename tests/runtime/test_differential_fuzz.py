@@ -10,8 +10,8 @@ outputs and CostReports must be bit-identical — this extends
 generated coverage.  A barrier kernel's un-lowered module runs once, on the
 interpreter, which every engine row hands its regions to.
 
-Knobs: ``REPRO_FUZZ_COUNT`` (kernel count, default 60, CI smoke uses a
-reduced count) and ``REPRO_FUZZ_SEED`` (base seed, default 0).  Every
+Knobs: ``REPRO_FUZZ_COUNT`` (kernel count, default 60) and
+``REPRO_FUZZ_SEED`` (base seed, default 0).  Every
 failure message carries the kernel's full description, so a divergence
 reproduces from the seed alone.
 """

@@ -300,3 +300,15 @@ class TestArgumentContracts:
         arguments[output] = np.ascontiguousarray(strided)
         executor.run(bench.entry, arguments)
         assert arguments[output].any()
+
+    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("threads", [0, -5, 2.0, "4"])
+    def test_threads_must_be_a_positive_int(self, engine, threads):
+        """Every engine resolves ``threads`` through one helper, which
+        raises naming the value: a team of ``-5`` would otherwise report
+        ``threads == -5`` while the cost model charges a team of one."""
+        module = compile_cuda(SCALE_CUDA, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+        with pytest.raises(ValueError,
+                           match=rf"^threads must be a positive int, got {threads!r}$"):
+            make_executor(module, engine=engine, threads=threads, workers=2)

@@ -1,10 +1,10 @@
-"""Multicore engine unit tests: engine table, shard analysis, knobs, budget.
+"""Multicore engine unit tests: engine table, shard analysis, knobs.
 
 Output/cost parity with the interpreter over the full Rodinia matrix lives
 in ``test_engine_parity.py``; this file pins the engine-specific machinery:
 the static engine table, the write-write-safety analysis decisions (what
 shards, what must stay in-process), the worker knob and its environment
-variable, budget enforcement across shards, and the caller-visible output
+variable, and the caller-visible output
 contract after shared-memory promotion.
 """
 
@@ -17,7 +17,6 @@ from repro.rodinia import BENCHMARKS
 from repro.runtime import (
     A64FX_CMG,
     Interpreter,
-    InterpreterError,
     MulticoreEngine,
     engine_names,
     make_executor,
@@ -263,14 +262,6 @@ class TestExecution:
         engine = MulticoreEngine(module, workers=1)
         engine.run(bench.entry, bench.make_inputs(1))
         assert engine.shard_stats["dispatches"] == 0
-
-    @needs_pool
-    def test_budget_enforced_across_shards(self):
-        bench = BENCHMARKS["matmul"]
-        module = bench.compile_cuda(PipelineOptions.all_optimizations())
-        engine = MulticoreEngine(module, workers=2, max_dynamic_ops=100)
-        with pytest.raises(InterpreterError, match="dynamic operation budget"):
-            engine.run(bench.entry, bench.make_inputs(1))
 
     @needs_pool
     def test_caller_sees_outputs_after_promotion(self):

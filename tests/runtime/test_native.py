@@ -12,7 +12,7 @@ CostReports bit for bit; this file covers the machinery around them:
 * the content-addressed artifact cache — warm units skip the C compiler,
   corrupt ``.so`` files recompile instead of crashing the dlopen, and the
   disk tier evicts by access age without touching pinned artifacts;
-* dispatch bail-outs — budget runs, read-only outputs and missing
+* dispatch bail-outs — read-only outputs, mismatched buffers and missing
   toolchains degrade to the compiled base plans with identical semantics,
   each refusal under its reason, while zero-size, read-only, offset and
   one-byte buffers dispatch natively with the data pointers numpy reports;
@@ -312,16 +312,6 @@ class TestNegativeProbe:
 
 class TestDispatchBailouts:
     @needs_cc
-    def test_budget_routes_to_compiled_plans(self):
-        """An active max_dynamic_ops budget uses the compiled per-block
-        budget check, raising the exact engine error."""
-        module = _lowered(QUICK_CUDA)
-        engine = NativeEngine(module, max_dynamic_ops=10)
-        with pytest.raises(InterpreterError, match="budget"):
-            engine.run("launch", _quick_args())
-        assert engine.native_stats["bailouts"] >= 1
-
-    @needs_cc
     def test_read_only_output_raises_like_other_engines(self):
         module = _lowered(QUICK_CUDA)
         arguments = _quick_args()
@@ -353,10 +343,12 @@ class TestDispatchBailouts:
         """Every run-time refusal counts under its reason on the region that
         refused, and the reasons sum to the engine-wide counter."""
         module = _lowered(QUICK_CUDA)
-        budget = NativeEngine(module, max_dynamic_ops=10**9)
-        budget.run("launch", _quick_args())
-        region, = budget.regions
-        assert region["bailouts"] == {"budget": 1}
+        matrix = NativeEngine(module)
+        reshaped = _quick_args()
+        _in_as_matrix(reshaped)
+        matrix.run("launch", reshaped)
+        region, = matrix.regions
+        assert region["bailouts"] == {"rank": 1}
 
         engine = NativeEngine(module)   # shares the cached program's tallies
         frozen = _quick_args()
@@ -370,7 +362,7 @@ class TestDispatchBailouts:
             widened[0], (widened[1] * 2.0 + 1.0).astype(np.float32))
         engine.run("launch", _quick_args())
         region, = engine.regions
-        assert region["bailouts"] == {"budget": 1, "read-only": 1, "dtype": 1}
+        assert region["bailouts"] == {"rank": 1, "read-only": 1, "dtype": 1}
         assert engine.native_stats["bailouts"] == 3
         assert engine.native_stats["native_dispatches"] == 1
 

@@ -38,6 +38,7 @@ from repro.runtime.resilience import (
     fault_fires,
     inject,
     reset_faults,
+    retry_policy,
 )
 
 
@@ -173,34 +174,28 @@ class TestEnvironmentPlan:
 
 class TestRetryPolicy:
     def test_env_overrides_and_defaults(self, monkeypatch):
-        for var in ("REPRO_RETRIES", "REPRO_TIMEOUT_S", "REPRO_BACKOFF_S"):
-            monkeypatch.delenv(var, raising=False)
-        assert RetryPolicy.from_env() == RetryPolicy()
-        monkeypatch.setenv("REPRO_RETRIES", "5")
+        """Retries and backoff are constants, read when the policy is built
+        (so a test can patch them); only the watchdog has a variable."""
+        monkeypatch.delenv("REPRO_TIMEOUT_S", raising=False)
+        assert retry_policy() == RetryPolicy()
+        monkeypatch.setattr(resilience, "DEFAULT_RETRIES", 5)
         monkeypatch.setenv("REPRO_TIMEOUT_S", "1.5")
-        monkeypatch.setenv("REPRO_BACKOFF_S", "0")
-        policy = RetryPolicy.from_env()
+        monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)
+        policy = retry_policy()
         assert (policy.retries, policy.timeout_s, policy.backoff_s) == (5, 1.5, 0.0)
 
     def test_invalid_env_falls_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "many")
         monkeypatch.setenv("REPRO_TIMEOUT_S", "soon")
-        policy = RetryPolicy.from_env()
-        assert policy.retries == RetryPolicy().retries
-        assert policy.timeout_s == RetryPolicy().timeout_s
-
-    def test_negative_retries_clamp_to_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "-3")
-        assert RetryPolicy.from_env().retries == 0
+        assert retry_policy() == RetryPolicy()
 
     def test_watchdog_disabled_by_default(self, monkeypatch):
         """No REPRO_TIMEOUT_S means no dispatch deadline: a legitimate
         long dispatch must never be killed by a default wall-clock cap."""
         monkeypatch.delenv("REPRO_TIMEOUT_S", raising=False)
         assert RetryPolicy().watchdog_timeout is None
-        assert RetryPolicy.from_env().watchdog_timeout is None
+        assert retry_policy().watchdog_timeout is None
         monkeypatch.setenv("REPRO_TIMEOUT_S", "2.5")
-        assert RetryPolicy.from_env().watchdog_timeout == 2.5
+        assert retry_policy().watchdog_timeout == 2.5
 
     def test_watchdog_disabled_by_nonpositive_timeout(self):
         assert RetryPolicy(timeout_s=0).watchdog_timeout is None
@@ -555,7 +550,7 @@ class TestMakeExecutorIntegration:
             "launch", [expected, data.copy(), n])
 
         monkeypatch.setenv("REPRO_FAULTS", "native.cc:*")
-        monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+        monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)
         reset_faults()
         out = np.zeros(n, dtype=np.float32)
         executor = make_executor(module, engine="native")

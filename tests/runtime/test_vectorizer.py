@@ -223,13 +223,6 @@ class TestFallbackParity:
         assert region["refusals"] == [f"vectorized: {UNLOWERED[SIMT]}"]
         assert engine.report.simt_phases == 2
 
-    def test_budget_enforced_per_lane_block(self):
-        bench = BENCHMARKS["matmul"]
-        module = bench.compile_cuda(PipelineOptions.all_optimizations())
-        engine = VectorizedEngine(module, max_dynamic_ops=50)
-        with pytest.raises(InterpreterError, match="budget exceeded"):
-            engine.run(bench.entry, bench.make_inputs(1))
-
 
 class TestVectorSemantics:
     def test_barrier_phase_vectorized_reverse(self):

@@ -32,6 +32,9 @@ HEALTHY_ENGINES = ("compiled", "vectorized")
 REQUESTS_PER_CLIENT = 6
 HEALTHY_CLIENTS = 4
 
+#: the policy's backoff as shipped, before a fixture zeroes it.
+SHIPPED_BACKOFF_S = resilience.DEFAULT_BACKOFF_S
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _teardown_pools():
@@ -42,7 +45,7 @@ def _teardown_pools():
 @pytest.fixture(autouse=True)
 def _fresh_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)
     resilience.reset_faults()
     resilience.global_log().clear()
     yield
@@ -150,7 +153,10 @@ def test_stream_fault_recovers_under_concurrent_load(tmp_path, monkeypatch):
     expected_bytes, expected_report = _reference(kernel, "compiled")
     clients = 4
     # the first few launch *batches* are killed before dispatch; the server
-    # must clear each poisoned stream and retry the stranded requests.
+    # must clear each poisoned stream and retry the stranded requests.  The
+    # backoff between a launch's attempts is what lets the other tenants'
+    # batches reach the fault site before one handler spends all its retries.
+    monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", SHIPPED_BACKOFF_S)
     monkeypatch.setenv("REPRO_FAULTS", "shim.launch:3")
     resilience.reset_faults()
 
@@ -204,7 +210,7 @@ def test_unretryable_tenant_error_does_not_poison_neighbours(tmp_path,
     stream was recovered, not wedged)."""
     kernel = generate_fuzz_kernel(2)
     expected_bytes, _ = _reference(kernel, "interp")
-    monkeypatch.setenv("REPRO_RETRIES", "1")
+    monkeypatch.setattr(resilience, "DEFAULT_RETRIES", 1)
     monkeypatch.setenv("REPRO_FAULTS", "shim.launch:*")
     resilience.reset_faults()
 

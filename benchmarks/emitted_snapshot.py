@@ -54,7 +54,9 @@ given flag in turn (the last ``-O`` on a command line wins, so ``--cc-time
 ``tier 2`` column is the ``cc`` time at the promotion flags
 (``native.compiler_flags(native.PROMOTED_LEVEL)``) of the lane-blocked
 units, the ones a steady state rebuilds in the background; the others
-never promote (``-``).  ``--only corpus`` restricts it to the labels with
+never promote (``-``).  A last row is the dispatcher extension
+(``runtime/_dispatch.c``) at the flags the toolchain probe builds it with,
+once per artifact cache.  ``--only corpus`` restricts it to the labels with
 that prefix.
 
 Usage, from any checkout::
@@ -287,10 +289,13 @@ def cc_time(root: Path, flags, only: str) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-cc-time-") as temp:
         source_path, output = os.path.join(temp, "unit.c"), os.path.join(temp, "unit.so")
 
-        def build(command) -> float:
+        def timed(argv) -> float:
             began = time.perf_counter()
-            subprocess.run([*command, source_path, "-o", output], check=True)
+            subprocess.run(argv, check=True)
             return time.perf_counter() - began
+
+        def build(command) -> float:
+            return timed([*command, source_path, "-o", output])
 
         for label, *module in modules:
             sources = _emitted_c(units, *module)
@@ -312,6 +317,12 @@ def cc_time(root: Path, flags, only: str) -> int:
             groups.setdefault(group, []).append((seconds, tier2))
             if name in corpus.COLD_SET:
                 groups.setdefault("cold set", []).append((seconds, tier2))
+        # the dispatcher extension: built once per artifact cache, at the probe
+        argv = native._dispatcher_argv(native.compiler_command())
+        seconds = min(timed([*argv, output]) for _ in range(CC_REPEATS))
+        print(f"{'dispatcher (once per cache)':32s} "
+              f"{native._DISPATCH_SOURCE.stat().st_size:8d}  {seconds:8.3f}  "
+              f"(its own flags: -I{native._python_include()})")
     for key, rows in groups.items():
         promoted_rows = [tier2 for _, tier2 in rows if tier2 is not None]
         print(f"{f'geomean ms, {key} ({len(rows)})':41s}  " + "  ".join(

@@ -25,7 +25,7 @@ plus a sixth selection that picks among them per kernel:
 * :class:`~repro.runtime.native.NativeEngine` — spans transpiled
   to C (:mod:`repro.runtime.codegen_c`), compiled once with the system
   toolchain (``cc -O1 -fopenmp``; ``REPRO_CC``) into content-addressed
-  shared objects and dispatched zero-copy through ctypes — the paper's
+  shared objects and dispatched zero-copy by one C call — the paper's
   "GPU kernels as native OpenMP CPU code" artifact.  Degrades per region
   (and wholesale, without a toolchain) to the compiled engine.
 

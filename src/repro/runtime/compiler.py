@@ -67,7 +67,7 @@ from ..dialects import arith, func as func_d, gpu as gpu_d, memref as memref_d
 from ..dialects import omp as omp_d, scf
 from .costmodel import (CostReport, MachineModel, XEON_8375C,
                         memory_access_cost, op_cost, resolve_threads)
-from .errors import InterpreterError, arity_error
+from .errors import ZERO_STEP, InterpreterError, arity_error
 from .interpreter import Interpreter
 from .memory import MemRefStorage, is_memref_parameter, wrap_argument
 from .optable import (ALLOC_CYCLES, access_charge_lines, cycles, python_expr,
@@ -270,8 +270,11 @@ def invalidate_compiled(module: func_d.ModuleOp) -> None:
 
 def _iteration_space(regs, lb_slots, ub_slots, st_slots) -> Tuple[List[range], int]:
     """Read a region's (ranges, total points) from its bound slots."""
-    ranges = [range(int(regs[lb]), int(regs[ub]), int(regs[st]))
-              for lb, ub, st in zip(lb_slots, ub_slots, st_slots)]
+    steps = [int(regs[st]) for st in st_slots]
+    if 0 in steps:
+        raise InterpreterError(ZERO_STEP)
+    ranges = [range(int(regs[lb]), int(regs[ub]), step)
+              for lb, ub, step in zip(lb_slots, ub_slots, steps)]
     total = 1
     for axis in ranges:
         total *= len(axis)

@@ -13,7 +13,7 @@ benchmarks) goes through this layer and accepts an ``engine`` knob:
   picks the pool width.
 * ``"native"`` — parallel regions transpiled to C, compiled with the system
   toolchain (``cc -O1 -fopenmp``, ``REPRO_CC`` override) and executed as
-  OpenMP shared objects through ctypes (:mod:`repro.runtime.native`);
+  OpenMP shared objects, one C call per dispatch (:mod:`repro.runtime.native`);
   degrades to compiled execution without a working toolchain.
 * ``"interp"`` — the reference tree-walking
   :class:`~repro.runtime.interpreter.Interpreter`, kept as the correctness

@@ -32,6 +32,10 @@ class UseAfterFreeError(InterpreterError):
     """Raised when a freed memref buffer is accessed (load/store/free/copy)."""
 
 
+#: every engine's error for a parallel span stepping by zero.
+ZERO_STEP = "scf.parallel requires a nonzero step"
+
+
 def arity_error(fn, count: int) -> InterpreterError:
     """The error of a call to ``fn`` (a ``func.func``) with ``count`` arguments."""
     return InterpreterError(

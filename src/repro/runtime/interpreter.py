@@ -34,7 +34,7 @@ from .costmodel import (
     op_cost,
     resolve_threads,
 )
-from .errors import InterpreterError, arity_error
+from .errors import ZERO_STEP, InterpreterError, arity_error
 from .memory import MemRefStorage, is_memref_parameter, wrap_argument
 from .optable import ALLOC_CYCLES, cycles, row_for
 
@@ -318,6 +318,8 @@ class Interpreter:
         lowers = [int(self._value(env, value)) for value in lower_bounds]
         uppers = [int(self._value(env, value)) for value in upper_bounds]
         strides = [int(self._value(env, value)) for value in steps]
+        if 0 in strides:
+            raise InterpreterError(ZERO_STEP)
         axes = [range(low, high, stride)
                 for low, high, stride in zip(lowers, uppers, strides)]
         count = 1

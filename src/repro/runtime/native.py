@@ -45,14 +45,16 @@ in-process run is every dispatch's fallback, lives in
   run counts once however many times it dispatches the unit (a host loop
   around a span), so a unit that runs once never promotes; each
   lane-blocked corpus kernel makes exactly one dispatch per run;
-* at run time the function's generated code calls the region's
-  dispatcher (``_RegionHandle.dispatch``) directly.  In one pass it checks
-  the region's live-in scalars and ``MemRefStorage`` buffers against the
-  contract the C was specialized for and writes them zero-copy (data
-  pointers + shapes) into a pooled ctypes pack, which keeps the bounds it
-  carried last and rewrites them only when they change; it asks for the
-  aliasing intervals only while the licence below is still possible, calls
-  the compiled function, and folds the counters it returns
+* at run time the function's generated code calls the region's handle
+  (``_RegionHandle.dispatch``) directly, and the handle makes one C call:
+  ``run`` of the dispatcher extension (``_dispatch.c``, one hand-written
+  CPython extension that the toolchain probe builds into the artifact
+  cache once and imports) checks the region's live-in scalars and
+  ``MemRefStorage`` buffers against the contract the C was specialized
+  for, takes each buffer's data pointer and shape through the buffer
+  protocol (zero-copy), reads the iteration space, decides the licence
+  below and calls the compiled function with the interpreter lock
+  released.  The handle folds the counters it returns
   (work cycles — counted in C as int64 grid units, exact below 2^53 of
   them —, dynamic ops, global traffic) through the same
   accounting epilogues the compiled engine uses — so outputs *and*
@@ -76,8 +78,9 @@ Anything the emitter cannot translate — nested parallel constructs,
 dynamic-extent private allocas, recursion — falls back **per region** to
 the compiled closures, with the emitter's reason recorded on the plan
 (``engine.regions``); a missing or broken C
-toolchain degrades the whole engine to compiled execution (same graceful
-contract as the multicore engine on hosts without ``fork``).
+toolchain — no ``cc``, no ``-fopenmp``, no ``Python.h`` to build the
+dispatcher with — degrades the whole engine to compiled execution (same
+graceful contract as the multicore engine on hosts without ``fork``).
 """
 
 from __future__ import annotations
@@ -85,15 +88,18 @@ from __future__ import annotations
 import atexit
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import signal
+import struct
 import subprocess
+import sysconfig
 import tempfile
 import threading
-from math import prod
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -130,9 +136,6 @@ CC_ENV_VAR = "REPRO_CC"
 #: `K` holds int64 grid units, the counters are int64 and `W` becomes a
 #: double once per call.
 NATIVE_FORMAT = 7
-
-#: minimum iterations before a span is worth an OpenMP team.
-_MIN_PARALLEL_UNITS = 64
 
 #: the ``-O`` level of every unit's first build (tier 1) and of a
 #: lane-blocked unit's rebuild once it keeps running (tier 2).
@@ -175,19 +178,18 @@ _PROBE_LOCK = threading.Lock()
 #: raises one clear :class:`ToolchainError` instead of re-probing.
 _PROBE_RESULTS: Dict[Tuple[str, ...], Tuple[bool, str]] = {}
 
-_PROBE_SOURCE = """
-#include <omp.h>
-int repro_probe(void) {
-    int n = 0;
-    #pragma omp parallel for reduction(+:n)
-    for (int i = 0; i < 4; ++i) n += 1;
-    return n;
-}
-"""
+#: the dispatcher extension's source (module docstring), built by the probe.
+_DISPATCH_SOURCE = Path(__file__).with_name("_dispatch.c")
+_DISPATCH_MODULE = f"{__package__}._dispatch"
+
+#: ``_dispatch.run`` of the last probe that passed (``None`` before one):
+#: every ready unit was sealed after a probe passed.
+_run: Optional[Callable] = None
 
 
 def native_available() -> bool:
-    """Whether a working ``cc -fopenmp`` toolchain exists (probed once)."""
+    """Whether a working ``cc -fopenmp`` toolchain exists that also builds
+    the dispatcher against ``Python.h`` (probed once per command)."""
     return _probe_cached()[0]
 
 
@@ -224,8 +226,9 @@ def require_toolchain() -> None:
         raise toolchain_error()
 
 
-def _dlopen(path) -> ctypes.CDLL:
-    """Load a shared object linked with libgomp.  libgomp's default keeps a
+def _dlopen(path, load: Callable = ctypes.CDLL):
+    """Load a shared object linked with libgomp (``load(path)``: a unit's
+    library, or the dispatcher's import).  libgomp's default keeps a
     finished team's threads spinning, and a native run dispatches regions
     back to back: beside a request mix the spinning starves whatever else
     runs, a cold kernel's ``cc`` first (README, "it sets the wait policy").
@@ -233,37 +236,106 @@ def _dlopen(path) -> ctypes.CDLL:
     in ``os.environ`` — for the whole process and every child it starts,
     and for any other OpenMP runtime loaded after it.  libgomp reads the
     variable once, when it loads: if another library loaded it first, this
-    has no effect."""
+    has no effect.  A truncated ELF file raises OSError: mapping one can
+    kill the process with SIGBUS instead of failing the load."""
+    if _truncated(path):
+        raise OSError(f"{path}: truncated shared object")
     os.environ.setdefault("OMP_WAIT_POLICY", "passive")
-    return ctypes.CDLL(str(path))
+    return load(str(path))
+
+
+def _truncated(path) -> bool:
+    """Whether ``path`` is an ELF file cut short of its section header table,
+    the last thing the linker writes."""
+    with open(path, "rb") as handle:
+        header = handle.read(64)
+        size = os.fstat(handle.fileno()).st_size
+    if header[:4] != b"\x7fELF":
+        return False
+    wide = header[4:5] == b"\x02"
+    if len(header) < (64 if wide else 52):
+        return True
+    order = "<" if header[5:6] == b"\x01" else ">"
+    offset, = struct.unpack_from(order + ("Q" if wide else "I"), header, 40 if wide else 32)
+    entry, count = struct.unpack_from(order + "HH", header, 58 if wide else 46)
+    return size < offset + entry * count
+
+
+def _python_include() -> str:
+    """The directory holding ``Python.h`` for this interpreter."""
+    return sysconfig.get_path("include")
+
+
+def _dispatcher_argv(command: List[str]) -> List[str]:
+    """The ``cc`` command line that builds the dispatcher (output last)."""
+    return [*command, *compiler_flags(), f"-I{_python_include()}",
+            str(_DISPATCH_SOURCE), "-o"]
+
+
+def _dispatcher_key(argv: List[str]) -> str:
+    """The dispatcher artifact's key: its source, the interpreter's
+    extension ABI and the command line."""
+    hasher = hashlib.sha256()
+    hasher.update(f"dispatcher:{sysconfig.get_config_var('EXT_SUFFIX')}\n".encode())
+    hasher.update(" ".join(argv).encode())
+    hasher.update(b"\x00")
+    hasher.update(_DISPATCH_SOURCE.read_bytes())
+    return hasher.hexdigest()
+
+
+def _import_dispatcher(path):
+    """The dispatcher module at ``path`` (ImportError when it does not load)."""
+    loader = importlib.machinery.ExtensionFileLoader(_DISPATCH_MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(_DISPATCH_MODULE, str(path),
+                                                  loader=loader)
+    return _dlopen(path, lambda _: importlib.util.module_from_spec(spec))
+
+
+def _build_dispatcher(argv: List[str], output) -> None:
+    try:
+        completed = subprocess.run([*argv, str(output)], capture_output=True,
+                                   timeout=PUBLISH_TIMEOUT_S)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise ToolchainError(f"probe invocation failed: {exc}") from None
+    if completed.returncode != 0:
+        stderr = completed.stderr.decode(errors="replace").strip()[:2000]
+        raise ToolchainError(f"probe compile exited {completed.returncode}: {stderr}",
+                             detail=stderr, transient=False)
 
 
 def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
+    """Build (or find in the artifact cache), import and run the dispatcher:
+    a host without ``cc``, ``-fopenmp`` or ``Python.h`` fails here.  A
+    cached dispatcher that does not import is dropped and rebuilt once."""
+    global _run
     if not command or shutil.which(command[0]) is None:
         name = command[0] if command else "<empty>"
         return False, f"C compiler {name!r} not found on PATH"
-    with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as temp:
-        source = os.path.join(temp, "probe.c")
-        output = os.path.join(temp, "probe.so")
-        with open(source, "w") as handle:
-            handle.write(_PROBE_SOURCE)
+    argv = _dispatcher_argv(command)
+    key = _dispatcher_key(argv)
+    cache = global_native_cache()
+    path, module = cache.lookup(key), None
+    if path is not None:
         try:
-            completed = subprocess.run(
-                [*command, *compiler_flags(), source, "-o", output],
-                capture_output=True, timeout=60)
-        except (OSError, subprocess.SubprocessError) as exc:
-            return False, f"probe invocation failed: {exc}"
-        if completed.returncode != 0:
-            stderr = completed.stderr.decode(errors="replace").strip()
-            return False, (f"probe compile exited {completed.returncode}: "
-                           f"{stderr[:2000]}")
+            module = _import_dispatcher(path)
+        except (ImportError, OSError):
+            cache.invalidate(key)
+            resilience.record_event(
+                "cache.read", "fallback", "CacheCorruptionError",
+                f"corrupt dispatcher artifact {key[:12]}…; rebuilding", engine="native")
+    if module is None:
         try:
-            library = _dlopen(output)
-        except OSError as exc:
-            return False, f"probe dlopen failed: {exc}"
-        if int(library.repro_probe()) != 4:
-            return False, "probe ran but returned an unexpected result"
-        return True, ""
+            module = _import_dispatcher(
+                _store(cache, key, lambda output: _build_dispatcher(argv, output)))
+        except ToolchainError as exc:
+            return False, str(exc)
+        except (ImportError, OSError) as exc:
+            return False, f"dispatcher import failed: {exc}"
+    if module.probe() != 4:
+        return False, "probe ran but returned an unexpected result"
+    cache.pin(key)
+    _run = module.run
+    return True, ""
 
 
 _TEMP_ARTIFACT_LOCK = threading.Lock()
@@ -285,6 +357,34 @@ def _discard_temp_artifacts() -> None:
 
 
 atexit.register(_discard_temp_artifacts)
+
+
+def _store(cache, key: str, build: Callable):
+    """Publish ``build(output)``'s artifact under ``key`` and return its path.
+    When the cache cannot publish (disk full, injected ``cache.write``
+    fault) the artifact is built into an unpublished per-process temp
+    ``.so`` instead — only warm starts lose it.  A failed build raises
+    :class:`ToolchainError`."""
+    try:
+        return cache.store(key, build)
+    except subprocess.SubprocessError as exc:
+        raise ToolchainError(f"native compile failed: {exc}", detail=str(exc)) from None
+    except OSError as exc:
+        resilience.record_event(
+            "cache.write", "fallback", type(exc).__name__,
+            "native artifact unpublished; building temp .so", engine="native")
+    fd, temp_so = tempfile.mkstemp(prefix="repro-native-", suffix=".so")
+    os.close(fd)
+    try:
+        build(temp_so)
+    except ToolchainError:
+        _unlink_quietly(temp_so)
+        raise
+    except (OSError, subprocess.SubprocessError) as exc:
+        _unlink_quietly(temp_so)
+        raise ToolchainError(f"native compile failed: {exc}", detail=str(exc)) from None
+    _register_temp_artifact(temp_so)
+    return temp_so
 
 
 def unit_key(source: str) -> str:
@@ -370,7 +470,8 @@ class NativeUnit:
         #: every library the unit loaded: the tier-1 one stays referenced
         #: after the swap, since a dispatch may still be inside it.
         self.libraries: List[ctypes.CDLL] = []
-        self.functions: Dict[str, object] = {}
+        #: symbol -> the address of its region function (the region ABI).
+        self.functions: Dict[str, int] = {}
         self.key: Optional[str] = None
         self.source: Optional[str] = None
         #: the ``-O`` level the functions were built at (``None`` until ready).
@@ -481,16 +582,11 @@ class NativeUnit:
         self._install(cache, key, library, functions, PROMOTED_LEVEL)
         return True
 
-    def _bind(self, library) -> Dict[str, object]:
-        """The unit's region functions in ``library`` (AttributeError when
-        one is missing)."""
-        functions = {}
-        for symbol in self.symbols:
-            function = getattr(library, symbol)
-            function.restype = None
-            function.argtypes = _ARGTYPES
-            functions[symbol] = function
-        return functions
+    def _bind(self, library) -> Dict[str, int]:
+        """The addresses of the unit's region functions in ``library``
+        (AttributeError when one is missing)."""
+        return {symbol: ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+                for symbol in self.symbols}
 
     def _install(self, cache, key: str, library, functions, level: str) -> None:
         cache.pin(key)
@@ -525,31 +621,9 @@ class NativeUnit:
                 engine="native")
 
         try:
-            return cache.store(self.key, build), None
+            return _store(cache, self.key, build), None
         except ToolchainError as exc:
             return None, exc
-        except subprocess.SubprocessError as exc:
-            return None, ToolchainError(f"native compile failed: {exc}",
-                                        detail=str(exc))
-        except OSError as exc:
-            resilience.record_event(
-                "cache.write", "fallback", type(exc).__name__,
-                "native artifact unpublished; building temp .so",
-                engine="native")
-            fd, temp_so = tempfile.mkstemp(prefix="repro-native-",
-                                           suffix=".so")
-            os.close(fd)
-            try:
-                build(temp_so)
-            except ToolchainError as exc2:
-                _unlink_quietly(temp_so)
-                return None, exc2
-            except (OSError, subprocess.SubprocessError) as exc2:
-                _unlink_quietly(temp_so)
-                return None, ToolchainError(
-                    f"native compile failed: {exc2}", detail=str(exc2))
-            _register_temp_artifact(temp_so)
-            return temp_so, None
 
     @staticmethod
     def _load(path):
@@ -707,17 +781,6 @@ os.register_at_fork(after_in_child=_new_promoter_in_child)
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
-#: the region ABI (``codegen_c``): eight arrays, ``total``, ``mode`` and
-#: ``width`` by value, two output arrays.  Arrays travel as addresses of
-#: pack members.
-_ARGTYPES = ((ctypes.c_void_p,) * 8 + (ctypes.c_int64,) * 3
-             + (ctypes.c_void_p,) * 2)
-
-#: a writable buffer's address through the buffer protocol: a quarter of
-#: ``ndarray.ctypes.data``, which builds a wrapper object per access.
-_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
-
-
 def _region_error(code: int) -> InterpreterError:
     """The engine error for a nonzero native error code (codes combine
     across OpenMP threads with a ``max`` reduction, so they stay semantic)."""
@@ -726,165 +789,102 @@ def _region_error(code: int) -> InterpreterError:
     return InterpreterError(f"native region failed (code {code})")
 
 
-def _reader(slots) -> Callable:
-    """``regs`` -> the sequence of its values at ``slots``, read in C (a
-    slice of ``regs`` for one slot or none)."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    start = slots[0] if slots else 0
-    return itemgetter(slice(start, start + len(slots)))
+#: the refusal ``_dispatch.run`` returns, by its code (``REFUSE_*`` there):
+#: a scalar that does not convert or fit in int64 (or a buffer slot holding
+#: no ``MemRefStorage``), then the buffer checks in the order it makes them,
+#: then a zero step, which the base plan raises on.
+_REFUSALS = ("scalar", "freed", "dtype", "rank", "layout", "space", "read-only", "step")
+
+_FORMATS: Dict[np.dtype, Tuple[bytes, ...]] = {}
 
 
-class _Refused(Exception):
-    """A live-in broke the contract the C was specialized for (the reason)."""
+def _formats(dtype: np.dtype) -> Tuple[bytes, ...]:
+    """The buffer formats of the arrays whose dtype equals ``dtype``
+    (``int64`` exports as ``l`` or ``q``; a non-native byte order as
+    neither)."""
+    formats = _FORMATS.get(dtype)
+    if formats is None:
+        found = set()
+        for code in np.typecodes["All"]:
+            for order in "<>=":
+                try:
+                    candidate = np.dtype(order + code)
+                    if candidate == dtype:
+                        found.add(memoryview(np.empty(0, candidate)).format.encode())
+                except (TypeError, ValueError):
+                    continue
+        formats = _FORMATS[dtype] = tuple(sorted(found))
+    return formats
+
+
+class _Contract(NamedTuple):
+    """What ``_dispatch.run`` checks a dispatch's live-ins against, and the
+    constants it passes on (its layout is ``_dispatch.c``'s)."""
+
+    storage: type
+    #: ``K`` of the region ABI: the machine's charges in grid units, int64.
+    costs: bytes
+    #: iterations a licensed dispatch advances per step.
+    width: int
+    #: the dims whose extent must be 1 for the licence, or ``None`` when the
+    #: store analysis rejected it outright.
+    required: Optional[Tuple[int, ...]]
+    ints: Tuple[int, ...]
+    floats: Tuple[int, ...]
+    #: the lower, upper and step slots, one flat tuple.
+    bounds: Tuple[int, ...]
+    #: per buffer: (slot, accepted formats, rank, memory space, stored).
+    buffers: Tuple[Tuple[int, Tuple[bytes, ...], int, str, bool], ...]
+    #: the buffer pairs an alias could race: one of the two is stored.
+    pairs: Tuple[Tuple[int, int], ...]
 
 
 class _RegionHandle:
     """One native region's runner (:meth:`dispatch`): the live-in contract
-    its C code was specialized for, a pool of ctypes packs, and the shell's
-    accounting and in-process ``base`` run."""
+    its C code was specialized for, and the shell's accounting and
+    in-process ``base`` run."""
 
     def __init__(self, unit: NativeUnit, spec, required_dims, region: _Region,
                  program) -> None:
         self.unit = unit
-        self.spec = spec
         self.symbol = spec.symbol
-        #: the machine's charges in grid units, packed once (``K`` of the
-        #: region ABI).  A charge off the grid raises UnsupportedRegion, which
-        #: refuses the region by name where the cast would truncate it.
-        self.costs = (ctypes.c_int64 * max(1, len(spec.costs)))(
-            *map(grid_units, spec.costs))
-        #: iterations a licensed dispatch advances per step.
         self.width = spec.width
-        #: the extents of the dims that must be 1 for the licence, or ``None``
-        #: when the store analysis rejected it outright.
-        self.required = None if required_dims is None else _reader(required_dims)
-        self.singletons = (1,) * len(required_dims or ())
-        self.ints = _reader(spec.int_slots)
-        self.floats = _reader(spec.float_slots)
-        self.buffers = tuple((buf.slot, np.dtype(buf.dtype), buf.rank, buf.space,
-                              buf.stored) for buf in spec.buffers)
-        #: the buffer pairs an alias could race: one of the two is stored.
-        self.pairs = tuple((first, second)
-                           for first, one in enumerate(spec.buffers)
-                           for second, other in enumerate(spec.buffers)
-                           if first < second and (one.stored or other.stored))
-        #: the lower, upper and step bounds, read as one flat tuple.
-        self.bounds = _reader([slot for slots in region.bounds for slot in slots])
+        buffers = spec.buffers
+        # a charge off the grid raises UnsupportedRegion, which refuses the
+        # region by name where the int64 would truncate it.
+        self.contract = _Contract(
+            MemRefStorage,
+            np.array([grid_units(cost) for cost in spec.costs], dtype=np.int64).tobytes(),
+            spec.width, required_dims, tuple(spec.int_slots), tuple(spec.float_slots),
+            tuple(slot for slots in region.bounds for slot in slots),
+            tuple((buf.slot, _formats(np.dtype(buf.dtype)), buf.rank, buf.space, buf.stored)
+                  for buf in buffers),
+            tuple((first, second)
+                  for first, one in enumerate(buffers)
+                  for second, other in enumerate(buffers)
+                  if first < second and (one.stored or other.stored)))
         self.base, self.count, self.finish = region.base, region.count, region.finish
         self.stats = program.native_stats
         self.tally = program.bailouts.setdefault(id(region.plan), {})
-        #: free packs.  Programs are cached on the module and shared by the
-        #: daemon's handler threads: ``list.pop`` / ``append`` are atomic, so
-        #: a pack is in one dispatch at a time and the pool grows to one pack
-        #: per concurrently dispatching thread.
-        self.pool: List[Tuple] = []
-
-    def _new_pack(self) -> Tuple:
-        """The ctypes arrays of one dispatch, allocated once, each as long as
-        what the dispatch writes into it: the nine the dispatch writes or
-        reads, then their addresses in ABI order around ``total`` and
-        ``mode`` (the pack owns the arrays, so they stay valid), then the
-        iteration space the pack carries (``_space``; none yet)."""
-        spec, i64, f64 = self.spec, ctypes.c_int64, ctypes.c_double
-        li, lf, lp, ls, lbs, steps, lens, outf, outi = arrays = [
-            (ctype * length)() for ctype, length in (
-                (i64, len(spec.int_slots)), (f64, len(spec.float_slots)),
-                (ctypes.c_void_p, len(spec.buffers)),
-                (i64, sum(buf.rank for buf in spec.buffers)),
-                (i64, spec.num_dims), (i64, spec.num_dims),
-                (i64, spec.num_dims), (f64, 2), (i64, 2))]
-        head = tuple(map(ctypes.addressof, (li, lf, self.costs, lp, ls, lbs,
-                                            steps, lens)))
-        return (*arrays, head, tuple(map(ctypes.addressof, (outf, outi))),
-                [(None,)])
 
     def dispatch(self, state, regs) -> None:
         """Run the region natively, or refuse and run its ``base`` plan.
 
-        One pass checks the live-ins against the contract the C was
-        specialized for — the scalars, then each buffer, in a fixed order of
-        checks — and writes them zero-copy into a pooled pack; the first
-        failure names the refusal.  A writable buffer's address comes from
-        the buffer protocol, a read-only or zero-size one (which it refuses)
-        from ``ndarray.ctypes.data``.  ``unit.functions`` is read on every
-        dispatch, so a tier-2 swap takes effect at the next one."""
+        One C call (``_dispatch.run``) checks the live-ins against the
+        contract the C was specialized for and, when they keep it, runs the
+        region's function on them zero-copy with the interpreter lock
+        released; the first failed check names the refusal.
+        ``unit.functions`` is read on every dispatch, so a tier-2 swap takes
+        effect at the next one."""
         unit = self.unit
         if unit.status != "ready" and not unit.ready():
             # a unit first met mid-run that failed to seal: this run stays on
             # the bit-identical base plan, the next strict run raises.
             return self._refuse("unit not ready", state, regs)
-        pool = self.pool
-        try:
-            pack = pool.pop()
-        except IndexError:
-            pack = self._new_pack()
-        li, lf, pointers, shapes, _, _, _, outf, outi, head, tail, carried = pack
-        reason = None
-        try:
-            try:
-                li[:] = self.ints(regs)
-                lf[:] = self.floats(regs)
-            except TypeError:
-                # not an int / float as such: convert as the base plan does
-                try:
-                    li[:] = [int(value) for value in self.ints(regs)]
-                    lf[:] = [float(value) for value in self.floats(regs)]
-                except (TypeError, ValueError):
-                    raise _Refused("scalar") from None
-            extents: List[int] = []
-            for index, (slot, dtype, rank, space, stored) in enumerate(
-                    self.buffers):
-                storage = regs[slot]
-                if not isinstance(storage, MemRefStorage):
-                    raise _Refused("scalar")
-                if storage.freed:
-                    raise _Refused("freed")
-                array = storage.array
-                if array.dtype != dtype:
-                    raise _Refused("dtype")
-                if array.ndim != rank:
-                    raise _Refused("rank")
-                flags = array.flags
-                if not flags.c_contiguous:
-                    raise _Refused("layout")
-                if storage.memory_space != space:
-                    raise _Refused("space")
-                writeable = flags.writeable
-                if stored and not writeable:
-                    raise _Refused("read-only")
-                pointers[index] = (_addressof(_from_buffer(array))
-                                   if writeable and array.size
-                                   else array.ctypes.data)
-                extents += array.shape
-            shapes[:] = extents
-            bounds = self.bounds(regs)
-            space = carried[0]
-            if space[0] != bounds:
-                space = self._space(pack, bounds)
-            _, lengths, total = space
-            # the licence to reorder iterations — across a team's chunks or
-            # the lanes of a block — is the store-safety proof holding for
-            # these live-ins.  The team also needs enough units to amortize
-            # it; without the licence the plain path runs one lane at a time,
-            # the sequential order, and carries no OpenMP directive.  A
-            # one-lane span too small for a team has no use for the licence.
-            required = self.required
-            width = self.width
-            licensed = (required is not None
-                        and (width > 1 or total >= _MIN_PARALLEL_UNITS)
-                        and required(lengths) == self.singletons
-                        and not self._overlapping(regs, pointers))
-            unit.functions[self.symbol](
-                *head, total, licensed and total >= _MIN_PARALLEL_UNITS,
-                width if licensed else 1, *tail)
-            work, global_bytes, ops, error = outf[0], outf[1], outi[0], outi[1]
-        except _Refused as refused:
-            reason, = refused.args
-        finally:
-            pool.append(pack)
-        if reason is not None:
-            return self._refuse(reason, state, regs)
+        result = _run(unit.functions[self.symbol], self.contract, regs)
+        if result.__class__ is int:
+            return self._refuse(_REFUSALS[result], state, regs)
+        work, global_bytes, ops, error, total = result
         self.count(state)
         if error:
             raise _region_error(error)
@@ -896,46 +896,12 @@ class _RegionHandle:
         report.global_bytes += global_bytes
         self.finish(state, total, work)
 
-    @staticmethod
-    def _space(pack, bounds) -> Tuple:
-        """Write the iteration space of ``bounds`` into ``pack``, which
-        carries it until other bounds come: ``(bounds, extents, total)``."""
-        dims = len(bounds) // 3
-        parts = bounds[:dims], bounds[dims:-dims], bounds[-dims:]
-        try:
-            lengths = tuple(map(len, map(range, *parts)))
-        except TypeError:
-            # a bound that is not an int as such: int() it, as the base does
-            parts = [list(map(int, part)) for part in parts]
-            lengths = tuple(map(len, map(range, *parts)))
-        _, _, _, _, rlb, rst, rlen, _, _, _, _, carried = pack
-        rlb[:], rst[:], rlen[:] = parts[0], parts[2], lengths
-        space = carried[0] = (bounds, lengths, prod(lengths))
-        return space
-
     def _refuse(self, reason: str, state, regs) -> None:
         """Count a refused dispatch under its reason; run the base plan."""
         self.stats["bailouts"] += 1
         tally = self.tally
         tally[reason] = tally.get(reason, 0) + 1
         self.base(state, regs)
-
-    def _overlapping(self, regs, pointers) -> bool:
-        """True if any written buffer overlaps another live-in buffer.
-
-        The store-safety analysis proves injectivity per buffer; two
-        *aliasing* live-ins would let a store through one race a load
-        through the other across OpenMP threads, so aliasing runs force
-        the sequential path (which is exact for any aliasing).
-        """
-        starts = pointers[:]
-        stops = [start + regs[slot].array.nbytes
-                 for start, (slot, *_) in zip(starts, self.buffers)]
-        for first, second in self.pairs:
-            start, stop = starts[first], stops[first]
-            if start != stop and start < stops[second] and starts[second] < stop:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -240,18 +240,16 @@ class TestArgumentContracts:
         native = engines["NativeEngine"]
         if not native.native_stats["units_ready"]:
             pytest.skip("no working cc -fopenmp")
-        modes = []
+        from tests.region_spy import RegionSpy
+
+        spy = RegionSpy()
         for unit in native._program.native_units:
-            for symbol, function in list(unit.functions.items()):
-                def spy(*arguments, _function=function):
-                    modes.append((arguments[9], arguments[10]))
-                    return _function(*arguments)
-                unit.functions[symbol] = spy
+            spy.wrap(unit)
         native.run("launch", aliased())
         distinct = aliased()
         distinct[0] = np.zeros(n, dtype=np.float32)
         native.run("launch", distinct)
-        assert modes == [(0, 1), (1, width)]
+        assert [(mode, width) for _, mode, width in spy.calls] == [(0, 1), (1, width)]
         assert [region["width"] for region in native.regions] == [width]
 
     @pytest.mark.parametrize("engine", engine_names())

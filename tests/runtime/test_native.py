@@ -44,6 +44,7 @@ from repro.runtime import (
 from repro.runtime.cache import NativeArtifactCache
 from repro.runtime.codegen_c import LANES
 from repro.runtime.compiler import UNLOWERED
+from repro.runtime.errors import ZERO_STEP
 from repro.runtime.memory import MemRefStorage
 from repro.runtime.native import CC_ENV_VAR, unit_key
 from repro.transforms import PipelineOptions
@@ -95,6 +96,10 @@ def _in_strided(arguments):
 
 def _in_shared(arguments):
     arguments[1] = MemRefStorage(arguments[1], "shared")
+
+
+def _in_big_endian(arguments):
+    arguments[1] = arguments[1].astype(">f4")
 
 
 def _out_read_only(arguments):
@@ -369,6 +374,7 @@ class TestDispatchBailouts:
     @needs_cc
     @pytest.mark.parametrize("source, faults, reason, raises", [
         (QUICK_CUDA, [_in_as_float64], "dtype", None),
+        (QUICK_CUDA, [_in_big_endian], "dtype", None),
         (QUICK_CUDA, [_in_as_matrix], "rank", None),
         (QUICK_CUDA, [_in_strided], "layout", None),
         (QUICK_CUDA, [_in_shared], "space", None),
@@ -378,7 +384,7 @@ class TestDispatchBailouts:
         # the refusal whatever ``out``'s is
         (QUICK_CUDA, [_out_read_only, _in_as_float64], "dtype", ValueError),
         (QUICK_CUDA, [_out_as_float64, _in_shared], "space", None),
-    ], ids=["dtype", "rank", "layout", "space", "read-only", "scalar",
+    ], ids=["dtype", "big-endian", "rank", "layout", "space", "read-only", "scalar",
             "first-of-two-dtype", "first-of-two-space"])
     def test_each_refusal_keeps_its_reason(self, source, faults, reason, raises):
         """The live-ins a test can hand ``launch(out, in, n)`` that break the
@@ -389,7 +395,7 @@ class TestDispatchBailouts:
         engine = NativeEngine(module)
         engine.run("launch", _quick_args())
         handle, = engine._program.handles.values()
-        assert [slot for slot, *_ in handle.buffers] == [1, 0]
+        assert [slot for slot, *_ in handle.contract.buffers] == [1, 0]
         arguments = _quick_args()
         for fault in faults:
             fault(arguments)
@@ -455,60 +461,88 @@ class TestDispatchBailouts:
         assert engine.native_stats["native_dispatches"] == 1
 
     @needs_cc
-    def test_the_pack_holds_each_buffers_data_pointer(self):
-        """What the C reads as its buffers' addresses is ``ndarray.ctypes.data``
-        of each: a writable offset view's through the buffer protocol, a
-        read-only input's through numpy's own wrapper."""
-        import ctypes
+    def test_c_receives_each_buffers_data_pointer(self):
+        """The address C receives for each buffer is ``ndarray.ctypes.data``
+        of its array: a writable offset view's and a read-only input's."""
+        from tests.region_spy import RegionSpy
 
         engine = NativeEngine(_lowered(QUICK_CUDA))
         engine.run("launch", _quick_args())
         handle, = engine._program.handles.values()
-        functions = handle.unit.functions
-        seen = []
-        for symbol, function in list(functions.items()):
-            def spy(*arguments, _function=function):
-                pointers = (ctypes.c_void_p * len(handle.buffers)).from_address(
-                    arguments[3])
-                seen.append(list(pointers))
-                return _function(*arguments)
-            functions[symbol] = spy
+        buffers = handle.contract.buffers
+        spy = RegionSpy()
+        spy.wrap(handle.unit, buffers=len(buffers))
         out = np.zeros(80, dtype=np.float32)[3:67]
         data = np.random.default_rng(5).random(64).astype(np.float32)
         data.setflags(write=False)
         engine.run("launch", [out, data, 64])
         by_slot = {0: out, 1: data}
-        assert seen == [[by_slot[slot].ctypes.data for slot, *_ in handle.buffers]]
+        assert spy.pointers == [[by_slot[slot].ctypes.data for slot, *_ in buffers]]
         np.testing.assert_array_equal(out, data * np.float32(2.0) + np.float32(1.0))
+
+    @needs_cc
+    def test_an_int_outside_int64_refuses_as_scalar(self):
+        """``bad`` = 2**64 + 196 does not fit the C's int64: the dispatch
+        refuses it as ``scalar`` and the base plan runs on the real value,
+        equal to ``interp`` on every engine (196, wrapped to 64 bits, would
+        hit the last iteration's zero step)."""
+        case = (0, 13, 1, 5, 2**64 + 196)
+        engine = NativeEngine(_grid_module()[0])
+        engine.run("main", _grid_args(case))
+        region, = engine.regions
+        assert region["bailouts"] == {"scalar": 1}
+        _assert_engines_match_interp(_grid_module()[0], case)
+
+    @pytest.mark.parametrize("case, stored", [
+        ((0, 13, 0, 5, -1), None), ((13, 0, -1, 5, -1), 65), ((0, 13, -1, 5, -1), 0)],
+        ids=["zero", "negative", "negative-empty"])
+    def test_a_span_step_of_any_sign_runs_like_interp(self, case, stored):
+        """A zero step on a parallel span raises one typed error on every
+        engine (the native dispatch refuses it as ``step``, so C never
+        divides by it); a negative one keeps ``range``'s semantics."""
+        got = _assert_engines_match_interp(_grid_module()[0], case)
+        if stored is None:
+            assert got == InterpreterError(ZERO_STEP).args
+        else:
+            assert int((got != -7).sum()) == stored
+        if HAVE_CC and stored is None:
+            engine = NativeEngine(_grid_module()[0])
+            with pytest.raises(InterpreterError, match=ZERO_STEP):
+                engine.run("main", _grid_args(case))
+            region, = engine.regions
+            assert region["bailouts"] == {"step": 1}
 
 
 class TestWarmPathGuard:
     """The Python work of one warm native run, counted instead of timed, so a
-    change that adds per-dispatch work fails on any host: the Python-level
-    calls (``sys.setprofile``) of one warm ``NativeEngine.run`` of three
-    small Rodinia kernels, whose runs are mostly that work, and the
-    construction of numpy's ``ndarray.ctypes`` wrapper, which a writable
-    buffer's address never needs."""
+    change that adds per-dispatch work fails on any host: the calls of
+    Python functions and of builtins (``sys.setprofile``) in one warm
+    ``NativeEngine.run`` of three small Rodinia kernels, whose runs are
+    mostly that work, and the construction of numpy's ``ndarray.ctypes``
+    wrapper, which no buffer's address needs."""
 
-    #: Python-level calls of one warm scale-1 run: the run shell, argument
-    #: wrapping, the generated host code and one dispatch with its
+    #: calls of one warm scale-1 run (and of the ``lambda`` that makes it):
+    #: the run shell, argument wrapping, the generated host code and one
+    #: dispatch (one builtin call, the dispatcher's ``run``) with its
     #: accounting.  Upper bounds, at the counts they were pinned at.
-    CALLS = {"nw": 19, "lud": 16, "bfs": 25}
+    CALLS = {"nw": 38, "lud": 32, "bfs": 45}
 
     @staticmethod
-    def _profiled(engine, entry, arguments):
-        """(Python-level calls, ``ndarray.ctypes`` wrappers built) of one run."""
+    def _profiled(run):
+        """(calls, ``ndarray.ctypes`` wrappers built) of ``run()``."""
         wrapper = type(np.empty(1).ctypes).__init__.__code__
         calls, wrappers = [], []
 
         def profile(frame, event, arg):
-            if event == "call":
+            if event == "c_call":
+                calls.append(arg.__qualname__)
+            elif event == "call":
                 calls.append(frame.f_code.co_name)
                 if frame.f_code is wrapper:
                     wrappers.append(frame)
         sys.setprofile(profile)
         try:
-            engine.run(entry, arguments)
+            run()
         finally:
             sys.setprofile(None)
         return calls, len(wrappers)
@@ -519,22 +553,26 @@ class TestWarmPathGuard:
         bench = BENCHMARKS[name]
         engine = NativeEngine(bench.compile_cuda())
         engine.run(bench.entry, bench.make_inputs(1))
-        calls, wrappers = self._profiled(engine, bench.entry, bench.make_inputs(1))
+        arguments = bench.make_inputs(1)
+        calls, wrappers = self._profiled(lambda: engine.run(bench.entry, arguments))
         assert len(calls) <= self.CALLS[name], calls
         assert wrappers == 0
         assert engine.native_stats["bailouts"] == 0
         assert engine.native_stats["native_dispatches"] == 2
 
     @needs_cc
-    def test_a_read_only_input_builds_the_wrapper(self):
-        """The counter sees the wrapper: ``nw``'s read-only ``reference``
-        takes ``ndarray.ctypes.data``, once."""
+    def test_a_read_only_input_builds_no_wrapper(self):
+        """The counter sees the wrapper (built here once, outside the run),
+        and a read-only input — ``nw``'s ``reference`` — is taken through
+        the buffer protocol like any other, with no wrapper."""
         bench = BENCHMARKS["nw"]
         engine = NativeEngine(bench.compile_cuda())
         engine.run(bench.entry, bench.make_inputs(1))
         arguments = bench.make_inputs(1)
         arguments[1].setflags(write=False)
-        _, wrappers = self._profiled(engine, bench.entry, arguments)
+        calls, wrappers = self._profiled(lambda: engine.run(bench.entry, arguments))
+        assert wrappers == 0 and len(calls) <= self.CALLS["nw"]
+        _, wrappers = self._profiled(lambda: arguments[1].ctypes.data)
         assert wrappers == 1
         assert engine.native_stats["bailouts"] == 0
 
@@ -589,28 +627,23 @@ def _chained(builder, value):
     return loop.results[0]
 
 
-def _spy_dispatches(plain=()):
-    """Wrap every native function sealed from now on; return the list each
-    call appends its ``(total, mode, width)`` to.  While ``plain`` is
-    non-empty a call runs with ``mode`` 0 and ``width`` 1, the sequential
-    plain path."""
+def _spy_dispatches():
+    """Route every native function sealed from now on through a
+    :class:`~tests.region_spy.RegionSpy` and return it: its ``calls`` are
+    each call's ``(total, mode, width)``; while its ``plain`` is set a call
+    runs with ``mode`` 0 and ``width`` 1, the sequential plain path."""
     from repro.runtime import native
+    from tests.region_spy import RegionSpy
 
-    modes = []
+    spy = RegionSpy()
     seal = native.NativeUnit._seal
 
     def spying_seal(unit):
         seal(unit)
-        for symbol, function in list(unit.functions.items()):
-            def call(*arguments, function=function):
-                modes.append((arguments[8], bool(arguments[9]), arguments[10]))
-                if plain:
-                    arguments = (*arguments[:9], 0, 1, *arguments[11:])
-                function(*arguments)
-            unit.functions[symbol] = call
+        spy.wrap(unit)
 
     native.NativeUnit._seal = spying_seal
-    return modes
+    return spy
 
 
 def _mode_soak():
@@ -620,7 +653,7 @@ def _mode_soak():
     it is a one-lane span, and every dispatch passes ``width`` 1."""
     from repro.analysis.region import RegionPlans
 
-    modes = _spy_dispatches()
+    spy = _spy_dispatches()
     proven, span = _row_module()
     assert RegionPlans(proven).plan(span).parallel_proof == frozenset({1})
     unproven, span = _row_module(through_call=True)
@@ -640,7 +673,7 @@ def _mode_soak():
         interp.run("main", expected)
         engine = NativeEngine(module)   # a module's program, and stats, are shared
         engine.run("main", got)
-        assert modes[-1] == (hi * hj, team, 1), (name, modes[-1])
+        assert spy.calls[-1] == (hi * hj, team, 1), (name, spy.calls[-1])
         np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
         assert report_fields(engine.report) == report_fields(interp.report), name
     for module, dispatches in ((proven, 4), (unproven, 1)):
@@ -681,6 +714,37 @@ def _grid_module():
     return module, span
 
 
+def _grid_args(case):
+    """:func:`_grid_module`'s arguments for ``case`` = ``(lo, hi, st, hj, bad)``."""
+    return [np.full((48, 8), -7, dtype=np.int64), np.arange(48, dtype=np.int64), *case]
+
+
+def _assert_engines_match_interp(module, case):
+    """Run :func:`_grid_module` ``case`` on every engine: each stores what
+    ``interp`` stores and reports its CostReport, or raises its error.
+    Returns ``interp``'s outputs, or its error's args."""
+    from repro.runtime import engine_names, make_executor
+
+    def run(engine):
+        arguments = _grid_args(case)
+        executor = make_executor(module, engine=engine)
+        try:
+            executor.run("main", arguments)
+        except InterpreterError as exc:
+            return exc.args
+        return arguments[0], report_fields(executor.report)
+
+    expected = run("interp")
+    for engine in engine_names():
+        got = run(engine)
+        if isinstance(expected[0], str):
+            assert got == expected, engine
+        else:
+            np.testing.assert_array_equal(got[0], expected[0], err_msg=engine)
+            assert got[1] == expected[1], engine
+    return expected if isinstance(expected[0], str) else expected[0]
+
+
 #: ``(name, lo, hi, st, hj, bad)`` of :func:`_chunk_soak`; ``bad`` is the
 #: value of the last iteration in row-major order, or -1 for none.
 CHUNK_CASES = (
@@ -704,8 +768,7 @@ def _chunk_soak():
     path's instead."""
     from repro.analysis.region import RegionPlans
 
-    plain = []
-    modes = _spy_dispatches(plain)
+    spy = _spy_dispatches()
     module, span = _grid_module()
     assert RegionPlans(module).plan(span).parallel_proof == frozenset()
 
@@ -724,15 +787,15 @@ def _chunk_soak():
         got, error, report = run(NativeEngine(module), case)
         lo, hi, st, hj, _ = case
         units = len(range(lo, hi, st)) * hj
-        assert modes[-1] == (units, units >= 64, LANES), (name, modes[-1])
+        assert spy.calls[-1] == (units, units >= 64, LANES), (name, spy.calls[-1])
         np.testing.assert_array_equal(got, expected, err_msg=name)
         assert error == expected_error, (name, error)
         if error is None:
             assert report == expected_report, name
         else:
-            plain.append(True)
+            spy.plain = True
             assert run(NativeEngine(module), case)[1:] == (error, report), name
-            plain.clear()
+            spy.plain = False
 
 
 def _guarded_module():
@@ -791,8 +854,7 @@ def _lane_soak():
     ``a``: a load run on one of them would fault this process."""
     from repro.analysis.region import RegionPlans
 
-    plain = []
-    modes = _spy_dispatches(plain)
+    spy = _spy_dispatches()
     module, span = _grid_module()
     assert RegionPlans(module).plan(span).parallel_proof == frozenset()
 
@@ -811,12 +873,12 @@ def _lane_soak():
         units = len(range(lo, hi, st)) * hj
         expected, expected_error, expected_report = run(Interpreter(module), case)
         got, error, report = run(NativeEngine(module), case)
-        assert modes[-1] == (units, units >= 64, LANES), (name, modes[-1])
+        assert spy.calls[-1] == (units, units >= 64, LANES), (name, spy.calls[-1])
         assert error == expected_error, (name, error)
         if error is not None:
-            plain.append(True)
+            spy.plain = True
             sequential, _, expected_report = run(NativeEngine(module), case)
-            plain.clear()
+            spy.plain = False
             if bad != 16 * (hi - 1) + hj - 1:
                 expected = sequential
         np.testing.assert_array_equal(got, expected, err_msg=name)
@@ -836,7 +898,7 @@ def _lane_soak():
         interp.run("main", expected)
         engine = NativeEngine(guarded)
         engine.run("main", got)
-        assert modes[-1] == (n, n >= 64, LANES), (n, modes[-1])
+        assert spy.calls[-1] == (n, n >= 64, LANES), (n, spy.calls[-1])
         np.testing.assert_array_equal(got[0], expected[0], err_msg=str(n))
         assert report_fields(engine.report) == report_fields(interp.report), n
 
@@ -849,11 +911,11 @@ def _affinity_soak():
     the user chose a policy."""
     import threading
 
-    modes = _spy_dispatches()
+    spy = _spy_dispatches()
     module, _ = _grid_module()
     NativeEngine(module).run("main", [np.zeros((48, 8), dtype=np.int64),
                                       np.arange(48, dtype=np.int64), 0, 16, 1, 4, -1])
-    assert modes == [(64, True, LANES)]
+    assert spy.calls == [(64, True, LANES)]
     seen = []
     thread = threading.Thread(target=lambda: seen.append(os.sched_getaffinity(0)))
     thread.start()
@@ -1125,50 +1187,18 @@ LANE_BLEND_CUDA = TWO_KERNEL_CUDA.replace(
     "        out[gid] = acc;\n    }")
 
 
-class TestPackPool:
-    """Dispatch writes live-ins into a per-region free list of ctypes packs;
-    programs are cached on the module, so threads share the list."""
-
-    @pytest.fixture()
-    def packs(self, monkeypatch):
-        """Every pack built while the test runs."""
-        from repro.runtime import native
-
-        built = []
-        new_pack = native._RegionHandle._new_pack
-
-        def counted(handle):
-            built.append(new_pack(handle))
-            return built[-1]
-
-        monkeypatch.setattr(native._RegionHandle, "_new_pack", counted)
-        return built
-
-    @needs_cc
-    def test_bailed_dispatch_returns_its_pack(self, packs):
-        """A dispatch refused mid-way (scalars written, then a freed buffer)
-        puts its pack back: the next dispatches reuse it."""
-        module = _freeing_module()
-        engine = NativeEngine(module)
-        out = np.ones(64, dtype=np.float32)
-        engine.run("main", [out, False])
-        assert not out.any() and len(packs) == 1
-        with pytest.raises(InterpreterError, match="use after free"):
-            engine.run("main", [out, True])
-        engine.run("main", [out, False])
-        region, = engine.regions
-        assert region["bailouts"] == {"freed": 1}
-        assert engine.native_stats["native_dispatches"] == 2
-        assert len(packs) == 1
+class TestSharedProgram:
+    """Programs are cached on the module, so the daemon's handler threads
+    dispatch through one program, and one unit, at once."""
 
     @needs_cc
     @pytest.mark.parametrize("source", [TWO_KERNEL_CUDA, LANE_BLEND_CUDA],
                              ids=["one-lane", "promoting"])
-    def test_threads_share_one_program(self, packs, source):
+    def test_threads_share_one_program(self, source):
         """Eight threads x 200 runs, a fresh executor per run as the daemon
         makes them, two kernels, inputs seeded per thread: every output and
-        CostReport equals the single-threaded reference, and no thread ever
-        sees another's pack (a shared pack would mix their live-ins).  With
+        CostReport equals the single-threaded reference, so no thread ever
+        sees another's live-ins.  With
         a lane-blocked ``blend``, its unit promotes during the runs and every
         thread keeps dispatching through the swap, to 20 runs past it."""
         import threading
@@ -1177,7 +1207,7 @@ class TestPackPool:
         from repro.runtime import make_executor, native
 
         threads, runs, n = 8, 200, 160
-        module = compile_cuda(source, filename="pack_pool.cu",
+        module = compile_cuda(source, filename="shared_program.cu",
                               cuda_lower=True, cache="shared")
 
         def inputs(seed):
@@ -1234,8 +1264,6 @@ class TestPackPool:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in pool)
         assert not failures
-        # one pack per concurrently dispatching thread per region, at most
-        assert 2 <= len(packs) <= 2 * threads
         assert native.await_promotions(timeout=60)
         stats = NativeEngine(module).native_stats
         assert stats["promotions"] == len(units)
@@ -1254,7 +1282,7 @@ class TestPackPool:
 
         threads, n = 8, 160
         entries = ("launch_both", "launch_scale", "launch_blend")
-        module = compile_cuda(TWO_KERNEL_CUDA, filename="pack_pool.cu",
+        module = compile_cuda(TWO_KERNEL_CUDA, filename="shared_program.cu",
                               cuda_lower=True, cache="shared")
 
         def run(entry, engine):
@@ -1304,6 +1332,162 @@ class TestPackPool:
             assert engine.native_stats["bailouts"] == 0
             assert {region["tier"] for region in engine.regions} == {"native"}
             assert {region["function"] for region in engine.regions} == set(entries)
+
+
+#: a span whose every element runs ``m`` steps of a serial chain: one
+#: dispatch as long as a test needs.
+SPIN_CUDA = """
+__global__ void spin(float* out, float* in, int n, int m) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {
+        float acc = 0.0f;
+        for (int k = 0; k < m; ++k) acc = acc * 0.5f + in[gid];
+        out[gid] = acc;
+    }
+}
+void launch(float* out, float* in, int n, int m) {
+    spin<<<(n + 31) / 32, 32>>>(out, in, n, m);
+}
+"""
+
+
+class TestDispatcher:
+    """The dispatcher extension (``_dispatch.c``): built and imported by the
+    toolchain probe, one C call per dispatch."""
+
+    @needs_cc
+    def test_a_host_without_python_h_degrades(self, monkeypatch):
+        """The probe builds the dispatcher against ``Python.h``: without it
+        the probe fails naming the header, a direct engine runs its base
+        plans bit-identically, and a wrapped one steps down the chain with
+        one recorded event — as on a host without ``cc``."""
+        from repro.runtime import make_executor, native, resilience
+
+        monkeypatch.setattr(native, "_python_include", lambda: "/nonexistent/repro-include")
+        monkeypatch.setattr(native, "_PROBE_RESULTS", {})
+        assert not native_available()
+        assert "Python.h" in native.probe_detail()
+        engine = _assert_native_matches_interp(_lowered(QUICK_CUDA), "launch", _quick_args, 0)
+        assert engine.native_stats["units_ready"] == 0
+        module = _lowered(FIXED_GRID_CUDA)
+        expected = _quick_args()
+        Interpreter(module).run("launch", expected)
+        log = resilience.global_log()
+        log.clear()
+        arguments = _quick_args()
+        executor = make_executor(module, engine="native")
+        executor.run("launch", arguments)
+        np.testing.assert_array_equal(arguments[0], expected[0])
+        assert executor.engine_name == resilience.fallback_engines("native")[0]
+        degrade, = log.events(op="engine.run", action="degrade")
+        assert degrade.error == "ToolchainError"
+
+    @needs_cc
+    def test_a_corrupt_dispatcher_is_rebuilt_once(self, tmp_path):
+        """A truncated dispatcher in the disk tier fails its import: it is
+        dropped and rebuilt once, and the probe passes; a warm disk tier
+        then probes with no ``cc`` at all.  Each probe runs in a fresh
+        process (this one has a dispatcher loaded, and an import of a
+        loaded path returns the loaded module)."""
+        log = tmp_path / "cc-runs"
+        counting = tmp_path / "counting-cc"
+        counting.write_text(f'#!/bin/sh\necho x >> "{log}"\nexec cc "$@"\n')
+        counting.chmod(0o755)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_CACHE="1",
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"), REPRO_CC=str(counting))
+        code = ("from repro.runtime import global_resilience_log, native\n"
+                "assert native.native_available(), native.probe_detail()\n"
+                "print(len(global_resilience_log().events(op='cache.read')))\n")
+
+        def probe():
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+            return int(done.stdout), log.read_text().count("x")
+
+        assert probe() == (0, 1)
+        artifact, = (tmp_path / "cache" / "native").glob("*.so")
+        built = artifact.read_bytes()
+        artifact.write_bytes(built[:len(built) // 3])
+        assert probe() == (1, 2)
+        assert artifact.read_bytes() == built
+        assert probe() == (0, 2)
+
+    @needs_cc
+    def test_every_way_out_releases_the_buffers(self):
+        """Every buffer the dispatcher takes through the buffer protocol is
+        released however the dispatch ends — run natively, refused after
+        other buffers were taken (a freed or a read-only one), or run with
+        a region that returns ERR_BAD_STEP — so no argument array keeps a
+        reference."""
+        import gc
+
+        quick = NativeEngine(_lowered(QUICK_CUDA))
+        quick.run("launch", _quick_args())
+        frozen = _quick_args()
+        frozen[0].setflags(write=False)
+        runs = [("native", quick, "launch", _quick_args(), None),
+                ("read-only", quick, "launch", frozen, ValueError),
+                ("freed", NativeEngine(_freeing_module()), "main",
+                 [np.ones(64, dtype=np.float32), True], InterpreterError),
+                ("ERR_BAD_STEP", NativeEngine(_grid_module()[0]), "main",
+                 _grid_args((0, 13, 1, 5, 16 * 12 + 4)), InterpreterError)]
+        for name, engine, entry, arguments, raises in runs:
+            arrays = [a for a in arguments if isinstance(a, np.ndarray)]
+            gc.collect()
+            before = [sys.getrefcount(array) for array in arrays]
+            failure = None
+            try:
+                engine.run(entry, arguments)
+            except Exception as exc:  # the refused and failing runs raise
+                failure = type(exc)
+            assert failure is raises or issubclass(failure, raises), name
+            gc.collect()
+            assert [sys.getrefcount(array) for array in arrays] == before, name
+        assert [region["bailouts"] for _, engine, *_ in runs[1:]
+                for region in engine.regions] == [{"read-only": 1}, {"freed": 1}, {}]
+
+    @needs_cc
+    def test_the_lock_is_released_while_c_runs(self):
+        """A Python thread keeps running while a long native dispatch runs:
+        the dispatcher calls the region with the interpreter lock released
+        (the daemon's handler threads and the tier-2 promoter rely on it)."""
+        import threading
+        import time
+
+        engine = NativeEngine(_lowered(SPIN_CUDA))
+
+        def arguments(m):
+            return [np.zeros(64, dtype=np.float32), np.linspace(0, 1, 64, dtype=np.float32),
+                    64, m]
+
+        engine.run("launch", arguments(1))
+        gaps, stop = [], threading.Event()
+
+        def count():
+            last = time.perf_counter()
+            while not stop.is_set():
+                now = time.perf_counter()
+                if now - last > 0.02:
+                    gaps.append((last, now))
+                last = now
+
+        thread = threading.Thread(target=count)
+        thread.start()
+        try:
+            time.sleep(0.05)
+            began = time.perf_counter()
+            engine.run("launch", arguments(4_000_000))
+            ended = time.perf_counter()
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert engine.native_stats["native_dispatches"] == 2
+        assert ended - began > 0.2
+        longest = max([min(stop_, ended) - max(start, began) for start, stop_ in gaps
+                       if start < ended and stop_ > began], default=0.0)
+        assert longest < (ended - began) / 2, (longest, ended - began)
 
 
 class TestArtifactCache:
@@ -1472,7 +1656,13 @@ class TestMachineIndependentArtifacts:
         assert warm["artifact_hits"] == warm["units_ready"] == len(cold_keys)
         assert warm["compile_errors"] == warm["bailouts"] == 0
         assert warm["native_dispatches"] == cold["native_dispatches"] >= len(cold_keys)
-        assert len(list((tmp_path / "cache" / "native").glob("*.so"))) == len(cold_keys)
+        # the units' artifacts, and the dispatcher the probe built under the
+        # guarded command
+        from repro.runtime import native
+
+        dispatcher = native._dispatcher_key(native._dispatcher_argv([str(guard)]))
+        assert {path.stem for path in (tmp_path / "cache" / "native").glob("*.so")} == {
+            *cold_keys, dispatcher}
 
 
 class TestArtifactEviction:

@@ -57,7 +57,8 @@ units, the ones a steady state rebuilds in the background; the others
 never promote (``-``).  A last row is the dispatcher extension
 (``runtime/_dispatch.c``) at the flags the toolchain probe builds it with,
 once per artifact cache.  ``--only corpus`` restricts it to the labels with
-that prefix.
+that prefix; it may stand before or after ``--cc-time``, every other
+argument after which is a flag.
 
 Usage, from any checkout::
 
@@ -447,6 +448,18 @@ def diff(parent_path: str, change_path: str) -> int:
     return (1 if c_differing else 0) | (2 if differing else 0)
 
 
+def _only_first(argv: list) -> list:
+    """``argv`` with ``--only PREFIX`` moved to the front, wherever it
+    stands: after ``--cc-time`` it would be one of the flags handed to
+    ``cc``."""
+    for index, arg in enumerate(argv):
+        if arg == "--only" and index + 1 < len(argv):
+            return [*argv[index:index + 2], *argv[:index], *argv[index + 2:]]
+        if arg.startswith("--only="):
+            return [arg, *argv[:index], *argv[index + 1:]]
+    return argv
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]))
@@ -458,8 +471,9 @@ def main() -> int:
                         help="--cc-time: only the modules whose label starts with PREFIX")
     parser.add_argument("--cc-time", nargs=argparse.REMAINDER, metavar="FLAG",
                         help="time cc on the emitted C, once per FLAG appended to the "
-                             "engine's flags (must come last on the command line)")
-    args = parser.parse_args()
+                             "engine's flags (every argument after it but --only "
+                             "PREFIX is a FLAG)")
+    args = parser.parse_args(_only_first(sys.argv[1:]))
     if args.diff:
         return diff(*args.diff)
     if args.c_digest:

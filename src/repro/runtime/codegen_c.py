@@ -55,6 +55,14 @@ Scalar ops are emitted as the ``c`` form of their
 :mod:`~repro.runtime.optable` row, and the prelude of every translation
 unit is the helpers those forms call.
 
+**Captured constants.**  A scalar live-in defined by an ``arith.constant``
+outside the span — the ``0``, ``1`` and block size of a thread loop's
+bounds, a ``0.5`` — is printed as the literal an in-region constant gets
+(:func:`c_int`, :func:`c_double`, bit-exact) and takes no ``LI`` / ``LF``
+slot, so the C compiler sees constant trip counts, folds the step guards
+and drops trip-1 loops.  The slots (:attr:`RegionSpec.int_slots` /
+``float_slots``) hold only the scalars known at run time.
+
 **Bit-identical cost accounting.**  The generated C accumulates the same
 counters the Python engines charge — ``work`` cycles, ``dynamic_ops``,
 ``global_bytes`` — with every static per-op charge folded into one constant
@@ -84,6 +92,7 @@ emitter coverage.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -109,6 +118,9 @@ LANES = 8
 #: error code written into ``outi[1]`` by generated code.
 ERR_BAD_STEP = 1
 
+#: the bits of C's ``NAN`` (and CPython's ``float("nan")``), sign aside.
+_QUIET_NAN = 0x7FF8000000000000
+
 
 class UnsupportedRegion(Exception):
     """The region contains a construct the C emitter does not translate."""
@@ -125,7 +137,10 @@ def c_double(value: float) -> str:
     """A C99 literal reproducing ``value`` bit for bit (hex float)."""
     value = float(value)
     if value != value:
-        return "NAN"
+        bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+        if bits & ~(1 << 63) != _QUIET_NAN:
+            raise UnsupportedRegion(f"NaN payload {bits:#x} has no C literal")
+        return "-NAN" if bits >> 63 else "NAN"
     if value == float("inf"):
         return "INFINITY"
     if value == float("-inf"):
@@ -134,7 +149,13 @@ def c_double(value: float) -> str:
 
 
 def c_int(value: int) -> str:
-    return f"INT64_C({int(value)})"
+    """A C literal of the int64 ``value``; a value outside int64 (the Python
+    engines hold it unbounded) has none."""
+    value = int(value)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise UnsupportedRegion(f"integer constant {value} is outside int64")
+    # INT64_C(-9223372036854775808) negates a literal too large for int64_t
+    return "INT64_MIN" if value == -2 ** 63 else f"INT64_C({value})"
 
 
 def grid_units(cycles: float) -> int:
@@ -337,6 +358,10 @@ class RegionCodegen:
                 slot=self.slot_of(value), dtype=dtype_for(type_.element_type).name,
                 rank=type_.rank, space=type_.memory_space, stored=False))
             self._livein_index[id(value)] = name
+        elif isinstance(value.defining_op(), arith.ConstantOp):
+            # a captured constant is a C literal, not a slot: cc propagates
+            # it (constant trip counts, dead step guards, trip-1 loops)
+            self.cexpr[id(value)] = self._scalar_expr(value.defining_op())
         elif type_.is_float:
             index = len(self.spec.float_slots)
             self.spec.float_slots.append(self.slot_of(value))

@@ -20,7 +20,9 @@ in-process run is every dispatch's fallback, lives in
   cache (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches
   skip the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes*
   do too.  The source holds no machine-model constant (charges arrive as
-  the ``K`` argument), so one ``.so`` per kernel serves every machine model;
+  the ``K`` argument), so one ``.so`` per kernel serves every machine model.
+  It does hold the IR constants a span captures, as literals, so two
+  kernels that differ only in such a constant build two ``.so`` files;
 * a lane-blocked unit (one holding a span with ``width > 1``) that keeps
   running is built again from the same source at :data:`PROMOTED_LEVEL`
   (tier 2): after :data:`PROMOTE_AFTER` runs the process' one promotion
@@ -28,8 +30,9 @@ in-process run is every dispatch's fallback, lives in
   background and swaps ``unit.functions`` in one assignment.  A unit whose
   tier-2 artifact is published (a restarted process) seals at tier 2.  Only
   lane-blocked units promote: ``-O3``'s gain is gcc peeling the ``[8]``
-  lane loops; one-lane units have none, and the slowest of them measure
-  slower at ``-O3`` (README, "The ``-O`` level is measured").  A failed
+  lane loops; one-lane units have none, and promoting them too raised the
+  cold-start metrics without moving the steady ones (README, "The ``-O``
+  level is measured").  A failed
   promotion records one ``native.promote`` event and leaves the unit at
   tier 1; it never fails the unit and never raises.
 
@@ -49,7 +52,7 @@ in-process run is every dispatch's fallback, lives in
   (``_RegionHandle.dispatch``) directly, and the handle makes one C call:
   ``run`` of the dispatcher extension (``_dispatch.c``, one hand-written
   CPython extension that the toolchain probe builds into the artifact
-  cache once and imports) checks the region's live-in scalars and
+  cache once and imports) checks the region's run-time live-in scalars and
   ``MemRefStorage`` buffers against the contract the C was specialized
   for, takes each buffer's data pointer and shape through the buffer
   protocol (zero-copy), reads the iteration space, decides the licence
@@ -135,7 +138,9 @@ CC_ENV_VAR = "REPRO_CC"
 #: at a time through lane loops over `[LANES]` arrays and masked branches;
 #: `K` holds int64 grid units, the counters are int64 and `W` becomes a
 #: double once per call.
-NATIVE_FORMAT = 7
+#: 8: a captured `arith.constant` is a C literal, not an `LI`/`LF` slot;
+#: integer `+ - *` wrap through `uint64_t` (no signed-overflow UB).
+NATIVE_FORMAT = 8
 
 #: the ``-O`` level of every unit's first build (tier 1) and of a
 #: lane-blocked unit's rebuild once it keeps running (tier 2).

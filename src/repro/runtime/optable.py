@@ -95,11 +95,16 @@ static inline double repro_powf(double a, double b) {
 #: (class, inline Python, lane-array form, C form[, C helper]).  Only the
 #: ops with an ``inline`` are spliced into closure-engine source; the rest
 #: call ``PY_FUNC`` — their guards (zero divisors, float round trips) are
-#: not worth restating as expressions.
+#: not worth restating as expressions.  The C forms of ``+ - *`` wrap
+#: through ``uint64_t`` as ``repro_shli`` does: defined behaviour where a
+#: signed ``int64_t`` overflow would be undefined.
 _INT_BINARIES = (
-    (arith.AddIOp, "({a} + {b})", "({a} + {b})", "({a} + {b})"),
-    (arith.SubIOp, "({a} - {b})", "({a} - {b})", "({a} - {b})"),
-    (arith.MulIOp, "({a} * {b})", "({a} * {b})", "({a} * {b})"),
+    (arith.AddIOp, "({a} + {b})", "({a} + {b})",
+     "((int64_t)((uint64_t){a} + (uint64_t){b}))"),
+    (arith.SubIOp, "({a} - {b})", "({a} - {b})",
+     "((int64_t)((uint64_t){a} - (uint64_t){b}))"),
+    (arith.MulIOp, "({a} * {b})", "({a} * {b})",
+     "((int64_t)((uint64_t){a} * (uint64_t){b}))"),
     (arith.DivSIOp, None, "_v_divsi({a}, {b})",
      "(({b} != 0) ? (int64_t)((double){a} / (double){b}) : 0)"),
     (arith.RemSIOp, None, "_v_remsi({a}, {b})",

@@ -949,6 +949,16 @@ def _snapshot_tool():
     return tool
 
 
+def test_the_snapshot_tool_takes_only_anywhere():
+    """``--only PREFIX`` after ``--cc-time`` restricts the modules instead of
+    reaching ``cc`` as a flag."""
+    only_first = _snapshot_tool()._only_first
+    assert only_first(["--cc-time", "-O1", "--only", "corpus", "-O3"]) == [
+        "--only", "corpus", "--cc-time", "-O1", "-O3"]
+    assert only_first(["--cc-time", "--only=corpus"]) == ["--only=corpus", "--cc-time"]
+    assert only_first(["--cc-time", "-O1"]) == ["--cc-time", "-O1"]
+
+
 class TestChunkedSpan:
     """The team path splits ``[0, total)`` into one contiguous chunk per
     OpenMP thread, each delinearized once and stepped by odometer."""
@@ -1045,6 +1055,141 @@ class TestLaneBlocks:
             assert len(specs) >= 72
             assert [(spec.symbol, cost) for spec in specs for cost in spec.costs
                     if not exact_cycles(cost)] == []
+
+
+#: the captured constants of ``_captured_module``, by type: the float ones
+#: whose bits a decimal or a slot could lose, the int ones at the edges of
+#: int64 and of float64's integers.
+CAPTURED_FLOATS = [-0.0, float("inf"), 5e-324]
+CAPTURED_INTS = [-2 ** 63, 2 ** 53 + 1]
+
+
+def _captured_module(step=1):
+    """``main(out_f, out_i, source)``: a span over ``i < 8`` whose body reads
+    only constants defined outside it — :data:`CAPTURED_FLOATS` scaling a
+    load and :data:`CAPTURED_INTS` offset by ``i`` — and carries a chain
+    through an inner ``scf.for`` whose bounds and ``step`` are captured
+    constants too (a lane-blocked span)."""
+    from repro.dialects import arith, memref as memref_d, scf
+    from repro.ir import F64, INDEX, Builder, memref, verify
+    from tests.helpers import build_function, close_parallel, const_index, finish_function
+
+    floats, ints = len(CAPTURED_FLOATS), len(CAPTURED_INTS)
+    module, fn, b = build_function("main", [memref((floats + 1, 8), F64),
+                                            memref((ints, 8), INDEX), memref((8,), F64)])
+    out_f, out_i, source = fn.arguments
+    scales = [b.insert(arith.ConstantOp(value, F64)).result for value in CAPTURED_FLOATS]
+    offsets = [const_index(b, value) for value in CAPTURED_INTS]
+    rows = [const_index(b, row) for row in range(max(floats, ints) + 1)]
+    trips, step = const_index(b, 3), const_index(b, step)
+    zero, one, n = const_index(b, 0), const_index(b, 1), const_index(b, 8)
+    span = b.insert(scf.ParallelOp([zero], [n], [one]))
+    inner = Builder.at_end(span.body)
+    i, = span.induction_vars
+    x = inner.insert(memref_d.LoadOp(source, [i])).result
+    for row, scale in zip(rows, scales):
+        scaled = inner.insert(arith.MulFOp(x, scale)).result
+        inner.insert(memref_d.StoreOp(scaled, out_f, [row, i]))
+    for row, offset, value in zip(rows, offsets, CAPTURED_INTS):
+        away_from_the_edge = arith.AddIOp if value < 0 else arith.SubIOp
+        moved = inner.insert(away_from_the_edge(offset, i)).result
+        inner.insert(memref_d.StoreOp(moved, out_i, [row, i]))
+    loop = inner.insert(scf.ForOp(zero, trips, step, [x]))
+    body = Builder.at_end(loop.body)
+    carried = body.insert(arith.MulFOp(loop.iter_args[0], scales[0])).result
+    body.insert(scf.YieldOp([body.insert(arith.AddFOp(carried, x)).result]))
+    inner.insert(memref_d.StoreOp(loop.results[0], out_f, [rows[floats], i]))
+    close_parallel(inner)
+    finish_function(b)
+    verify(module)
+
+    def arguments():
+        return [np.zeros((floats + 1, 8)), np.zeros((ints, 8), dtype=np.int64),
+                np.linspace(-2.0, 2.0, 8)]
+    return module, arguments
+
+
+class TestCapturedConstants:
+    """A scalar live-in defined by ``arith.constant`` is a C literal, not a
+    contract slot."""
+
+    def test_no_contract_slot_of_the_snapshot_modules_holds_a_constant(self, monkeypatch):
+        from repro.dialects import arith
+        from repro.runtime.codegen_c import RegionCodegen
+        from repro.runtime.compiler import program_for
+
+        tool = _snapshot_tool()
+        monkeypatch.setattr(sys, "path", list(sys.path))   # _modules prepends
+        monkeypatch.delenv("REPRO_CACHE", raising=False)   # ... and pops this
+        modules = [(label, build, entry) for label, build, entry, _ in tool._modules(ROOT)
+                   if not tool._unlowered(label)]
+        assert len(modules) == 72
+        emitted = []
+        emit = RegionCodegen.emit_span
+
+        def spying_emit(codegen):
+            source, spec = emit(codegen)
+            emitted.append((codegen, spec))
+            return source, spec
+        monkeypatch.setattr(RegionCodegen, "emit_span", spying_emit)
+        for label, build, entry in modules:
+            module = build()
+            program_for(module, XEON_8375C, "native").function(module.lookup(entry))
+        assert len(emitted) >= 72
+        slotted, literal = [], 0
+        for codegen, spec in emitted:
+            by_slot = {codegen.slot_of(value): value for value in codegen.plan.live_ins}
+            constant = {slot for slot, value in by_slot.items()
+                        if isinstance(value.defining_op(), arith.ConstantOp)}
+            slotted += [(spec.symbol, slot) for slot in spec.int_slots + spec.float_slots
+                        if slot in constant]
+            literal += len(constant)
+        assert slotted == []
+        assert literal > 0  # the census saw captured constants at all
+
+    def test_a_constant_without_an_exact_literal_is_refused(self):
+        from repro.runtime.codegen_c import UnsupportedRegion, c_double, c_int
+
+        assert (c_int(-2 ** 63), c_int(2 ** 63 - 1)) == (
+            "INT64_MIN", "INT64_C(9223372036854775807)")
+        assert (c_double(float("nan")), c_double(-float("nan"))) == ("NAN", "-NAN")
+        payload = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]
+        for constant in (lambda: c_int(2 ** 63), lambda: c_int(-2 ** 63 - 1),
+                         lambda: c_double(payload)):
+            with pytest.raises(UnsupportedRegion):
+                constant()
+
+    @needs_cc
+    def test_edge_constants_are_bit_identical_on_every_engine(self):
+        from repro.runtime import engine_names
+        from tests.helpers import run_engine_matrix
+
+        module, arguments = _captured_module()
+        engine = NativeEngine(module)
+        got = arguments()
+        engine.run("main", got)
+        region, = engine.regions
+        assert region["tier"] == "native" and region["width"] == LANES
+        assert got[1][0].tolist() == [-2 ** 63 + i for i in range(8)]
+        assert np.signbit(got[0][0]).tolist() == [False] * 4 + [True] * 4
+        engines = ("interp", *(name for name in engine_names() if name != "interp"))
+        run_engine_matrix(module, "main", arguments, [0, 1], engines=engines,
+                          workers=2, label="captured constants")
+
+    def test_a_captured_zero_step_raises_the_same_on_every_engine(self):
+        from repro.runtime import engine_names, make_executor
+
+        module, arguments = _captured_module(step=0)
+        raised = {}
+        for name in engine_names():
+            executor = make_executor(module, engine=name, workers=2)
+            with pytest.raises(InterpreterError) as info:
+                executor.run("main", arguments())
+            raised[name] = (type(info.value), info.value.args)
+            if name == "native" and HAVE_CC:
+                assert [region["tier"] for region in executor.regions] == ["native"]
+        assert set(raised.values()) == {
+            (InterpreterError, ("scf.for requires a positive step",))}, raised
 
 
 class TestOneFlagTwoLoops:

@@ -367,6 +367,49 @@ class TestKnownDivergencesStillDiverge:
             _assert_engines_agree(key, _spec_for(key), [(-0.0,)], ["native"])
 
 
+#: the C compiler command under which signed overflow stops the process.
+UBSAN_CC = "cc -fsanitize=undefined -fno-sanitize-recover=all"
+#: the exit code of :func:`_wrap_child` where that command builds no unit.
+NO_UBSAN = 77
+WRAP_CUDA = """
+__global__ void k(int* out, int a, int b) { int i = threadIdx.x; out[i] = a * (b + i); }
+void launch(int* out, int a, int b) { k<<<1, 4>>>(out, a, b); }
+"""
+
+
+def _wrap_child() -> None:
+    """Subprocess entry (``REPRO_CC`` = :data:`UBSAN_CC`): the "int64" class
+    on the native engine — ``a * (b + i)`` past int64 wraps, natively."""
+    from repro.frontend import compile_cuda
+
+    if not native_available():
+        sys.exit(NO_UBSAN)
+    out, a, b = np.zeros(4, dtype=np.int64), 2 ** 62, 4
+    engine = NativeEngine(compile_cuda(WRAP_CUDA, cuda_lower=True))
+    engine.run("launch", [out, a, b])
+    assert engine.native_stats["native_dispatches"] == 1
+    assert out.tolist() == [(a * (b + i) + 2 ** 63) % 2 ** 64 - 2 ** 63 for i in range(4)]
+
+
+def test_int64_wrapping_is_defined_behaviour_in_c():
+    """The C forms of ``+ - *`` wrap through ``uint64_t``: under UBSan with
+    no recovery a signed overflow would end the process."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.runtime.test_optable import _wrap_child; _wrap_child()"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, REPRO_CC=UBSAN_CC,
+                 PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])))
+    if done.returncode == NO_UBSAN:
+        pytest.skip(f"{UBSAN_CC!r} builds no native unit here")
+    assert done.returncode == 0 and "runtime error" not in done.stderr, done.stderr[-2000:]
+
+
 # ---------------------------------------------------------------------------
 # The two attribute-defined rows
 # ---------------------------------------------------------------------------

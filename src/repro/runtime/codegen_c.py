@@ -57,9 +57,9 @@ unit is the helpers those forms call.
 
 **Captured constants.**  A scalar live-in defined by an ``arith.constant``
 outside the span — the ``0``, ``1`` and block size of a thread loop's
-bounds, a ``0.5`` — is printed as the literal an in-region constant gets
-(:func:`c_int`, :func:`c_double`, bit-exact) and takes no ``LI`` / ``LF``
-slot, so the C compiler sees constant trip counts, folds the step guards
+bounds, a ``0.5`` — is printed, in parentheses, as the literal an
+in-region constant gets (:func:`c_int`, :func:`c_double`, bit-exact) and
+takes no ``LI`` / ``LF`` slot, so the C compiler sees constant trip counts, folds the step guards
 and drops trip-1 loops.  The slots (:attr:`RegionSpec.int_slots` /
 ``float_slots``) hold only the scalars known at run time.
 
@@ -360,8 +360,10 @@ class RegionCodegen:
             self._livein_index[id(value)] = name
         elif isinstance(value.defining_op(), arith.ConstantOp):
             # a captured constant is a C literal, not a slot: cc propagates
-            # it (constant trip counts, dead step guards, trip-1 loops)
-            self.cexpr[id(value)] = self._scalar_expr(value.defining_op())
+            # it (constant trip counts, dead step guards, trip-1 loops).
+            # Parenthesised: a leading minus must not merge with an
+            # operator before it ("(-{a})" of -0.5 is no "(--0x1p-1)")
+            self.cexpr[id(value)] = f"({self._scalar_expr(value.defining_op())})"
         elif type_.is_float:
             index = len(self.spec.float_slots)
             self.spec.float_slots.append(self.slot_of(value))

@@ -153,12 +153,15 @@ def _check_plans(label, module, entry):
             except UnsupportedRegion:
                 pass
             else:
-                # a captured constant is a C literal: it takes no slot
+                # a captured constant is a C literal: it takes no slot, but
+                # it is bound all the same
+                constant = [v for v in captured
+                            if isinstance(v.defining_op(), arith.ConstantOp)]
                 bound = (spec.int_slots + spec.float_slots
                          + [buffer.slot for buffer in spec.buffers])
                 assert sorted(bound) == sorted(
-                    slots[id(v)] for v in captured
-                    if not isinstance(v.defining_op(), arith.ConstantOp)), where
+                    slots[id(v)] for v in captured if v not in constant), where
+                assert all(id(v) in codegen.cexpr for v in constant), where
     return len(ops)
 
 

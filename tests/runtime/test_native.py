@@ -1058,16 +1058,18 @@ class TestLaneBlocks:
 
 
 #: the captured constants of ``_captured_module``, by type: the float ones
-#: whose bits a decimal or a slot could lose, the int ones at the edges of
-#: int64 and of float64's integers.
-CAPTURED_FLOATS = [-0.0, float("inf"), 5e-324]
+#: whose bits a decimal or a slot could lose (the negative ones print with a
+#: leading minus, which an ``arith.negf`` puts after its own), the int ones
+#: at the edges of int64 and of float64's integers.
+CAPTURED_FLOATS = [-0.0, float("inf"), float("-inf"), 5e-324]
 CAPTURED_INTS = [-2 ** 63, 2 ** 53 + 1]
 
 
 def _captured_module(step=1):
     """``main(out_f, out_i, source)``: a span over ``i < 8`` whose body reads
-    only constants defined outside it — :data:`CAPTURED_FLOATS` scaling a
-    load and :data:`CAPTURED_INTS` offset by ``i`` — and carries a chain
+    only constants defined outside it — :data:`CAPTURED_FLOATS` and their
+    ``arith.negf`` scaling a load, :data:`CAPTURED_INTS` offset by ``i`` —
+    and carries a chain
     through an inner ``scf.for`` whose bounds and ``step`` are captured
     constants too (a lane-blocked span)."""
     from repro.dialects import arith, memref as memref_d, scf
@@ -1075,19 +1077,20 @@ def _captured_module(step=1):
     from tests.helpers import build_function, close_parallel, const_index, finish_function
 
     floats, ints = len(CAPTURED_FLOATS), len(CAPTURED_INTS)
-    module, fn, b = build_function("main", [memref((floats + 1, 8), F64),
+    module, fn, b = build_function("main", [memref((2 * floats + 1, 8), F64),
                                             memref((ints, 8), INDEX), memref((8,), F64)])
     out_f, out_i, source = fn.arguments
     scales = [b.insert(arith.ConstantOp(value, F64)).result for value in CAPTURED_FLOATS]
     offsets = [const_index(b, value) for value in CAPTURED_INTS]
-    rows = [const_index(b, row) for row in range(max(floats, ints) + 1)]
+    rows = [const_index(b, row) for row in range(max(2 * floats, ints) + 1)]
     trips, step = const_index(b, 3), const_index(b, step)
     zero, one, n = const_index(b, 0), const_index(b, 1), const_index(b, 8)
     span = b.insert(scf.ParallelOp([zero], [n], [one]))
     inner = Builder.at_end(span.body)
     i, = span.induction_vars
     x = inner.insert(memref_d.LoadOp(source, [i])).result
-    for row, scale in zip(rows, scales):
+    negated = [inner.insert(arith.NegFOp(scale)).result for scale in scales]
+    for row, scale in zip(rows, scales + negated):
         scaled = inner.insert(arith.MulFOp(x, scale)).result
         inner.insert(memref_d.StoreOp(scaled, out_f, [row, i]))
     for row, offset, value in zip(rows, offsets, CAPTURED_INTS):
@@ -1098,13 +1101,13 @@ def _captured_module(step=1):
     body = Builder.at_end(loop.body)
     carried = body.insert(arith.MulFOp(loop.iter_args[0], scales[0])).result
     body.insert(scf.YieldOp([body.insert(arith.AddFOp(carried, x)).result]))
-    inner.insert(memref_d.StoreOp(loop.results[0], out_f, [rows[floats], i]))
+    inner.insert(memref_d.StoreOp(loop.results[0], out_f, [rows[2 * floats], i]))
     close_parallel(inner)
     finish_function(b)
     verify(module)
 
     def arguments():
-        return [np.zeros((floats + 1, 8)), np.zeros((ints, 8), dtype=np.int64),
+        return [np.zeros((2 * floats + 1, 8)), np.zeros((ints, 8), dtype=np.int64),
                 np.linspace(-2.0, 2.0, 8)]
     return module, arguments
 
@@ -1170,8 +1173,10 @@ class TestCapturedConstants:
         engine.run("main", got)
         region, = engine.regions
         assert region["tier"] == "native" and region["width"] == LANES
+        assert engine.native_stats["native_dispatches"] == 1   # its unit built
         assert got[1][0].tolist() == [-2 ** 63 + i for i in range(8)]
         assert np.signbit(got[0][0]).tolist() == [False] * 4 + [True] * 4
+        assert np.signbit(got[0][len(CAPTURED_FLOATS)]).tolist() == [True] * 4 + [False] * 4
         engines = ("interp", *(name for name in engine_names() if name != "interp"))
         run_engine_matrix(module, "main", arguments, [0, 1], engines=engines,
                           workers=2, label="captured constants")

@@ -36,7 +36,7 @@ not the unit keys, so that ``REPRO_CC`` does not enter), compared with the
 committed ``benchmarks/emitted_c.sha256``.  It fails when the digest moved
 while ``NATIVE_FORMAT`` did not — an emitter change that forgot it changes
 every cached artifact's meaning — and skips where ``cc -fopenmp`` is
-missing, because the sources are captured where native units seal.  It also
+missing, because the sources are captured where native units build.  It also
 emits every module a second time under ``A64FX_CMG`` and fails if any
 source differs from the default machine's: the C is machine-independent
 (charges arrive through the ``K`` argument), so one ``.so`` serves both.
@@ -155,7 +155,7 @@ def _modules(root: Path):
 
 def _spy_units() -> list:
     """The ``(unit key, assembled C source)`` list native units append to
-    as they seal."""
+    as they build."""
     from repro.runtime import native
 
     units = []
@@ -220,7 +220,7 @@ def c_digest(root: Path) -> int:
     from repro.runtime import A64FX_CMG, XEON_8375C, native
 
     if not native.native_available():
-        print("cc -fopenmp unavailable: no native unit seals here - "
+        print("cc -fopenmp unavailable: no native unit builds here - "
               "emitted-C digest skipped")
         return 0
     units = _spy_units()
@@ -275,7 +275,7 @@ def cc_time(root: Path, flags, only: str) -> int:
     from repro.runtime.codegen_c import LANES
 
     if not native.native_available():
-        print("cc -fopenmp unavailable: no native unit seals here - cc timing skipped")
+        print("cc -fopenmp unavailable: no native unit builds here - cc timing skipped")
         return 0
     units = _spy_units()
     base = [*native.compiler_command(), *native.compiler_flags()]

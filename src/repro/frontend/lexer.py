@@ -28,6 +28,8 @@ MULTI_CHAR_OPERATORS = [
 
 SINGLE_CHAR_OPERATORS = "+-*/%<>=!&|^~?:;,.(){}[]"
 
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
 
 @dataclass
 class Token:
@@ -59,6 +61,12 @@ class Lexer:
         index = self.position + offset
         return self.source[index] if index < len(self.source) else ""
 
+    def _next_in(self, chars: str, offset: int = 0) -> bool:
+        """Whether the character ``offset`` ahead is one of ``chars`` (never
+        past the end of the source, where :meth:`_peek` is ``""``)."""
+        char = self._peek(offset)
+        return char != "" and char in chars
+
     def _advance(self, count: int = 1) -> str:
         text = self.source[self.position:self.position + count]
         for char in text:
@@ -70,8 +78,10 @@ class Lexer:
         self.position += count
         return text
 
-    def _error(self, message: str) -> LexerError:
-        return LexerError(f"{self.filename}:{self.line}:{self.column}: {message}")
+    def _error(self, message: str, line: int = 0, column: int = 0) -> LexerError:
+        """An error at ``line:column``, the current position by default."""
+        return LexerError(f"{self.filename}:{line or self.line}:"
+                          f"{column or self.column}: {message}")
 
     # -- main loop ---------------------------------------------------------------
     def tokenize(self) -> List[Token]:
@@ -86,9 +96,12 @@ class Lexer:
                     self._advance()
                 continue
             if char == "/" and self._peek(1) == "*":
+                line, column = self.line, self.column
                 self._advance(2)
                 while self._peek() and not (self._peek() == "*" and self._peek(1) == "/"):
                     self._advance()
+                if not self._peek():
+                    raise self._error("unterminated comment", line, column)
                 self._advance(2)
                 continue
             if char == "#":
@@ -131,6 +144,14 @@ class Lexer:
     def _lex_number(self) -> Token:
         line, column = self.line, self.column
         start = self.position
+        if self._peek() == "0" and self._next_in("xX", 1) and self._next_in(_HEX_DIGITS, 2):
+            self._advance(2)
+            while self._next_in(_HEX_DIGITS):
+                self._advance()
+            text = self.source[start:self.position]
+            while self._next_in("uUlL"):
+                self._advance()
+            return Token("int", text, line, column)
         is_float = False
         while self._peek().isdigit():
             self._advance()
@@ -139,16 +160,16 @@ class Lexer:
             self._advance()
             while self._peek().isdigit():
                 self._advance()
-        if self._peek() in "eE":
+        if self._next_in("eE"):
             is_float = True
             self._advance()
-            if self._peek() in "+-":
+            if self._next_in("+-"):
                 self._advance()
             while self._peek().isdigit():
                 self._advance()
         text = self.source[start:self.position]
         # suffixes
-        while self._peek() in "fFuUlL":
+        while self._next_in("fFuUlL"):
             if self._peek() in "fF":
                 is_float = True
             self._advance()
@@ -162,6 +183,8 @@ class Lexer:
             if self._peek() == "\\":
                 self._advance()
             self._advance()
+        if not self._peek():
+            raise self._error("unterminated string literal", line, column)
         text = self.source[start:self.position]
         self._advance()  # closing quote
         return Token("string", text, line, column)

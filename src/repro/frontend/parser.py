@@ -38,6 +38,10 @@ class Parser:
         self.position = 0
 
     # -- token helpers -------------------------------------------------------
+    def _error(self, token: Token, message: str) -> ParseError:
+        """An error at ``token``'s ``file:line:col``."""
+        return ParseError(f"{self.filename}:{token.line}:{token.column}: {message}")
+
     def _peek(self, offset: int = 0) -> Token:
         index = min(self.position + offset, len(self.tokens) - 1)
         return self.tokens[index]
@@ -60,8 +64,7 @@ class Parser:
         token = self._peek()
         if not self._check(kind, text):
             expectation = text or kind
-            raise ParseError(f"{self.filename}:{token.line}: expected {expectation!r}, "
-                             f"found {token.text!r}")
+            raise self._error(token, f"expected {expectation!r}, found {token.text!r}")
         return self._advance()
 
     # -- program ---------------------------------------------------------------
@@ -92,7 +95,7 @@ class Parser:
             names.append(self._advance().text)
         if not names:
             token = self._peek()
-            raise ParseError(f"{self.filename}:{token.line}: expected a type, found {token.text!r}")
+            raise self._error(token, f"expected a type, found {token.text!r}")
         base = "int"
         if "void" in names:
             base = "void"
@@ -199,7 +202,7 @@ class Parser:
         name = self._expect("ident").text
         dims: List[int] = []
         while self._accept("op", "["):
-            dims.append(int(self._expect("int").text))
+            dims.append(int(self._expect("int").text, 0))
             self._expect("op", "]")
         init = None
         if self._accept("op", "="):
@@ -415,7 +418,7 @@ class Parser:
             expr = self.parse_expression()
             self._expect("op", ")")
             return expr
-        raise ParseError(f"{self.filename}:{token.line}: unexpected token {token.text!r}")
+        raise self._error(token, f"unexpected token {token.text!r}")
 
 
 def parse(source: str, filename: str = "<cuda>") -> ast.Program:

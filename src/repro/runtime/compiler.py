@@ -180,7 +180,7 @@ class _Program:
         self.bailouts: Dict[int, Dict[str, int]] = {}
         #: compile-time counters, filled as functions are first compiled
         #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
-        #: ``inline_runs`` and the unit counters move at run time).
+        #: ``inline_runs`` and the promotion counters move at run time).
         self.vector_stats = {"vectorized_regions": 0, "fallback_regions": 0}
         self.native_stats = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
@@ -198,10 +198,8 @@ class _Program:
         #: (:class:`repro.runtime.multicore._Shards`), made at its first region.
         self.shards = None
         #: the native dispatcher's translation units, one per compiled
-        #: function that offered it a region (a strict run seals them all).
+        #: function that offered it a region, each built with its function.
         self.native_units: List = []
-        #: how many of them a strict run found ready (-1: none checked yet).
-        self.ready_units = -1
         #: ``id(plan)`` -> a native region's dispatch handle (the iterations
         #: its C steps at once, the unit whose ``-O`` level it runs at).
         self.handles: Dict[int, object] = {}
@@ -214,10 +212,13 @@ class _Program:
         if compiled is None:
             fc = _FunctionCompiler(self, fn)
             compiled = fc.compile()
-            # programs are shared by threads: a unit becomes reachable (here,
-            # and through the runner) only once every region is in it.
-            if fc.dispatch_state is not None:
-                self.native_units.append(fc.dispatch_state)
+            # programs are shared by threads: a unit is built, and becomes
+            # reachable (here, and through the runner), once every region
+            # is in it.
+            unit = fc.dispatch_state
+            if unit is not None:
+                unit.build(fc)
+                self.native_units.append(unit)
             self._functions[id(fn)] = compiled
         return compiled
 
@@ -304,18 +305,19 @@ class _Region:
     induction variables) — and the planner's ``body``, the in-process
     ``base`` run and the accounting around it (``count``, ``finish``,
     ``message``), which it hands to the row's planner and dispatcher; they
-    name the ``tier`` that took the region.
+    name the ``tier`` that took the region.  The function's generated code
+    calls the region's run by ``name`` (a global of its ``ns``).
     """
 
     __slots__ = ("plan", "bounds", "index_slots", "body", "base",
-                 "count", "finish", "message", "tier")
+                 "count", "finish", "message", "tier", "name")
 
     def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
         self.plan = plan
         self.bounds = bounds
         self.index_slots = index_slots
         self.body = self.base = self.count = self.finish = None
-        self.message = self.tier = None
+        self.message = self.tier = self.name = None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,8 @@ class _FunctionCompiler:
         #: symbol and keys the shard registry, so it must count in compile
         #: order (a body's nested regions before the region itself).
         self.offered = 0
-        #: the dispatcher's per-function state (native: its translation unit).
+        #: the dispatcher's per-function state (native: its translation
+        #: unit), ``build(fc)`` once the function is compiled.
         self.dispatch_state = None
 
     def _name(self, prefix: str) -> str:
@@ -423,10 +426,10 @@ class _FunctionCompiler:
         """The call of a child block too deep to inline (``_MAX_INLINE_DEPTH``)."""
         return self._bound(self.function_of(ops, nops))
 
-    def _bound(self, step: Callable) -> List[str]:
+    def _bound(self, step: Callable, name: Optional[str] = None) -> List[str]:
         """The line calling ``step(state, regs)``, the closure of an op that
-        runs once per region."""
-        name = self._name("s")
+        runs once per region, bound as ``name`` (a fresh one by default)."""
+        name = name or self._name("s")
         self.ns[name] = step
         return [f"{name}(state, regs)"]
 
@@ -655,7 +658,8 @@ class _FunctionCompiler:
             self.offered += 1
             run = dispatcher(self, region)
         self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
-        return self._bound(region.base if run is None else run)
+        region.name = self._name("s")
+        return self._bound(region.base if run is None else run, region.name)
 
     def _span_shell(self, op, count: Callable, message: str,
                     finish: Callable) -> List[str]:
@@ -917,7 +921,8 @@ class CompiledEngine:
     def _preflight(self) -> None:
         """Hook, called with the entry function compiled and no argument
         written yet: the last point a taxonomy error may be raised
-        (``FAILS_BEFORE_FIRST_STORE``; the native engine seals here)."""
+        (``FAILS_BEFORE_FIRST_STORE``; the native engine raises a failed
+        unit's build here)."""
 
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
@@ -954,10 +959,9 @@ class CompiledEngine:
         declining it (compile-time facts), the iterations its native code
         steps at once (``width``), the ``-O`` level its native dispatches
         run at (``opt_level``: ``"-O1"``, or ``"-O3"`` once its unit
-        promoted; ``None`` before the unit is ready, and both ``None`` off
-        the native tier) and, by reason, the dispatches its native code
-        refused at run time (``bailouts``; they sum to
-        ``native_stats["bailouts"]``)."""
+        promoted; both ``None`` off the native tier) and, by reason, the
+        dispatches its native code refused at run time (``bailouts``; they
+        sum to ``native_stats["bailouts"]``)."""
         program = self._program
         asked = ((self.ROW, "parallel", "lanes") if program.dispatcher is not None
                  else (self.ROW,))

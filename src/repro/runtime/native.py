@@ -14,21 +14,26 @@ in-process run is every dispatch's fallback, lives in
   never offered: cpuify lowers barriers in the IR, and a module compiled
   without it runs those regions on the interpreter, the refusal named on
   the plan;
-* the unit is compiled with the system C compiler (``cc -O1 -fopenmp``;
-  override with ``REPRO_CC``) into a shared object keyed by the SHA-256 of
-  the generated source and the flags in the content-addressed artifact
-  cache (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches
-  skip the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes*
-  do too.  The source holds no machine-model constant (charges arrive as
-  the ``K`` argument), so one ``.so`` per kernel serves every machine model.
-  It does hold the IR constants a span captures, as literals, so two
-  kernels that differ only in such a constant build two ``.so`` files;
+* once its function is translated, the unit is compiled with the system
+  C compiler (``cc -O1 -fopenmp``; override with ``REPRO_CC``) into a
+  shared object keyed by the SHA-256 of the generated source and the flags
+  in the content-addressed artifact cache
+  (:class:`repro.runtime.cache.NativeArtifactCache`) — warm launches skip
+  the C compiler entirely, and with ``REPRO_CACHE=1`` warm *processes* do
+  too.  Every artifact (the dispatcher and a unit at either tier) is
+  loaded through one path, :func:`_artifact`.  A unit that does not build
+  hands its regions back to the compiled engine, each refused by name
+  (``native: unit did not build: ...``) on its plan.  The source holds no
+  machine-model constant (charges arrive as the ``K`` argument), so one
+  ``.so`` per kernel serves every machine model.  It does hold the IR
+  constants a span captures, as literals, so two kernels that differ only
+  in such a constant build two ``.so`` files;
 * a lane-blocked unit (one holding a span with ``width > 1``) that keeps
   running is built again from the same source at :data:`PROMOTED_LEVEL`
   (tier 2): after :data:`PROMOTE_AFTER` runs the process' one promotion
   worker (:class:`_Promoter`) builds, publishes and dlopens it in the
   background and swaps ``unit.functions`` in one assignment.  A unit whose
-  tier-2 artifact is published (a restarted process) seals at tier 2.  Only
+  tier-2 artifact is published (a restarted process) builds at tier 2.  Only
   lane-blocked units promote: ``-O3``'s gain is gcc peeling the ``[8]``
   lane loops; one-lane units have none, and promoting them too raised the
   cold-start metrics without moving the steady ones (README, "The ``-O``
@@ -188,7 +193,7 @@ _DISPATCH_SOURCE = Path(__file__).with_name("_dispatch.c")
 _DISPATCH_MODULE = f"{__package__}._dispatch"
 
 #: ``_dispatch.run`` of the last probe that passed (``None`` before one):
-#: every ready unit was sealed after a probe passed.
+#: every unit that built was built after a probe passed.
 _run: Optional[Callable] = None
 
 
@@ -310,35 +315,21 @@ def _build_dispatcher(argv: List[str], output) -> None:
 
 def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
     """Build (or find in the artifact cache), import and run the dispatcher:
-    a host without ``cc``, ``-fopenmp`` or ``Python.h`` fails here.  A
-    cached dispatcher that does not import is dropped and rebuilt once."""
+    a host without ``cc``, ``-fopenmp`` or ``Python.h`` fails here."""
     global _run
     if not command or shutil.which(command[0]) is None:
         name = command[0] if command else "<empty>"
         return False, f"C compiler {name!r} not found on PATH"
     argv = _dispatcher_argv(command)
-    key = _dispatcher_key(argv)
-    cache = global_native_cache()
-    path, module = cache.lookup(key), None
-    if path is not None:
-        try:
-            module = _import_dispatcher(path)
-        except (ImportError, OSError):
-            cache.invalidate(key)
-            resilience.record_event(
-                "cache.read", "fallback", "CacheCorruptionError",
-                f"corrupt dispatcher artifact {key[:12]}…; rebuilding", engine="native")
-    if module is None:
-        try:
-            module = _import_dispatcher(
-                _store(cache, key, lambda output: _build_dispatcher(argv, output)))
-        except ToolchainError as exc:
-            return False, str(exc)
-        except (ImportError, OSError) as exc:
-            return False, f"dispatcher import failed: {exc}"
+    try:
+        module = _artifact(_dispatcher_key(argv), _import_dispatcher,
+                           lambda output: _build_dispatcher(argv, output))
+    except ToolchainError as exc:
+        return False, str(exc)
+    except (ImportError, OSError) as exc:
+        return False, f"dispatcher import failed: {exc}"
     if module.probe() != 4:
         return False, "probe ran but returned an unexpected result"
-    cache.pin(key)
     _run = module.run
     return True, ""
 
@@ -392,6 +383,44 @@ def _store(cache, key: str, build: Callable):
     return temp_so
 
 
+def _artifact(key: str, load: Callable, build: Optional[Callable] = None,
+              stats: Optional[Dict[str, int]] = None):
+    """``load(path)`` of the artifact under ``key``, pinned: the one path
+    every native artifact — the dispatcher, a unit at either tier — is
+    loaded through.  A cached artifact that does not load (OSError,
+    ImportError, a missing symbol's AttributeError) is dropped; then, as
+    for a missing one, ``build(output)`` publishes it (:func:`_store`) and
+    it is loaded once more.  Without ``build`` a missing artifact is
+    ``None`` and a corrupt one raises its load error.  A failed build
+    raises :class:`ToolchainError`, a rebuilt artifact that does not load
+    its load error.  ``stats`` counts ``artifact_hits`` and the dropped
+    ``corrupt_artifacts`` that were rebuilt."""
+    cache = global_native_cache()
+    path = cache.lookup(key)
+    if path is not None:
+        try:
+            loaded = load(path)
+        except (ImportError, OSError, AttributeError):
+            cache.invalidate(key)
+            if build is None:
+                raise
+            path = None
+            if stats is not None:
+                stats["corrupt_artifacts"] += 1
+            resilience.record_event(
+                "cache.read", "fallback", "CacheCorruptionError",
+                f"corrupt native artifact {key[:12]}…; rebuilding", engine="native")
+        else:
+            if stats is not None:
+                stats["artifact_hits"] += 1
+    if path is None:
+        if build is None:
+            return None
+        loaded = load(_store(cache, key, build))
+    cache.pin(key)
+    return loaded
+
+
 def unit_key(source: str) -> str:
     """Content-addressed key of one translation unit's first build (source x
     toolchain x flags)."""
@@ -434,7 +463,9 @@ def _run_cc(source: str, output, level: str, spawn=_popen) -> None:
             raise
         if process.returncode != 0:
             stderr = stderr.decode(errors="replace")[:2000]
-            raise ToolchainError(f"native compile failed:\n{stderr}",
+            # the stderr's first line ends the message's first line, which
+            # a unit that does not build is refused by (``engine.regions``).
+            raise ToolchainError(f"native compile failed: {stderr}",
                                  detail=stderr, transient=False)
     finally:
         _unlink_quietly(source_path)
@@ -446,32 +477,36 @@ def _run_cc(source: str, output, level: str, spawn=_popen) -> None:
 class NativeUnit:
     """All native regions of one compiled function, built as one ``.so``.
 
-    Regions are added during function translation; sealing the unit
-    assembles the C source, compiles it (or fetches it warm from the
-    artifact cache) and dlopens it.  A corrupt cached artifact fails the
-    dlopen, is invalidated and recompiled once; a failed compile disables
-    the unit (every region runs its compiled-engine base plan) and records
-    a ``native.cc`` degrade event.
+    Regions are added while the function is translated, and the unit is
+    built once, when the translation ends (:meth:`build`, before the
+    compiled function is published to other threads): the C source is
+    assembled, compiled — or fetched warm from the artifact cache — and
+    loaded through :func:`_artifact`, which drops a corrupt cached
+    artifact and rebuilds it once.  A unit that does not build (no
+    toolchain, a failed compile, an artifact that does not load) records a
+    ``native.cc`` degrade event and hands each of its regions back to the
+    compiled engine's base plan, refused by name on the plan.
 
-    When a unit seals is what makes the native engine fail before its first
-    store or not at all: a strict (resilience-wrapped) run seals every unit
-    its program knows — the entry function's included — before it writes an
-    argument, and raises the failed one's :class:`ToolchainError` there.  A
-    unit first met mid-run (a callee's, compiled at its first call) seals at
-    its first dispatch; if that fails the run finishes on the bit-identical
-    base plans, and it is the *next* run that raises and degrades.
+    When a unit builds is what makes the native engine fail before its first
+    store or not at all: the entry function's unit is built when the entry
+    is compiled, and a strict (resilience-wrapped) run raises a failed
+    unit's :class:`ToolchainError` before it writes an argument.  A unit
+    first met mid-run (a callee's, compiled at its first call) that does not
+    build leaves the run on the bit-identical base plans, and it is the
+    *next* strict run that raises and degrades.
 
-    A lane-blocked unit seals at tier 2 when its :data:`PROMOTED_LEVEL`
+    A lane-blocked unit builds at tier 2 when its :data:`PROMOTED_LEVEL`
     artifact is published, and otherwise promotes after
     :data:`PROMOTE_AFTER` runs (module docstring); nothing about a promotion
-    touches ``status`` or ``failure``.
+    touches ``failure``.
     """
 
     def __init__(self, program) -> None:
         self.program = program
         self.sources: List[str] = []
         self.symbols: List[str] = []
-        self.status = "open"          # open -> ready | failed
+        #: the regions added, until the unit is built (compile time only).
+        self.regions: List[_Region] = []
         #: every library the unit loaded: the tier-1 one stays referenced
         #: after the swap, since a dispatch may still be inside it.
         self.libraries: List[ctypes.CDLL] = []
@@ -479,7 +514,7 @@ class NativeUnit:
         self.functions: Dict[str, int] = {}
         self.key: Optional[str] = None
         self.source: Optional[str] = None
-        #: the ``-O`` level the functions were built at (``None`` until ready).
+        #: the ``-O`` level the functions were built at.
         self.level: Optional[str] = None
         #: whether a tier-2 build may still be tried: the unit holds a
         #: lane-blocked span and no promotion of it has failed.
@@ -489,153 +524,107 @@ class NativeUnit:
         #: the run counted last (``_State``): a run counts once, however many
         #: times it dispatches the unit.
         self.last_run = None
-        #: why the unit failed (strict resilience runs raise this up front
-        #: instead of silently running the compiled base plans).
+        #: why the unit did not build (strict resilience runs raise this up
+        #: front instead of silently running the compiled base plans).
         self.failure: Optional[ToolchainError] = None
         self._lock = threading.Lock()
 
-    def add(self, source: str, symbol: str, width: int) -> None:
+    @property
+    def status(self) -> str:
+        """``"failed"`` when the unit did not build, else ``"ready"``."""
+        return "ready" if self.failure is None else "failed"
+
+    def add(self, source: str, symbol: str, width: int, region: _Region) -> None:
         self.sources.append(source)
         self.symbols.append(symbol)
+        self.regions.append(region)
         self.promotable |= width > 1
 
-    def ready(self) -> bool:
-        if self.status == "ready":
-            return True
-        if self.status == "failed":
-            return False
-        with self._lock:
-            if self.status == "open":
-                self._seal()
-        return self.status == "ready"
+    # -- building ---------------------------------------------------------------
+    def build(self, fc: _FunctionCompiler) -> None:
+        """Build the unit, once its function ``fc`` is translated.  If it
+        does not build, each of its regions runs its ``base`` plan: the
+        name the function's generated code calls is rebound in ``fc.ns``,
+        and the plan says why (``engine.regions``)."""
+        regions, self.regions = self.regions, []
+        if not regions:
+            return
+        try:
+            self._build()
+        except ToolchainError as exc:
+            self.failure = exc
+            resilience.record_event("native.cc", "degrade", type(exc).__name__,
+                                    str(exc)[:500], engine="native")
+            self._fall_back(fc, regions)
+            return
+        self.program.native_stats["units_ready"] += 1
 
-    # -- sealing ---------------------------------------------------------------
-    def _seal(self) -> None:
+    def _build(self) -> None:
+        """Load the unit's library, building it if no artifact is cached;
+        raises :class:`ToolchainError` when it does not build.  The ``cc``
+        invocation is a ``native.cc`` fault-injection site and runs under
+        the retry policy: a transient failure retries with backoff, a real
+        non-zero compiler exit is permanent and carries the stderr."""
         stats = self.program.native_stats
-        if not self.sources:
-            self.status = "failed"
-            return
-        if not native_available():
-            self.status = "failed"
-            self.failure = toolchain_error()
-            resilience.record_event("native.cc", "degrade", "ToolchainError",
-                                    str(self.failure)[:500], engine="native")
-            return
+        require_toolchain()
         source = self.source = assemble_unit(self.sources)
         self.key = unit_key(source)
-        cache = global_native_cache()
-        if self.promotable and self._adopt_promoted(cache):
-            return
-        path = cache.lookup(self.key)
-        if path is None:
-            path, failure = self._compile(cache, source)
-            if path is None:
-                self._fail(failure, stats, "compile_errors")
+        if self.promotable:
+            # tier 2 when an earlier build published it; a corrupt tier-2
+            # artifact is dropped and the unit builds at tier 1.
+            try:
+                promoted = _artifact(_unit_key(source, PROMOTED_LEVEL), self._load,
+                                     stats=stats)
+            except (OSError, AttributeError) as exc:
+                promoted = None
+                self._stay(exc)
+            if promoted is not None:
+                self._install(*promoted, PROMOTED_LEVEL)
                 return
-        else:
-            stats["artifact_hits"] += 1
-        library = self._load(path)
-        if library is None:
-            # corrupt artifact: drop it and rebuild once before giving up.
-            cache.invalidate(self.key)
-            stats["corrupt_artifacts"] += 1
-            resilience.record_event(
-                "cache.read", "fallback", "CacheCorruptionError",
-                f"corrupt native artifact {self.key[:12]}…; recompiling",
+
+        def build(output):
+            resilience.call_with_retry(
+                "native.cc", lambda: _run_cc(source, output, BUILD_LEVEL),
                 engine="native")
-            path, failure = self._compile(cache, source)
-            library = self._load(path) if path is not None else None
-            if library is None:
-                self._fail(failure or ToolchainError(
-                    "recompiled native artifact failed to load"), stats)
-                return
-        try:
-            functions = self._bind(library)
-        except AttributeError as exc:
-            cache.invalidate(self.key)
-            self._fail(ToolchainError(
-                f"native artifact is missing symbol: {exc}"), stats)
-            return
-        self._install(cache, self.key, library, functions, BUILD_LEVEL)
-        self.countdown = PROMOTE_AFTER if self.promotable else 0
-        self.status = "ready"
-        stats["units_ready"] += 1
 
-    def _adopt_promoted(self, cache) -> bool:
-        """Seal at tier 2 if an earlier build published it; a corrupt tier-2
-        artifact is dropped and the unit seals at tier 1."""
-        key = _unit_key(self.source, PROMOTED_LEVEL)
-        path = cache.lookup(key)
-        if path is None or not self._swap_in(cache, key, path):
-            return False
-        self.status = "ready"
-        stats = self.program.native_stats
-        stats["artifact_hits"] += 1
-        stats["units_ready"] += 1
-        return True
-
-    def _swap_in(self, cache, key: str, path) -> bool:
-        """Load the tier-2 artifact at ``path`` and make it the unit's code;
-        one that does not load is dropped, and the unit stays at tier 1."""
         try:
-            library = _dlopen(path)
-            functions = self._bind(library)
+            built = _artifact(self.key, self._load, build, stats)
+        except ToolchainError:
+            stats["compile_errors"] += 1
+            raise
         except (OSError, AttributeError) as exc:
-            cache.invalidate(key)
-            self._stay(exc)
-            return False
-        self._install(cache, key, library, functions, PROMOTED_LEVEL)
-        return True
+            raise ToolchainError(f"rebuilt native artifact does not load: {exc}") from None
+        self._install(*built, BUILD_LEVEL)
+        self.countdown = PROMOTE_AFTER if self.promotable else 0
 
-    def _bind(self, library) -> Dict[str, int]:
-        """The addresses of the unit's region functions in ``library``
-        (AttributeError when one is missing)."""
-        return {symbol: ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
-                for symbol in self.symbols}
+    def _fall_back(self, fc: _FunctionCompiler, regions: List[_Region]) -> None:
+        program = self.program
+        first_line = str(self.failure).partition("\n")[0]
+        reason = f"unit did not build: {first_line}"
+        plans = set()
+        for region in regions:
+            fc.ns[region.name] = region.base
+            region.plan.refuse("native", reason)
+            del program.handles[id(region.plan)]
+            plans.add(id(region.plan))
+        for index, (function, plan, _) in enumerate(program.regions):
+            if id(plan) in plans:
+                program.regions[index] = (function, plan, "closures")
+        program.native_stats["native_regions"] -= len(regions)
+        program.native_stats["fallback_regions"] += len(regions)
 
-    def _install(self, cache, key: str, library, functions, level: str) -> None:
-        cache.pin(key)
+    def _load(self, path) -> Tuple[ctypes.CDLL, Dict[str, int]]:
+        """The library at ``path`` and the addresses of the unit's region
+        functions in it (AttributeError when one is missing)."""
+        library = _dlopen(path)
+        return library, {symbol: ctypes.cast(getattr(library, symbol),
+                                             ctypes.c_void_p).value
+                         for symbol in self.symbols}
+
+    def _install(self, library, functions, level: str) -> None:
         self.libraries.append(library)
         self.functions = functions  # one assignment: the swap between dispatches
         self.level = level
-
-    def _fail(self, failure: Optional[ToolchainError], stats,
-              counter: Optional[str] = None) -> None:
-        self.status = "failed"
-        self.failure = failure or ToolchainError("native unit compile failed")
-        if counter is not None:
-            stats[counter] += 1
-        resilience.record_event("native.cc", "degrade",
-                                type(self.failure).__name__,
-                                str(self.failure)[:500], engine="native")
-
-    def _compile(self, cache, source: str):
-        """``(path, None)`` on success, ``(None, ToolchainError)`` on failure.
-
-        The ``cc`` invocation is a ``native.cc`` fault-injection site and
-        runs under the retry policy: injected/spawn-level transient
-        failures retry with backoff, a real non-zero compiler exit is
-        permanent and carries the stderr.  When the artifact cache cannot
-        publish (disk full, injected ``cache.write`` fault) the unit is
-        built into an unpublished per-process temp ``.so`` instead — the
-        engine still runs native, only warm starts lose the artifact.
-        """
-        def build(path):
-            resilience.call_with_retry(
-                "native.cc", lambda: _run_cc(source, path, BUILD_LEVEL),
-                engine="native")
-
-        try:
-            return _store(cache, self.key, build), None
-        except ToolchainError as exc:
-            return None, exc
-
-    @staticmethod
-    def _load(path):
-        try:
-            return _dlopen(path)
-        except OSError:
-            return None
 
     # -- promotion (tier 2) ----------------------------------------------------
     def count_run(self, state) -> None:
@@ -662,17 +651,15 @@ class NativeUnit:
     def _promote(self, spawn) -> None:
         """Build, publish, load and swap in the tier-2 library (the promotion
         worker's thread); on any failure the unit stays at tier 1."""
-        key = _unit_key(self.source, PROMOTED_LEVEL)
-        cache = global_native_cache()
         try:
-            path = cache.lookup(key) or cache.store(
-                key, lambda output: _run_cc(self.source, output,
-                                            PROMOTED_LEVEL, spawn))
-        except (ToolchainError, OSError, subprocess.SubprocessError) as exc:
+            promoted = _artifact(
+                _unit_key(self.source, PROMOTED_LEVEL), self._load,
+                lambda output: _run_cc(self.source, output, PROMOTED_LEVEL, spawn))
+        except (ToolchainError, OSError, AttributeError) as exc:
             self._stay(exc)
             return
-        if self._swap_in(cache, key, path):
-            self.program.native_stats["promotions"] += 1
+        self._install(*promoted, PROMOTED_LEVEL)
+        self.program.native_stats["promotions"] += 1
 
     def _stay(self, exc: Exception) -> None:
         """A failed promotion: one event, and the unit never tries again."""
@@ -882,10 +869,6 @@ class _RegionHandle:
         ``unit.functions`` is read on every dispatch, so a tier-2 swap takes
         effect at the next one."""
         unit = self.unit
-        if unit.status != "ready" and not unit.ready():
-            # a unit first met mid-run that failed to seal: this run stays on
-            # the bit-identical base plan, the next strict run raises.
-            return self._refuse("unit not ready", state, regs)
         result = _run(unit.functions[self.symbol], self.contract, regs)
         if result.__class__ is int:
             return self._refuse(_REFUSALS[result], state, regs)
@@ -923,7 +906,8 @@ def native(fc: _FunctionCompiler, region: _Region):
     stats = program.native_stats
     unit = fc.dispatch_state
     if unit is None:
-        # ``_Program.function`` registers it once the function is compiled.
+        # ``_Program.function`` builds and registers it once the function
+        # is compiled.
         unit = fc.dispatch_state = NativeUnit(program)
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
     symbol = f"repro_{sanitized}_p{fc.offered}"
@@ -938,7 +922,7 @@ def native(fc: _FunctionCompiler, region: _Region):
         plan.refuse("native", str(exc))
         return None
     stats["native_regions"] += 1
-    unit.add(source, symbol, spec.width)
+    unit.add(source, symbol, spec.width, region)
     region.tier = "native"
     program.handles[id(plan)] = handle
     return handle.dispatch
@@ -950,9 +934,9 @@ def native(fc: _FunctionCompiler, region: _Region):
 class NativeEngine(CompiledEngine):
     """The compiled engine with parallel regions emitted as OpenMP C.
 
-    Construction is cheap; the C compiler runs once per function at the
-    first dispatch (warm runs come from the content-addressed artifact
-    cache).  On hosts without a working ``cc -fopenmp`` every region
+    Construction is cheap; the C compiler runs once per function, when the
+    function is first compiled (warm runs come from the content-addressed
+    artifact cache).  On hosts without a working ``cc -fopenmp`` every region
     transparently runs its compiled-engine base plan, so behaviour degrades
     but never breaks.
     """
@@ -961,22 +945,16 @@ class NativeEngine(CompiledEngine):
 
     def _preflight(self) -> None:
         # Strict (resilience-wrapped) runs raise a toolchain failure — the
-        # *cached* probe's, or a known unit's failed compile (see NativeUnit)
-        # — here; direct construction keeps the graceful degrade.  Once every
-        # unit of the program is ready there is nothing left to fail, until
-        # a function compiled since adds one.
-        if not self._resilience_strict:
-            return
-        program = self._program
-        units = program.native_units
-        if program.ready_units == len(units):
-            return
-        require_toolchain()
-        for unit in units:
-            if not unit.ready() and unit.failure is not None:
-                raise unit.failure
-        if all(unit.status == "ready" for unit in units):
-            program.ready_units = len(units)
+        # *cached* probe's, or the build of a unit of the program (see
+        # NativeUnit) — here; direct construction keeps the graceful degrade.
+        # Once a probe passed, a unit built under a compiler that fails
+        # carries its own failure, so a warm run only reads the units.
+        if self._resilience_strict:
+            if _run is None:
+                require_toolchain()
+            for unit in self._program.native_units:
+                if unit.failure is not None:
+                    raise unit.failure
 
     @property
     def native_stats(self) -> Dict[str, int]:

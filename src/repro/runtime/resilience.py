@@ -447,9 +447,11 @@ class ResilientExecutor:
     The invariant that keeps the inputs pristine: an in-process engine
     (``native``, ``vectorized``, ``compiled``) raises a taxonomy error
     before its first store or not at all, and says so with a class
-    attribute, ``FAILS_BEFORE_FIRST_STORE`` (the native engine seals its
-    translation units up front; a ``cc`` failure met mid-run finishes that
-    run on the base plans and degrades the *next* one).  The snapshot of
+    attribute, ``FAILS_BEFORE_FIRST_STORE`` (the native engine builds a function's
+    translation unit when it compiles the function, and raises a failed
+    build before the run's first store; a ``cc`` failure met mid-run, in a
+    callee's unit, finishes that run on the base plans and degrades the
+    *next* one).  The snapshot of
     the writable ``ndarray`` arguments exists for engines that cannot
     promise that — ``multicore``, whose workers can die after earlier
     shards stored, and anything that does not declare the attribute — and

@@ -1,5 +1,10 @@
 """Frontend tests: lexer, parser, codegen and end-to-end compile+execute."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,9 @@ from repro.dialects import gpu as gpu_d, omp as omp_d, polygeist, scf
 from repro.runtime import Interpreter
 from repro.transforms import PipelineOptions
 from repro.ir import verify
+from tests.helpers import run_engine_matrix
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 NORMALIZE_SOURCE = """
@@ -66,6 +74,30 @@ void scale(float* data, int n, float factor) {
 """
 
 
+#: a one-line kernel body in a grid-stride-free launch: ``{body}`` sees
+#: ``gid``, ``out`` and ``in``.
+UNSUPPORTED_KERNEL = """
+__global__ void k(float* out, float* in, int n) {{
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {{ {body} }}
+}}
+void launch(float* out, float* in, int n) {{ k<<<(n + 31) / 32, 32>>>(out, in, n); }}
+"""
+
+#: a kernel masking with hex literals.
+HEX_MASK_SOURCE = """
+__global__ void mask(int* out, int* in, int n) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {
+        out[gid] = (in[gid] * 0x9 + gid) & 0xff;
+    }
+}
+void launch(int* out, int* in, int n) {
+    mask<<<(n + 0x1f) / 32, 32>>>(out, in, n);
+}
+"""
+
+
 class TestLexer:
     def test_tokens(self):
         tokens = tokenize("__global__ void f(float* x) { x[0] = 1.5f; }")
@@ -87,6 +119,39 @@ class TestLexer:
         tokens = tokenize("#pragma omp parallel for\nfor(;;){}")
         assert tokens[0].kind == "pragma"
         assert "omp" in tokens[0].text
+
+    def test_hex_literals_are_int_tokens(self):
+        tokens = tokenize("a = 0xffffffff & 0XFFu + 0x1fUL;")
+        assert [(token.kind, token.text) for token in tokens
+                if token.kind == "int"] == [("int", "0xffffffff"), ("int", "0XFF"),
+                                            ("int", "0x1f")]
+        assert tokenize("0x")[1].kind == "ident"   # no digit: 0, then x
+
+    #: source that once never finished lexing, or lexed without complaint,
+    #: and what each now prints: its tokens' kinds, or the error's class and
+    #: message.  Each runs in a subprocess, so a hang fails by its timeout.
+    @pytest.mark.parametrize("call, printed", [
+        ("tokenize('x = 1.5')", "ident op float eof"),
+        ("tokenize('int n = 4')", "keyword ident op int eof"),
+        ("tokenize('n = 12e')", "ident op float eof"),
+        ("tokenize('n = 0x1f')", "ident op int eof"),
+        ("compile_cuda('void launch(float* o) { int n = 4', cuda_lower=True)",
+         "ParseError <cuda>:1:34: expected ';', found ''"),
+        ("tokenize('int x;\\n  s = \"abc')",
+         "LexerError <cuda>:2:7: unterminated string literal"),
+        ("tokenize('int x; /* open')", "LexerError <cuda>:1:8: unterminated comment"),
+    ], ids=["float", "int", "exponent", "hex", "compile", "string", "comment"])
+    def test_source_ending_anywhere_finishes(self, call, printed):
+        code = ("from repro.frontend import compile_cuda, tokenize\n"
+                "try:\n"
+                f"    print(' '.join(token.kind for token in {call}))\n"
+                "except SyntaxError as exc:\n"
+                "    print(type(exc).__name__, exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == printed
 
 
 class TestParser:
@@ -114,6 +179,10 @@ class TestParser:
     def test_parse_error_reported(self):
         with pytest.raises(ParseError):
             parse("void f( { }")
+
+    def test_array_extent_in_hex(self):
+        kernel = parse("__global__ void k() { __shared__ float tile[0x20]; }").find("k")
+        assert kernel.body.statements[0].array_dims == [32]
 
     def test_expression_precedence(self):
         program = parse("int f(int a, int b) { return a + b * 2; }")
@@ -147,6 +216,24 @@ class TestCodegen:
     def test_error_on_syncthreads_outside_kernel(self):
         with pytest.raises(CodegenError):
             compile_cuda("void f() { __syncthreads(); }")
+
+    @pytest.mark.parametrize("source, error, message", [
+        (UNSUPPORTED_KERNEL.format(body="atomicAdd(&out[0], in[gid]);"),
+         CodegenError, "call to unknown function 'atomicAdd'"),
+        (UNSUPPORTED_KERNEL.format(
+            body="float v = in[gid]; out[gid] = __shfl_down_sync(0xffffffff, v, 1);"),
+         CodegenError, "call to unknown function '__shfl_down_sync'"),
+        ("template <typename T>\n__global__ void k(T* out) { out[0] = 1; }",
+         ParseError, "<cuda>:1:1: expected a type, found 'template'"),
+        ("__global__ void k(float* out) {\n    extern __shared__ float buf[];\n}",
+         ParseError, "<cuda>:2:5: unexpected token 'extern'"),
+    ], ids=["atomics", "warp-shuffle", "template", "extern-shared"])
+    def test_unsupported_cuda_is_named(self, source, error, message):
+        """Each unsupported CUDA feature fails with its own class and message;
+        a parse error names its ``file:line:col``."""
+        with pytest.raises(error) as excinfo:
+            compile_cuda(source, cuda_lower=True)
+        assert str(excinfo.value) == message
 
 
 class TestEndToEnd:
@@ -199,6 +286,19 @@ class TestEndToEnd:
         # after lowering no GPU barrier survives
         assert not any(isinstance(op, (gpu_d.BarrierOp, polygeist.PolygeistBarrierOp))
                        for op in module.walk())
+
+    def test_hex_mask_runs_alike_on_every_engine(self):
+        module = compile_cuda(HEX_MASK_SOURCE, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+
+        def arguments():
+            data = np.random.default_rng(6).integers(0, 1 << 20, 96, dtype=np.int32)
+            return [np.zeros(96, dtype=np.int32), data, 96]
+
+        expected = arguments()
+        Interpreter(module).run("launch", expected)
+        assert np.array_equal(expected[0], (expected[1] * 9 + np.arange(96)) & 0xFF)
+        run_engine_matrix(module, "launch", arguments, (0,), workers=2, label="hex mask")
 
     def test_openmp_reference_runs(self):
         module = compile_cuda(OPENMP_SOURCE, cuda_lower=True)

@@ -520,19 +520,24 @@ class TestFailBeforeFirstStore:
             assert report_fields(executor.report) == report_fields(interp.report)
 
         oracle = Interpreter(module)
-        run_both(0, oracle)   # seals the entry's unit; the callee is unmet
+        run_both(0, oracle)   # builds the entry's unit; the callee is unmet
         assert executor.native_stats["units_ready"] == 1
         monkeypatch.setenv("REPRO_FAULTS", "native.cc:*")
         reset_faults()
         # run 1 meets the callee's unit mid-run, after `first` stored into
-        # tmp: cc fails, the region runs its base plan, the run stays native.
+        # tmp: cc fails as the callee compiles, its region runs its base
+        # plan, refused by name, and the run stays native.
         run_both(1, oracle)
         assert executor.engine_name == "native"
         assert len(log.events(op="native.cc", action="degrade")) == 1
         assert not log.events(op="engine.run")
-        assert [region["bailouts"] for region in executor.regions] == [
-            {}, {"unit not ready": 1}]
-        assert executor.native_stats["bailouts"] == 1
+        regions = executor.regions
+        assert [region["tier"] for region in regions] == ["native", "closures"]
+        assert regions[1]["refusals"][0].startswith("native: unit did not build: ")
+        assert [region["bailouts"] for region in regions] == [{}, {}]
+        stats = executor.native_stats
+        assert stats["bailouts"] == 0 and stats["fallback_regions"] == 1
+        assert stats["native_dispatches"] == 2   # `first`, in runs 0 and 1
         # run 2 raises the unit's error up front and lands on the next engine.
         run_both(1, Interpreter(module))
         assert executor.engine_name == "multicore"

@@ -408,13 +408,55 @@ class TestDispatchBailouts:
         assert region["bailouts"] == {reason: 1}
         assert engine.native_stats["native_dispatches"] == 1
 
+    @staticmethod
+    def _assert_refused_at_build(source, detail):
+        """A unit that does not build hands its region back to the compiled
+        engine at plan time: the plan says why, and no dispatch is refused."""
+        engine = _assert_native_matches_interp(_lowered(source), "launch",
+                                               _quick_args, 0)
+        region, = engine.regions
+        assert region["tier"] == "closures"
+        refusal, = region["refusals"]
+        assert refusal.startswith("native: unit did not build: ") and detail in refusal
+        assert "\n" not in refusal
+        assert region["bailouts"] == {}
+        assert (region["width"], region["opt_level"]) == (None, None)
+        stats = engine.native_stats
+        assert stats["native_regions"] == stats["native_dispatches"] == 0
+        assert stats["fallback_regions"] == 1 and stats["bailouts"] == 0
+
     @needs_cc
     def test_a_unit_that_failed_to_seal_refuses_by_name(self, monkeypatch):
         monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-cc")
-        engine = _assert_native_matches_interp(_lowered(QUICK_CUDA), "launch",
-                                               _quick_args, 0)
-        region, = engine.regions
-        assert region["bailouts"] == {"unit not ready": 1}
+        self._assert_refused_at_build(QUICK_CUDA, "not found on PATH")
+
+    @needs_cc
+    def test_a_unit_whose_cc_fails_refuses_by_name(self, monkeypatch):
+        """The same under an injected permanent ``cc`` failure (a constant of
+        its own keeps the unit's artifact cold)."""
+        from repro.runtime import resilience
+
+        monkeypatch.setattr(resilience, "DEFAULT_BACKOFF_S", 0.0)
+        monkeypatch.setenv("REPRO_FAULTS", "native.cc:*")
+        resilience.reset_faults()
+        try:
+            self._assert_refused_at_build(QUICK_CUDA.replace("1.0f", "1.375f"),
+                                          "injected fault at native.cc")
+        finally:
+            monkeypatch.delenv("REPRO_FAULTS")
+            resilience.reset_faults()
+
+    @needs_cc
+    def test_a_unit_cc_rejects_is_refused_by_its_stderr(self, tmp_path, monkeypatch):
+        """A ``REPRO_CC`` that builds the dispatcher but fails every unit:
+        the refusal carries the compiler's first line of stderr."""
+        cc = tmp_path / "no-units-cc"
+        cc.write_text('#!/bin/sh\ncase "$*" in *repro-native-*.c*)\n'
+                      '    echo "no units here" >&2; echo "more" >&2; exit 1;;\n'
+                      'esac\nexec cc "$@"\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv(CC_ENV_VAR, str(cc))
+        self._assert_refused_at_build(QUICK_CUDA, "native compile failed: no units here")
 
     @needs_cc
     @pytest.mark.parametrize("case", ["zero-size", "read-only-input", "offset-views",
@@ -628,7 +670,7 @@ def _chained(builder, value):
 
 
 def _spy_dispatches():
-    """Route every native function sealed from now on through a
+    """Route every native function built from now on through a
     :class:`~tests.region_spy.RegionSpy` and return it: its ``calls`` are
     each call's ``(total, mode, width)``; while its ``plain`` is set a call
     runs with ``mode`` 0 and ``width`` 1, the sequential plain path."""
@@ -636,13 +678,13 @@ def _spy_dispatches():
     from tests.region_spy import RegionSpy
 
     spy = RegionSpy()
-    seal = native.NativeUnit._seal
+    build = native.NativeUnit.build
 
-    def spying_seal(unit):
-        seal(unit)
+    def spying_build(unit, fc):
+        build(unit, fc)
         spy.wrap(unit)
 
-    native.NativeUnit._seal = spying_seal
+    native.NativeUnit.build = spying_build
     return spy
 
 
@@ -939,6 +981,15 @@ def _soak(entry: str, threads: int, **extra: str) -> None:
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+@pytest.fixture
+def c_only(monkeypatch):
+    """For a test that only reads the emitted C: a compiled function's
+    native unit is not built, so no ``cc`` runs."""
+    from repro.runtime import native
+
+    monkeypatch.setattr(native.NativeUnit, "build", lambda unit, fc: None)
+
+
 def _snapshot_tool():
     import importlib.util
 
@@ -1025,7 +1076,7 @@ class TestLaneBlocks:
         assert region["refusals"] == [
             f"lanes: a private buffer of 16384 bytes is too large for {LANES} lanes"]
 
-    def test_every_charge_of_the_snapshot_modules_is_on_the_grid(self, monkeypatch):
+    def test_every_charge_of_the_snapshot_modules_is_on_the_grid(self, monkeypatch, c_only):
         """The C counts work in int64 grid units, from ``K`` packed with
         ``costmodel.exact_cycles`` checked; no charge of the 72 snapshot
         modules is off the grid, under either machine."""
@@ -1116,7 +1167,7 @@ class TestCapturedConstants:
     """A scalar live-in defined by ``arith.constant`` is a C literal, not a
     contract slot."""
 
-    def test_no_contract_slot_of_the_snapshot_modules_holds_a_constant(self, monkeypatch):
+    def test_no_contract_slot_of_the_snapshot_modules_holds_a_constant(self, monkeypatch, c_only):
         from repro.dialects import arith
         from repro.runtime.codegen_c import RegionCodegen
         from repro.runtime.compiler import program_for
@@ -1202,7 +1253,7 @@ class TestOneFlagTwoLoops:
     def test_only_a_proven_dispatch_of_64_units_takes_the_team(self):
         _soak("_mode_soak", 2)
 
-    def test_a_body_is_printed_once(self, monkeypatch):
+    def test_a_body_is_printed_once(self, monkeypatch, c_only):
         """Every region's body is in its unit once, in ``<symbol>_span``,
         which holds no directive and calls no libgomp function.  The plain
         path calls it over the whole space; under a store-safety proof the
@@ -1423,8 +1474,8 @@ class TestSharedProgram:
     def test_threads_start_cold(self):
         """Nothing compiled when eight threads first launch (two tenants'
         first requests for one kernel): a function's translation unit is
-        known to the other threads' up-front seal only once all its regions
-        are in it, so no unit seals half-built — every run is native,
+        built, and known to the other threads, only once all its regions
+        are in it, so no unit builds half-built — every run is native,
         nothing bails out, outputs and CostReports equal the interpreter's."""
         import threading
 
@@ -1736,7 +1787,7 @@ class TestArtifactCache:
 
 @pytest.fixture
 def sealed_units(monkeypatch):
-    """The ``(unit key, assembled C source)`` of every native unit sealed
+    """The ``(unit key, assembled C source)`` of every native unit built
     during the test, in order."""
     from repro.runtime import native
 

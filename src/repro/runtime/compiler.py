@@ -173,8 +173,8 @@ class _Program:
         self.dispatcher = _resolve(dispatcher)
         self._functions: Dict[int, _CompiledFunction] = {}
         self._speedups: Dict[int, float] = {}
-        #: one ``(function, plan, tier)`` per compiled region, in compile order.
-        self.regions: List[Tuple[str, RegionPlan, str]] = []
+        #: every compiled region, in compile order (``engine.regions``).
+        self.regions: List[_Region] = []
         #: ``id(plan)`` -> the dispatches the region's native code refused at
         #: run time, by reason (the native dispatcher's live tally).
         self.bailouts: Dict[int, Dict[str, int]] = {}
@@ -200,9 +200,6 @@ class _Program:
         #: the native dispatcher's translation units, one per compiled
         #: function that offered it a region, each built with its function.
         self.native_units: List = []
-        #: ``id(plan)`` -> a native region's dispatch handle (the iterations
-        #: its C steps at once, the unit whose ``-O`` level it runs at).
-        self.handles: Dict[int, object] = {}
         #: entry name -> its compiled function, looked up once (the module is
         #: not mutated after its first compiled run; see invalidate_compiled).
         self.entries: Dict[str, _CompiledFunction] = {}
@@ -298,26 +295,30 @@ def _span_points(ranges, start: int, stop: Optional[int]):
 
 
 class _Region:
-    """One span while it is being compiled (compile time only).
+    """One region of a compiled ``function``: filled in while it is
+    compiled, then its row of ``engine.regions``.
 
     The shell fills it in as it goes — the plan and the slots it resolved
     (``bounds``: the lower / upper / step slot lists; ``index_slots``: the
     induction variables) — and the planner's ``body``, the in-process
     ``base`` run and the accounting around it (``count``, ``finish``,
     ``message``), which it hands to the row's planner and dispatcher; they
-    name the ``tier`` that took the region.  The function's generated code
-    calls the region's run by ``name`` (a global of its ``ns``).
+    name the ``tier`` that took the region, and the native dispatcher its
+    ``handle``.  The function's generated code calls the region's run by
+    ``name`` (a global of its ``ns``).
     """
 
-    __slots__ = ("plan", "bounds", "index_slots", "body", "base",
-                 "count", "finish", "message", "tier", "name")
+    __slots__ = ("function", "plan", "bounds", "index_slots", "body", "base",
+                 "count", "finish", "message", "tier", "name", "handle")
 
-    def __init__(self, plan: RegionPlan, bounds: Tuple, index_slots: List[int]) -> None:
+    def __init__(self, function: str, plan: RegionPlan, bounds: Tuple = (),
+                 index_slots: Sequence[int] = ()) -> None:
+        self.function = function
         self.plan = plan
         self.bounds = bounds
         self.index_slots = index_slots
         self.body = self.base = self.count = self.finish = None
-        self.message = self.tier = self.name = None
+        self.message = self.tier = self.name = self.handle = None
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +649,7 @@ class _FunctionCompiler:
         plan = self.program.plans.plan(op)
         bounds = (self.slots(plan.lower_bounds), self.slots(plan.upper_bounds),
                   self.slots(plan.steps))
-        return _Region(plan, bounds, self.slots(plan.induction_vars))
+        return _Region(self.fn.sym_name, plan, bounds, self.slots(plan.induction_vars))
 
     def _dispatched(self, region: _Region) -> List[str]:
         """Offer a planned region to the row's dispatcher; ``base`` otherwise."""
@@ -657,7 +658,7 @@ class _FunctionCompiler:
         if dispatcher is not None:
             self.offered += 1
             run = dispatcher(self, region)
-        self.program.regions.append((self.fn.sym_name, region.plan, region.tier))
+        self.program.regions.append(region)
         region.name = self._name("s")
         return self._bound(region.base if run is None else run, region.name)
 
@@ -717,7 +718,9 @@ class _FunctionCompiler:
             stats, counter = program.declined
             getattr(program, stats)[counter] += 1
             plan.refuse(program.row, UNLOWERED[plan.kind])
-        program.regions.append((self.fn.sym_name, plan, "interp"))
+        region = _Region(self.fn.sym_name, plan)
+        region.tier = "interp"
+        program.regions.append(region)
         live_ins = [(id(value), self.slot(value)) for value in plan.live_ins]
         module, machine = program.module, program.machine
 
@@ -918,11 +921,13 @@ class CompiledEngine:
         self._program = program_for(module, machine, self.ROW)
         self._work: List[float] = [0.0]
 
-    def _preflight(self) -> None:
-        """Hook, called with the entry function compiled and no argument
-        written yet: the last point a taxonomy error may be raised
-        (``FAILS_BEFORE_FIRST_STORE``; the native engine raises a failed
-        unit's build here)."""
+    def _entry(self, name: str, count: int) -> _CompiledFunction:
+        """Hook: the compiled function a run of ``name`` calls, looked up
+        (compiled the first time) with no argument written yet — the last
+        point a taxonomy error may be raised (``FAILS_BEFORE_FIRST_STORE``;
+        the native engine raises a missing toolchain or a failed unit's
+        build here)."""
+        return self._program.entry(name, count)
 
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
@@ -932,8 +937,7 @@ class CompiledEngine:
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
         count = len(arguments)
-        compiled = self._program.entry(function_name, count)
-        self._preflight()
+        compiled = self._entry(function_name, count)
         state = self._make_state()
         regs = compiled.template[:]
         # the parameters hold the first slots (``_FunctionCompiler.compile``)
@@ -966,9 +970,10 @@ class CompiledEngine:
         asked = ((self.ROW, "parallel", "lanes") if program.dispatcher is not None
                  else (self.ROW,))
         rows = []
-        for function, plan, tier in program.regions:
-            handle = program.handles.get(id(plan))
-            rows.append({"function": function, "kind": plan.kind, "tier": tier,
+        for region in program.regions:
+            plan, handle = region.plan, region.handle
+            rows.append({"function": region.function, "kind": plan.kind,
+                         "tier": region.tier,
                          "refusals": [f"{capability}: {reason}"
                                       for capability, reason in plan.refusals
                                       if capability in asked],

@@ -529,11 +529,6 @@ class NativeUnit:
         self.failure: Optional[ToolchainError] = None
         self._lock = threading.Lock()
 
-    @property
-    def status(self) -> str:
-        """``"failed"`` when the unit did not build, else ``"ready"``."""
-        return "ready" if self.failure is None else "failed"
-
     def add(self, source: str, symbol: str, width: int, region: _Region) -> None:
         self.sources.append(source)
         self.symbols.append(symbol)
@@ -601,15 +596,10 @@ class NativeUnit:
         program = self.program
         first_line = str(self.failure).partition("\n")[0]
         reason = f"unit did not build: {first_line}"
-        plans = set()
         for region in regions:
             fc.ns[region.name] = region.base
             region.plan.refuse("native", reason)
-            del program.handles[id(region.plan)]
-            plans.add(id(region.plan))
-        for index, (function, plan, _) in enumerate(program.regions):
-            if id(plan) in plans:
-                program.regions[index] = (function, plan, "closures")
+            region.tier, region.handle = "closures", None
         program.native_stats["native_regions"] -= len(regions)
         program.native_stats["fallback_regions"] += len(regions)
 
@@ -923,8 +913,7 @@ def native(fc: _FunctionCompiler, region: _Region):
         return None
     stats["native_regions"] += 1
     unit.add(source, symbol, spec.width, region)
-    region.tier = "native"
-    program.handles[id(plan)] = handle
+    region.tier, region.handle = "native", handle
     return handle.dispatch
 
 
@@ -943,18 +932,26 @@ class NativeEngine(CompiledEngine):
 
     ROW = "native"
 
-    def _preflight(self) -> None:
+    #: whether a strict run of this engine found the toolchain working.
+    _toolchain_checked = False
+
+    def _entry(self, name: str, count: int):
         # Strict (resilience-wrapped) runs raise a toolchain failure — the
-        # *cached* probe's, or the build of a unit of the program (see
-        # NativeUnit) — here; direct construction keeps the graceful degrade.
-        # Once a probe passed, a unit built under a compiler that fails
-        # carries its own failure, so a warm run only reads the units.
-        if self._resilience_strict:
-            if _run is None:
-                require_toolchain()
-            for unit in self._program.native_units:
-                if unit.failure is not None:
-                    raise unit.failure
+        # *cached* probe's, before a unit is built, or the build of a unit of
+        # the program (see NativeUnit) — here; direct construction keeps the
+        # graceful degrade.  Once the probe passed, a unit built under a
+        # compiler that fails carries its own failure.
+        program = self._program
+        if not self._resilience_strict:
+            return program.entry(name, count)
+        if not self._toolchain_checked:
+            require_toolchain()
+            self._toolchain_checked = True
+        compiled = program.entry(name, count)
+        for unit in program.native_units:
+            if unit.failure is not None:
+                raise unit.failure
+        return compiled
 
     @property
     def native_stats(self) -> Dict[str, int]:

@@ -119,7 +119,7 @@ def run_unlowered(module, entry: str, make_args: Callable[[], List], *,
     for row in _ROWS:
         program = program_for(module, machine, row)
         program.function(module.lookup(entry))
-        tiers = [tier for _, _, tier in program.regions]
+        tiers = [region.tier for region in program.regions]
         assert tiers and set(tiers) == {"interp"}, f"{label}: {row} ran {tiers}"
     Interpreter(module, machine=machine, threads=threads).run(entry, make_args())
 

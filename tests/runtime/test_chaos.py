@@ -325,7 +325,7 @@ class TestPromotionFailures:
         unit = self._unit(executor)
         unit.promote()
         assert native.await_promotions(timeout=120)
-        assert unit.status == "ready" and unit.failure is None
+        assert unit.failure is None
         assert unit.level == "-O1" and not unit.promotable
         stats = executor.native_stats
         assert stats["promotions"] == 0 and stats["promotion_failures"] == 1
@@ -384,7 +384,7 @@ class TestPromotionFailures:
         np.testing.assert_array_equal(arguments[0], expected)
         assert report_fields(executor.report) == fields
         unit = self._unit(executor)
-        assert unit.status == "ready" and unit.level == "-O1"
+        assert unit.failure is None and unit.level == "-O1"
         assert unit.countdown == 0 and not unit.promotable
         assert executor.native_stats["artifact_hits"] == 1
         assert executor.native_stats["promotion_failures"] == 1

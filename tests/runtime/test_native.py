@@ -305,14 +305,39 @@ class TestNegativeProbe:
         """Under the resilience wrapper a missing toolchain is a taxonomy
         failure, not a silent degrade: the strict engine raises and the
         wrapper owns the fallback (pinned end-to-end in test_chaos.py)."""
+        from repro.runtime import resilience
         from repro.runtime.errors import ToolchainError
 
         module = _lowered(QUICK_CUDA)
         engine = NativeEngine(module)
         engine._resilience_strict = True
         monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-strict-cc")
+        log = resilience.global_log()
+        log.clear()
         with pytest.raises(ToolchainError, match="not found on PATH"):
             engine.run("launch", _quick_args())
+        # raised before the entry's unit is built: no unit records a degrade
+        assert log.events(op="native.cc") == []
+        assert engine._program.native_units == []
+
+    @needs_cc
+    def test_a_passed_probe_does_not_vouch_for_another_compiler(self, monkeypatch):
+        """After a strict run passed the probe, a strict run of a module with
+        no spans (no unit to fail) under a compiler that does not exist
+        still raises the probe's error for that compiler."""
+        from repro.runtime.errors import ToolchainError
+
+        passing = NativeEngine(_lowered(QUICK_CUDA))
+        passing._resilience_strict = True
+        passing.run("launch", _quick_args())
+        monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-spanless-cc")
+        module = _lowered("void launch(float* out, int n) { out[0] = 2.0f; }")
+        engine = NativeEngine(module)
+        engine._resilience_strict = True
+        out = np.zeros(4, dtype=np.float32)
+        with pytest.raises(ToolchainError, match="repro-spanless-cc"):
+            engine.run("launch", [out, 4])
+        assert engine._program.native_units == [] and not out.any()
 
 
 class TestDispatchBailouts:
@@ -394,7 +419,7 @@ class TestDispatchBailouts:
         module = _lowered(source)
         engine = NativeEngine(module)
         engine.run("launch", _quick_args())
-        handle, = engine._program.handles.values()
+        handle, = [region.handle for region in engine._program.regions]
         assert [slot for slot, *_ in handle.contract.buffers] == [1, 0]
         arguments = _quick_args()
         for fault in faults:
@@ -459,6 +484,53 @@ class TestDispatchBailouts:
         self._assert_refused_at_build(QUICK_CUDA, "native compile failed: no units here")
 
     @needs_cc
+    def test_two_threads_building_one_failing_unit_both_fall_back(self, monkeypatch):
+        """Two threads compile one function cold at once, and neither unit
+        builds: each failed unit refuses only its own regions, no thread
+        raises, and both runs equal the interpreter's."""
+        import threading
+
+        from repro.runtime import native
+
+        monkeypatch.setenv(CC_ENV_VAR, "/nonexistent/repro-cc")
+        module = _lowered(QUICK_CUDA)
+        expected = _quick_args()
+        interp = Interpreter(module)
+        interp.run("launch", expected)
+        together = threading.Barrier(2, timeout=60)
+        build = native.NativeUnit.build
+
+        def build_together(unit, fc):
+            together.wait()  # both functions compiled, neither published
+            build(unit, fc)
+
+        monkeypatch.setattr(native.NativeUnit, "build", build_together)
+        engines = [NativeEngine(module) for _ in range(2)]
+        results, errors = [None, None], []
+
+        def run(index):
+            try:
+                arguments = _quick_args()
+                engines[index].run("launch", arguments)
+                results[index] = (arguments[0].tobytes(),
+                                  report_fields(engines[index].report))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert results == [(expected[0].tobytes(), report_fields(interp.report))] * 2
+        rows = engines[0].regions
+        assert [(row["tier"], row["width"]) for row in rows] == [("closures", None)] * 2
+        stats = engines[0].native_stats
+        assert stats["native_regions"] == stats["native_dispatches"] == 0
+        assert stats["fallback_regions"] == 2
+
+    @needs_cc
     @pytest.mark.parametrize("case", ["zero-size", "read-only-input", "offset-views",
                                       "bool-and-int8"])
     def test_dispatches_natively_and_exactly(self, case):
@@ -510,7 +582,7 @@ class TestDispatchBailouts:
 
         engine = NativeEngine(_lowered(QUICK_CUDA))
         engine.run("launch", _quick_args())
-        handle, = engine._program.handles.values()
+        handle, = [region.handle for region in engine._program.regions]
         buffers = handle.contract.buffers
         spy = RegionSpy()
         spy.wrap(handle.unit, buffers=len(buffers))
@@ -1277,7 +1349,8 @@ class TestOneFlagTwoLoops:
             module = build()
             program = program_for(module, XEON_8375C, "native")
             program.function(module.lookup(entry))
-            plans = [plan for _, plan, tier in program.regions if tier == "native"]
+            plans = [region.plan for region in program.regions
+                     if region.tier == "native"]
             functions = [source for unit in program.native_units
                          for source in unit.sources]
             assert len(plans) == len(functions) >= 1, label
@@ -1582,6 +1655,8 @@ class TestDispatcher:
         assert executor.engine_name == resilience.fallback_engines("native")[0]
         degrade, = log.events(op="engine.run", action="degrade")
         assert degrade.error == "ToolchainError"
+        # the strict run raised before building a unit: none records a degrade
+        assert log.events(op="native.cc") == []
 
     @needs_cc
     def test_a_corrupt_dispatcher_is_rebuilt_once(self, tmp_path):

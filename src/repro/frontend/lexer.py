@@ -10,6 +10,7 @@ reference codes can be compiled through the same frontend).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -29,6 +30,19 @@ MULTI_CHAR_OPERATORS = [
 SINGLE_CHAR_OPERATORS = "+-*/%<>=!&|^~?:;,.(){}[]"
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
+
+#: the suffixes C gives an integer literal (``u`` and one of ``l`` / ``ll``,
+#: either order, any case) and a floating one.
+_INT_SUFFIX = re.compile(r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?")
+_FLOAT_SUFFIXES = ("", "f", "F", "l", "L")
+
+
+def int_value(text: str) -> int:
+    """The value of an ``int`` token's text: hexadecimal after ``0x``,
+    octal after a leading ``0`` (C's ``010`` is 8), else decimal."""
+    if len(text) > 1 and text[0] == "0" and text[1].isdigit():
+        return int(text, 8)
+    return int(text, 0)
 
 
 @dataclass
@@ -142,38 +156,56 @@ class Lexer:
         return Token(kind, text, line, column)
 
     def _lex_number(self) -> Token:
+        """An ``int`` or ``float`` token; its text is the literal without its
+        suffix.  A malformed literal (an octal digit past 7, an exponent
+        without digits, a suffix that starts like C's but is not one) is a
+        :class:`LexerError` at the literal."""
         line, column = self.line, self.column
         start = self.position
-        if self._peek() == "0" and self._next_in("xX", 1) and self._next_in(_HEX_DIGITS, 2):
+        hexadecimal = (self._peek() == "0" and self._next_in("xX", 1)
+                       and self._next_in(_HEX_DIGITS, 2))
+        is_float = False
+        if hexadecimal:
             self._advance(2)
             while self._next_in(_HEX_DIGITS):
                 self._advance()
-            text = self.source[start:self.position]
-            while self._next_in("uUlL"):
-                self._advance()
-            return Token("int", text, line, column)
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            self._advance()
+        else:
             while self._peek().isdigit():
                 self._advance()
-        if self._next_in("eE"):
-            is_float = True
-            self._advance()
-            if self._next_in("+-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start:self.position]
-        # suffixes
-        while self._next_in("fFuUlL"):
-            if self._peek() in "fF":
+            if self._peek() == ".":
                 is_float = True
-            self._advance()
+                self._advance()
+                while self._peek().isdigit():
+                    self._advance()
+            if self._next_in("eE"):
+                is_float = True
+                self._advance()
+                if self._next_in("+-"):
+                    self._advance()
+                if not self._peek().isdigit():
+                    raise self._malformed(start, line, column, "exponent has no digits")
+                while self._peek().isdigit():
+                    self._advance()
+        text = self.source[start:self.position]
+        suffix_start = self.position
+        if self._next_in("uUlLfF"):
+            while self._peek().isalnum() or self._peek() == "_":
+                self._advance()
+        suffix = self.source[suffix_start:self.position]
+        if not hexadecimal and suffix in ("f", "F"):
+            is_float = True  # ``1f``: a float, as the frontend always read it
+        valid = suffix in _FLOAT_SUFFIXES if is_float else _INT_SUFFIX.fullmatch(suffix)
+        if not valid:
+            raise self._malformed(start, line, column, f"invalid suffix {suffix!r}")
+        if (not is_float and not hexadecimal and text[0] == "0"
+                and any(digit in "89" for digit in text)):
+            raise self._malformed(start, line, column, "invalid digit in octal literal")
         return Token("float" if is_float else "int", text, line, column)
+
+    def _malformed(self, start: int, line: int, column: int, why: str) -> LexerError:
+        """The error of the number literal lexed from ``start`` so far."""
+        return self._error(f"malformed number {self.source[start:self.position]!r}: {why}",
+                           line, column)
 
     def _lex_string(self) -> Token:
         line, column = self.line, self.column

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import cast as ast
-from .lexer import Token, tokenize
+from .lexer import Token, int_value, tokenize
 
 
 class ParseError(SyntaxError):
@@ -202,7 +202,7 @@ class Parser:
         name = self._expect("ident").text
         dims: List[int] = []
         while self._accept("op", "["):
-            dims.append(int(self._expect("int").text, 0))
+            dims.append(int_value(self._expect("int").text))
             self._expect("op", "]")
         init = None
         if self._accept("op", "="):
@@ -390,7 +390,7 @@ class Parser:
         token = self._peek()
         if token.kind == "int":
             self._advance()
-            return ast.IntLit(int(token.text, 0))
+            return ast.IntLit(int_value(token.text))
         if token.kind == "float":
             self._advance()
             return ast.FloatLit(float(token.text.rstrip("fF")))

@@ -1,25 +1,53 @@
 /* The native engine's dispatcher: one CPython extension, built once per
  * artifact cache by the toolchain probe (repro.runtime.native).
  *
- * probe()                        the OpenMP reduction the probe checks: 4.
- * run(function, contract, regs)  one native dispatch of a region: what the
- *     C code of the region was specialized for is checked against the live-in
- *     values in ``regs`` (a list), in a fixed order -- the int scalars, the
- *     float scalars, then per buffer: a MemRefStorage, not freed, dtype,
- *     rank, C layout, memory space, writable if stored -- then the iteration
- *     space is read and the licence decided, and the region's function
- *     (the address ``function``, the region ABI of codegen_c) is called with
- *     the interpreter lock released.  Returns ``(work, global_bytes, ops,
- *     error, total)``, or a refusal code (``REFUSE_*``, the index of its
- *     name in native._REFUSALS) when a check fails; nothing is called then.
+ * probe()  the OpenMP reduction the probe checks: 4.
+ * call(functions, host, contract, arguments)  one native run of the spans a
+ *     contract describes, on ``arguments`` (a list or tuple), with nothing
+ *     stored unless every check passes:
+ *     - each parameter is checked once, in order -- an int or a float
+ *       (converted as int() / float() would, or, ``exact``, only an int or a
+ *       float as passed), or a buffer: a MemRefStorage or an ndarray, not
+ *       freed, dtype, rank, C layout, memory space, writable if stored;
+ *     - ``host`` (an address, or None), a straight-line entry's host
+ *       function (codegen_c.emit_host), computes the host scalars;
+ *     - every span's iteration space is read and its licence decided;
+ *     - then, with the interpreter lock released once, the steps run: the
+ *       spans (their addresses looked up in ``functions`` by symbol, the
+ *       region ABI of codegen_c) in order, between the charges, teams and
+ *       barriers of the generated Python, whose counters are folded as it
+ *       folds them, addition for addition.
+ *     Returns ``(work, dynamic_ops, global_bytes, parallel_regions,
+ *     workshared_loops, barriers, dispatches, error)`` -- on a span's error
+ *     ``work`` is the tuple of the open work frames, and no step after the
+ *     span ran -- or the code of the first failed check (``REFUSE_*``, the
+ *     index of its name in native._REFUSALS).
+ * A region's dispatch is a contract of one span whose parameters are the
+ * live-ins in the register list; a warm run of a straight-line entry is a
+ * contract of the whole function, whose parameters are its arguments.
  *
- * ``contract`` is native._Contract, a tuple:
- *     (storage type, K as int64 bytes, width, required dims or None,
- *      int slots, float slots, bound slots (lower..., upper..., step...),
- *      buffers: (slot, accepted buffer formats, rank, space, stored)...,
- *      alias pairs: (first, second)...)
+ * ``contract`` is native._Call, a tuple: (MemRefStorage, ndarray, layout
+ * (int64 words), charges (doubles), span symbols, and per buffer its
+ * accepted formats and its memory space).  The layout:
+ *     header   n_params n_ints n_floats n_buffers n_spans n_steps threads
+ *              n_speedups g_ints g_floats g_buffers n_extents exact arity
+ *              (arity -1: any argument count)
+ *     params   kind (PARAM_*) index rank stored position, each
+ *     gathers  g_ints indices of VI, g_floats of VF, g_buffers of buffers:
+ *              every span's int live-ins and bounds, floats, buffers
+ *     spans    width team (-1 an scf.parallel's, 0 the threads, else fixed)
+ *              nowait int_at float_at bound_at dims buffer_at n_buffers
+ *              extent_at n_costs costs... n_required (-1: no proof)
+ *              required... n_pairs (first second)...
+ *     steps    kind (STEP_*) argument, each
+ * and the charges: the sync and fork costs, speedup(1..n_speedups), then
+ * each STEP_CHARGE's cycles.
  * Every buffer acquired is released on every way out; the buffers keep
  * their arrays alive while the lock is released. */
+
+/* without CPython's debug assertions in its macros, as its own extension
+ * builds are (sysconfig's CFLAGS): every object is type-checked first */
+#define NDEBUG
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -30,16 +58,23 @@ typedef void (*region_fn)(const int64_t *LI, const double *LF, const int64_t *K,
                           void *const *LP, const int64_t *LS, const int64_t *RLB,
                           const int64_t *RST, const int64_t *RLEN, int64_t total,
                           int64_t mode, int64_t width, double *outf, int64_t *outi);
+typedef int (*host_fn)(int64_t *VI, double *VF);
 
 enum {
     REFUSE_SCALAR, REFUSE_FREED, REFUSE_DTYPE, REFUSE_RANK, REFUSE_LAYOUT,
-    REFUSE_SPACE, REFUSE_READ_ONLY, REFUSE_STEP
+    REFUSE_SPACE, REFUSE_READ_ONLY, REFUSE_STEP,
+    /* what a helper returns when it refuses nothing */
+    NO_REFUSAL = -2
 };
+enum { PARAM_INT, PARAM_FLOAT, PARAM_BUFFER };
+enum { STEP_OPS, STEP_CHARGE, STEP_OPEN, STEP_CLOSE, STEP_BARRIER, STEP_SPAN };
 
 /* minimum iterations before a span is worth an OpenMP team. */
 #define MIN_PARALLEL_UNITS 64
+/* the deepest frame stack an entry's steps may open. */
+#define MAX_FRAMES 8
 
-static PyObject *name_array, *name_freed, *name_memory_space;
+static PyObject *name_array, *name_freed, *name_memory_space, *name_global;
 
 /* 1 when the pending exception is one a conversion refuses on (the value
  * cannot be converted), after clearing it; 0 when it must propagate. */
@@ -110,278 +145,473 @@ static int64_t range_length(int64_t lb, int64_t ub, int64_t st)
     return length > (uint64_t)INT64_MAX ? -1 : (int64_t)length;
 }
 
-static PyObject *slot_item(PyObject *regs, PyObject *slots, Py_ssize_t index)
+/* The iteration space of ``dims`` bounds: each dim's length into ``rlen`` and
+ * their product into ``total`` (0 when one dim is empty).  REFUSE_STEP for a
+ * zero step, REFUSE_SCALAR for a product past int64, else NO_REFUSAL. */
+static int iteration_space(Py_ssize_t dims, const int64_t *lb, const int64_t *ub,
+                           const int64_t *st, int64_t *rlen, int64_t *total)
 {
-    Py_ssize_t slot = PyLong_AsSsize_t(PyTuple_GET_ITEM(slots, index));
-    if (slot == -1 && PyErr_Occurred())
-        return NULL;
-    if (slot < 0 || slot >= PyList_GET_SIZE(regs)) {
-        PyErr_Format(PyExc_IndexError, "register slot %zd out of range", slot);
-        return NULL;
-    }
-    return PyList_GET_ITEM(regs, slot);
-}
-
-static int64_t tuple_int(PyObject *tuple, Py_ssize_t index)
-{
-    return PyLong_AsLongLong(PyTuple_GET_ITEM(tuple, index));
-}
-
-static PyObject *run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 3 || !PyTuple_Check(args[1]) || PyTuple_GET_SIZE(args[1]) != 9
-            || !PyList_CheckExact(args[2])) {
-        PyErr_SetString(PyExc_TypeError, "run(function, contract, regs): "
-                        "a region address, a contract tuple and a list");
-        return NULL;
-    }
-    region_fn function = (region_fn)PyLong_AsVoidPtr(args[0]);
-    if (function == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "null region function");
-        return NULL;
-    }
-    PyObject *contract = args[1], *regs = args[2];
-    PyObject *storage_type = PyTuple_GET_ITEM(contract, 0);
-    PyObject *costs = PyTuple_GET_ITEM(contract, 1);
-    int64_t width = PyLong_AsLongLong(PyTuple_GET_ITEM(contract, 2));
-    PyObject *required = PyTuple_GET_ITEM(contract, 3);
-    PyObject *ints = PyTuple_GET_ITEM(contract, 4);
-    PyObject *floats = PyTuple_GET_ITEM(contract, 5);
-    PyObject *bounds = PyTuple_GET_ITEM(contract, 6);
-    PyObject *buffers = PyTuple_GET_ITEM(contract, 7);
-    PyObject *pairs = PyTuple_GET_ITEM(contract, 8);
-    if (!PyType_Check(storage_type) || !PyBytes_Check(costs) || !PyTuple_Check(ints)
-            || !PyTuple_Check(floats) || !PyTuple_Check(bounds) || !PyTuple_Check(buffers)
-            || !PyTuple_Check(pairs) || (required != Py_None && !PyTuple_Check(required))) {
-        PyErr_SetString(PyExc_TypeError, "malformed dispatch contract");
-        return NULL;
-    }
-    if (width == -1 && PyErr_Occurred())
-        return NULL;
-
-    const Py_ssize_t n_ints = PyTuple_GET_SIZE(ints), n_floats = PyTuple_GET_SIZE(floats);
-    const Py_ssize_t n_buffers = PyTuple_GET_SIZE(buffers), dims = PyTuple_GET_SIZE(bounds) / 3;
-    const Py_ssize_t n_costs = PyBytes_GET_SIZE(costs) / (Py_ssize_t)sizeof(int64_t);
-    int64_t li[n_ints + 1], K[n_costs + 1], rlb[dims + 1], rst[dims + 1], rlen[dims + 1];
-    double lf[n_floats + 1];
-    void *lp[n_buffers + 1];
-    Py_ssize_t nbytes[n_buffers + 1];
-    Py_buffer views[n_buffers + 1];
-    Py_ssize_t acquired = 0, n_extents = 0, index;
-    PyObject *result = NULL;
-    int refusal = -1, status;
-
-    /* the extents of every buffer, in order: first their count. */
-    for (index = 0; index < n_buffers; ++index) {
-        PyObject *spec = PyTuple_GET_ITEM(buffers, index);
-        if (!PyTuple_Check(spec) || PyTuple_GET_SIZE(spec) != 5) {
-            PyErr_SetString(PyExc_TypeError, "malformed buffer contract");
-            return NULL;
-        }
-        n_extents += PyLong_AsSsize_t(PyTuple_GET_ITEM(spec, 2));
-    }
-    if (PyErr_Occurred())
-        return NULL;
-    int64_t ls[n_extents + 1];
-    memcpy(K, PyBytes_AS_STRING(costs), (size_t)n_costs * sizeof(int64_t));
-
-    /* scalars: ints, then floats */
-    for (index = 0; index < n_ints; ++index) {
-        PyObject *value = slot_item(regs, ints, index);
-        if (value == NULL)
-            return NULL;
-        status = as_int64(value, &li[index]);
-        if (status)
-            return status < 0 ? NULL : PyLong_FromLong(REFUSE_SCALAR);
-    }
-    for (index = 0; index < n_floats; ++index) {
-        PyObject *value = slot_item(regs, floats, index);
-        if (value == NULL)
-            return NULL;
-        status = as_double(value, &lf[index]);
-        if (status)
-            return status < 0 ? NULL : PyLong_FromLong(REFUSE_SCALAR);
-    }
-
-    /* buffers: every check of one before the next one's */
-    Py_ssize_t extent = 0;
-    for (index = 0; index < n_buffers; ++index) {
-        PyObject *spec = PyTuple_GET_ITEM(buffers, index);
-        PyObject *storage = slot_item(regs, spec, 0);
-        PyObject *formats = PyTuple_GET_ITEM(spec, 1);
-        Py_ssize_t rank = PyLong_AsSsize_t(PyTuple_GET_ITEM(spec, 2));
-        PyObject *space = PyTuple_GET_ITEM(spec, 3);
-        int stored = PyObject_IsTrue(PyTuple_GET_ITEM(spec, 4));
-        if (storage == NULL || stored < 0 || !PyTuple_Check(formats))
-            goto error;
-        if (!PyObject_TypeCheck(storage, (PyTypeObject *)storage_type)) {
-            refusal = REFUSE_SCALAR;
-            goto done;
-        }
-        PyObject *attribute = PyObject_GetAttr(storage, name_freed);
-        if (attribute == NULL)
-            goto error;
-        status = PyObject_IsTrue(attribute);
-        Py_DECREF(attribute);
-        if (status < 0)
-            goto error;
-        if (status) {
-            refusal = REFUSE_FREED;
-            goto done;
-        }
-        attribute = PyObject_GetAttr(storage, name_array);
-        if (attribute == NULL)
-            goto error;
-        status = PyObject_GetBuffer(attribute, &views[index], PyBUF_RECORDS_RO);
-        Py_DECREF(attribute);
-        if (status < 0) {
-            /* no buffer (a dtype the protocol cannot describe, or no array) */
-            if (!(PyErr_ExceptionMatches(PyExc_BufferError) || refusable()))
-                goto error;
-            PyErr_Clear();
-            refusal = REFUSE_DTYPE;
-            goto done;
-        }
-        acquired = index + 1;
-        Py_buffer *view = &views[index];
-        const char *format = view->format != NULL ? view->format : "B";
-        Py_ssize_t accepted = PyTuple_GET_SIZE(formats), candidate;
-        for (candidate = 0; candidate < accepted; ++candidate) {
-            PyObject *name = PyTuple_GET_ITEM(formats, candidate);
-            if (PyBytes_Check(name) && strcmp(PyBytes_AS_STRING(name), format) == 0)
-                break;
-        }
-        if (candidate == accepted) {
-            refusal = REFUSE_DTYPE;
-            goto done;
-        }
-        if (view->ndim != rank) {
-            refusal = REFUSE_RANK;
-            goto done;
-        }
-        if (!PyBuffer_IsContiguous(view, 'C')) {
-            refusal = REFUSE_LAYOUT;
-            goto done;
-        }
-        attribute = PyObject_GetAttr(storage, name_memory_space);
-        if (attribute == NULL)
-            goto error;
-        status = PyObject_RichCompareBool(attribute, space, Py_EQ);
-        Py_DECREF(attribute);
-        if (status < 0)
-            goto error;
-        if (!status) {
-            refusal = REFUSE_SPACE;
-            goto done;
-        }
-        if (stored && view->readonly) {
-            refusal = REFUSE_READ_ONLY;
-            goto done;
-        }
-        lp[index] = view->buf;
-        nbytes[index] = view->len;
-        for (Py_ssize_t dim = 0; dim < rank; ++dim)
-            ls[extent++] = (int64_t)view->shape[dim];
-    }
-
-    /* the iteration space */
-    int64_t total = 1;
     int empty = 0, overflow = 0;
-    for (index = 0; index < dims; ++index) {
-        int64_t ub, length;
-        PyObject *lower = slot_item(regs, bounds, index);
-        PyObject *upper = slot_item(regs, bounds, dims + index);
-        PyObject *stride = slot_item(regs, bounds, 2 * dims + index);
-        if (lower == NULL || upper == NULL || stride == NULL)
-            goto error;
-        if ((status = as_int64(lower, &rlb[index])) || (status = as_int64(upper, &ub))
-                || (status = as_int64(stride, &rst[index]))) {
-            if (status < 0)
-                goto error;
-            refusal = REFUSE_SCALAR;
-            goto done;
-        }
-        if (rst[index] == 0) {
-            refusal = REFUSE_STEP;
-            goto done;
-        }
-        length = range_length(rlb[index], ub, rst[index]);
-        overflow |= length < 0 || (length > 0 && __builtin_mul_overflow(total, length, &total));
+    *total = 1;
+    for (Py_ssize_t index = 0; index < dims; ++index) {
+        if (st[index] == 0)
+            return REFUSE_STEP;
+        int64_t length = range_length(lb[index], ub[index], st[index]);
+        overflow |= length < 0 || (length > 0 && __builtin_mul_overflow(*total, length, total));
         empty |= length == 0;
         rlen[index] = length;
     }
     if (empty)
-        total = 0;
-    else if (overflow) {
-        refusal = REFUSE_SCALAR;
-        goto done;
-    }
+        *total = 0;
+    else if (overflow)
+        return REFUSE_SCALAR;
+    return NO_REFUSAL;
+}
 
-    /* the licence to reorder iterations -- across a team's chunks or the
-     * lanes of a block -- is the store-safety proof holding for these
-     * live-ins: its required-singleton dims are 1 and no stored buffer
-     * overlaps another.  The team also needs enough units to amortize it;
-     * without the licence the plain path runs one lane at a time, the
-     * sequential order. */
-    int licensed = required != Py_None && (width > 1 || total >= MIN_PARALLEL_UNITS);
-    for (index = 0; licensed && index < PyTuple_GET_SIZE(required); ++index) {
-        int64_t dim = tuple_int(required, index);
+/* The licence to reorder iterations -- across a team's chunks or the lanes
+ * of a block -- is the store-safety proof holding for these live-ins: its
+ * required-singleton dims (``n_required`` of them; -1: no proof) are 1 and
+ * no stored buffer overlaps another (the ``n_pairs`` pairs of buffer
+ * indices).  The team also needs enough units to amortize it; without the
+ * licence ``width`` becomes 1, the plain path running one lane at a time,
+ * the sequential order.  Sets ``mode`` and ``width``; -1 with an IndexError
+ * for a dim or buffer index out of range, else 0. */
+static int licence(const int64_t *required, Py_ssize_t n_required, Py_ssize_t dims,
+                   const int64_t *rlen, const int64_t *pairs, Py_ssize_t n_pairs,
+                   Py_ssize_t n_buffers, void *const *lp, const Py_ssize_t *nbytes,
+                   int64_t total, int64_t *width, int64_t *mode)
+{
+    int licensed = n_required >= 0 && (*width > 1 || total >= MIN_PARALLEL_UNITS);
+    for (Py_ssize_t index = 0; licensed && index < n_required; ++index) {
+        int64_t dim = required[index];
         if (dim < 0 || dim >= dims) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_IndexError, "required dim out of range");
-            goto error;
+            PyErr_SetString(PyExc_IndexError, "required dim out of range");
+            return -1;
         }
         licensed = rlen[dim] == 1;
     }
-    for (index = 0; licensed && index < PyTuple_GET_SIZE(pairs); ++index) {
-        PyObject *pair = PyTuple_GET_ITEM(pairs, index);
-        int64_t first = tuple_int(pair, 0), second = tuple_int(pair, 1);
+    for (Py_ssize_t index = 0; licensed && index < n_pairs; ++index) {
+        int64_t first = pairs[2 * index], second = pairs[2 * index + 1];
         if (first < 0 || second < 0 || first >= n_buffers || second >= n_buffers) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_IndexError, "alias pair out of range");
-            goto error;
+            PyErr_SetString(PyExc_IndexError, "alias pair out of range");
+            return -1;
         }
         uintptr_t start = (uintptr_t)lp[first], stop = start + (uintptr_t)nbytes[first];
         uintptr_t other = (uintptr_t)lp[second];
         licensed = !(start != stop && start < other + (uintptr_t)nbytes[second]
                      && other < stop);
     }
+    *mode = licensed && total >= MIN_PARALLEL_UNITS;
+    if (!licensed)
+        *width = 1;
+    return 0;
+}
 
-    double outf[2];
-    int64_t outi[2];
-    const int64_t mode = licensed && total >= MIN_PARALLEL_UNITS;
-    width = licensed ? width : 1;
-    Py_BEGIN_ALLOW_THREADS
-    function(li, lf, K, lp, ls, rlb, rst, rlen, total, mode, width, outf, outi);
-    Py_END_ALLOW_THREADS
-    result = PyTuple_New(5);
-    if (result == NULL)
-        goto error;
-    PyObject *items[5] = {PyFloat_FromDouble(outf[0]), PyFloat_FromDouble(outf[1]),
-                          PyLong_FromLongLong(outi[0]), PyLong_FromLongLong(outi[1]),
-                          PyLong_FromLongLong(total)};
-    for (index = 0; index < 5; ++index) {
-        if (items[index] == NULL) {
-            Py_DECREF(result);
-            result = NULL;
-            for (Py_ssize_t other = index + 1; other < 5; ++other)
-                Py_XDECREF(items[other]);
+/* Take ``argument`` as a buffer the region code may be handed: a
+ * MemRefStorage, or -- ``array_type`` given -- an ndarray, which is a
+ * global-memory storage of its own bytes.  The checks, in order: the kind,
+ * not freed, a dtype of ``formats``, ``rank``, C layout, memory ``space``,
+ * writable if ``stored``.  Returns NO_REFUSAL with ``view`` acquired, the
+ * refusal code of the first failed check (nothing held), or -1 on an
+ * error. */
+static int take_buffer(PyObject *argument, PyTypeObject *storage_type,
+                       PyTypeObject *array_type, PyObject *formats, Py_ssize_t rank,
+                       PyObject *space, int stored, Py_buffer *view)
+{
+    PyObject *array, *attribute;
+    int status, refusal = NO_REFUSAL;
+    int storage = !(array_type != NULL && PyObject_TypeCheck(argument, array_type));
+    if (storage) {
+        if (!PyObject_TypeCheck(argument, storage_type))
+            return REFUSE_SCALAR;
+        attribute = PyObject_GetAttr(argument, name_freed);
+        if (attribute == NULL)
+            return -1;
+        status = PyObject_IsTrue(attribute);
+        Py_DECREF(attribute);
+        if (status)
+            return status < 0 ? -1 : REFUSE_FREED;
+        array = PyObject_GetAttr(argument, name_array);
+        if (array == NULL)
+            return -1;
+    } else {
+        array = argument;
+        Py_INCREF(array);
+    }
+    status = PyObject_GetBuffer(array, view, PyBUF_RECORDS_RO);
+    Py_DECREF(array);
+    if (status < 0) {
+        /* no buffer (a dtype the protocol cannot describe, or no array) */
+        if (!(PyErr_ExceptionMatches(PyExc_BufferError) || refusable()))
+            return -1;
+        PyErr_Clear();
+        return REFUSE_DTYPE;
+    }
+    const char *format = view->format != NULL ? view->format : "B";
+    Py_ssize_t accepted = PyTuple_GET_SIZE(formats), candidate;
+    for (candidate = 0; candidate < accepted; ++candidate) {
+        PyObject *name = PyTuple_GET_ITEM(formats, candidate);
+        if (PyBytes_Check(name) && strcmp(PyBytes_AS_STRING(name), format) == 0)
+            break;
+    }
+    if (candidate == accepted)
+        refusal = REFUSE_DTYPE;
+    else if (view->ndim != rank)
+        refusal = REFUSE_RANK;
+    else if (!PyBuffer_IsContiguous(view, 'C'))
+        refusal = REFUSE_LAYOUT;
+    else {
+        attribute = storage ? PyObject_GetAttr(argument, name_memory_space) : name_global;
+        if (attribute == NULL) {
+            PyBuffer_Release(view);
+            return -1;
+        }
+        status = PyObject_RichCompareBool(attribute, space, Py_EQ);
+        if (storage)
+            Py_DECREF(attribute);
+        if (status < 0) {
+            PyBuffer_Release(view);
+            return -1;
+        }
+        if (!status)
+            refusal = REFUSE_SPACE;
+        else if (stored && view->readonly)
+            refusal = REFUSE_READ_ONLY;
+    }
+    if (refusal != NO_REFUSAL)
+        PyBuffer_Release(view);
+    return refusal;
+}
+
+/* A tuple of the ``count`` new references ``items`` (stolen, NULLs
+ * included), or NULL when one of them, or the tuple, is NULL. */
+static PyObject *pack(PyObject **items, Py_ssize_t count)
+{
+    PyObject *tuple = PyTuple_New(count);
+    for (Py_ssize_t index = 0; index < count; ++index) {
+        if (tuple == NULL || items[index] == NULL) {
+            Py_CLEAR(tuple);
+            Py_XDECREF(items[index]);
+            continue;
+        }
+        PyTuple_SET_ITEM(tuple, index, items[index]);
+    }
+    return tuple;
+}
+
+/* A bounds-checked cursor over an entry contract's layout. */
+typedef struct {
+    const int64_t *at, *end;
+    int bad;
+} cursor;
+
+/* The next ``count`` words (flags the cursor bad past the end). */
+static const int64_t *words(cursor *c, int64_t count)
+{
+    if (count < 0 || count > c->end - c->at) {
+        c->bad = 1;
+        return c->end;
+    }
+    const int64_t *at = c->at;
+    c->at += count;
+    return at;
+}
+
+/* The next word, flagged bad unless it lies in [low, high). */
+static int64_t word(cursor *c, int64_t low, int64_t high)
+{
+    const int64_t *at = words(c, 1);
+    if (c->bad || *at < low || *at >= high) {
+        c->bad = 1;
+        return low;
+    }
+    return *at;
+}
+
+/* One span of an entry, as read from its layout and prepared for the run. */
+typedef struct {
+    region_fn function;
+    const int64_t *K;
+    int64_t parallel, total, mode, width;
+    double fork, sync, speedup;
+    int64_t *li, *rlb, *rst, *rlen, *ls;
+    double *lf;
+    void **lp;
+} span_call;
+
+/* call() past its argument checks: ``c`` stands after the layout's header.
+ * (A function of its own, so that no jump enters the scope of its arrays.) */
+static PyObject *enter(PyObject *functions, host_fn host, PyObject *contract,
+                       PyObject *arguments, const int64_t *header, cursor c)
+{
+    PyObject *storage_type = PyTuple_GET_ITEM(contract, 0);
+    PyObject *array_type = PyTuple_GET_ITEM(contract, 1);
+    PyObject *charges = PyTuple_GET_ITEM(contract, 3);
+    PyObject *symbols = PyTuple_GET_ITEM(contract, 4);
+    PyObject *formats = PyTuple_GET_ITEM(contract, 5);
+    PyObject *spaces = PyTuple_GET_ITEM(contract, 6);
+    const double *charge = (const double *)PyBytes_AS_STRING(charges);
+    const int64_t n_charges = PyBytes_GET_SIZE(charges) / (Py_ssize_t)sizeof(double);
+    const int64_t n_params = header[0], n_ints = header[1], n_floats = header[2];
+    const int64_t n_buffers = header[3], n_spans = header[4], n_steps = header[5];
+    const int64_t threads = header[6], n_speedups = header[7], g_ints = header[8];
+    const int64_t g_floats = header[9], g_buffers = header[10], n_extents = header[11];
+    const int exact = (int)header[12];
+    const Py_ssize_t n_arguments = PySequence_Fast_GET_SIZE(arguments);
+    PyObject **items = PySequence_Fast_ITEMS(arguments);
+    int64_t VI[n_ints + 1], G[g_ints + 1], rlen[g_ints + 1], ls[n_extents + 1];
+    double VF[n_floats + 1], F[g_floats + 1];
+    void *lp[g_buffers + 1];
+    Py_ssize_t nbytes[g_buffers + 1];
+    Py_buffer views[n_buffers + 1];
+    span_call spans[n_spans + 1];
+    int64_t acquired = 0, index;
+    int refusal = REFUSE_SCALAR, status;
+    PyObject *result = NULL;
+
+    /* the parameters, each checked once, in order */
+    for (index = 0; index < n_params; ++index) {
+        const int64_t kind = word(&c, PARAM_INT, PARAM_BUFFER + 1);
+        const int64_t slot = word(&c, 0, kind == PARAM_INT ? n_ints
+                                     : kind == PARAM_FLOAT ? n_floats : n_buffers);
+        const int64_t rank = word(&c, 0, 64), stored = word(&c, 0, 2);
+        const int64_t position = word(&c, 0, n_arguments);
+        if (c.bad || (kind == PARAM_BUFFER && slot != acquired))
+            goto malformed;
+        PyObject *item = items[position];
+        if (kind == PARAM_INT) {
+            /* exact: an int as passed, which host code computes on */
+            status = exact && !PyLong_Check(item) ? 1 : as_int64(item, &VI[slot]);
+        } else if (kind == PARAM_FLOAT) {
+            status = exact && !PyFloat_Check(item) ? 1 : as_double(item, &VF[slot]);
+        } else {
+            status = 0;
+            refusal = take_buffer(item, (PyTypeObject *)storage_type,
+                                  (PyTypeObject *)array_type,
+                                  PyTuple_GET_ITEM(formats, slot), rank,
+                                  PyTuple_GET_ITEM(spaces, slot), (int)stored,
+                                  &views[slot]);
+            if (refusal == -1)
+                goto error;
+            if (refusal != NO_REFUSAL)
+                goto done;
+            acquired = slot + 1;
+        }
+        if (status)
+            goto refused_or_error;
+    }
+    refusal = REFUSE_SCALAR;
+    if (acquired != n_buffers)
+        goto malformed;
+
+    /* the host scalars: a host integer op that leaves int64 refuses */
+    if (host != NULL && host(VI, VF))
+        goto done;
+
+    /* the spans' live-ins, gathered: their ints and bounds, floats and
+     * buffers, each span's at an offset */
+    for (index = 0; index < g_ints; ++index)
+        G[index] = VI[word(&c, 0, n_ints)];
+    for (index = 0; index < g_floats; ++index)
+        F[index] = VF[word(&c, 0, n_floats)];
+    int64_t extent = 0;
+    for (index = 0; index < g_buffers; ++index) {
+        const Py_buffer *view = &views[word(&c, 0, n_buffers)];
+        if (c.bad || view->ndim > n_extents - extent)
+            goto malformed;
+        lp[index] = view->buf;
+        nbytes[index] = view->len;
+        for (int dim = 0; dim < view->ndim; ++dim)
+            ls[extent++] = (int64_t)view->shape[dim];
+    }
+
+    /* each span's iteration space and licence */
+    for (index = 0; index < n_spans; ++index) {
+        span_call *span = &spans[index];
+        /* width team nowait int_at float_at bound_at dims buffer_at
+         * n_buffers extent_at */
+        const int64_t *at = words(&c, 10);
+        span->K = words(&c, word(&c, 0, 1 << 24));
+        const int64_t n_required = word(&c, -1, 64);
+        const int64_t *required = words(&c, n_required < 0 ? 0 : n_required);
+        const int64_t n_pairs = word(&c, 0, 1 << 24);
+        const int64_t *pairs = words(&c, 2 * n_pairs);
+        int bad = c.bad || at[0] < 1 || at[1] < -1 || at[1] > n_speedups;
+        for (int field = 2; field < 10; ++field)
+            bad |= at[field] < 0 || at[field] > (1 << 16);
+        if (bad || at[3] > g_ints || at[4] > g_floats || at[5] + 3 * at[6] > g_ints
+                || at[7] + at[8] > g_buffers || at[9] > n_extents)
+            goto malformed;
+        const int64_t dims = at[6];
+        span->width = at[0];
+        span->parallel = at[1] < 0;
+        span->li = G + at[3];
+        span->lf = F + at[4];
+        span->rlb = G + at[5];
+        span->rst = G + at[5] + 2 * dims;
+        span->rlen = rlen + at[5];
+        span->lp = lp + at[7];
+        span->ls = ls + at[9];
+        refusal = iteration_space(dims, span->rlb, G + at[5] + dims, span->rst, span->rlen,
+                                  &span->total);
+        if (refusal != NO_REFUSAL)
+            goto done;
+        if (licence(required, n_required, dims, span->rlen, pairs, n_pairs, at[8], span->lp,
+                    nbytes + at[7], span->total, &span->width, &span->mode) < 0)
+            goto error;
+        /* the team its work is divided over: its fixed size or the threads,
+         * never more than its units */
+        const int64_t team = at[1] > 0 ? at[1] : threads;
+        span->speedup = charge[1 + (team < span->total ? team : span->total > 1 ? span->total : 1)];
+        span->fork = span->parallel ? charge[1] : 0.0;
+        span->sync = span->parallel || at[2] ? 0.0 : charge[0];
+        PyObject *address = PyDict_GetItemWithError(functions, PyTuple_GET_ITEM(symbols, index));
+        span->function = address == NULL ? NULL : (region_fn)PyLong_AsVoidPtr(address);
+        if (span->function == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_KeyError, "a span's function is missing from the unit");
             goto error;
         }
-        PyTuple_SET_ITEM(result, index, items[index]);
     }
-    goto done;
 
+    /* the steps, checked before the first runs */
+    const int64_t *steps = words(&c, 2 * n_steps);
+    int depth = 0;
+    for (index = 0; index < n_steps && !c.bad; ++index) {
+        const int64_t kind = steps[2 * index], argument = steps[2 * index + 1];
+        depth += kind == STEP_OPEN ? 1 : kind == STEP_CLOSE ? -1 : 0;
+        c.bad |= kind < STEP_OPS || kind > STEP_SPAN || depth < 0 || depth >= MAX_FRAMES
+                 || (kind == STEP_CHARGE && (argument < 2 + n_speedups || argument >= n_charges))
+                 || (kind == STEP_SPAN && (argument < 0 || argument >= n_spans));
+    }
+    if (c.bad || depth != 0 || c.at != c.end)
+        goto malformed;
+
+    /* the run: one release of the lock, the spans in order, the Python's
+     * accounting replayed addition for addition */
+    const double sync = charge[0], fork = charge[1];
+    double frames[MAX_FRAMES] = {0.0}, global_bytes = 0.0;
+    int64_t ops = 0, regions = 0, loops = 0, barriers = 0, dispatches = 0, error = 0;
+    Py_BEGIN_ALLOW_THREADS
+    for (index = 0; index < n_steps && !error; ++index) {
+        const int64_t argument = steps[2 * index + 1];
+        switch (steps[2 * index]) {
+        case STEP_OPS:
+            ops += argument;
+            break;
+        case STEP_CHARGE:
+            frames[depth] += charge[argument];
+            break;
+        case STEP_OPEN:
+            regions += 1;
+            frames[++depth] = 0.0;
+            break;
+        case STEP_CLOSE:
+            depth -= 1;
+            frames[depth] += fork + frames[depth + 1];
+            break;
+        case STEP_BARRIER:
+            barriers += 1;
+            frames[depth] += sync;
+            break;
+        default: {
+            span_call *span = &spans[argument];
+            double outf[2];
+            int64_t outi[2];
+            span->function(span->li, span->lf, span->K, span->lp, span->ls, span->rlb,
+                           span->rst, span->rlen, span->total, span->mode, span->width,
+                           outf, outi);
+            regions += span->parallel;
+            loops += !span->parallel;
+            error = outi[1];
+            if (error)
+                break;
+            dispatches += 1;
+            ops += outi[0];
+            global_bytes += outf[1];
+            /* a workshared loop's wall, plus its barrier; an scf.parallel's
+             * fork and wall (adding the other's 0.0 changes no bit) */
+            frames[depth] += span->fork + (outf[0] / span->speedup + span->sync);
+        }
+        }
+    }
+    Py_END_ALLOW_THREADS
+    PyObject *work;
+    if (error) {
+        PyObject *open[MAX_FRAMES];
+        for (int frame = 0; frame <= depth; ++frame)
+            open[frame] = PyFloat_FromDouble(frames[frame]);
+        work = pack(open, depth + 1);
+    } else {
+        work = PyFloat_FromDouble(frames[0]);
+    }
+    PyObject *fold[8] = {work, PyLong_FromLongLong(ops), PyFloat_FromDouble(global_bytes),
+                         PyLong_FromLongLong(regions), PyLong_FromLongLong(loops),
+                         PyLong_FromLongLong(barriers), PyLong_FromLongLong(dispatches),
+                         PyLong_FromLongLong(error)};
+    result = pack(fold, 8);
+    goto release;
+
+refused_or_error:
+    refusal = REFUSE_SCALAR;
+    if (status > 0)
+        goto done;
+    goto error;
+malformed:
+    PyErr_SetString(PyExc_ValueError, "malformed dispatch contract layout");
 error:
-    refusal = -1;
+    result = NULL;
+    goto release;
 done:
+    result = PyLong_FromLong(refusal);
+release:
     for (index = 0; index < acquired; ++index)
         PyBuffer_Release(&views[index]);
-    if (refusal >= 0)
-        return PyLong_FromLong(refusal);
     return result;
+}
+
+static PyObject *call(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 4 || !PyDict_Check(args[0]) || !PyTuple_Check(args[2])
+            || PyTuple_GET_SIZE(args[2]) != 7) {
+        PyErr_SetString(PyExc_TypeError, "call(functions, host, contract, arguments): "
+                        "a dict, a host address or None, a contract tuple and the "
+                        "arguments");
+        return NULL;
+    }
+    PyObject *contract = args[2], *arguments = args[3];
+    host_fn host = args[1] == Py_None ? NULL : (host_fn)PyLong_AsVoidPtr(args[1]);
+    PyObject *layout = PyTuple_GET_ITEM(contract, 2), *charges = PyTuple_GET_ITEM(contract, 3);
+    if (PyErr_Occurred() || !PyType_Check(PyTuple_GET_ITEM(contract, 0))
+            || !PyType_Check(PyTuple_GET_ITEM(contract, 1)) || !PyBytes_Check(layout)
+            || !PyBytes_Check(charges) || !PyTuple_Check(PyTuple_GET_ITEM(contract, 4))
+            || !PyTuple_Check(PyTuple_GET_ITEM(contract, 5))
+            || !PyTuple_Check(PyTuple_GET_ITEM(contract, 6))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "malformed dispatch contract");
+        return NULL;
+    }
+    const int64_t *start = (const int64_t *)PyBytes_AS_STRING(layout);
+    cursor c = {start, start + PyBytes_GET_SIZE(layout) / (Py_ssize_t)sizeof(int64_t), 0};
+    const int64_t *header = words(&c, 14);
+    int bad = c.bad;
+    /* the counts that size arrays on this stack (not n_speedups, a team) */
+    for (int index = 0; !bad && index < 13; ++index)
+        bad = header[index] < 0 || (index != 7 && header[index] > (1 << 16));
+    if (bad || header[6] < 1 || header[6] > header[7] || header[12] > 1
+            || PyBytes_GET_SIZE(charges) / (Py_ssize_t)sizeof(double) < 2 + header[7]
+            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(contract, 4)) != header[4]
+            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(contract, 5)) != header[3]
+            || PyTuple_GET_SIZE(PyTuple_GET_ITEM(contract, 6)) != header[3]) {
+        PyErr_SetString(PyExc_ValueError, "malformed dispatch contract layout");
+        return NULL;
+    }
+    /* an entry's arguments: a list or tuple of its arity */
+    if (!(PyList_Check(arguments) || PyTuple_Check(arguments))
+            || (header[13] >= 0 && PySequence_Fast_GET_SIZE(arguments) != header[13]))
+        return PyLong_FromLong(REFUSE_SCALAR);
+    return enter(args[0], host, contract, arguments, header, c);
 }
 
 static PyObject *probe(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -397,8 +627,9 @@ static PyObject *probe(PyObject *module, PyObject *const *args, Py_ssize_t nargs
 }
 
 static PyMethodDef methods[] = {
-    {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL,
-     "run(function, contract, regs): one native dispatch, or a refusal code."},
+    {"call", (PyCFunction)(void (*)(void))call, METH_FASTCALL,
+     "call(functions, host, contract, arguments): one native run of a contract's "
+     "spans, or a refusal code."},
     {"probe", (PyCFunction)(void (*)(void))probe, METH_FASTCALL,
      "probe(): an OpenMP reduction over four iterations (4)."},
     {NULL, NULL, 0, NULL},
@@ -414,7 +645,9 @@ PyMODINIT_FUNC PyInit__dispatch(void)
     name_array = PyUnicode_InternFromString("array");
     name_freed = PyUnicode_InternFromString("freed");
     name_memory_space = PyUnicode_InternFromString("memory_space");
-    if (name_array == NULL || name_freed == NULL || name_memory_space == NULL)
+    name_global = PyUnicode_InternFromString("global");
+    if (name_array == NULL || name_freed == NULL || name_memory_space == NULL
+            || name_global == NULL)
         return NULL;
     return PyModule_Create(&definition);
 }

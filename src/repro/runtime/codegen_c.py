@@ -1196,6 +1196,98 @@ class RegionCodegen:
 
 
 # ---------------------------------------------------------------------------
+# The host function of a straight-line entry
+# ---------------------------------------------------------------------------
+#: host integer ops whose result may leave int64: each refuses the call
+#: through its ``__builtin_*_overflow`` (Python's ints are unbounded).
+_HOST_OVERFLOW = {arith.AddIOp: "add", arith.SubIOp: "sub", arith.MulIOp: "mul"}
+
+#: the other host ops, whose row's ``c`` form computes on every int64 /
+#: double operand what its ``py`` computes on the same Python values;
+#: ``divsi`` divides exact doubles only, so an operand past 2^53 refuses.
+#: Not here, so no straight-line entry: the shifts and ``fptosi`` (``py``
+#: raises where C does not), ``remf`` and the ``math`` rows (``py`` raises,
+#: or returns an int).
+_HOST_EXACT = (arith.DivSIOp, arith.RemSIOp, arith.MinSIOp, arith.MaxSIOp,
+               arith.AndIOp, arith.OrIOp, arith.XOrIOp, arith.CmpIOp, arith.CmpFOp,
+               arith.IndexCastOp, arith.IntCastOp, arith.SIToFPOp, arith.FPCastOp,
+               arith.AddFOp, arith.SubFOp, arith.MulFOp, arith.DivFOp, arith.MinFOp,
+               arith.MaxFOp, arith.NegFOp, arith.SelectOp)
+
+#: the largest int64 a double holds exactly, with every smaller one.
+_EXACT_DOUBLE = 2 ** 53
+
+
+@dataclass
+class HostSpec:
+    """The scalars of a straight-line entry: the host function computes
+    ``VI[j]`` / ``VF[j]`` for the values ``ints[j]`` / ``floats[j]``, the
+    parameters among them filled in by the dispatcher first."""
+
+    symbol: str
+    ints: List = field(default_factory=list)
+    floats: List = field(default_factory=list)
+    #: id(value) -> ("VI" or "VF", its index there).
+    where: Dict[int, Tuple[str, int]] = field(default_factory=dict)
+
+    def place(self, value) -> str:
+        """Give ``value`` the next slot of its kind; its C lvalue."""
+        type_ = value.type
+        if type_.is_float:
+            array, values = "VF", self.floats
+        elif type_.is_integer or type_.is_index:
+            array, values = "VI", self.ints
+        else:
+            raise UnsupportedRegion(f"host value of type {type_}")
+        self.where[id(value)] = array, len(values)
+        values.append(value)
+        return f"{array}[{len(values) - 1}]"
+
+    def ref(self, value) -> str:
+        """The C lvalue of a placed ``value``."""
+        try:
+            return "%s[%d]" % self.where[id(value)]
+        except KeyError:
+            raise UnsupportedRegion("an operand is not a host scalar") from None
+
+
+def emit_host(symbol: str, scalars: Sequence, ops: Sequence) -> Tuple[str, HostSpec]:
+    """The host function ``int <symbol>(int64_t* VI, double* VF)`` of a
+    straight-line entry: the scalar parameters ``scalars`` are in ``VI`` /
+    ``VF`` on entry, and it computes the pure scalar ``ops`` outside the
+    spans, in order, into the slots after them.  It returns 1 — the call
+    refused, before any store — where an op's C would not compute what the
+    Python engines compute: an integer ``+ - *`` leaving int64, a ``divsi``
+    operand past 2^53.  Raises :class:`UnsupportedRegion` for an op without
+    such a form."""
+    spec = HostSpec(symbol)
+    for value in scalars:
+        spec.place(value)
+    lines = [f"int {symbol}(int64_t* VI, double* VF)", "{"]
+    for op in ops:
+        if isinstance(op, arith.ConstantOp):
+            literal = c_double(op.value) if op.result.type.is_float else c_int(op.value)
+            lines.append(f"    {spec.place(op.result)} = {literal};")
+            continue
+        operands = [spec.ref(operand) for operand in op.operands]
+        target = spec.place(op.result)
+        builtin = _HOST_OVERFLOW.get(type(op))
+        if builtin is not None:
+            lines.append(f"    if (__builtin_{builtin}_overflow({operands[0]}, {operands[1]}, "
+                         f"&{target})) return 1;")
+            continue
+        if not isinstance(op, _HOST_EXACT):
+            raise UnsupportedRegion(f"host op {op.name} has no exact C form")
+        if isinstance(op, arith.DivSIOp):
+            bound = c_int(_EXACT_DOUBLE)
+            lines.append("    if (" + " || ".join(f"{operand} < -{bound} || {operand} > {bound}"
+                                                  for operand in operands) + ") return 1;")
+        lines.append(f"    {target} = {optable.render(optable.row_for(op).c, operands)};")
+    lines += ["    return 0;", "}"]
+    return "\n".join(lines), spec
+
+
+# ---------------------------------------------------------------------------
 # Translation-unit assembly
 # ---------------------------------------------------------------------------
 PRELUDE_HEAD = r"""

@@ -114,7 +114,7 @@ class _CompiledFunction:
     its arguments against."""
 
     __slots__ = ("fn", "template", "arg_slots", "memrefs", "return_slots",
-                 "runner")
+                 "runner", "dispatch_state")
 
     def __init__(self, fn: func_d.FuncOp, template: List, arg_slots: List[int],
                  return_slots: List[int], runner: Callable) -> None:
@@ -124,6 +124,8 @@ class _CompiledFunction:
         self.memrefs = tuple(map(is_memref_parameter, fn.arguments))
         self.return_slots = return_slots
         self.runner = runner
+        #: the row dispatcher's per-function state (native: its unit), built.
+        self.dispatch_state = None
 
 
 #: the four engines as fixed rows: which *body planner* turns a span's body
@@ -179,12 +181,13 @@ class _Program:
         #: run time, by reason (the native dispatcher's live tally).
         self.bailouts: Dict[int, Dict[str, int]] = {}
         #: compile-time counters, filled as functions are first compiled
-        #: (``bailouts`` / ``native_dispatches`` / ``dispatches`` /
-        #: ``inline_runs`` and the promotion counters move at run time).
+        #: (``bailouts`` / ``native_dispatches`` / ``entry_calls`` /
+        #: ``dispatches`` / ``inline_runs`` and the promotion counters move at
+        #: run time).
         self.vector_stats = {"vectorized_regions": 0, "fallback_regions": 0}
         self.native_stats = {
             "native_regions": 0, "fallback_regions": 0, "native_dispatches": 0,
-            "bailouts": 0, "units_ready": 0,
+            "bailouts": 0, "entry_calls": 0, "units_ready": 0,
             "artifact_hits": 0, "compile_errors": 0, "corrupt_artifacts": 0,
             "promotions": 0, "promotion_failures": 0,
         }
@@ -198,8 +201,10 @@ class _Program:
         #: (:class:`repro.runtime.multicore._Shards`), made at its first region.
         self.shards = None
         #: the native dispatcher's translation units, one per compiled
-        #: function that offered it a region, each built with its function.
+        #: function that offered it a region, each built with its function,
+        #: and the failure of the first one that did not build.
         self.native_units: List = []
+        self.unit_failure = None
         #: entry name -> its compiled function, looked up once (the module is
         #: not mutated after its first compiled run; see invalidate_compiled).
         self.entries: Dict[str, _CompiledFunction] = {}
@@ -212,7 +217,7 @@ class _Program:
             # programs are shared by threads: a unit is built, and becomes
             # reachable (here, and through the runner), once every region
             # is in it.
-            unit = fc.dispatch_state
+            unit = compiled.dispatch_state = fc.dispatch_state
             if unit is not None:
                 unit.build(fc)
                 self.native_units.append(unit)
@@ -788,18 +793,24 @@ class _FunctionCompiler:
             return False, False, None
         return True, parent.nest_level > 0, parent.num_threads
 
+    @classmethod
+    def wsloop_team(cls, op) -> int:
+        """The team an ``omp.wsloop``'s work is divided over: 1 outside an
+        ``omp.parallel`` or in a nested one, its ``num_threads``, or 0 —
+        the run's threads."""
+        has_parent, parent_nested, parent_threads = cls._static_team(op)
+        if not has_parent or parent_nested:
+            return 1
+        return parent_threads or 0
+
     def _wsloop_accounting(self, op) -> Callable:
         """The ``omp.wsloop`` wall-clock epilogue (see _parallel_accounting)."""
-        has_parent, parent_nested, parent_threads = self._static_team(op)
+        fixed = self.wsloop_team(op)
         nowait = op.nowait
         sync_cost = self.program.machine.sync_cost
 
         def finish(state, total, work):
-            if not has_parent or parent_nested:
-                team_size = 1
-            else:
-                team_size = parent_threads or state.threads
-            team = min(team_size, max(1, total))
+            team = min(fixed or state.threads, max(1, total))
             wall = work / state.program.speedup(team)
             if not nowait:
                 wall += sync_cost
@@ -907,6 +918,10 @@ class CompiledEngine:
     #: set on an engine the resilience wrapper runs (``ResilientExecutor``).
     _resilience_strict = False
 
+    #: besides its row, the capabilities whose refusals ``regions`` shows
+    #: when the row has a dispatcher.
+    _SHOWN: Tuple[str, ...] = ("parallel", "lanes")
+
     #: a taxonomy (:class:`~repro.runtime.errors.ResilienceError`) failure is
     #: raised before the run's first store or not at all, so the resilience
     #: wrapper need not snapshot the arguments to re-run them elsewhere.
@@ -963,11 +978,13 @@ class CompiledEngine:
         declining it (compile-time facts), the iterations its native code
         steps at once (``width``), the ``-O`` level its native dispatches
         run at (``opt_level``: ``"-O1"``, or ``"-O3"`` once its unit
-        promoted; both ``None`` off the native tier) and, by reason, the
-        dispatches its native code refused at run time (``bailouts``; they
-        sum to ``native_stats["bailouts"]``)."""
+        promoted; both ``None`` off the native tier), whether a warm run of
+        its function is one dispatcher call (``entry_call``; ``None`` off
+        the native tier, and the plan's ``entry`` refusal says why not) and,
+        by reason, the dispatches its native code refused at run time
+        (``bailouts``; they sum to ``native_stats["bailouts"]``)."""
         program = self._program
-        asked = ((self.ROW, "parallel", "lanes") if program.dispatcher is not None
+        asked = ((self.ROW, *self._SHOWN) if program.dispatcher is not None
                  else (self.ROW,))
         rows = []
         for region in program.regions:
@@ -979,5 +996,7 @@ class CompiledEngine:
                                       if capability in asked],
                          "width": None if handle is None else handle.width,
                          "opt_level": None if handle is None else handle.unit.level,
+                         "entry_call": (None if handle is None
+                                        else handle.unit.entry is not None),
                          "bailouts": dict(program.bailouts.get(id(plan), ()))})
         return rows

@@ -32,7 +32,8 @@ in-process run is every dispatch's fallback, lives in
   running is built again from the same source at :data:`PROMOTED_LEVEL`
   (tier 2): after :data:`PROMOTE_AFTER` runs the process' one promotion
   worker (:class:`_Promoter`) builds, publishes and dlopens it in the
-  background and swaps ``unit.functions`` in one assignment.  A unit whose
+  background and swaps ``unit.functions`` (and ``unit.host``) in one
+  assignment each.  A unit whose
   tier-2 artifact is published (a restarted process) builds at tier 2.  Only
   lane-blocked units promote: ``-O3``'s gain is gcc peeling the ``[8]``
   lane loops; one-lane units have none, and promoting them too raised the
@@ -55,20 +56,34 @@ in-process run is every dispatch's fallback, lives in
   lane-blocked corpus kernel makes exactly one dispatch per run;
 * at run time the function's generated code calls the region's handle
   (``_RegionHandle.dispatch``) directly, and the handle makes one C call:
-  ``run`` of the dispatcher extension (``_dispatch.c``, one hand-written
+  ``call`` of the dispatcher extension (``_dispatch.c``, one hand-written
   CPython extension that the toolchain probe builds into the artifact
   cache once and imports) checks the region's run-time live-in scalars and
   ``MemRefStorage`` buffers against the contract the C was specialized
   for, takes each buffer's data pointer and shape through the buffer
   protocol (zero-copy), reads the iteration space, decides the licence
-  below and calls the compiled function with the interpreter lock
-  released.  The handle folds the counters it returns
-  (work cycles — counted in C as int64 grid units, exact below 2^53 of
-  them —, dynamic ops, global traffic) through the same
-  accounting epilogues the compiled engine uses — so outputs *and*
-  :class:`~repro.runtime.costmodel.CostReport`\\ s stay bit-identical to the
-  interpreter (pinned by the five-engine parity matrix and the differential
-  fuzz suite);
+  below, calls the compiled function with the interpreter lock released
+  and folds the counters it returns (work cycles — counted in C as int64
+  grid units, exact below 2^53 of them —, dynamic ops, global traffic) as
+  the compiled engine's accounting epilogues do, addition for addition —
+  so outputs *and* :class:`~repro.runtime.costmodel.CostReport`\\ s stay
+  bit-identical to the interpreter (pinned by the five-engine parity
+  matrix and the differential fuzz suite);
+* a warm run of a *straight-line entry* (:class:`_Entry`: outside its
+  spans, only pure scalar ops with an exact C form, non-nested
+  ``omp.parallel``, ``omp.barrier`` and a void ``func.return``; every span
+  native) enters no Python between the caller's arguments and the kernel:
+  its unit also holds a *host function* that computes the host scalars,
+  and :meth:`NativeEngine.run` makes one C call, ``call`` of the
+  dispatcher, on the arguments as passed (ndarrays or ``MemRefStorage``\\ s).
+  It checks each parameter once, runs the host function, decides every
+  span's licence — all before the first store — and then runs the spans in
+  order with the interpreter lock released once, replaying the generated
+  Python's counters addition for addition into one fold.  A call it
+  refuses (an argument of another kind or dtype, a host integer op that
+  leaves int64, a zero step, ...) stores nothing, and the compiled run
+  follows with its per-region tallies and errors.  The first run of an
+  entry on an engine is always the compiled run;
 * real parallelism (a ``#pragma omp parallel`` team, one static chunk of
   the iterations per thread) is enabled per region only when the
   write-write store-safety analysis
@@ -111,17 +126,23 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.structure import split_executed
+from ..dialects import arith, omp as omp_d
+from ..ir import MemRefType
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
     ERR_BAD_STEP,
     RegionCodegen,
     UnsupportedRegion,
     assemble_unit,
+    emit_host,
     grid_units,
 )
 from .compiler import CompiledEngine, _FunctionCompiler, _Region
+from .costmodel import XEON_8375C, MachineModel
 from .errors import InterpreterError, ToolchainError
-from .memory import MemRefStorage
+from .memory import MemRefStorage, dtype_for
+from .optable import cycles, row_for
 from . import resilience
 
 #: environment knob.
@@ -145,7 +166,10 @@ CC_ENV_VAR = "REPRO_CC"
 #: double once per call.
 #: 8: a captured `arith.constant` is a C literal, not an `LI`/`LF` slot;
 #: integer `+ - *` wrap through `uint64_t` (no signed-overflow UB).
-NATIVE_FORMAT = 8
+#: 9: a straight-line entry's unit also holds its host function,
+#: `int <symbol>(int64_t* VI, double* VF)`, after the span functions, which
+#: are unchanged.
+NATIVE_FORMAT = 9
 
 #: the ``-O`` level of every unit's first build (tier 1) and of a
 #: lane-blocked unit's rebuild once it keeps running (tier 2).
@@ -192,9 +216,9 @@ _PROBE_RESULTS: Dict[Tuple[str, ...], Tuple[bool, str]] = {}
 _DISPATCH_SOURCE = Path(__file__).with_name("_dispatch.c")
 _DISPATCH_MODULE = f"{__package__}._dispatch"
 
-#: ``_dispatch.run`` of the last probe that passed (``None`` before one):
+#: ``_dispatch.call`` of the last probe that passed (``None`` before one):
 #: every unit that built was built after a probe passed.
-_run: Optional[Callable] = None
+_call: Optional[Callable] = None
 
 
 def native_available() -> bool:
@@ -316,7 +340,7 @@ def _build_dispatcher(argv: List[str], output) -> None:
 def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
     """Build (or find in the artifact cache), import and run the dispatcher:
     a host without ``cc``, ``-fopenmp`` or ``Python.h`` fails here."""
-    global _run
+    global _call
     if not command or shutil.which(command[0]) is None:
         name = command[0] if command else "<empty>"
         return False, f"C compiler {name!r} not found on PATH"
@@ -330,7 +354,7 @@ def _probe_toolchain(command: List[str]) -> Tuple[bool, str]:
         return False, f"dispatcher import failed: {exc}"
     if module.probe() != 4:
         return False, "probe ran but returned an unexpected result"
-    _run = module.run
+    _call = module.call
     return True, ""
 
 
@@ -512,6 +536,13 @@ class NativeUnit:
         self.libraries: List[ctypes.CDLL] = []
         #: symbol -> the address of its region function (the region ABI).
         self.functions: Dict[str, int] = {}
+        #: a straight-line entry's host function: its symbol and address,
+        #: and the warm call the dispatcher makes of the entry (``None``:
+        #: not a straight-line entry, the reason an ``entry`` refusal on the
+        #: plans of the unit's regions).
+        self.host_symbol: Optional[str] = None
+        self.host: Optional[int] = None
+        self.entry: Optional[_Entry] = None
         self.key: Optional[str] = None
         self.source: Optional[str] = None
         #: the ``-O`` level the functions were built at.
@@ -545,13 +576,25 @@ class NativeUnit:
         if not regions:
             return
         try:
+            entry = _Entry(fc, regions)
+        except UnsupportedRegion as exc:
+            entry = None
+            for region in regions:
+                region.plan.refuse("entry", str(exc))
+        else:
+            self.sources.append(entry.source)
+            self.host_symbol = entry.symbol
+        try:
             self._build()
         except ToolchainError as exc:
             self.failure = exc
+            if self.program.unit_failure is None:
+                self.program.unit_failure = exc
             resilience.record_event("native.cc", "degrade", type(exc).__name__,
                                     str(exc)[:500], engine="native")
             self._fall_back(fc, regions)
             return
+        self.entry = entry
         self.program.native_stats["units_ready"] += 1
 
     def _build(self) -> None:
@@ -603,17 +646,23 @@ class NativeUnit:
         program.native_stats["native_regions"] -= len(regions)
         program.native_stats["fallback_regions"] += len(regions)
 
-    def _load(self, path) -> Tuple[ctypes.CDLL, Dict[str, int]]:
-        """The library at ``path`` and the addresses of the unit's region
-        functions in it (AttributeError when one is missing)."""
+    def _load(self, path) -> Tuple[ctypes.CDLL, Dict[str, int], Optional[int]]:
+        """The library at ``path``, the addresses of the unit's region
+        functions in it and of its host function (AttributeError when one is
+        missing)."""
         library = _dlopen(path)
-        return library, {symbol: ctypes.cast(getattr(library, symbol),
-                                             ctypes.c_void_p).value
-                         for symbol in self.symbols}
 
-    def _install(self, library, functions, level: str) -> None:
+        def address(symbol: str) -> int:
+            return ctypes.cast(getattr(library, symbol), ctypes.c_void_p).value
+        return (library, {symbol: address(symbol) for symbol in self.symbols},
+                None if self.host_symbol is None else address(self.host_symbol))
+
+    def _install(self, library, functions, host, level: str) -> None:
         self.libraries.append(library)
-        self.functions = functions  # one assignment: the swap between dispatches
+        # one assignment each: the swap between dispatches (a call that reads
+        # one tier's spans and the other's host function runs the same code)
+        self.functions = functions
+        self.host = host
         self.level = level
 
     # -- promotion (tier 2) ----------------------------------------------------
@@ -763,6 +812,11 @@ os.register_at_fork(after_in_child=_new_promoter_in_child)
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
+#: the work stack of an engine between runs (a run that raised leaves the
+#: frames it had open, and the compiled run goes on from them).
+_IDLE = [0.0]
+
+
 def _region_error(code: int) -> InterpreterError:
     """The engine error for a nonzero native error code (codes combine
     across OpenMP threads with a ``max`` reduction, so they stay semantic)."""
@@ -771,10 +825,10 @@ def _region_error(code: int) -> InterpreterError:
     return InterpreterError(f"native region failed (code {code})")
 
 
-#: the refusal ``_dispatch.run`` returns, by its code (``REFUSE_*`` there):
+#: the refusal ``_dispatch.call`` returns, by its code (``REFUSE_*`` there):
 #: a scalar that does not convert or fit in int64 (or a buffer slot holding
-#: no ``MemRefStorage``), then the buffer checks in the order it makes them,
-#: then a zero step, which the base plan raises on.
+#: no buffer), then the buffer checks in the order it makes them, then a
+#: zero step, which the base plan raises on.
 _REFUSALS = ("scalar", "freed", "dtype", "rank", "layout", "space", "read-only", "step")
 
 _FORMATS: Dict[np.dtype, Tuple[bytes, ...]] = {}
@@ -799,11 +853,32 @@ def _formats(dtype: np.dtype) -> Tuple[bytes, ...]:
     return formats
 
 
-class _Contract(NamedTuple):
-    """What ``_dispatch.run`` checks a dispatch's live-ins against, and the
-    constants it passes on (its layout is ``_dispatch.c``'s)."""
+#: parameter kinds and step kinds of a call's layout (``PARAM_*`` and
+#: ``STEP_*`` in ``_dispatch.c``).
+_PARAM_INT, _PARAM_FLOAT, _PARAM_BUFFER = range(3)
+_STEP_OPS, _STEP_CHARGE, _STEP_OPEN, _STEP_CLOSE, _STEP_BARRIER, _STEP_SPAN = range(6)
+
+
+class _Call(NamedTuple):
+    """What one ``_dispatch.call`` checks its arguments against, runs and
+    folds the counters of (its layout is ``_dispatch.c``'s)."""
 
     storage: type
+    array: type
+    #: int64 words: header, parameters, gathers, spans, steps.
+    layout: bytes
+    #: doubles: the sync and fork costs, speedup(1..n), the steps' charges.
+    charges: bytes
+    symbols: Tuple[str, ...]
+    #: per buffer parameter: its accepted formats and its memory space.
+    formats: Tuple[Tuple[bytes, ...], ...]
+    spaces: Tuple[str, ...]
+
+
+class _Contract(NamedTuple):
+    """What one span's C code was specialized for: the live-ins a dispatch
+    checks, by register slot, and the constants it passes on."""
+
     #: ``K`` of the region ABI: the machine's charges in grid units, int64.
     costs: bytes
     #: iterations a licensed dispatch advances per step.
@@ -821,6 +896,70 @@ class _Contract(NamedTuple):
     pairs: Tuple[Tuple[int, int], ...]
 
 
+class _Calls:
+    """The parts of a call that do not depend on a run's threads, and its
+    :class:`_Call` per thread count.  ``params`` are ``(kind, index, rank,
+    stored, position)``: the argument at ``position`` checked — converted
+    as ``int()`` / ``float()`` would unless ``exact`` — into ``VI`` /
+    ``VF`` / the buffer table at ``index``.  ``spans`` are ``(contract, op,
+    ints, floats, bounds, buffers)``: a span's :class:`_Contract`, its op,
+    and where its live-ins are in those tables.  ``steps`` are ``(kind,
+    argument)``, a charge's argument indexing ``charges``; ``symbols`` name
+    the spans' functions.  ``arity`` is the argument count a call requires
+    (-1: any)."""
+
+    def __init__(self, program, params, spans, steps, charges, n_ints: int, n_floats: int,
+                 formats, spaces, symbols, *, exact: bool, arity: int) -> None:
+        self.program = program
+        self.symbols = tuple(symbols)
+        gathered: List[List[int]] = [[], [], []]
+        records, extents, self.teams = [], 0, 1
+        for contract, op, ints, floats, bounds, buffers in spans:
+            wsloop = isinstance(op, omp_d.OmpWsLoopOp)
+            team = _FunctionCompiler.wsloop_team(op) if wsloop else -1
+            self.teams = max(self.teams, team)
+            required = contract.required
+            records += [contract.width, team, int(wsloop and op.nowait),
+                        len(gathered[0]), len(gathered[1]), len(gathered[0]) + len(ints),
+                        len(bounds) // 3, len(gathered[2]), len(buffers), extents,
+                        len(contract.costs) // 8,
+                        *np.frombuffer(contract.costs, np.int64).tolist(),
+                        -1 if required is None else len(required), *(required or ()),
+                        len(contract.pairs), *(index for pair in contract.pairs
+                                               for index in pair)]
+            gathered[0] += [*ints, *bounds]
+            gathered[1] += floats
+            gathered[2] += buffers
+            extents += sum(buffer[2] for buffer in contract.buffers)
+        self.head = [len(params), n_ints, n_floats, len(formats), len(spans), len(steps)]
+        self.sizes = [*map(len, gathered), extents, int(exact), arity]
+        self.body = [*(word for param in params for word in param),
+                     *(word for words in gathered for word in words), *records]
+        self.steps, self.charges = steps, charges
+        self.formats, self.spaces = tuple(formats), tuple(spaces)
+        self.contracts: Dict[int, _Call] = {}
+
+    def get(self, threads: int) -> _Call:
+        """The call under ``threads`` (built once per count): the speedups
+        of every team a span may get, ``1..max(threads, the widest fixed
+        team)``."""
+        call = self.contracts.get(threads)
+        if call is not None:
+            return call
+        teams = max(threads, self.teams)
+        program = self.program
+        charges = [program.machine.sync_cost, program.machine.fork_cost,
+                   *(program.speedup(team) for team in range(1, teams + 1)), *self.charges]
+        steps = [word for kind, argument in self.steps
+                 for word in (kind, argument + 2 + teams if kind == _STEP_CHARGE else argument)]
+        layout = [*self.head, threads, teams, *self.sizes, *self.body, *steps]
+        call = self.contracts[threads] = _Call(
+            MemRefStorage, np.ndarray, np.array(layout, dtype=np.int64).tobytes(),
+            np.array(charges, dtype=np.float64).tobytes(), self.symbols, self.formats,
+            self.spaces)
+        return call
+
+
 class _RegionHandle:
     """One native region's runner (:meth:`dispatch`): the live-in contract
     its C code was specialized for, and the shell's accounting and
@@ -834,8 +973,7 @@ class _RegionHandle:
         buffers = spec.buffers
         # a charge off the grid raises UnsupportedRegion, which refuses the
         # region by name where the int64 would truncate it.
-        self.contract = _Contract(
-            MemRefStorage,
+        contract = self.contract = _Contract(
             np.array([grid_units(cost) for cost in spec.costs], dtype=np.int64).tobytes(),
             spec.width, required_dims, tuple(spec.int_slots), tuple(spec.float_slots),
             tuple(slot for slots in region.bounds for slot in slots),
@@ -845,34 +983,54 @@ class _RegionHandle:
                   for first, one in enumerate(buffers)
                   for second, other in enumerate(buffers)
                   if first < second and (one.stored or other.stored)))
-        self.base, self.count, self.finish = region.base, region.count, region.finish
+        # the live-ins in the order a dispatch checks them: the ints, the
+        # floats, the buffers, then per dim its lower, upper and step bound
+        ints, dims = len(contract.ints), len(contract.bounds) // 3
+        params = [*((_PARAM_INT, index, 0, 0, slot) for index, slot in enumerate(contract.ints)),
+                  *((_PARAM_FLOAT, index, 0, 0, slot)
+                    for index, slot in enumerate(contract.floats)),
+                  *((_PARAM_BUFFER, index, rank, int(stored), slot)
+                    for index, (slot, _, rank, _, stored) in enumerate(contract.buffers)),
+                  *((_PARAM_INT, ints + at, 0, 0, contract.bounds[at])
+                    for dim in range(dims) for at in (dim, dims + dim, 2 * dims + dim))]
+        span = (contract, region.plan.op, range(ints), range(len(contract.floats)),
+                range(ints, ints + 3 * dims), range(len(contract.buffers)))
+        self.calls = _Calls(program, params, [span], [(_STEP_SPAN, 0)], [],
+                            ints + 3 * dims, len(contract.floats),
+                            [buffer[1] for buffer in contract.buffers],
+                            [buffer[3] for buffer in contract.buffers], [self.symbol],
+                            exact=False, arity=-1)
+        self.base = region.base
         self.stats = program.native_stats
         self.tally = program.bailouts.setdefault(id(region.plan), {})
 
     def dispatch(self, state, regs) -> None:
         """Run the region natively, or refuse and run its ``base`` plan.
 
-        One C call (``_dispatch.run``) checks the live-ins against the
+        One C call (``_dispatch.call``) checks the live-ins against the
         contract the C was specialized for and, when they keep it, runs the
         region's function on them zero-copy with the interpreter lock
-        released; the first failed check names the refusal.
-        ``unit.functions`` is read on every dispatch, so a tier-2 swap takes
-        effect at the next one."""
+        released, and folds its counters as the shell's accounting would;
+        the first failed check names the refusal.  ``unit.functions`` is
+        read on every dispatch, so a tier-2 swap takes effect at the next
+        one."""
         unit = self.unit
-        result = _run(unit.functions[self.symbol], self.contract, regs)
+        call = self.calls.contracts.get(state.threads) or self.calls.get(state.threads)
+        result = _call(unit.functions, None, call, regs)
         if result.__class__ is int:
             return self._refuse(_REFUSALS[result], state, regs)
-        work, global_bytes, ops, error, total = result
-        self.count(state)
+        work, ops, global_bytes, regions, loops, _, _, error = result
+        report = state.report
+        report.parallel_regions += regions
+        report.workshared_loops += loops
         if error:
             raise _region_error(error)
         self.stats["native_dispatches"] += 1
         if unit.countdown:
             unit.count_run(state)
-        report = state.report
         report.dynamic_ops += ops
         report.global_bytes += global_bytes
-        self.finish(state, total, work)
+        state.work[-1] += work
 
     def _refuse(self, reason: str, state, regs) -> None:
         """Count a refused dispatch under its reason; run the base plan."""
@@ -880,6 +1038,99 @@ class _RegionHandle:
         tally = self.tally
         tally[reason] = tally.get(reason, 0) + 1
         self.base(state, regs)
+
+
+# ---------------------------------------------------------------------------
+# Straight-line entries
+# ---------------------------------------------------------------------------
+class _Entry:
+    """The warm call of a *straight-line entry*: a function whose ops outside
+    its spans are pure scalar ops with an exact C form
+    (:func:`~repro.runtime.codegen_c.emit_host`), non-nested
+    ``omp.parallel`` ops, ``omp.barrier`` and a ``func.return`` of nothing,
+    and whose spans all went native in the unit being built.  Its host
+    function's ``source`` joins the unit; ``calls`` is what
+    ``_dispatch.call`` runs the function by: its parameters checked exactly
+    as passed, each span's live-ins as slots of the host scalars and buffer
+    parameters, and the steps that replay the generated Python's counters
+    in its order.  Raises :class:`UnsupportedRegion` naming what makes the
+    function something else."""
+
+    def __init__(self, fc: _FunctionCompiler, regions: List[_Region]) -> None:
+        handles = {id(region.plan.op): region.handle for region in regions}
+        ops, spans, steps, charges = [], [], [], []
+
+        def walk(block, depth: int) -> None:
+            executed, term = split_executed(block)
+            steps.append((_STEP_OPS, len(executed) + (term is not None)))
+            for op in executed:
+                handle = handles.get(id(op))
+                if handle is not None:
+                    steps.append((_STEP_SPAN, len(spans)))
+                    spans.append((op, handle))
+                elif isinstance(op, arith.ConstantOp):
+                    ops.append(op)
+                elif row_for(op) is not None:
+                    ops.append(op)
+                    steps.append((_STEP_CHARGE, len(charges)))
+                    charges.append(cycles(row_for(op)))
+                elif isinstance(op, omp_d.OmpParallelOp) and not depth and not op.nest_level:
+                    steps.append((_STEP_OPEN, 0))
+                    walk(op.body, 1)
+                    steps.append((_STEP_CLOSE, 0))
+                elif isinstance(op, omp_d.OmpBarrierOp):
+                    steps.append((_STEP_BARRIER, 0))
+                elif op.regions:
+                    raise UnsupportedRegion(f"{op.name} outside a native span")
+                else:
+                    raise UnsupportedRegion(f"host op {op.name}")
+            if depth == 0 and (term is None or term.operands):
+                raise UnsupportedRegion("the function returns a value")
+
+        walk(fc.fn.body_block, 0)
+        arguments = fc.fn.arguments
+        buffers = [value for value in arguments if isinstance(value.type, MemRefType)]
+        sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
+        self.symbol = f"repro_{sanitized}_host"
+        self.source, host = emit_host(
+            self.symbol, [value for value in arguments
+                          if not isinstance(value.type, MemRefType)], ops)
+        # every live-in of a span is a host scalar or a buffer parameter
+        scalar = {fc.slot(value): host.where[id(value)] for value in host.ints + host.floats}
+        buffer = {fc.slot(value): index for index, value in enumerate(buffers)}
+
+        def indices(wanted: str, slots) -> List[int]:
+            found = [scalar.get(slot, (None, 0)) for slot in slots]
+            if any(kind != wanted for kind, _ in found):
+                raise UnsupportedRegion("a span live-in is not a host scalar")
+            return [index for _, index in found]
+
+        records, stored = [], set()
+        for op, handle in spans:
+            contract = handle.contract
+            if any(slot not in buffer for slot, *_ in contract.buffers):
+                raise UnsupportedRegion("a span live-in buffer is not a parameter")
+            owned = [buffer[slot] for slot, *_ in contract.buffers]
+            stored.update(index for index, (*_, written) in zip(owned, contract.buffers)
+                          if written)
+            records.append((contract, op, indices("VI", contract.ints),
+                            indices("VF", contract.floats), indices("VI", contract.bounds),
+                            owned))
+        params = []
+        for position, value in enumerate(arguments):
+            if isinstance(value.type, MemRefType):
+                index = buffer[fc.slot(value)]
+                params.append((_PARAM_BUFFER, index, value.type.rank, int(index in stored),
+                               position))
+            else:
+                kind, index = host.where[id(value)]
+                params.append((_PARAM_INT if kind == "VI" else _PARAM_FLOAT, index, 0, 0,
+                               position))
+        self.calls = _Calls(
+            fc.program, params, records, steps, charges, len(host.ints), len(host.floats),
+            [_formats(dtype_for(value.type.element_type)) for value in buffers],
+            [value.type.memory_space for value in buffers],
+            [handle.symbol for _, handle in spans], exact=True, arity=len(arguments))
 
 
 # ---------------------------------------------------------------------------
@@ -931,9 +1182,52 @@ class NativeEngine(CompiledEngine):
     """
 
     ROW = "native"
+    _SHOWN = ("parallel", "lanes", "entry")
 
     #: whether a strict run of this engine found the toolchain working.
     _toolchain_checked = False
+
+    def __init__(self, module, machine: MachineModel = XEON_8375C,
+                 threads: Optional[int] = None) -> None:
+        super().__init__(module, machine, threads)
+        #: entry name -> (its unit, its warm call's contract at this
+        #: engine's threads), or ``None`` for a function that is not a
+        #: straight-line entry: set by the entry's first run.
+        self._calls: Dict[str, Optional[Tuple[NativeUnit, _Call]]] = {}
+
+    def run(self, function_name: str, arguments=()) -> List:
+        """A warm run of a straight-line entry is one dispatcher call
+        (``_dispatch.call``) on the arguments as passed; a first run, a
+        refused call and every other function take the compiled engine's
+        run, with its per-region dispatches."""
+        call = self._calls.get(function_name)
+        if call is not None and self._work == _IDLE and self._program.unit_failure is None:
+            unit, contract = call
+            folded = _call(unit.functions, unit.host, contract, arguments)
+            if folded.__class__ is tuple:
+                return self._fold(unit, folded)
+        return super().run(function_name, arguments)
+
+    def _fold(self, unit: NativeUnit, folded: Tuple) -> List:
+        """Fold one entry call's counters into the report and stats as the
+        compiled run would have; raise a span's error after them."""
+        work, ops, global_bytes, regions, loops, barriers, dispatches, error = folded
+        report = self.report
+        report.dynamic_ops += ops
+        report.global_bytes += global_bytes
+        report.parallel_regions += regions
+        report.workshared_loops += loops
+        report.barriers += barriers
+        stats = self._program.native_stats
+        stats["native_dispatches"] += dispatches
+        stats["entry_calls"] += 1
+        if dispatches and unit.countdown:
+            unit.count_run(folded)  # a new tuple per run: it counts once
+        if error:
+            self._work[:] = work  # the work frames open when the span failed
+            raise _region_error(error)
+        report.cycles += work
+        return []
 
     def _entry(self, name: str, count: int):
         # Strict (resilience-wrapped) runs raise a toolchain failure — the
@@ -942,15 +1236,17 @@ class NativeEngine(CompiledEngine):
         # graceful degrade.  Once the probe passed, a unit built under a
         # compiler that fails carries its own failure.
         program = self._program
-        if not self._resilience_strict:
-            return program.entry(name, count)
-        if not self._toolchain_checked:
+        strict = self._resilience_strict
+        if strict and not self._toolchain_checked:
             require_toolchain()
             self._toolchain_checked = True
         compiled = program.entry(name, count)
-        for unit in program.native_units:
-            if unit.failure is not None:
-                raise unit.failure
+        if strict and program.unit_failure is not None:
+            raise program.unit_failure
+        if name not in self._calls:
+            unit = compiled.dispatch_state
+            entry = None if unit is None else unit.entry
+            self._calls[name] = None if entry is None else (unit, entry.calls.get(self.threads))
         return compiled
 
     @property

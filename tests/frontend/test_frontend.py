@@ -133,7 +133,8 @@ class TestLexer:
     @pytest.mark.parametrize("call, printed", [
         ("tokenize('x = 1.5')", "ident op float eof"),
         ("tokenize('int n = 4')", "keyword ident op int eof"),
-        ("tokenize('n = 12e')", "ident op float eof"),
+        ("tokenize('n = 12e')",
+         "LexerError <cuda>:1:5: malformed number '12e': exponent has no digits"),
         ("tokenize('n = 0x1f')", "ident op int eof"),
         ("compile_cuda('void launch(float* o) { int n = 4', cuda_lower=True)",
          "ParseError <cuda>:1:34: expected ';', found ''"),
@@ -152,6 +153,28 @@ class TestLexer:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.strip() == printed
+
+    @pytest.mark.parametrize("literal, expected", [
+        ("07", 7), ("010", 8), ("0x10", 16), ("00", 0),
+        ("08", "k.cu:2:18: malformed number '08': invalid digit in octal literal"),
+        ("1e", "k.cu:2:18: malformed number '1e': exponent has no digits"),
+        ("1.5e+", "k.cu:2:18: malformed number '1.5e+': exponent has no digits"),
+        ("1.0ff", "k.cu:2:18: malformed number '1.0ff': invalid suffix 'ff'"),
+    ])
+    def test_numeric_literals_follow_c(self, literal, expected):
+        """C octal literals keep C's value; a malformed literal is a
+        ``LexerError`` at its position, never a bare ``ValueError``."""
+        from repro.frontend.lexer import LexerError
+
+        source = f"void f(int* o) {{\n    o[0] = (int)({literal});\n}}\n"
+        if isinstance(expected, str):
+            with pytest.raises(LexerError) as raised:
+                compile_cuda(source, filename="k.cu")
+            assert str(raised.value) == expected
+            return
+        out = np.zeros(1, dtype=np.int32)
+        Interpreter(compile_cuda(source, filename="k.cu")).run("f", [out])
+        assert out[0] == expected
 
 
 class TestParser:

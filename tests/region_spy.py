@@ -6,7 +6,8 @@ unit's symbols at a C trampoline of this shim, which records the call's
 ``total``, ``mode`` and ``width`` and the first buffer addresses of ``LP``,
 then calls the real function — with ``mode`` 0 and ``width`` 1, the
 sequential plain path, while :attr:`RegionSpy.plain` is set.  The shim is
-built once per process with the engine's C compiler.
+built once per process with the engine's C compiler.  :meth:`RegionSpy.fail`
+makes one symbol's calls report an error code after the real call's stores.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _SOURCE = f"""
 #include <stdint.h>
 typedef void (*region_fn)({_ABI});
 region_fn spy_target[{SLOTS}];
-int64_t spy_buffers[{SLOTS}];
+int64_t spy_buffers[{SLOTS}], spy_error[{SLOTS}];
 int64_t spy_plain, spy_count;
 int64_t spy_calls[{CALLS}][4];
 uintptr_t spy_pointers[{CALLS}][{POINTERS}];
@@ -49,6 +50,8 @@ static void record(int64_t slot, {_ABI})
         width = 1;
     }}
     spy_target[slot](LI, LF, K, LP, LS, RLB, RST, RLEN, total, mode, width, outf, outi);
+    if (spy_error[slot])
+        outi[1] = spy_error[slot];
 }}
 """ + "".join(
     f"void spy{slot}({_ABI}) {{ record({slot}, LI, LF, K, LP, LS, RLB, RST, RLEN, "
@@ -83,6 +86,8 @@ class RegionSpy:
         self.library = _library()
         self._state("spy_count").value = 0
         self.plain = False
+        #: symbol -> the trampoline slot it was routed through.
+        self.slots = {}
 
     def _state(self, name: str, ctype=ctypes.c_int64):
         return ctype.in_dll(self.library, name)
@@ -97,8 +102,15 @@ class RegionSpy:
             _WRAPPED[0] += 1
             assert slot < SLOTS, "region spy out of trampolines"
             targets[slot], counts[slot] = address, buffers
+            self._state("spy_error", ctypes.c_int64 * SLOTS)[slot] = 0
+            self.slots[symbol] = slot
             trampoline = getattr(self.library, f"spy{slot}")
             unit.functions[symbol] = ctypes.cast(trampoline, ctypes.c_void_p).value
+
+    def fail(self, symbol: str, code: int) -> None:
+        """Make every later call of the wrapped ``symbol`` return the error
+        ``code`` (0: none) after the real call ran."""
+        self._state("spy_error", ctypes.c_int64 * SLOTS)[self.slots[symbol]] = code
 
     @property
     def plain(self) -> bool:

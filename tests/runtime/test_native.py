@@ -636,10 +636,10 @@ class TestWarmPathGuard:
     wrapper, which no buffer's address needs."""
 
     #: calls of one warm scale-1 run (and of the ``lambda`` that makes it):
-    #: the run shell, argument wrapping, the generated host code and one
-    #: dispatch (one builtin call, the dispatcher's ``run``) with its
-    #: accounting.  Upper bounds, at the counts they were pinned at.
-    CALLS = {"nw": 38, "lud": 32, "bfs": 45}
+    #: the run, its lookup of the entry's warm call, the one dispatcher call
+    #: (``_dispatch.call``) and the fold of its counters.  Upper bounds, at
+    #: the counts they were pinned at.
+    CALLS = {"nw": 6, "lud": 6, "bfs": 6}
 
     @staticmethod
     def _profiled(run):
@@ -690,6 +690,284 @@ class TestWarmPathGuard:
         assert wrappers == 1
         assert engine.native_stats["bailouts"] == 0
 
+
+#: ``launch(out, in, n, m)``: the span gets ``n * m``, a host ``arith.muli``
+#: (on a fixed grid, so a product that leaves int64 runs no longer).
+HOST_MULI_CUDA = QUICK_CUDA.replace(
+    "void launch(float* out, float* in, int n) {\n    scale<<<(n + 31) / 32, 32>>>(out, in, n);",
+    "void launch(float* out, float* in, int n, int m) {\n    scale<<<8, 32>>>(out, in, n * m);")
+
+#: QUICK_CUDA launched twice from a host loop: an ``scf.for`` outside the span.
+HOST_LOOP_CUDA = QUICK_CUDA.replace(
+    "    scale<<<(n + 31) / 32, 32>>>(out, in, n);",
+    "    for (int r = 0; r < 2; ++r) {\n        scale<<<(n + 31) / 32, 32>>>(out, in, n);\n    }")
+
+
+def _calling_module():
+    """``main(out, in)``: a span copying ``in`` to ``out``, then a call of
+    ``poke(out)``, a host function storing 7 into ``out[0]``."""
+    from repro.dialects import arith, func, memref as memref_d
+    from repro.ir import F32, Builder, FunctionType, memref, verify
+    from tests.helpers import (build_function, build_parallel, close_parallel,
+                               const_index, finish_function)
+
+    row = memref((64,), F32)
+    module, fn, builder = build_function("main", [row, row], ["out", "in"])
+    out, source = fn.arguments
+    loop, inner = build_parallel(builder, 64)
+    index = loop.induction_vars[0]
+    inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(source, [index])).result,
+                                  out, [index]))
+    close_parallel(inner)
+    poke = func.FuncOp("poke", FunctionType((row,), ()))
+    module.add_function(poke)
+    callee = Builder.at_end(poke.body_block)
+    seven = callee.insert(arith.ConstantOp(7.0, F32)).result
+    callee.insert(memref_d.StoreOp(seven, poke.arguments[0], [const_index(callee, 0)]))
+    callee.insert(func.ReturnOp())
+    builder.insert(func.CallOp("poke", [out]))
+    finish_function(builder)
+    verify(module)
+    return module
+
+
+def _entry_outcome(module, entry, arguments, clean, prepare=None):
+    """Run ``entry`` once on ``arguments`` with a new engine over a fresh
+    program of ``module``: through the warm call after a run on ``clean()``
+    arguments, or (``clean`` None) as the engine's first run.
+    ``prepare(engine)`` runs before it.  Returns (the error raised or None,
+    the region bailouts, the native dispatches of that run, its entry
+    calls, the outputs)."""
+    from repro.runtime.compiler import invalidate_compiled
+
+    invalidate_compiled(module)
+    engine = NativeEngine(module)
+    if clean is not None:
+        engine.run(entry, clean())
+    else:
+        engine._program.entry(entry, len(arguments))
+    if prepare is not None:
+        prepare(engine)
+    before = dict(engine.native_stats)
+    error = None
+    try:
+        engine.run(entry, arguments)
+    except Exception as exc:  # noqa: BLE001 - compared below
+        error = (type(exc), str(exc))
+    stats = engine.native_stats
+    return (error, [region["bailouts"] for region in engine.regions],
+            stats["native_dispatches"] - before["native_dispatches"],
+            stats["entry_calls"] - before["entry_calls"],
+            [np.array(argument, copy=True) for argument in arguments
+             if isinstance(argument, np.ndarray)])
+
+
+class TestEntryCall:
+    """A warm run of a straight-line entry is one dispatcher call
+    (``_dispatch.call``): the arguments as passed are checked once, the host
+    function computes the host scalars, and the spans run in order under
+    their licences with the Python's counters replayed.  A call it refuses
+    runs the compiled run, with its per-region tallies and errors."""
+
+    @needs_cc
+    @pytest.mark.parametrize("threads", [1, None], ids=["one-thread", "default"])
+    def test_every_rodinia_kernel_takes_the_entry_call(self, threads):
+        """Each Rodinia kernel at scales 1 and 2: the second run of an engine
+        is one entry call, and its outputs and the CostReport of both runs
+        equal ``interp``'s bit for bit."""
+        for name, bench in BENCHMARKS.items():
+            module = bench.compile_cuda()
+            for scale in (1, 2):
+                engine = NativeEngine(module, threads=threads)
+                oracle = Interpreter(module, threads=threads)
+                calls = engine.native_stats["entry_calls"]
+                for run in range(2):
+                    expected, got = bench.make_inputs(scale), bench.make_inputs(scale)
+                    oracle.run(bench.entry, expected)
+                    engine.run(bench.entry, got)
+                    for index in bench.output_indices:
+                        np.testing.assert_array_equal(got[index], expected[index],
+                                                      err_msg=f"{name} x{scale}")
+                    assert engine.native_stats["entry_calls"] == calls + run, name
+                assert report_fields(engine.report) == report_fields(oracle.report), name
+                assert {row["entry_call"] for row in engine.regions} == {True}, name
+                assert engine.native_stats["bailouts"] == 0, name
+
+    @needs_cc
+    @pytest.mark.parametrize("source, entry, make_args", [
+        (QUICK_CUDA, "launch", lambda: [_read_only(_quick_args()[0]), *_quick_args()[1:]]),
+        (QUICK_CUDA, "launch", lambda: [_quick_args()[0],
+                                        np.repeat(_quick_args()[1], 2)[::2], 256]),
+        (QUICK_CUDA, "launch", lambda: [_quick_args()[0], _freed(_quick_args()[1]), 256]),
+        (QUICK_CUDA, "launch", lambda: [_quick_args()[0],
+                                        _quick_args()[1].astype(np.float64), 256]),
+        (FIXED_GRID_CUDA, "launch", lambda: [*_quick_args()[:2], 2 ** 64 + 5]),
+        (HOST_MULI_CUDA, "launch", lambda: [*_quick_args()[:2], 2 ** 62, 4]),
+        ("grid", "main", lambda: _grid_args((0, 13, 0, 5, -1))),
+    ], ids=["read-only", "non-contiguous", "freed", "dtype", "int-past-int64",
+            "host-muli-overflow", "zero-step"])
+    def test_a_refused_call_runs_like_a_first_run(self, source, entry, make_args):
+        """Each argument the call refuses before any store: the run that
+        follows is the compiled run, with the bailout tally, the error, the
+        dispatches and the outputs of an engine's first run on it."""
+        if source == "grid":
+            module, clean = _grid_module()[0], lambda: _grid_args((0, 13, 1, 5, -1))
+        else:
+            module = _lowered(source)
+            clean = (lambda: [*_quick_args()[:2], 2, 4]) if source is HOST_MULI_CUDA \
+                else _quick_args
+        warm = _entry_outcome(module, entry, make_args(), clean)
+        first = _entry_outcome(module, entry, make_args(), None)
+        assert warm[3] == first[3] == 0
+        assert warm[:3] == first[:3]
+        for got, expected in zip(warm[4], first[4]):
+            np.testing.assert_array_equal(got, expected)
+
+    @needs_cc
+    def test_an_error_in_the_second_span_leaves_what_a_compiled_run_leaves(self):
+        """``srad_v1``'s second span reports ``ERR_BAD_STEP`` (a spy's
+        trampoline, after the real span's stores): the entry call raises the
+        compiled run's error after the first span's stores, with its
+        counters and open work frames, and the run after it reports the
+        same."""
+        from repro.runtime.compiler import invalidate_compiled
+        from tests.region_spy import RegionSpy
+
+        bench, spy = BENCHMARKS["srad_v1"], RegionSpy()
+        module = bench.compile_cuda()
+        runs = []
+        for warm in (True, False):
+            invalidate_compiled(module)
+            engine = NativeEngine(module)
+            if warm:
+                engine.run(bench.entry, bench.make_inputs(1))
+            else:
+                engine._program.entry(bench.entry, 6)
+            reset, before = report_fields(engine.report), dict(engine.native_stats)
+            unit, = engine._program.native_units
+            spy.wrap(unit)
+            spy.fail(unit.symbols[1], 1)
+            arguments = bench.make_inputs(1)
+            with pytest.raises(InterpreterError, match="scf.for requires a positive step"):
+                engine.run(bench.entry, arguments)
+            counts = [engine.native_stats[name] - before[name]
+                      for name in ("native_dispatches", "entry_calls")]
+            failed = report_fields(engine.report), list(engine._work)
+            spy.fail(unit.symbols[1], 0)
+            engine.run(bench.entry, bench.make_inputs(1))
+            runs.append((reset, counts, failed, arguments, report_fields(engine.report)))
+        (reset, warm_counts, warm_failed, warm_args, warm_after), \
+            (_, first_counts, first_failed, first_args, first_after) = runs
+        assert (warm_counts, first_counts) == ([1, 1], [1, 0])
+        assert not np.array_equal(first_args[0], bench.make_inputs(1)[0])  # stored
+        for got, want in zip(warm_args, first_args):
+            np.testing.assert_array_equal(got, want)
+        assert len(first_failed[1]) == 2  # the omp.parallel frame was open
+        assert warm_failed[1] == first_failed[1]
+        # the warm engine's report also holds its clean run: one more
+        # addition to each field (``cycles`` moves only at a run's end)
+        assert warm_failed[0] == tuple(map(sum, zip(reset, first_failed[0])))
+        assert warm_after == tuple(map(sum, zip(reset, first_after)))
+
+    @needs_cc
+    def test_eight_threads_share_one_program_through_the_entry_call(self):
+        """Eight threads, one engine each over one module, run a lane-blocked
+        straight-line entry together: every run after each engine's first is
+        one entry call and equals ``interp``."""
+        import threading
+
+        module = _lowered(LANE_BLEND_CUDA)
+
+        def arguments(seed):
+            rng = np.random.default_rng(seed)
+            return [np.zeros(256, np.float32), rng.random(256).astype(np.float32),
+                    rng.random(256).astype(np.float32), 256, 0.5]
+
+        expected = {}
+        for seed in range(8):
+            args = arguments(seed)
+            Interpreter(module).run("launch_blend", args)
+            expected[seed] = args[0]
+        engines = [NativeEngine(module) for _ in range(8)]
+        start, errors = threading.Barrier(8, timeout=60), []
+
+        def work(index):
+            try:
+                start.wait()
+                for _ in range(6):
+                    args = arguments(index)
+                    engines[index].run("launch_blend", args)
+                    np.testing.assert_array_equal(args[0], expected[index])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        stats = engines[0].native_stats
+        assert stats["entry_calls"] == 8 * 5 and stats["bailouts"] == 0
+        assert stats["native_dispatches"] == 8 * 6
+
+    @needs_cc
+    def test_a_promotion_swaps_the_host_function_too(self):
+        """A lane-blocked unit's tier-2 library brings its own host function:
+        after the swap the warm call runs the ``-O3`` host and spans, and
+        stays bit-identical."""
+        import ctypes
+
+        from repro.runtime import native
+
+        module = _lowered(DAMP_CUDA.replace("0.5f", "0.3125f"))
+        engine = NativeEngine(module)
+        engine.run("launch", _quick_args())
+        unit, = engine._program.native_units
+        assert unit.level == "-O1" and unit.host is not None
+        tier_one = unit.host
+        unit.promote()
+        assert native.await_promotions(timeout=120)
+        assert unit.level == "-O3"
+        library = unit.libraries[-1]
+        assert unit.host == ctypes.cast(getattr(library, unit.host_symbol),
+                                        ctypes.c_void_p).value != tier_one
+        got, expected = _quick_args(), _quick_args()
+        engine.run("launch", got)
+        Interpreter(module).run("launch", expected)
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert engine.native_stats["entry_calls"] == 1
+
+    @needs_cc
+    @pytest.mark.parametrize("build, entry, make_args, reason", [
+        (lambda: _lowered(HOST_LOOP_CUDA), "launch", _quick_args,
+         "entry: scf.for outside a native span"),
+        (_calling_module, "main",
+         lambda: [np.zeros(64, np.float32), np.arange(64, dtype=np.float32)],
+         "entry: host op func.call"),
+    ], ids=["host-loop", "host-call"])
+    def test_other_functions_keep_the_compiled_run(self, build, entry, make_args, reason):
+        """A host ``scf.for`` or ``func.call`` keeps the compiled run, with
+        its per-region dispatches; the plan says why."""
+        module = build()
+        engine = _assert_native_matches_interp(module, entry, make_args, 0)
+        engine.run(entry, make_args())
+        assert engine.native_stats["entry_calls"] == 0
+        assert engine.native_stats["native_dispatches"] > 0
+        for row in engine.regions:
+            assert row["entry_call"] is False
+            assert reason in row["refusals"]
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _freed(array):
+    storage = MemRefStorage(array)
+    storage.free()
+    return storage
 
 # ---------------------------------------------------------------------------
 # One flag, two loops: which copy of a span's body a dispatch runs

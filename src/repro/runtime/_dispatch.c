@@ -436,7 +436,9 @@ static PyObject *enter(PyObject *functions, host_fn host, PyObject *contract,
         const int64_t *required = words(&c, n_required < 0 ? 0 : n_required);
         const int64_t n_pairs = word(&c, 0, 1 << 24);
         const int64_t *pairs = words(&c, 2 * n_pairs);
-        int bad = c.bad || at[0] < 1 || at[1] < -1 || at[1] > n_speedups;
+        if (c.bad)
+            goto malformed;  /* before ``at`` is read: it may be the end */
+        int bad = at[0] < 1 || at[1] < -1 || at[1] > n_speedups;
         for (int field = 2; field < 10; ++field)
             bad |= at[field] < 0 || at[field] > (1 << 16);
         if (bad || at[3] > g_ints || at[4] > g_floats || at[5] + 3 * at[6] > g_ints

@@ -82,8 +82,10 @@ in-process run is every dispatch's fallback, lives in
   Python's counters addition for addition into one fold.  A call it
   refuses (an argument of another kind or dtype, a host integer op that
   leaves int64, a zero step, ...) stores nothing, and the compiled run
-  follows with its per-region tallies and errors.  The first run of an
-  entry on an engine is always the compiled run;
+  follows with its per-region tallies and errors.  The call is read from
+  the program, which every engine of the module and machine shares, so a
+  fresh engine's first run takes it too; the program's first run of an
+  entry compiles it, and is a compiled run;
 * real parallelism (a ``#pragma omp parallel`` team, one static chunk of
   the iterations per thread) is enabled per region only when the
   write-write store-safety analysis
@@ -1131,6 +1133,7 @@ class _Entry:
             [_formats(dtype_for(value.type.element_type)) for value in buffers],
             [value.type.memory_space for value in buffers],
             [handle.symbol for _, handle in spans], exact=True, arity=len(arguments))
+        self.calls.get(fc.program.machine.cores)  # the default team's, at plan time
 
 
 # ---------------------------------------------------------------------------
@@ -1187,22 +1190,22 @@ class NativeEngine(CompiledEngine):
     #: whether a strict run of this engine found the toolchain working.
     _toolchain_checked = False
 
-    def __init__(self, module, machine: MachineModel = XEON_8375C,
-                 threads: Optional[int] = None) -> None:
-        super().__init__(module, machine, threads)
-        #: entry name -> (its unit, its warm call's contract at this
-        #: engine's threads), or ``None`` for a function that is not a
-        #: straight-line entry: set by the entry's first run.
-        self._calls: Dict[str, Optional[Tuple[NativeUnit, _Call]]] = {}
-
     def run(self, function_name: str, arguments=()) -> List:
-        """A warm run of a straight-line entry is one dispatcher call
-        (``_dispatch.call``) on the arguments as passed; a first run, a
-        refused call and every other function take the compiled engine's
-        run, with its per-region dispatches."""
-        call = self._calls.get(function_name)
-        if call is not None and self._work == _IDLE and self._program.unit_failure is None:
-            unit, contract = call
+        """A run of a straight-line entry whose program has compiled it is
+        one dispatcher call (``_dispatch.call``) on the arguments as passed,
+        on any engine over the program (a strict one probes the toolchain
+        first, once); the program's first run, a refused call and every
+        other function take the compiled engine's run, with its per-region
+        dispatches."""
+        program = self._program
+        compiled = program.entries.get(function_name)
+        unit = None if compiled is None else compiled.dispatch_state
+        entry = None if unit is None else unit.entry
+        if entry is not None and self._work == _IDLE and program.unit_failure is None:
+            if self._resilience_strict and not self._toolchain_checked:
+                self._probe_toolchain()
+            calls = entry.calls
+            contract = calls.contracts.get(self.threads) or calls.get(self.threads)
             folded = _call(unit.functions, unit.host, contract, arguments)
             if folded.__class__ is tuple:
                 return self._fold(unit, folded)
@@ -1236,18 +1239,20 @@ class NativeEngine(CompiledEngine):
         # graceful degrade.  Once the probe passed, a unit built under a
         # compiler that fails carries its own failure.
         program = self._program
-        strict = self._resilience_strict
-        if strict and not self._toolchain_checked:
-            require_toolchain()
-            self._toolchain_checked = True
+        if not self._resilience_strict:
+            return program.entry(name, count)
+        if not self._toolchain_checked:
+            self._probe_toolchain()
         compiled = program.entry(name, count)
-        if strict and program.unit_failure is not None:
+        if program.unit_failure is not None:
             raise program.unit_failure
-        if name not in self._calls:
-            unit = compiled.dispatch_state
-            entry = None if unit is None else unit.entry
-            self._calls[name] = None if entry is None else (unit, entry.calls.get(self.threads))
         return compiled
+
+    def _probe_toolchain(self) -> None:
+        """A strict engine's one toolchain check, before its first store:
+        raises the cached probe's failure."""
+        require_toolchain()
+        self._toolchain_checked = True
 
     @property
     def native_stats(self) -> Dict[str, int]:

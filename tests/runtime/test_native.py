@@ -43,7 +43,7 @@ from repro.runtime import (
 )
 from repro.runtime.cache import NativeArtifactCache
 from repro.runtime.codegen_c import LANES
-from repro.runtime.compiler import UNLOWERED
+from repro.runtime.compiler import UNLOWERED, CompiledEngine
 from repro.runtime.errors import ZERO_STEP
 from repro.runtime.memory import MemRefStorage
 from repro.runtime.native import CC_ENV_VAR, unit_key
@@ -607,6 +607,36 @@ class TestDispatchBailouts:
         assert region["bailouts"] == {"scalar": 1}
         _assert_engines_match_interp(_grid_module()[0], case)
 
+    @needs_cc
+    def test_an_unconvertible_bound_refuses_before_a_zero_step(self):
+        """A zero step in the first dim and an upper bound of 2**64 in the
+        second: the dispatch refuses as ``scalar``, since a span's bounds
+        that are not constants are also its int live-ins, which it converts
+        before any buffer or step."""
+        from repro.dialects import memref as memref_d, scf
+        from repro.ir import F32, INDEX, Builder, memref, verify
+        from tests.helpers import (build_function, close_parallel, const_index,
+                                   finish_function)
+
+        row = memref((16,), F32)
+        module, fn, b = build_function("main", [row, row, INDEX, INDEX, INDEX])
+        out, source, hi, st, hj = fn.arguments
+        zero, one = const_index(b, 0), const_index(b, 1)
+        span = b.insert(scf.ParallelOp([zero, zero], [hi, hj], [st, one]))
+        inner = Builder.at_end(span.body)
+        index = span.induction_vars[0]
+        inner.insert(memref_d.StoreOp(inner.insert(memref_d.LoadOp(source, [index])).result,
+                                      out, [index]))
+        close_parallel(inner)
+        finish_function(b)
+        verify(module)
+        engine = NativeEngine(module)
+        with pytest.raises(InterpreterError, match=ZERO_STEP):
+            engine.run("main", [np.zeros(16, np.float32), np.ones(16, np.float32),
+                                13, 0, 2**64])
+        region, = engine.regions
+        assert region["bailouts"] == {"scalar": 1}
+
     @pytest.mark.parametrize("case, stored", [
         ((0, 13, 0, 5, -1), None), ((13, 0, -1, 5, -1), 65), ((0, 13, -1, 5, -1), 0)],
         ids=["zero", "negative", "negative-empty"])
@@ -636,10 +666,17 @@ class TestWarmPathGuard:
     wrapper, which no buffer's address needs."""
 
     #: calls of one warm scale-1 run (and of the ``lambda`` that makes it):
-    #: the run, its lookup of the entry's warm call, the one dispatcher call
-    #: (``_dispatch.call``) and the fold of its counters.  Upper bounds, at
-    #: the counts they were pinned at.
-    CALLS = {"nw": 6, "lud": 6, "bfs": 6}
+    #: the run, its lookups of the compiled entry and of its warm call, the
+    #: one dispatcher call (``_dispatch.call``) and the fold of its counters.
+    #: Upper bounds, at the counts they were pinned at.
+    CALLS = {"nw": 7, "lud": 7, "bfs": 7}
+
+    #: the same of one warm *compiled* run (``CompiledEngine.run``, the path
+    #: of a refused call and of a function with host control flow; and of
+    #: the ``lambda`` calling it): the run shell, argument wrapping, the
+    #: generated host code and one region dispatch (one ``_dispatch.call``)
+    #: with its accounting.
+    COMPILED_CALLS = {"nw": 34, "lud": 28, "bfs": 41}
 
     @staticmethod
     def _profiled(run):
@@ -686,9 +723,26 @@ class TestWarmPathGuard:
         arguments[1].setflags(write=False)
         calls, wrappers = self._profiled(lambda: engine.run(bench.entry, arguments))
         assert wrappers == 0 and len(calls) <= self.CALLS["nw"]
+        calls, wrappers = self._profiled(
+            lambda: CompiledEngine.run(engine, bench.entry, arguments))
+        assert wrappers == 0 and len(calls) <= self.COMPILED_CALLS["nw"]
         _, wrappers = self._profiled(lambda: arguments[1].ctypes.data)
         assert wrappers == 1
         assert engine.native_stats["bailouts"] == 0
+
+    @needs_cc
+    @pytest.mark.parametrize("name", sorted(COMPILED_CALLS))
+    def test_a_warm_compiled_run_makes_few_python_calls(self, name):
+        bench = BENCHMARKS[name]
+        engine = NativeEngine(bench.compile_cuda())
+        engine.run(bench.entry, bench.make_inputs(1))
+        arguments = bench.make_inputs(1)
+        calls, wrappers = self._profiled(
+            lambda: CompiledEngine.run(engine, bench.entry, arguments))
+        assert len(calls) <= self.COMPILED_CALLS[name], calls
+        assert wrappers == 0
+        stats = engine.native_stats
+        assert (stats["bailouts"], stats["native_dispatches"]) == (0, 2)
 
 
 #: ``launch(out, in, n, m)``: the span gets ``n * m``, a host ``arith.muli``
@@ -734,8 +788,8 @@ def _calling_module():
 def _entry_outcome(module, entry, arguments, clean, prepare=None):
     """Run ``entry`` once on ``arguments`` with a new engine over a fresh
     program of ``module``: through the warm call after a run on ``clean()``
-    arguments, or (``clean`` None) as the engine's first run.
-    ``prepare(engine)`` runs before it.  Returns (the error raised or None,
+    arguments, or (``clean`` None) as the program's first run, the compiled
+    run.  ``prepare(engine)`` runs before it.  Returns (the error raised or None,
     the region bailouts, the native dispatches of that run, its entry
     calls, the outputs)."""
     from repro.runtime.compiler import invalidate_compiled
@@ -744,14 +798,16 @@ def _entry_outcome(module, entry, arguments, clean, prepare=None):
     engine = NativeEngine(module)
     if clean is not None:
         engine.run(entry, clean())
+        run = engine.run
     else:
         engine._program.entry(entry, len(arguments))
+        run = lambda *args: CompiledEngine.run(engine, *args)  # noqa: E731
     if prepare is not None:
         prepare(engine)
     before = dict(engine.native_stats)
     error = None
     try:
-        engine.run(entry, arguments)
+        run(entry, arguments)
     except Exception as exc:  # noqa: BLE001 - compared below
         error = (type(exc), str(exc))
     stats = engine.native_stats
@@ -772,23 +828,28 @@ class TestEntryCall:
     @needs_cc
     @pytest.mark.parametrize("threads", [1, None], ids=["one-thread", "default"])
     def test_every_rodinia_kernel_takes_the_entry_call(self, threads):
-        """Each Rodinia kernel at scales 1 and 2: the second run of an engine
-        is one entry call, and its outputs and the CostReport of both runs
-        equal ``interp``'s bit for bit."""
+        """Each Rodinia kernel at scales 1 and 2, a new engine per scale:
+        every run after the program's first — the first run of the second
+        engine too — is one entry call, and the outputs and the CostReport
+        of both runs equal ``interp``'s bit for bit."""
+        from repro.runtime.compiler import invalidate_compiled
+
         for name, bench in BENCHMARKS.items():
             module = bench.compile_cuda()
+            invalidate_compiled(module)
+            runs = 0
             for scale in (1, 2):
                 engine = NativeEngine(module, threads=threads)
                 oracle = Interpreter(module, threads=threads)
-                calls = engine.native_stats["entry_calls"]
-                for run in range(2):
+                for _ in range(2):
                     expected, got = bench.make_inputs(scale), bench.make_inputs(scale)
                     oracle.run(bench.entry, expected)
                     engine.run(bench.entry, got)
                     for index in bench.output_indices:
                         np.testing.assert_array_equal(got[index], expected[index],
                                                       err_msg=f"{name} x{scale}")
-                    assert engine.native_stats["entry_calls"] == calls + run, name
+                    assert engine.native_stats["entry_calls"] == runs, name
+                    runs += 1
                 assert report_fields(engine.report) == report_fields(oracle.report), name
                 assert {row["entry_call"] for row in engine.regions} == {True}, name
                 assert engine.native_stats["bailouts"] == 0, name
@@ -827,9 +888,9 @@ class TestEntryCall:
     def test_an_error_in_the_second_span_leaves_what_a_compiled_run_leaves(self):
         """``srad_v1``'s second span reports ``ERR_BAD_STEP`` (a spy's
         trampoline, after the real span's stores): the entry call raises the
-        compiled run's error after the first span's stores, with its
-        counters and open work frames, and the run after it reports the
-        same."""
+        compiled run's error (``CompiledEngine.run``) after the first span's
+        stores, with its counters and open work frames, and the run after it
+        reports the same."""
         from repro.runtime.compiler import invalidate_compiled
         from tests.region_spy import RegionSpy
 
@@ -848,8 +909,10 @@ class TestEntryCall:
             spy.wrap(unit)
             spy.fail(unit.symbols[1], 1)
             arguments = bench.make_inputs(1)
+            run = engine.run if warm else \
+                (lambda *args: CompiledEngine.run(engine, *args))  # noqa: E731
             with pytest.raises(InterpreterError, match="scf.for requires a positive step"):
-                engine.run(bench.entry, arguments)
+                run(bench.entry, arguments)
             counts = [engine.native_stats[name] - before[name]
                       for name in ("native_dispatches", "entry_calls")]
             failed = report_fields(engine.report), list(engine._work)
@@ -870,13 +933,40 @@ class TestEntryCall:
         assert warm_after == tuple(map(sum, zip(reset, first_after)))
 
     @needs_cc
+    def test_a_fresh_executor_per_run_takes_the_entry_call(self):
+        """The kernel server and ``execute`` build one executor per run, a
+        strict (resilience-wrapped) engine: once the program has compiled
+        the entry, each such run is one entry call, after its engine's one
+        toolchain probe."""
+        from repro.runtime import make_executor
+        from repro.runtime.compiler import invalidate_compiled
+
+        bench = BENCHMARKS["nw"]
+        module = bench.compile_cuda()
+        invalidate_compiled(module)
+        for run in range(4):
+            executor = make_executor(module, engine="native")
+            got, expected = bench.make_inputs(1), bench.make_inputs(1)
+            executor.run(bench.entry, got)
+            oracle = Interpreter(module)
+            oracle.run(bench.entry, expected)
+            for index in bench.output_indices:
+                np.testing.assert_array_equal(got[index], expected[index])
+            assert report_fields(executor.report) == report_fields(oracle.report)
+            assert executor.inner._toolchain_checked
+            assert executor.native_stats["entry_calls"] == run
+
+    @needs_cc
     def test_eight_threads_share_one_program_through_the_entry_call(self):
-        """Eight threads, one engine each over one module, run a lane-blocked
-        straight-line entry together: every run after each engine's first is
-        one entry call and equals ``interp``."""
+        """Eight threads, one new engine each over one module whose program
+        one run compiled, run a lane-blocked straight-line entry together:
+        every run, each engine's first too, is one entry call and equals
+        ``interp``.  (Three chain steps, not four: the unit promotes during
+        the runs, and must not publish the tier-2 artifact that
+        :class:`TestSharedProgram` expects to build itself.)"""
         import threading
 
-        module = _lowered(LANE_BLEND_CUDA)
+        module = _lowered(LANE_BLEND_CUDA.replace("k < 4", "k < 3"))
 
         def arguments(seed):
             rng = np.random.default_rng(seed)
@@ -888,6 +978,7 @@ class TestEntryCall:
             args = arguments(seed)
             Interpreter(module).run("launch_blend", args)
             expected[seed] = args[0]
+        NativeEngine(module).run("launch_blend", arguments(8))
         engines = [NativeEngine(module) for _ in range(8)]
         start, errors = threading.Barrier(8, timeout=60), []
 
@@ -908,8 +999,8 @@ class TestEntryCall:
             thread.join()
         assert errors == []
         stats = engines[0].native_stats
-        assert stats["entry_calls"] == 8 * 5 and stats["bailouts"] == 0
-        assert stats["native_dispatches"] == 8 * 6
+        assert stats["entry_calls"] == 8 * 6 and stats["bailouts"] == 0
+        assert stats["native_dispatches"] == 8 * 6 + 1
 
     @needs_cc
     def test_a_promotion_swaps_the_host_function_too(self):
@@ -1906,6 +1997,28 @@ void launch(float* out, float* in, int n, int m) {
 class TestDispatcher:
     """The dispatcher extension (``_dispatch.c``): built and imported by the
     toolchain probe, one C call per dispatch."""
+
+    @needs_cc
+    def test_a_cut_layout_is_refused_by_name(self):
+        """Every prefix of a real entry contract's layout raises the
+        dispatcher's ``malformed`` ValueError and stores nothing: the layout
+        is read through a bounds-checked cursor, never past its end."""
+        from repro.runtime import native
+
+        module = _lowered(QUICK_CUDA)
+        engine = NativeEngine(module)
+        engine.run("launch", _quick_args())
+        unit, = engine._program.native_units
+        call = unit.entry.calls.get(engine.threads)
+        words = len(call.layout) // 8
+        for cut in range(words):
+            arguments = _quick_args()
+            arguments[0][:] = -1.0
+            with pytest.raises(ValueError, match="malformed dispatch contract layout"):
+                native._call(unit.functions, unit.host,
+                             call._replace(layout=call.layout[:8 * cut]), arguments)
+            assert (arguments[0] == -1.0).all()
+        assert native._call(unit.functions, unit.host, call, _quick_args()).__class__ is tuple
 
     @needs_cc
     def test_a_host_without_python_h_degrades(self, monkeypatch):

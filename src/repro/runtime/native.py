@@ -141,7 +141,6 @@ from .codegen_c import (
     grid_units,
 )
 from .compiler import CompiledEngine, _FunctionCompiler, _Region
-from .costmodel import XEON_8375C, MachineModel
 from .errors import InterpreterError, ToolchainError
 from .memory import MemRefStorage, dtype_for
 from .optable import cycles, row_for

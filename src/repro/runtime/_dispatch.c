@@ -16,12 +16,13 @@
  *       spans (their addresses looked up in ``functions`` by symbol, the
  *       region ABI of codegen_c) in order, between the charges, teams and
  *       barriers of the generated Python, whose counters are folded as it
- *       folds them, addition for addition.
+ *       folds them, addition for addition, in the steps the function
+ *       compiler recorded as it emitted them (compiler.Fold).
  *     Returns ``(work, dynamic_ops, global_bytes, parallel_regions,
  *     workshared_loops, barriers, dispatches, error)`` -- on a span's error
- *     ``work`` is the tuple of the open work frames, and no step after the
- *     span ran -- or the code of the first failed check (``REFUSE_*``, the
- *     index of its name in native._REFUSALS).
+ *     no step after the span ran, and only the counters and the code count:
+ *     the run's work frames end with it -- or the code of the first failed
+ *     check (``REFUSE_*``, the index of its name in native._REFUSALS).
  * A region's dispatch is a contract of one span whose parameters are the
  * live-ins in the register list; a warm run of a straight-line entry is a
  * contract of the whole function, whose parameters are its arguments.
@@ -283,22 +284,6 @@ static int take_buffer(PyObject *argument, PyTypeObject *storage_type,
     return refusal;
 }
 
-/* A tuple of the ``count`` new references ``items`` (stolen, NULLs
- * included), or NULL when one of them, or the tuple, is NULL. */
-static PyObject *pack(PyObject **items, Py_ssize_t count)
-{
-    PyObject *tuple = PyTuple_New(count);
-    for (Py_ssize_t index = 0; index < count; ++index) {
-        if (tuple == NULL || items[index] == NULL) {
-            Py_CLEAR(tuple);
-            Py_XDECREF(items[index]);
-            continue;
-        }
-        PyTuple_SET_ITEM(tuple, index, items[index]);
-    }
-    return tuple;
-}
-
 /* A bounds-checked cursor over an entry contract's layout. */
 typedef struct {
     const int64_t *at, *end;
@@ -538,20 +523,9 @@ static PyObject *enter(PyObject *functions, host_fn host, PyObject *contract,
         }
     }
     Py_END_ALLOW_THREADS
-    PyObject *work;
-    if (error) {
-        PyObject *open[MAX_FRAMES];
-        for (int frame = 0; frame <= depth; ++frame)
-            open[frame] = PyFloat_FromDouble(frames[frame]);
-        work = pack(open, depth + 1);
-    } else {
-        work = PyFloat_FromDouble(frames[0]);
-    }
-    PyObject *fold[8] = {work, PyLong_FromLongLong(ops), PyFloat_FromDouble(global_bytes),
-                         PyLong_FromLongLong(regions), PyLong_FromLongLong(loops),
-                         PyLong_FromLongLong(barriers), PyLong_FromLongLong(dispatches),
-                         PyLong_FromLongLong(error)};
-    result = pack(fold, 8);
+    result = Py_BuildValue("(dLdLLLLL)", frames[0], (long long)ops, global_bytes,
+                           (long long)regions, (long long)loops, (long long)barriers,
+                           (long long)dispatches, (long long)error);
     goto release;
 
 refused_or_error:

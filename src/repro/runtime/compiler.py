@@ -108,6 +108,57 @@ class _State:
         self.shard = shard
 
 
+#: the kinds of a fold step, numbered as ``_dispatch.c`` numbers them.
+STEP_OPS, STEP_CHARGE, STEP_OPEN, STEP_CLOSE, STEP_BARRIER, STEP_SPAN = range(6)
+
+
+class Fold:
+    """How a run of one function folds its counters: the steps
+    :class:`_FunctionCompiler` records as it emits the host accounting (a
+    span body's go to a fold nothing reads), for a straight-line entry's
+    warm call to replay in C (``native._Entry``).  ``steps`` are
+    ``(STEP_*, argument)``, the argument a block's op count or an index
+    into ``charges`` (pure scalar ops' cycles) or ``spans`` (regions, with
+    their epilogue's ``team`` and ``nowait``); ``ops`` are the host's
+    constants and pure scalar ops; ``refusal`` names the first host op no
+    step replays.  ``Fold(region)`` is one region dispatch's fold."""
+
+    def __init__(self, *spans: "_Region") -> None:
+        self.steps: List[Tuple[int, int]] = []
+        self.charges: List[float] = []
+        self.ops: List = []
+        self.spans: List[_Region] = []
+        self.refusal: Optional[str] = None
+        self.depth = 0  # the omp.parallel frames open at the op being emitted
+        for region in spans:
+            self.span(region)
+
+    def step(self, kind: int, argument: int = 0) -> None:
+        self.steps.append((kind, argument))
+
+    def host_op(self, op, charge: Optional[float] = None) -> None:
+        """A constant, or a pure scalar op and its charge."""
+        self.ops.append(op)
+        if charge is not None:
+            self.step(STEP_CHARGE, len(self.charges))
+            self.charges.append(charge)
+
+    def span(self, region: "_Region") -> None:
+        self.step(STEP_SPAN, len(self.spans))
+        self.spans.append(region)
+
+    def words(self, base: int) -> List[int]:
+        """The steps as layout words, a charge's index counted from ``base``."""
+        return [word for kind, argument in self.steps
+                for word in (kind, argument + base if kind == STEP_CHARGE else argument)]
+
+    def refuse(self, op, reason: Optional[str] = None) -> None:
+        """The first host op no step replays, and why."""
+        if self.refusal is None:
+            self.refusal = reason or (f"{op.name} outside a native span" if op.regions
+                                      else f"host op {op.name}")
+
+
 class _CompiledFunction:
     """One compiled function: register template + body runner, and the kind
     of each parameter (``memrefs``: a buffer, else a scalar) a run checks
@@ -306,15 +357,16 @@ class _Region:
     The shell fills it in as it goes — the plan and the slots it resolved
     (``bounds``: the lower / upper / step slot lists; ``index_slots``: the
     induction variables) — and the planner's ``body``, the in-process
-    ``base`` run and the accounting around it (``count``, ``finish``,
-    ``message``), which it hands to the row's planner and dispatcher; they
-    name the ``tier`` that took the region, and the native dispatcher its
-    ``handle``.  The function's generated code calls the region's run by
-    ``name`` (a global of its ``ns``).
+    ``base`` run and the accounting around it (``count``, ``finish``, the
+    ``team`` and ``nowait`` of that epilogue, ``message``), which it hands
+    to the row's planner and dispatcher; they name the ``tier`` that took
+    the region, and the native dispatcher its ``handle``.  The function's
+    generated code calls the region's run by ``name`` (a global of its
+    ``ns``).
     """
 
-    __slots__ = ("function", "plan", "bounds", "index_slots", "body", "base",
-                 "count", "finish", "message", "tier", "name", "handle")
+    __slots__ = ("function", "plan", "bounds", "index_slots", "body", "base", "count",
+                 "finish", "team", "nowait", "message", "tier", "name", "handle")
 
     def __init__(self, function: str, plan: RegionPlan, bounds: Tuple = (),
                  index_slots: Sequence[int] = ()) -> None:
@@ -322,8 +374,8 @@ class _Region:
         self.plan = plan
         self.bounds = bounds
         self.index_slots = index_slots
-        self.body = self.base = self.count = self.finish = None
-        self.message = self.tier = self.name = self.handle = None
+        self.body = self.base = self.count = self.finish = self.team = None
+        self.nowait = self.message = self.tier = self.name = self.handle = None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +405,9 @@ class _FunctionCompiler:
     lines contain its child blocks' lines one indent deeper, and an op that
     runs once per region binds a closure whose call is its line.  The lines
     of a function body, a span body or an ``omp`` body are finalised by
-    one ``exec`` each (:func:`_build_runner`).
+    one ``exec`` each (:func:`_build_runner`).  As it emits the host
+    accounting it records the fold (:class:`Fold`): the one place that
+    decides the order a straight-line entry's warm call replays.
     """
 
     def __init__(self, program: _Program, fn: func_d.FuncOp) -> None:
@@ -375,6 +429,7 @@ class _FunctionCompiler:
         #: the dispatcher's per-function state (native: its translation
         #: unit), ``build(fc)`` once the function is compiled.
         self.dispatch_state = None
+        self.fold = Fold()
 
     def _name(self, prefix: str) -> str:
         self._uid += 1
@@ -397,6 +452,8 @@ class _FunctionCompiler:
         arg_slots = self.slots(self.fn.arguments)
         runner = self.function_of(*_counted(self.fn.body_block))
         _, term = _split_executed(self.fn.body_block)
+        if term is None or term.operands:
+            self.fold.refuse(term, "the function returns a value")
         return_slots = self.slots(term.operands) if isinstance(term, func_d.ReturnOp) else []
         return _CompiledFunction(self.fn, self.template, arg_slots, return_slots,
                                  runner)
@@ -406,6 +463,7 @@ class _FunctionCompiler:
         """Source of one block execution.  Its dynamic-op count is batched
         into a single increment (every op of a block executes exactly once
         per block execution), then come the ops' lines in order."""
+        self.fold.step(STEP_OPS, nops)
         lines = [f"report.dynamic_ops += {nops}"] if nops else []
         for op in ops:
             lines.extend(self.compile_op(op))
@@ -442,12 +500,14 @@ class _FunctionCompiler:
     # -- op compilation --------------------------------------------------------
     def compile_op(self, op) -> List[str]:
         """The source lines of one op; none for an op with no runtime action."""
+        emitter = _EMITTERS.get(type(op))
+        row = None if emitter is not None else row_for(op)
+        if emitter not in _OWN_STEPS and row is None:
+            self.fold.refuse(op)
         if isinstance(op, _BARRIER_OPS):
             return ["raise _BE()"]
-        emitter = _EMITTERS.get(type(op))
         if emitter is not None:
             return emitter(self, op)
-        row = row_for(op)
         if row is not None:
             return self._c_scalar(op, row)
         message = f"no interpretation for op {op.name}"
@@ -455,6 +515,7 @@ class _FunctionCompiler:
 
     def _c_constant(self, op) -> List[str]:
         self.template[self.slot(op.result)] = op.value
+        self.fold.host_op(op)
         return []
 
     def _c_scalar(self, op, row) -> List[str]:
@@ -462,6 +523,7 @@ class _FunctionCompiler:
         operands = [f"regs[{self.slot(value)}]" for value in op.operands]
         target = self.slot(op.result)
         expr = python_expr(row, operands, self.ns, self._name)
+        self.fold.host_op(op, cycles(row))
         return [f"w[-1] += {cycles(row)!r}", f"regs[{target}] = {expr}"]
 
     # -- memory ops -------------------------------------------------------------
@@ -663,18 +725,25 @@ class _FunctionCompiler:
         if dispatcher is not None:
             self.offered += 1
             run = dispatcher(self, region)
+        if run is None:
+            self.fold.refuse(region.plan.op)
+        else:
+            self.fold.span(region)
         self.program.regions.append(region)
         region.name = self._name("s")
         return self._bound(region.base if run is None else run, region.name)
 
     def _span_shell(self, op, count: Callable, message: str,
-                    finish: Callable) -> List[str]:
+                    accounting: Tuple[Callable, int, bool]) -> List[str]:
         """``omp.wsloop`` and barrier-free ``scf.parallel``: they differ in
         the report counter, the escape message and the epilogue only."""
         region = self._region(op)
+        finish, region.team, region.nowait = accounting
         region.count, region.message, region.finish = count, message, finish
         lb_slots, ub_slots, st_slots = region.bounds
+        fold, self.fold = self.fold, Fold()  # a span body's steps are not the host's
         run_span = region.body = self.program.planner(self, region)
+        self.fold = fold
 
         def base(state, regs):
             ranges, total = _iteration_space(regs, lb_slots, ub_slots, st_slots)
@@ -690,16 +759,17 @@ class _FunctionCompiler:
         region.base = base
         return self._dispatched(region)
 
-    def _parallel_accounting(self) -> Callable:
+    def _parallel_accounting(self) -> Tuple[Callable, int, bool]:
         """The barrier-free ``scf.parallel`` wall-clock epilogue: ``finish``
         takes the region's summed work — from the shell's own run, the native
-        call or the folded worker shards — and charges the enclosing frame."""
+        call or the folded worker shards — and charges the enclosing frame;
+        with its team (-1: the run's threads, after a fork) and ``nowait``."""
         fork_cost = self.program.machine.fork_cost
 
         def finish(state, total, work):
             threads = min(state.threads, max(1, total))
             state.work[-1] += fork_cost + work / state.program.speedup(threads)
-        return finish
+        return finish, -1, False
 
     def _c_scf_parallel(self, op) -> List[str]:
         if self.program.plans.plan(op).kind == SIMT:
@@ -717,6 +787,7 @@ class _FunctionCompiler:
         on the op, its env built from the plan's live-ins, against this run's
         report, work stack and threads.  A row with a faster tier
         says by name (``UNLOWERED``) why it did not run."""
+        self.fold.refuse(op)
         program = self.program
         plan = program.plans.plan(op)
         if program.declined is not None:
@@ -760,8 +831,14 @@ class _FunctionCompiler:
 
     # -- OpenMP -------------------------------------------------------------------
     def _c_omp_parallel(self, op) -> List[str]:
-        nested = op.nest_level > 0
+        nested, fold = op.nest_level > 0, self.fold
+        if nested or fold.depth:
+            fold.refuse(op)
+        fold.step(STEP_OPEN)
+        fold.depth += 1
         body = self.function_of(*_counted(op.body))
+        fold.depth -= 1
+        fold.step(STEP_CLOSE)
         machine = self.program.machine
         fork = machine.nested_fork_cost if nested else machine.fork_cost
         penalty = machine.false_sharing_penalty
@@ -783,29 +860,14 @@ class _FunctionCompiler:
             work_stack[-1] += fork + work
         return self._bound(run)
 
-    @staticmethod
-    def _static_team(op) -> Tuple[bool, bool, Optional[int]]:
-        """(has_parallel_parent, parent_is_nested, parent_num_threads)."""
+    def _wsloop_accounting(self, op) -> Tuple[Callable, int, bool]:
+        """The ``omp.wsloop`` wall-clock epilogue (see _parallel_accounting):
+        its team is 1 outside an ``omp.parallel`` or in a nested one, its
+        ``num_threads``, or 0 — the run's threads."""
         parent = op.parent_op
         while parent is not None and not isinstance(parent, omp_d.OmpParallelOp):
             parent = parent.parent_op
-        if parent is None:
-            return False, False, None
-        return True, parent.nest_level > 0, parent.num_threads
-
-    @classmethod
-    def wsloop_team(cls, op) -> int:
-        """The team an ``omp.wsloop``'s work is divided over: 1 outside an
-        ``omp.parallel`` or in a nested one, its ``num_threads``, or 0 —
-        the run's threads."""
-        has_parent, parent_nested, parent_threads = cls._static_team(op)
-        if not has_parent or parent_nested:
-            return 1
-        return parent_threads or 0
-
-    def _wsloop_accounting(self, op) -> Callable:
-        """The ``omp.wsloop`` wall-clock epilogue (see _parallel_accounting)."""
-        fixed = self.wsloop_team(op)
+        fixed = 1 if parent is None or parent.nest_level > 0 else parent.num_threads or 0
         nowait = op.nowait
         sync_cost = self.program.machine.sync_cost
 
@@ -815,7 +877,7 @@ class _FunctionCompiler:
             if not nowait:
                 wall += sync_cost
             state.work[-1] += wall
-        return finish
+        return finish, fixed, nowait
 
     def _c_omp_wsloop(self, op) -> List[str]:
         def count(state):
@@ -825,6 +887,7 @@ class _FunctionCompiler:
 
     def _c_omp_barrier(self, op) -> List[str]:
         sync_cost = self.program.machine.sync_cost
+        self.fold.step(STEP_BARRIER)
         def step(state, regs):
             state.report.barriers += 1
             state.work[-1] += sync_cost
@@ -866,6 +929,12 @@ _EMITTERS = {
     omp_d.OmpBarrierOp: _FunctionCompiler._c_omp_barrier,
     omp_d.OmpSingleOp: _FunctionCompiler._c_omp_single,
 }
+
+#: the emitters that record their own fold step or refusal; every other
+#: host op, pure scalar ops aside, is refused by ``compile_op``.
+_OWN_STEPS = {_FunctionCompiler._c_constant, _FunctionCompiler._c_scf_parallel,
+              _FunctionCompiler._interpreted, _FunctionCompiler._c_omp_parallel,
+              _FunctionCompiler._c_omp_wsloop, _FunctionCompiler._c_omp_barrier}
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1003,6 @@ class CompiledEngine:
         self.threads = resolve_threads(machine, threads)
         self.report = CostReport(machine=machine, threads=self.threads)
         self._program = program_for(module, machine, self.ROW)
-        self._work: List[float] = [0.0]
 
     def _entry(self, name: str, count: int) -> _CompiledFunction:
         """Hook: the compiled function a run of ``name`` calls, looked up
@@ -946,8 +1014,9 @@ class CompiledEngine:
 
     def _make_state(self) -> _State:
         """Per-run execution state hook (the multicore engine attaches its
-        shard-dispatch context here)."""
-        return _State(self.report, self.threads, self._work, self._program)
+        shard-dispatch context here), on the run's own work frames: a run
+        that raises leaves none behind."""
+        return _State(self.report, self.threads, [0.0], self._program)
 
     def run(self, function_name: str, arguments: Sequence = ()) -> List:
         """Execute ``function_name`` with the given arguments (Interpreter API)."""
@@ -964,8 +1033,7 @@ class CompiledEngine:
             raise InterpreterError("barrier executed outside a parallel context") from None
         return_slots = compiled.return_slots
         results = [regs[s] for s in return_slots] if return_slots else []
-        self.report.cycles += self._work[0]
-        self._work[0] = 0.0
+        self.report.cycles += state.work[0]
         return results
 
     #: hook: the multicore engine tracks the storages it may promote.

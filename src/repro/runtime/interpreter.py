@@ -67,9 +67,10 @@ class Interpreter:
             raise arity_error(fn, len(arguments))
         runtime_args = [wrap_argument(argument, index, is_memref_parameter(param))
                         for index, (argument, param) in enumerate(zip(arguments, params))]
+        # the run's own work frames: a run that raises leaves none behind
+        work = self._work_stack = [0.0]
         results = self._call_function(fn, runtime_args)
-        self.report.cycles += self._work_stack[0]
-        self._work_stack[0] = 0.0
+        self.report.cycles += work[0]
         return results
 
     def run_region(self, op: Operation, env: Dict[int, object], report: CostReport,

@@ -79,10 +79,13 @@ in-process run is every dispatch's fallback, lives in
   It checks each parameter once, runs the host function, decides every
   span's licence — all before the first store — and then runs the spans in
   order with the interpreter lock released once, replaying the generated
-  Python's counters addition for addition into one fold.  A call it
-  refuses (an argument of another kind or dtype, a host integer op that
-  leaves int64, a zero step, ...) stores nothing, and the compiled run
-  follows with its per-region tallies and errors.  The call is read from
+  Python's counters addition for addition, in the steps the function
+  compiler recorded as it emitted them (:class:`~repro.runtime.compiler.Fold`).
+  A call it refuses (an argument of another kind or dtype, a host integer
+  op that leaves int64, a zero step, ...) stores nothing, and the compiled
+  run follows with its per-region tallies and errors.  A span's error is
+  raised after the counters so far; as in every run, its work frames end
+  with it, so the next run is an entry call again.  The call is read from
   the program, which every engine of the module and machine shares, so a
   fresh engine's first run takes it too; the program's first run of an
   entry compiles it, and is a compiled run;
@@ -128,8 +131,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.structure import split_executed
-from ..dialects import arith, omp as omp_d
 from ..ir import MemRefType
 from .cache import PUBLISH_TIMEOUT_S, _unlink_quietly, global_native_cache
 from .codegen_c import (
@@ -140,10 +141,9 @@ from .codegen_c import (
     emit_host,
     grid_units,
 )
-from .compiler import CompiledEngine, _FunctionCompiler, _Region
+from .compiler import CompiledEngine, Fold, _FunctionCompiler, _Region
 from .errors import InterpreterError, ToolchainError
 from .memory import MemRefStorage, dtype_for
-from .optable import cycles, row_for
 from . import resilience
 
 #: environment knob.
@@ -577,7 +577,7 @@ class NativeUnit:
         if not regions:
             return
         try:
-            entry = _Entry(fc, regions)
+            entry = _Entry(fc)
         except UnsupportedRegion as exc:
             entry = None
             for region in regions:
@@ -813,11 +813,6 @@ os.register_at_fork(after_in_child=_new_promoter_in_child)
 # ---------------------------------------------------------------------------
 # Region dispatchers
 # ---------------------------------------------------------------------------
-#: the work stack of an engine between runs (a run that raised leaves the
-#: frames it had open, and the compiled run goes on from them).
-_IDLE = [0.0]
-
-
 def _region_error(code: int) -> InterpreterError:
     """The engine error for a nonzero native error code (codes combine
     across OpenMP threads with a ``max`` reduction, so they stay semantic)."""
@@ -854,10 +849,8 @@ def _formats(dtype: np.dtype) -> Tuple[bytes, ...]:
     return formats
 
 
-#: parameter kinds and step kinds of a call's layout (``PARAM_*`` and
-#: ``STEP_*`` in ``_dispatch.c``).
+#: parameter kinds of a call's layout (``PARAM_*`` in ``_dispatch.c``).
 _PARAM_INT, _PARAM_FLOAT, _PARAM_BUFFER = range(3)
-_STEP_OPS, _STEP_CHARGE, _STEP_OPEN, _STEP_CLOSE, _STEP_BARRIER, _STEP_SPAN = range(6)
 
 
 class _Call(NamedTuple):
@@ -902,25 +895,23 @@ class _Calls:
     :class:`_Call` per thread count.  ``params`` are ``(kind, index, rank,
     stored, position)``: the argument at ``position`` checked — converted
     as ``int()`` / ``float()`` would unless ``exact`` — into ``VI`` /
-    ``VF`` / the buffer table at ``index``.  ``spans`` are ``(contract, op,
-    ints, floats, bounds, buffers)``: a span's :class:`_Contract`, its op,
-    and where its live-ins are in those tables.  ``steps`` are ``(kind,
-    argument)``, a charge's argument indexing ``charges``; ``symbols`` name
-    the spans' functions.  ``arity`` is the argument count a call requires
-    (-1: any)."""
+    ``VF`` / the buffer table at ``index``.  ``fold`` is the compiler's
+    record of the steps the call replays (:class:`~repro.runtime.compiler.Fold`),
+    and ``spans`` are, per span of it, ``(contract, ints, floats, bounds,
+    buffers)``: its :class:`_Contract` and where its live-ins are in those
+    tables; ``symbols`` name the spans' functions.  ``arity`` is the
+    argument count a call requires (-1: any)."""
 
-    def __init__(self, program, params, spans, steps, charges, n_ints: int, n_floats: int,
+    def __init__(self, program, params, fold: Fold, spans, n_ints: int, n_floats: int,
                  formats, spaces, symbols, *, exact: bool, arity: int) -> None:
         self.program = program
         self.symbols = tuple(symbols)
         gathered: List[List[int]] = [[], [], []]
         records, extents, self.teams = [], 0, 1
-        for contract, op, ints, floats, bounds, buffers in spans:
-            wsloop = isinstance(op, omp_d.OmpWsLoopOp)
-            team = _FunctionCompiler.wsloop_team(op) if wsloop else -1
-            self.teams = max(self.teams, team)
+        for region, (contract, ints, floats, bounds, buffers) in zip(fold.spans, spans):
+            self.teams = max(self.teams, region.team)
             required = contract.required
-            records += [contract.width, team, int(wsloop and op.nowait),
+            records += [contract.width, region.team, int(region.nowait),
                         len(gathered[0]), len(gathered[1]), len(gathered[0]) + len(ints),
                         len(bounds) // 3, len(gathered[2]), len(buffers), extents,
                         len(contract.costs) // 8,
@@ -932,11 +923,11 @@ class _Calls:
             gathered[1] += floats
             gathered[2] += buffers
             extents += sum(buffer[2] for buffer in contract.buffers)
-        self.head = [len(params), n_ints, n_floats, len(formats), len(spans), len(steps)]
+        self.head = [len(params), n_ints, n_floats, len(formats), len(spans), len(fold.steps)]
         self.sizes = [*map(len, gathered), extents, int(exact), arity]
         self.body = [*(word for param in params for word in param),
                      *(word for words in gathered for word in words), *records]
-        self.steps, self.charges = steps, charges
+        self.fold = fold
         self.formats, self.spaces = tuple(formats), tuple(spaces)
         self.contracts: Dict[int, _Call] = {}
 
@@ -950,10 +941,8 @@ class _Calls:
         teams = max(threads, self.teams)
         program = self.program
         charges = [program.machine.sync_cost, program.machine.fork_cost,
-                   *(program.speedup(team) for team in range(1, teams + 1)), *self.charges]
-        steps = [word for kind, argument in self.steps
-                 for word in (kind, argument + 2 + teams if kind == _STEP_CHARGE else argument)]
-        layout = [*self.head, threads, teams, *self.sizes, *self.body, *steps]
+                   *map(program.speedup, range(1, teams + 1)), *self.fold.charges]
+        layout = [*self.head, threads, teams, *self.sizes, *self.body, *self.fold.words(2 + teams)]
         call = self.contracts[threads] = _Call(
             MemRefStorage, np.ndarray, np.array(layout, dtype=np.int64).tobytes(),
             np.array(charges, dtype=np.float64).tobytes(), self.symbols, self.formats,
@@ -994,9 +983,9 @@ class _RegionHandle:
                     for index, (slot, _, rank, _, stored) in enumerate(contract.buffers)),
                   *((_PARAM_INT, ints + at, 0, 0, contract.bounds[at])
                     for dim in range(dims) for at in (dim, dims + dim, 2 * dims + dim))]
-        span = (contract, region.plan.op, range(ints), range(len(contract.floats)),
+        span = (contract, range(ints), range(len(contract.floats)),
                 range(ints, ints + 3 * dims), range(len(contract.buffers)))
-        self.calls = _Calls(program, params, [span], [(_STEP_SPAN, 0)], [],
+        self.calls = _Calls(program, params, Fold(region), [span],
                             ints + 3 * dims, len(contract.floats),
                             [buffer[1] for buffer in contract.buffers],
                             [buffer[3] for buffer in contract.buffers], [self.symbol],
@@ -1053,49 +1042,21 @@ class _Entry:
     function's ``source`` joins the unit; ``calls`` is what
     ``_dispatch.call`` runs the function by: its parameters checked exactly
     as passed, each span's live-ins as slots of the host scalars and buffer
-    parameters, and the steps that replay the generated Python's counters
-    in its order.  Raises :class:`UnsupportedRegion` naming what makes the
-    function something else."""
+    parameters, and the steps the function compiler recorded (``fc.fold``).
+    Raises :class:`UnsupportedRegion` naming what makes the function
+    something else."""
 
-    def __init__(self, fc: _FunctionCompiler, regions: List[_Region]) -> None:
-        handles = {id(region.plan.op): region.handle for region in regions}
-        ops, spans, steps, charges = [], [], [], []
-
-        def walk(block, depth: int) -> None:
-            executed, term = split_executed(block)
-            steps.append((_STEP_OPS, len(executed) + (term is not None)))
-            for op in executed:
-                handle = handles.get(id(op))
-                if handle is not None:
-                    steps.append((_STEP_SPAN, len(spans)))
-                    spans.append((op, handle))
-                elif isinstance(op, arith.ConstantOp):
-                    ops.append(op)
-                elif row_for(op) is not None:
-                    ops.append(op)
-                    steps.append((_STEP_CHARGE, len(charges)))
-                    charges.append(cycles(row_for(op)))
-                elif isinstance(op, omp_d.OmpParallelOp) and not depth and not op.nest_level:
-                    steps.append((_STEP_OPEN, 0))
-                    walk(op.body, 1)
-                    steps.append((_STEP_CLOSE, 0))
-                elif isinstance(op, omp_d.OmpBarrierOp):
-                    steps.append((_STEP_BARRIER, 0))
-                elif op.regions:
-                    raise UnsupportedRegion(f"{op.name} outside a native span")
-                else:
-                    raise UnsupportedRegion(f"host op {op.name}")
-            if depth == 0 and (term is None or term.operands):
-                raise UnsupportedRegion("the function returns a value")
-
-        walk(fc.fn.body_block, 0)
+    def __init__(self, fc: _FunctionCompiler) -> None:
+        fold = fc.fold
+        if fold.refusal is not None:
+            raise UnsupportedRegion(fold.refusal)
         arguments = fc.fn.arguments
         buffers = [value for value in arguments if isinstance(value.type, MemRefType)]
         sanitized = "".join(ch if ch.isalnum() else "_" for ch in fc.fn.sym_name)
         self.symbol = f"repro_{sanitized}_host"
         self.source, host = emit_host(
             self.symbol, [value for value in arguments
-                          if not isinstance(value.type, MemRefType)], ops)
+                          if not isinstance(value.type, MemRefType)], fold.ops)
         # every live-in of a span is a host scalar or a buffer parameter
         scalar = {fc.slot(value): host.where[id(value)] for value in host.ints + host.floats}
         buffer = {fc.slot(value): index for index, value in enumerate(buffers)}
@@ -1107,14 +1068,14 @@ class _Entry:
             return [index for _, index in found]
 
         records, stored = [], set()
-        for op, handle in spans:
-            contract = handle.contract
+        for region in fold.spans:
+            contract = region.handle.contract
             if any(slot not in buffer for slot, *_ in contract.buffers):
                 raise UnsupportedRegion("a span live-in buffer is not a parameter")
             owned = [buffer[slot] for slot, *_ in contract.buffers]
             stored.update(index for index, (*_, written) in zip(owned, contract.buffers)
                           if written)
-            records.append((contract, op, indices("VI", contract.ints),
+            records.append((contract, indices("VI", contract.ints),
                             indices("VF", contract.floats), indices("VI", contract.bounds),
                             owned))
         params = []
@@ -1128,10 +1089,11 @@ class _Entry:
                 params.append((_PARAM_INT if kind == "VI" else _PARAM_FLOAT, index, 0, 0,
                                position))
         self.calls = _Calls(
-            fc.program, params, records, steps, charges, len(host.ints), len(host.floats),
+            fc.program, params, fold, records, len(host.ints), len(host.floats),
             [_formats(dtype_for(value.type.element_type)) for value in buffers],
             [value.type.memory_space for value in buffers],
-            [handle.symbol for _, handle in spans], exact=True, arity=len(arguments))
+            [region.handle.symbol for region in fold.spans], exact=True,
+            arity=len(arguments))
         self.calls.get(fc.program.machine.cores)  # the default team's, at plan time
 
 
@@ -1193,43 +1155,36 @@ class NativeEngine(CompiledEngine):
         """A run of a straight-line entry whose program has compiled it is
         one dispatcher call (``_dispatch.call``) on the arguments as passed,
         on any engine over the program (a strict one probes the toolchain
-        first, once); the program's first run, a refused call and every
-        other function take the compiled engine's run, with its per-region
-        dispatches."""
+        first, once), its counters folded as the compiled run folds them and
+        a span's error raised after them; the program's first run, a refused
+        call and every other function take the compiled engine's run."""
         program = self._program
         compiled = program.entries.get(function_name)
         unit = None if compiled is None else compiled.dispatch_state
         entry = None if unit is None else unit.entry
-        if entry is not None and self._work == _IDLE and program.unit_failure is None:
+        if entry is not None and program.unit_failure is None:
             if self._resilience_strict and not self._toolchain_checked:
                 self._probe_toolchain()
             calls = entry.calls
             contract = calls.contracts.get(self.threads) or calls.get(self.threads)
             folded = _call(unit.functions, unit.host, contract, arguments)
             if folded.__class__ is tuple:
-                return self._fold(unit, folded)
+                work, ops, global_bytes, regions, loops, barriers, dispatches, error = folded
+                report = self.report
+                report.dynamic_ops += ops
+                report.global_bytes += global_bytes
+                report.parallel_regions += regions
+                report.workshared_loops += loops
+                report.barriers += barriers
+                program.native_stats["native_dispatches"] += dispatches
+                program.native_stats["entry_calls"] += 1
+                if dispatches and unit.countdown:
+                    unit.count_run(folded)  # a new tuple per run: it counts once
+                if error:
+                    raise _region_error(error)
+                report.cycles += work
+                return []
         return super().run(function_name, arguments)
-
-    def _fold(self, unit: NativeUnit, folded: Tuple) -> List:
-        """Fold one entry call's counters into the report and stats as the
-        compiled run would have; raise a span's error after them."""
-        work, ops, global_bytes, regions, loops, barriers, dispatches, error = folded
-        report = self.report
-        report.dynamic_ops += ops
-        report.global_bytes += global_bytes
-        report.parallel_regions += regions
-        report.workshared_loops += loops
-        report.barriers += barriers
-        stats = self._program.native_stats
-        stats["native_dispatches"] += dispatches
-        stats["entry_calls"] += 1
-        if dispatches and unit.countdown:
-            unit.count_run(folded)  # a new tuple per run: it counts once
-        if error:
-            self._work[:] = work  # the work frames open when the span failed
-            raise _region_error(error)
-        report.cycles += work
-        return []
 
     def _entry(self, name: str, count: int):
         # Strict (resilience-wrapped) runs raise a toolchain failure — the

@@ -472,6 +472,18 @@ class TestTowerCensus:
         assert [name for name in classes if name.endswith("Program")] == ["_Program"]
         assert not [name for name in classes if name.endswith("Mixin")]
 
+    def test_one_owner_for_the_fold(self):
+        """The compiler records the steps a straight-line entry's warm call
+        replays as it emits their accounting: the step kinds are named in
+        ``compiler.py`` alone, and ``native.py`` neither walks the IR
+        (``split_executed``), charges ops (``row_for``) nor sizes a span's
+        team (``wsloop_team``) itself."""
+        sources = self._sources()
+        assert {name for name, text in sources.items()
+                if re.search(r"\bSTEP_[A-Z]+\b", text)} == {"compiler.py"}
+        for gone in ("split_executed", "row_for", "wsloop_team"):
+            assert not re.search(rf"\b{gone}\b", sources["native.py"]), gone
+
     def test_region_facts_are_read_from_the_plan(self):
         sources = self._sources()
         callers = {name for name, text in sources.items()

@@ -33,6 +33,7 @@ from repro.runtime import (
     XEON_8375C,
     engine_names,
     make_executor,
+    native_available,
     shutdown_worker_pools,
 )
 from repro.runtime.codegen_c import LANES
@@ -310,3 +311,49 @@ class TestArgumentContracts:
         with pytest.raises(ValueError,
                            match=rf"^threads must be a positive int, got {threads!r}$"):
             make_executor(module, engine=engine, threads=threads, workers=2)
+
+
+#: a span whose inner loop steps by ``s``: ``s = 0`` raises inside the
+#: ``omp.parallel`` the span runs in, with its work frame open.
+STEP_CUDA = """
+__global__ void steps(float* out, float* in, int n, int s) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {
+        float acc = 0.0f;
+        for (int j = 0; j < 4; j += s) acc += in[gid];
+        out[gid] = acc;
+    }
+}
+
+void launch(float* out, float* in, int n, int s) {
+    steps<<<(n + 31) / 32, 32>>>(out, in, n, s);
+}
+"""
+
+
+class TestRunIsolation:
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_a_raised_run_leaves_no_work_frame(self, engine):
+        """A run that raises inside an ``omp.parallel`` (an inner loop's
+        zero step) leaves nothing behind: each of the next two clean runs
+        on the same engine adds the ``cycles`` of a fresh engine's run, and
+        on the native engine the run after the error is an entry call."""
+        module = compile_cuda(STEP_CUDA, cuda_lower=True,
+                              options=PipelineOptions.all_optimizations())
+
+        def arguments(step):
+            return [np.zeros(64, np.float32), np.arange(64, dtype=np.float32), 64, step]
+
+        fresh = make_executor(module, engine=engine, workers=2)
+        fresh.run("launch", arguments(1))
+        executor = make_executor(module, engine=engine, workers=2)
+        with pytest.raises(InterpreterError, match="scf.for requires a positive step"):
+            executor.run("launch", arguments(0))
+        entry_call = engine == "native" and native_available()
+        for _ in range(2):
+            before = executor.report.cycles
+            calls = executor.native_stats["entry_calls"] if entry_call else 0
+            executor.run("launch", arguments(1))
+            assert executor.report.cycles - before == fresh.report.cycles
+            if entry_call:
+                assert executor.native_stats["entry_calls"] == calls + 1

@@ -666,10 +666,10 @@ class TestWarmPathGuard:
     wrapper, which no buffer's address needs."""
 
     #: calls of one warm scale-1 run (and of the ``lambda`` that makes it):
-    #: the run, its lookups of the compiled entry and of its warm call, the
-    #: one dispatcher call (``_dispatch.call``) and the fold of its counters.
-    #: Upper bounds, at the counts they were pinned at.
-    CALLS = {"nw": 7, "lud": 7, "bfs": 7}
+    #: the run, which folds the counters itself, its lookups of the compiled
+    #: entry and of its warm call and the one dispatcher call
+    #: (``_dispatch.call``).  Upper bounds, at the counts they were pinned at.
+    CALLS = {"nw": 6, "lud": 6, "bfs": 6}
 
     #: the same of one warm *compiled* run (``CompiledEngine.run``, the path
     #: of a refused call and of a function with host control flow; and of
@@ -889,8 +889,9 @@ class TestEntryCall:
         """``srad_v1``'s second span reports ``ERR_BAD_STEP`` (a spy's
         trampoline, after the real span's stores): the entry call raises the
         compiled run's error (``CompiledEngine.run``) after the first span's
-        stores, with its counters and open work frames, and the run after it
-        reports the same."""
+        stores, with its counters.  No work frame survives the error: the
+        run after it, an entry call, adds what a fresh engine's run
+        reports."""
         from repro.runtime.compiler import invalidate_compiled
         from tests.region_spy import RegionSpy
 
@@ -915,22 +916,26 @@ class TestEntryCall:
                 run(bench.entry, arguments)
             counts = [engine.native_stats[name] - before[name]
                       for name in ("native_dispatches", "entry_calls")]
-            failed = report_fields(engine.report), list(engine._work)
+            failed = report_fields(engine.report)
             spy.fail(unit.symbols[1], 0)
             engine.run(bench.entry, bench.make_inputs(1))
-            runs.append((reset, counts, failed, arguments, report_fields(engine.report)))
-        (reset, warm_counts, warm_failed, warm_args, warm_after), \
-            (_, first_counts, first_failed, first_args, first_after) = runs
+            assert engine.native_stats["entry_calls"] == before["entry_calls"] + warm + 1
+            fresh = NativeEngine(module)
+            fresh.run(bench.entry, bench.make_inputs(1))
+            runs.append((reset, counts, failed, arguments, report_fields(engine.report),
+                         report_fields(fresh.report)))
+        (reset, warm_counts, warm_failed, warm_args, warm_after, warm_fresh), \
+            (_, first_counts, first_failed, first_args, first_after, first_fresh) = runs
         assert (warm_counts, first_counts) == ([1, 1], [1, 0])
         assert not np.array_equal(first_args[0], bench.make_inputs(1)[0])  # stored
         for got, want in zip(warm_args, first_args):
             np.testing.assert_array_equal(got, want)
-        assert len(first_failed[1]) == 2  # the omp.parallel frame was open
-        assert warm_failed[1] == first_failed[1]
         # the warm engine's report also holds its clean run: one more
         # addition to each field (``cycles`` moves only at a run's end)
-        assert warm_failed[0] == tuple(map(sum, zip(reset, first_failed[0])))
-        assert warm_after == tuple(map(sum, zip(reset, first_after)))
+        assert warm_failed == tuple(map(sum, zip(reset, first_failed)))
+        assert first_failed[0] == 0.0
+        assert warm_after == tuple(map(sum, zip(warm_failed, warm_fresh)))
+        assert first_after == tuple(map(sum, zip(first_failed, first_fresh)))
 
     @needs_cc
     def test_a_fresh_executor_per_run_takes_the_entry_call(self):
@@ -961,12 +966,10 @@ class TestEntryCall:
         """Eight threads, one new engine each over one module whose program
         one run compiled, run a lane-blocked straight-line entry together:
         every run, each engine's first too, is one entry call and equals
-        ``interp``.  (Three chain steps, not four: the unit promotes during
-        the runs, and must not publish the tier-2 artifact that
-        :class:`TestSharedProgram` expects to build itself.)"""
+        ``interp``."""
         import threading
 
-        module = _lowered(LANE_BLEND_CUDA.replace("k < 4", "k < 3"))
+        module = _lowered(LANE_BLEND_CUDA)
 
         def arguments(seed):
             rng = np.random.default_rng(seed)
@@ -1830,11 +1833,23 @@ LANE_BLEND_CUDA = TWO_KERNEL_CUDA.replace(
     "        out[gid] = acc;\n    }")
 
 
+@pytest.fixture
+def own_artifact_cache(tmp_path, monkeypatch):
+    """A fresh process-wide native artifact cache for one test, the old one
+    restored after it: the units the test builds, at either tier, are its
+    own, whatever another test in the process published."""
+    from repro.runtime import cache
+
+    monkeypatch.setitem(cache._GLOBALS, NativeArtifactCache,
+                        NativeArtifactCache(directory=tmp_path))
+
+
 class TestSharedProgram:
     """Programs are cached on the module, so the daemon's handler threads
     dispatch through one program, and one unit, at once."""
 
     @needs_cc
+    @pytest.mark.usefixtures("own_artifact_cache")
     @pytest.mark.parametrize("source", [TWO_KERNEL_CUDA, LANE_BLEND_CUDA],
                              ids=["one-lane", "promoting"])
     def test_threads_share_one_program(self, source):
